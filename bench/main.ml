@@ -1,22 +1,16 @@
-(* The benchmark harness.
+(* The bench harness behind CI's perf gate.
 
-   Part 1 regenerates every table and figure of the paper's evaluation
-   from full-system runs (the numbers EXPERIMENTS.md records). Part 2
-   writes the consolidated BENCH_<rev>.json the regression gate
+   Part 1 writes the consolidated BENCH_<rev>.json the regression gate
    consumes: one deterministic full-system run per Fig. 14/15/17/18
-   slice with its wall-clock and host-insn/guest-insn figures. Part 3
-   runs one Bechamel wall-clock microbenchmark per table/figure: a
-   representative workload slice of that experiment executed end to
-   end (translate + run) under the configuration it studies.
+   slice with its host-insn/guest-insn figures (and a single-sample
+   wall_ms, which is not a metric — dbtbench/ measures wall clock
+   repeatably). Part 2 serves one chaos drill at 1, 2 and 4 domains
+   and checks the report is identical at every point. The paper's
+   tables and figures are printed by repro-experiments.
 
    Environment knobs:
-     REPRO_BENCH_TARGET           guest insns per experiment run (default 120000)
-     REPRO_BENCH_SKIP_TABLES      set to skip the tables/figures section
-     REPRO_BENCH_SKIP_WALLCLOCK   set to skip the Bechamel section
+     REPRO_BENCH_TARGET           guest insns per slice run (default 120000)
      REPRO_BENCH_SKIP_SCALING     set to skip the domain-scaling section
-     REPRO_BENCH_METRICS_DIR      write per-slice machine-readable metrics
-                                  (stats + coordination ledger JSON) here;
-                                  created if missing
      REPRO_BENCH_JSON             path of the consolidated bench file
                                   (default BENCH_<rev>.json in the cwd)
      REPRO_BENCH_REV              revision stamp in the bench file (default dev)
@@ -25,8 +19,6 @@
                                   synthetic regression that must trip the
                                   gate against a full-opt baseline *)
 
-open Bechamel
-module H = Repro_harness.Harness
 module D = Repro_dbt
 module K = Repro_kernel.Kernel
 module W = Repro_workloads.Workloads
@@ -58,46 +50,9 @@ let write_clearly ~what path content =
     Printf.eprintf "bench: cannot write %s %s: %s\n%!" what path e;
     exit 1
 
-(* ---------- part 1: the paper's tables and figures ---------- *)
-
-let tables () =
-  let t = H.create ~target_insns:target () in
-  List.iter
-    (fun tb ->
-      print_string (H.render tb);
-      print_newline ())
-    (H.all t)
-
-(* ---------- shared slice machinery ---------- *)
-
 let ruleset = lazy (Repro_rules.Builtin.ruleset ())
-let metrics_dir = Sys.getenv_opt "REPRO_BENCH_METRICS_DIR"
 
-let write_metrics name sys ledger =
-  match metrics_dir with
-  | None -> ()
-  | Some dir ->
-    let name = String.map (fun c -> if c = ':' then '-' else c) name in
-    write_clearly ~what:"metrics file"
-      (Filename.concat dir (name ^ ".json"))
-      (Jsonx.obj
-         [
-           ("stats", Stats.to_json (D.System.stats sys));
-           ("ledger", Repro_observe.Ledger.to_json ledger);
-         ]
-      ^ "\n")
-
-let run_slice mode spec_name =
-  let spec = W.find spec_name in
-  let user = W.generate spec ~iterations:2 in
-  let image = K.build ~timer_period:2_000 ~user_program:user () in
-  let ledger = Repro_observe.Ledger.create () in
-  let sys = D.System.create ~ruleset:(Lazy.force ruleset) ~ledger mode in
-  K.load image (fun base words -> D.System.load_image sys base words);
-  ignore (D.System.run ~max_guest_insns:400_000 sys);
-  write_metrics (D.System.mode_name mode ^ "-" ^ spec_name) sys ledger
-
-(* ---------- part 2: the consolidated BENCH file ---------- *)
+(* ---------- part 1: the consolidated BENCH file ---------- *)
 
 let rev = Option.value (Sys.getenv_opt "REPRO_BENCH_REV") ~default:"dev"
 let ablate = Sys.getenv_opt "REPRO_BENCH_ABLATE" <> None
@@ -184,7 +139,7 @@ let run_bench_slice s =
       ("wall_ms", Jsonx.float wall_ms);
     ]
 
-(* ---------- part 2b: domain-scaling slice ----------
+(* ---------- part 2: domain-scaling slice ----------
 
    One chaos drill served at 1, 2 and 4 domains. The report must come
    out byte-identical at every point (the determinism oracle — the
@@ -326,68 +281,4 @@ let bench_json () =
   Printf.printf "consolidated bench file written to %s (%d slices)\n%!" path
     (List.length slices)
 
-(* ---------- part 3: wall-clock microbenches ---------- *)
-
-let wallclock_tests =
-  (* one Test.make per table/figure: the configuration that experiment
-     exercises, on a small slice *)
-  [
-    Test.make ~name:"table1-qemu-profile"
-      (Staged.stage (fun () -> run_slice D.System.Qemu "gcc"));
-    Test.make ~name:"fig8-coordination-base"
-      (Staged.stage (fun () -> run_slice (D.System.Rules D.Opt.base) "perlbench"));
-    Test.make ~name:"fig14-speedup-full"
-      (Staged.stage (fun () -> run_slice (D.System.Rules D.Opt.full) "gcc"));
-    Test.make ~name:"fig15-expansion-qemu"
-      (Staged.stage (fun () -> run_slice D.System.Qemu "mcf"));
-    Test.make ~name:"fig16-cumulative-reduction"
-      (Staged.stage (fun () -> run_slice (D.System.Rules D.Opt.reduction_only) "gcc"));
-    Test.make ~name:"fig17-sync-elimination"
-      (Staged.stage (fun () -> run_slice (D.System.Rules D.Opt.with_elimination) "gcc"));
-    Test.make ~name:"fig18-native-ratio"
-      (Staged.stage (fun () -> run_slice (D.System.Rules D.Opt.full) "hmmer"));
-    Test.make ~name:"fig19-app-memcached"
-      (Staged.stage (fun () ->
-           let app = List.hd W.apps in
-           let user = W.generate_app app ~iterations:4 in
-           let image = K.build ~timer_period:2_000 ~user_program:user () in
-           let ledger = Repro_observe.Ledger.create () in
-           let sys =
-             D.System.create ~ruleset:(Lazy.force ruleset) ~ledger
-               (D.System.Rules D.Opt.full)
-           in
-           K.load image (fun base words -> D.System.load_image sys base words);
-           ignore (D.System.run ~max_guest_insns:400_000 sys);
-           write_metrics "rules-full-memcached" sys ledger));
-    Test.make ~name:"learning-pipeline"
-      (Staged.stage (fun () -> ignore (Repro_learn.Learn.learn ())));
-  ]
-
-let wallclock () =
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:None () in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  print_endline "== wall-clock microbenches (per end-to-end slice) ==";
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let m = Benchmark.run cfg instances elt in
-          let ols =
-            Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-          in
-          let results = Analyze.one ols Toolkit.Instance.monotonic_clock m in
-          match Analyze.OLS.estimates results with
-          | Some [ est ] ->
-            Printf.printf "  %-28s %12.3f ms/run\n%!" (Test.Elt.name elt) (est /. 1e6)
-          | _ -> Printf.printf "  %-28s (no estimate)\n%!" (Test.Elt.name elt))
-        (Test.elements test))
-    wallclock_tests
-
-let () =
-  (match Sys.getenv_opt "REPRO_BENCH_SKIP_TABLES" with
-  | Some _ -> ()
-  | None -> tables ());
-  bench_json ();
-  match Sys.getenv_opt "REPRO_BENCH_SKIP_WALLCLOCK" with
-  | Some _ -> ()
-  | None -> wallclock ()
+let () = bench_json ()

@@ -209,8 +209,12 @@ let run bench mode_name target budget timer builtin_only rules_file dump_tbs
       match trace_file with Some _ -> Some (Obs.Trace.create ()) | None -> None
     in
     let ledger = if ledger_on then Some (Obs.Ledger.create ()) else None in
+    (* One scope serves --perf and the hot-block views (--profile,
+       --flamegraph, post-mortem dumps) alike. *)
     let scope =
-      match perf_out with Some _ -> Some (Perf.Scope.create ()) | None -> None
+      if perf_out <> None || profile_top > 0 || flamegraph_out <> None then
+        Some (Perf.Scope.create ())
+      else None
     in
     match replay_file with
     | Some path -> exit (do_replay ruleset shadow_depth quarantine_threshold path)
@@ -261,12 +265,7 @@ let run bench mode_name target budget timer builtin_only rules_file dump_tbs
          static per-rule sink is only worth carrying when a coverage
          view was requested. Attached before the first translation. *)
       if coverage || coverage_out <> None then
-        D.System.set_cov_static sys (Some (Cov.Static.create ()));
-      let profile =
-        if profile_top > 0 || flamegraph_out <> None then
-          Some (T.Profile.create ())
-        else None
-      in
+        sys.D.System.rt.T.Runtime.cov_static <- Some (Cov.Static.create ());
       let postmortems = ref 0 in
       let on_postmortem =
         match postmortem_dir with
@@ -329,7 +328,7 @@ let run bench mode_name target budget timer builtin_only rules_file dump_tbs
         else None
       in
       let res =
-        D.System.run ?profile ~max_guest_insns
+        D.System.run ~max_guest_insns
           ~checkpoint_every:effective_checkpoint_every ?on_checkpoint ~watchdog
           ?on_postmortem sys
       in
@@ -369,13 +368,13 @@ let run bench mode_name target budget timer builtin_only rules_file dump_tbs
             (D.Translator_rule.blacklist_size tr)
             (Repro_rules.Ruleset.quarantined_count ruleset)
       | None -> ());
-      (match profile with
-      | Some p when profile_top > 0 ->
+      (match scope with
+      | Some sc when profile_top > 0 ->
         Format.printf "@.--- hot translation blocks ---@.%a@."
-          (T.Profile.pp_report ~top:profile_top) p;
-        (match T.Profile.top 1 p with
+          (Perf.Scope.pp_blocks ~top:profile_top) sc;
+        (match Perf.Scope.top_blocks 1 sc with
         | [ hottest ] ->
-          Format.printf "@.hottest block:@.%a@." T.Profile.pp_disasm hottest
+          Format.printf "@.hottest block:@.%a@." Perf.Scope.pp_disasm hottest
         | _ -> ())
       | Some _ | None -> ());
       if dump_tbs > 0 then begin
@@ -430,41 +429,27 @@ let run bench mode_name target budget timer builtin_only rules_file dump_tbs
           ^ "\n");
         Format.printf "@.perf report written to %s@." path
       | _ -> ());
-      (match (profile, flamegraph_out) with
-      | Some p, Some path ->
-        let fl = Perf.Flame.create () in
+      (match (scope, flamegraph_out) with
+      | Some sc, Some path ->
         let symbolize =
           match image with
           | Some img -> fun pc -> K.symbolize img pc
           | None -> fun _ -> "?" (* restored runs carry no symbol table *)
         in
-        List.iter
-          (fun (e : T.Profile.entry) ->
-            let base =
-              [
-                D.System.mode_name mode;
-                (if e.T.Profile.privileged then "kernel" else "user");
-                symbolize e.T.Profile.guest_pc;
-                (* superblocks get their own frame kind so region time is
-                   separable from the head TB's pre-fusion executions *)
-                Printf.sprintf
-                  (if e.T.Profile.region then "region_0x%08x" else "tb_0x%08x")
-                  e.T.Profile.guest_pc;
-              ]
-            in
-            let split = Array.fold_left ( + ) 0 e.T.Profile.phases in
-            if split > 0 then begin
-              List.iter
-                (fun ph ->
-                  let n = e.T.Profile.phases.(Perf.Phase.index ph) in
-                  if n > 0 then Perf.Flame.add fl (base @ [ Perf.Phase.name ph ]) n)
-                Perf.Phase.all;
-              if e.T.Profile.host_spent > split then
-                Perf.Flame.add fl base (e.T.Profile.host_spent - split)
-            end
-            else Perf.Flame.add fl base e.T.Profile.host_spent)
-          (T.Profile.entries p);
-        Atomicio.write_channel path (fun oc -> Perf.Flame.write_folded oc fl);
+        let frames (b : Perf.Scope.block) =
+          [
+            D.System.mode_name mode;
+            (if b.Perf.Scope.privileged then "kernel" else "user");
+            symbolize b.Perf.Scope.pc;
+            (* superblocks get their own frame kind so region time is
+               separable from the head TB's pre-fusion executions *)
+            Printf.sprintf
+              (if b.Perf.Scope.region then "region_0x%08x" else "tb_0x%08x")
+              b.Perf.Scope.pc;
+          ]
+        in
+        Atomicio.write_channel path (fun oc ->
+            Perf.Flame.write_folded oc (Perf.Scope.flame sc ~frames));
         Format.printf "@.flamegraph (collapsed stacks) written to %s@." path
       | _ -> ());
       (match stats_json with
@@ -479,10 +464,10 @@ let run bench mode_name target budget timer builtin_only rules_file dump_tbs
                   Obs.Jsonx.str
                     (Digest.to_hex (Digest.string (D.System.uart_output sys))) );
               ]
-             @ (match scope with
-               | Some sc ->
+             @ (match (scope, perf_out) with
+               | Some sc, Some _ ->
                  [ ("perf", Perf.Scope.to_json sc); ("costs", T.Costs.to_json ()) ]
-               | None -> [])
+               | _ -> [])
              @ (match ledger with
                | Some l -> [ ("ledger", Obs.Ledger.to_json l) ]
                | None -> [])

@@ -1,6 +1,6 @@
-(* Performance-observatory tour: attach a perf scope and a per-TB
-   profile to the same run, show the deterministic phase breakdown and
-   the latency histograms, and write a collapsed-stack flamegraph.
+(* Performance-observatory tour: attach a perf scope to a run, show
+   the deterministic phase breakdown and the latency histograms, and
+   write a collapsed-stack flamegraph of the scope's hot-block table.
 
      dune exec examples/perf_tour.exe
 
@@ -36,14 +36,13 @@ let build_image () =
   in
   K.build ~timer_period:5_000 ~user_program:user ()
 
-(* One scoped + profiled run; returns the stats-json document. *)
+(* One scoped run; returns the stats-json document. *)
 let scoped_run image =
   let scope = Perf.Scope.create () in
-  let profile = T.Profile.create () in
   let sys = D.System.create ~scope (D.System.Rules D.Opt.full) in
   K.load image (fun base words -> D.System.load_image sys base words);
   (match
-     (D.System.run ~profile ~max_guest_insns:3_000_000 ~checkpoint_every:4_000
+     (D.System.run ~max_guest_insns:3_000_000 ~checkpoint_every:4_000
         sys).T.Engine.reason
    with
   | `Halted _ -> ()
@@ -56,11 +55,11 @@ let scoped_run image =
         ("stats", Stats.to_json (D.System.stats sys));
       ]
   in
-  (scope, profile, D.System.stats sys, json)
+  (scope, D.System.stats sys, json)
 
 let () =
   let image = build_image () in
-  let scope, profile, stats, json = scoped_run image in
+  let scope, stats, json = scoped_run image in
 
   (* 1. exact partition *)
   let host = stats.Stats.host_insns in
@@ -82,7 +81,7 @@ let () =
   show "checkpoint intervals" (Perf.Scope.checkpoint_interval scope);
 
   (* 3. same-seed run diffs at exactly zero *)
-  let _, _, _, json2 = scoped_run image in
+  let _, _, json2 = scoped_run image in
   let rows = Perf.Analysis.diff (Obs.Jsonx.parse json) (Obs.Jsonx.parse json2) in
   Format.printf "@.same-seed A/B diff: max |delta| = %.1f%% over %d phases@."
     (Perf.Analysis.max_abs_pct rows)
@@ -94,35 +93,19 @@ let () =
   output_string oc json;
   output_char oc '\n';
   close_out oc;
-  let fl = Perf.Flame.create () in
-  List.iter
-    (fun (e : T.Profile.entry) ->
-      let base =
+  let fl =
+    Perf.Scope.flame scope ~frames:(fun b ->
         [
           "rules-full";
-          (if e.T.Profile.privileged then "kernel" else "user");
-          K.symbolize image e.T.Profile.guest_pc;
-          Printf.sprintf "tb_0x%08x" e.T.Profile.guest_pc;
-        ]
-      in
-      let split = Array.fold_left ( + ) 0 e.T.Profile.phases in
-      if split > 0 then begin
-        List.iter
-          (fun ph ->
-            let n = e.T.Profile.phases.(Perf.Phase.index ph) in
-            if n > 0 then Perf.Flame.add fl (base @ [ Perf.Phase.name ph ]) n)
-          Perf.Phase.all;
-        if e.T.Profile.host_spent > split then
-          Perf.Flame.add fl base (e.T.Profile.host_spent - split)
-      end
-      else Perf.Flame.add fl base e.T.Profile.host_spent)
-    (T.Profile.entries profile);
+          (if b.Perf.Scope.privileged then "kernel" else "user");
+          K.symbolize image b.Perf.Scope.pc;
+          Printf.sprintf "tb_0x%08x" b.Perf.Scope.pc;
+        ])
+  in
   let oc = open_out "perf_tour.folded" in
   Perf.Flame.write_folded oc fl;
   close_out oc;
-  Format.printf "@.hot blocks:@.%a@."
-    (T.Profile.pp_report ~top:5)
-    profile;
+  Format.printf "@.hot blocks:@.%a@." (Perf.Scope.pp_blocks ~top:5) scope;
   Format.printf "wrote perf_tour.json and perf_tour.folded@.";
   Format.printf
     "try: flamegraph.pl perf_tour.folded > perf_tour.svg@.";

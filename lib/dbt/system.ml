@@ -141,7 +141,7 @@ let create ?ram_kib ?ruleset ?tb_capacity ?inject ?shadow_depth
       ( Some ruleset,
         Some
           (Translator_rule.create ~opt ~ruleset ?shadow_depth
-             ?quarantine_threshold ?ledger ()) )
+             ?quarantine_threshold rt) )
   in
   {
     mode;
@@ -176,16 +176,6 @@ let stats t = Runtime.stats t.rt
 
 (* ---------- translation-quality observatory ---------- *)
 
-let set_cov_static t s =
-  match t.rule_translator with
-  | Some tr -> Translator_rule.set_cov_static tr s
-  | None -> ()
-
-let cov_static t =
-  match t.rule_translator with
-  | Some tr -> Translator_rule.cov_static tr
-  | None -> None
-
 let coverage_rules t =
   match t.ruleset with
   | Some rs ->
@@ -195,7 +185,7 @@ let coverage_rules t =
   | None -> []
 
 let coverage_report t =
-  Repro_covscope.Report.make ?static:(cov_static t) ~rules:(coverage_rules t)
+  Repro_covscope.Report.make ?static:t.rt.Runtime.cov_static ~rules:(coverage_rules t)
     (Repro_covscope.Report.of_stats (Runtime.stats t.rt))
 let cpu t = t.rt.Runtime.cpu
 let journal t = t.journal
@@ -497,6 +487,19 @@ let max_strikes a b =
     (a @ b);
   Hashtbl.fold (fun id n acc -> (id, n) :: acc) tbl [] |> List.sort compare
 
+(* Snapshot cache rebuilds and depot install waves re-run translations
+   made elsewhere (by the checkpointed machine, or by the run that
+   captured the depot): recording their static provenance or
+   rule-template sites here would double-count, so both translation
+   sinks are detached for the duration. *)
+let without_translation_sinks (rt : Runtime.t) f =
+  let ledger = rt.Runtime.ledger and cov_static = rt.Runtime.cov_static in
+  rt.Runtime.ledger <- None;
+  rt.Runtime.cov_static <- None;
+  Fun.protect f ~finally:(fun () ->
+      rt.Runtime.ledger <- ledger;
+      rt.Runtime.cov_static <- cov_static)
+
 (* Re-translate the captured live set in id order under each record's
    recorded context (privilege, MMU, SMC length override, injected
    corruption), re-fuse the captured superblocks from their recorded
@@ -505,27 +508,7 @@ let max_strikes a b =
    translation regime and put back afterwards. *)
 let rebuild_cache t records links regions region_links =
   let rt = t.rt in
-  (* The rebuild re-runs every captured translation; letting those
-     re-translations record static provenance again would double-count
-     in the coordination ledger, so it is detached for the duration. *)
-  let saved_ledger, saved_cov_static =
-    match t.rule_translator with
-    | Some tr ->
-      let l = Translator_rule.ledger tr in
-      let cs = Translator_rule.cov_static tr in
-      Translator_rule.set_ledger tr None;
-      Translator_rule.set_cov_static tr None;
-      (l, cs)
-    | None -> (None, None)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      match t.rule_translator with
-      | Some tr ->
-        Translator_rule.set_ledger tr saved_ledger;
-        Translator_rule.set_cov_static tr saved_cov_static
-      | None -> ())
-  @@ fun () ->
+  without_translation_sinks rt @@ fun () ->
   let saved_cpu = Cpu.save_words rt.Runtime.cpu in
   let translate =
     match t.rule_translator with
@@ -846,8 +829,8 @@ let depot_capture t =
    scratch capture, the engine-transient runtime fields are put back
    by hand (restore_machine resets them to between-TB defaults, which
    is wrong for a pass spliced into a live engine), the translator's
-   counters are pinned back and its ledger detached — so a warm run's
-   guest-visible behaviour is the cold run's. Recipes whose guest
+   counters are pinned back and the translation sinks detached — so a
+   warm run's guest-visible behaviour is the cold run's. Recipes whose guest
    bytes do not match stay pending: the guest has not built that world
    yet (page tables before the MMU turns on, code it relocates later);
    the first miss in the new regime triggers the next wave. *)
@@ -863,16 +846,7 @@ let depot_pass t dp =
   end;
   let n = Array.length dp.dp_records in
   let fresh = ref [] in
-  let saved_ledger, saved_cov_static =
-    match t.rule_translator with
-    | Some tr ->
-      let l = Translator_rule.ledger tr in
-      let cs = Translator_rule.cov_static tr in
-      Translator_rule.set_ledger tr None;
-      Translator_rule.set_cov_static tr None;
-      (l, cs)
-    | None -> (None, None)
-  in
+  without_translation_sinks rt @@ fun () ->
   let saved_tr = Option.map Translator_rule.save_state t.rule_translator in
   let scratch = Snapshot.create () in
   Snapshot.capture_machine rt scratch;
@@ -890,10 +864,7 @@ let depot_pass t dp =
       rt.Runtime.corrupt_override <- cov;
       rt.Runtime.fault_producers <- fps;
       (match (t.rule_translator, saved_tr) with
-      | Some tr, Some s ->
-        Translator_rule.restore_counters tr s;
-        Translator_rule.set_ledger tr saved_ledger;
-        Translator_rule.set_cov_static tr saved_cov_static
+      | Some tr, Some s -> Translator_rule.restore_counters tr s
       | _ -> ());
       (* write-protect what stuck, exactly as cold translation would *)
       List.iter
@@ -1196,7 +1167,7 @@ let depot_quarantine_rules depot ids =
 
 (* ---- the run loop: journal hooks, checkpoints, watchdog ---- *)
 
-let postmortem_dump ?profile t ~reason =
+let postmortem_dump t ~reason =
   match t.last_checkpoint with
   | None -> None
   | Some cp ->
@@ -1206,10 +1177,9 @@ let postmortem_dump ?profile t ~reason =
     Snapshot.add dump "reason" reason;
     (* Where was the time going when it died? The hot-block table is
        the first thing a post-mortem reader wants. *)
-    (match profile with
-    | Some p ->
-      Snapshot.add dump "profile"
-        (Format.asprintf "%a" (Repro_tcg.Profile.pp_report ~top:10) p)
+    (match t.rt.Runtime.scope with
+    | Some sc ->
+      Snapshot.add dump "profile" (Format.asprintf "%a" (Scope.pp_blocks ~top:10) sc)
     | None -> ());
     Some dump
 
@@ -1219,7 +1189,7 @@ let interp_translate rt cache ~pc =
   rt.Runtime.tb_override <- None;
   r
 
-let run ?chaining ?profile ?(max_guest_insns = max_int) ?deadline
+let run ?chaining ?(max_guest_insns = max_int) ?deadline
     ?(checkpoint_every = 0) ?on_checkpoint ?(watchdog = true) ?on_postmortem t =
   (* Arm the bus injection point only now, so image loading and other
      pre-run setup are never perturbed. *)
@@ -1307,7 +1277,7 @@ let run ?chaining ?profile ?(max_guest_insns = max_int) ?deadline
     let remaining = max_guest_insns - (stats.Stats.guest_insns - start) in
     let common translate ?link_hook ?on_enter ?on_executed ?on_hot () =
       Engine.run t.rt t.cache ~translate ?link_hook ?on_enter ?on_executed
-        ?chaining ?profile ~max_guest_insns:remaining ?deadline ~checkpoint_every
+        ?chaining ~max_guest_insns:remaining ?deadline ~checkpoint_every
         ?on_checkpoint:(if checkpointing then Some engine_cp else None)
         ?resume ~on_irq ?on_hot ()
     in
@@ -1358,7 +1328,7 @@ let run ?chaining ?profile ?(max_guest_insns = max_int) ?deadline
               let reason =
                 Printf.sprintf "shadow-divergence at %#x" tb.Tb.guest_pc
               in
-              match postmortem_dump ?profile t ~reason with
+              match postmortem_dump t ~reason with
               | Some dump -> f ~reason dump
               | None -> ())
             | None -> ());
@@ -1394,7 +1364,7 @@ let run ?chaining ?profile ?(max_guest_insns = max_int) ?deadline
         | None -> ());
         (match on_postmortem with
         | Some f -> (
-          match postmortem_dump ?profile t ~reason with
+          match postmortem_dump t ~reason with
           | Some dump -> f ~reason dump
           | None -> ())
         | None -> ());

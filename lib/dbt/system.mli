@@ -102,22 +102,29 @@ val create :
     rule-translated TBs (see {!Translator_rule}); ignored in [Qemu]
     mode.
 
-    [trace] installs a structured event ring shared by the engine,
-    the timer, the softMMU helpers, the injector, the watchdog and
-    the snapshot layer; its clock is retired guest instructions.
-    [ledger] enables the per-pass coordination-savings attribution
-    (see {!Repro_observe.Ledger}). [scope] attaches a performance
-    scope (see {!Repro_perfscope.Scope}): every retired host
-    instruction is attributed to a phase and guest-PC region on the
-    retired-guest-insn clock, and the engine feeds the IRQ-latency,
-    chain-latency and checkpoint-interval histograms. All three are
-    purely observational: guest-visible behaviour and every modelled
-    cost counter are bit-identical with or without them, and none
-    rides in snapshots — a restored machine continues accumulating
-    into whatever trace/ledger/scope it was created with. (Watchdog
-    rollbacks reload [Stats] from the checkpoint but the scope keeps
-    its accumulations, so under injection the scope's phase total can
-    exceed the final [host_insns].) *)
+    The observers go to {!Repro_tcg.Runtime.create}, the one place
+    anything watching a run attaches; the engine and the rule
+    translator read them from [rt]. [trace] installs a structured
+    event ring shared by the engine, the timer, the softMMU helpers,
+    the injector, the watchdog and the snapshot layer; its clock is
+    retired guest instructions. [ledger] enables the per-pass
+    coordination-savings attribution (see {!Repro_observe.Ledger}).
+    [scope] attaches a performance scope (see
+    {!Repro_perfscope.Scope}): every retired host instruction is
+    attributed to a phase and guest-PC region on the
+    retired-guest-insn clock, every TB run window to the hot-block
+    table, and the engine feeds the IRQ-latency, chain-latency and
+    checkpoint-interval histograms. The coverage per-rule sink is
+    attached by setting [rt.cov_static] before the first translation.
+    All of them are purely observational: guest-visible behaviour
+    and every modelled cost counter are bit-identical with or without
+    them, and none rides in snapshots — a restored machine continues
+    accumulating into whatever observers it was created with;
+    snapshot cache rebuilds and depot install waves detach the ledger
+    and the coverage sink, so re-translation never re-records
+    statics. (Watchdog rollbacks reload [Stats] from the checkpoint
+    but the scope keeps its accumulations, so under injection the
+    scope's phase total can exceed the final [host_insns].) *)
 
 val load_image : t -> Word32.t -> Word32.t array -> unit
 
@@ -137,7 +144,6 @@ val degrade_floor : t -> bool
 
 val run :
   ?chaining:bool ->
-  ?profile:Repro_tcg.Profile.t ->
   ?max_guest_insns:int ->
   ?deadline:int ->
   ?checkpoint_every:int ->
@@ -150,8 +156,7 @@ val run :
     {!restore}d resume cursor when one is pending.
 
     [chaining] (default true) toggles TB block chaining — the ablation
-    substrate for the inter-TB experiments. [profile], when given,
-    accumulates a per-TB hot-block profile (see {!Repro_tcg.Profile}).
+    substrate for the inter-TB experiments.
 
     [deadline] (default none) is an absolute retired-guest-insn clock
     value: once [stats.guest_insns] reaches it the run stops with
@@ -176,19 +181,11 @@ val run :
     [on_postmortem ~reason dump] fires when shadow verification
     repairs a divergence or the watchdog catches a livelock: [dump] is
     the last clean checkpoint plus the expected event journal and
-    [reason] — and, when [profile] is given, a rendered hot-block
-    table in the ["profile"] section — ready for {!replay} (or
+    [reason] — and, when the machine has a scope, its rendered
+    hot-block table in the ["profile"] section — ready for {!replay} (or
     [Snapshot.save_file] and [repro-dbt-run --replay]). *)
 
 val stats : t -> Repro_x86.Stats.t
-
-val set_cov_static : t -> Repro_covscope.Static.t option -> unit
-(** Attach/detach the coverage per-rule translation sink on the rule
-    translator (no-op in [Qemu] mode). Detached automatically during
-    snapshot cache rebuilds and depot passes — those re-run
-    translations and must not re-record sites. *)
-
-val cov_static : t -> Repro_covscope.Static.t option
 
 val coverage_report : t -> Repro_covscope.Report.t
 (** Build the translation-quality report (tier partition, opcode-class

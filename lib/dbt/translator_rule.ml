@@ -54,6 +54,9 @@ type expectation = {
 }
 
 type t = {
+  rt : Runtime.t;
+      (* the machine translated for: its observers receive every
+         emission's statics, including link-time re-emissions *)
   opt : Opt.t;
   ruleset : Ruleset.t;
   metas : (int, meta) Hashtbl.t;
@@ -66,16 +69,11 @@ type t = {
   mutable rule_covered : int;
   mutable fallback : int;
   mutable inter_tb_elisions : int;
-  mutable ledger : Ledger.t option;
-      (* coordination-savings sink; detachable (snapshot cache rebuild
-         re-runs build_tb/re_emit and must not re-record statics) *)
-  mutable cov_static : Covscope.Static.t option;
-      (* translation-time side of the coverage per-rule ledger; same
-         detach discipline as [ledger] *)
 }
 
-let create ~opt ~ruleset ?(shadow_depth = 0) ?(quarantine_threshold = 2) ?ledger () =
+let create ~opt ~ruleset ?(shadow_depth = 0) ?(quarantine_threshold = 2) rt =
   {
+    rt;
     opt;
     ruleset;
     metas = Hashtbl.create 256;
@@ -88,24 +86,27 @@ let create ~opt ~ruleset ?(shadow_depth = 0) ?(quarantine_threshold = 2) ?ledger
     rule_covered = 0;
     fallback = 0;
     inter_tb_elisions = 0;
-    ledger;
-    cov_static = None;
   }
 
-let set_ledger t l = t.ledger <- l
-let ledger t = t.ledger
-let set_cov_static t s = t.cov_static <- s
-let cov_static t = t.cov_static
-
-(* First emissions record their rule-template sites; [re_emit] does
-   not (the sites were already counted when the TB was first built). *)
-let record_cov_sites t (r : Emitter.result) =
-  match t.cov_static with
-  | None -> ()
-  | Some s ->
+(* Translation-time statics, into whichever sinks the runtime carries
+   (snapshot cache rebuilds and depot waves detach them). A first
+   emission records its provenance and its rule-template sites. A
+   re-emission [~replacing] a TB's old provenance records only the
+   difference — the static view tracks the live code without
+   re-bumping the translation count — and no sites, which were
+   counted when the TB was first built. *)
+let record_statics t ?replacing (r : Emitter.result) =
+  (match (t.rt.Runtime.ledger, replacing) with
+  | Some l, None -> Ledger.record_static l r.Emitter.prov
+  | Some l, Some old_ ->
+    Ledger.record_static_delta l (Ledger.prov_diff ~old_ r.Emitter.prov)
+  | None, _ -> ());
+  match (t.rt.Runtime.cov_static, replacing) with
+  | Some s, None ->
     List.iter
       (fun (id, n) -> Covscope.Static.record s ~rule:id ~host_insns:n)
       r.Emitter.cov_sites
+  | _ -> ()
 
 (* ---------- III-D-1: define-before-use scheduling ----------
 
@@ -521,10 +522,7 @@ let build_tb t (rt : Runtime.t) cache ~pc ~insns ~m =
       region_ids = [||];
     }
   in
-  (match t.ledger with
-  | Some l -> Ledger.record_static l r.Emitter.prov
-  | None -> ());
-  record_cov_sites t r;
+  record_statics t r;
   (match rt.Runtime.corrupt_override with
   | Some `Rule_corrupt ->
     (* Snapshot cache rebuild: re-apply the recorded corruption without
@@ -615,12 +613,7 @@ let re_emit t (tb : Tb.t) m =
   m.exit_states <- r.Emitter.exit_states;
   m.rules_used <- r.Emitter.rules_used;
   tb.Tb.prog <- r.Emitter.prog;
-  (* the static view tracks the live code: replace this TB's old
-     contribution with the new emission's (a delta, so the translation
-     count is not re-bumped) *)
-  (match t.ledger with
-  | Some l -> Ledger.record_static_delta l (Ledger.prov_diff ~old_:tb.Tb.prov r.Emitter.prov)
-  | None -> ());
+  record_statics t ~replacing:tb.Tb.prov r;
   tb.Tb.prov <- r.Emitter.prov;
   (* a fresh emission discards any injected code corruption *)
   tb.Tb.injected <- `None
@@ -709,10 +702,7 @@ let fuse_trace t (rt : Runtime.t) cache ~(trace : Tb.t list) =
     (* Stale chained jumps into the head would keep bypassing the
        region; force the next transfer there through dispatch. *)
     Tb.Cache.unlink_target cache head;
-    (match t.ledger with
-    | Some l -> Ledger.record_static l r.Emitter.prov
-    | None -> ());
-    record_cov_sites t r;
+    record_statics t r;
     let stats = Runtime.stats rt in
     Stats.charge_tag stats X.Tag_glue
       (Costs.region_form_per_guest_insn () * region.Tb.guest_len);
@@ -878,7 +868,7 @@ let on_enter t (rt : Runtime.t) (tb : Tb.t) =
       stats.Stats.sync_ops <- stats.Stats.sync_ops + 1;
       (* III-C.3 pays an engine-side restore on every engine entry of
          an assuming TB: a negative dynamic saving *)
-      (match t.ledger with
+      (match rt.Runtime.ledger with
       | Some l -> Ledger.add_dynamic l Ledger.Inter_tb ~ops:(-1) ~insns:(-2)
       | None -> ());
       (match rt.Runtime.trace with

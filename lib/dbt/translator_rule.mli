@@ -23,30 +23,17 @@ val create :
   ruleset:Repro_rules.Ruleset.t ->
   ?shadow_depth:int ->
   ?quarantine_threshold:int ->
-  ?ledger:Repro_observe.Ledger.t ->
-  unit ->
+  Repro_tcg.Runtime.t ->
   t
-(** [shadow_depth] (default 0 = disabled) is the number of verified
-    executions per TB address; [quarantine_threshold] (default 2) the
-    strikes that quarantine a rule.  [ledger] receives per-pass
-    static coordination savings at every (re-)emission and the
-    engine-entry restore costs of III-C.3. *)
-
-val set_ledger : t -> Repro_observe.Ledger.t option -> unit
-(** Attach/detach the coordination ledger.  Detached during snapshot
-    cache rebuild: the rebuild re-runs every translation, and
-    re-recording their statics would double-count. *)
-
-val ledger : t -> Repro_observe.Ledger.t option
-
-val set_cov_static : t -> Repro_covscope.Static.t option -> unit
-(** Attach/detach the coverage per-rule translation sink: each first
-    emission reports its rule-template sites and their emitted host
-    instructions. Same detach discipline as {!set_ledger} — snapshot
-    cache rebuilds and depot passes re-run translations and must not
-    re-record sites. *)
-
-val cov_static : t -> Repro_covscope.Static.t option
+(** A translator for the machine whose runtime is given. [shadow_depth]
+    (default 0 = disabled) is the number of verified executions per TB
+    address; [quarantine_threshold] (default 2) the strikes that
+    quarantine a rule. Every emission reports into the runtime's
+    observers: per-pass static coordination savings into
+    {!Repro_tcg.Runtime.t.ledger} (re-emissions as deltas) and each
+    first emission's rule-template sites into
+    {!Repro_tcg.Runtime.t.cov_static}; engine-entry restore costs
+    (III-C.3) go to the ledger's dynamic view. *)
 
 val translate :
   t -> Repro_tcg.Runtime.t -> Repro_tcg.Tb.Cache.t -> pc:Word32.t ->

@@ -1,7 +1,7 @@
 (** The per-run performance scope: deterministic per-phase /
-    per-region cost attribution plus the three latency histograms
-    (IRQ raise->deliver, TB lookup->chain, checkpoint intervals), all
-    on the retired-guest-insn clock.
+    per-region cost attribution, the per-block hot-code table and the
+    three latency histograms (IRQ raise->deliver, TB lookup->chain,
+    checkpoint intervals), all on the retired-guest-insn clock.
 
     A scope attaches to the runtime like the trace ring and the
     coordination ledger: purely observational (attached runs are
@@ -15,8 +15,79 @@ type t
 val create : unit -> t
 
 val charge : t -> Phase.t -> page:int -> privileged:bool -> int -> unit
-(** Attribute host instructions to a phase and a guest-PC region
+(** Attribute host instructions charged outside a TB run window (an
+    engine site or an entry hook) to a phase and a guest-PC region
     (4 KiB page, kernel/user). Non-positive charges are ignored. *)
+
+(** {2 The hot-block table}
+
+    One row per (guest pc, privilege, region?) — the moral equivalent
+    of QEMU's [-d exec] plus a perf-style hot-block report. A row
+    holds exactly the TB's run windows: executions, guest
+    instructions retired and host instructions spent, including
+    modelled helper costs incurred {e during} the run. Everything
+    charged outside those windows stays out of the table: engine
+    dispatch, chain jumps, interrupt delivery and its lazy flag parse,
+    translation, exception entries, entry-hook restores, shadow-replay
+    cost, and TB runs abandoned by the fuel watchdog. The table's host
+    total is therefore a lower bound on
+    {!Repro_x86.Stats.t.host_insns}. Rows aggregate over cache
+    flushes: retranslations of the same key accumulate into one row. *)
+
+type block = private {
+  pc : int;
+  privileged : bool;  (** kernel- vs user-mode translation *)
+  region : bool;
+      (** a fused superblock (kept apart from the plain TB sharing its
+          head PC) *)
+  insns : Repro_arm.Insn.t array;  (** the TB's guest code *)
+  mutable execs : int;  (** completed executions *)
+  mutable guest_retired : int;  (** dynamic guest instructions *)
+  mutable host_spent : int;  (** dynamic host instructions *)
+  phases : int array;
+      (** {!Phase}-indexed split of [host_spent] (execute / coordinate
+          / softmmu / helper within the run windows) *)
+}
+
+val charge_block :
+  t ->
+  pc:int ->
+  privileged:bool ->
+  region:bool ->
+  insns:Repro_arm.Insn.t array ->
+  len:int ->
+  guest:int ->
+  host:int ->
+  int array ->
+  unit
+(** One completed run of a TB whose guest code is the first [len]
+    elements of [insns]: it retired [guest] guest instructions and
+    spent [host] host instructions, split by phase in the final
+    {!Phase}-indexed array (summing to [host]). The split also counts
+    toward the phase totals and, folded onto the TB's head page, the
+    region rows of {!to_json}. *)
+
+val blocks : t -> block list
+(** All rows, unordered. *)
+
+val top_blocks : ?by:[ `Host | `Execs ] -> int -> t -> block list
+(** The [n] hottest rows, by host instructions spent (default) or by
+    executions. *)
+
+val pp_blocks : ?top:int -> Format.formatter -> t -> unit
+(** A hot-block table (default: 10 rows) with per-TB host/guest
+    expansion and each TB's share of the table's host total, plus a
+    phase-split footer. *)
+
+val pp_disasm : Format.formatter -> block -> unit
+(** The row's guest code, one instruction per line with PCs. *)
+
+val flame : t -> frames:(block -> string list) -> Flame.t
+(** A flamegraph of the table: each row's phase split, weighted in
+    host instructions, under the frames [frames row] followed by the
+    phase name. *)
+
+(** {2 Totals and latencies} *)
 
 val phase_count : t -> Phase.t -> int
 val total : t -> int
@@ -50,6 +121,7 @@ val note_checkpoint : t -> at:int -> unit
 val to_json : t -> string
 (** [{"phases":{...},"regions":[...],"histograms":{...}}] — the
     ["perf"] section of [--stats-json]; byte-identical across
-    same-seed runs. *)
+    same-seed runs. A region row is a (page, privilege) pair: its
+    site charges plus its blocks' run windows. *)
 
 val pp : Format.formatter -> t -> unit

@@ -34,7 +34,7 @@ let hot_threshold = 32
 let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~succ:_ -> ())
     ?(on_enter = fun _ -> ())
     ?(on_executed = fun _ ~outcome:_ ~guest:_ -> `Continue)
-    ?(chaining = true) ?profile ?(max_guest_insns = max_int) ?deadline
+    ?(chaining = true) ?(max_guest_insns = max_int) ?deadline
     ?(checkpoint_every = 0) ?on_checkpoint ?resume ?(on_irq = fun _ -> ())
     ?on_hot () =
   let stats = Runtime.stats rt in
@@ -76,20 +76,17 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
      cursors are run-local and resync at every drain, so restored runs
      attribute their own window only. *)
   let scope = rt.Runtime.scope in
-  let want_split = scope <> None || profile <> None in
   let split_tags =
     [| X.Tag_compute; X.Tag_sync; X.Tag_mmu; X.Tag_irq_check; X.Tag_glue |]
   in
   let cursor = Array.map (fun tag -> Stats.tag_count stats tag) split_tags in
+  let delta = Array.make (Array.length split_tags) 0 in
   let split () =
-    let d = Array.make 5 0 in
-    Array.iteri
-      (fun i tag ->
-        let now = Stats.tag_count stats tag in
-        d.(i) <- now - cursor.(i);
-        cursor.(i) <- now)
-      split_tags;
-    d
+    for i = 0 to Array.length split_tags - 1 do
+      let now = Stats.tag_count stats split_tags.(i) in
+      delta.(i) <- now - cursor.(i);
+      cursor.(i) <- now
+    done
   in
   (* Engine-side glue site: everything since the last drain belongs to
      one phase (dispatch, translation, delivery...). *)
@@ -97,26 +94,21 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
     match scope with
     | None -> ()
     | Some sc ->
-      let d = split () in
-      Scope.charge sc phase ~page ~privileged (d.(0) + d.(1) + d.(2) + d.(3) + d.(4))
+      split ();
+      Scope.charge sc phase ~page ~privileged
+        (delta.(0) + delta.(1) + delta.(2) + delta.(3) + delta.(4))
   in
-  (* Mixed site (TB run windows and entry hooks): the tag names the
-     phase — Compute is emitted guest work, Sync and irq polls are
+  (* Mixed windows (entry hooks, TB runs): the tag names the phase —
+     Compute is emitted guest work, Sync and irq polls are
      coordination, Mmu is the softMMU, glue is helper machinery.
-     Returns the Phase-indexed split for the per-TB profile. *)
-  let drain_mixed ~page ~privileged =
-    if not want_split then None
-    else begin
-      let d = split () in
-      (match scope with
-      | Some sc ->
-        Scope.charge sc Phase.Execute ~page ~privileged d.(0);
-        Scope.charge sc Phase.Coordinate ~page ~privileged (d.(1) + d.(3));
-        Scope.charge sc Phase.Softmmu ~page ~privileged d.(2);
-        Scope.charge sc Phase.Helper ~page ~privileged d.(4)
-      | None -> ());
-      Some [| 0; d.(0); d.(1) + d.(3); d.(2); d.(4); 0; 0 |]
-    end
+     Leaves the Phase-indexed split in [window]. *)
+  let window = Array.make Phase.n 0 in
+  let drain_window () =
+    split ();
+    window.(Phase.index Phase.Execute) <- delta.(0);
+    window.(Phase.index Phase.Coordinate) <- delta.(1) + delta.(3);
+    window.(Phase.index Phase.Softmmu) <- delta.(2);
+    window.(Phase.index Phase.Helper) <- delta.(4)
   in
   (* Purely observational: emits nothing and costs nothing when the
      runtime carries no trace. *)
@@ -298,10 +290,17 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
         needs_enter := false
       end;
       (* Entry-hook charges (inter-TB flag restore -> coordinate,
-         shadow replay -> helper) drain before the run window opens so
-         the window split attributes only the TB's own execution. *)
-      ignore
-        (drain_mixed ~page:(tb.Tb.guest_pc lsr 12) ~privileged:tb.Tb.privileged);
+         shadow replay -> helper) drain to the page before the run
+         window opens, so the block row holds only the TB's own
+         execution. *)
+      (match scope with
+      | Some sc ->
+        drain_window ();
+        let page = tb.Tb.guest_pc lsr 12 and privileged = tb.Tb.privileged in
+        List.iter
+          (fun p -> Scope.charge sc p ~page ~privileged window.(Phase.index p))
+          Phase.all
+      | None -> ());
       let guest0 = stats.Stats.guest_insns and host0 = stats.Stats.host_insns in
       rt.Runtime.fault_producers <- tb.Tb.fault_producers;
       match Exec.run rt.Runtime.ctx tb.Tb.prog ~fuel:tb_fuel with
@@ -314,15 +313,14 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
         trace_emit ~a:tb.Tb.guest_pc Trace.Watchdog "fuel_exhausted";
         result := Some (finish (`Livelock tb.Tb.guest_pc))
       | outcome ->
-        let phases =
-          drain_mixed ~page:(tb.Tb.guest_pc lsr 12) ~privileged:tb.Tb.privileged
-        in
-        (match profile with
-        | Some p ->
-          Profile.record p tb
+        (match scope with
+        | Some sc ->
+          drain_window ();
+          Scope.charge_block sc ~pc:tb.Tb.guest_pc ~privileged:tb.Tb.privileged
+            ~region:(Tb.is_region tb) ~insns:tb.Tb.guest_insns ~len:tb.Tb.guest_len
             ~guest:(stats.Stats.guest_insns - guest0)
             ~host:(stats.Stats.host_insns - host0)
-            ?phases ()
+            window
         | None -> ());
         (match rt.Runtime.ledger with
         | Some l -> Ledger.record_exec l tb.Tb.prov

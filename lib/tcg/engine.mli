@@ -49,7 +49,6 @@ val run :
   ?on_executed:
     (Tb.t -> outcome:Repro_x86.Exec.outcome -> guest:int -> [ `Continue | `Invalidate ]) ->
   ?chaining:bool ->
-  ?profile:Profile.t ->
   ?max_guest_insns:int ->
   ?deadline:int ->
   ?checkpoint_every:int ->
@@ -73,8 +72,13 @@ val run :
     instruction budget, takes no checkpoint, and composes with
     [max_guest_insns] (whichever trips first wins).
 
-    [profile], when given, receives one {!Profile.record} per TB
-    execution with exact guest/host instruction attribution.
+    Observers attach to the runtime, not to the run: with
+    {!Runtime.t.scope} set, every phase transition drains its
+    host-instruction delta into the scope, and every completed TB
+    execution charges its run window to the scope's hot-block row
+    ({!Repro_perfscope.Scope.charge_block}) with exact guest/host
+    instruction attribution; {!Runtime.t.trace} and
+    {!Runtime.t.ledger} receive events and per-TB provenance.
 
     [on_enter tb] fires on every entry to [tb] that goes through the
     engine (initial dispatch, unlinked/indirect transitions, exception

@@ -20,9 +20,10 @@ type t = {
   inject : Repro_faultinject.Faultinject.t option;
   mutable fault_producers : (Word32.t * Word32.t array) array;
   mutable corrupt_override : [ `None | `Rule_corrupt | `Livelock ] option;
-  mutable trace : Trace.t option;
+  trace : Trace.t option;
   mutable ledger : Ledger.t option;
-  mutable scope : Scope.t option;
+  mutable cov_static : Repro_covscope.Static.t option;
+  scope : Scope.t option;
 }
 
 exception Load_error of Word32.t
@@ -74,6 +75,7 @@ let create ?(ram_kib = 4096) ?inject ?trace ?ledger ?scope () =
       corrupt_override = None;
       trace;
       ledger;
+      cov_static = None;
       scope;
     }
   in

@@ -38,19 +38,32 @@ type t = {
           to apply (or skip, for [`None]) exactly the recorded code
           corruption instead of drawing from the injector, so the
           reconstructed TB is bit-identical to the captured one *)
-  mutable trace : Repro_observe.Trace.t option;
+  trace : Repro_observe.Trace.t option;
       (** structured event ring shared by the engine, devices, MMU
           helpers and the rule translator; [None] disables emission
           everywhere (the purely observational path — host-instruction
           counts are bit-identical with tracing on or off) *)
   mutable ledger : Repro_observe.Ledger.t option;
-      (** coordination ledger the engine feeds per-TB provenance into
-          at dispatch time; [None] disables dynamic attribution *)
-  mutable scope : Repro_perfscope.Scope.t option;
+      (** coordination ledger: the engine feeds per-TB provenance into
+          it at dispatch time and the rule translator records each
+          translation's static savings; [None] disables attribution *)
+  mutable cov_static : Repro_covscope.Static.t option;
+      (** coverage per-rule translation sink: the rule translator
+          reports each first emission's rule-template sites and their
+          emitted host instructions; [None] (the default) disables it.
+          Attach it before the first translation. *)
+  scope : Repro_perfscope.Scope.t option;
       (** performance scope the engine drains per-phase host-insn
-          deltas and latency observations into; [None] disables
-          attribution (purely observational either way) *)
+          deltas, per-TB run windows (the hot-block table) and latency
+          observations into; [None] disables attribution (purely
+          observational either way) *)
 }
+(** The observers ([trace], [ledger], [cov_static], [scope]) are the
+    one place anything watching a run attaches. [ledger] and
+    [cov_static] are mutable only so that work which re-runs earlier
+    translations (snapshot cache rebuild, depot install waves) can
+    detach them for its duration and never double-count statics —
+    plus, for [cov_static], the initial attach. *)
 
 exception Load_error of Word32.t
 (** Raised by {!load_image} (and [Ref_machine.load_image]) when part
@@ -84,9 +97,10 @@ val create :
     injection point is armed separately at run time (see
     {!Repro_machine.Bus.t}) so image loading is never perturbed.
     [trace] installs the event ring (its clock becomes retired guest
-    instructions); [ledger] enables dynamic coordination attribution;
-    [scope] enables per-phase cost attribution and the latency
-    histograms. *)
+    instructions); [ledger] enables static and dynamic coordination
+    attribution; [scope] enables per-phase cost attribution, the
+    hot-block table and the latency histograms. The coverage sink
+    starts detached (see {!t.cov_static}). *)
 
 val env : t -> int array
 val stats : t -> Repro_x86.Stats.t

@@ -97,12 +97,13 @@ let reset t =
   t.cov_last_attr <- -1;
   t.cov_last <- None
 
-let tag_index tag =
-  let rec find i = function
-    | [] -> assert false
-    | hd :: tl -> if hd = tag then i else find (i + 1) tl
-  in
-  find 0 Insn.all_tags
+(* The tag's slot in [by_tag] (one per [Insn.all_tags] entry). *)
+let tag_index : Insn.tag -> int = function
+  | Tag_compute -> 0
+  | Tag_sync -> 1
+  | Tag_mmu -> 2
+  | Tag_irq_check -> 3
+  | Tag_glue -> 4
 
 let charge_tag t tag n =
   t.host_insns <- t.host_insns + n;

@@ -8,6 +8,9 @@ module Snapshot = Repro_snapshot.Snapshot
 module Depot = Repro_aotcache.Depot
 module Scope = Repro_perfscope.Scope
 module Phase = Repro_perfscope.Phase
+module Ledger = Repro_observe.Ledger
+module Jsonx = Repro_observe.Jsonx
+module Static = Repro_covscope.Static
 
 (* The persistent AOT code depot: durability (crash-atomic generation
    commits), integrity (every injected or hand-crafted corruption loads
@@ -238,6 +241,56 @@ let test_warm_boot_identity () =
       (installed >= installed_boot)
   done
 
+(* ---- re-translation records no statics ----------------------------- *)
+
+(* Depot install waves (the boot wave and the miss-triggered ones) and
+   snapshot restore re-translate code: none of that work may land in
+   the coordination ledger's statics or in the coverage per-rule sink.
+   The image's live set is wholly covered by its depot, so a warm run
+   translates nothing itself and both sinks must stay empty. *)
+let test_rebuilds_record_no_statics () =
+  let image, _, _, depot = Lazy.force cold_ctx in
+  let sinked () =
+    let ledger = Ledger.create () in
+    let static = Static.create () in
+    let sys = D.System.create ~ledger mode in
+    sys.D.System.rt.T.Runtime.cov_static <- Some static;
+    (sys, ledger, static)
+  in
+  let check what ledger static =
+    let tb_statics =
+      Option.bind (Jsonx.member "tb_statics" (Jsonx.parse (Ledger.to_json ledger)))
+        Jsonx.to_int
+    in
+    Alcotest.(check (option int)) (what ^ ": no translation attributed") (Some 0)
+      tb_statics;
+    Alcotest.(check int) (what ^ ": no static savings") 0
+      (Ledger.total_static_ops ledger + Ledger.total_static_insns ledger);
+    Alcotest.(check int) (what ^ ": no rule sites") 0
+      (List.length (Static.entries static))
+  in
+  let sys, ledger, static = sinked () in
+  K.load image (fun base words -> D.System.load_image sys base words);
+  let boot = D.System.depot_install sys depot in
+  check "boot wave" ledger static;
+  let _, pending = D.System.depot_coverage sys in
+  Alcotest.(check bool) "recipes left for miss-triggered waves" true (pending > 0);
+  ignore (halt_code (D.System.run ~max_guest_insns:2_000_000 sys));
+  let installed, _ = D.System.depot_coverage sys in
+  Alcotest.(check bool) "a miss-triggered wave installed more" true
+    (installed > boot);
+  check "warm run" ledger static;
+  let part = make_sys mode image in
+  (match
+     (D.System.run ~max_guest_insns:15_000 ~checkpoint_every:4_000 part)
+       .T.Engine.reason
+   with
+  | `Insn_limit -> ()
+  | _ -> Alcotest.fail "interrupted run should hit its budget");
+  let thawed, ledger, static = sinked () in
+  D.System.restore thawed (D.System.snapshot part);
+  check "snapshot restore" ledger static
+
 (* ---- compatibility: a foreign depot is refused, never misapplied --- *)
 
 let variant ?mode:m ?digest ?hot depot =
@@ -373,6 +426,8 @@ let suite =
           test_injected_faults;
         Alcotest.test_case "warm boot identity, translate ~ 0" `Quick
           test_warm_boot_identity;
+        Alcotest.test_case "install waves and restore record no statics" `Quick
+          test_rebuilds_record_no_statics;
         Alcotest.test_case "cross-version/cross-ruleset rejection" `Quick
           test_compat_rejection;
         Alcotest.test_case "poisoned recipes stay quarantined" `Quick

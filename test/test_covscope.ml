@@ -206,7 +206,8 @@ let run_gcc ?(sink = false) () =
   let user = W.generate spec ~iterations:iters in
   let image = K.build ~timer_period:5_000 ~user_program:user () in
   let sys = D.System.create (D.System.Rules D.Opt.full) in
-  if sink then D.System.set_cov_static sys (Some (Cov.Static.create ()));
+  if sink then
+    sys.D.System.rt.Repro_tcg.Runtime.cov_static <- Some (Cov.Static.create ());
   K.load image (fun base words -> D.System.load_image sys base words);
   ignore (D.System.run ~max_guest_insns:2_000_000 sys);
   sys

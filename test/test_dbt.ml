@@ -3,6 +3,7 @@ module T = Repro_tcg
 module D = Repro_dbt
 module Bus = Repro_machine.Bus
 module Stats = Repro_x86.Stats
+module Scope = Repro_perfscope.Scope
 
 (* Differential testing of the rule-based engine at every optimization
    level against the reference interpreter. Helper calls poison all
@@ -441,49 +442,56 @@ let test_tiny_code_cache () =
   Alcotest.(check int) "no flushes at default capacity" 0
     (T.Tb.Cache.full_flushes sys.D.System.cache)
 
+(* Hot-block table totals: attributed host and guest instructions. *)
+let block_host sc =
+  List.fold_left (fun acc (b : Scope.block) -> acc + b.Scope.host_spent) 0 (Scope.blocks sc)
+
+let block_guest sc =
+  List.fold_left (fun acc (b : Scope.block) -> acc + b.Scope.guest_retired) 0 (Scope.blocks sc)
+
 let test_profile_attribution () =
   (* Every retired guest instruction must be attributed to exactly one
      TB; host attribution is a lower bound on the total (engine glue is
      deliberately unattributed). *)
   let words = assemble mixed_workload in
-  let sys = D.System.create (D.System.Rules D.Opt.full) in
+  let p = Scope.create () in
+  let sys = D.System.create ~scope:p (D.System.Rules D.Opt.full) in
   D.System.load_image sys 0 words;
-  let p = T.Profile.create () in
-  let res = D.System.run ~profile:p ~max_guest_insns:300_000 sys in
+  let res = D.System.run ~max_guest_insns:300_000 sys in
   (match res.T.Engine.reason with
   | `Halted _ -> ()
   | `Insn_limit | `Livelock _ | `Deadline -> Alcotest.fail "insn limit");
   let s = D.System.stats sys in
   Alcotest.(check int) "guest insns fully attributed" s.Stats.guest_insns
-    (T.Profile.total_guest p);
+    (block_guest p);
   Alcotest.(check bool) "host attribution is a lower bound" true
-    (T.Profile.total_host p > 0 && T.Profile.total_host p <= s.Stats.host_insns);
+    (block_host p > 0 && block_host p <= s.Stats.host_insns);
   (* the glue left unattributed is the engine's own dispatch/translation
      cost — it must be exactly the Tag_glue share minus helper glue,
      so sanity-check it is well under half the total *)
   Alcotest.(check bool) "most cost attributed" true
-    (2 * T.Profile.total_host p > s.Stats.host_insns)
+    (2 * block_host p > s.Stats.host_insns)
 
 let test_profile_hot_ranking () =
   let words = assemble mixed_workload in
-  let sys = D.System.create D.System.Qemu in
+  let p = Scope.create () in
+  let sys = D.System.create ~scope:p D.System.Qemu in
   D.System.load_image sys 0 words;
-  let p = T.Profile.create () in
-  ignore (D.System.run ~profile:p ~max_guest_insns:300_000 sys);
-  (match T.Profile.top ~by:`Execs 1 p with
+  ignore (D.System.run ~max_guest_insns:300_000 sys);
+  (match Scope.top_blocks ~by:`Execs 1 p with
   | [ hottest ] ->
     List.iter
-      (fun (e : T.Profile.entry) ->
+      (fun (e : Scope.block) ->
         Alcotest.(check bool) "top-by-execs dominates" true
-          (hottest.T.Profile.execs >= e.T.Profile.execs))
-      (T.Profile.entries p);
+          (hottest.Scope.execs >= e.Scope.execs))
+      (Scope.blocks p);
     (* the loop body dominates: it must have executed many times *)
-    Alcotest.(check bool) "hot block is hot" true (hottest.T.Profile.execs > 100)
+    Alcotest.(check bool) "hot block is hot" true (hottest.Scope.execs > 100)
   | _ -> Alcotest.fail "no entries");
-  match T.Profile.top ~by:`Host 2 p with
+  match Scope.top_blocks ~by:`Host 2 p with
   | [ a; b ] ->
     Alcotest.(check bool) "host ranking ordered" true
-      (a.T.Profile.host_spent >= b.T.Profile.host_spent)
+      (a.Scope.host_spent >= b.Scope.host_spent)
   | _ -> Alcotest.fail "expected 2 entries"
 
 let test_profile_across_flushes () =
@@ -504,28 +512,28 @@ let test_profile_across_flushes () =
         Asm.branch_to a ~cond:Cond.NE "top";
         Asm.mov a 11 0)
   in
-  let sys = D.System.create ~tb_capacity:1 (D.System.Rules D.Opt.full) in
+  let p = Scope.create () in
+  let sys = D.System.create ~tb_capacity:1 ~scope:p (D.System.Rules D.Opt.full) in
   D.System.load_image sys 0 words;
-  let p = T.Profile.create () in
-  (match (D.System.run ~profile:p ~max_guest_insns:300_000 sys).T.Engine.reason with
+  (match (D.System.run ~max_guest_insns:300_000 sys).T.Engine.reason with
   | `Halted _ -> ()
   | `Insn_limit | `Livelock _ | `Deadline -> Alcotest.fail "insn limit");
   let s = D.System.stats sys in
   Alcotest.(check bool)
     (Printf.sprintf "workload forced retranslation (%d translations, %d entries)"
        s.Stats.tb_translations
-       (List.length (T.Profile.entries p)))
+       (List.length (Scope.blocks p)))
     true
-    (s.Stats.tb_translations > List.length (T.Profile.entries p));
+    (s.Stats.tb_translations > List.length (Scope.blocks p));
   Alcotest.(check int) "guest insns fully attributed despite flushes"
-    s.Stats.guest_insns (T.Profile.total_guest p);
+    s.Stats.guest_insns (block_guest p);
   Alcotest.(check bool) "host attribution still a lower bound" true
-    (T.Profile.total_host p > 0 && T.Profile.total_host p <= s.Stats.host_insns);
+    (block_host p > 0 && block_host p <= s.Stats.host_insns);
   (* each distinct block appears exactly once *)
   let keys =
     List.map
-      (fun (e : T.Profile.entry) -> (e.T.Profile.guest_pc, e.T.Profile.privileged))
-      (T.Profile.entries p)
+      (fun (e : Scope.block) -> (e.Scope.pc, e.Scope.privileged))
+      (Scope.blocks p)
   in
   Alcotest.(check int) "no duplicate (pc, privilege) records"
     (List.length keys)

@@ -245,29 +245,28 @@ let test_scope_determinism () =
 
 let test_profile_phases () =
   let image = kernel_image () in
-  let sys = make_sys ~scope:(Scope.create ()) (D.System.Rules D.Opt.full) image in
-  let profile = T.Profile.create () in
-  ignore (D.System.run ~profile ~max_guest_insns:2_000_000 sys);
-  let entries = T.Profile.entries profile in
+  let scope = Scope.create () in
+  let sys = make_sys ~scope (D.System.Rules D.Opt.full) image in
+  ignore (D.System.run ~max_guest_insns:2_000_000 sys);
+  let entries = Scope.blocks scope in
   Alcotest.(check bool) "profiled some TBs" true (entries <> []);
   List.iter
-    (fun (e : T.Profile.entry) ->
+    (fun (e : Scope.block) ->
       Alcotest.(check int)
-        (Printf.sprintf "entry %#x phase split sums to host_spent"
-           e.T.Profile.guest_pc)
-        e.T.Profile.host_spent
-        (Array.fold_left ( + ) 0 e.T.Profile.phases))
+        (Printf.sprintf "entry %#x phase split sums to host_spent" e.Scope.pc)
+        e.Scope.host_spent
+        (Array.fold_left ( + ) 0 e.Scope.phases))
     entries;
   (* the in-window split never sees translate or deliver work *)
   List.iter
-    (fun (e : T.Profile.entry) ->
+    (fun (e : Scope.block) ->
       Alcotest.(check int) "no translate inside a TB window" 0
-        e.T.Profile.phases.(Phase.index Phase.Translate);
+        e.Scope.phases.(Phase.index Phase.Translate);
       Alcotest.(check int) "no deliver inside a TB window" 0
-        e.T.Profile.phases.(Phase.index Phase.Deliver))
+        e.Scope.phases.(Phase.index Phase.Deliver))
     entries;
   (* the report renders the phase-split footer *)
-  let report = Format.asprintf "%a" (T.Profile.pp_report ~top:5) profile in
+  let report = Format.asprintf "%a" (Scope.pp_blocks ~top:5) scope in
   Alcotest.(check bool) "report carries the phase split" true
     (let rec mem i =
        i + 11 <= String.length report

@@ -21,8 +21,8 @@ let kernel_image ?(target = 30_000) ?(timer = 5_000) () =
   let user = W.generate spec ~iterations:iters in
   K.build ~timer_period:timer ~user_program:user ()
 
-let make_sys ?inject ?(shadow_depth = 0) mode image =
-  let sys = D.System.create ?inject ~shadow_depth mode in
+let make_sys ?inject ?scope ?(shadow_depth = 0) mode image =
+  let sys = D.System.create ?inject ?scope ~shadow_depth mode in
   K.load image (fun base words -> D.System.load_image sys base words);
   sys
 
@@ -430,8 +430,9 @@ let test_journal_roundtrip () =
 
 (* The hot-block profile section of watchdog post-mortem dumps must be
    deterministic across a save -> restore boundary: re-running the
-   identical interrupt/save/thaw/resume sequence (the profile object,
-   like the trace and the ledger, is carried across in-process) must
+   identical interrupt/save/thaw/resume sequence (the scope holding the
+   hot-block table, like the trace and the ledger, is not a snapshot
+   section: one scope is handed to both machines in-process) must
    render byte-identical post-mortem profiles, and the restored run
    must still converge to the uninterrupted run's guest state. The
    engine-side counters are NOT compared against the uninterrupted
@@ -455,18 +456,19 @@ let test_postmortem_profile_determinism () =
   (* uninterrupted reference run *)
   let full = make_sys ~inject:(inject ()) (D.System.Rules D.Opt.full) image in
   let full_res =
-    D.System.run ~profile:(T.Profile.create ()) ~max_guest_insns:2_000_000
-      ~checkpoint_every:4_000 full
+    D.System.run ~max_guest_insns:2_000_000 ~checkpoint_every:4_000 full
   in
   (* one interrupt/save/thaw/resume sequence, post-mortems collected
-     across the boundary with the profile carried along *)
+     across the boundary with the scope carried along *)
   let interrupted () =
     let dumps = ref [] in
-    let profile = T.Profile.create () in
+    let scope = Repro_perfscope.Scope.create () in
     let on_postmortem ~reason dump = dumps := (reason, dump) :: !dumps in
-    let part = make_sys ~inject:(inject ()) (D.System.Rules D.Opt.full) image in
+    let part =
+      make_sys ~inject:(inject ()) ~scope (D.System.Rules D.Opt.full) image
+    in
     let part_res =
-      D.System.run ~profile ~max_guest_insns:16_000 ~checkpoint_every:4_000
+      D.System.run ~max_guest_insns:16_000 ~checkpoint_every:4_000
         ~on_postmortem part
     in
     (match part_res.T.Engine.reason with
@@ -477,11 +479,11 @@ let test_postmortem_profile_determinism () =
       D.System.create
         ~ram_kib:(D.System.snapshot_ram_kib snap)
         ?inject:(D.System.snapshot_injector snap)
-        (D.System.snapshot_mode snap)
+        ~scope (D.System.snapshot_mode snap)
     in
     D.System.restore thawed snap;
     let res =
-      D.System.run ~profile ~max_guest_insns:1_984_000 ~checkpoint_every:4_000
+      D.System.run ~max_guest_insns:1_984_000 ~checkpoint_every:4_000
         ~on_postmortem thawed
     in
     let sections =
