@@ -428,42 +428,49 @@ let on_executed t (rt : Runtime.t) (tb : Tb.t) ~outcome ~guest =
 
 (* ---------- translation ---------- *)
 
+(* [prog] re-emitted with its first instruction that [f] maps to
+   [Some insns] replaced by [insns] (same tag); [prog] itself if [f]
+   maps none. *)
+let rewrite_first (prog : Repro_x86.Prog.t) f =
+  let code = prog.Repro_x86.Prog.code and tags = prog.Repro_x86.Prog.tags in
+  let rebuild hit insns =
+    let b = Repro_x86.Prog.builder () in
+    Array.iteri
+      (fun i insn ->
+        if i = hit then Repro_x86.Prog.emit_all b ~tag:tags.(i) insns
+        else Repro_x86.Prog.emit b ~tag:tags.(i) insn)
+      code;
+    Repro_x86.Prog.finalize b
+  in
+  let rec scan i =
+    if i >= Array.length code then prog
+    else match f code.(i) with Some insns -> rebuild i insns | None -> scan (i + 1)
+  in
+  scan 0
+
 (* Fault point: a misdirected register spill in rule-generated code —
    the first env register write lands one slot over. Confined to
    r0..r13 so shadow verification can both detect and repair it. *)
-let corrupt_prog (prog : Repro_x86.Prog.t) =
-  let code = prog.Repro_x86.Prog.code in
-  let n = Array.length code in
-  let rec scan i =
-    if i >= n then ()
-    else
-      match code.(i) with
-      | X.Mov { width = X.W32; dst = X.Mem ({ seg = X.Env; disp; _ } as m); src }
-        when disp land 3 = 0 && disp / 4 <= 12 ->
-        code.(i) <- X.Mov { width = X.W32; dst = X.Mem { m with disp = disp + 4 }; src }
-      | _ -> scan (i + 1)
-  in
-  scan 0
+let corrupt_prog prog =
+  rewrite_first prog (function
+    | X.Mov { width = X.W32; dst = X.Mem ({ seg = X.Env; disp; _ } as m); src }
+      when disp land 3 = 0 && disp / 4 <= 12 ->
+      Some [ X.Mov { width = X.W32; dst = X.Mem { m with disp = disp + 4 }; src } ]
+    | _ -> None)
 
 (* Fault point: rule-generated code sabotaged into a tight host loop —
    the first real instruction becomes a jump to itself. The TB never
    reaches an exit, burning its host fuel; only the engine's typed
    {!Repro_x86.Exec.Fuel_exhausted} watchdog path can recover. *)
-let livelock_prog (prog : Repro_x86.Prog.t) =
-  let code = prog.Repro_x86.Prog.code in
-  let n = Array.length code in
+let livelock_prog prog =
   let fresh =
-    1 + Hashtbl.fold (fun l _ acc -> max l acc) prog.Repro_x86.Prog.label_index 0
+    1
+    + Array.fold_left
+        (fun acc insn -> match insn with X.Label l -> max l acc | _ -> acc)
+        0 prog.Repro_x86.Prog.code
   in
-  let rec scan i =
-    if i >= n then ()
-    else if Repro_x86.Prog.is_pseudo code.(i) then scan (i + 1)
-    else begin
-      Hashtbl.replace prog.Repro_x86.Prog.label_index fresh i;
-      code.(i) <- X.Jmp fresh
-    end
-  in
-  scan 0
+  rewrite_first prog (fun insn ->
+      if Repro_x86.Prog.is_pseudo insn then None else Some [ X.Label fresh; X.Jmp fresh ])
 
 let build_tb t (rt : Runtime.t) cache ~pc ~insns ~m =
   let privileged = Runtime.privileged rt in
@@ -527,21 +534,21 @@ let build_tb t (rt : Runtime.t) cache ~pc ~insns ~m =
   | Some `Rule_corrupt ->
     (* Snapshot cache rebuild: re-apply the recorded corruption without
        touching the injector's PRNG stream. *)
-    corrupt_prog tb.Tb.prog;
+    tb.Tb.prog <- corrupt_prog tb.Tb.prog;
     tb.Tb.injected <- `Rule_corrupt
   | Some `Livelock ->
-    livelock_prog tb.Tb.prog;
+    tb.Tb.prog <- livelock_prog tb.Tb.prog;
     tb.Tb.injected <- `Livelock
   | Some `None -> ()
   | None -> (
     match rt.Runtime.inject with
     | Some inj when r.Emitter.rule_covered > 0 ->
       if Fi.fire inj Fi.Rule_corrupt then begin
-        corrupt_prog tb.Tb.prog;
+        tb.Tb.prog <- corrupt_prog tb.Tb.prog;
         tb.Tb.injected <- `Rule_corrupt
       end
       else if Fi.fire inj Fi.Host_livelock then begin
-        livelock_prog tb.Tb.prog;
+        tb.Tb.prog <- livelock_prog tb.Tb.prog;
         tb.Tb.injected <- `Livelock
       end
     | _ -> ()));

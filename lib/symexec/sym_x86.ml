@@ -32,6 +32,24 @@ let write st op t =
 let sign_bit t = bin Shr t (const 31)
 let is_zero t = bin Eq t (const 0)
 
+(* A condition code over the flags, as a 0/1 term. *)
+let cond st (cc : X.cc) =
+  match cc with
+  | X.E -> st.zf
+  | X.NE -> bool_not st.zf
+  | X.B -> st.cf
+  | X.AE -> bool_not st.cf
+  | X.S -> st.sf
+  | X.NS -> bool_not st.sf
+  | X.O -> st.o_f
+  | X.NO -> bool_not st.o_f
+  | X.A -> bin And (bool_not st.cf) (bool_not st.zf)
+  | X.BE -> bin Or st.cf st.zf
+  | X.GE -> bin Eq st.sf st.o_f
+  | X.L -> bool_not (bin Eq st.sf st.o_f)
+  | X.G -> bin And (bool_not st.zf) (bin Eq st.sf st.o_f)
+  | X.LE -> bin Or st.zf (bool_not (bin Eq st.sf st.o_f))
+
 let logic_flags st r = { st with zf = is_zero r; sf = sign_bit r; cf = const 0; o_f = const 0 }
 
 let exec_one st (insn : X.t) =
@@ -161,26 +179,9 @@ let exec_one st (insn : X.t) =
       let r = bin o v n in
       let r = ite (is_zero n) v r in
       write st dst r)
-  | X.Setcc { cc; dst } ->
-    let t =
-      match cc with
-      | X.E -> st.zf
-      | X.NE -> bool_not st.zf
-      | X.B -> st.cf
-      | X.AE -> bool_not st.cf
-      | X.S -> st.sf
-      | X.NS -> bool_not st.sf
-      | X.O -> st.o_f
-      | X.NO -> bool_not st.o_f
-      | X.A -> bin And (bool_not st.cf) (bool_not st.zf)
-      | X.BE -> bin Or st.cf st.zf
-      | X.GE -> bin Eq st.sf st.o_f
-      | X.L -> bool_not (bin Eq st.sf st.o_f)
-      | X.G -> bin And (bool_not st.zf) (bin Eq st.sf st.o_f)
-      | X.LE -> bin Or st.zf (bool_not (bin Eq st.sf st.o_f))
-    in
-    write st (X.Reg dst) t
-  | X.Cmovcc _ -> unsupported "cmov"
+  | X.Setcc { cc; dst } -> write st (X.Reg dst) (cond st cc)
+  | X.Cmovcc { cc; dst; src } ->
+    write st (X.Reg dst) (ite (cond st cc) (operand st src) st.regs.(dst))
   | X.Savef r ->
     write st (X.Reg r)
       (bin Or

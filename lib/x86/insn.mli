@@ -2,7 +2,7 @@
     operating on 32-bit values.
 
     Both DBT backends emit this instruction set into translation
-    blocks; the {!Exec} interpreter executes it while counting
+    blocks; the {!Exec} kernel executes it while counting
     dynamically executed instructions — the paper's performance
     metric. The register file has 16 GPRs (the paper's 32-bit host has
     8; see DESIGN.md for why we widen it), and EFLAGS carries
@@ -88,7 +88,7 @@ type t =
   | Call_helper of { id : int }
       (** Transfer to a QEMU helper. Arguments are in rdi/rsi/rdx/rcx,
           the result in rax. All registers except rbp/rsp are
-          clobbered on return — the interpreter deliberately poisons
+          clobbered on return — the kernel deliberately poisons
           them so that missing CPU-state coordination is caught by
           differential tests, not hidden. *)
   | Exit of { slot : int }

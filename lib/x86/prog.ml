@@ -44,22 +44,15 @@ let fresh_label b =
 let bind_label b l = emit b (Insn.Label l)
 let length b = b.count
 
-type t = {
+type t = Exec.program = private {
   code : Insn.t array;
   tags : Insn.tag array;
-  label_index : (int, int) Hashtbl.t;
+  kernel : Exec.kernel;
 }
 
 let finalize b =
   let items = Array.of_list (List.rev b.rev_code) in
-  let code = Array.map fst items in
-  let tags = Array.map snd items in
-  let label_index = Hashtbl.create 16 in
-  Array.iteri
-    (fun i insn ->
-      match insn with Insn.Label l -> Hashtbl.replace label_index l i | _ -> ())
-    code;
-  { code; tags; label_index }
+  Exec.compile ~code:(Array.map fst items) ~tags:(Array.map snd items)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

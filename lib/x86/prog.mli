@@ -1,8 +1,8 @@
 (** Host-code builder and finalized translation-block programs.
 
     Emission is append-only with fresh local labels; {!finalize}
-    produces an immutable program with a label→index table that the
-    {!Exec} interpreter runs directly. *)
+    produces an immutable program, compiled once into the threaded
+    code that {!Exec.run} executes. *)
 
 type builder
 
@@ -28,13 +28,16 @@ val bind_label : builder -> int -> unit
 val length : builder -> int
 (** Number of countable (non-pseudo) instructions emitted so far. *)
 
-type t = private {
+type t = Exec.program = private {
   code : Insn.t array;
-  tags : Insn.tag array;
-  label_index : (int, int) Hashtbl.t;  (** label id → code index *)
+  tags : Insn.tag array;  (** the stats tag of each [code] entry *)
+  kernel : Exec.kernel;  (** [code] compiled; never rewritten *)
 }
 
 val finalize : builder -> t
+(** The emitted instructions as a program, compiled by {!Exec.compile}.
+    A program is never modified: to change one, emit a new one. *)
+
 val pp : Format.formatter -> t -> unit
 val static_count : t -> int
 (** Countable (non-pseudo) instructions in the program. *)

@@ -1,7 +1,22 @@
-(* One row of the coverage-attribution table: dynamic retirements and
-   attributed host-instruction cost of one packed attribution word
-   (tier | class | idiom | rule — see Repro_covscope.Attr). *)
-type cov_entry = { mutable cn : int; mutable ccost : int }
+(* The coverage-attribution table: for each packed attribution word
+   (tier | class | idiom | rule — see Repro_covscope.Attr) its dynamic
+   retirements and attributed host-instruction cost. An int-keyed
+   open-addressing table with linear probing, so a retirement neither
+   allocates nor hashes polymorphically. Attribution words are
+   nonnegative; [empty] marks a free slot. Cost accrual is a delta
+   chain on [host_insns]: a retirement closes the previous
+   instruction's accrual window ([pending] since [mark]) and opens its
+   own, so the attributed costs partition [host_insns] exactly (up to
+   the open tail, [cov_residual]). *)
+type attribution = {
+  mutable keys : int array;
+  mutable counts : int array;
+  mutable costs : int array;
+  mutable used : int;
+  mutable pending : int;  (* attr accruing cost; -1 = none yet *)
+  mutable pending_slot : int;  (* its slot; -1 = not in the table *)
+  mutable mark : int;  (* host_insns at the last retirement *)
+}
 
 type t = {
   mutable host_insns : int;
@@ -24,22 +39,73 @@ type t = {
   mutable quarantine_fallbacks : int;
   mutable livelocks_recovered : int;
   mutable regions_formed : int;
-  (* translation-quality observatory: always-on exact attribution of
-     every retired guest instruction (tier/class/idiom/rule packed in
-     the [Cnt_guest_insn] payload) plus its dynamic host-insn cost.
-     Cost accrual is a delta chain on [host_insns]: a retirement
-     closes the previous instruction's accrual window ([cov_pending]
-     since [cov_mark]) and opens its own, so the attributed costs
-     partition [host_insns] exactly (up to the open tail,
-     [cov_residual]). *)
-  cov : (int, cov_entry) Hashtbl.t;
-  mutable cov_pending : int;  (* attr accruing cost; -1 = none yet *)
-  mutable cov_mark : int;     (* host_insns at the last retirement *)
-  mutable cov_last_attr : int;
-  mutable cov_last : cov_entry option;  (* one-entry lookup cache *)
+  attribution : attribution;
 }
 
 let n_tags = List.length Insn.all_tags
+let empty = -1
+let initial_capacity = 64
+
+let attribution () =
+  {
+    keys = Array.make initial_capacity empty;
+    counts = Array.make initial_capacity 0;
+    costs = Array.make initial_capacity 0;
+    used = 0;
+    pending = -1;
+    pending_slot = -1;
+    mark = 0;
+  }
+
+(* The slot holding [attr], or the free slot where it belongs. The
+   table is never more than half full, so a probe always ends. *)
+let rec probe_from keys m attr i =
+  let k = Array.unsafe_get keys i in
+  if k = attr || k = empty then i else probe_from keys m attr ((i + 1) land m)
+
+let probe keys attr =
+  let m = Array.length keys - 1 in
+  probe_from keys m attr ((attr * 0x9E3779B1) lsr 7 land m)
+
+let grow a =
+  let keys = a.keys and counts = a.counts and costs = a.costs in
+  let cap = 2 * Array.length keys in
+  a.keys <- Array.make cap empty;
+  a.counts <- Array.make cap 0;
+  a.costs <- Array.make cap 0;
+  Array.iteri
+    (fun i k ->
+      if k <> empty then begin
+        let j = probe a.keys k in
+        a.keys.(j) <- k;
+        a.counts.(j) <- counts.(i);
+        a.costs.(j) <- costs.(i)
+      end)
+    keys;
+  a.pending_slot <- (if a.pending_slot < 0 then -1 else probe a.keys a.pending)
+
+(* [attr]'s slot, inserting an empty row if it has none. *)
+let rec slot a attr =
+  let i = probe a.keys attr in
+  if a.keys.(i) <> empty then i
+  else if 2 * (a.used + 1) > Array.length a.keys then begin
+    grow a;
+    slot a attr
+  end
+  else begin
+    a.keys.(i) <- attr;
+    a.used <- a.used + 1;
+    i
+  end
+
+let clear_attribution a =
+  Array.fill a.keys 0 (Array.length a.keys) empty;
+  Array.fill a.counts 0 (Array.length a.counts) 0;
+  Array.fill a.costs 0 (Array.length a.costs) 0;
+  a.used <- 0;
+  a.pending <- -1;
+  a.pending_slot <- -1;
+  a.mark <- 0
 
 let create () =
   {
@@ -63,11 +129,7 @@ let create () =
     quarantine_fallbacks = 0;
     livelocks_recovered = 0;
     regions_formed = 0;
-    cov = Hashtbl.create 64;
-    cov_pending = -1;
-    cov_mark = 0;
-    cov_last_attr = -1;
-    cov_last = None;
+    attribution = attribution ();
   }
 
 let reset t =
@@ -91,11 +153,7 @@ let reset t =
   t.quarantine_fallbacks <- 0;
   t.livelocks_recovered <- 0;
   t.regions_formed <- 0;
-  Hashtbl.reset t.cov;
-  t.cov_pending <- -1;
-  t.cov_mark <- 0;
-  t.cov_last_attr <- -1;
-  t.cov_last <- None
+  clear_attribution t.attribution
 
 (* The tag's slot in [by_tag] (one per [Insn.all_tags] entry). *)
 let tag_index : Insn.tag -> int = function
@@ -113,43 +171,36 @@ let tag_count t tag = t.by_tag.(tag_index tag)
 
 (* ---- coverage attribution ---- *)
 
-let cov_entry t attr =
-  match t.cov_last with
-  | Some e when t.cov_last_attr = attr -> e
-  | _ ->
-    let e =
-      match Hashtbl.find_opt t.cov attr with
-      | Some e -> e
-      | None ->
-        let e = { cn = 0; ccost = 0 } in
-        Hashtbl.add t.cov attr e;
-        e
-    in
-    t.cov_last_attr <- attr;
-    t.cov_last <- Some e;
-    e
-
 let retire t attr =
-  if t.cov_pending >= 0 then begin
-    let d = t.host_insns - t.cov_mark in
+  let a = t.attribution in
+  if a.pending >= 0 then begin
+    let d = t.host_insns - a.mark in
     if d > 0 then begin
-      let e = cov_entry t t.cov_pending in
-      e.ccost <- e.ccost + d
+      if a.pending_slot < 0 then a.pending_slot <- slot a a.pending;
+      a.costs.(a.pending_slot) <- a.costs.(a.pending_slot) + d
     end
   end;
   t.guest_insns <- t.guest_insns + 1;
-  let e = cov_entry t attr in
-  e.cn <- e.cn + 1;
-  t.cov_mark <- t.host_insns;
-  t.cov_pending <- attr
+  let s = slot a attr in
+  a.counts.(s) <- a.counts.(s) + 1;
+  a.mark <- t.host_insns;
+  a.pending <- attr;
+  a.pending_slot <- s
+
+let fold_cov f t acc =
+  let a = t.attribution in
+  let acc = ref acc in
+  Array.iteri
+    (fun i k -> if k <> empty then acc := f k a.counts.(i) a.costs.(i) !acc)
+    a.keys;
+  !acc
 
 let cov_entries t =
-  Hashtbl.fold (fun attr e acc -> (attr, e.cn, e.ccost) :: acc) t.cov []
-  |> List.sort compare
+  fold_cov (fun attr n cost acc -> (attr, n, cost) :: acc) t [] |> List.sort compare
 
-let cov_retired t = Hashtbl.fold (fun _ e acc -> acc + e.cn) t.cov 0
-let cov_attributed t = Hashtbl.fold (fun _ e acc -> acc + e.ccost) t.cov 0
-let cov_residual t = t.host_insns - t.cov_mark
+let cov_retired t = fold_cov (fun _ n _ acc -> acc + n) t 0
+let cov_attributed t = fold_cov (fun _ _ cost acc -> acc + cost) t 0
+let cov_residual t = t.host_insns - t.attribution.mark
 
 let host_per_guest t =
   if t.guest_insns = 0 then 0. else float_of_int t.host_insns /. float_of_int t.guest_insns
@@ -227,7 +278,7 @@ let to_array t =
      ascending attr order — deterministic regardless of Hashtbl order. *)
   let cov =
     Array.of_list
-      (t.cov_mark :: (t.cov_pending + 1)
+      (t.attribution.mark :: (t.attribution.pending + 1)
       :: List.length entries
       :: List.concat_map (fun (a, n, c) -> [ a; n; c ]) entries)
   in
@@ -252,15 +303,20 @@ let load_array t a =
   let n_entries = a.(base + 2) in
   if Array.length a <> base + 3 + (3 * n_entries) then
     invalid_arg "Stats.load_array: bad length";
-  Hashtbl.reset t.cov;
-  t.cov_last_attr <- -1;
-  t.cov_last <- None;
-  t.cov_mark <- a.(base);
-  t.cov_pending <- a.(base + 1) - 1;
+  let c = t.attribution in
+  clear_attribution c;
   for i = 0 to n_entries - 1 do
     let o = base + 3 + (3 * i) in
-    Hashtbl.replace t.cov a.(o) { cn = a.(o + 1); ccost = a.(o + 2) }
+    let s = slot c a.(o) in
+    c.counts.(s) <- a.(o + 1);
+    c.costs.(s) <- a.(o + 2)
   done;
+  c.mark <- a.(base);
+  c.pending <- a.(base + 1) - 1;
+  if c.pending >= 0 then begin
+    let s = probe c.keys c.pending in
+    if c.keys.(s) <> empty then c.pending_slot <- s
+  end;
   t.host_insns <- a.(0);
   t.helper_insns <- a.(1);
   t.helper_calls <- a.(2);

@@ -1,16 +1,19 @@
 (** Dynamic execution counters — the measurement substrate for every
     figure in the paper's evaluation. *)
 
-type cov_entry = { mutable cn : int; mutable ccost : int }
-(** One row of the coverage-attribution table: dynamic retirements
-    ([cn]) and attributed host-instruction cost ([ccost]) of one
-    packed attribution word (see [Repro_covscope.Attr]). *)
+type attribution
+(** The translation-quality observatory: always-on per-attribution
+    retirement counts and host-insn costs, keyed by the packed
+    [Cnt_guest_insn] payload (see [Repro_covscope.Attr]), plus the
+    open accrual window of the latest retirement. Read it through
+    {!cov_entries}, {!cov_retired}, {!cov_attributed} and
+    {!cov_residual}. *)
 
 type t = {
   mutable host_insns : int;
       (** Dynamically executed host instructions, including modelled
           helper costs. *)
-  by_tag : int array;  (** indexed by {!Insn.tag} order of {!Insn.all_tags} *)
+  by_tag : int array;  (** indexed by {!tag_index} *)
   mutable helper_insns : int;
       (** Portion of [host_insns] contributed by helper bodies. *)
   mutable helper_calls : int;
@@ -43,20 +46,14 @@ type t = {
           rollback + degraded re-execution) *)
   mutable regions_formed : int;
       (** hot-region superblocks fused and installed in the code cache *)
-  cov : (int, cov_entry) Hashtbl.t;
-      (** translation-quality observatory: always-on per-attribution
-          retirement counts and host-insn costs, keyed by the packed
-          [Cnt_guest_insn] payload *)
-  mutable cov_pending : int;
-      (** attribution currently accruing host-insn cost; [-1] before
-          the first retirement *)
-  mutable cov_mark : int;  (** [host_insns] at the last retirement *)
-  mutable cov_last_attr : int;  (** internal lookup-cache key *)
-  mutable cov_last : cov_entry option;  (** internal lookup cache *)
+  attribution : attribution;
 }
 
 val create : unit -> t
 val reset : t -> unit
+val tag_index : Insn.tag -> int
+(** The tag's slot in [by_tag], in {!Insn.all_tags} order. *)
+
 val charge_tag : t -> Insn.tag -> int -> unit
 (** Add [n] host instructions under a tag (and to the total). *)
 
@@ -67,7 +64,10 @@ val retire : t -> int -> unit
     host-insn cost accrued since the previous retirement is charged to
     the previous attribution, then the retirement is counted under the
     new one. Increments [guest_insns] — this is its only increment
-    site, so the per-attribution counts partition it structurally. *)
+    site, so the per-attribution counts partition it structurally.
+    Attribution words are nonnegative. Once an attribution word has
+    been seen, retiring under it neither allocates nor hashes
+    polymorphically (the table is int-keyed, open-addressed). *)
 
 val cov_entries : t -> (int * int * int) list
 (** All [(attr, retirements, cost)] rows, sorted by attribution word. *)

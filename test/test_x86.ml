@@ -1,6 +1,9 @@
 module X = Repro_x86.Insn
 module Prog = Repro_x86.Prog
 module Exec = Repro_x86.Exec
+module Stats = Repro_x86.Stats
+module Sym_x86 = Repro_symexec.Sym_x86
+module Term = Repro_symexec.Term
 
 (* Direct tests of the host model: flag semantics, memory segments,
    control flow, helper poisoning and the measurement counters. *)
@@ -153,8 +156,234 @@ let test_fuel_guard () =
   let prog = Prog.finalize b in
   match Exec.run ctx prog ~fuel:100 with
   | exception Exec.Fuel_exhausted { spent } ->
-    Alcotest.(check bool) "spent near budget" true (spent >= 100)
+    (* the 101st jump is charged and counted, then the guard fires
+       before it executes *)
+    Alcotest.(check int) "spent = fuel + 1" 101 spent;
+    Alcotest.(check int) "host insns = fuel + 1" 101 ctx.Exec.stats.Stats.host_insns
   | _ -> Alcotest.fail "runaway loop must exhaust fuel"
+
+let program insns =
+  let b = Prog.builder () in
+  List.iter (fun i -> Prog.emit b i) insns;
+  Prog.finalize b
+
+let test_untaken_undefined_label () =
+  let ctx = Exec.create () in
+  let prog =
+    program
+      [
+        X.Alu { op = X.Cmp; dst = X.Reg X.rax; src = X.Reg X.rax };  (* zf := 1 *)
+        X.Jcc { cc = X.NE; target = 99 };  (* label 99 is never placed *)
+        X.Exit { slot = 1 };
+      ]
+  in
+  match Exec.run ctx prog ~fuel:100 with
+  | Exec.Exited 1 ->
+    Alcotest.(check int) "three insns charged" 3 ctx.Exec.stats.Stats.host_insns
+  | _ -> Alcotest.fail "an untaken jump to an undefined label must not fail"
+
+let test_taken_undefined_label () =
+  let ctx = Exec.create () in
+  let prog = program [ X.Jmp 7; X.Exit { slot = 0 } ] in
+  match Exec.run ctx prog ~fuel:100 with
+  | exception Failure _ ->
+    Alcotest.(check int) "the jump was charged" 1 ctx.Exec.stats.Stats.host_insns
+  | _ -> Alcotest.fail "a taken jump to an undefined label must fail"
+
+let test_fall_off_end () =
+  let ctx = Exec.create () in
+  let l = 0 in
+  let prog = program [ mov X.rax 1; X.Jmp l; X.Label l ] in
+  match Exec.run ctx prog ~fuel:100 with
+  | exception Failure _ ->
+    Alcotest.(check int) "both insns charged" 2 ctx.Exec.stats.Stats.host_insns
+  | _ -> Alcotest.fail "running past the last instruction must fail"
+
+let test_helper_stop_mid_tb () =
+  let ctx = Exec.create () in
+  ctx.Exec.helper <- (fun _ _ -> raise (Exec.Helper_stop { code = 5; arg = 6 }));
+  let b = Prog.builder () in
+  Prog.emit b ~tag:X.Tag_sync (mov X.rax 1);
+  Prog.emit b (X.Count (X.Cnt_guest_insn 0));
+  Prog.emit b ~tag:X.Tag_glue (X.Call_helper { id = 3 });
+  Prog.emit b (X.Count (X.Cnt_guest_insn 0));
+  Prog.emit b (mov X.rbx 2);
+  Prog.emit b (X.Exit { slot = 0 });
+  match Exec.run ctx (Prog.finalize b) ~fuel:100 with
+  | Exec.Stopped { code = 5; arg = 6 } ->
+    let st = ctx.Exec.stats in
+    Alcotest.(check int) "charged through the call" 2 st.Stats.host_insns;
+    Alcotest.(check int) "sync tag" 1 (Stats.tag_count st X.Tag_sync);
+    Alcotest.(check int) "glue tag" 1 (Stats.tag_count st X.Tag_glue);
+    Alcotest.(check int) "helper call counted" 1 st.Stats.helper_calls;
+    Alcotest.(check int) "one guest insn retired" 1 st.Stats.guest_insns;
+    Alcotest.(check int) "nothing after the call ran" 0 ctx.Exec.regs.(X.rbx)
+  | _ -> Alcotest.fail "a helper stop must end the TB as Stopped"
+
+(* Env/Tlb sub-word accesses pick the byte lane [addr land 3] of their
+   32-bit slot; a halfword may not cross into the next slot. *)
+let test_subword_lanes () =
+  let seg_mem seg disp = X.Mem { X.seg; base = None; index = None; scale = 1; disp } in
+  List.iter
+    (fun (seg, name, slots) ->
+      let ctx =
+        run
+          ~setup:(fun ctx -> (slots ctx).(1) <- 0x44332211)
+          [
+            X.Movzx8 { dst = X.rax; src = seg_mem seg 5 };
+            X.Movzx16 { dst = X.rbx; src = seg_mem seg 6 };
+            X.Movsx8 { dst = X.rcx; src = seg_mem seg 7 };
+            mov X.rdx 0xAB;
+            X.Mov { width = X.W8; dst = seg_mem seg 6; src = X.Reg X.rdx };
+            mov X.rdx 0xCDEF;
+            X.Mov { width = X.W16; dst = seg_mem seg 9; src = X.Reg X.rdx };
+          ]
+      in
+      Alcotest.(check int) (name ^ " byte lane 1") 0x22 ctx.Exec.regs.(X.rax);
+      Alcotest.(check int) (name ^ " halfword lanes 2-3") 0x4433 ctx.Exec.regs.(X.rbx);
+      Alcotest.(check int) (name ^ " signed byte lane 3") 0x44 ctx.Exec.regs.(X.rcx);
+      Alcotest.(check int) (name ^ " byte write lane 2") 0x44AB2211 (slots ctx).(1);
+      Alcotest.(check int) (name ^ " halfword write lanes 1-2") 0x00CDEF00 (slots ctx).(2);
+      match run [ X.Movzx16 { dst = X.rax; src = seg_mem seg 7 } ] with
+      | exception Assert_failure _ -> ()
+      | _ -> Alcotest.fail (name ^ ": a halfword crossing a slot must fail"))
+    [ (X.Env, "env", fun c -> c.Exec.env); (X.Tlb, "tlb", fun c -> c.Exec.tlb) ]
+
+(* A restored Stats continues exactly where the original left off. *)
+let test_stats_restore_then_retire () =
+  let step st (attr, cost) =
+    Stats.retire st attr;
+    Stats.charge_tag st X.Tag_compute cost
+  in
+  let first = [ (3, 2); (8, 5); (3, 1); (200, 7) ] in
+  (* enough new attribution words to grow the restored table *)
+  let second =
+    [ (3, 4); (9, 1); (200, 2); (77, 3); (8, 6) ]
+    @ List.init 100 (fun i -> ((i * 7919) + 1000, i mod 4))
+  in
+  let whole = Stats.create () in
+  List.iter (step whole) (first @ second);
+  let part = Stats.create () in
+  List.iter (step part) first;
+  let restored = Stats.create () in
+  Stats.load_array restored (Stats.to_array part);
+  List.iter (step restored) second;
+  Alcotest.(check (array int)) "restored + retired = uninterrupted"
+    (Stats.to_array whole) (Stats.to_array restored);
+  Alcotest.(check (list (triple int int int))) "same coverage rows"
+    (Stats.cov_entries whole) (Stats.cov_entries restored);
+  Alcotest.(check int) "rows partition the retirements" restored.Stats.guest_insns
+    (Stats.cov_retired restored);
+  Alcotest.(check int) "rows + open window partition the cost" restored.Stats.host_insns
+    (Stats.cov_attributed restored + Stats.cov_residual restored)
+
+(* Retiring under known attribution words allocates nothing (the
+   two [Gc.minor_words] calls box one float each). *)
+let test_retire_does_not_allocate () =
+  let st = Stats.create () in
+  let attrs = Array.init 40 (fun i -> (i * 7919) + 3) in
+  Array.iter (Stats.retire st) attrs;
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Stats.retire st attrs.(i mod 40);
+    Stats.charge_tag st X.Tag_compute 2
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words" words) true (words <= 4.)
+
+(* ---- differential: kernel vs symbolic evaluation ---- *)
+
+(* Registers favour a small pool so results feed later instructions;
+   words favour the carry/overflow/shift boundaries. *)
+let gen_reg = QCheck.Gen.(frequency [ (3, int_bound 3); (1, int_bound 15) ])
+
+let gen_word =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, oneofl [ 0; 1; 2; 31; 32; 0x7FFF_FFFF; 0x8000_0000; 0x8000_0001; 0xFFFF_FFFE; 0xFFFF_FFFF ]);
+      (1, map (fun v -> v land 0xFFFF_FFFF) int);
+    ]
+
+let gen_cc = QCheck.Gen.oneofl X.[ E; NE; B; AE; S; NS; O; NO; A; BE; GE; L; G; LE ]
+
+let gen_src =
+  let open QCheck.Gen in
+  oneof
+    [
+      map (fun r -> X.Reg r) gen_reg;
+      map (fun v -> X.Imm v) gen_word;
+    ]
+
+(* Straight-line, register-only instructions: the fragment both the
+   kernel and the symbolic evaluator define. *)
+let gen_insn =
+  let open QCheck.Gen in
+  let reg = map (fun r -> X.Reg r) gen_reg in
+  oneof
+    [
+      map2 (fun d s -> X.Mov { width = X.W32; dst = X.Reg d; src = s }) gen_reg gen_src;
+      map3
+        (fun op d s -> X.Alu { op; dst = X.Reg d; src = s })
+        (oneofl X.[ Add; Adc; Sub; Sbb; And; Or; Xor; Cmp; Test ])
+        gen_reg gen_src;
+      map (fun o -> X.Neg o) reg;
+      map (fun o -> X.Not o) reg;
+      map2 (fun d s -> X.Imul { dst = d; src = s }) gen_reg gen_src;
+      map3
+        (fun op d n -> X.Shift { op; dst = X.Reg d; amount = X.Sh_imm n })
+        (oneofl X.[ Shl; Shr; Sar; Ror ])
+        gen_reg (int_bound 31);
+      map2 (fun cc d -> X.Setcc { cc; dst = d }) gen_cc gen_reg;
+      map3 (fun cc d s -> X.Cmovcc { cc; dst = d; src = s }) gen_cc gen_reg gen_src;
+      map (fun r -> X.Savef r) gen_reg;
+      map (fun r -> X.Loadf r) gen_reg;
+    ]
+
+let gen_case =
+  let open QCheck.Gen in
+  triple
+    (list_size (int_range 1 24) gen_insn)
+    (array_size (return 16) gen_word)
+    (array_size (return 4) bool)
+
+let print_case (insns, regs, flags) =
+  Printf.sprintf "%s\nregs=[%s] cf,zf,sf,of=[%s]"
+    (String.concat "; " (List.map X.to_string insns))
+    (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%#x") regs)))
+    (String.concat " " (Array.to_list (Array.map string_of_bool flags)))
+
+let prop_kernel_matches_symbolic =
+  QCheck.Test.make ~count:3000 ~name:"kernel = symbolic evaluation on straight-line code"
+    (QCheck.make ~print:print_case gen_case)
+    (fun (insns, regs, flags) ->
+      let ctx =
+        run
+          ~setup:(fun ctx ->
+            Array.blit regs 0 ctx.Exec.regs 0 16;
+            ctx.Exec.cf <- flags.(0);
+            ctx.Exec.zf <- flags.(1);
+            ctx.Exec.sf <- flags.(2);
+            ctx.Exec.o_f <- flags.(3))
+          insns
+      in
+      let sym =
+        Sym_x86.exec (Sym_x86.initial (fun r -> Term.var (Printf.sprintf "r%d" r))) insns
+      in
+      let bit b = if b then 1 else 0 in
+      let lookup = function
+        | "cf" -> bit flags.(0)
+        | "zf" -> bit flags.(1)
+        | "sf" -> bit flags.(2)
+        | "of" -> bit flags.(3)
+        | v -> regs.(int_of_string (String.sub v 1 (String.length v - 1)))
+      in
+      let ev t = Repro_common.Word32.mask (Term.eval lookup t) in
+      Array.for_all2 (fun t v -> ev t = v) sym.Sym_x86.regs ctx.Exec.regs
+      && ev sym.Sym_x86.cf = bit ctx.Exec.cf
+      && ev sym.Sym_x86.zf = bit ctx.Exec.zf
+      && ev sym.Sym_x86.sf = bit ctx.Exec.sf
+      && ev sym.Sym_x86.o_f = bit ctx.Exec.o_f)
 
 let test_shift_by_cl () =
   let ctx =
@@ -183,5 +412,18 @@ let suite =
         Alcotest.test_case "measurement counters" `Quick test_counters;
         Alcotest.test_case "fuel guard" `Quick test_fuel_guard;
         Alcotest.test_case "variable shift uses cl mod 32" `Quick test_shift_by_cl;
+        Alcotest.test_case "untaken jump to an undefined label" `Quick
+          test_untaken_undefined_label;
+        Alcotest.test_case "taken jump to an undefined label fails" `Quick
+          test_taken_undefined_label;
+        Alcotest.test_case "falling off the end fails" `Quick test_fall_off_end;
+        Alcotest.test_case "helper stop mid-TB keeps its charges" `Quick
+          test_helper_stop_mid_tb;
+        Alcotest.test_case "env/tlb sub-word byte lanes" `Quick test_subword_lanes;
+        Alcotest.test_case "stats restore then retire" `Quick
+          test_stats_restore_then_retire;
+        Alcotest.test_case "retire does not allocate" `Quick
+          test_retire_does_not_allocate;
+        QCheck_alcotest.to_alcotest prop_kernel_matches_symbolic;
       ] );
   ]
