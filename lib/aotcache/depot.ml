@@ -14,7 +14,7 @@ let guard section f =
   | Snapshot.Corrupt reason -> err section "%s" reason
   | Invalid_argument reason -> err section "%s" reason
 
-let format_version = 1
+let format_version = 2
 let magic = "DBTDEPOT"
 let manifest_name = "MANIFEST"
 let manifest_header = "DBTDEPOT-MANIFEST 1"
@@ -49,7 +49,7 @@ let quarantine_pcs t pcs =
   t.quarantined <- merged;
   grew
 
-let ruleset_digest rs = Snapshot.fnv1a32 (Repro_rules.Serialize.save rs)
+let ruleset_digest = Repro_rules.Serialize.digest
 
 (* ---- blob container ---- *)
 

@@ -21,7 +21,7 @@
 
     {v
       bytes 0..7    magic "DBTDEPOT"
-      bytes 8..15   u64 LE format version (currently 1)
+      bytes 8..15   u64 LE format version (currently 2)
       bytes 16..23  u64 LE FNV-1a-32 checksum of the body
       bytes 24..    body: u64 generation, u64 section count, then per
                     section a length-prefixed name, a length-prefixed
@@ -94,8 +94,9 @@ val quarantine_pcs : t -> int list -> bool
     grew — i.e. a {!save} is warranted. *)
 
 val ruleset_digest : Repro_rules.Ruleset.t -> int
-(** FNV-1a-32 over the byte-stable {!Repro_rules.Serialize.save}
-    encoding — the ruleset component of the {!compat} key. *)
+(** {!Repro_rules.Serialize.digest} — the ruleset component of the
+    {!compat} key, equal for rulesets with the same
+    {!Repro_rules.Serialize.save} text. *)
 
 val to_string : t -> string
 val of_string : string -> t

@@ -101,8 +101,10 @@ type depot_state = {
   dp_dead : bool array;
   mutable dp_generation : int;
   mutable dp_installed_count : int;
-  dp_pcs : (int, unit) Hashtbl.t;
-      (* guest PCs served from the depot — poison attribution *)
+  dp_served : (int, Tb.t) Hashtbl.t;
+      (* TB id -> the TB a wave installed in this generation; poison
+         attribution compares physically, so a cold TB at the same PC
+         (another regime, or after SMC killed the recipe) never counts *)
   mutable dp_poisoned : int list;
       (* depot-served PCs whose TB shadow verification invalidated *)
 }
@@ -489,16 +491,64 @@ let max_strikes a b =
 
 (* Snapshot cache rebuilds and depot install waves re-run translations
    made elsewhere (by the checkpointed machine, or by the run that
-   captured the depot): recording their static provenance or
-   rule-template sites here would double-count, so both translation
-   sinks are detached for the duration. *)
-let without_translation_sinks (rt : Runtime.t) f =
+   captured the depot), spliced into a machine that must not notice.
+   [retranslating] brackets that work:
+   - both translation sinks are detached, since recording the re-run's
+     static provenance or rule-template sites would double-count;
+   - exactly the state translation can touch is saved and put back.
+     Each record forces its mode and MMU bit into the mirror CPU and
+     sets the engine-transient runtime fields; fetches draw from the
+     injector (bus reads, page-walk corruption); blacklist fallbacks
+     and superblock fusion charge statistics; the translator bumps its
+     counters. Translation reads guest memory and page tables but
+     writes neither, and leaves env, host registers, TLB and devices
+     alone, so none of those is copied. *)
+let retranslating t f =
+  let rt = t.rt in
   let ledger = rt.Runtime.ledger and cov_static = rt.Runtime.cov_static in
+  let cpu = Cpu.save_words rt.Runtime.cpu
+  and stats = Stats.to_array (Runtime.stats rt)
+  and inject = Option.map Fi.export rt.Runtime.inject
+  and pcw = rt.Runtime.pending_code_write
+  and scw = rt.Runtime.suppress_code_write
+  and tbov = rt.Runtime.tb_override
+  and cov = rt.Runtime.corrupt_override
+  and fps = rt.Runtime.fault_producers
+  and counters = Option.map Translator_rule.save_state t.rule_translator in
   rt.Runtime.ledger <- None;
   rt.Runtime.cov_static <- None;
   Fun.protect f ~finally:(fun () ->
       rt.Runtime.ledger <- ledger;
-      rt.Runtime.cov_static <- cov_static)
+      rt.Runtime.cov_static <- cov_static;
+      Cpu.load_words rt.Runtime.cpu cpu;
+      Stats.load_array (Runtime.stats rt) stats;
+      (match (rt.Runtime.inject, inject) with
+      | Some inj, Some words -> Fi.import inj words
+      | _ -> ());
+      rt.Runtime.pending_code_write <- pcw;
+      rt.Runtime.suppress_code_write <- scw;
+      rt.Runtime.tb_override <- tbov;
+      rt.Runtime.corrupt_override <- cov;
+      rt.Runtime.fault_producers <- fps;
+      match (t.rule_translator, counters) with
+      | Some tr, Some s -> Translator_rule.restore_counters tr s
+      | _ -> ())
+
+(* The translator of the machine's natural rung. *)
+let natural_translate t =
+  match t.rule_translator with
+  | Some tr -> fun rt cache ~pc -> Translator_rule.translate tr rt cache ~pc
+  | None -> Repro_tcg.Translator_qemu.translate
+
+(* Put a re-translated plain TB into the cache with its recorded
+   hotness, and write-protect its code exactly as the engine does after
+   a cold translation. *)
+let install_exact t (tb : Tb.t) ~hot =
+  tb.Tb.hot <- hot;
+  Tb.Cache.add_exact t.cache tb;
+  Tlb.clear_write_tag t.rt.Runtime.ctx.Runtime.Exec.tlb tb.Tb.guest_pc;
+  Tlb.clear_write_tag t.rt.Runtime.ctx.Runtime.Exec.tlb
+    (tb.Tb.guest_pc + (4 * tb.Tb.guest_len) - 4)
 
 (* Re-translate the captured live set in id order under each record's
    recorded context (privilege, MMU, SMC length override, injected
@@ -508,13 +558,8 @@ let without_translation_sinks (rt : Runtime.t) f =
    translation regime and put back afterwards. *)
 let rebuild_cache t records links regions region_links =
   let rt = t.rt in
-  without_translation_sinks rt @@ fun () ->
-  let saved_cpu = Cpu.save_words rt.Runtime.cpu in
-  let translate =
-    match t.rule_translator with
-    | Some tr -> fun rt cache ~pc -> Translator_rule.translate tr rt cache ~pc
-    | None -> Repro_tcg.Translator_qemu.translate
-  in
+  retranslating t @@ fun () ->
+  let translate = natural_translate t in
   Tb.Cache.flush t.cache;
   let tbs =
     Array.map
@@ -526,11 +571,7 @@ let rebuild_cache t records links regions region_links =
         Tb.Cache.set_ids t.cache (r.r_id - 1);
         match translate rt t.cache ~pc:r.r_pc with
         | Ok tb ->
-          tb.Tb.hot <- r.r_hot;
-          Tb.Cache.add_exact t.cache tb;
-          Tlb.clear_write_tag rt.Runtime.ctx.Runtime.Exec.tlb tb.Tb.guest_pc;
-          Tlb.clear_write_tag rt.Runtime.ctx.Runtime.Exec.tlb
-            (tb.Tb.guest_pc + (4 * tb.Tb.guest_len) - 4);
+          install_exact t tb ~hot:r.r_hot;
           tb
         | Error _ ->
           raise
@@ -539,9 +580,6 @@ let rebuild_cache t records links regions region_links =
                   r.r_pc)))
       records
   in
-  rt.Runtime.tb_override <- None;
-  rt.Runtime.corrupt_override <- None;
-  Cpu.load_words rt.Runtime.cpu saved_cpu;
   (match t.rule_translator with
   | Some tr ->
     Array.iteri
@@ -629,29 +667,24 @@ let restore ?(rebuild = true) t snap =
      Shadow-verification progress, by contrast, is taken from the
      snapshot as-is: rolling it back only means re-verifying, which is
      always sound. *)
-  let tr_saved =
-    match (t.rule_translator, t.ruleset, Snapshot.find_opt snap "translator") with
-    | Some tr, Some rs, Some payload ->
-      let saved, strikes, quarantined = decode_translator payload in
-      let cur = Translator_rule.save_state tr in
-      let cur_strikes, cur_quarantined = Ruleset.export_health rs in
-      let merged =
-        {
-          saved with
-          Translator_rule.s_blacklist =
-            union_int saved.Translator_rule.s_blacklist
-              cur.Translator_rule.s_blacklist;
-        }
-      in
-      Translator_rule.restore_state tr merged;
-      Ruleset.restore_health rs
-        ~strikes:(max_strikes strikes cur_strikes)
-        ~quarantined:(union_int quarantined cur_quarantined);
-      Some merged
-    | None, _, None -> None
-    | Some _, _, None -> raise (Snapshot.Corrupt "missing section translator")
-    | _ -> raise (Snapshot.Corrupt "translator section in a qemu-mode snapshot")
-  in
+  (match (t.rule_translator, t.ruleset, Snapshot.find_opt snap "translator") with
+  | Some tr, Some rs, Some payload ->
+    let saved, strikes, quarantined = decode_translator payload in
+    let cur = Translator_rule.save_state tr in
+    let cur_strikes, cur_quarantined = Ruleset.export_health rs in
+    Translator_rule.restore_state tr
+      {
+        saved with
+        Translator_rule.s_blacklist =
+          union_int saved.Translator_rule.s_blacklist
+            cur.Translator_rule.s_blacklist;
+      };
+    Ruleset.restore_health rs
+      ~strikes:(max_strikes strikes cur_strikes)
+      ~quarantined:(union_int quarantined cur_quarantined)
+  | None, _, None -> ()
+  | Some _, _, None -> raise (Snapshot.Corrupt "missing section translator")
+  | _ -> raise (Snapshot.Corrupt "translator section in a qemu-mode snapshot"));
   (match Snapshot.find_opt snap "degrade" with
   | Some payload ->
     let d = Snapshot.Dec.of_string ~name:"degrade" payload in
@@ -674,27 +707,14 @@ let restore ?(rebuild = true) t snap =
     rebuild_cache t records links regions region_links
   end
   else Tb.Cache.flush t.cache;
-  (* Counters go in verbatim last: the rebuild itself translates (and
-     may walk page tables), which perturbs stats, translator counters
-     and potentially TLB/injector state. *)
-  (match (t.rule_translator, tr_saved) with
-  | Some tr, Some saved -> Translator_rule.restore_counters tr saved
-  | _ -> ());
+  (* The rebuild's [retranslating] put back the stats, injector state
+     and translator counters its translations touched; the
+     write-protect tags it set give way to the captured TLB. *)
   let ctl = Snapshot.Dec.of_string ~name:"cachectl" (Snapshot.find snap "cachectl") in
   Tb.Cache.set_full_flushes t.cache (Snapshot.Dec.int ctl);
   Tb.Cache.set_ids t.cache (Snapshot.Dec.int ctl);
-  let redo name f =
-    let d = Snapshot.Dec.of_string ~name (Snapshot.find snap name) in
-    f d
-  in
-  redo "stats" (fun d ->
-      Stats.load_array (Runtime.stats t.rt) (Snapshot.Dec.int_array d));
-  redo "tlb" (fun d ->
-      Tlb.restore t.rt.Runtime.ctx.Runtime.Exec.tlb (Snapshot.Dec.int_array d));
-  (match t.rt.Runtime.inject with
-  | Some inj ->
-    redo "inject" (fun d -> Fi.import inj (Snapshot.Dec.i64_array d))
-  | None -> ());
+  let tlb = Snapshot.Dec.of_string ~name:"tlb" (Snapshot.find snap "tlb") in
+  Tlb.restore t.rt.Runtime.ctx.Runtime.Exec.tlb (Snapshot.Dec.int_array tlb);
   t.pending_resume <-
     (match Snapshot.find_opt snap "resume" with
     | Some p -> Some (decode_resume p)
@@ -741,15 +761,21 @@ let depot_err section fmt =
     fmt
 
 (* Install-time fidelity guard: a depot recipe is only replayed when
-   the guest code it came from is byte-for-byte what this machine's
-   memory holds at install time. The checksum runs over the decoded
-   instruction rendering, so it also covers the decoder's view. *)
+   the guest code it came from is what this machine's memory holds at
+   install time. The checksum is FNV-1a over the little-endian
+   re-encoding of every decoded instruction, so it covers the
+   decoder's view: [Encode.encode] is total and injective on decoder
+   output. *)
 let guest_checksum (tb : Tb.t) =
-  let b = Buffer.create 128 in
-  Array.iter
-    (fun i -> Buffer.add_string b (Format.asprintf "%a;" Repro_arm.Insn.pp i))
-    tb.Tb.guest_insns;
-  Snapshot.fnv1a32 (Buffer.contents b)
+  let step h byte = (h lxor byte) * 0x01000193 land 0xFFFF_FFFF in
+  Array.fold_left
+    (fun h i ->
+      let w = Repro_arm.Encode.encode i in
+      step
+        (step (step (step h (w land 0xFF)) ((w lsr 8) land 0xFF))
+           ((w lsr 16) land 0xFF))
+        (w lsr 24))
+    0x811c9dc5 tb.Tb.guest_insns
 
 let cache_srcsums t =
   Tb.Cache.to_list t.cache
@@ -824,63 +850,24 @@ let depot_capture t =
 
 (* One install wave: re-translate every still-pending recipe against
    guest memory as it stands right now, keeping whatever matches its
-   recorded checksum. The pass is machine-neutral — CPU, env, RAM,
-   TLB, devices, injector PRNG and statistics round-trip through a
-   scratch capture, the engine-transient runtime fields are put back
-   by hand (restore_machine resets them to between-TB defaults, which
-   is wrong for a pass spliced into a live engine), the translator's
-   counters are pinned back and the translation sinks detached — so a
-   warm run's guest-visible behaviour is the cold run's. Recipes whose guest
-   bytes do not match stay pending: the guest has not built that world
-   yet (page tables before the MMU turns on, code it relocates later);
-   the first miss in the new regime triggers the next wave. *)
+   recorded checksum. The pass is machine-neutral: [retranslating]
+   puts back everything translation touches, so a warm run's
+   guest-visible behaviour is the cold run's. The only lasting machine
+   change is the write-protect TLB tags on installed code, exactly as
+   cold translation sets them. Recipes whose guest bytes do not match
+   stay pending: the guest has not built that world yet (page tables
+   before the MMU turns on, code it relocates later); the first miss in
+   the new regime triggers the next wave. *)
 let depot_pass t dp =
   let rt = t.rt in
-  let gen = Tb.Cache.generation t.cache in
-  if dp.dp_generation <> gen then begin
-    (* every earlier install died with the cache flush *)
-    Array.fill dp.dp_installed 0 (Array.length dp.dp_installed) None;
-    Array.blit dp.dp_skip 0 dp.dp_dead 0 (Array.length dp.dp_skip);
-    dp.dp_installed_count <- 0;
-    dp.dp_generation <- gen
-  end;
   let n = Array.length dp.dp_records in
-  let fresh = ref [] in
-  without_translation_sinks rt @@ fun () ->
-  let saved_tr = Option.map Translator_rule.save_state t.rule_translator in
-  let scratch = Snapshot.create () in
-  Snapshot.capture_machine rt scratch;
-  let pcw = rt.Runtime.pending_code_write
-  and scw = rt.Runtime.suppress_code_write
-  and tbov = rt.Runtime.tb_override
-  and cov = rt.Runtime.corrupt_override
-  and fps = rt.Runtime.fault_producers in
-  Fun.protect
-    ~finally:(fun () ->
-      Snapshot.restore_machine rt scratch;
-      rt.Runtime.pending_code_write <- pcw;
-      rt.Runtime.suppress_code_write <- scw;
-      rt.Runtime.tb_override <- tbov;
-      rt.Runtime.corrupt_override <- cov;
-      rt.Runtime.fault_producers <- fps;
-      (match (t.rule_translator, saved_tr) with
-      | Some tr, Some s -> Translator_rule.restore_counters tr s
-      | _ -> ());
-      (* write-protect what stuck, exactly as cold translation would *)
-      List.iter
-        (fun (tb : Tb.t) ->
-          if not (Tb.is_region tb) then begin
-            Tlb.clear_write_tag rt.Runtime.ctx.Runtime.Exec.tlb tb.Tb.guest_pc;
-            Tlb.clear_write_tag rt.Runtime.ctx.Runtime.Exec.tlb
-              (tb.Tb.guest_pc + (4 * tb.Tb.guest_len) - 4)
-          end)
-        !fresh)
-  @@ fun () ->
-  let translate =
-    match t.rule_translator with
-    | Some tr -> fun rt cache ~pc -> Translator_rule.translate tr rt cache ~pc
-    | None -> Repro_tcg.Translator_qemu.translate
+  let serve k (tb : Tb.t) =
+    dp.dp_installed.(k) <- Some tb;
+    dp.dp_installed_count <- dp.dp_installed_count + 1;
+    Hashtbl.replace dp.dp_served tb.Tb.id tb
   in
+  retranslating t @@ fun () ->
+  let translate = natural_translate t in
   Array.iteri
     (fun i r ->
       if Option.is_none dp.dp_installed.(i) && not dp.dp_dead.(i) then
@@ -890,7 +877,9 @@ let depot_pass t dp =
         with
         | Some tb ->
           (* the engine already translated this PC cold; adopt it so
-             regions and links over it can still install *)
+             regions and links over it can still install. Its meta
+             evolves through the live link hook, and it was never
+             served, so it is never the depot's to poison. *)
           dp.dp_installed.(i) <- Some tb;
           dp.dp_installed_count <- dp.dp_installed_count + 1
         | None -> (
@@ -901,28 +890,15 @@ let depot_pass t dp =
           rt.Runtime.corrupt_override <- Some r.r_injected;
           match translate rt t.cache ~pc:r.r_pc with
           | Ok tb when guest_checksum tb = dp.dp_srcsum.(i) ->
-            tb.Tb.hot <- r.r_hot;
-            Tb.Cache.add_exact t.cache tb;
-            dp.dp_installed.(i) <- Some tb;
-            dp.dp_installed_count <- dp.dp_installed_count + 1;
-            Hashtbl.replace dp.dp_pcs r.r_pc ();
-            fresh := tb :: !fresh
+            install_exact t tb ~hot:r.r_hot;
+            (* the captured link-time meta *)
+            (match (t.rule_translator, r.r_meta) with
+            | Some tr, Some (elide, entry_conv) ->
+              Translator_rule.restore_cache_meta tr tb ~elide ~entry_conv
+            | _ -> ());
+            serve i tb
           | Ok _ | Error _ -> ()))
     dp.dp_records;
-  rt.Runtime.tb_override <- None;
-  rt.Runtime.corrupt_override <- None;
-  (* captured link-time meta, for freshly installed recipes only —
-     adopted TBs evolve their own meta through the live link hook *)
-  (match t.rule_translator with
-  | Some tr ->
-    Array.iteri
-      (fun i r ->
-        match (dp.dp_installed.(i), r.r_meta) with
-        | Some tb, Some (elide, entry_conv) when List.memq tb !fresh ->
-          Translator_rule.restore_cache_meta tr tb ~elide ~entry_conv
-        | _ -> ())
-      dp.dp_records
-  | None -> ());
   (* superblocks whose constituents all made it *)
   (match t.rule_translator with
   | None -> ()
@@ -951,9 +927,7 @@ let depot_pass t dp =
                   Translator_rule.restore_cache_meta tr region ~elide
                     ~entry_conv
                 | None -> ());
-                dp.dp_installed.(k) <- Some region;
-                dp.dp_installed_count <- dp.dp_installed_count + 1;
-                Hashtbl.replace dp.dp_pcs region.Tb.guest_pc ()
+                serve k region
               | None -> dp.dp_dead.(k) <- true)
           end
         end)
@@ -1067,7 +1041,7 @@ let depot_install t depot =
       dp_dead = Array.copy skip;
       dp_generation = Tb.Cache.generation t.cache;
       dp_installed_count = 0;
-      dp_pcs = Hashtbl.create 64;
+      dp_served = Hashtbl.create 64;
       dp_poisoned = [];
     }
   in
@@ -1093,15 +1067,23 @@ let depot_hit t ~pc =
   match t.depot with
   | None -> None
   | Some dp -> (
+    let gen = Tb.Cache.generation t.cache in
+    if dp.dp_generation <> gen then begin
+      (* every earlier install died with the cache flush; forget them
+         at the first miss after it, so none is served or kept alive *)
+      Array.fill dp.dp_installed 0 (Array.length dp.dp_installed) None;
+      Array.blit dp.dp_skip 0 dp.dp_dead 0 (Array.length dp.dp_skip);
+      Hashtbl.reset dp.dp_served;
+      dp.dp_installed_count <- 0;
+      dp.dp_generation <- gen
+    end;
     let rt = t.rt in
     let privileged = Runtime.privileged rt in
     let mmu_on = Cpu.mmu_enabled rt.Runtime.cpu in
     match Hashtbl.find_opt dp.dp_keys (pc, privileged, mmu_on) with
     | None -> None
     | Some i ->
-      let stale = dp.dp_generation <> Tb.Cache.generation t.cache in
-      if (not stale) && (Option.is_some dp.dp_installed.(i) || dp.dp_dead.(i))
-      then None
+      if Option.is_some dp.dp_installed.(i) || dp.dp_dead.(i) then None
       else begin
         (match depot_pass t dp with
         | () -> ()
@@ -1116,6 +1098,11 @@ let depot_hit t ~pc =
             dp.dp_dead.(i) <- true;
             None)
       end)
+
+let depot_served dp (tb : Tb.t) =
+  match Hashtbl.find_opt dp.dp_served tb.Tb.id with
+  | Some served -> served == tb
+  | None -> false
 
 let depot_coverage t =
   match t.depot with
@@ -1312,7 +1299,7 @@ let run ?chaining ?(max_guest_insns = max_int) ?deadline
                its depot entry: recorded here, written back by the
                front end so the entry never reloads *)
             (match t.depot with
-            | Some dp when Hashtbl.mem dp.dp_pcs tb.Tb.guest_pc ->
+            | Some dp when depot_served dp tb ->
               if not (List.mem tb.Tb.guest_pc dp.dp_poisoned) then
                 dp.dp_poisoned <- tb.Tb.guest_pc :: dp.dp_poisoned
             | _ -> ());

@@ -279,10 +279,12 @@ val replay : ?slack:int -> t -> Snapshot.t -> replay_report
     supports (the MMU-off boot path), and recipes for worlds the guest
     builds later (its page tables, relocated code) stay pending until
     the first cache miss in that regime triggers another wave. Each
-    wave is machine-neutral — CPU, RAM, TLB, devices, injector PRNG
-    and statistics are captured and restored around it — and every
-    replayed recipe must match its recorded guest-code checksum or it
-    stays out of the cache.
+    wave is machine-neutral: it puts back exactly what translation
+    touches (CPU words, statistics, injector state, the
+    engine-transient runtime fields and the translator's counters),
+    and its only lasting machine change is the write-protect TLB tags
+    on installed code. Every replayed recipe must match its recorded
+    guest-code checksum or it stays out of the cache.
 
     Every function here raises {!Repro_aotcache.Depot.Depot_error}
     (and nothing else) when the depot cannot be used; callers degrade
@@ -304,6 +306,16 @@ val depot_install : t -> Repro_aotcache.Depot.t -> int
     {!run}. Raises {!Repro_aotcache.Depot.Depot_error} on any
     incompatibility or undecodable payload, leaving the machine cold
     but unharmed. *)
+
+val depot_hit : t -> pc:Word32.t -> Repro_tcg.Tb.t option
+(** The engine's miss hook under a depot: when [pc] in the machine's
+    current regime (privilege, MMU) names a recipe not installed in
+    the current cache generation, run an install wave and return that
+    recipe's TB. [None] when there is no such recipe, and for a recipe
+    that cannot install even at its own miss (it is dead from then
+    on). The first miss after a cache flush forgets every install of
+    the earlier generation. {!run} calls it; it is exposed so drills can trigger a miss
+    wave without executing guest code. *)
 
 val depot_coverage : t -> int * int
 (** [(installed, pending)] recipe counts for the current cache

@@ -85,7 +85,7 @@ let charge_block t ~pc ~privileged ~region ~insns ~len ~guest ~host split =
           pc;
           privileged;
           region;
-          insns = Array.sub insns 0 len;
+          insns = Array.sub insns 0 (min len (Array.length insns));
           execs = 0;
           guest_retired = 0;
           host_spent = 0;

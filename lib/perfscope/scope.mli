@@ -61,7 +61,8 @@ val charge_block :
   int array ->
   unit
 (** One completed run of a TB whose guest code is the first [len]
-    elements of [insns]: it retired [guest] guest instructions and
+    elements of [insns] ([insns] may be shorter: the interpreter-helper
+    TB carries no decoded instruction): it retired [guest] guest instructions and
     spent [host] host instructions, split by phase in the final
     {!Phase}-indexed array (summing to [host]). The split also counts
     toward the phase totals and, folded onto the TB's head page, the

@@ -135,21 +135,23 @@ let hop_sexp = function
   | Rule.H_scratch k -> List [ Atom "scratch"; int_atom k ]
   | Rule.H_imm pi -> List [ Atom "imm"; pimm_sexp pi ]
 
-let alu_atom (o : X.alu_op) =
-  Atom
-    (match o with
-    | X.Add -> "add"
-    | X.Adc -> "adc"
-    | X.Sub -> "sub"
-    | X.Sbb -> "sbb"
-    | X.And -> "and"
-    | X.Or -> "or"
-    | X.Xor -> "xor"
-    | X.Cmp -> "cmp"
-    | X.Test -> "test")
+let alu_name (o : X.alu_op) =
+  match o with
+  | X.Add -> "add"
+  | X.Adc -> "adc"
+  | X.Sub -> "sub"
+  | X.Sbb -> "sbb"
+  | X.And -> "and"
+  | X.Or -> "or"
+  | X.Xor -> "xor"
+  | X.Cmp -> "cmp"
+  | X.Test -> "test"
 
-let shiftop_atom (o : X.shift_op) =
-  Atom (match o with X.Shl -> "shl" | X.Shr -> "shr" | X.Sar -> "sar" | X.Ror -> "ror")
+let shiftop_name (o : X.shift_op) =
+  match o with X.Shl -> "shl" | X.Shr -> "shr" | X.Sar -> "sar" | X.Ror -> "ror"
+
+let alu_atom o = Atom (alu_name o)
+let shiftop_atom o = Atom (shiftop_name o)
 
 let hinsn_sexp = function
   | Rule.H_mov { dst; src } -> List [ Atom "mov"; hop_sexp dst; hop_sexp src ]
@@ -211,6 +213,88 @@ let rule_sexp (r : Rule.t) =
     ]
 
 let rule_to_string r = sexp_to_string (rule_sexp r)
+
+(* ---------- digest ---------- *)
+
+(* FNV-1a with one step per integer, over a prefix-free walk of every
+   field [rule_sexp] writes: rulesets that save to the same text have
+   the same digest, and no text is built. Enumerations enter by the
+   names [save] writes. The record patterns list every field, so a
+   field added to {!Rule.t} does not compile here until it is hashed. *)
+let ( % ) h x = (h lxor (x land 0xffffffff)) * 0x01000193 land 0xffffffff
+let d_str h s = String.fold_left (fun h c -> h % Char.code c) (h % String.length s) s
+let d_list f h l = List.fold_left f (h % List.length l) l
+let d_bool h b = h % Bool.to_int b
+
+let d_pimm h = function
+  | Rule.P_imm i -> h % 0 % i
+  | Rule.P_imm_shl (i, k) -> h % 1 % i % k
+  | Rule.Fixed v -> h % 2 % v
+
+let d_gop2 h = function
+  | Rule.G_imm pi -> d_pimm (h % 0) pi
+  | Rule.G_reg p -> h % 1 % p
+  | Rule.G_shift { rm; kind; amount } ->
+    d_pimm (d_str (h % 2 % rm) (A.shift_kind_to_string kind)) amount
+  | Rule.G_shift_reg { rm; kind; rs } ->
+    d_str (h % 3 % rm) (A.shift_kind_to_string kind) % rs
+
+let d_ginsn h = function
+  | Rule.G_dp { ops; s; rd; rn; op2 } ->
+    let h = d_list (fun h o -> d_str h (A.dp_op_to_string o)) (h % 0) ops in
+    d_gop2 (d_bool h s % rd % rn) op2
+  | Rule.G_mul { s; rd; rn; rm; acc } -> (
+    let h = d_bool (h % 1) s % rd % rn % rm in
+    match acc with None -> h % 0 | Some a -> h % 1 % a)
+  | Rule.G_movw { rd; imm } -> d_pimm (h % 2 % rd) imm
+  | Rule.G_movt { rd; imm } -> d_pimm (h % 3 % rd) imm
+
+let d_hop h = function
+  | Rule.H_param i -> h % 0 % i
+  | Rule.H_scratch k -> h % 1 % k
+  | Rule.H_imm pi -> d_pimm (h % 2) pi
+
+let d_hinsn h = function
+  | Rule.H_mov { dst; src } -> d_hop (d_hop (h % 0) dst) src
+  | Rule.H_lea2 { dst; a; b } -> d_hop (d_hop (d_hop (h % 1) dst) a) b
+  | Rule.H_lea_imm { dst; a; imm } -> d_pimm (d_hop (d_hop (h % 2) dst) a) imm
+  | Rule.H_alu { op; dst; src } ->
+    let h =
+      match op with `Matched -> h % 3 % 0 | `Fixed o -> d_str (h % 3 % 1) (alu_name o)
+    in
+    d_hop (d_hop h dst) src
+  | Rule.H_shift { op; dst; amount } ->
+    d_pimm (d_hop (d_str (h % 4) (shiftop_name op)) dst) amount
+  | Rule.H_shift_cl { op; dst; amount_src } ->
+    d_hop (d_hop (d_str (h % 5) (shiftop_name op)) dst) amount_src
+  | Rule.H_not o -> d_hop (h % 6) o
+  | Rule.H_neg o -> d_hop (h % 7) o
+  | Rule.H_imul { dst; src } -> d_hop (d_hop (h % 8) dst) src
+
+let d_rule h
+    {
+      Rule.id;
+      name;
+      source;
+      guest;
+      host;
+      n_reg_params;
+      n_imm_params;
+      flags = { Rule.guest_writes; host_clobbers; convention };
+      carry_in;
+      require_distinct;
+    } =
+  let h = d_str (h % id) name in
+  let h = match source with `Builtin -> h % 0 | `Learned s -> d_str (h % 1) s in
+  let h = d_list d_hinsn (d_list d_ginsn h guest) host in
+  let h = d_bool (d_bool (h % n_reg_params % n_imm_params) guest_writes) host_clobbers in
+  let h =
+    match convention with None -> h % 0 | Some c -> d_str (h % 1) (Flagconv.name c)
+  in
+  let h = h % match carry_in with None -> 0 | Some `Direct -> 1 | Some `Inverted -> 2 in
+  d_list (fun h (p, q) -> h % p % q) h require_distinct
+
+let digest ruleset = d_list d_rule 0x811c9dc5 (Ruleset.rules ruleset)
 
 (* ---------- readers ---------- *)
 

@@ -13,6 +13,10 @@ val save : Ruleset.t -> string
 (** One rule per s-expression, newline separated, with a header
     comment line. *)
 
+val digest : Ruleset.t -> int
+(** A 32-bit FNV-1a digest of the rules, equal for any two rulesets
+    that {!save} to the same text, computed without building it. *)
+
 val load : string -> (Ruleset.t, string) result
 (** Parse the output of {!save}; fails on the first malformed rule. *)
 

@@ -385,6 +385,201 @@ let test_quarantine_honored () =
     true
     (fst (D.System.depot_coverage sys) < full_installed)
 
+(* ---- install waves are machine-neutral ----------------------------- *)
+
+(* Every section [Snapshot.capture_machine] writes, by name. *)
+let machine_sections sys =
+  let snap = Snapshot.create () in
+  Snapshot.capture_machine sys.D.System.rt snap;
+  List.map (fun name -> (name, Snapshot.find snap name)) (Snapshot.names snap)
+
+(* [sections] with the write-protect TLB tags of [tbs] cleared — the
+   one machine change an install makes on purpose, exactly as cold
+   translation of the same TBs would. *)
+let write_protected sections (tbs : T.Tb.t list) =
+  List.map
+    (fun (name, payload) ->
+      if name <> "tlb" then (name, payload)
+      else begin
+        let d = Snapshot.Dec.of_string payload in
+        let tlb = Snapshot.Dec.int_array d in
+        List.iter
+          (fun (tb : T.Tb.t) ->
+            Repro_mmu.Mmu.Tlb.clear_write_tag tlb tb.T.Tb.guest_pc;
+            Repro_mmu.Mmu.Tlb.clear_write_tag tlb
+              (tb.T.Tb.guest_pc + (4 * tb.T.Tb.guest_len) - 4))
+          tbs;
+        let b = Snapshot.Enc.create () in
+        Snapshot.Enc.int_array b tlb;
+        (name, Snapshot.Enc.contents b)
+      end)
+    sections
+
+(* The boot wave and a miss-triggered wave, with the injector's
+   page-walk and bus-read sites armed so every translation fetch draws
+   from its PRNG: afterwards the machine is byte-identical to before
+   but for the installed code's write-protect tags, and the injector
+   has recorded no draw. *)
+let test_wave_neutrality () =
+  let image, _, _, depot = Lazy.force cold_ctx in
+  let inj = Fi.create ~seed:23 ~rate:0.0 () in
+  List.iter (fun site -> Fi.set_rate inj site 0.25) [ Fi.Walk_corrupt; Fi.Bus_read ];
+  let sys = make_sys ~inject:inj mode image in
+  let neutral what wave =
+    let before = machine_sections sys and draws = Fi.total_events inj in
+    wave ();
+    let after = machine_sections sys in
+    let expected = write_protected before (T.Tb.Cache.to_list sys.D.System.cache) in
+    Alcotest.(check (list string))
+      (what ^ ": same sections") (List.map fst expected) (List.map fst after);
+    List.iter2
+      (fun (name, want) (_, got) ->
+        Alcotest.(check bool) (Printf.sprintf "%s: %s unchanged" what name) true
+          (want = got))
+      expected after;
+    Alcotest.(check int) (what ^ ": injector draws unchanged") draws
+      (Fi.total_events inj)
+  in
+  neutral "boot wave" (fun () ->
+      Alcotest.(check bool) "boot wave installs recipes" true
+        (D.System.depot_install sys depot > 0));
+  (* Run into the MMU-on world (the run also arms the bus site), then
+     drop every install, as a forced TB flush would, and take a miss on
+     a recipe of the current regime. *)
+  (match (D.System.run ~watchdog:false ~max_guest_insns:20_000 sys).T.Engine.reason with
+  | `Insn_limit -> ()
+  | _ -> Alcotest.fail "the warm run should still be going");
+  let cpu = D.System.cpu sys in
+  let privileged = T.Runtime.privileged sys.D.System.rt
+  and mmu_on = Repro_arm.Cpu.mmu_enabled cpu in
+  Alcotest.(check bool) "the guest turned its MMU on" true mmu_on;
+  let victim =
+    List.find
+      (fun (tb : T.Tb.t) -> tb.T.Tb.privileged = privileged && tb.T.Tb.mmu_on)
+      (T.Tb.Cache.to_list sys.D.System.cache)
+  in
+  T.Tb.Cache.flush sys.D.System.cache;
+  (* the first miss after the flush, on no recipe, forgets the earlier
+     generation's installs, so they are neither served nor kept alive *)
+  Alcotest.(check bool) "a miss on no recipe serves nothing" true
+    (D.System.depot_hit sys ~pc:0xffff_fff0 = None);
+  Alcotest.(check int) "the flushed installs are forgotten" 0
+    (fst (D.System.depot_coverage sys));
+  neutral "miss wave" (fun () ->
+      match D.System.depot_hit sys ~pc:victim.T.Tb.guest_pc with
+      | Some tb ->
+        Alcotest.(check int) "the miss is served at its PC" victim.T.Tb.guest_pc
+          tb.T.Tb.guest_pc
+      | None -> Alcotest.fail "the miss wave served nothing")
+
+(* ---- format skew and altered guest code ---------------------------- *)
+
+let mov_r0 value =
+  let module I = Repro_arm.Insn in
+  Repro_arm.Encode.encode
+    (I.make (I.Dp { op = I.MOV; s = false; rd = 0; rn = 0; op2 = I.imm_operand_exn value }))
+
+let test_format_and_code_rejection () =
+  let image, _, _, depot = Lazy.force cold_ctx in
+  (* a blob written by a version-1 build: the version word is the first
+     header field, outside every checksum *)
+  let blob = Bytes.of_string (Depot.to_string depot) in
+  Bytes.set_int64_le blob 8 1L;
+  (match Depot.of_string (Bytes.to_string blob) with
+  | _ -> Alcotest.fail "a version-1 depot was accepted"
+  | exception Depot.Depot_error { section; _ } ->
+    Alcotest.(check string) "version skew blames the container" "container" section);
+  (* Guest code altered after capture: the boot-wave recipe whose first
+     word changed must stay out of the cache, pending or dead. *)
+  let clean = make_sys mode image in
+  let boot_installed = D.System.depot_install clean depot in
+  let target =
+    List.find
+      (fun (tb : T.Tb.t) -> not tb.T.Tb.mmu_on)
+      (T.Tb.Cache.to_list clean.D.System.cache)
+  in
+  let pc = target.T.Tb.guest_pc and privileged = target.T.Tb.privileged in
+  let altered = make_sys mode image in
+  let original = Repro_arm.Encode.encode target.T.Tb.guest_insns.(0) in
+  D.System.load_image altered pc
+    [| (if original = mov_r0 0 then mov_r0 1 else mov_r0 0) |];
+  let installed = D.System.depot_install altered depot in
+  Alcotest.(check bool) "the altered recipe is not installed" true
+    (T.Tb.Cache.find_plain altered.D.System.cache ~pc ~privileged ~mmu_on:false
+    = None);
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer boot-wave installs (%d altered, %d clean)" installed
+       boot_installed)
+    true (installed < boot_installed)
+
+(* ---- poison follows the TBs a depot served, not their PCs ---------- *)
+
+(* A user program that rewrites the instruction at [patch] on every
+   pass through the word at [target] (the self-modifying-code drill).
+   With [~smc:false] the word points at user data instead: the same
+   instructions, no self-modification. *)
+let smc_program ~smc =
+  let module Asm = Repro_arm.Asm in
+  let module I = Repro_arm.Insn in
+  let a = Asm.create ~origin:K.user_code_base () in
+  Asm.mov32 a I.sp K.user_stack_top;
+  Asm.mov a 5 0;
+  Asm.branch_to a "patch";
+  Asm.label a "patch";
+  Asm.mov a 0 (Char.code '0');
+  Asm.branch_to a "print";
+  Asm.label a "print";
+  Asm.mov a 7 K.sys_putchar;
+  Asm.svc a 0;
+  Asm.add a 5 5 1;
+  Asm.cmp a 5 5;
+  Asm.branch_to a ~cond:Repro_arm.Cond.EQ "done";
+  Asm.mov32_label a 3 "target";
+  Asm.ldr a 1 3 0;
+  Asm.mov32 a 2 (mov_r0 (Char.code '1'));
+  Asm.add_r a 2 2 5;
+  Asm.sub a 2 2 1;
+  Asm.str a 2 1 0;
+  Asm.branch_to a "patch";
+  Asm.label a "done";
+  Asm.mov a 7 K.sys_exit;
+  Asm.svc a 0;
+  Asm.label a "target";
+  let patch = Asm.lookup a "patch" in
+  Asm.word a (if smc then patch else K.user_data_base);
+  (patch, K.build ~user_program:(snd (Asm.assemble a)) ())
+
+(* The depot comes from the program without self-modification, so it
+   holds every TB the run needs. On the warm machine the first pass is
+   served entirely from the depot; from then on SMC has killed the
+   recipe at [patch], and every later pass translates that PC cold.
+   The injector corrupts exactly the rule translations the machine
+   makes itself (replays carry their recorded injection state), so the
+   cold TB at [patch] fails shadow verification. It was never
+   depot-served: nothing may be poisoned. *)
+let test_poison_needs_a_served_tb () =
+  let patch, image = smc_program ~smc:true in
+  let _, clean = smc_program ~smc:false in
+  let cold = make_sys mode clean in
+  ignore (halt_code (D.System.run cold));
+  let depot = D.System.depot_capture cold in
+  let inj = Fi.create ~seed:5 ~rate:0.0 () in
+  Fi.set_rate inj Fi.Rule_corrupt 1.0;
+  let sys = make_sys ~inject:inj ~shadow_depth:4 mode image in
+  ignore (D.System.depot_install sys depot);
+  let res = D.System.run ~watchdog:false sys in
+  Alcotest.(check (pair int string)) "the repaired run prints every pass"
+    (0x34, "01234") (guest_outcome sys res);
+  let diverged_at =
+    List.filter_map
+      (function Repro_snapshot.Journal.Diverge { pc; _ } -> Some pc | _ -> None)
+      (Repro_snapshot.Journal.events (D.System.journal sys))
+  in
+  Alcotest.(check (list int)) "the cold TB at the patched PC diverged" [ patch ]
+    diverged_at;
+  Alcotest.(check (list int)) "no depot entry poisoned" []
+    (D.System.depot_poisoned sys)
+
 (* ---- fleet write-back: breaker verdicts persist in the depot ------- *)
 
 let test_rule_writeback () =
@@ -434,5 +629,11 @@ let suite =
           test_quarantine_honored;
         Alcotest.test_case "breaker rule write-back persists" `Quick
           test_rule_writeback;
+        Alcotest.test_case "install waves are machine-neutral" `Quick
+          test_wave_neutrality;
+        Alcotest.test_case "format skew and altered code are refused" `Quick
+          test_format_and_code_rejection;
+        Alcotest.test_case "poison needs a depot-served TB" `Quick
+          test_poison_needs_a_served_tb;
       ] );
   ]

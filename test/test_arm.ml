@@ -49,6 +49,20 @@ let prop_roundtrip =
       | Ok insn' -> Insn.equal insn insn'
       | Error _ -> false)
 
+(* The depot's guest-code checksum hashes [encode] of every decoded
+   instruction: that needs [encode] total on decoder output, and
+   injective there, which re-decoding to the same instruction implies. *)
+let prop_encode_total_on_decoded =
+  QCheck.Test.make ~count:20_000 ~name:"encode is total and faithful on decoded words"
+    QCheck.(map (fun w -> w land 0xFFFF_FFFF) int)
+    (fun w ->
+      match Encode.decode w with
+      | Error _ -> true
+      | Ok insn -> (
+        match Encode.decode (Encode.encode insn) with
+        | Ok insn' -> Insn.equal insn insn'
+        | Error _ -> false))
+
 (* --- Operand2 evaluation --- *)
 
 let test_operand2 () =
@@ -490,6 +504,7 @@ let suite =
       [
         Alcotest.test_case "roundtrip basics" `Quick test_roundtrip_basics;
         q prop_roundtrip;
+        q prop_encode_total_on_decoded;
       ] );
     ( "arm.operand2",
       [ Alcotest.test_case "shifter values and carry" `Quick test_operand2 ] );

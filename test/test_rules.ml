@@ -291,12 +291,69 @@ let test_serialize_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage must not parse"
 
+(* The depot's compatibility key: over every builtin rule's shape
+   (ids and names blanked) and single-field edits of it, two rules
+   share a digest exactly when they save to the same text. *)
+let test_serialize_digest () =
+  let rs = Lazy.force ruleset in
+  (match R.Serialize.load (R.Serialize.save rs) with
+  | Ok rs' ->
+    Alcotest.(check int) "reloaded set keeps its digest" (R.Serialize.digest rs)
+      (R.Serialize.digest rs')
+  | Error e -> Alcotest.failf "load failed: %s" e);
+  let edits (r : Rule.t) =
+    let r = { r with Rule.id = 0; name = "r" } in
+    [
+      r;
+      { r with id = 1 };
+      { r with name = "s" };
+      { r with source = `Learned "x" };
+      { r with guest = List.rev r.guest };
+      { r with host = List.rev r.host };
+      { r with host = List.tl r.host };
+      { r with n_reg_params = r.n_reg_params + 1 };
+      { r with n_imm_params = r.n_imm_params + 1 };
+      { r with flags = { r.flags with guest_writes = not r.flags.guest_writes } };
+      { r with flags = { r.flags with host_clobbers = not r.flags.host_clobbers } };
+      {
+        r with
+        flags =
+          {
+            r.flags with
+            convention =
+              (match r.flags.convention with
+              | Some Flagconv.Canonical -> None
+              | _ -> Some Flagconv.Canonical);
+          };
+      };
+      { r with carry_in = (match r.carry_in with None -> Some `Direct | _ -> None) };
+      { r with require_distinct = (0, 1) :: r.require_distinct };
+    ]
+  in
+  let pool =
+    List.concat_map edits (Lazy.force rules)
+    |> List.map (fun r ->
+           (R.Serialize.rule_to_string r, R.Serialize.digest (Ruleset.of_list [ r ])))
+  in
+  List.iter
+    (fun (text, d) ->
+      List.iter
+        (fun (text', d') ->
+          if (text = text') <> (d = d') then
+            Alcotest.failf "%s texts but %s digests:\n%s\n%s"
+              (if text = text' then "equal" else "different")
+              (if d = d' then "equal" else "different")
+              text text')
+        pool)
+    pool
+
 let serialize_suite =
   ( "rules.serialize",
     [
       Alcotest.test_case "rule roundtrip" `Quick test_serialize_roundtrip_builtin;
       Alcotest.test_case "ruleset save/load" `Quick test_serialize_ruleset_file;
       Alcotest.test_case "rejects garbage" `Quick test_serialize_rejects_garbage;
+      Alcotest.test_case "digest follows the saved text" `Quick test_serialize_digest;
     ] )
 
 let suite = suite @ [ serialize_suite ]
