@@ -126,14 +126,8 @@ let run bench mode_name target budget timer builtin_only rules_file dump_tbs
     profile_top inject_seed inject_rate surface_faults shadow_depth
     quarantine_threshold checkpoint_every save_file restore_file replay_file
     watchdog postmortem_dir trace_file trace_format metrics_out metrics_every
-    ledger_on log_level stats_json perf_out flamegraph_out depot_save depot_load
+    ledger_on stats_json perf_out flamegraph_out depot_save depot_load
     depot_verify coverage coverage_out =
-  (match Obs.Log.level_of_string log_level with
-  | Some lv -> Obs.Log.set_level lv
-  | None ->
-    Printf.eprintf "unknown log level %s (error|warn|info|debug|trace)\n"
-      log_level;
-    exit 2);
   if trace_format <> "jsonl" && trace_format <> "chrome" then begin
     Printf.eprintf "unknown trace format %s (jsonl|chrome)\n" trace_format;
     exit 2
@@ -548,15 +542,15 @@ let run_protected bench mode target budget timer builtin_only rules_file
     dump_tbs profile_top inject_seed inject_rate surface_faults shadow_depth
     quarantine_threshold checkpoint_every save_file restore_file replay_file
     watchdog postmortem_dir trace_file trace_format metrics_out metrics_every
-    ledger_on log_level stats_json perf_out flamegraph_out depot_save depot_load
+    ledger_on stats_json perf_out flamegraph_out depot_save depot_load
     depot_verify coverage coverage_out =
   try
     run bench mode target budget timer builtin_only rules_file dump_tbs
       profile_top inject_seed inject_rate surface_faults shadow_depth
       quarantine_threshold checkpoint_every save_file restore_file replay_file
       watchdog postmortem_dir trace_file trace_format metrics_out metrics_every
-      ledger_on log_level stats_json perf_out flamegraph_out depot_save
-      depot_load depot_verify coverage coverage_out
+      ledger_on stats_json perf_out flamegraph_out depot_save depot_load
+      depot_verify coverage coverage_out
   with
   | T.Runtime.Load_error addr ->
     Printf.eprintf "image load error: physical address %#x is outside guest RAM\n"
@@ -733,10 +727,6 @@ let ledger_arg =
   in
   Arg.(value & flag & info [ "ledger" ] ~doc)
 
-let log_level_arg =
-  let doc = "Diagnostic log level: error, warn, info, debug or trace." in
-  Arg.(value & opt string "warn" & info [ "log-level" ] ~docv:"LEVEL" ~doc)
-
 let stats_json_arg =
   let doc =
     "Write the final statistics (plus the ledger and trace summaries when \
@@ -813,7 +803,7 @@ let cmd =
       $ inject_rate_arg $ surface_arg $ shadow_arg $ quarantine_arg
       $ checkpoint_arg $ save_arg $ restore_arg $ replay_arg $ watchdog_arg
       $ postmortem_arg $ trace_arg $ trace_format_arg $ metrics_out_arg
-      $ metrics_every_arg $ ledger_arg $ log_level_arg $ stats_json_arg
+      $ metrics_every_arg $ ledger_arg $ stats_json_arg
       $ perf_arg $ flamegraph_arg $ depot_save_arg $ depot_load_arg
       $ depot_verify_arg $ coverage_arg $ coverage_out_arg)
 

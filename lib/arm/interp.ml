@@ -29,16 +29,7 @@ let take cpu kind =
 
 let data_abort cpu (f : Mem.fault) =
   Cpu.set_dfar cpu f.vaddr;
-  (* DFSR status: 5 = translation fault, 13 = permission, 1 = alignment,
-     8 = external abort — loosely modelled on the short-descriptor codes. *)
-  let status =
-    match f.kind with
-    | Mem.Translation -> 5
-    | Mem.Permission -> 13
-    | Mem.Alignment -> 1
-    | Mem.Bus -> 8
-  in
-  Cpu.set_dfsr cpu status;
+  Cpu.set_dfsr cpu (Mem.dfsr_status f.kind);
   take cpu Cpu.Data_abort
 
 exception Abort of Mem.fault

@@ -4,6 +4,12 @@ type access = Fetch | Load | Store
 type fault_kind = Translation | Permission | Alignment | Bus
 type fault = { vaddr : Word32.t; access : access; kind : fault_kind }
 
+let dfsr_status = function
+  | Translation -> 5
+  | Permission -> 13
+  | Alignment -> 1
+  | Bus -> 8
+
 let pp_fault ppf { vaddr; access; kind } =
   Format.fprintf ppf "%s fault (%s) at %a"
     (match kind with

@@ -13,6 +13,12 @@ type fault_kind =
 
 type fault = { vaddr : Word32.t; access : access; kind : fault_kind }
 
+val dfsr_status : fault_kind -> int
+(** The DFSR status code a data abort of this kind reports to the
+    guest (loosely the short-descriptor codes: 5 translation,
+    13 permission, 1 alignment, 8 external abort). The interpreter and
+    the DBT helpers both report through it. *)
+
 val pp_fault : Format.formatter -> fault -> unit
 
 type width = W8 | W16 | W32

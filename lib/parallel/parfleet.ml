@@ -1,4 +1,4 @@
-(* Domain-parallel fleet dispatcher.
+(* The fleet dispatcher — the only way a fleet serves requests.
 
    The fleet's machines are already self-contained — every machine
    owns its System, ruleset copy, TB cache, injector, health, backoff,
@@ -35,11 +35,8 @@
    deterministic serve sequence, and every cross-machine decision is
    taken at a barrier from id-ordered state — so the drill report
    after the volatile strip is byte-identical for any [domains] >= 1.
-
-   Supervisors are detached from the shared fleet ring up front
-   (including at [domains = 1], so the report is dispatcher-invariant,
-   not domain-count-invariant only): a ring is not safe for concurrent
-   writers. Supervision events keep riding each machine's own ring. *)
+   A ring is not safe for concurrent writers, so only the coordinator
+   writes the fleet ring; a serve writes its machine's own ring. *)
 
 module Fleet = Repro_resilience.Fleet
 module Supervisor = Repro_resilience.Supervisor
@@ -54,9 +51,8 @@ let serve_shard ~fleet ~reference ~assignment ~request0 ~outcomes ~domains d =
       if machine mod domains = d then begin
         let s = Fleet.supervisor fleet machine in
         let request = request0 + k in
-        (* the causal anchor on the machine's own track, emitted (as in
-           sequential dispatch) on the machine's work clock just before
-           the serve *)
+        (* the causal anchor on the machine's own track, emitted on the
+           machine's work clock just before the serve *)
         Trace.emit (Supervisor.trace_ring s) ~a:request ~b:machine
           Trace.Request "req:assign";
         outcomes.(k) <- Some (Supervisor.serve ~reference s ~request ())
@@ -66,15 +62,11 @@ let serve_shard ~fleet ~reference ~assignment ~request0 ~outcomes ~domains d =
 let run ?after_each ?(domains = 1) fleet ~requests =
   if domains < 1 then invalid_arg "Parfleet.run: domains < 1";
   if requests < 0 then invalid_arg "Parfleet.run: requests < 0";
-  let machines = Fleet.machines fleet in
-  for i = 0 to machines - 1 do
-    Supervisor.detach_shared_ring (Fleet.supervisor fleet i)
-  done;
   let reference = Fleet.reference fleet in
-  let epoch = machines in
+  let epoch = Fleet.machines fleet in
   let after_each () = match after_each with Some f -> f () | None -> () in
   (* round-robin cursor over serving-set positions, persistent across
-     epochs so a long drill spreads load like sequential dispatch *)
+     epochs so a long drill spreads load over the serving set *)
   let cursor = ref 0 in
   let remaining = ref requests in
   while !remaining > 0 do

@@ -1,6 +1,6 @@
-(** Domain-parallel fleet dispatcher: serve a drill's requests across
-    OCaml 5 domains with a report that is byte-identical to the
-    single-domain run.
+(** The fleet dispatcher: serve a drill's requests across OCaml 5
+    domains with a report that is byte-identical to the single-domain
+    run. It is the only way a {!Repro_resilience.Fleet.t} serves.
 
     Machines are sharded over the domains by id; each epoch (the next
     [machines] requests) is assigned round-robin over the serving set
@@ -21,9 +21,8 @@ val run :
     [domains] domains (default 1 — same dispatcher, no spawns). The
     fleet's report ({!Repro_resilience.Fleet.metrics_json}) after this
     call is a pure function of (seed, base snapshot, requests) — the
-    domain count never shows. Detaches every supervisor from the
-    shared fleet ring (supervision events keep riding the per-machine
-    rings; the fleet ring is written only by the coordinator). Raises
+    domain count never shows. The fleet ring is written only by the
+    coordinator; supervision events ride the per-machine rings. Raises
     [Invalid_argument] when [domains < 1] or [requests < 0].
 
     [after_each] runs on the coordinator once per request, during the

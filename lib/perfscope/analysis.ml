@@ -107,7 +107,6 @@ type slice = {
   sl_host : int;
   sl_host_per_guest : float;
   sl_sync : int;
-  sl_wall_ms : float option;
 }
 
 type bench_file = { bf_rev : string; bf_target : int; bf_slices : slice list }
@@ -128,9 +127,6 @@ let slice_of_json v =
     match Jsonx.member "host_per_guest" v with Some f -> Jsonx.to_float f | None -> None
   in
   let* sl_sync = num "sync_insns" in
-  let sl_wall_ms =
-    match Jsonx.member "wall_ms" v with Some f -> Jsonx.to_float f | None -> None
-  in
   Some
     {
       sl_name;
@@ -142,7 +138,6 @@ let slice_of_json v =
       sl_host;
       sl_host_per_guest;
       sl_sync;
-      sl_wall_ms;
     }
 
 let bench_of_json json =

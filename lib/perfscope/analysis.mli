@@ -46,7 +46,6 @@ type slice = {
   sl_host : int;
   sl_host_per_guest : float;
   sl_sync : int;
-  sl_wall_ms : float option;
 }
 
 type bench_file = { bf_rev : string; bf_target : int; bf_slices : slice list }

@@ -15,10 +15,6 @@ type config = {
   policy : Supervisor.policy;
 }
 
-type disposition =
-  | Shed  (** admission control refused the request *)
-  | Done of { machine : int; result : Supervisor.outcome }
-
 type t = {
   config : config;
   supervisors : Supervisor.t array;
@@ -29,7 +25,6 @@ type t = {
   mutable boot_depot : int * int;
       (* (installed, pending) depot coverage of the boot machine the
          warm base was captured from; (0, 0) on a cold boot *)
-  mutable cursor : int;
   mutable offered : int;
   mutable served_ok : int;
   mutable timed_out : int;
@@ -77,7 +72,7 @@ let compute_reference ~policy base =
   | `Livelock _ | `Insn_limit ->
     invalid_arg "Fleet.create: the fault-free reference run failed"
 
-let create ?plan ?trace ~config base =
+let create ?plan ~config base =
   if config.machines <= 0 then invalid_arg "Fleet.create: machines <= 0";
   if config.min_healthy < 0 || config.min_healthy > config.machines then
     invalid_arg "Fleet.create: min_healthy outside [0, machines]";
@@ -87,12 +82,12 @@ let create ?plan ?trace ~config base =
   | _ -> ());
   let reference = compute_reference ~policy:config.policy base in
   (* the fleet always keeps its own event ring (dispatch, breaker and
-     assignment events) so telemetry export never changes what was
-     recorded; [?trace] lets a caller supply the ring it will export *)
-  let trace = match trace with Some tr -> tr | None -> Trace.create () in
+     machine-death events), written only by the dispatching
+     coordinator, so telemetry export never changes what was recorded *)
+  let trace = Trace.create () in
   let supervisors =
     Array.init config.machines (fun id ->
-        Supervisor.create ?plan ~trace ~id ~policy:config.policy base)
+        Supervisor.create ?plan ~id ~policy:config.policy base)
   in
   let t =
     {
@@ -103,7 +98,6 @@ let create ?plan ?trace ~config base =
     trace;
     known_quarantined = Hashtbl.create 16;
       boot_depot = (0, 0);
-    cursor = 0;
     offered = 0;
     served_ok = 0;
     timed_out = 0;
@@ -143,25 +137,9 @@ let alive_count t =
     (fun n s -> if Health.alive (Supervisor.health s) then n + 1 else n)
     0 t.supervisors
 
-(* Round-robin over the machines currently willing to serve. *)
-let pick_serving t =
-  let n = Array.length t.supervisors in
-  let rec scan tried =
-    if tried >= n then None
-    else
-      let i = (t.cursor + tried) mod n in
-      if Health.serving (Supervisor.health t.supervisors.(i)) then begin
-        t.cursor <- (i + 1) mod n;
-        Some i
-      end
-      else scan (tried + 1)
-  in
-  scan 0
-
-(* Fleet-wide circuit breaker: a rule quarantined on any machine is
-   demoted on every other machine before it can misfire there too.
-   Quarantine state only changes inside a machine's own serve, so
-   diffing the machine that just served catches every new demotion. *)
+(* Fleet-wide circuit breaker over one machine: every rule it
+   quarantined that the fleet has not seen yet is demoted on every
+   other live machine before it can misfire there too. *)
 let breaker_sweep t served_by =
   match (Supervisor.machine t.supervisors.(served_by)).D.System.ruleset with
   | None -> ()
@@ -189,54 +167,13 @@ let breaker_sweep t served_by =
         end)
       (Ruleset.quarantined_ids rs)
 
-let serve_one t =
-  let request = t.offered in
-  t.offered <- t.offered + 1;
-  if serving_count t < t.config.min_healthy then begin
-    t.shed <- t.shed + 1;
-    Trace.emit t.trace ~a:request Trace.Request "req:shed";
-    Shed
-  end
-  else
-    match pick_serving t with
-    | None ->
-      t.shed <- t.shed + 1;
-      Trace.emit t.trace ~a:request Trace.Request "req:shed";
-      Shed
-    | Some i ->
-      let s = t.supervisors.(i) in
-      (* the causal anchor: request [a] was assigned to machine [b] —
-         recorded on the fleet clock and on the machine's own track *)
-      Trace.emit t.trace ~a:request ~b:i Trace.Request "req:assign";
-      Trace.emit (Supervisor.trace_ring s) ~a:request ~b:i Trace.Request
-        "req:assign";
-      let result = Supervisor.serve ~reference:t.reference s ~request () in
-      (match result with
-      | Supervisor.Served _ -> t.served_ok <- t.served_ok + 1
-      | Supervisor.Timed_out -> t.timed_out <- t.timed_out + 1
-      | Supervisor.Rejected ->
-        (* health changed between pick and serve — count as shed *)
-        t.shed <- t.shed + 1
-      | Supervisor.Gave_up _ ->
-        t.failed <- t.failed + 1;
-        emit t ~a:i "machine-dead");
-      breaker_sweep t i;
-      Done { machine = i; result }
+(* ---- dispatch primitives ----
 
-let run ?after_each t ~requests =
-  for _ = 1 to requests do
-    ignore (serve_one t);
-    match after_each with Some f -> f () | None -> ()
-  done
-
-(* ---- parallel-dispatch primitives ----
-
-   The domain-parallel dispatcher (Repro_parallel.Parfleet) computes
-   outcomes off the coordinator, then replays them into the fleet's
-   books here, in request order — reproducing exactly what [serve_one]
-   records per request: the offered counter (the fleet ring's clock),
-   the ring events and the outcome counters. Breaker sweeps move to
-   the epoch barrier, where no machine is serving. *)
+   The dispatcher (Repro_parallel.Parfleet) computes outcomes on worker
+   domains, then books them here on the coordinator, in request order:
+   the offered counter (the fleet ring's clock), the ring events and
+   the outcome counters. Breaker sweeps run at the epoch barrier, where
+   no machine is serving. *)
 
 let min_healthy t = t.config.min_healthy
 
@@ -264,8 +201,7 @@ let account_assigned t ~machine result =
   | Supervisor.Served _ -> t.served_ok <- t.served_ok + 1
   | Supervisor.Timed_out -> t.timed_out <- t.timed_out + 1
   | Supervisor.Rejected ->
-    (* the machine left the serving set mid-epoch — count as shed,
-       like [serve_one]'s pick/serve race *)
+    (* the machine left the serving set mid-epoch — count as shed *)
     t.shed <- t.shed + 1
   | Supervisor.Gave_up _ ->
     t.failed <- t.failed + 1;

@@ -6,7 +6,9 @@
 
     - {e admission control}: a request is shed when fewer than
       [min_healthy] machines are willing to serve;
-    - {e round-robin dispatch} over the serving machines;
+    - {e round-robin dispatch} over the serving machines, driven by
+      [Repro_parallel.Parfleet.run] through the dispatch primitives
+      below;
     - {e fleet-wide circuit breaker}: a translation rule quarantined
       on any machine (shadow verification caught it misfiring) is
       demoted on every other machine before it can misfire there too;
@@ -25,15 +27,10 @@ type config = {
   policy : Supervisor.policy;
 }
 
-type disposition =
-  | Shed  (** admission control refused the request *)
-  | Done of { machine : int; result : Supervisor.outcome }
-
 type t
 
 val create :
   ?plan:Repro_faultinject.Faultinject.Plan.t ->
-  ?trace:Repro_observe.Trace.t ->
   config:config ->
   Repro_snapshot.Snapshot.t ->
   t
@@ -47,30 +44,15 @@ val create :
     The fleet always keeps its own event ring on the request-counter
     clock — dispatch ([req:assign]/[req:shed] in the [Request]
     category), breaker and machine-death events — whether or not
-    anyone exports it; [?trace] merely supplies the ring a caller
-    intends to export, so a drill's report is bit-identical with and
-    without telemetry. *)
+    anyone exports it, so a drill's report is bit-identical with and
+    without telemetry. Only the dispatching coordinator writes it;
+    supervision events ride each machine's own ring. *)
 
-val serve_one : t -> disposition
-(** Admit (or shed) and serve the next request, then run the circuit-
-    breaker sweep over the machine that served. Emits [req:assign]
-    (request in [a], machine in [b]) on both the fleet ring and the
-    chosen machine's own ring — the causal join key between the fleet
-    timeline and the per-machine timelines. *)
+(** {2 Dispatch primitives}
 
-val run : ?after_each:(unit -> unit) -> t -> requests:int -> unit
-(** [requests] times {!serve_one}, discarding dispositions (the
-    counters and histogram keep the aggregate story). [after_each]
-    runs after every request — the telemetry collector's sampling
-    hook. *)
-
-(** {2 Parallel-dispatch primitives}
-
-    Used by the domain-parallel dispatcher
-    ([Repro_parallel.Parfleet]), which computes outcomes on worker
-    domains and then replays them into the fleet's books on the
-    coordinator, in request order. Each replay call reproduces exactly
-    what {!serve_one} records for that request — the offered counter
+    Used by the fleet dispatcher ([Repro_parallel.Parfleet]), which
+    computes outcomes on worker domains and then books them into the
+    fleet on the coordinator, in request order — the offered counter
     (the fleet ring's clock), the ring events, the outcome counters —
     so the report stays a pure function of (seed, base, requests). *)
 
@@ -88,14 +70,15 @@ val account_assigned : t -> machine:int -> Supervisor.outcome -> unit
 (** Book one request served by [machine]: bump the offered counter,
     emit [req:assign] on the fleet ring, count the outcome
     ([Rejected] counts as shed, [Gave_up] as failed plus a
-    [machine-dead] event) — the replay twin of {!serve_one}'s
-    accounting. *)
+    [machine-dead] event). The matching [req:assign] on the machine's
+    own ring, emitted just before its serve, is the causal join key
+    between the fleet timeline and the per-machine timelines. *)
 
 val breaker_sweep_all : t -> unit
-(** Run the fleet-wide circuit-breaker sweep over every machine in id
-    order — the epoch-barrier form of the per-serve sweep, run when no
-    machine is serving so the broadcast order is a function of
-    quarantine state alone. *)
+(** Run the fleet-wide circuit breaker over every machine in id order:
+    a rule any machine quarantined is demoted on every other live
+    machine. Run at the epoch barrier, when no machine is serving, so
+    the broadcast order is a function of quarantine state alone. *)
 
 val final_verify : t -> bool
 (** Run {!Supervisor.verify_clean} on every machine; records the

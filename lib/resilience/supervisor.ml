@@ -62,9 +62,6 @@ type t = {
   plan : Fi.Plan.t option;
   health : Health.t;
   backoff : Backoff.t;
-  mutable trace : Trace.t option;
-      (* the fleet's shared ring (request clock); detached before
-         domain-parallel serving — see [detach_shared_ring] *)
   mtrace : Trace.t;  (* this machine's own ring (work clock), always on *)
   scope : Scope.t;  (* per-machine phase attribution, always on *)
   latency : Histo.t;  (* serve latency of this machine's requests *)
@@ -86,11 +83,6 @@ let salt seed ~request ~attempt =
   let mix a b = (a * 0x9E3779B1) + b land max_int in
   1 + (mix (mix seed (request + 1)) (attempt + 1) land 0x3FFF_FFFF)
 
-let emit t ?(a = -1) name =
-  match t.trace with
-  | Some tr -> Trace.emit tr ~a:(if a >= 0 then a else t.id) Trace.Fleet name
-  | None -> ()
-
 (* machine-ring events ride the monotone work clock *)
 let emit_m t ?a ?b cat name = Trace.emit t.mtrace ?a ?b cat name
 
@@ -104,7 +96,7 @@ let restore_monotone machine work_skew snap =
   D.System.restore machine snap;
   work_skew := before - stats.Stats.guest_insns
 
-let create ?plan ?trace ~id ~policy base =
+let create ?plan ~id ~policy base =
   let mode = D.System.snapshot_mode base in
   let mtrace = Trace.create () in
   let scope = Scope.create () in
@@ -138,7 +130,6 @@ let create ?plan ?trace ~id ~policy base =
       Backoff.create ~base:policy.backoff_base ~cap:policy.backoff_cap
         ~seed:(salt (id + 1) ~request:0 ~attempt:0)
         ();
-    trace;
     mtrace;
     scope;
     latency = Histo.create ();
@@ -148,13 +139,6 @@ let create ?plan ?trace ~id ~policy base =
     wrong_results = 0;
     surfaced_crashes = 0;
   }
-
-(* A trace ring is not safe for concurrent writers, and under the
-   domain-parallel dispatcher several machines serve at once. Dropping
-   the shared fleet ring makes a serve touch only machine-owned state;
-   every supervision event also rides the machine's own ring, so
-   nothing is lost from the per-machine timelines. *)
-let detach_shared_ring t = t.trace <- None
 
 let id t = t.id
 let health t = t.health
@@ -214,7 +198,6 @@ let serve ?reference t ~request () =
         | Health.Crash -> t.wrong_results <- t.wrong_results + 1
         | _ -> ());
         let state = Health.note t.health signal in
-        emit t (Printf.sprintf "crash:%s" (Health.signal_name signal));
         emit_m t ~a:request ~b:attempt Trace.Request "req:end";
         emit_m t ~a:request Trace.Fleet
           (Printf.sprintf "crash:%s" (Health.signal_name signal));
@@ -223,12 +206,10 @@ let serve ?reference t ~request () =
            safer engine *)
         if state = Health.Quarantined && D.System.degrade_floor t.machine then begin
           let rung = D.System.rung_name (D.System.rung_floor t.machine) in
-          emit t (Printf.sprintf "degrade:%s" rung);
           emit_m t ~a:request Trace.Fleet (Printf.sprintf "degrade:%s" rung)
         end;
         if attempt >= t.policy.retry_budget then begin
           Health.kill t.health;
-          emit t "dead";
           emit_m t ~a:request Trace.Fleet "dead";
           emit_m t ~a:request ~b:(outcome_code (Gave_up { attempts = 0 }))
             Trace.Request "req:verdict";
@@ -236,7 +217,6 @@ let serve ?reference t ~request () =
         end
         else begin
           let delay = Backoff.next t.backoff in
-          emit t ~a:delay "backoff";
           emit_m t ~a:request ~b:delay Trace.Fleet "backoff";
           emit_m t ~a:request ~b:(attempt + 1) Trace.Request "req:retry";
           attempt_run (attempt + 1)
@@ -248,7 +228,6 @@ let serve ?reference t ~request () =
         arm t ~request ~attempt;
         if attempt > 0 then begin
           ignore (Health.note_restart_ok t.health);
-          emit t "restart";
           emit_m t ~a:request ~b:attempt Trace.Fleet "restart"
         end;
         emit_m t ~a:request ~b:attempt Trace.Request "req:begin";
@@ -278,7 +257,6 @@ let serve ?reference t ~request () =
              request restores from scratch anyway *)
           t.timeouts <- t.timeouts + 1;
           ignore (Health.note t.health Health.Deadline_timeout);
-          emit t "timeout";
           finish attempt Timed_out
         | `Livelock _ -> crash Health.Crash `Surfaced
         | `Insn_limit -> assert false (* no [max_guest_insns] given *))

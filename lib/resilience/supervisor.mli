@@ -62,7 +62,6 @@ type t
 
 val create :
   ?plan:Repro_faultinject.Faultinject.Plan.t ->
-  ?trace:Repro_observe.Trace.t ->
   id:int ->
   policy:policy ->
   Repro_snapshot.Snapshot.t ->
@@ -70,9 +69,8 @@ val create :
 (** [create ~id ~policy base] builds the machine to [base]'s shape and
     restores it once (pinning the base insn-clock value). [plan], when
     given, arms the fleet chaos plan's faults for this machine id on
-    every restore. [trace] receives [Fleet]-category events (crashes,
-    backoff delays, restarts, demotions, death). Raises
-    [Snapshot.Corrupt] / [Snapshot.Load_error] if [base] is damaged.
+    every restore. Raises [Snapshot.Corrupt] / [Snapshot.Load_error]
+    if [base] is damaged.
 
     Every supervised machine additionally carries an always-on
     observability surface, so telemetry export never changes what was
@@ -83,14 +81,6 @@ val create :
     ({!latency}). All three are purely observational (see
     {!Repro_dbt.System.create}); drill results are bit-identical
     whether or not anything reads them. *)
-
-val detach_shared_ring : t -> unit
-(** Stop emitting supervision events on the shared fleet ring passed
-    to {!create}. The domain-parallel dispatcher detaches every
-    machine before serving: a ring is not safe for concurrent writers,
-    and after the detach a serve touches only machine-owned state.
-    Supervision events keep riding the machine's own {!trace_ring}
-    unchanged. *)
 
 val serve : ?reference:reference -> t -> request:int -> unit -> outcome
 (** Serve one request under the policy. With [reference], a halt whose
@@ -116,7 +106,8 @@ val trace_ring : t -> Repro_observe.Trace.t
 (** This machine's own event ring: engine events plus the request
     lifecycle ([req:begin]/[req:end]/[req:retry]/[req:verdict] in the
     [Request] category, request id in [a]) and supervision events
-    ([Fleet] category), timestamped on the monotone {!work_insns}
+    ([Fleet] category: crashes, demotions, death, backoff delays,
+    restarts — a machine writes no other ring), timestamped on the monotone {!work_insns}
     clock. Always on; ring overflow advances its drop counter (the
     fleet report exposes both). *)
 

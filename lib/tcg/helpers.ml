@@ -83,15 +83,8 @@ let interp_one (rt : Runtime.t) =
   0
 
 let data_abort (rt : Runtime.t) (f : Mem.fault) =
-  let status =
-    match f.Mem.kind with
-    | Mem.Translation -> 5
-    | Mem.Permission -> 13
-    | Mem.Alignment -> 1
-    | Mem.Bus -> 8
-  in
   Cpu.set_dfar rt.Runtime.cpu f.Mem.vaddr;
-  Cpu.set_dfsr rt.Runtime.cpu status;
+  Cpu.set_dfsr rt.Runtime.cpu (Mem.dfsr_status f.Mem.kind);
   charge rt X.Tag_glue (Costs.exception_entry ());
   (* env registers are up to date (coordination happened before the
      call); sync them into the mirror so exception entry banks the

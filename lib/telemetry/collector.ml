@@ -3,7 +3,7 @@
    time-series document.
 
    Sampling rides the drill's own clock — the offered-request counter
-   — via [Fleet.run ~after_each], so the sample points of two
+   — via [Parfleet.run ~after_each], so the sample points of two
    same-seed drills line up exactly. Reading the surfaces (work clock,
    scope, Stats, trace counters, depot coverage) never perturbs them:
    a drill with a collector attached reports byte-identically to one
@@ -128,7 +128,7 @@ let sample t =
   t.samples <- json :: t.samples;
   t.last_at <- Fleet.offered t.fleet
 
-(* The [Fleet.run ~after_each] hook: sample on every [every]-th
+(* The [Parfleet.run ~after_each] hook: sample on every [every]-th
    offered request. *)
 let tick t = if Fleet.offered t.fleet mod t.every = 0 then sample t
 

@@ -1,7 +1,7 @@
 (** Fleet telemetry collector: per-machine interval samples merged
     into one deterministic time-series document.
 
-    Attach with {!Repro_resilience.Fleet.run}[ ~after_each:(fun () ->
+    Attach with [Repro_parallel.Parfleet.run ~after_each:(fun () ->
     Collector.tick c)]: every [every]-th offered request the collector
     snapshots each machine's always-on observability surface — the
     monotone work clock and perfscope phase totals (with interval

@@ -334,6 +334,8 @@ let bench_json ~rev slices =
                           (if guest = 0 then 0.
                            else float_of_int host /. float_of_int guest) );
                       ("sync_insns", Jsonx.int 7);
+                      (* older bench files carry wall_ms; the decoder
+                         ignores it like any unknown key *)
                       ("wall_ms", Jsonx.float 1.5);
                     ])
                 slices) );

@@ -5,6 +5,7 @@ module W = Repro_workloads.Workloads
 module R = Repro_rules
 module Fi = Repro_faultinject.Faultinject
 module Res = Repro_resilience
+module Parfleet = Repro_parallel.Parfleet
 
 (* Self-healing fleet tests: backoff and health-ladder unit behavior,
    then whole-fleet drills exercising crash-only restarts, deadlines,
@@ -152,7 +153,7 @@ let drill ~seed ~machines ~faulty ~requests =
       ~config:{ Res.Fleet.machines; min_healthy = 1; policy }
       (Lazy.force base)
   in
-  Res.Fleet.run f ~requests;
+  Parfleet.run f ~domains:1 ~requests;
   ignore (Res.Fleet.final_verify f);
   f
 
@@ -185,8 +186,8 @@ let test_fleet_breaker_broadcast () =
       (Lazy.force base)
   in
   (* simulate machine 0's shadow verification quarantining a rule
-     locally, then let the breaker sweep (which runs after machine 0
-     serves) broadcast it *)
+     locally, then let the breaker sweep (which runs at the barrier
+     after machine 0 serves) broadcast it *)
   let rs_of i =
     match (Res.Supervisor.machine (Res.Fleet.supervisor f i)).D.System.ruleset with
     | Some rs -> rs
@@ -195,9 +196,10 @@ let test_fleet_breaker_broadcast () =
   let victim = (List.hd (R.Ruleset.rules (rs_of 0))).R.Rule.id in
   Alcotest.(check bool) "local quarantine installs" true
     (R.Ruleset.quarantine_by_id (rs_of 0) victim);
-  (match Res.Fleet.serve_one f with
-  | Res.Fleet.Done { machine = 0; result = Res.Supervisor.Served _ } -> ()
-  | _ -> Alcotest.fail "machine 0 should serve the first request");
+  let served i = Res.Supervisor.served (Res.Fleet.supervisor f i) in
+  Parfleet.run f ~domains:1 ~requests:1;
+  Alcotest.(check (list int)) "machine 0 served the first request"
+    [ 1; 0; 0 ] (List.init 3 served);
   Alcotest.(check int) "one breaker trip" 1 (Res.Fleet.breaker_trips f);
   for i = 1 to 2 do
     Alcotest.(check (list int))
@@ -206,10 +208,14 @@ let test_fleet_breaker_broadcast () =
       (R.Ruleset.quarantined_ids (rs_of i))
   done;
   (* the broadcast must not break the other machines: they still serve
-     and still match the reference *)
-  (match Res.Fleet.serve_one f with
-  | Res.Fleet.Done { machine = 1; result = Res.Supervisor.Served _ } -> ()
-  | _ -> Alcotest.fail "machine 1 should serve under the broadcast quarantine");
+     and still match the reference. Each run restarts the rotation, so
+     the next two requests go to machines 0 and 1 *)
+  Parfleet.run f ~domains:1 ~requests:2;
+  Alcotest.(check (list int))
+    "machine 1 served under the broadcast quarantine" [ 2; 1; 0 ]
+    (List.init 3 served);
+  Alcotest.(check int) "every request served" 3 (Res.Fleet.served_ok f);
+  Alcotest.(check int) "still one breaker trip" 1 (Res.Fleet.breaker_trips f);
   Alcotest.(check bool) "survivors verify clean" true (Res.Fleet.final_verify f)
 
 let test_fleet_admission_control () =
@@ -218,14 +224,15 @@ let test_fleet_admission_control () =
       ~config:{ Res.Fleet.machines = 2; min_healthy = 2; policy }
       (Lazy.force base)
   in
-  (match Res.Fleet.serve_one f with
-  | Res.Fleet.Done _ -> ()
-  | Res.Fleet.Shed -> Alcotest.fail "full fleet must not shed");
+  let served i = Res.Supervisor.served (Res.Fleet.supervisor f i) in
+  Parfleet.run f ~domains:1 ~requests:1;
+  Alcotest.(check int) "full fleet must not shed" 0 (Res.Fleet.shed f);
+  Alcotest.(check (list int)) "machine 0 served" [ 1; 0 ] (List.init 2 served);
   (* kill one machine: serving drops below min_healthy, requests shed *)
   Res.Health.kill (Res.Supervisor.health (Res.Fleet.supervisor f 0));
-  (match Res.Fleet.serve_one f with
-  | Res.Fleet.Shed -> ()
-  | Res.Fleet.Done _ -> Alcotest.fail "under-strength fleet must shed");
+  Parfleet.run f ~domains:1 ~requests:1;
+  Alcotest.(check (list int)) "under-strength fleet must shed" [ 1; 0 ]
+    (List.init 2 served);
   Alcotest.(check int) "shed counted" 1 (Res.Fleet.shed f);
   Alcotest.(check int) "alive count sees the death" 1 (Res.Fleet.alive_count f)
 

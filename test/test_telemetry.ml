@@ -8,6 +8,7 @@ module Obs = Repro_observe
 module Jsonx = Obs.Jsonx
 module Histo = Repro_perfscope.Histo
 module Tel = Repro_telemetry
+module Parfleet = Repro_parallel.Parfleet
 
 (* Fleet observability tests: histogram merge semantics, JSON
    round-tripping of telemetry documents, the observational-identity
@@ -69,9 +70,11 @@ let drill ?(machines = 3) ?(faulty = 1) ?(requests = 9) ~seed ~collect () =
   in
   (match collector with
   | Some c ->
-    Res.Fleet.run fleet ~after_each:(fun () -> Tel.Collector.tick c) ~requests;
+    Parfleet.run fleet ~domains:1
+      ~after_each:(fun () -> Tel.Collector.tick c)
+      ~requests;
     Tel.Collector.finish c
-  | None -> Res.Fleet.run fleet ~requests);
+  | None -> Parfleet.run fleet ~domains:1 ~requests);
   ignore (Res.Fleet.final_verify fleet);
   (fleet, collector, plan)
 
@@ -316,6 +319,26 @@ let test_request_trace_and_chrome_streams () =
         e.Obs.Trace.cat = Obs.Trace.Request && e.Obs.Trace.name = "req:assign")
   in
   Alcotest.(check bool) "fleet ring has req:assign events" true (assigns > 0);
+  (* single writer: the fleet ring holds exactly one dispatch verdict
+     per offered request and no supervision event — those ride the
+     machine rings only *)
+  let dispatched = ref [] in
+  Obs.Trace.iter (Res.Fleet.trace fleet) (fun e ->
+      if e.Obs.Trace.name = "req:assign" || e.Obs.Trace.name = "req:shed" then
+        dispatched := e.Obs.Trace.a :: !dispatched);
+  Alcotest.(check (list int)) "one req:assign/req:shed per offered request"
+    (List.init (Res.Fleet.offered fleet) Fun.id)
+    (List.sort compare !dispatched);
+  let supervision (e : Obs.Trace.event) =
+    let prefix p =
+      String.length e.name >= String.length p
+      && String.sub e.name 0 (String.length p) = p
+    in
+    List.mem e.name [ "restart"; "backoff"; "timeout"; "dead" ]
+    || prefix "crash:" || prefix "degrade:"
+  in
+  Alcotest.(check int) "fleet ring holds no supervision event" 0
+    (count (Res.Fleet.trace fleet) supervision);
   let lifecycle = ref 0 in
   for i = 0 to Res.Fleet.machines fleet - 1 do
     let ring = Res.Supervisor.trace_ring (Res.Fleet.supervisor fleet i) in

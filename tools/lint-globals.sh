@@ -14,7 +14,7 @@
 # prefer: scope it inside the initialisation expression (see
 # lib/learn/corpus.ml), derive it positionally (lib/rules/builtin.ml),
 # or make it an Atomic with a comment saying who writes it
-# (lib/tcg/costs.ml, lib/observe/log.ml). To extend the allowlist,
+# (lib/tcg/costs.ml). To extend the allowlist,
 # add `file:line-prefix` here with a justification in the commit.
 
 set -eu
