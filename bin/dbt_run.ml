@@ -373,19 +373,27 @@ let run bench mode_name target budget timer builtin_only rules_file dump_tbs
       | Some _ | None -> ());
       if dump_tbs > 0 then begin
         Format.printf "@.--- first %d translation blocks ---@." dump_tbs;
+        (* plain TBs first, then the superblocks fused from them *)
         List.iteri
           (fun i (tb : T.Tb.t) ->
             if i < dump_tbs then begin
-              Format.printf "@.TB %d at guest pc %#x (%s, %d guest insns):@." tb.T.Tb.id
-                tb.T.Tb.guest_pc
+              Format.printf "@.%s %d at guest pc %#x (%s, %d guest insns%s):@."
+                (if T.Tb.is_region tb then "Region" else "TB")
+                tb.T.Tb.id tb.T.Tb.guest_pc
                 (if tb.T.Tb.privileged then "kernel" else "user")
-                tb.T.Tb.guest_len;
+                tb.T.Tb.guest_len
+                (if T.Tb.is_region tb then
+                   "; fused from TBs "
+                   ^ String.concat ", "
+                       (Array.to_list (Array.map string_of_int tb.T.Tb.region_ids))
+                 else "");
               Array.iter
                 (fun insn -> Format.printf "  %a@." Repro_arm.Insn.pp insn)
                 tb.T.Tb.guest_insns;
               Format.printf "%a@." Repro_x86.Prog.pp tb.T.Tb.prog
             end)
-          (T.Tb.Cache.to_list sys.D.System.cache)
+          (T.Tb.Cache.to_list sys.D.System.cache
+          @ T.Tb.Cache.regions_list sys.D.System.cache)
       end;
       (match ledger with
       | Some l ->
@@ -603,7 +611,10 @@ let rules_arg =
   Arg.(value & opt (some string) None & info [ "rules" ] ~docv:"FILE" ~doc)
 
 let dump_arg =
-  let doc = "Dump the first $(docv) translation blocks (guest + host code)." in
+  let doc =
+    "Dump the first $(docv) translation blocks (guest + host code): plain TBs, then \
+     the superblock regions fused from them."
+  in
   Arg.(value & opt int 0 & info [ "dump-tbs" ] ~docv:"N" ~doc)
 
 let profile_arg =

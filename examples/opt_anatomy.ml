@@ -36,9 +36,10 @@ let () =
         in
         (Array.map fst tagged, Array.map snd tagged)
       in
-      ignore origins;
       let r =
-        D.Emitter.emit ~opt ~ruleset ~privileged:false ~tb_pc:0 ~insns:scheduled ()
+        D.Emitter.emit ~opt ~ruleset ~privileged:false
+          ~chunks:[| { D.Emitter.pc = 0; insns = scheduled; origins; hoists = 0 } |]
+          ()
       in
       let count = X.Prog.static_count r.D.Emitter.prog in
       Format.printf "@.=== %s: %d host instructions ===@.%a@." name count X.Prog.pp

@@ -55,13 +55,15 @@ let save_cost ~reduction conv =
 
 let restore_cost ~reduction = if reduction then 2 else 11
 
+type chunk = { pc : Word32.t; insns : A.t array; origins : int array; hoists : int }
+
 type st = {
   b : Prog.builder;
   opt : Opt.t;
   ruleset : Ruleset.t;
   privileged : bool;
-  (* [tb_pc]/[insns]/[origins] are per-chunk during region emission:
-     [emit_region] rebinds them chunk by chunk over one shared builder. *)
+  (* [tb_pc]/[insns]/[origins] are the current chunk's: [emit] rebinds
+     them chunk by chunk over one shared builder. *)
   mutable tb_pc : Word32.t;
   mutable insns : A.t array;
   mutable origins : int array;  (* original (pre-scheduling) index of each insn *)
@@ -75,7 +77,6 @@ type st = {
   exit_seen : bool array;
   elide : bool array;
   entry_conv : Flagconv.t option;
-  max_slots : int;  (* [Tb.slot_irq] for plain TBs, [Tb.region_exit_slots] for regions *)
   (* irq check *)
   irq_label : int;
   mutable irq_resume_pc : Word32.t;   (* guest PC the irq stub publishes *)
@@ -270,22 +271,24 @@ let ensure_flags st =
     end
   | F_dirty conv -> conv
 
+(* Invert the carry polarity of the flags live in EFLAGS, which are
+   then in convention [conv]. *)
+let flip_carry st conv =
+  emit st ~tag:X.Tag_sync (X.Savef X.rax);
+  emit st ~tag:X.Tag_sync
+    (X.Alu { op = X.Xor; dst = X.Reg X.rax; src = X.Imm canonical_bit });
+  emit st ~tag:X.Tag_sync (X.Loadf X.rax);
+  match st.fl with
+  | F_dirty _ -> st.fl <- F_dirty conv
+  | F_both _ -> st.fl <- F_both conv
+  | F_env -> assert false
+
 (* Flip/install the carry polarity an adc/sbb template needs. *)
 let ensure_carry st pol =
   let conv = ensure_flags st in
-  let inverted = Flagconv.carry_inverted conv in
   let want_inverted = pol = `Inverted in
-  if inverted <> want_inverted then begin
-    emit st ~tag:X.Tag_sync (X.Savef X.rax);
-    emit st ~tag:X.Tag_sync
-      (X.Alu { op = X.Xor; dst = X.Reg X.rax; src = X.Imm canonical_bit });
-    emit st ~tag:X.Tag_sync (X.Loadf X.rax);
-    let conv' = if want_inverted then Flagconv.Canonical else Flagconv.Add_like in
-    (match st.fl with
-    | F_dirty _ -> st.fl <- F_dirty conv'
-    | F_both _ -> st.fl <- F_both conv'
-    | F_env -> assert false)
-  end
+  if Flagconv.carry_inverted conv <> want_inverted then
+    flip_carry st (if want_inverted then Flagconv.Canonical else Flagconv.Add_like)
 
 (* Spill flags if env is stale (owed before any QEMU involvement and
    before EFLAGS-clobbering templates). *)
@@ -395,10 +398,10 @@ let alloc_slot st kind =
   match find 0 with
   | Some s -> s
   | None ->
-    (* [Tb.slot_irq] stays reserved for the head interrupt check; region
-       emission (whose slot budget extends past it) allocates around it. *)
+    (* [Tb.slot_irq] stays reserved for the head interrupt check; it is
+       a plain TB's last slot, and a region allocates around it. *)
     let s = if st.slots_used = Tb.slot_irq then Tb.slot_irq + 1 else st.slots_used in
-    if s >= st.max_slots then raise Tb.Tb_too_complex;
+    if s >= Array.length st.exits then raise Tb.Tb_too_complex;
     st.exits.(s) <- kind;
     st.slots_used <- s + 1;
     s
@@ -505,6 +508,12 @@ let mmu_store_id (w : A.width) =
   | A.Byte -> Helpers.h_mmu_store_b
   | A.Half -> Helpers.h_mmu_store_h
 
+let shift_op : A.shift_kind -> X.shift_op = function
+  | A.LSL -> X.Shl
+  | A.LSR -> X.Shr
+  | A.ASR -> X.Sar
+  | A.ROR -> X.Ror
+
 (* Add a (possibly shifted-register) offset to [dst]. [read] fetches
    source registers — callers pick host-or-env or env-only reads. *)
 let apply_offset st ~dst ~read (off : A.mem_offset) =
@@ -515,16 +524,9 @@ let apply_offset st ~dst ~read (off : A.mem_offset) =
       (X.Alu { op = X.Add; dst = X.Reg dst; src = X.Imm (Word32.of_signed n) })
   | A.Reg_off { rm; kind; amount; subtract } ->
     read ~dst:X.rax rm;
-    if amount <> 0 then begin
-      let op =
-        match kind with
-        | A.LSL -> X.Shl
-        | A.LSR -> X.Shr
-        | A.ASR -> X.Sar
-        | A.ROR -> X.Ror
-      in
-      emit st ~tag:X.Tag_mmu (X.Shift { op; dst = X.Reg X.rax; amount = X.Sh_imm amount })
-    end;
+    if amount <> 0 then
+      emit st ~tag:X.Tag_mmu
+        (X.Shift { op = shift_op kind; dst = X.Reg X.rax; amount = X.Sh_imm amount });
     emit st ~tag:X.Tag_mmu
       (X.Alu
          { op = (if subtract then X.Sub else X.Add); dst = X.Reg dst; src = X.Reg X.rax })
@@ -549,16 +551,9 @@ let emit_writeback st rn (off : A.mem_offset) =
   | A.Reg_off { rm; kind; amount; subtract } ->
     emit st ~tag:X.Tag_mmu
       (X.Mov { width = X.W32; dst = X.Reg X.rcx; src = env_op (Envspec.reg rm) });
-    if amount <> 0 then begin
-      let op =
-        match kind with
-        | A.LSL -> X.Shl
-        | A.LSR -> X.Shr
-        | A.ASR -> X.Sar
-        | A.ROR -> X.Ror
-      in
-      emit st ~tag:X.Tag_mmu (X.Shift { op; dst = X.Reg X.rcx; amount = X.Sh_imm amount })
-    end;
+    if amount <> 0 then
+      emit st ~tag:X.Tag_mmu
+        (X.Shift { op = shift_op kind; dst = X.Reg X.rcx; amount = X.Sh_imm amount });
     emit st ~tag:X.Tag_mmu
       (X.Alu
          { op = (if subtract then X.Sub else X.Add); dst = X.Reg X.rax; src = X.Reg X.rcx }));
@@ -588,7 +583,7 @@ let maybe_scheduled_irq_check st ~index =
    falls into a slow path that performs the full coordination the
    helper requires and reloads every live pinned register before
    rejoining — so the fast path keeps all pinned state live. *)
-let emit_mem_inline st ~pc ~index (insn : A.t) =
+let emit_mem_inline st ~pc (insn : A.t) =
   let width, rd, rn, off, is_load =
     match insn.A.op with
     | A.Ldr { width; rd; rn; off; index = A.Offset } -> (width, rd, rn, off, true)
@@ -597,7 +592,6 @@ let emit_mem_inline st ~pc ~index (insn : A.t) =
   in
   ensure_loaded_mask st ((A.uses insn lor A.defs insn) land Pinmap.pinned_mask);
   spill_flags_if_dirty st;
-  ignore index;
   emit st ~tag:X.Tag_mmu (X.Count X.Cnt_mmu_access);
   compute_address st rn off;  (* address in rdx; uses rax as scratch *)
   let t = X.Tag_mmu in
@@ -732,7 +726,7 @@ let rec emit_mem_body st ~pc ~index (insn : A.t) =
   match insn.A.op with
   | (A.Ldr { index = A.Offset; rd; _ } | A.Str { index = A.Offset; rd; _ })
     when st.opt.Opt.inline_mmu && rd <> 15 ->
-    emit_mem_inline st ~pc ~index insn
+    emit_mem_inline st ~pc insn
   | _ -> emit_mem_helper st ~pc ~index insn
 
 and emit_mem_helper st ~pc ~index (insn : A.t) =
@@ -981,43 +975,52 @@ let categorize st idx =
 
 (* ---------- conditional guards ---------- *)
 
+(* Put the guest flags in EFLAGS and pick the host condition code that
+   tests [cond] there. Where the live convention has no single host cc
+   for [cond], canonicalize EFLAGS first — so the answer is never
+   [Needs_materialize]. *)
+let resolve_cond st (cond : Cond.t) =
+  if cond = Cond.AL then `Always
+  else
+    let conv = ensure_flags st in
+    let conv =
+      if Flagconv.eval conv cond <> Flagconv.Needs_materialize then conv
+      else begin
+        flip_carry st Flagconv.Canonical;
+        Flagconv.Canonical
+      end
+    in
+    match Flagconv.eval conv cond with
+    | Flagconv.Always -> `Always
+    | Flagconv.Never -> `Never
+    | Flagconv.Cc cc -> `Cc cc
+    | Flagconv.Needs_materialize -> assert false (* Canonical tests every condition *)
+
+(* Branch over [cold] when [cc] holds. [cold] must leave the block (it
+   ends in an exit); the code after the branch resumes from the state
+   the branch saw. *)
+let side_exit st cc cold =
+  let cont = Prog.fresh_label st.b in
+  let snap = save_state st in
+  emit st ~tag:X.Tag_compute (X.Jcc { cc; target = cont });
+  cold ();
+  restore_state st snap;
+  emit st (X.Label cont)
+
 type guard = G_none | G_never | G_skip of int * snapshot
 
 (* Open a guard for condition [cond]; the caller must later close it
    with [close_guard]. Register state needed inside the body must be
    preloaded by the caller BEFORE calling this. *)
 let open_guard st (cond : Cond.t) =
-  if cond = Cond.AL then G_none
-  else begin
-    let conv = ensure_flags st in
-    match Flagconv.eval conv cond with
-    | Flagconv.Always -> G_none
-    | Flagconv.Never -> G_never
-    | Flagconv.Needs_materialize ->
-      (* No single host cc under this convention: canonicalize. *)
-      emit st ~tag:X.Tag_sync (X.Savef X.rax);
-      emit st ~tag:X.Tag_sync
-        (X.Alu { op = X.Xor; dst = X.Reg X.rax; src = X.Imm canonical_bit });
-      emit st ~tag:X.Tag_sync (X.Loadf X.rax);
-      (match st.fl with
-      | F_dirty _ -> st.fl <- F_dirty Flagconv.Canonical
-      | F_both _ -> st.fl <- F_both Flagconv.Canonical
-      | F_env -> assert false);
-      let cc =
-        match Flagconv.eval Flagconv.Canonical cond with
-        | Flagconv.Cc cc -> cc
-        | _ -> assert false
-      in
-      let skip = Prog.fresh_label st.b in
-      let snap = save_state st in
-      emit st ~tag:X.Tag_compute (X.Jcc { cc = X.cc_negate cc; target = skip });
-      G_skip (skip, snap)
-    | Flagconv.Cc cc ->
-      let skip = Prog.fresh_label st.b in
-      let snap = save_state st in
-      emit st ~tag:X.Tag_compute (X.Jcc { cc = X.cc_negate cc; target = skip });
-      G_skip (skip, snap)
-  end
+  match resolve_cond st cond with
+  | `Always -> G_none
+  | `Never -> G_never
+  | `Cc cc ->
+    let skip = Prog.fresh_label st.b in
+    let snap = save_state st in
+    emit st ~tag:X.Tag_compute (X.Jcc { cc = X.cc_negate cc; target = skip });
+    G_skip (skip, snap)
 
 (* Join after a guarded body: conservative meet of the taken state and
    the pre-guard snapshot. *)
@@ -1131,10 +1134,40 @@ let emit_insn st idx =
 
 (* ---------- enders ---------- *)
 
-let emit_ender st idx =
+(* Ledger credit for one removed chunk seam: what the boundary would
+   have cost in separate TBs given the abstract state flowing across
+   it — the epilogue flag save (if flags are dirty), the dirty-register
+   spills, the pc-publish/Exit glue pair, and the successor's own head
+   interrupt check (cmp + Jcc). *)
+let seam_credit st =
+  let save =
+    match st.fl with
+    | F_dirty conv -> save_cost ~reduction:st.opt.Opt.reduction conv
+    | F_both _ | F_env -> 0
+  in
+  credit st Ledger.Region
+    ~ops:(if save > 0 then 1 else 0)
+    ~insns:(save + popcount st.dirty + 2 + 2)
+
+(* Leave the current chunk for guest [pc]: through an epilogue exit
+   from the last chunk ([next = None]), otherwise by falling into the
+   next chunk, which must start at [pc] — else the trace is unfusable. *)
+let leave_chunk st ~next pc =
+  match next with
+  | None -> epilogue_exit st (Tb.Direct pc)
+  | Some next_pc ->
+    if next_pc <> pc then raise Tb.Tb_too_complex;
+    seam_credit st
+
+let emit_ender st idx ~next =
   let insn = st.insns.(idx) in
   let pc = pc_at st idx in
   let next_pc = Word32.add pc 4 in
+  (* An interior chunk can only end in a B: both of its directions are
+     direct, so either can fall into the next chunk. *)
+  (match (insn.A.op, next) with
+  | A.B _, _ | _, None -> ()
+  | _, Some _ -> raise Tb.Tb_too_complex);
   (* Native control transfers retire in the emitter's own tier; the
      emulated enders are helper-assisted. Paths that bail out to the
      interp helper mid-arm re-stamp via [emit_fallback_body]. *)
@@ -1144,51 +1177,30 @@ let emit_ender st idx =
     | _ -> Attr.Helper
   in
   emit st (X.Count (X.Cnt_guest_insn (Attr.pack ~tier:ender_tier insn)));
-  let dual_exit ~taken_branch ~emit_taken =
-    (* cond branch shape: fallthrough exit, then the taken path. *)
-    match insn.A.cond with
-    | Cond.AL -> emit_taken ()
-    | cond -> (
-      let conv = ensure_flags st in
-      match Flagconv.eval conv cond with
-      | Flagconv.Always -> emit_taken ()
-      | Flagconv.Never -> epilogue_exit st (Tb.Direct next_pc)
-      | Flagconv.Needs_materialize ->
-        emit st ~tag:X.Tag_sync (X.Savef X.rax);
-        emit st ~tag:X.Tag_sync
-          (X.Alu { op = X.Xor; dst = X.Reg X.rax; src = X.Imm canonical_bit });
-        emit st ~tag:X.Tag_sync (X.Loadf X.rax);
-        (match st.fl with
-        | F_dirty _ -> st.fl <- F_dirty Flagconv.Canonical
-        | F_both _ -> st.fl <- F_both Flagconv.Canonical
-        | F_env -> assert false);
-        let cc =
-          match Flagconv.eval Flagconv.Canonical cond with
-          | Flagconv.Cc cc -> cc
-          | _ -> assert false
-        in
-        let taken = Prog.fresh_label st.b in
-        let snap = save_state st in
-        emit st ~tag:X.Tag_compute (X.Jcc { cc; target = taken });
-        epilogue_exit st (Tb.Direct next_pc);
-        restore_state st snap;
-        emit st (X.Label taken);
-        emit_taken ()
-      | Flagconv.Cc cc ->
-        let taken = Prog.fresh_label st.b in
-        let snap = save_state st in
-        emit st ~tag:X.Tag_compute (X.Jcc { cc; target = taken });
-        epilogue_exit st (Tb.Direct next_pc);
-        restore_state st snap;
-        emit st (X.Label taken);
-        emit_taken ());
-    ignore taken_branch
+  (* Conditional branch shape: the hot direction (taken, unless
+     [fall_hot]) ends the chunk through [leave_chunk], the other as a
+     side exit off it. [taken ~hot] emits the taken direction as the
+     one or the other. *)
+  let dual_exit ~fall_hot taken =
+    match resolve_cond st insn.A.cond with
+    | `Always -> taken ~hot:true
+    | `Never -> leave_chunk st ~next next_pc
+    | `Cc cc when fall_hot ->
+      side_exit st (X.cc_negate cc) (fun () -> taken ~hot:false);
+      leave_chunk st ~next next_pc
+    | `Cc cc ->
+      side_exit st cc (fun () -> epilogue_exit st (Tb.Direct next_pc));
+      taken ~hot:true
   in
   match insn.A.op with
   | A.B { link; offset } ->
     let target = Word32.add pc (Word32.of_signed ((offset * 4) + 8)) in
+    (* both directions must agree on the loaded set: preload lr before
+       the condition splits *)
     if link && insn.A.cond <> Cond.AL then ensure_loaded st 14;
-    dual_exit ~taken_branch:target ~emit_taken:(fun () ->
+    (* inside a region, the direction the next chunk continues is hot *)
+    let fall_hot = match next with Some p -> p <> target | None -> false in
+    dual_exit ~fall_hot (fun ~hot ->
         if link then begin
           ensure_loaded st 14;
           emit st ~tag:X.Tag_compute
@@ -1196,10 +1208,10 @@ let emit_ender st idx =
                { width = X.W32; dst = X.Reg (host_of 14); src = X.Imm (Word32.add pc 4) });
           mark_def st 14
         end;
-        epilogue_exit st (Tb.Direct target))
+        if hot then leave_chunk st ~next target else epilogue_exit st (Tb.Direct target))
   | A.Bx rm ->
     if insn.A.cond <> Cond.AL then ensure_loaded_mask st ((1 lsl rm) land Pinmap.pinned_mask);
-    dual_exit ~taken_branch:0 ~emit_taken:(fun () ->
+    dual_exit ~fall_hot:false (fun ~hot:_ ->
         (* Compute target after the epilogue's stores so rax is free:
            sync first, then publish env.pc. *)
         spill_flags_if_dirty st;
@@ -1212,11 +1224,11 @@ let emit_ender st idx =
         epilogue_exit st Tb.Indirect)
   | A.Ldr { rd = 15; _ } | A.Ldm _ ->
     (* PC-loading memory op: memory body publishes env.pc slot 15. *)
-    dual_exit ~taken_branch:0 ~emit_taken:(fun () ->
+    dual_exit ~fall_hot:false (fun ~hot:_ ->
         emit_mem_body st ~pc ~index:idx insn;
         epilogue_exit st Tb.Indirect)
   | A.Dp { rd = 15; _ } ->
-    dual_exit ~taken_branch:0 ~emit_taken:(fun () ->
+    dual_exit ~fall_hot:false (fun ~hot:_ ->
         st.fallback <- st.fallback + 1;
         sync_for_qemu st;
         set_env_pc st pc;
@@ -1240,7 +1252,7 @@ let emit_ender st idx =
     epilogue_exit st (Tb.Direct next_pc)
   | _ ->
     (* Any other PC-writing oddity: emulate then indirect. *)
-    dual_exit ~taken_branch:0 ~emit_taken:(fun () ->
+    dual_exit ~fall_hot:false (fun ~hot:_ ->
         st.fallback <- st.fallback + 1;
         sync_for_qemu st;
         set_env_pc st pc;
@@ -1371,11 +1383,17 @@ let find_irq_sched_index st =
     scan 0
   end
 
-let emit ~opt ~ruleset ~privileged ~tb_pc ~insns ?origins ?elide_flag_save ?entry_conv
-    ?(sched_hoists = 0) () =
-  let origins =
-    match origins with Some o -> o | None -> Array.init (Array.length insns) (fun i -> i)
-  in
+(* One emitter state runs across every chunk, so a multi-chunk region
+   keeps its abstract residency/flag state through the seams instead of
+   tearing it down at each TB boundary: the per-boundary Sync pair
+   (epilogue flag save, dirty-register spills, pc publish, successor
+   restore) and the per-TB head interrupt check disappear region-wide.
+   One interrupt check guards the region head — acceptable latency
+   because region length is capped. *)
+let emit ~opt ~ruleset ~privileged ~chunks ?elide_flag_save ?entry_conv () =
+  let head = chunks.(0) in
+  let region = Array.length chunks > 1 in
+  let slots = if region then Tb.region_exit_slots else Tb.exit_slots in
   let b = Prog.builder () in
   let st =
     {
@@ -1383,41 +1401,36 @@ let emit ~opt ~ruleset ~privileged ~tb_pc ~insns ?origins ?elide_flag_save ?entr
       opt;
       ruleset;
       privileged;
-      tb_pc;
-      insns;
-      origins;
+      tb_pc = head.pc;
+      insns = head.insns;
+      origins = head.origins;
       loaded = 0;
       dirty = 0;
       fl = (match entry_conv with Some c -> F_dirty c | None -> F_env);
-      exits = Array.make Tb.exit_slots Tb.Indirect;
-      exit_states =
-        Array.make Tb.exit_slots { conv_at_exit = None; flags_save_in_epilogue = false };
+      exits = Array.make slots Tb.Indirect;
+      exit_states = Array.make slots { conv_at_exit = None; flags_save_in_epilogue = false };
       slots_used = 0;
-      exit_seen = Array.make Tb.exit_slots false;
+      exit_seen = Array.make slots false;
       elide =
-        (match elide_flag_save with
-        | Some a -> a
-        | None -> Array.make Tb.exit_slots false);
+        (match elide_flag_save with Some a -> a | None -> Array.make slots false);
       entry_conv;
-      max_slots = Tb.slot_irq;
-      irq_label = -1 (* replaced below *);
-      irq_resume_pc = tb_pc;
+      irq_label = Prog.fresh_label b;
+      irq_resume_pc = head.pc;
       irq_emitted = false;
       irq_sched_index = -1;
       rule_covered = 0;
       fallback = 0;
       rules_used = [];
       prov = Ledger.zero_prov ();
-      in_region = false;
+      in_region = region;
       cov_sites = [];
     }
   in
-  let st = { st with irq_label = Prog.fresh_label b } in
   st.exits.(Tb.slot_irq) <- Tb.Irq_deliver;
-  st.irq_sched_index <- find_irq_sched_index st;
-  (* With an entry assumption the check must be at the head (the stub
-     spills the inherited EFLAGS). *)
-  if entry_conv <> None then st.irq_sched_index <- -1;
+  (* III-D.2 may move a plain TB's check down to its first memory access.
+     A region, or a TB entered with live flags (whose stub spills the
+     inherited EFLAGS), checks at the head. *)
+  if (not region) && entry_conv = None then st.irq_sched_index <- find_irq_sched_index st;
   (* III-C.3 costs at every entry: the head check must guard EFLAGS
      (Savef/Loadf pair) when flags can arrive live.  The engine-side
      install cost is charged dynamically by the translator. *)
@@ -1425,18 +1438,11 @@ let emit ~opt ~ruleset ~privileged ~tb_pc ~insns ?origins ?elide_flag_save ?entr
   (* III-D.2 (modelled): a mid-TB check runs with state already
      synced, where a head check under live flags would need the same
      Savef/Loadf guard pair. *)
-  if st.irq_sched_index >= 0 then credit st Ledger.Sched_irq ~ops:0 ~insns:2;
-  (* III-D.1 (modelled): each hoist the scheduler applied turns a
-     save/restore coordination pair around a helper into none. *)
-  if sched_hoists > 0 then
-    credit st Ledger.Sched_dbu ~ops:(2 * sched_hoists)
-      ~insns:
-        (sched_hoists
-        * (save_cost ~reduction:opt.Opt.reduction Flagconv.Canonical
-          + restore_cost ~reduction:opt.Opt.reduction));
-  if st.irq_sched_index < 0 then emit_irq_check st ~guard_flags:(entry_conv <> None);
-  (* Naive design: eager prologue Sync-restore (paper Fig. 1 Path 2) *)
-  if not opt.Opt.elim_restores then begin
+  if st.irq_sched_index >= 0 then credit st Ledger.Sched_irq ~ops:0 ~insns:2
+  else emit_irq_check st ~guard_flags:(entry_conv <> None);
+  (* Naive design: a plain TB's eager prologue Sync-restore (paper
+     Fig. 1 Path 2) *)
+  if (not region) && not opt.Opt.elim_restores then begin
     let used = ref 0 in
     let reads_before_def = ref false in
     let seen_def = ref false in
@@ -1445,241 +1451,40 @@ let emit ~opt ~ruleset ~privileged ~tb_pc ~insns ?origins ?elide_flag_save ?entr
         used := !used lor A.uses i;
         if (not !seen_def) && A.reads_flags i then reads_before_def := true;
         if A.writes_flags i then seen_def := true)
-      insns;
+      head.insns;
     ensure_loaded_mask st (!used land Pinmap.pinned_mask);
     if !reads_before_def && st.fl = F_env then flags_restore st
   end;
-  let n = Array.length insns in
-  let idx = ref 0 in
-  let ended = ref false in
-  while !idx < n && not !ended do
-    if is_ender insns.(!idx) then begin
-      emit_ender st !idx;
-      ended := true
-    end
-    else begin
+  for ci = 0 to Array.length chunks - 1 do
+    let c = chunks.(ci) in
+    st.tb_pc <- c.pc;
+    st.insns <- c.insns;
+    st.origins <- c.origins;
+    (* III-D.1 (modelled): each hoist the scheduler applied turns a
+       save/restore coordination pair around a helper into none. *)
+    if c.hoists > 0 then
+      credit st Ledger.Sched_dbu ~ops:(2 * c.hoists)
+        ~insns:
+          (c.hoists
+          * (save_cost ~reduction:opt.Opt.reduction Flagconv.Canonical
+            + restore_cost ~reduction:opt.Opt.reduction));
+    let next = if ci + 1 < Array.length chunks then Some chunks.(ci + 1).pc else None in
+    let n = Array.length c.insns in
+    let idx = ref 0 in
+    while !idx < n && not (is_ender c.insns.(!idx)) do
       let len = run_length st !idx in
-      if len > 1 then idx := !idx + emit_run st !idx len
-      else idx := !idx + emit_insn st !idx
-    end
+      idx := !idx + if len > 1 then emit_run st !idx len else emit_insn st !idx
+    done;
+    if !idx < n then emit_ender st !idx ~next
+    else leave_chunk st ~next (Word32.add c.pc (4 * n))
   done;
-  if not !ended then epilogue_exit st (Tb.Direct (Word32.add tb_pc (4 * n)));
   assert st.irq_emitted;
   emit_irq_stub st;
   {
     prog = Prog.finalize b;
     exits = st.exits;
     exit_states = st.exit_states;
-    first_flag_is_def = first_flag_is_def insns;
-    rule_covered = st.rule_covered;
-    fallback = st.fallback;
-    rules_used = List.rev st.rules_used;
-    prov = st.prov;
-    cov_sites = List.rev st.cov_sites;
-  }
-
-(* [emit] now names the whole-TB entry point; [emitp] is the
-   instruction-append helper for the region section below. *)
-let emitp st ?tag i = Prog.emit st.b ?tag i
-
-(* ---------- hot-region superblocks ----------
-
-   A region fuses a hot chained trace of TBs into one emitted body.
-   The III-B/C/D pipeline then runs across the whole trace: the
-   abstract residency/flag state flows through chunk seams instead of
-   being torn down at every TB boundary, so the per-boundary Sync pair
-   (epilogue flag save + dirty-register spills + pc publish, successor
-   prologue restore) and the per-TB head interrupt check disappear
-   region-wide.  One interrupt check remains at the region head —
-   acceptable latency because region length is capped. *)
-
-(* Ledger credit for one removed chunk seam: what the boundary would
-   have cost in separate TBs given the abstract state flowing across
-   it — the epilogue flag save (if flags are dirty), the dirty-register
-   spills, the pc-publish/Exit glue pair, and the successor's own head
-   interrupt check (cmp + Jcc). *)
-let seam_credit st =
-  let save =
-    match st.fl with
-    | F_dirty conv -> save_cost ~reduction:st.opt.Opt.reduction conv
-    | F_both _ | F_env -> 0
-  in
-  credit st Ledger.Region
-    ~ops:(if save > 0 then 1 else 0)
-    ~insns:(save + popcount st.dirty + 2 + 2)
-
-(* Interior-chunk ender: the chunk ends in a (possibly conditional,
-   possibly linking) B whose hot direction is the next chunk.  The hot
-   direction falls through into the next chunk's body; the cold
-   direction keeps a normal epilogue exit.  Anything that cannot fall
-   through to [next_chunk_pc] raises — the caller treats the trace as
-   unfusable. *)
-let emit_seam_branch st idx ~next_chunk_pc =
-  let insn = st.insns.(idx) in
-  let pc = pc_at st idx in
-  let next_pc = Word32.add pc 4 in
-  emitp st (X.Count (X.Cnt_guest_insn (Attr.pack ~tier:Attr.Region insn)));
-  match insn.A.op with
-  | A.B { link; offset } ->
-    let target = Word32.add pc (Word32.of_signed ((offset * 4) + 8)) in
-    let follows_taken = next_chunk_pc = target in
-    if (not follows_taken) && next_chunk_pc <> next_pc then raise Tb.Tb_too_complex;
-    let emit_link () =
-      if link then begin
-        ensure_loaded st 14;
-        emitp st ~tag:X.Tag_compute
-          (X.Mov
-             { width = X.W32; dst = X.Reg (host_of 14); src = X.Imm (Word32.add pc 4) });
-        mark_def st 14
-      end
-    in
-    (match insn.A.cond with
-    | Cond.AL ->
-      if not follows_taken then raise Tb.Tb_too_complex;
-      emit_link ();
-      seam_credit st
-    | cond ->
-      (* Both directions must agree on the loaded set (one keeps an
-         epilogue exit): preload lr before the condition splits. *)
-      if link then ensure_loaded st 14;
-      let conv = ensure_flags st in
-      let rec resolve conv =
-        match Flagconv.eval conv cond with
-        | Flagconv.Always ->
-          if not follows_taken then raise Tb.Tb_too_complex;
-          emit_link ();
-          seam_credit st
-        | Flagconv.Never ->
-          if follows_taken then raise Tb.Tb_too_complex;
-          seam_credit st
-        | Flagconv.Needs_materialize ->
-          emitp st ~tag:X.Tag_sync (X.Savef X.rax);
-          emitp st ~tag:X.Tag_sync
-            (X.Alu { op = X.Xor; dst = X.Reg X.rax; src = X.Imm canonical_bit });
-          emitp st ~tag:X.Tag_sync (X.Loadf X.rax);
-          (match st.fl with
-          | F_dirty _ -> st.fl <- F_dirty Flagconv.Canonical
-          | F_both _ -> st.fl <- F_both Flagconv.Canonical
-          | F_env -> assert false);
-          resolve Flagconv.Canonical
-        | Flagconv.Cc cc ->
-          let cont = Prog.fresh_label st.b in
-          let snap = save_state st in
-          if follows_taken then begin
-            (* condition true -> fall into next chunk; false -> exit *)
-            emitp st ~tag:X.Tag_compute (X.Jcc { cc; target = cont });
-            epilogue_exit st (Tb.Direct next_pc);
-            restore_state st snap;
-            emitp st (X.Label cont);
-            emit_link ();
-            seam_credit st
-          end
-          else begin
-            (* condition false -> fall into next chunk; true -> exit *)
-            emitp st ~tag:X.Tag_compute (X.Jcc { cc = X.cc_negate cc; target = cont });
-            emit_link ();
-            epilogue_exit st (Tb.Direct target);
-            restore_state st snap;
-            emitp st (X.Label cont);
-            seam_credit st
-          end
-      in
-      resolve conv)
-  | _ -> raise Tb.Tb_too_complex
-
-let emit_region ~opt ~ruleset ~privileged ~chunks ?elide_flag_save ?entry_conv () =
-  let n_chunks = Array.length chunks in
-  assert (n_chunks >= 2);
-  let head_pc, head_insns, head_origins, _ = chunks.(0) in
-  let b = Prog.builder () in
-  let st =
-    {
-      b;
-      opt;
-      ruleset;
-      privileged;
-      tb_pc = head_pc;
-      insns = head_insns;
-      origins = head_origins;
-      loaded = 0;
-      dirty = 0;
-      fl = (match entry_conv with Some c -> F_dirty c | None -> F_env);
-      exits = Array.make Tb.region_exit_slots Tb.Indirect;
-      exit_states =
-        Array.make Tb.region_exit_slots
-          { conv_at_exit = None; flags_save_in_epilogue = false };
-      slots_used = 0;
-      exit_seen = Array.make Tb.region_exit_slots false;
-      elide =
-        (match elide_flag_save with
-        | Some a -> a
-        | None -> Array.make Tb.region_exit_slots false);
-      entry_conv;
-      max_slots = Tb.region_exit_slots;
-      irq_label = -1 (* replaced below *);
-      irq_resume_pc = head_pc;
-      irq_emitted = false;
-      irq_sched_index = -1;
-      (* one head check for the whole region: never scheduled mid-body *)
-      rule_covered = 0;
-      fallback = 0;
-      rules_used = [];
-      prov = Ledger.zero_prov ();
-      in_region = true;
-      cov_sites = [];
-    }
-  in
-  let st = { st with irq_label = Prog.fresh_label b } in
-  st.exits.(Tb.slot_irq) <- Tb.Irq_deliver;
-  if entry_conv <> None then credit st Ledger.Inter_tb ~ops:0 ~insns:(-2);
-  emit_irq_check st ~guard_flags:(entry_conv <> None);
-  Array.iteri
-    (fun ci (pc, insns, origins, hoists) ->
-      st.tb_pc <- pc;
-      st.insns <- insns;
-      st.origins <- origins;
-      if hoists > 0 then
-        credit st Ledger.Sched_dbu ~ops:(2 * hoists)
-          ~insns:
-            (hoists
-            * (save_cost ~reduction:opt.Opt.reduction Flagconv.Canonical
-              + restore_cost ~reduction:opt.Opt.reduction));
-      let last = ci = n_chunks - 1 in
-      let n = Array.length insns in
-      let idx = ref 0 in
-      let ended = ref false in
-      while !idx < n && not !ended do
-        if is_ender insns.(!idx) then begin
-          if last then emit_ender st !idx
-          else begin
-            let next_chunk_pc, _, _, _ = chunks.(ci + 1) in
-            emit_seam_branch st !idx ~next_chunk_pc
-          end;
-          ended := true
-        end
-        else begin
-          let len = run_length st !idx in
-          if len > 1 then idx := !idx + emit_run st !idx len
-          else idx := !idx + emit_insn st !idx
-        end
-      done;
-      if not !ended then begin
-        let fall = Word32.add pc (4 * n) in
-        if last then epilogue_exit st (Tb.Direct fall)
-        else begin
-          let next_chunk_pc, _, _, _ = chunks.(ci + 1) in
-          if next_chunk_pc <> fall then raise Tb.Tb_too_complex;
-          seam_credit st
-        end
-      end)
-    chunks;
-  assert st.irq_emitted;
-  emit_irq_stub st;
-  {
-    prog = Prog.finalize b;
-    exits = st.exits;
-    exit_states = st.exit_states;
-    first_flag_is_def = first_flag_is_def head_insns;
+    first_flag_is_def = first_flag_is_def head.insns;
     rule_covered = st.rule_covered;
     fallback = st.fallback;
     rules_used = List.rev st.rules_used;

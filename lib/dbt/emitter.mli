@@ -57,48 +57,52 @@ val save_cost : reduction:bool -> Repro_rules.Flagconv.t -> int
 val restore_cost : reduction:bool -> int
 (** Likewise for a flag Sync-restore. *)
 
+type chunk = {
+  pc : Word32.t;  (** guest PC of the chunk's first instruction *)
+  insns : A.t array;  (** the fetched block, after scheduling *)
+  origins : int array;
+      (** each scheduled instruction's index in the fetched block, so
+          branch targets and fault/resume PCs refer to real guest
+          addresses *)
+  hoists : int;
+      (** define-before-use hoists the scheduler applied to [insns],
+          credited to III-D.1 in the provenance (emission ignores it) *)
+}
+(** One fetched guest block: a plain TB is one chunk, a superblock
+    region one chunk per constituent TB. *)
+
 val emit :
   opt:Opt.t ->
   ruleset:Repro_rules.Ruleset.t ->
   privileged:bool ->
-  tb_pc:Word32.t ->
-  insns:A.t array ->
-  ?origins:int array ->
+  chunks:chunk array ->
   ?elide_flag_save:bool array ->
   ?entry_conv:Repro_rules.Flagconv.t ->
-  ?sched_hoists:int ->
   unit ->
   result
-(** [origins] gives each (scheduled) instruction's original index in
-    the fetched block, so branch targets and fault/resume PCs refer to
-    real guest addresses. [elide_flag_save] (indexed by exit slot) drops the epilogue flag
-    save on slots whose chained successor redefines flags before use;
-    [entry_conv] marks a TB that may be entered with live guest flags
-    in EFLAGS under the given convention (set on such successors; its
-    interrupt stub then spills EFLAGS before exiting, paper Fig. 7).
-    [sched_hoists] is the number of define-before-use hoists the
-    scheduler applied to [insns] — credited to III-D.1 in the
-    provenance (it does not affect emission). *)
+(** Emit [chunks], in execution order, as one body. The abstract
+    coordination state flows across chunk seams: an interior chunk
+    falls into the next through its final B's direction (or its
+    fall-through), whose boundary Sync pair and interrupt check are
+    then gone (credited to the [Region] ledger pass); the other
+    direction of a conditional B keeps a normal epilogue exit.
 
-val emit_region :
-  opt:Opt.t ->
-  ruleset:Repro_rules.Ruleset.t ->
-  privileged:bool ->
-  chunks:(Word32.t * A.t array * int array * int) array ->
-  ?elide_flag_save:bool array ->
-  ?entry_conv:Repro_rules.Flagconv.t ->
-  unit ->
-  result
-(** Fuse a hot chained trace into one superblock body. [chunks] is the
-    trace in execution order — per constituent TB its head guest PC,
-    scheduled instructions, origin indices and hoist count (at least
-    two chunks). The abstract coordination state flows across chunk
-    seams: boundary Sync pairs and per-TB interrupt checks are
-    eliminated region-wide (credited to the [Region] ledger pass) and a
-    single interrupt check guards the region head. Exit arrays are
-    {!Repro_tcg.Tb.region_exit_slots} long, with
-    {!Repro_tcg.Tb.slot_irq} still the interrupt slot; the cold
-    direction of every interior branch keeps a normal epilogue exit.
-    Raises {!Repro_tcg.Tb.Tb_too_complex} when the trace cannot be
-    fused (non-contiguous seam, exotic interior ender, exit-slot
-    overflow) — callers fall back to the unfused TBs. *)
+    A single chunk is a plain TB: {!Repro_tcg.Tb.exit_slots} exit slots,
+    coverage in the [Rule] tier, an interrupt check that III-D.2 may
+    schedule down to the first memory access, and the naive eager
+    prologue Sync-restore when [elim_restores] is off. Several chunks
+    are a region: {!Repro_tcg.Tb.region_exit_slots} exit slots, the
+    [Region] tier, one interrupt check at the head. Either way
+    {!Repro_tcg.Tb.slot_irq} is the interrupt slot.
+
+    [elide_flag_save] (indexed by exit slot) drops the epilogue flag
+    save on slots whose chained successor redefines flags before use;
+    [entry_conv] marks a body that may be entered with live guest flags
+    in EFLAGS under the given convention (set on such successors; the
+    interrupt check then stays at the head and its stub spills EFLAGS
+    before exiting, paper Fig. 7).
+
+    Raises {!Repro_tcg.Tb.Tb_too_complex} when the exits overflow their
+    slots or the chunks cannot be fused (a seam whose successor chunk
+    is not where its direction goes, an interior chunk ending in
+    anything but B) — callers retry shorter or keep the TBs unfused. *)

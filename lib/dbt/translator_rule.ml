@@ -24,8 +24,9 @@ module Covscope = Repro_covscope
 
 (* Per-TB metadata the emitter produces and the linker consumes. *)
 type meta = {
-  insns : A.t array;  (* post-scheduling *)
-  origins : int array;
+  chunks : Emitter.chunk array;
+      (* what [Emitter.emit] re-emits in place: the scheduled block of a
+         plain TB, one chunk per constituent of a fused superblock *)
   mutable elide : bool array;
   mutable entry_conv : Flagconv.t option;
   mutable exit_states : Emitter.exit_state array;
@@ -34,12 +35,6 @@ type meta = {
       (* distinct rules in the current emission, each with the guest
          register def-mask of its matched instructions *)
   shadowable : bool;  (* replayable on the reference interpreter *)
-  hoists : int;  (* III-D.1 hoists the scheduler applied to [insns] *)
-  chunks : (Word32.t * A.t array * int array * int) array;
-      (* Non-empty iff this meta describes a fused superblock: per
-         constituent chunk, its head guest PC, scheduled instructions,
-         origin indices and hoist count — everything [Emitter.emit_region]
-         needs to re-emit the region in place. *)
 }
 
 (* The reference-replay result shadow verification compares against:
@@ -472,64 +467,94 @@ let livelock_prog prog =
   rewrite_first prog (fun insn ->
       if Repro_x86.Prog.is_pseudo insn then None else Some [ X.Label fresh; X.Jmp fresh ])
 
-let build_tb t (rt : Runtime.t) cache ~pc ~insns ~m =
-  let privileged = Runtime.privileged rt in
+(* Emit [m]'s chunks and fold the result back into [m]. *)
+let emit_meta t ~privileged m =
   let r =
-    Emitter.emit ~opt:t.opt ~ruleset:t.ruleset ~privileged ~tb_pc:pc ~insns:m.insns
-      ~origins:m.origins ~elide_flag_save:m.elide ?entry_conv:m.entry_conv
-      ~sched_hoists:m.hoists ()
+    Emitter.emit ~opt:t.opt ~ruleset:t.ruleset ~privileged ~chunks:m.chunks
+      ~elide_flag_save:m.elide ?entry_conv:m.entry_conv ()
   in
-  t.rule_covered <- t.rule_covered + r.Emitter.rule_covered;
-  t.fallback <- t.fallback + r.Emitter.fallback;
   m.exit_states <- r.Emitter.exit_states;
   m.first_flag_is_def <- r.Emitter.first_flag_is_def;
   m.rules_used <- r.Emitter.rules_used;
-  (* Memory accesses hoisted above architecturally-earlier
-     instructions (define-before-use scheduling): if such an access
-     faults, the skipped instructions have not run in host order yet,
-     so the runtime must replay them before exception entry. *)
-  let fault_producers =
-    let acc = ref [] in
-    Array.iteri
-      (fun k insn ->
-        if A.is_memory_access insn then begin
-          let q = m.origins.(k) in
-          let skipped = ref [] in
-          for j = k + 1 to Array.length m.origins - 1 do
-            if m.origins.(j) < q then skipped := m.origins.(j) :: !skipped
-          done;
-          if !skipped <> [] then begin
-            let pcs =
-              List.sort compare !skipped
-              |> List.map (fun o -> Word32.add pc (4 * o))
-              |> Array.of_list
-            in
-            acc := (Word32.add pc (4 * q), pcs) :: !acc
-          end
-        end)
-      m.insns;
-    Array.of_list (List.rev !acc)
+  r
+
+(* Memory accesses hoisted above architecturally-earlier instructions
+   (define-before-use scheduling): if such an access faults, the
+   skipped instructions have not run in host order yet, so the runtime
+   must replay them before exception entry. *)
+let fault_producers (c : Emitter.chunk) =
+  let acc = ref [] in
+  Array.iteri
+    (fun k insn ->
+      if A.is_memory_access insn then begin
+        let q = c.origins.(k) in
+        let skipped = ref [] in
+        for j = k + 1 to Array.length c.origins - 1 do
+          if c.origins.(j) < q then skipped := c.origins.(j) :: !skipped
+        done;
+        if !skipped <> [] then begin
+          let pcs =
+            List.sort compare !skipped
+            |> List.map (fun o -> Word32.add c.pc (4 * o))
+            |> Array.of_list
+          in
+          acc := (Word32.add c.pc (4 * q), pcs) :: !acc
+        end
+      end)
+    c.insns;
+  Array.of_list (List.rev !acc)
+
+(* The one way a rule-emitted cache entry comes to be, plain TB and
+   fused region alike: emit [chunks], wrap the code at the head PC and
+   register the entry's meta. *)
+let new_tb t cache chunks ~shadowable ~privileged ~mmu_on ~guest_insns ~translated_override
+    ~region_ids =
+  let slots = if Array.length chunks > 1 then Tb.region_exit_slots else Tb.exit_slots in
+  let m =
+    {
+      chunks;
+      elide = Array.make slots false;
+      entry_conv = None;
+      exit_states = [||];
+      first_flag_is_def = false;
+      rules_used = [];
+      shadowable;
+    }
   in
+  let r = emit_meta t ~privileged m in
+  record_statics t r;
   let tb =
     {
       Tb.id = Tb.Cache.next_id cache;
-      guest_pc = pc;
+      guest_pc = chunks.(0).Emitter.pc;
       privileged;
-      mmu_on = Repro_arm.Cpu.mmu_enabled rt.Runtime.cpu;
+      mmu_on;
       prog = r.Emitter.prog;
       exits = r.Emitter.exits;
-      links = Array.make Tb.exit_slots None;
-      guest_insns = insns;
-      guest_len = Array.length insns;
-      fault_producers;
-      translated_override = rt.Runtime.tb_override;
+      links = Array.make slots None;
+      guest_insns;
+      guest_len = Array.length guest_insns;
+      fault_producers = Array.concat (List.map fault_producers (Array.to_list chunks));
+      translated_override;
       injected = `None;
       prov = r.Emitter.prov;
       hot = 0;
-      region_ids = [||];
+      region_ids;
     }
   in
-  record_statics t r;
+  Hashtbl.replace t.metas tb.Tb.id m;
+  (r, tb)
+
+let build_tb t (rt : Runtime.t) cache ~insns chunk =
+  let r, tb =
+    new_tb t cache [| chunk |]
+      ~shadowable:(Array.for_all shadowable_insn insns)
+      ~privileged:(Runtime.privileged rt)
+      ~mmu_on:(Repro_arm.Cpu.mmu_enabled rt.Runtime.cpu) ~guest_insns:insns
+      ~translated_override:rt.Runtime.tb_override ~region_ids:[||]
+  in
+  t.rule_covered <- t.rule_covered + r.Emitter.rule_covered;
+  t.fallback <- t.fallback + r.Emitter.fallback;
   (match rt.Runtime.corrupt_override with
   | Some `Rule_corrupt ->
     (* Snapshot cache rebuild: re-apply the recorded corruption without
@@ -575,27 +600,11 @@ let translate t (rt : Runtime.t) cache ~pc =
           let insns = Array.of_list insns_list in
           let hoists = ref 0 in
           let tagged = schedule_indexed ~hoists ~opt:t.opt insns in
-          let m =
-            {
-              insns = Array.map fst tagged;
-              origins = Array.map snd tagged;
-              elide = Array.make Tb.exit_slots false;
-              entry_conv = None;
-              exit_states =
-                Array.make Tb.exit_slots
-                  { Emitter.conv_at_exit = None; flags_save_in_epilogue = false };
-              first_flag_is_def = false;
-              rules_used = [];
-              shadowable = Array.for_all shadowable_insn (Array.map fst tagged);
-              hoists = !hoists;
-              chunks = [||];
-            }
+          let chunk =
+            { Emitter.pc; insns = Array.map fst tagged; origins = Array.map snd tagged;
+              hoists = !hoists }
           in
-          try
-            let tb = build_tb t rt cache ~pc ~insns ~m in
-            Hashtbl.replace t.metas tb.Tb.id m;
-            Ok tb
-          with Tb.Tb_too_complex ->
+          try Ok (build_tb t rt cache ~insns chunk) with Tb.Tb_too_complex ->
             let n = Array.length insns in
             if n <= 1 then Ok (Translator_qemu.emulate_one_tb rt cache ~pc)
             else attempt (Some (max 1 (n / 2))))
@@ -604,21 +613,11 @@ let translate t (rt : Runtime.t) cache ~pc =
 
 (* Re-emit a TB in place after its meta changed (elision / entry
    assumption). The engine holds the tb record; only [prog] changes.
-   Regions re-emit through the region emitter from their recorded
-   chunk recipe — they are first-class citizens of the inter-TB
-   optimization, on both sides of a chained edge. *)
+   Regions re-emit from their recorded chunks like any TB — they are
+   first-class citizens of the inter-TB optimization, on both sides of
+   a chained edge. *)
 let re_emit t (tb : Tb.t) m =
-  let r =
-    if m.chunks <> [||] then
-      Emitter.emit_region ~opt:t.opt ~ruleset:t.ruleset ~privileged:tb.Tb.privileged
-        ~chunks:m.chunks ~elide_flag_save:m.elide ?entry_conv:m.entry_conv ()
-    else
-      Emitter.emit ~opt:t.opt ~ruleset:t.ruleset ~privileged:tb.Tb.privileged
-        ~tb_pc:tb.Tb.guest_pc ~insns:m.insns ~origins:m.origins ~elide_flag_save:m.elide
-        ?entry_conv:m.entry_conv ~sched_hoists:m.hoists ()
-  in
-  m.exit_states <- r.Emitter.exit_states;
-  m.rules_used <- r.Emitter.rules_used;
+  let r = emit_meta t ~privileged:tb.Tb.privileged m in
   tb.Tb.prog <- r.Emitter.prog;
   record_statics t ~replacing:tb.Tb.prov r;
   tb.Tb.prov <- r.Emitter.prov;
@@ -629,7 +628,7 @@ let re_emit t (tb : Tb.t) m =
 
    When the engine reports a TB hot, walk its hottest chain of direct
    successors (loop-closed or length-capped), fuse the trace through
-   {!Emitter.emit_region} and install the superblock over the head PC.
+   {!Emitter.emit} and install the superblock over the head PC.
    The constituents stay in the plain table: cold entries mid-trace
    (the region's interior is not addressable) still dispatch them, and
    an SMC flush simply drops both views. *)
@@ -642,79 +641,44 @@ let max_region_chunks = 8
    the trace. *)
 let fuse_trace t (rt : Runtime.t) cache ~(trace : Tb.t list) =
   let head = List.hd trace in
-  let chunk_of (tb : Tb.t) =
-    let m = Hashtbl.find t.metas tb.Tb.id in
-    (tb.Tb.guest_pc, m.insns, m.origins, m.hoists)
+  let chunks =
+    List.filter_map
+      (fun (tb : Tb.t) ->
+        Option.map (fun m -> m.chunks.(0)) (Hashtbl.find_opt t.metas tb.Tb.id))
+      trace
   in
-  match
-    let chunks = Array.of_list (List.map chunk_of trace) in
-    let elide = Array.make Tb.region_exit_slots false in
-    let r =
-      Emitter.emit_region ~opt:t.opt ~ruleset:t.ruleset
-        ~privileged:head.Tb.privileged ~chunks ~elide_flag_save:elide ()
-    in
-    (chunks, elide, r)
-  with
-  | exception Tb.Tb_too_complex -> None
-  | exception Not_found -> None (* a constituent without meta: unfusable *)
-  | chunks, elide, r ->
-    let region =
-      {
-        Tb.id = Tb.Cache.next_id cache;
-        guest_pc = head.Tb.guest_pc;
-        privileged = head.Tb.privileged;
-        mmu_on = head.Tb.mmu_on;
-        prog = r.Emitter.prog;
-        exits = r.Emitter.exits;
-        links = Array.make Tb.region_exit_slots None;
-        guest_insns =
-          Array.concat (List.map (fun (tb : Tb.t) -> tb.Tb.guest_insns) trace);
-        guest_len = List.fold_left (fun a (tb : Tb.t) -> a + tb.Tb.guest_len) 0 trace;
-        fault_producers =
-          Array.concat (List.map (fun (tb : Tb.t) -> tb.Tb.fault_producers) trace);
-        translated_override = None;
-        injected = `None;
-        prov = r.Emitter.prov;
-        hot = 0;
-        region_ids = Array.of_list (List.map (fun (tb : Tb.t) -> tb.Tb.id) trace);
-      }
-    in
-    let m =
-      {
-        insns = [||];
-        origins = [||];
-        elide;
-        entry_conv = None;
-        exit_states = r.Emitter.exit_states;
-        first_flag_is_def = r.Emitter.first_flag_is_def;
-        rules_used = r.Emitter.rules_used;
+  (* a constituent without meta is unfusable *)
+  if List.compare_lengths chunks trace <> 0 then None
+  else
+    match
+      new_tb t cache (Array.of_list chunks)
         (* shadow verification replays straight-line blocks on the
            reference interpreter; a multi-path region is not one *)
-        shadowable = false;
-        hoists = 0;
-        chunks;
-      }
-    in
-    Hashtbl.replace t.metas region.Tb.id m;
-    let pages =
-      List.concat_map
-        (fun (tb : Tb.t) ->
-          let first = tb.Tb.guest_pc lsr 12 in
-          let last = (tb.Tb.guest_pc + (4 * tb.Tb.guest_len) - 1) lsr 12 in
-          if first = last then [ first ] else [ first; last ])
-        trace
-      |> List.sort_uniq compare
-    in
-    Tb.Cache.add_region cache region ~pages;
-    (* Stale chained jumps into the head would keep bypassing the
-       region; force the next transfer there through dispatch. *)
-    Tb.Cache.unlink_target cache head;
-    record_statics t r;
-    let stats = Runtime.stats rt in
-    Stats.charge_tag stats X.Tag_glue
-      (Costs.region_form_per_guest_insn () * region.Tb.guest_len);
-    stats.Stats.regions_formed <- stats.Stats.regions_formed + 1;
-    Some region
+        ~shadowable:false ~privileged:head.Tb.privileged ~mmu_on:head.Tb.mmu_on
+        ~guest_insns:(Array.concat (List.map (fun (tb : Tb.t) -> tb.Tb.guest_insns) trace))
+        ~translated_override:None
+        ~region_ids:(Array.of_list (List.map (fun (tb : Tb.t) -> tb.Tb.id) trace))
+    with
+    | exception Tb.Tb_too_complex -> None
+    | _, region ->
+      let pages =
+        List.concat_map
+          (fun (tb : Tb.t) ->
+            let first = tb.Tb.guest_pc lsr 12 in
+            let last = (tb.Tb.guest_pc + (4 * tb.Tb.guest_len) - 1) lsr 12 in
+            if first = last then [ first ] else [ first; last ])
+          trace
+        |> List.sort_uniq compare
+      in
+      Tb.Cache.add_region cache region ~pages;
+      (* Stale chained jumps into the head would keep bypassing the
+         region; force the next transfer there through dispatch. *)
+      Tb.Cache.unlink_target cache head;
+      let stats = Runtime.stats rt in
+      Stats.charge_tag stats X.Tag_glue
+        (Costs.region_form_per_guest_insn () * region.Tb.guest_len);
+      stats.Stats.regions_formed <- stats.Stats.regions_formed + 1;
+      Some region
 
 (* The engine's [on_hot] hook: select the trace, then fuse. *)
 let form_region t (rt : Runtime.t) cache (head : Tb.t) =
@@ -733,13 +697,14 @@ let form_region t (rt : Runtime.t) cache (head : Tb.t) =
     let can_interior (tb : Tb.t) =
       match Hashtbl.find_opt t.metas tb.Tb.id with
       | None -> false
-      | Some m ->
-        let n = Array.length m.insns in
+      | Some { chunks = [| { Emitter.insns; _ } |]; _ } ->
+        let n = Array.length insns in
         n > 0
         &&
-        (match m.insns.(n - 1).A.op with
+        (match insns.(n - 1).A.op with
         | A.B _ -> true
-        | _ -> not (Array.exists is_ender m.insns))
+        | _ -> not (Array.exists is_ender insns))
+      | Some _ -> false
     in
     (* Hottest linked direct successor; first slot wins ties so the
        choice is deterministic under snapshot replay. *)
@@ -885,7 +850,6 @@ let on_enter t (rt : Runtime.t) (tb : Tb.t) =
 
 let stats_rule_covered t = t.rule_covered
 let stats_fallback t = t.fallback
-let stats_inter_tb_elisions t = t.inter_tb_elisions
 let blacklist_size t = Hashtbl.length t.blacklist
 
 (* ---------- snapshot support ----------

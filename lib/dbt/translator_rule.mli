@@ -49,7 +49,7 @@ val form_region :
 (** The engine's [on_hot] hook: walk the hot TB's hottest chain of
     direct successors (stopping at loop closure, a regime change, an
     unfusable block or the length cap), fuse the trace into one
-    superblock via {!Emitter.emit_region}, install it over the head PC
+    superblock via {!Emitter.emit}, install it over the head PC
     and unlink stale chained jumps into the head. [None] when no
     fusable trace of at least two chunks exists — the TB simply keeps
     running unfused. *)
@@ -85,7 +85,6 @@ val schedule : opt:Opt.t -> Repro_arm.Insn.t array -> Repro_arm.Insn.t array
 
 val stats_rule_covered : t -> int
 val stats_fallback : t -> int
-val stats_inter_tb_elisions : t -> int
 
 val blacklist_size : t -> int
 (** Guest PCs permanently routed to the baseline translator. *)

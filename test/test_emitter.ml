@@ -9,9 +9,16 @@ module Prog = Repro_x86.Prog
 
 let ruleset = lazy (Repro_rules.Builtin.ruleset ())
 
-let emit ?(opt = D.Opt.full) ?elide ?entry_conv insns =
-  D.Emitter.emit ~opt ~ruleset:(Lazy.force ruleset) ~privileged:false ~tb_pc:0
-    ~insns:(Array.of_list insns) ?elide_flag_save:elide ?entry_conv ()
+(* [insns] as a plain TB at guest PC 0 or, given [tail] chunks
+   ([(pc, insns)] in execution order), as the head chunk of a region. *)
+let emit ?(opt = D.Opt.full) ?elide ?entry_conv ?(tail = []) insns =
+  let chunk (pc, insns) =
+    let insns = Array.of_list insns in
+    { D.Emitter.pc; insns; origins = Array.mapi (fun i _ -> i) insns; hoists = 0 }
+  in
+  D.Emitter.emit ~opt ~ruleset:(Lazy.force ruleset) ~privileged:false
+    ~chunks:(Array.of_list (List.map chunk ((0, insns) :: tail)))
+    ?elide_flag_save:elide ?entry_conv ()
 
 let count_in prog p = Array.fold_left (fun n i -> if p i then n + 1 else n) 0 prog.Prog.code
 
@@ -170,7 +177,12 @@ let test_sched_irq_moves_check () =
   Alcotest.(check bool) "check at head without scheduling" true
     (poll without.D.Emitter.prog < first_insn without.D.Emitter.prog);
   Alcotest.(check bool) "check moved into the block with scheduling" true
-    (poll with_sched.D.Emitter.prog > first_insn with_sched.D.Emitter.prog)
+    (poll with_sched.D.Emitter.prog > first_insn with_sched.D.Emitter.prog);
+  (* a region checks once, at its head, even when its head chunk alone
+     would schedule the check mid-body *)
+  let region = emit ~opt:D.Opt.full ~tail:[ (12, block) ] block in
+  Alcotest.(check bool) "check at the head of a region" true
+    (poll region.D.Emitter.prog < first_insn region.D.Emitter.prog)
 
 let test_inline_mmu_has_no_helper_on_fast_path () =
   let block =
@@ -192,6 +204,59 @@ let test_inline_mmu_has_no_helper_on_fast_path () =
   Alcotest.(check bool) "inline path probes the TLB" true
     (tlb_ops inline.D.Emitter.prog >= 2)
 
+(* ---------- multi-chunk (region) emission ---------- *)
+
+let irq_polls prog = count_in prog (function X.Count X.Cnt_irq_poll -> true | _ -> false)
+
+let region_credit (r : D.Emitter.result) =
+  r.D.Emitter.prov.((2 * Repro_observe.Ledger.(pass_index Region)) + 1)
+
+let exits_to r pc =
+  Array.fold_left
+    (fun n k -> if k = Repro_tcg.Tb.Direct pc then n + 1 else n)
+    0 r.D.Emitter.exits
+
+(* Two contiguous chunks: the first falls through into the second with
+   no exit between them, one interrupt check guards both, and the
+   removed seam is credited to the Region pass. A gap at the seam makes
+   the trace unfusable. *)
+let test_region_contiguous_seam () =
+  let first = assemble (fun a -> Asm.cmp a 0 5; Asm.add a 1 1 1) in
+  let second = assemble (fun a -> Asm.add a 2 2 1; Asm.branch_to a "n"; Asm.label a "n") in
+  let r = emit ~tail:[ (8, second) ] first in
+  Alcotest.(check int) "one interrupt check" 1 (irq_polls r.D.Emitter.prog);
+  Alcotest.(check int) "no exit at the seam" 0 (exits_to r 8);
+  Alcotest.(check int) "region exit file" Repro_tcg.Tb.region_exit_slots
+    (Array.length r.D.Emitter.exits);
+  Alcotest.(check bool) "seam credited to Region" true (region_credit r > 0);
+  Alcotest.(check bool) "a plain TB credits no Region saving" true
+    (region_credit (emit first) = 0);
+  Alcotest.check_raises "fall-through PC is not the next chunk" Repro_tcg.Tb.Tb_too_complex
+    (fun () -> ignore (emit ~tail:[ (0x100, second) ] first))
+
+(* A conditional B seam continues into the next chunk along whichever
+   direction it starts at, and keeps one side exit for the other. *)
+let test_region_conditional_seam () =
+  (* cmp; bne 12 — the nop only places the target past the fall-through *)
+  let branch =
+    assemble (fun a ->
+        Asm.cmp a 0 5;
+        Asm.branch_to a ~cond:Cond.NE "t";
+        Asm.nop a;
+        Asm.label a "t")
+    |> List.filteri (fun i _ -> i < 2)
+  in
+  let tail = assemble (fun a -> Asm.add a 2 2 1; Asm.branch_to a "n"; Asm.label a "n") in
+  let taken = emit ~tail:[ (12, tail) ] branch in
+  Alcotest.(check int) "taken seam: one side exit to the fall-through" 1 (exits_to taken 8);
+  Alcotest.(check int) "taken seam: no exit to the next chunk" 0 (exits_to taken 12);
+  let fall = emit ~tail:[ (8, tail) ] branch in
+  Alcotest.(check int) "fall-through seam: one side exit to the target" 1 (exits_to fall 12);
+  Alcotest.(check int) "fall-through seam: no exit to the next chunk" 0 (exits_to fall 8);
+  List.iter
+    (fun r -> Alcotest.(check int) "one interrupt check" 1 (irq_polls r.D.Emitter.prog))
+    [ taken; fall ]
+
 let suite =
   [
     ( "emitter",
@@ -207,5 +272,7 @@ let suite =
         Alcotest.test_case "III-D-2 moves the check" `Quick test_sched_irq_moves_check;
         Alcotest.test_case "inline mmu probes inline" `Quick
           test_inline_mmu_has_no_helper_on_fast_path;
+        Alcotest.test_case "region: contiguous seam" `Quick test_region_contiguous_seam;
+        Alcotest.test_case "region: conditional B seam" `Quick test_region_conditional_seam;
       ] );
   ]
