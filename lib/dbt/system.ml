@@ -741,7 +741,8 @@ let snapshot_injector snap =
     let d = Snapshot.Dec.of_string ~name:"inject" payload in
     Some (Fi.of_export (Snapshot.Dec.i64_array d))
 
-let snapshot_ram_kib snap = String.length (Snapshot.find snap "ram") / 1024
+let snapshot_ram_kib snap =
+  Repro_common.Pages.length (Snapshot.ram_pages snap) / 1024
 
 let snapshot_clean snap =
   (* Clean = usable as a watchdog/restart rollback target: either the
@@ -1158,8 +1159,9 @@ let postmortem_dump t ~reason =
   match t.last_checkpoint with
   | None -> None
   | Some cp ->
-    (* fresh copy: the stored checkpoint stays reusable *)
-    let dump = Snapshot.of_string (Snapshot.to_string cp) in
+    (* a copy of the section list: the stored checkpoint stays
+       reusable, and its payloads are immutable, so they are shared *)
+    let dump = Snapshot.copy cp in
     Snapshot.add dump "expected" (Journal.to_string t.journal);
     Snapshot.add dump "reason" reason;
     (* Where was the time going when it died? The hot-block table is

@@ -1,4 +1,4 @@
-
+module Pages = Repro_common.Pages
 
 let timer_base = 0xF000_0000
 let uart_base = 0xF000_1000
@@ -8,6 +8,7 @@ let device_window_end = 0xF000_3000
 
 type t = {
   ram : Bytes.t;
+  dirty : Bytes.t;
   timer : Devices.Timer.t;
   uart : Devices.Uart.t;
   syscon : Devices.Syscon.t;
@@ -15,9 +16,10 @@ type t = {
   mutable device_read_hook : (int -> int -> unit) option;
 }
 
-let create ~ram =
+let create ~ram ~dirty =
   {
     ram;
+    dirty;
     timer = Devices.Timer.create ();
     uart = Devices.Uart.create ();
     syscon = Devices.Syscon.create ();
@@ -73,6 +75,8 @@ let write32 t paddr v =
     Bytes.set t.ram (paddr + 1) (Char.chr ((v lsr 8) land 0xFF));
     Bytes.set t.ram (paddr + 2) (Char.chr ((v lsr 16) land 0xFF));
     Bytes.set t.ram (paddr + 3) (Char.chr ((v lsr 24) land 0xFF));
+    Pages.mark t.dirty paddr;
+    Pages.mark t.dirty (paddr + 3);
     Ok ()
   end
   else
@@ -94,7 +98,11 @@ let read8 t paddr =
 let write8 t paddr v =
   if in_ram t paddr 1 then
     if bus_fault t Repro_faultinject.Faultinject.Bus_write then Error ()
-    else Ok (Bytes.set t.ram paddr (Char.chr (v land 0xFF)))
+    else begin
+      Bytes.set t.ram paddr (Char.chr (v land 0xFF));
+      Pages.mark t.dirty paddr;
+      Ok ()
+    end
   else if paddr >= device_window && paddr < device_window_end then
     write32 t (paddr land lnot 3 land 0xFFFFFFFF) (v land 0xFF)
   else Error ()

@@ -12,6 +12,9 @@ val syscon_base : Word32.t
 
 type t = {
   ram : Bytes.t;
+  dirty : Bytes.t;
+      (** The {!Pages} bitmap of [ram]; RAM writes through the bus mark
+          the page of their first and of their last byte. *)
   timer : Devices.Timer.t;
   uart : Devices.Uart.t;
   syscon : Devices.Syscon.t;
@@ -26,7 +29,10 @@ type t = {
           timestamps. Transient run state, never serialized. *)
 }
 
-val create : ram:Bytes.t -> t
+val create : ram:Bytes.t -> dirty:Bytes.t -> t
+(** [dirty] is [ram]'s page bitmap ({!Pages.bitmap}), shared with
+    whoever else writes [ram]. *)
+
 val ram_size : t -> int
 
 val is_ram : t -> Word32.t -> bool

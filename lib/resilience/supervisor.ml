@@ -160,6 +160,11 @@ let arm t ~request ~attempt =
     Fi.reseed inj ~seed:(salt (Fi.Plan.machine_seed plan t.id) ~request ~attempt)
   | _ -> ()
 
+let fired_now t =
+  match t.machine.D.System.rt.T.Runtime.inject with
+  | Some inj -> Fi.total_fired inj
+  | None -> 0
+
 let classify_postmortem reason =
   if String.length reason >= 8 && String.sub reason 0 8 = "livelock" then
     Health.Watchdog_recovered
@@ -231,10 +236,17 @@ let serve ?reference t ~request () =
           emit_m t ~a:request ~b:attempt Trace.Fleet "restart"
         end;
         emit_m t ~a:request ~b:attempt Trace.Request "req:begin";
+        (* A checkpoint taken after a fault fired may already hold its
+           damage (a guest sent into its abort handler, a corrupted
+           store), and every retry from it would replay that. Only
+           checkpoints no fault of this attempt has touched become
+           restart points. *)
+        let fired = fired_now t in
         D.System.run ~deadline:deadline_abs
           ~checkpoint_every:t.policy.checkpoint_every
           ~on_checkpoint:(fun snap ->
-            if D.System.snapshot_clean snap then restart_point := Some snap)
+            if D.System.snapshot_clean snap && fired_now t = fired then
+              restart_point := Some snap)
           ~on_postmortem:(fun ~reason _dump ->
             ignore (Health.note t.health (classify_postmortem reason)))
           t.machine

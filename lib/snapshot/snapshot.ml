@@ -11,6 +11,7 @@ module Bus = Repro_machine.Bus
 module Devices = Repro_machine.Devices
 module Tlb = Repro_mmu.Mmu.Tlb
 module Fi = Repro_faultinject.Faultinject
+module Pages = Repro_common.Pages
 
 let magic = "DBTSNAP\x01"
 let format_version = 2
@@ -23,12 +24,16 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 let load_error section fmt =
   Printf.ksprintf (fun reason -> raise (Load_error { section; reason })) fmt
 
-let fnv1a32 s =
-  let h = ref 0x811c9dc5 in
+let fnv_basis = 0x811c9dc5
+
+let fnv_fold h s =
+  let h = ref h in
   String.iter
     (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFF_FFFF)
     s;
   !h
+
+let fnv1a32 s = fnv_fold fnv_basis s
 
 module Enc = struct
   type t = Buffer.t
@@ -89,16 +94,31 @@ end
 
 (* ---- the section container ---- *)
 
-type t = { mutable sections : (string * string) list (* reversed *) }
+(* RAM is kept as pages so checkpoints can share the ones that did not
+   change; every other section is one string. *)
+type payload = Whole of string | Paged of string array
+
+let ram_section = "ram"
+
+let materialize = function
+  | Whole s -> s
+  | Paged ps -> String.concat "" (Array.to_list ps)
+
+type t = { mutable sections : (string * payload) list (* reversed *) }
 
 let create () = { sections = [] }
+let copy t = { sections = t.sections }
 
-let add t name payload =
+let add_payload t name payload =
   if List.mem_assoc name t.sections then
     invalid_arg (Printf.sprintf "Snapshot.add: duplicate section %s" name);
   t.sections <- (name, payload) :: t.sections
 
-let find_opt t name = List.assoc_opt name t.sections
+let add t name payload =
+  add_payload t name
+    (if name = ram_section then Paged (Pages.split payload) else Whole payload)
+
+let find_opt t name = Option.map materialize (List.assoc_opt name t.sections)
 
 let find t name =
   match find_opt t name with
@@ -108,6 +128,12 @@ let find t name =
 let mem t name = List.mem_assoc name t.sections
 let names t = List.rev_map fst t.sections
 
+let ram_pages t =
+  match List.assoc_opt ram_section t.sections with
+  | Some (Paged ps) -> ps
+  | Some (Whole _) -> assert false (* [add] splits the RAM section *)
+  | None -> corrupt "missing section %s" ram_section
+
 let to_string t =
   let body = Enc.create () in
   let ordered = List.rev t.sections in
@@ -115,10 +141,22 @@ let to_string t =
   List.iter
     (fun (name, payload) ->
       Enc.string body name;
-      Enc.string body payload;
       (* per-section checksum (format v2): a flipped bit is attributed
          to the section it corrupts, not just "somewhere in the body" *)
-      Enc.int body (fnv1a32 payload))
+      let sum =
+        match payload with
+        | Whole s ->
+          Enc.string body s;
+          fnv1a32 s
+        | Paged ps ->
+          Enc.int body (Pages.length ps);
+          Array.fold_left
+            (fun h p ->
+              Buffer.add_string body p;
+              fnv_fold h p)
+            fnv_basis ps
+      in
+      Enc.int body sum)
     ordered;
   let body = Enc.contents body in
   let out = Buffer.create (String.length body + 24) in
@@ -205,6 +243,40 @@ let dec_ints name payload =
   if not (Dec.finished d) then corrupt "%s: trailing bytes" name;
   a
 
+(* RAM pages. Every page [ctx.dirty] does not mark holds exactly its
+   [ctx.sync] string, so a capture copies only the marked pages and
+   shares the rest with [sync], and a restore of any page array —
+   older than the last capture, or from another machine — rewrites
+   only the pages that are marked or whose string differs physically
+   from [sync]'s. Either way the result becomes [sync] and the bitmap
+   is cleared. *)
+let capture_ram (ctx : Exec.t) =
+  let pages =
+    Array.mapi
+      (fun i page ->
+        if Pages.is_dirty ctx.Exec.dirty i then
+          Bytes.sub_string ctx.Exec.ram (i lsl Pages.bits)
+            (String.length page)
+        else page)
+      ctx.Exec.sync
+  in
+  ctx.Exec.sync <- pages;
+  Pages.clear ctx.Exec.dirty;
+  pages
+
+let restore_ram (ctx : Exec.t) pages =
+  let have = Pages.length pages in
+  if have <> Bytes.length ctx.Exec.ram then
+    corrupt "ram: %d bytes, machine has %d" have (Bytes.length ctx.Exec.ram);
+  Array.iteri
+    (fun i page ->
+      if Pages.is_dirty ctx.Exec.dirty i || page != ctx.Exec.sync.(i) then
+        Bytes.blit_string page 0 ctx.Exec.ram (i lsl Pages.bits)
+          (String.length page))
+    pages;
+  ctx.Exec.sync <- pages;
+  Pages.clear ctx.Exec.dirty
+
 let capture_machine (rt : Rt.t) t =
   let ctx = rt.Rt.ctx in
   add t "cpu" (ints (Cpu.save_words rt.Rt.cpu));
@@ -217,7 +289,7 @@ let capture_machine (rt : Rt.t) t =
   Enc.bool host ctx.Exec.o_f;
   Enc.int host ctx.Exec.poison_counter;
   add t "host" (Enc.contents host);
-  add t "ram" (Bytes.to_string ctx.Exec.ram);
+  add_payload t ram_section (Paged (capture_ram ctx));
   add t "tlb" (ints (Tlb.save ctx.Exec.tlb));
   add t "timer" (ints (Devices.Timer.export rt.Rt.bus.Bus.timer));
   let uart = Enc.create () in
@@ -259,11 +331,7 @@ let restore_machine (rt : Rt.t) t =
   ctx.Exec.o_f <- Dec.bool host;
   ctx.Exec.poison_counter <- Dec.int host;
   if not (Dec.finished host) then corrupt "host: trailing bytes";
-  let ram = find t "ram" in
-  if String.length ram <> Bytes.length ctx.Exec.ram then
-    corrupt "ram: %d bytes, machine has %d" (String.length ram)
-      (Bytes.length ctx.Exec.ram);
-  Bytes.blit_string ram 0 ctx.Exec.ram 0 (String.length ram);
+  restore_ram ctx (ram_pages t);
   (try Tlb.restore ctx.Exec.tlb (dec_ints "tlb" (find t "tlb"))
    with Invalid_argument e -> corrupt "tlb: %s" e);
   (try Devices.Timer.import rt.Rt.bus.Bus.timer (dec_ints "timer" (find t "timer"))

@@ -67,30 +67,49 @@ module Dec : sig
   (** All input consumed — decoders should end on [true]. *)
 end
 
-(** {2 The section container} *)
+(** {2 The section container}
+
+    In memory the ["ram"] section is an array of immutable 4 KiB page
+    strings ({!Repro_common.Pages}); every other section is one
+    string. A checkpoint shares each page it did not need to copy with
+    the checkpoint before it, so holding many checkpoints of one
+    machine costs the pages that changed between them, not a RAM image
+    each. The serialized form does not know about pages: the ["ram"]
+    payload is the pages concatenated. *)
 
 type t
 
 val create : unit -> t
 
+val copy : t -> t
+(** A container with the same sections; adding to either leaves the
+    other as it was. Payloads are immutable and shared, so this costs
+    nothing per byte. *)
+
 val add : t -> string -> string -> unit
-(** Append section [name] with the given payload. Raises
-    [Invalid_argument] on a duplicate name. *)
+(** Append section [name] with the given payload (a ["ram"] payload is
+    cut into pages). Raises [Invalid_argument] on a duplicate name. *)
 
 val find : t -> string -> string
-(** Raises {!Corrupt} when the section is absent. *)
+(** Raises {!Corrupt} when the section is absent. The ["ram"] section
+    comes back as one string built from its pages. *)
 
 val find_opt : t -> string -> string option
 val mem : t -> string -> bool
 val names : t -> string list
+
+val ram_pages : t -> string array
+(** The ["ram"] section's pages, shared, not copied — never mutate
+    them. Raises {!Corrupt} when the section is absent. *)
 
 val to_string : t -> string
 (** Serialize to the checksummed container format. *)
 
 val of_string : string -> t
 (** Parse and validate magic, version, every per-section checksum and
-    the whole-body checksum. Raises {!Load_error} (and nothing else)
-    on any failure, naming the damaged section. *)
+    the whole-body checksum, and cut the ["ram"] payload into pages.
+    Raises {!Load_error} (and nothing else) on any failure, naming the
+    damaged section. *)
 
 val save_file : string -> t -> unit
 (** Crash-atomic: write-to-temp + fsync + rename
@@ -110,15 +129,22 @@ val load_file : string -> t
     and the statistics block. *)
 
 val capture_machine : Repro_tcg.Runtime.t -> t -> unit
-(** Append the machine-core sections to [t]. *)
+(** Append the machine-core sections to [t]. RAM costs only the pages
+    written since the machine's last capture or restore
+    ([Exec.dirty]); the rest are shared with that snapshot
+    ([Exec.sync]), which the new one replaces. *)
 
 val restore_machine : Repro_tcg.Runtime.t -> t -> unit
 (** Write a capture back into a machine created with the same shape
-    (RAM size, injector presence). Engine-transient runtime fields
-    (pending code write, TB override, fault producers) are reset to
-    their between-TB defaults. Raises {!Corrupt} on shape mismatch —
-    including a snapshot that carries injector state restored into a
-    machine without an injector, or vice versa. *)
+    (RAM size, injector presence). Any snapshot may be restored — an
+    older one, or one from another machine or a file: a RAM page is
+    rewritten only when the machine dirtied it or its [Exec.sync]
+    page is not physically the snapshot's, and the snapshot's pages
+    become [Exec.sync]. Engine-transient runtime fields (pending code
+    write, TB override, fault producers) are reset to their between-TB
+    defaults. Raises {!Corrupt} on shape mismatch — including a
+    snapshot that carries injector state restored into a machine
+    without an injector, or vice versa. *)
 
 (** {2 Checksum} *)
 

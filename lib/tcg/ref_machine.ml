@@ -8,7 +8,7 @@ type t = { cpu : Cpu.t; bus : Bus.t; mem : Repro_arm.Mem.iface }
 
 let create ?(ram_kib = 4096) () =
   let ram = Bytes.make (ram_kib * 1024) '\000' in
-  let bus = Bus.create ~ram in
+  let bus = Bus.create ~ram ~dirty:(Pages.bitmap (Bytes.length ram)) in
   let cpu = Cpu.create () in
   let mem = Mmu.iface bus cpu in
   { cpu; bus; mem }

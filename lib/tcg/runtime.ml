@@ -45,7 +45,7 @@ let create ?(ram_kib = 4096) ?inject ?trace ?ledger ?scope () =
           ctx.Exec.stats.Repro_x86.Stats.guest_insns)
   | None -> ());
   Mmu.Tlb.flush ctx.Exec.tlb;
-  let bus = Bus.create ~ram:ctx.Exec.ram in
+  let bus = Bus.create ~ram:ctx.Exec.ram ~dirty:ctx.Exec.dirty in
   let cpu = Cpu.create () in
   let mem = Mmu.iface ?inject bus cpu in
   (* cp15 c8 writes must drop stale softMMU entries. *)

@@ -8,6 +8,8 @@ type t = {
   mutable o_f : bool;
   env : int array;
   ram : Bytes.t;
+  dirty : Bytes.t;
+  mutable sync : string array;
   tlb : int array;
   stats : Stats.t;
   mutable helper : t -> int -> int;
@@ -26,6 +28,8 @@ let create ?(env_slots = 64) ?(ram_size = 1 lsl 20) ?(tlb_words = 768) () =
     o_f = false;
     env = Array.make env_slots 0;
     ram = Bytes.make ram_size '\000';
+    dirty = Pages.bitmap ram_size;
+    sync = Pages.zero ram_size;
     tlb = Array.make tlb_words 0;
     stats = Stats.create ();
     helper = (fun _ _ -> failwith "Exec: no helper dispatcher installed");
@@ -44,21 +48,30 @@ let set_flags_word t w =
 
 let read_ram32 t addr = Int32.to_int (Bytes.get_int32_le t.ram addr) land 0xFFFF_FFFF
 
+(* Every RAM write marks its pages dirty once it has succeeded; a
+   multi-byte write marks the page of its first and of its last byte. *)
 let write_ram32 t addr v =
   Bytes.set t.ram addr (Char.chr (v land 0xFF));
   Bytes.set t.ram (addr + 1) (Char.chr ((v lsr 8) land 0xFF));
   Bytes.set t.ram (addr + 2) (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set t.ram (addr + 3) (Char.chr ((v lsr 24) land 0xFF))
+  Bytes.set t.ram (addr + 3) (Char.chr ((v lsr 24) land 0xFF));
+  Pages.mark t.dirty addr;
+  Pages.mark t.dirty (addr + 3)
 
 let read_ram8 t addr = Char.code (Bytes.get t.ram addr)
-let write_ram8 t addr v = Bytes.set t.ram addr (Char.chr (v land 0xFF))
+
+let write_ram8 t addr v =
+  Bytes.set t.ram addr (Char.chr (v land 0xFF));
+  Pages.mark t.dirty addr
 
 let read_ram16 t addr =
   Char.code (Bytes.get t.ram addr) lor (Char.code (Bytes.get t.ram (addr + 1)) lsl 8)
 
 let write_ram16 t addr v =
   Bytes.set t.ram addr (Char.chr (v land 0xFF));
-  Bytes.set t.ram (addr + 1) (Char.chr ((v lsr 8) land 0xFF))
+  Bytes.set t.ram (addr + 1) (Char.chr ((v lsr 8) land 0xFF));
+  Pages.mark t.dirty addr;
+  Pages.mark t.dirty (addr + 1)
 
 (* Deterministic, obviously-wrong values: coordination bugs surface as
    0xBAD... register contents in differential tests. *)

@@ -29,6 +29,16 @@ type t = {
   mutable o_f : bool;
   env : int array;
   ram : Bytes.t;
+  dirty : Bytes.t;
+      (** {!Repro_common.Pages} bitmap of the [ram] pages written since
+          [sync] was last brought up to date. Every RAM writer marks
+          it — the [write_ram*] functions and the bus, which shares
+          [ram] and [dirty]. *)
+  mutable sync : string array;
+      (** The pages of the checkpoint [ram] last matched: every page
+          not marked in [dirty] holds exactly its [sync] string.
+          Starts as the zero pages. Only checkpoint capture and
+          restore move it. *)
   tlb : int array;
   stats : Stats.t;
   mutable helper : t -> int -> int;

@@ -34,7 +34,9 @@ let test_syscon_halt () =
   Alcotest.(check (option int)) "halted" (Some 42) (Devices.Syscon.halted s)
 
 let test_bus_dispatch () =
-  let bus = Bus.create ~ram:(Bytes.make 4096 '\000') in
+  let bus =
+    Bus.create ~ram:(Bytes.make 4096 '\000') ~dirty:(Repro_common.Pages.bitmap 4096)
+  in
   (match Bus.write32 bus 0x100 0xCAFE with Ok () -> () | Error () -> Alcotest.fail "ram");
   (match Bus.read32 bus 0x100 with
   | Ok v -> Alcotest.(check int) "ram readback" 0xCAFE v

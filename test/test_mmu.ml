@@ -5,7 +5,9 @@ module Mem = Repro_arm.Mem
 (* Direct unit tests of the page-table walker and the TLB structure
    shared with DBT-emitted code. *)
 
-let make_bus () = Bus.create ~ram:(Bytes.make (1 lsl 20) '\000')
+let make_bus () =
+  Bus.create ~ram:(Bytes.make (1 lsl 20) '\000')
+    ~dirty:(Repro_common.Pages.bitmap (1 lsl 20))
 
 let write32 bus addr v =
   match Bus.write32 bus addr v with Ok () -> () | Error () -> Alcotest.fail "bus write"

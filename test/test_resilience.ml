@@ -14,26 +14,29 @@ module Parfleet = Repro_parallel.Parfleet
 let target = 60_000
 let warm = 4_000
 
+(* A gcc build of [target] insns booted fault-free to [warm] insns and
+   snapshotted: the base every fleet machine serves from. *)
+let warm_base ~warm =
+  let spec = W.find "gcc" in
+  let iters = max 1 (target / W.insns_per_iteration spec) in
+  let user = W.generate spec ~iterations:iters in
+  let image = K.build ~timer_period:5_000 ~user_program:user () in
+  let inject = Fi.create ~seed:1 ~rate:0.0 ~behavior:Fi.Surface () in
+  let sys =
+    D.System.create ~inject ~shadow_depth:4 ~quarantine_threshold:2
+      (D.System.Rules D.Opt.full)
+  in
+  K.load image (fun b words -> D.System.load_image sys b words);
+  match
+    (D.System.run ~max_guest_insns:warm ~checkpoint_every:warm sys)
+      .T.Engine.reason
+  with
+  | `Insn_limit -> D.System.snapshot sys
+  | _ -> Alcotest.fail "warm boot did not reach the instruction limit"
+
 (* One warm base snapshot shared by every test (building it runs the
    boot + warm phase once; tests only restore). *)
-let base =
-  lazy
-    (let spec = W.find "gcc" in
-     let iters = max 1 (target / W.insns_per_iteration spec) in
-     let user = W.generate spec ~iterations:iters in
-     let image = K.build ~timer_period:5_000 ~user_program:user () in
-     let inject = Fi.create ~seed:1 ~rate:0.0 ~behavior:Fi.Surface () in
-     let sys =
-       D.System.create ~inject ~shadow_depth:4 ~quarantine_threshold:2
-         (D.System.Rules D.Opt.full)
-     in
-     K.load image (fun b words -> D.System.load_image sys b words);
-     match
-       (D.System.run ~max_guest_insns:warm ~checkpoint_every:warm sys)
-         .T.Engine.reason
-     with
-     | `Insn_limit -> D.System.snapshot sys
-     | _ -> Alcotest.fail "warm boot did not reach the instruction limit")
+let base = lazy (warm_base ~warm)
 
 let policy =
   {
@@ -236,6 +239,42 @@ let test_fleet_admission_control () =
   Alcotest.(check int) "shed counted" 1 (Res.Fleet.shed f);
   Alcotest.(check int) "alive count sees the death" 1 (Res.Fleet.alive_count f)
 
+(* Plan 2569 of the benchmark's fleet workload (its base, rates and
+   policy): a bus-read fault sends the faulty machine's guest into the
+   data-abort panic, and the clean checkpoint taken just after it must
+   not become the restart point, or every retry replays the panic
+   until the machine dies. *)
+let test_restart_point_untouched () =
+  let policy =
+    {
+      policy with
+      Res.Supervisor.checkpoint_every = 2_000;
+      retry_budget = 8;
+      shadow_depth = 4;
+    }
+  in
+  let plan =
+    Fi.Plan.make ~seed:2569 ~machines:4 ~faulty:1
+      [
+        (Fi.Bus_read, 0.00005);
+        (Fi.Bus_write, 0.00005);
+        (Fi.Tb_flush, 0.00005);
+        (Fi.Rule_corrupt, 0.002);
+      ]
+  in
+  let f =
+    Res.Fleet.create ~plan
+      ~config:{ Res.Fleet.machines = 4; min_healthy = 1; policy }
+      (warm_base ~warm:20_000)
+  in
+  Parfleet.run f ~domains:1 ~requests:8;
+  Alcotest.(check bool) "the faulty machine restarted" true
+    (Res.Fleet.restarts f > 0);
+  Alcotest.(check int) "every request served" 8 (Res.Fleet.served_ok f);
+  Alcotest.(check int) "no machine died" 4 (Res.Fleet.alive_count f);
+  Alcotest.(check bool) "survivors reproduce the fault-free reference" true
+    (Res.Fleet.final_verify f)
+
 let suite =
   [
     ( "resilience",
@@ -257,5 +296,7 @@ let suite =
           test_fleet_breaker_broadcast;
         Alcotest.test_case "fleet: admission control sheds under-strength" `Slow
           test_fleet_admission_control;
+        Alcotest.test_case "fleet: restart points no fault has touched" `Slow
+          test_restart_point_untouched;
       ] );
   ]

@@ -505,6 +505,186 @@ let test_postmortem_profile_determinism () =
   Alcotest.(check (list string))
     "post-mortem profile sections byte-identical across repeats" s1 s2
 
+(* ---- page-shared RAM --------------------------------------------- *)
+
+module Pages = Repro_common.Pages
+
+let ram_of rt = rt.T.Runtime.ctx.Exec.ram
+
+(* The machine-core capture of a bare runtime. *)
+let capture_rt rt =
+  let snap = Snapshot.create () in
+  Snapshot.capture_machine rt snap;
+  snap
+
+(* The page invariant every capture and restore relies on: a page the
+   dirty bitmap does not mark holds exactly its [sync] string. *)
+let check_clean_pages msg (ctx : Exec.t) =
+  Array.iteri
+    (fun i page ->
+      if not (Pages.is_dirty ctx.Exec.dirty i) then
+        if Bytes.sub_string ctx.Exec.ram (i * Pages.size) (String.length page) <> page
+        then Alcotest.failf "%s: clean page %d differs from its sync page" msg i)
+    ctx.Exec.sync
+
+(* Stores that straddle a page boundary must mark both pages, or a
+   capture shares the second page's stale string and a restore of it
+   loses the bytes. *)
+let test_straddling_writes () =
+  let rt = T.Runtime.create () in
+  let ctx = rt.T.Runtime.ctx and bus = rt.T.Runtime.bus in
+  let before = capture_rt rt in
+  Exec.write_ram32 ctx 0x0FFE 0xAABBCCDD;
+  Exec.write_ram16 ctx 0x2FFF 0xEEFF;
+  (match Repro_machine.Bus.write32 bus 0x4FFE 0x11223344 with
+  | Ok () -> ()
+  | Error () -> Alcotest.fail "bus write to RAM failed");
+  (match Repro_machine.Bus.write8 bus 0x6FFF 0x55 with
+  | Ok () -> ()
+  | Error () -> Alcotest.fail "bus write to RAM failed");
+  let expected = Bytes.to_string (ram_of rt) in
+  let after = capture_rt rt in
+  Alcotest.(check string) "capture holds every written byte" expected
+    (Snapshot.find after "ram");
+  let changed =
+    List.filter
+      (fun i -> (Snapshot.ram_pages after).(i) != (Snapshot.ram_pages before).(i))
+      (List.init 1024 Fun.id)
+  in
+  Alcotest.(check (list int)) "the pages touched, first and last byte"
+    [ 0; 1; 2; 3; 4; 5; 6 ] changed;
+  Snapshot.restore_machine rt before;
+  Alcotest.(check string) "restore of the older capture zeroes them"
+    (Snapshot.find before "ram")
+    (Bytes.to_string (ram_of rt));
+  Snapshot.restore_machine rt after;
+  Alcotest.(check string) "restore of the newer capture brings them back"
+    expected
+    (Bytes.to_string (ram_of rt))
+
+(* The reference capture: RAM from a full copy of the machine's bytes,
+   every other section taken from [snap]. *)
+let full_copy_capture snap ram =
+  let r = Snapshot.create () in
+  List.iter
+    (fun name ->
+      Snapshot.add r name
+        (if name = "ram" then Bytes.to_string ram else Snapshot.find snap name))
+    (Snapshot.names snap);
+  r
+
+(* Random interleavings of guest runs (with checkpoints, and without
+   any, so restores meet dirty pages), captures and restores — to
+   older snapshots, into fresh machines, and once through a snapshot
+   whose TLB section fails after RAM is already written back. Page-shared
+   captures must serialize exactly as full copies would, and every
+   restore must leave RAM equal to the snapshot's. *)
+let test_page_sharing_oracle () =
+  let image = kernel_image () in
+  let mode = D.System.Rules D.Opt.full in
+  let sys = ref (make_sys mode image) in
+  let ram () = ram_of !sys.D.System.rt in
+  let pool = ref [] in
+  let keep snap =
+    Alcotest.(check string) "capture holds the RAM it was taken from"
+      (Bytes.to_string (ram ())) (Snapshot.find snap "ram");
+    pool := snap :: !pool
+  in
+  let check_restored what snap =
+    Alcotest.(check string) (what ^ ": RAM equals the snapshot's")
+      (Snapshot.find snap "ram")
+      (Bytes.to_string (ram ()))
+  in
+  let pick prng = List.nth !pool (Repro_common.Prng.int prng (List.length !pool)) in
+  let prng = Repro_common.Prng.create ~seed:23 in
+  let corrupt_done = ref false in
+  for step = 1 to 40 do
+    let what = Printf.sprintf "step %d" step in
+    (match if !pool = [] then 0 else Repro_common.Prng.int prng 7 with
+    | 5 ->
+      (* no checkpoint at all: the next restore meets dirty pages *)
+      ignore
+        (D.System.run ~watchdog:false
+           ~max_guest_insns:(500 + Repro_common.Prng.int prng 4_000)
+           !sys)
+    | 0 | 1 ->
+      let n = 500 + Repro_common.Prng.int prng 4_000 in
+      let res =
+        D.System.run ~max_guest_insns:n ~checkpoint_every:1_500 ~on_checkpoint:keep
+          !sys
+      in
+      if res.T.Engine.reason = `Insn_limit then keep (D.System.snapshot !sys)
+    | 2 ->
+      let snap = D.System.snapshot !sys in
+      Alcotest.(check string) (what ^ ": capture serializes as a full copy")
+        (Snapshot.to_string (full_copy_capture snap (ram ())))
+        (Snapshot.to_string snap);
+      if Snapshot.mem snap "resume" then pool := snap :: !pool
+    | 3 ->
+      let snap = pick prng in
+      D.System.restore !sys snap;
+      check_restored (what ^ " (older)") snap
+    | 4 ->
+      let snap = pick prng in
+      let fresh = D.System.create mode in
+      D.System.restore fresh snap;
+      sys := fresh;
+      check_restored (what ^ " (fresh machine)") snap
+    | _ ->
+      let snap = pick prng in
+      if not !corrupt_done then begin
+        corrupt_done := true;
+        let bad = Snapshot.create () in
+        List.iter
+          (fun name ->
+            Snapshot.add bad name
+              (if name = "tlb" then "\001" else Snapshot.find snap name))
+          (Snapshot.names snap);
+        (match D.System.restore !sys bad with
+        | () -> Alcotest.fail "a truncated tlb section restored"
+        | exception Snapshot.Corrupt _ -> ());
+        check_restored (what ^ " (failed at tlb)") snap
+      end;
+      D.System.restore !sys snap;
+      check_restored (what ^ " (after the failure)") snap);
+    check_clean_pages what !sys.D.System.rt.T.Runtime.ctx
+  done;
+  Alcotest.(check bool) "the corrupt restore ran" true !corrupt_done
+
+(* Checkpoint cost follows the pages written: after a restore, a
+   capture copies exactly the k pages dirtied since, and shares the
+   other 1024 - k with the restored snapshot. *)
+let test_capture_scales_with_dirty_pages () =
+  let rt = T.Runtime.create () in
+  let ctx = rt.T.Runtime.ctx in
+  for i = 0 to 1023 do
+    Exec.write_ram32 ctx ((i * Pages.size) + 8) (i + 1)
+  done;
+  let base = capture_rt rt in
+  let base_ram = Snapshot.find base "ram" in
+  List.iter
+    (fun k ->
+      Snapshot.restore_machine rt base;
+      let dirtied = List.init k (fun j -> (j * 389) mod 1024) in
+      List.iter (fun p -> Exec.write_ram8 ctx ((p * Pages.size) + 100) 0x5A) dirtied;
+      let snap = capture_rt rt in
+      let fresh =
+        List.filter
+          (fun i -> (Snapshot.ram_pages snap).(i) != (Snapshot.ram_pages base).(i))
+          (List.init 1024 Fun.id)
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "k = %d: new strings are exactly the dirtied pages" k)
+        (List.sort compare dirtied) fresh;
+      let again = capture_rt rt in
+      Alcotest.(check bool)
+        (Printf.sprintf "k = %d: a capture with no writes since copies nothing" k)
+        true
+        (Array.for_all2 ( == ) (Snapshot.ram_pages again) (Snapshot.ram_pages snap)))
+    [ 0; 1; 7; 100; 1024 ];
+  Alcotest.(check string) "the restored snapshot was never written"
+    base_ram (Snapshot.find base "ram")
+
 let suite =
   [
     ( "snapshot",
@@ -536,5 +716,11 @@ let suite =
           test_journal_roundtrip;
         Alcotest.test_case "post-mortem profiles deterministic across restore"
           `Quick test_postmortem_profile_determinism;
+        Alcotest.test_case "straddling writes mark both pages" `Quick
+          test_straddling_writes;
+        Alcotest.test_case "page-shared captures match full copies" `Quick
+          test_page_sharing_oracle;
+        Alcotest.test_case "capture copies only the dirtied pages" `Quick
+          test_capture_scales_with_dirty_pages;
       ] );
   ]
