@@ -2,7 +2,11 @@ type t = EQ | NE | CS | CC | MI | PL | VS | VC | HI | LS | GE | LT | GT | LE | A
 
 type flags = { n : bool; z : bool; c : bool; v : bool }
 
-let holds t { n; z; c; v } =
+let holds_word t w =
+  let n = w land 0x8000_0000 <> 0
+  and z = w land 0x4000_0000 <> 0
+  and c = w land 0x2000_0000 <> 0
+  and v = w land 0x1000_0000 <> 0 in
   match t with
   | EQ -> z
   | NE -> not z
@@ -106,3 +110,4 @@ let pp_flags ppf { n; z; c; v } =
   Format.fprintf ppf "%c%c%c%c" (ch n 'N') (ch z 'Z') (ch c 'C') (ch v 'V')
 
 let equal_flags a b = a = b
+let holds t f = holds_word t (flags_to_word f)

@@ -23,6 +23,10 @@ type flags = { n : bool; z : bool; c : bool; v : bool }
 val holds : t -> flags -> bool
 (** Whether the condition passes under the given flags. *)
 
+val holds_word : t -> Repro_common.Word32.t -> bool
+(** {!holds} over the NZCV bits (31..28) of a CPSR word, without
+    unpacking them into a {!flags} record. *)
+
 val negate : t -> t
 (** Logical negation; [negate AL] is [AL] (callers must not negate an
     unconditional instruction — asserted). *)

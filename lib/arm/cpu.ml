@@ -90,9 +90,8 @@ let get_pc t = t.regs.(15)
 let set_pc t v = t.regs.(15) <- Word32.mask v
 let get_flags t = Cond.flags_of_word t.cpsr
 
-let set_flags t f =
-  t.cpsr <- Word32.insert t.cpsr ~lo:28 ~len:4 (Word32.extract (Cond.flags_to_word f) ~lo:28 ~len:4)
-
+let set_nzcv t w = t.cpsr <- (t.cpsr land 0x0FFF_FFFF) lor (w land 0xF000_0000)
+let set_flags t f = set_nzcv t (Cond.flags_to_word f)
 let get_cpsr t = t.cpsr
 
 let switch_bank t ~from_mode ~to_mode =

@@ -33,6 +33,11 @@ val set_pc : t -> Word32.t -> unit
 
 val get_flags : t -> Cond.flags
 val set_flags : t -> Cond.flags -> unit
+
+val set_nzcv : t -> Word32.t -> unit
+(** Write CPSR bits 31..28 from the same bits of the word; the rest of
+    the word is ignored. *)
+
 val get_cpsr : t -> Word32.t
 val set_cpsr : t -> Word32.t -> unit
 (** Full write, including mode change (rebanks sp/lr). *)

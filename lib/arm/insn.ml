@@ -113,30 +113,32 @@ let imm_operand_exn value =
 
 (* Shift semantics shared by the interpreter and operand evaluation.
    [amount] is the effective shift count (may exceed 31 for
-   register-specified shifts). Returns value and carry-out. *)
-let apply_shift kind value amount ~carry =
-  if amount = 0 then (value, carry)
+   register-specified shifts). [shift_value] is the shifted value alone,
+   [apply_shift] adds the carry-out. *)
+let shift_value kind value amount =
+  if amount = 0 then value
   else
     match kind with
-    | LSL ->
-      if amount > 32 then (0, false)
-      else if amount = 32 then (0, Word32.bit value 0)
-      else (Word32.shift_left value amount, Word32.bit value (32 - amount))
-    | LSR ->
-      if amount > 32 then (0, false)
-      else if amount = 32 then (0, Word32.bit value 31)
-      else (Word32.shift_right_logical value amount, Word32.bit value (amount - 1))
+    | LSL -> if amount >= 32 then 0 else Word32.shift_left value amount
+    | LSR -> if amount >= 32 then 0 else Word32.shift_right_logical value amount
     | ASR ->
-      if amount >= 32 then
-        let bit31 = Word32.bit value 31 in
-        ((if bit31 then Word32.max_value else 0), bit31)
-      else (Word32.shift_right_arith value amount, Word32.bit value (amount - 1))
-    | ROR ->
-      let eff = amount land 31 in
-      if eff = 0 then (value, Word32.bit value 31)
-      else
-        let r = Word32.rotate_right value eff in
-        (r, Word32.bit r 31)
+      if amount < 32 then Word32.shift_right_arith value amount
+      else if Word32.bit value 31 then Word32.max_value
+      else 0
+    | ROR -> Word32.rotate_right value amount
+
+let apply_shift kind value amount ~carry =
+  let shifted = shift_value kind value amount in
+  let carry_out =
+    if amount = 0 then carry
+    else
+      match kind with
+      | LSL -> amount <= 32 && Word32.bit value (32 - amount)
+      | LSR -> amount <= 32 && Word32.bit value (amount - 1)
+      | ASR -> Word32.bit value (min amount 32 - 1)
+      | ROR -> Word32.bit shifted 31
+  in
+  (shifted, carry_out)
 
 let operand2_value op2 regs ~carry =
   match op2 with

@@ -54,6 +54,11 @@ val operand2_value : operand2 -> (reg -> int) -> carry:bool -> int * bool
 (** Evaluate an operand2 under a register valuation; returns the value
     and the shifter carry-out. *)
 
+val shift_value : shift_kind -> Repro_common.Word32.t -> int -> Repro_common.Word32.t
+(** [shift_value kind value amount]: the value half of operand
+    evaluation for a shift by an effective [amount] (which may exceed
+    31), without building a pair. *)
+
 type width = Word | Byte | Half
 
 type index_mode =

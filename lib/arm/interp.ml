@@ -11,165 +11,177 @@ let read_reg cpu r =
 
 let advance cpu = Cpu.set_pc cpu (Word32.add (Cpu.get_pc cpu) 4)
 
-(* Write a data-processing result; a PC write is a branch, and with the
-   S bit in an exception mode it is an exception return (CPSR := SPSR). *)
-let write_dp_result cpu rd v ~s ~restore_cpsr =
-  if rd = 15 then begin
-    if s && restore_cpsr then Cpu.set_cpsr cpu (Cpu.get_spsr cpu);
-    Cpu.set_pc cpu (Word32.logand v 0xFFFF_FFFC)
-  end
-  else begin
-    Cpu.set_reg cpu rd v;
-    advance cpu
-  end
-
 let take cpu kind =
   Cpu.take_exception cpu kind ~pc_of_faulting_insn:(Cpu.get_pc cpu);
   Took_exception kind
 
-let data_abort cpu (f : Mem.fault) =
-  Cpu.set_dfar cpu f.vaddr;
-  Cpu.set_dfsr cpu (Mem.dfsr_status f.kind);
-  take cpu Cpu.Data_abort
+(* A faulting fetch is a prefetch abort; a faulting load or store a
+   data abort, which reports the address and kind. *)
+let abort cpu (f : Mem.fault) =
+  match f.access with
+  | Mem.Fetch -> take cpu Cpu.Prefetch_abort
+  | Mem.Load | Mem.Store ->
+    Cpu.set_dfar cpu f.vaddr;
+    Cpu.set_dfsr cpu (Mem.dfsr_status f.kind);
+    take cpu Cpu.Data_abort
 
-exception Abort of Mem.fault
+(* Flags are ints in their CPSR bit positions, so a step builds no
+   flags record. *)
+let flag_n = 0x8000_0000
+let flag_z = 0x4000_0000
+let flag_c = 0x2000_0000
+let flag_v = 0x1000_0000
 
-let exec_dp cpu (op : Insn.dp_op) ~s ~rd ~rn ~op2 =
-  let flags = Cpu.get_flags cpu in
-  let carry_in = flags.Cond.c in
-  let rn_v = read_reg cpu rn in
-  let op2_v, _shifter_carry = Insn.operand2_value op2 (read_reg cpu) ~carry:carry_in in
-  (* Model simplification (see DESIGN.md): S-bit logical operations set
-     C := 0 and V := 0 (host-aligned) instead of the shifter carry-out;
-     arithmetic flag semantics are exact. *)
-  let logical result = (result, { flags with Cond.c = false; v = false }) in
-  let add_like a b ~carry =
-    let r = Word32.mask (a + b + if carry then 1 else 0) in
-    ( r,
-      {
-        Cond.n = Word32.is_negative r;
-        z = r = 0;
-        c = Word32.carry_of_add a b ~carry_in:carry;
-        v = Word32.overflow_of_add a b r;
-      } )
-  in
-  let sub_like a b ~borrow =
-    let r = Word32.mask (a - b - if borrow then 1 else 0) in
-    ( r,
-      {
-        Cond.n = Word32.is_negative r;
-        z = r = 0;
-        (* ARM C for subtraction = NOT borrow. *)
-        c = not (Word32.borrow_of_sub a b ~borrow_in:borrow);
-        v = Word32.overflow_of_sub a b r;
-      } )
-  in
-  let finish_logical r =
-    let r = Word32.mask r in
-    let v, f = logical r in
-    (Some v, { f with Cond.n = Word32.is_negative r; z = r = 0 })
-  in
-  let result, new_flags =
-    match op with
-    | AND -> finish_logical (Word32.logand rn_v op2_v)
-    | EOR -> finish_logical (Word32.logxor rn_v op2_v)
-    | ORR -> finish_logical (Word32.logor rn_v op2_v)
-    | BIC -> finish_logical (Word32.logand rn_v (Word32.lognot op2_v))
-    | MOV -> finish_logical op2_v
-    | MVN -> finish_logical (Word32.lognot op2_v)
-    | TST ->
-      let r = Word32.logand rn_v op2_v in
-      let _, f = finish_logical r in
-      (None, f)
-    | TEQ ->
-      let r = Word32.logxor rn_v op2_v in
-      let _, f = finish_logical r in
-      (None, f)
-    | ADD ->
-      let r, f = add_like rn_v op2_v ~carry:false in
-      (Some r, f)
-    | ADC ->
-      let r, f = add_like rn_v op2_v ~carry:carry_in in
-      (Some r, f)
-    | SUB ->
-      let r, f = sub_like rn_v op2_v ~borrow:false in
-      (Some r, f)
-    | RSB ->
-      let r, f = sub_like op2_v rn_v ~borrow:false in
-      (Some r, f)
-    | SBC ->
-      let r, f = sub_like rn_v op2_v ~borrow:(not carry_in) in
-      (Some r, f)
-    | RSC ->
-      let r, f = sub_like op2_v rn_v ~borrow:(not carry_in) in
-      (Some r, f)
-    | CMP ->
-      let _, f = sub_like rn_v op2_v ~borrow:false in
-      (None, f)
-    | CMN ->
-      let _, f = add_like rn_v op2_v ~carry:false in
-      (None, f)
-  in
-  let sets_flags = s || Insn.dp_op_is_test op in
-  (* Flag write order: an S-bit PC write restores CPSR instead. *)
-  match result with
-  | None ->
-    Cpu.set_flags cpu new_flags;
+let nz r = (r land flag_n) lor if r = 0 then flag_z else 0
+
+let add_nzcv a b ~carry r =
+  nz r
+  lor (if Word32.carry_of_add a b ~carry_in:carry then flag_c else 0)
+  lor if Word32.overflow_of_add a b r then flag_v else 0
+
+(* ARM C for subtraction = NOT borrow. *)
+let sub_nzcv a b ~borrow r =
+  nz r
+  lor (if Word32.borrow_of_sub a b ~borrow_in:borrow then 0 else flag_c)
+  lor if Word32.overflow_of_sub a b r then flag_v else 0
+
+(* The operand-2 value. The shifter carry-out is not needed: see the
+   logical-operation simplification in [exec_dp]. *)
+let operand2 cpu (op2 : Insn.operand2) =
+  match op2 with
+  | Imm { imm8; rot } -> Word32.rotate_right imm8 (2 * rot)
+  | Reg_shift_imm { rm; kind; amount } -> Insn.shift_value kind (read_reg cpu rm) amount
+  | Reg_shift_reg { rm; kind; rs } ->
+    (* Model simplification (see DESIGN.md): register-specified shift
+       amounts are taken mod 32, matching the host's shift semantics. *)
+    Insn.shift_value kind (read_reg cpu rm) (read_reg cpu rs land 0x1F)
+
+(* Write a data-processing result with its NZCV (when [s]). A PC write
+   is a branch, and with the S bit in an exception mode it is an
+   exception return (CPSR := SPSR) instead of a flag write. *)
+let dp_result cpu ~s ~rd r nzcv =
+  if rd = 15 then begin
+    (if s then
+       match Cpu.mode cpu with
+       | Cpu.User | Cpu.System -> ()
+       | Cpu.Supervisor | Cpu.Irq | Cpu.Abort | Cpu.Undef ->
+         Cpu.set_cpsr cpu (Cpu.get_spsr cpu));
+    Cpu.set_pc cpu (Word32.logand r 0xFFFF_FFFC)
+  end
+  else begin
+    if s then Cpu.set_nzcv cpu nzcv;
+    Cpu.set_reg cpu rd r;
     advance cpu
-  | Some v ->
-    if rd <> 15 && sets_flags then Cpu.set_flags cpu new_flags;
-    write_dp_result cpu rd v ~s:sets_flags
-      ~restore_cpsr:(Cpu.mode_is_privileged (Cpu.mode cpu) && Cpu.mode cpu <> Cpu.System)
+  end
+
+let dp_logical cpu ~s ~rd r = dp_result cpu ~s ~rd r (nz r)
+
+let dp_test cpu nzcv =
+  Cpu.set_nzcv cpu nzcv;
+  advance cpu
+
+(* Model simplification (see DESIGN.md): S-bit logical operations set
+   C := 0 and V := 0 (host-aligned) instead of the shifter carry-out;
+   arithmetic flag semantics are exact. *)
+let exec_dp cpu (op : Insn.dp_op) ~s ~rd ~rn ~op2 =
+  let carry = Cpu.get_cpsr cpu land flag_c <> 0 in
+  let a = read_reg cpu rn in
+  let b = operand2 cpu op2 in
+  match op with
+  | AND -> dp_logical cpu ~s ~rd (Word32.logand a b)
+  | EOR -> dp_logical cpu ~s ~rd (Word32.logxor a b)
+  | ORR -> dp_logical cpu ~s ~rd (Word32.logor a b)
+  | BIC -> dp_logical cpu ~s ~rd (Word32.logand a (Word32.lognot b))
+  | MOV -> dp_logical cpu ~s ~rd b
+  | MVN -> dp_logical cpu ~s ~rd (Word32.lognot b)
+  | TST -> dp_test cpu (nz (Word32.logand a b))
+  | TEQ -> dp_test cpu (nz (Word32.logxor a b))
+  | ADD ->
+    let r = Word32.mask (a + b) in
+    dp_result cpu ~s ~rd r (add_nzcv a b ~carry:false r)
+  | ADC ->
+    let r = Word32.mask (a + b + Bool.to_int carry) in
+    dp_result cpu ~s ~rd r (add_nzcv a b ~carry r)
+  | SUB ->
+    let r = Word32.mask (a - b) in
+    dp_result cpu ~s ~rd r (sub_nzcv a b ~borrow:false r)
+  | RSB ->
+    let r = Word32.mask (b - a) in
+    dp_result cpu ~s ~rd r (sub_nzcv b a ~borrow:false r)
+  | SBC ->
+    let r = Word32.mask (a - b - Bool.to_int (not carry)) in
+    dp_result cpu ~s ~rd r (sub_nzcv a b ~borrow:(not carry) r)
+  | RSC ->
+    let r = Word32.mask (b - a - Bool.to_int (not carry)) in
+    dp_result cpu ~s ~rd r (sub_nzcv b a ~borrow:(not carry) r)
+  | CMP -> dp_test cpu (sub_nzcv a b ~borrow:false (Word32.mask (a - b)))
+  | CMN -> dp_test cpu (add_nzcv a b ~carry:false (Word32.mask (a + b)))
 
 let mem_width = function Insn.Word -> Mem.W32 | Insn.Byte -> Mem.W8 | Insn.Half -> Mem.W16
 
-let mem_address cpu rn off index =
-  let base = read_reg cpu rn in
-  let off_v =
-    match off with
-    | Insn.Imm_off n -> Word32.of_signed n
-    | Insn.Reg_off { rm; kind; amount; subtract } ->
-      let v, _ =
-        Insn.operand2_value
-          (Insn.Reg_shift_imm { rm; kind; amount })
-          (read_reg cpu) ~carry:false
-      in
-      if subtract then Word32.neg v else v
-  in
-  let effective = Word32.add base off_v in
-  match index with
-  | Insn.Offset -> (effective, None)
-  | Insn.Pre_indexed -> (effective, Some effective)
-  | Insn.Post_indexed -> (base, Some effective)
+(* The effective address of a single load/store is base + offset; a
+   post-indexed access goes to the base, and every mode but [Offset]
+   writes the effective address back. *)
+let mem_offset cpu (off : Insn.mem_offset) =
+  match off with
+  | Imm_off n -> Word32.of_signed n
+  | Reg_off { rm; kind; amount; subtract } ->
+    let v = Insn.shift_value kind (read_reg cpu rm) amount in
+    if subtract then Word32.neg v else v
 
+let access_addr (index : Insn.index_mode) ~base ~eff =
+  match index with Post_indexed -> base | Offset | Pre_indexed -> eff
+
+let write_back cpu (index : Insn.index_mode) ~rn eff =
+  match index with Offset -> () | Pre_indexed | Post_indexed -> Cpu.set_reg cpu rn eff
+
+let popcount regs =
+  let n = ref 0 in
+  for r = 0 to 15 do
+    if regs land (1 lsl r) <> 0 then incr n
+  done;
+  !n
+
+(* LDM makes every load before it writes any register, so a data abort
+   part-way leaves the registers as they were. The recursion loads in
+   ascending order on the way down and writes on the way back up; the
+   base write-back ([wb_rn] >= 0) at the bottom comes first, so a
+   loaded base register wins over it. *)
+let rec ldm cpu (mem : Mem.iface) ~privileged regs r addr ~wb_rn ~wb =
+  if r > 15 then (if wb_rn >= 0 then Cpu.set_reg cpu wb_rn wb)
+  else if regs land (1 lsl r) = 0 then ldm cpu mem ~privileged regs (r + 1) addr ~wb_rn ~wb
+  else begin
+    let v = mem.load Mem.W32 ~privileged addr in
+    ldm cpu mem ~privileged regs (r + 1) (Word32.add addr 4) ~wb_rn ~wb;
+    if r = 15 then Cpu.set_pc cpu (Word32.logand v 0xFFFF_FFFC) else Cpu.set_reg cpu r v
+  end
+
+(* Memory instructions raise [Mem.Fault] before they change a register;
+   [execute_insn] and [step] turn it into the abort. *)
 let exec_mem cpu (mem : Mem.iface) insn_op =
   let privileged = Cpu.mode_is_privileged (Cpu.mode cpu) in
   match insn_op with
-  | Insn.Ldr { width; rd; rn; off; index } -> (
-    let addr, writeback = mem_address cpu rn off index in
-    match mem.load (mem_width width) ~privileged addr with
-    | Error f -> data_abort cpu f
-    | Ok v ->
-      (match writeback with Some wb -> Cpu.set_reg cpu rn wb | None -> ());
-      if rd = 15 then Cpu.set_pc cpu (Word32.logand v 0xFFFF_FFFC)
-      else begin
-        Cpu.set_reg cpu rd v;
-        advance cpu
-      end;
-      Stepped)
-  | Insn.Ldrs { half; rd; rn; off; index } -> (
-    let addr, writeback = mem_address cpu rn off index in
+  | Insn.Ldr { width; rd; rn; off; index } ->
+    let base = read_reg cpu rn in
+    let eff = Word32.add base (mem_offset cpu off) in
+    let v = mem.load (mem_width width) ~privileged (access_addr index ~base ~eff) in
+    write_back cpu index ~rn eff;
+    if rd = 15 then Cpu.set_pc cpu (Word32.logand v 0xFFFF_FFFC)
+    else begin
+      Cpu.set_reg cpu rd v;
+      advance cpu
+    end
+  | Insn.Ldrs { half; rd; rn; off; index } ->
+    let base = read_reg cpu rn in
+    let eff = Word32.add base (mem_offset cpu off) in
     let width = if half then Mem.W16 else Mem.W8 in
-    match mem.load width ~privileged addr with
-    | Error f -> data_abort cpu f
-    | Ok v ->
-      (match writeback with Some wb -> Cpu.set_reg cpu rn wb | None -> ());
-      Cpu.set_reg cpu rd
-        (Word32.mask (Word32.sign_extend ~width:(if half then 16 else 8) v));
-      advance cpu;
-      Stepped)
-  | Insn.Str { width; rd; rn; off; index } -> (
-    let addr, writeback = mem_address cpu rn off index in
+    let v = mem.load width ~privileged (access_addr index ~base ~eff) in
+    write_back cpu index ~rn eff;
+    Cpu.set_reg cpu rd (Word32.mask (Word32.sign_extend ~width:(if half then 16 else 8) v));
+    advance cpu
+  | Insn.Str { width; rd; rn; off; index } ->
+    let base = read_reg cpu rn in
+    let eff = Word32.add base (mem_offset cpu off) in
     let v = read_reg cpu rd in
     let v =
       match width with
@@ -177,74 +189,30 @@ let exec_mem cpu (mem : Mem.iface) insn_op =
       | Insn.Half -> v land 0xFFFF
       | Insn.Word -> v
     in
-    match mem.store (mem_width width) ~privileged addr v with
-    | Error f -> data_abort cpu f
-    | Ok () ->
-      (match writeback with Some wb -> Cpu.set_reg cpu rn wb | None -> ());
-      advance cpu;
-      Stepped)
-  | Insn.Ldm { kind; rn; writeback; regs } -> (
-    let n = ref 0 in
-    for r = 0 to 15 do
-      if regs land (1 lsl r) <> 0 then incr n
-    done;
+    mem.store (mem_width width) ~privileged (access_addr index ~base ~eff) v;
+    write_back cpu index ~rn eff;
+    advance cpu
+  | Insn.Ldm { kind; rn; writeback; regs } ->
     let base = read_reg cpu rn in
-    let start =
-      match kind with Insn.IA -> base | Insn.DB -> Word32.sub base (4 * !n)
-    in
-    try
-      let addr = ref start in
-      let loaded = Array.make 16 None in
-      for r = 0 to 15 do
-        if regs land (1 lsl r) <> 0 then begin
-          (match mem.load Mem.W32 ~privileged !addr with
-          | Ok v -> loaded.(r) <- Some v
-          | Error f -> raise (Abort f));
-          addr := Word32.add !addr 4
-        end
-      done;
-      if writeback then
-        Cpu.set_reg cpu rn
-          (match kind with Insn.IA -> Word32.add base (4 * !n) | Insn.DB -> start);
-      let branched = ref false in
-      for r = 0 to 15 do
-        match loaded.(r) with
-        | Some v ->
-          if r = 15 then begin
-            Cpu.set_pc cpu (Word32.logand v 0xFFFF_FFFC);
-            branched := true
-          end
-          else Cpu.set_reg cpu r v
-        | None -> ()
-      done;
-      if not !branched then advance cpu;
-      Stepped
-    with Abort f -> data_abort cpu f)
-  | Insn.Stm { kind; rn; writeback; regs } -> (
-    let n = ref 0 in
-    for r = 0 to 15 do
-      if regs land (1 lsl r) <> 0 then incr n
-    done;
+    let bytes = 4 * popcount regs in
+    let start = match kind with Insn.IA -> base | Insn.DB -> Word32.sub base bytes in
+    let after = match kind with Insn.IA -> Word32.add base bytes | Insn.DB -> start in
+    ldm cpu mem ~privileged regs 0 start ~wb_rn:(if writeback then rn else -1) ~wb:after;
+    if regs land 0x8000 = 0 then advance cpu
+  | Insn.Stm { kind; rn; writeback; regs } ->
     let base = read_reg cpu rn in
-    let start =
-      match kind with Insn.IA -> base | Insn.DB -> Word32.sub base (4 * !n)
-    in
-    try
-      let addr = ref start in
-      for r = 0 to 15 do
-        if regs land (1 lsl r) <> 0 then begin
-          (match mem.store Mem.W32 ~privileged !addr (read_reg cpu r) with
-          | Ok () -> ()
-          | Error f -> raise (Abort f));
-          addr := Word32.add !addr 4
-        end
-      done;
-      if writeback then
-        Cpu.set_reg cpu rn
-          (match kind with Insn.IA -> Word32.add base (4 * !n) | Insn.DB -> start);
-      advance cpu;
-      Stepped
-    with Abort f -> data_abort cpu f)
+    let bytes = 4 * popcount regs in
+    let start = match kind with Insn.IA -> base | Insn.DB -> Word32.sub base bytes in
+    let addr = ref start in
+    for r = 0 to 15 do
+      if regs land (1 lsl r) <> 0 then begin
+        mem.store Mem.W32 ~privileged !addr (read_reg cpu r);
+        addr := Word32.add !addr 4
+      end
+    done;
+    if writeback then
+      Cpu.set_reg cpu rn (match kind with Insn.IA -> Word32.add base bytes | Insn.DB -> start);
+    advance cpu
   | Insn.Dp _ | Insn.Mul _ | Insn.Mull _ | Insn.Clz _ | Insn.B _ | Insn.Bx _
   | Insn.Movw _ | Insn.Movt _ | Insn.Mrs _ | Insn.Msr _ | Insn.Svc _ | Insn.Cps _
   | Insn.Mcr _ | Insn.Mrc _ | Insn.Vmsr _ | Insn.Vmrs _ | Insn.Nop | Insn.Udf _ ->
@@ -273,55 +241,57 @@ let cp15_read cpu ~crn ~crm:_ ~opc1:_ ~opc2:_ =
   | 6 -> Cpu.get_dfar cpu
   | _ -> 0
 
-let execute_insn cpu (mem : Mem.iface) ({ cond; op } : Insn.t) =
-  if not (Cond.holds cond (Cpu.get_flags cpu)) then begin
+let clz v =
+  let n = ref 0 in
+  while !n < 32 && v land (0x8000_0000 lsr !n) = 0 do
+    incr n
+  done;
+  !n
+
+(* Execute one decoded instruction; a memory fault escapes as
+   [Mem.Fault]. *)
+let execute cpu (mem : Mem.iface) ({ cond; op } : Insn.t) =
+  if not (Cond.holds_word cond (Cpu.get_cpsr cpu)) then begin
     advance cpu;
     Stepped
   end
   else
     match op with
     | Insn.Dp { op = dpo; s; rd; rn; op2 } ->
-      exec_dp cpu dpo ~s ~rd ~rn ~op2;
+      exec_dp cpu dpo ~s:(s || Insn.dp_op_is_test dpo) ~rd ~rn ~op2;
       Stepped
     | Insn.Mul { s; rd; rn; rm; acc } ->
       let v = Word32.mul (read_reg cpu rm) (read_reg cpu rn) in
-      let v =
-        match acc with Some ra -> Word32.add v (read_reg cpu ra) | None -> v
-      in
+      let v = match acc with Some ra -> Word32.add v (read_reg cpu ra) | None -> v in
       Cpu.set_reg cpu rd v;
-      if s then
-        (* MULS, like logical ops, is modelled host-aligned: C,V := 0. *)
-        Cpu.set_flags cpu
-          { Cond.n = Word32.is_negative v; z = v = 0; c = false; v = false };
+      (* MULS, like logical ops, is modelled host-aligned: C,V := 0. *)
+      if s then Cpu.set_nzcv cpu (nz v);
       advance cpu;
       Stepped
     | Insn.Mull { signed; s; rdlo; rdhi; rn; rm } ->
-      let to64 v =
-        if signed then Int64.of_int (Word32.signed v)
-        else Int64.of_int (v land 0xFFFFFFFF)
+      let a = read_reg cpu rm and b = read_reg cpu rn in
+      let product =
+        if signed then Int64.mul (Int64.of_int (Word32.signed a)) (Int64.of_int (Word32.signed b))
+        else Int64.mul (Int64.of_int a) (Int64.of_int b)
       in
-      let product = Int64.mul (to64 (read_reg cpu rm)) (to64 (read_reg cpu rn)) in
       let lo = Int64.to_int (Int64.logand product 0xFFFFFFFFL) in
       let hi = Int64.to_int (Int64.logand (Int64.shift_right_logical product 32) 0xFFFFFFFFL) in
       Cpu.set_reg cpu rdlo lo;
       Cpu.set_reg cpu rdhi hi;
-      if s then begin
-        let f = Cpu.get_flags cpu in
-        Cpu.set_flags cpu
-          { f with Cond.n = Word32.is_negative hi; z = hi = 0 && lo = 0 }
-      end;
+      if s then
+        Cpu.set_nzcv cpu
+          ((hi land flag_n)
+          lor (if hi = 0 && lo = 0 then flag_z else 0)
+          lor (Cpu.get_cpsr cpu land (flag_c lor flag_v)));
       advance cpu;
       Stepped
     | Insn.Clz { rd; rm } ->
-      let v = read_reg cpu rm in
-      let rec count n bit = if bit < 0 then n else
-        if v land (1 lsl bit) <> 0 then n else count (n + 1) (bit - 1)
-      in
-      Cpu.set_reg cpu rd (count 0 31);
+      Cpu.set_reg cpu rd (clz (read_reg cpu rm));
       advance cpu;
       Stepped
     | Insn.Ldr _ | Insn.Ldrs _ | Insn.Str _ | Insn.Ldm _ | Insn.Stm _ ->
-      exec_mem cpu mem op
+      exec_mem cpu mem op;
+      Stepped
     | Insn.B { link; offset } ->
       let pc = Cpu.get_pc cpu in
       if link then Cpu.set_reg cpu 14 (Word32.add pc 4);
@@ -355,7 +325,7 @@ let execute_insn cpu (mem : Mem.iface) ({ cond; op } : Insn.t) =
         end
       end
       else begin
-        if write_flags then Cpu.set_flags cpu (Cond.flags_of_word v);
+        if write_flags then Cpu.set_nzcv cpu v;
         (* Unprivileged writes to the control bits are ignored, per the
            architecture. *)
         if write_control && privileged then begin
@@ -392,8 +362,7 @@ let execute_insn cpu (mem : Mem.iface) ({ cond; op } : Insn.t) =
       Stepped
     | Insn.Vmrs { rt } ->
       let v = Cpu.get_fpscr cpu in
-      if rt = 15 then Cpu.set_flags cpu (Cond.flags_of_word v)
-      else Cpu.set_reg cpu rt v;
+      if rt = 15 then Cpu.set_nzcv cpu v else Cpu.set_reg cpu rt v;
       advance cpu;
       Stepped
     | Insn.Nop ->
@@ -401,22 +370,28 @@ let execute_insn cpu (mem : Mem.iface) ({ cond; op } : Insn.t) =
       Stepped
     | Insn.Udf _ -> take cpu Cpu.Undefined_insn
 
-let step cpu (mem : Mem.iface) ~irq =
+let execute_insn cpu mem insn =
+  match execute cpu mem insn with r -> r | exception Mem.Fault f -> abort cpu f
+
+(* The one fault handler of a step covers the fetch and the
+   instruction's own accesses. *)
+let step cache cpu (mem : Mem.iface) ~irq =
   if irq && not (Cpu.irq_masked cpu) then take cpu Cpu.Irq
   else
-    let privileged = Cpu.mode_is_privileged (Cpu.mode cpu) in
-    match mem.fetch ~privileged (Cpu.get_pc cpu) with
-    | Error _f -> take cpu Cpu.Prefetch_abort
-    | Ok word -> (
-      match Encode.decode word with
+    match
+      let word = mem.fetch ~privileged:(Cpu.mode_is_privileged (Cpu.mode cpu)) (Cpu.get_pc cpu) in
+      match Decode_cache.decode cache word with
+      | Ok insn -> execute cpu mem insn
       | Error e -> Decode_error e
-      | Ok insn -> execute_insn cpu mem insn)
+    with
+    | r -> r
+    | exception Mem.Fault f -> abort cpu f
 
-let run cpu mem ~irq ~max_steps =
+let run cache cpu mem ~irq ~max_steps =
   let rec loop n =
     if n >= max_steps then n
     else
-      match step cpu mem ~irq:(irq ()) with
+      match step cache cpu mem ~irq:(irq ()) with
       | Stepped | Took_exception _ -> loop (n + 1)
       | Decode_error _ -> n
   in

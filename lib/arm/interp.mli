@@ -16,17 +16,22 @@ type step_result =
       (** Fetched word is outside the modelled subset (test aid; real
           guests never reach this because Udf decodes fine). *)
 
-val step : Cpu.t -> Mem.iface -> irq:bool -> step_result
-(** Execute one instruction at the current PC. [irq] is the level of
-    the external interrupt line; it is taken (when unmasked) before
-    fetching. *)
+val step : Decode_cache.t -> Cpu.t -> Mem.iface -> irq:bool -> step_result
+(** Execute one instruction at the current PC, decoding its word
+    through the machine's cache. [irq] is the level of the external
+    interrupt line; it is taken (when unmasked) before fetching. A
+    {!Mem.Fault} from the fetch becomes a prefetch abort, one from the
+    instruction's own access a data abort (the instruction has then
+    changed no register). A step that takes no exception allocates
+    nothing once its word is in the cache. *)
 
 val execute_insn : Cpu.t -> Mem.iface -> Insn.t -> step_result
 (** Execute an already-decoded instruction at the current PC (used by
     TB-level differential tests and by the symbolic verifier's
-    concrete cross-check). Advances PC like {!step}. *)
+    concrete cross-check). Advances PC and takes aborts like {!step}. *)
 
-val run : Cpu.t -> Mem.iface -> irq:(unit -> bool) -> max_steps:int -> int
+val run :
+  Decode_cache.t -> Cpu.t -> Mem.iface -> irq:(unit -> bool) -> max_steps:int -> int
 (** Step until [max_steps] instructions have retired or a
     [Decode_error] occurs; returns the number of retired
     instructions. *)

@@ -20,68 +20,50 @@ let pp_fault ppf { vaddr; access; kind } =
     (match access with Fetch -> "fetch" | Load -> "load" | Store -> "store")
     Word32.pp vaddr
 
+exception Fault of fault
+
+let fault vaddr access kind = raise (Fault { vaddr; access; kind })
+
 type width = W8 | W16 | W32
 
+let aligned width vaddr =
+  match width with W8 -> true | W16 -> vaddr land 1 = 0 | W32 -> vaddr land 3 = 0
+
 type iface = {
-  load : width -> privileged:bool -> Word32.t -> (Word32.t, fault) result;
-  store : width -> privileged:bool -> Word32.t -> Word32.t -> (unit, fault) result;
-  fetch : privileged:bool -> Word32.t -> (Word32.t, fault) result;
+  load : width -> privileged:bool -> Word32.t -> Word32.t;
+  store : width -> privileged:bool -> Word32.t -> Word32.t -> unit;
+  fetch : privileged:bool -> Word32.t -> Word32.t;
   flush_tlb : unit -> unit;
 }
 
 let flat ~size =
   let buf = Bytes.make size '\000' in
-  let in_range addr n = addr >= 0 && addr + n <= size in
-  let read32 addr =
-    Char.code (Bytes.get buf addr)
-    lor (Char.code (Bytes.get buf (addr + 1)) lsl 8)
-    lor (Char.code (Bytes.get buf (addr + 2)) lsl 16)
-    lor (Char.code (Bytes.get buf (addr + 3)) lsl 24)
+  let bytes = function W8 -> 1 | W16 -> 2 | W32 -> 4 in
+  (* Alignment is checked before the range, as the MMU does. *)
+  let check width access vaddr =
+    if not (aligned width vaddr) then fault vaddr access Alignment
+    else if vaddr < 0 || vaddr + bytes width > size then fault vaddr access Bus
   in
-  let write32 addr v =
-    Bytes.set buf addr (Char.chr (v land 0xFF));
-    Bytes.set buf (addr + 1) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set buf (addr + 2) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set buf (addr + 3) (Char.chr ((v lsr 24) land 0xFF))
-  in
-  let read16 addr =
-    Char.code (Bytes.get buf addr) lor (Char.code (Bytes.get buf (addr + 1)) lsl 8)
-  in
-  let write16 addr v =
-    Bytes.set buf addr (Char.chr (v land 0xFF));
-    Bytes.set buf (addr + 1) (Char.chr ((v lsr 8) land 0xFF))
-  in
+  (* Words as two halves: the int32 accessors would box. *)
+  let read32 addr = Bytes.get_uint16_le buf addr lor (Bytes.get_uint16_le buf (addr + 2) lsl 16) in
   let load width ~privileged:_ vaddr =
+    check width Load vaddr;
     match width with
-    | W8 ->
-      if in_range vaddr 1 then Ok (Char.code (Bytes.get buf vaddr))
-      else Error { vaddr; access = Load; kind = Bus }
-    | W16 ->
-      if vaddr land 1 <> 0 then Error { vaddr; access = Load; kind = Alignment }
-      else if in_range vaddr 2 then Ok (read16 vaddr)
-      else Error { vaddr; access = Load; kind = Bus }
-    | W32 ->
-      if vaddr land 3 <> 0 then Error { vaddr; access = Load; kind = Alignment }
-      else if in_range vaddr 4 then Ok (read32 vaddr)
-      else Error { vaddr; access = Load; kind = Bus }
+    | W8 -> Bytes.get_uint8 buf vaddr
+    | W16 -> Bytes.get_uint16_le buf vaddr
+    | W32 -> read32 vaddr
   in
   let store width ~privileged:_ vaddr v =
+    check width Store vaddr;
     match width with
-    | W8 ->
-      if in_range vaddr 1 then Ok (Bytes.set buf vaddr (Char.chr (v land 0xFF)))
-      else Error { vaddr; access = Store; kind = Bus }
-    | W16 ->
-      if vaddr land 1 <> 0 then Error { vaddr; access = Store; kind = Alignment }
-      else if in_range vaddr 2 then Ok (write16 vaddr (v land 0xFFFF))
-      else Error { vaddr; access = Store; kind = Bus }
+    | W8 -> Bytes.set_uint8 buf vaddr (v land 0xFF)
+    | W16 -> Bytes.set_uint16_le buf vaddr (v land 0xFFFF)
     | W32 ->
-      if vaddr land 3 <> 0 then Error { vaddr; access = Store; kind = Alignment }
-      else if in_range vaddr 4 then Ok (write32 vaddr v)
-      else Error { vaddr; access = Store; kind = Bus }
+      Bytes.set_uint16_le buf vaddr (v land 0xFFFF);
+      Bytes.set_uint16_le buf (vaddr + 2) ((v lsr 16) land 0xFFFF)
   in
   let fetch ~privileged:_ vaddr =
-    if vaddr land 3 <> 0 then Error { vaddr; access = Fetch; kind = Alignment }
-    else if in_range vaddr 4 then Ok (read32 vaddr)
-    else Error { vaddr; access = Fetch; kind = Bus }
+    check W32 Fetch vaddr;
+    read32 vaddr
   in
   (buf, { load; store; fetch; flush_tlb = (fun () -> ()) })

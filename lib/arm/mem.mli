@@ -21,12 +21,25 @@ val dfsr_status : fault_kind -> int
 
 val pp_fault : Format.formatter -> fault -> unit
 
+exception Fault of fault
+(** How every memory interface reports a guest-visible fault. An access
+    that succeeds returns a plain word and allocates nothing; only a
+    faulting one builds its record. *)
+
+val fault : Word32.t -> access -> fault_kind -> 'a
+(** [fault vaddr access kind] raises {!Fault}. *)
+
 type width = W8 | W16 | W32
 
+val aligned : width -> Word32.t -> bool
+(** Whether an access of this width at this address is naturally
+    aligned. *)
+
 type iface = {
-  load : width -> privileged:bool -> Word32.t -> (Word32.t, fault) result;
-  store : width -> privileged:bool -> Word32.t -> Word32.t -> (unit, fault) result;
-  fetch : privileged:bool -> Word32.t -> (Word32.t, fault) result;
+  load : width -> privileged:bool -> Word32.t -> Word32.t;
+  store : width -> privileged:bool -> Word32.t -> Word32.t -> unit;
+  fetch : privileged:bool -> Word32.t -> Word32.t;
+      (** All three raise {!Fault}. *)
   flush_tlb : unit -> unit;
       (** Invoked on cp15 c8 TLB-maintenance writes. *)
 }

@@ -231,20 +231,11 @@ let replay (rt : Runtime.t) (tb : Tb.t) =
   let read_byte paddr =
     match Hashtbl.find_opt writes paddr with
     | Some b -> b
-    | None -> (
-      match Bus.read8 bus paddr with Ok b -> b | Error () -> raise Shadow_abort)
+    | None -> ( try Bus.read8 bus paddr with Bus.Bus_error -> raise Shadow_abort)
   in
   let xlate vaddr ~access ~privileged =
-    match Repro_mmu.Mmu.translate bus scpu vaddr ~access ~privileged with
-    | Error f -> Error f
-    | Ok paddr ->
-      if Bus.is_ram bus paddr then Ok paddr else raise Shadow_abort
-  in
-  let aligned width vaddr =
-    match width with
-    | Mem.W8 -> true
-    | Mem.W16 -> vaddr land 1 = 0
-    | Mem.W32 -> vaddr land 3 = 0
+    let paddr = Repro_mmu.Mmu.translate bus scpu vaddr ~access ~privileged in
+    if Bus.is_ram bus paddr then paddr else raise Shadow_abort
   in
   let nbytes = function Mem.W8 -> 1 | Mem.W16 -> 2 | Mem.W32 -> 4 in
   let read_bytes paddr n =
@@ -255,37 +246,25 @@ let replay (rt : Runtime.t) (tb : Tb.t) =
     !v
   in
   let load width ~privileged vaddr =
-    if not (aligned width vaddr) then
-      Error { Mem.vaddr; access = Mem.Load; kind = Mem.Alignment }
-    else
-      match xlate vaddr ~access:Mem.Load ~privileged with
-      | Error f -> Error f
-      | Ok paddr -> Ok (read_bytes paddr (nbytes width))
+    if not (Mem.aligned width vaddr) then Mem.fault vaddr Mem.Load Mem.Alignment
+    else read_bytes (xlate vaddr ~access:Mem.Load ~privileged) (nbytes width)
   in
   let store width ~privileged vaddr value =
-    if not (aligned width vaddr) then
-      Error { Mem.vaddr; access = Mem.Store; kind = Mem.Alignment }
+    if not (Mem.aligned width vaddr) then Mem.fault vaddr Mem.Store Mem.Alignment
     else
-      match xlate vaddr ~access:Mem.Store ~privileged with
-      | Error f -> Error f
-      | Ok paddr ->
-        for k = 0 to nbytes width - 1 do
-          Hashtbl.replace writes (paddr + k) ((value lsr (8 * k)) land 0xFF)
-        done;
-        Ok ()
+      let paddr = xlate vaddr ~access:Mem.Store ~privileged in
+      for k = 0 to nbytes width - 1 do
+        Hashtbl.replace writes (paddr + k) ((value lsr (8 * k)) land 0xFF)
+      done
   in
   let fetch ~privileged vaddr =
-    if vaddr land 3 <> 0 then
-      Error { Mem.vaddr; access = Mem.Fetch; kind = Mem.Alignment }
-    else
-      match xlate vaddr ~access:Mem.Fetch ~privileged with
-      | Error f -> Error f
-      | Ok paddr -> Ok (read_bytes paddr 4)
+    if vaddr land 3 <> 0 then Mem.fault vaddr Mem.Fetch Mem.Alignment
+    else read_bytes (xlate vaddr ~access:Mem.Fetch ~privileged) 4
   in
   let smem = { Mem.load; store; fetch; flush_tlb = (fun () -> ()) } in
   match
     for _ = 1 to tb.Tb.guest_len do
-      match Interp.step scpu smem ~irq:false with
+      match Interp.step rt.Runtime.dcache scpu smem ~irq:false with
       | Interp.Stepped -> ()
       | Interp.Took_exception _ | Interp.Decode_error _ -> raise Shadow_abort
     done
@@ -367,8 +346,8 @@ let on_executed t (rt : Runtime.t) (tb : Tb.t) ~outcome ~guest =
       Hashtbl.iter
         (fun paddr b ->
           match Bus.read8 rt.Runtime.bus paddr with
-          | Ok b' when b' = b -> ()
-          | Ok _ | Error () -> mem_diverged := true)
+          | b' -> if b' <> b then mem_diverged := true
+          | exception Bus.Bus_error -> mem_diverged := true)
         exp.writes;
       if !reg_divergence = 0 && (not flags_diverged) && not !mem_diverged then
         `Continue
@@ -588,8 +567,8 @@ let translate t (rt : Runtime.t) cache ~pc =
   else
     let privileged = Runtime.privileged rt in
     match rt.Runtime.mem.Mem.fetch ~privileged pc with
-    | Error f -> Error f
-    | Ok _ ->
+    | exception Mem.Fault f -> Error f
+    | _ ->
       (* Bailout ladder: emitter resource overflow retries with half
          the block, bottoming out at the single-instruction
          interpreter TB (shared with the baseline). *)

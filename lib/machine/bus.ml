@@ -42,70 +42,75 @@ let in_ram t paddr n = paddr >= 0 && paddr + n <= Bytes.length t.ram
 
 let is_ram t paddr = in_ram t paddr 4
 
-let device_of () paddr =
-  if paddr >= timer_base && paddr < uart_base then Some (`Timer, paddr - timer_base)
-  else if paddr >= uart_base && paddr < syscon_base then Some (`Uart, paddr - uart_base)
-  else if paddr >= syscon_base && paddr < device_window_end then
-    Some (`Syscon, paddr - syscon_base)
-  else None
+exception Bus_error
 
 let read32 t paddr =
-  if bus_fault t Repro_faultinject.Faultinject.Bus_read then Error ()
+  if bus_fault t Repro_faultinject.Faultinject.Bus_read then raise Bus_error
   else if in_ram t paddr 4 then
-    Ok
-      (Char.code (Bytes.get t.ram paddr)
-      lor (Char.code (Bytes.get t.ram (paddr + 1)) lsl 8)
-      lor (Char.code (Bytes.get t.ram (paddr + 2)) lsl 16)
-      lor (Char.code (Bytes.get t.ram (paddr + 3)) lsl 24))
-  else
-    let observed v =
-      (match t.device_read_hook with Some h -> h paddr v | None -> ());
-      Ok v
+    Char.code (Bytes.get t.ram paddr)
+    lor (Char.code (Bytes.get t.ram (paddr + 1)) lsl 8)
+    lor (Char.code (Bytes.get t.ram (paddr + 2)) lsl 16)
+    lor (Char.code (Bytes.get t.ram (paddr + 3)) lsl 24)
+  else begin
+    let v =
+      if paddr >= timer_base && paddr < uart_base then
+        Devices.Timer.read t.timer (paddr - timer_base)
+      else if paddr >= uart_base && paddr < syscon_base then
+        Devices.Uart.read t.uart (paddr - uart_base)
+      else if paddr >= syscon_base && paddr < device_window_end then
+        Devices.Syscon.read t.syscon (paddr - syscon_base)
+      else raise Bus_error
     in
-    match device_of () paddr with
-    | Some (`Timer, off) -> observed (Devices.Timer.read t.timer off)
-    | Some (`Uart, off) -> observed (Devices.Uart.read t.uart off)
-    | Some (`Syscon, off) -> observed (Devices.Syscon.read t.syscon off)
-    | None -> Error ()
+    (match t.device_read_hook with Some h -> h paddr v | None -> ());
+    v
+  end
 
 let write32 t paddr v =
-  if bus_fault t Repro_faultinject.Faultinject.Bus_write then Error ()
+  if bus_fault t Repro_faultinject.Faultinject.Bus_write then raise Bus_error
   else if in_ram t paddr 4 then begin
     Bytes.set t.ram paddr (Char.chr (v land 0xFF));
     Bytes.set t.ram (paddr + 1) (Char.chr ((v lsr 8) land 0xFF));
     Bytes.set t.ram (paddr + 2) (Char.chr ((v lsr 16) land 0xFF));
     Bytes.set t.ram (paddr + 3) (Char.chr ((v lsr 24) land 0xFF));
     Pages.mark t.dirty paddr;
-    Pages.mark t.dirty (paddr + 3);
-    Ok ()
+    Pages.mark t.dirty (paddr + 3)
   end
-  else
-    match device_of () paddr with
-    | Some (`Timer, off) -> Ok (Devices.Timer.write t.timer off v)
-    | Some (`Uart, off) -> Ok (Devices.Uart.write t.uart off v)
-    | Some (`Syscon, off) -> Ok (Devices.Syscon.write t.syscon off v)
-    | None -> Error ()
+  else if paddr >= timer_base && paddr < uart_base then
+    Devices.Timer.write t.timer (paddr - timer_base) v
+  else if paddr >= uart_base && paddr < syscon_base then
+    Devices.Uart.write t.uart (paddr - uart_base) v
+  else if paddr >= syscon_base && paddr < device_window_end then
+    Devices.Syscon.write t.syscon (paddr - syscon_base) v
+  else raise Bus_error
 
 let read8 t paddr =
   if in_ram t paddr 1 then
-    if bus_fault t Repro_faultinject.Faultinject.Bus_read then Error ()
-    else Ok (Char.code (Bytes.get t.ram paddr))
-  else
-    match read32 t (paddr land lnot 3 land 0xFFFFFFFF) with
-    | Ok w -> Ok ((w lsr (8 * (paddr land 3))) land 0xFF)
-    | Error () -> Error ()
+    if bus_fault t Repro_faultinject.Faultinject.Bus_read then raise Bus_error
+    else Char.code (Bytes.get t.ram paddr)
+  else (read32 t (paddr land lnot 3 land 0xFFFFFFFF) lsr (8 * (paddr land 3))) land 0xFF
 
 let write8 t paddr v =
   if in_ram t paddr 1 then
-    if bus_fault t Repro_faultinject.Faultinject.Bus_write then Error ()
+    if bus_fault t Repro_faultinject.Faultinject.Bus_write then raise Bus_error
     else begin
       Bytes.set t.ram paddr (Char.chr (v land 0xFF));
-      Pages.mark t.dirty paddr;
-      Ok ()
+      Pages.mark t.dirty paddr
     end
   else if paddr >= device_window && paddr < device_window_end then
     write32 t (paddr land lnot 3 land 0xFFFFFFFF) (v land 0xFF)
-  else Error ()
+  else raise Bus_error
+
+(* Both bytes are read even when one raises, low byte first: the order
+   and number of Faultinject draws of the pair of reads this replaced,
+   which OCaml evaluated left to right. *)
+let read16 t paddr =
+  let lo = match read8 t paddr with b -> b | exception Bus_error -> -1 in
+  let hi = read8 t (paddr + 1) in
+  if lo < 0 then raise Bus_error else lo lor (hi lsl 8)
+
+let write16 t paddr v =
+  write8 t paddr (v land 0xFF);
+  write8 t (paddr + 1) ((v lsr 8) land 0xFF)
 
 let tick t n = Devices.Timer.tick t.timer n
 let irq_line t = Devices.Timer.irq_line t.timer

@@ -38,13 +38,25 @@ val ram_size : t -> int
 val is_ram : t -> Word32.t -> bool
 (** Physical page is ordinary RAM (safe to map in the TLB). *)
 
-val read32 : t -> Word32.t -> (Word32.t, unit) result
-(** [Error ()] is a bus error (unmapped physical address). Addresses
-    must be 4-aligned (checked by the MMU before dispatch). *)
+exception Bus_error
+(** An unmapped physical address, or an injected bus fault that
+    surfaces. *)
 
-val write32 : t -> Word32.t -> Word32.t -> (unit, unit) result
-val read8 : t -> Word32.t -> (int, unit) result
-val write8 : t -> Word32.t -> int -> (unit, unit) result
+val read32 : t -> Word32.t -> Word32.t
+(** Raises {!Bus_error}. Addresses must be 4-aligned (checked by the
+    MMU before dispatch). *)
+
+val write32 : t -> Word32.t -> Word32.t -> unit
+val read8 : t -> Word32.t -> int
+val write8 : t -> Word32.t -> int -> unit
+(** All raise {!Bus_error}. *)
+
+val read16 : t -> Word32.t -> int
+(** A halfword as two {!read8}s, both made even when one raises (so
+    the number of fault draws does not depend on their outcome). *)
+
+val write16 : t -> Word32.t -> int -> unit
+(** Low byte, then high; a raise on the low byte skips the high. *)
 
 val tick : t -> int -> unit
 (** Advance device time by [n] retired guest instructions. *)

@@ -13,36 +13,29 @@ let l2_entry ~pa ~writable ~user =
   lor (if writable then 2 else 0)
   lor if user then 4 else 0
 
-type entry = { page_pa : Word32.t; writable : bool; user : bool }
+type entry = Word32.t
 
-let walk bus ~ttbr vaddr =
-  let l1_index = (vaddr lsr 22) land 0x3FF in
-  let l1_addr = (ttbr land page_mask) + (4 * l1_index) in
-  match Bus.read32 bus l1_addr with
-  | Error () -> Error Mem.Bus
-  | Ok l1 ->
-    if l1 land 1 = 0 then Error Mem.Translation
-    else
-      let l2_index = (vaddr lsr 12) land 0x3FF in
-      let l2_addr = (l1 land page_mask) + (4 * l2_index) in
-      (match Bus.read32 bus l2_addr with
-      | Error () -> Error Mem.Bus
-      | Ok l2 ->
-        if l2 land 1 = 0 then Error Mem.Translation
-        else
-          Ok
-            {
-              page_pa = l2 land page_mask;
-              writable = l2 land 2 <> 0;
-              user = l2 land 4 <> 0;
-            })
+let page_pa e = e land page_mask
+let writable e = e land 2 <> 0
+let user e = e land 4 <> 0
 
-let check_perms entry ~access ~privileged =
-  if (not privileged) && not entry.user then Error Mem.Permission
+(* A page-table read; a bus error is a [Bus] fault of the access that
+   walked. *)
+let read_table bus ~access vaddr addr =
+  match Bus.read32 bus addr with
+  | v -> v
+  | exception Bus.Bus_error -> Mem.fault vaddr access Mem.Bus
+
+let walk bus ~ttbr ~access vaddr =
+  let l1 = read_table bus ~access vaddr ((ttbr land page_mask) + (4 * ((vaddr lsr 22) land 0x3FF))) in
+  if l1 land 1 = 0 then Mem.fault vaddr access Mem.Translation
   else
-    match access with
-    | Mem.Store -> if entry.writable then Ok () else Error Mem.Permission
-    | Mem.Load | Mem.Fetch -> Ok ()
+    let l2 = read_table bus ~access vaddr ((l1 land page_mask) + (4 * ((vaddr lsr 12) land 0x3FF))) in
+    if l2 land 1 = 0 then Mem.fault vaddr access Mem.Translation else l2
+
+let permits entry ~access ~privileged =
+  (privileged || user entry)
+  && match (access : Mem.access) with Store -> writable entry | Load | Fetch -> true
 
 module Tlb = struct
   let entries = 256
@@ -59,12 +52,12 @@ module Tlb = struct
   let flush tlb = Array.fill tlb 0 (Array.length tlb) invalid_tag
 
   let fill tlb ~privileged ~vaddr entry =
-    if privileged || entry.user then begin
+    if privileged || user entry then begin
       let base = set_base_words ~privileged vaddr in
       let tag = vaddr land page_mask in
       tlb.(base) <- tag;
-      tlb.(base + 1) <- (if entry.writable then tag else invalid_tag);
-      tlb.(base + 2) <- entry.page_pa
+      tlb.(base + 1) <- (if writable entry then tag else invalid_tag);
+      tlb.(base + 2) <- page_pa entry
     end
 
   (* Snapshot support: the softMMU array is plain data, so a copy is a
@@ -93,91 +86,68 @@ module Tlb = struct
     else None
 end
 
-let translate bus cpu vaddr ~access ~privileged =
-  if not (Cpu.mmu_enabled cpu) then Ok vaddr
+let translate_entry bus cpu vaddr ~access ~privileged =
+  if not (Cpu.mmu_enabled cpu) then l2_entry ~pa:vaddr ~writable:true ~user:true
   else
-    match walk bus ~ttbr:(Cpu.get_ttbr cpu) vaddr with
-    | Error kind -> Error { Mem.vaddr; access; kind }
-    | Ok entry -> (
-      match check_perms entry ~access ~privileged with
-      | Error kind -> Error { Mem.vaddr; access; kind }
-      | Ok () -> Ok (entry.page_pa lor (vaddr land (page_size - 1))))
+    let entry = walk bus ~ttbr:(Cpu.get_ttbr cpu) ~access vaddr in
+    if permits entry ~access ~privileged then entry
+    else Mem.fault vaddr access Mem.Permission
+
+let translate bus cpu vaddr ~access ~privileged =
+  page_pa (translate_entry bus cpu vaddr ~access ~privileged) lor (vaddr land (page_size - 1))
+
+(* With an injector armed, a walk result can come back corrupted; the
+   corruption is detected (modelled table-entry parity) and the walk is
+   simply redone — guest-invisible, cost-only. The draw comes after the
+   first walk whether or not that walk faulted. *)
+let walk_corrupted inject cpu =
+  match inject with
+  | Some inj ->
+    Cpu.mmu_enabled cpu
+    && Repro_faultinject.Faultinject.fire inj Repro_faultinject.Faultinject.Walk_corrupt
+  | None -> false
 
 let iface ?inject bus cpu : Mem.iface =
-  (* With an injector armed, a walk result can come back corrupted; the
-     corruption is detected (modelled table-entry parity) and the walk
-     is simply redone — guest-invisible, cost-only. *)
   let xlate vaddr ~access ~privileged =
-    let r = translate bus cpu vaddr ~access ~privileged in
-    match inject with
-    | Some inj
-      when Cpu.mmu_enabled cpu
-           && Repro_faultinject.Faultinject.fire inj
-                Repro_faultinject.Faultinject.Walk_corrupt ->
-      translate bus cpu vaddr ~access ~privileged
-    | _ -> r
+    match translate bus cpu vaddr ~access ~privileged with
+    | paddr ->
+      if walk_corrupted inject cpu then translate bus cpu vaddr ~access ~privileged else paddr
+    | exception (Mem.Fault _ as fault) ->
+      if walk_corrupted inject cpu then translate bus cpu vaddr ~access ~privileged
+      else raise fault
   in
   let load width ~privileged vaddr =
-    let aligned =
-      match width with
-      | Mem.W8 -> true
-      | Mem.W16 -> vaddr land 1 = 0
-      | Mem.W32 -> vaddr land 3 = 0
-    in
-    if not aligned then Error { Mem.vaddr; access = Mem.Load; kind = Mem.Alignment }
+    if not (Mem.aligned width vaddr) then Mem.fault vaddr Mem.Load Mem.Alignment
     else
-      match xlate vaddr ~access:Mem.Load ~privileged with
-      | Error f -> Error f
-      | Ok paddr -> (
-        let r =
-          match width with
-          | Mem.W8 -> Result.map (fun b -> b) (Bus.read8 bus paddr)
-          | Mem.W16 -> (
-            (* RAM-backed halves; devices are word-addressed, so a
-               halfword MMIO access surfaces as a bus error *)
-            match (Bus.read8 bus paddr, Bus.read8 bus (paddr + 1)) with
-            | Ok lo, Ok hi -> Ok (lo lor (hi lsl 8))
-            | Error (), _ | _, Error () -> Error ())
-          | Mem.W32 -> Bus.read32 bus paddr
-        in
-        match r with
-        | Ok v -> Ok v
-        | Error () -> Error { Mem.vaddr; access = Mem.Load; kind = Mem.Bus })
+      let paddr = xlate vaddr ~access:Mem.Load ~privileged in
+      match
+        match width with
+        | Mem.W8 -> Bus.read8 bus paddr
+        | Mem.W16 -> Bus.read16 bus paddr
+        | Mem.W32 -> Bus.read32 bus paddr
+      with
+      | v -> v
+      | exception Bus.Bus_error -> Mem.fault vaddr Mem.Load Mem.Bus
   in
   let store width ~privileged vaddr v =
-    let aligned =
-      match width with
-      | Mem.W8 -> true
-      | Mem.W16 -> vaddr land 1 = 0
-      | Mem.W32 -> vaddr land 3 = 0
-    in
-    if not aligned then Error { Mem.vaddr; access = Mem.Store; kind = Mem.Alignment }
+    if not (Mem.aligned width vaddr) then Mem.fault vaddr Mem.Store Mem.Alignment
     else
-      match xlate vaddr ~access:Mem.Store ~privileged with
-      | Error f -> Error f
-      | Ok paddr -> (
-        let r =
-          match width with
-          | Mem.W8 -> Bus.write8 bus paddr v
-          | Mem.W16 -> (
-            match Bus.write8 bus paddr (v land 0xFF) with
-            | Ok () -> Bus.write8 bus (paddr + 1) ((v lsr 8) land 0xFF)
-            | Error () -> Error ())
-          | Mem.W32 -> Bus.write32 bus paddr v
-        in
-        match r with
-        | Ok () -> Ok ()
-        | Error () -> Error { Mem.vaddr; access = Mem.Store; kind = Mem.Bus })
+      let paddr = xlate vaddr ~access:Mem.Store ~privileged in
+      match
+        match width with
+        | Mem.W8 -> Bus.write8 bus paddr v
+        | Mem.W16 -> Bus.write16 bus paddr v
+        | Mem.W32 -> Bus.write32 bus paddr v
+      with
+      | () -> ()
+      | exception Bus.Bus_error -> Mem.fault vaddr Mem.Store Mem.Bus
   in
   let fetch ~privileged vaddr =
-    if vaddr land 3 <> 0 then
-      Error { Mem.vaddr; access = Mem.Fetch; kind = Mem.Alignment }
+    if vaddr land 3 <> 0 then Mem.fault vaddr Mem.Fetch Mem.Alignment
     else
-      match xlate vaddr ~access:Mem.Fetch ~privileged with
-      | Error f -> Error f
-      | Ok paddr -> (
-        match Bus.read32 bus paddr with
-        | Ok v -> Ok v
-        | Error () -> Error { Mem.vaddr; access = Mem.Fetch; kind = Mem.Bus })
+      let paddr = xlate vaddr ~access:Mem.Fetch ~privileged in
+      match Bus.read32 bus paddr with
+      | v -> v
+      | exception Bus.Bus_error -> Mem.fault vaddr Mem.Fetch Mem.Bus
   in
   { Mem.load; store; fetch; flush_tlb = (fun () -> ()) }

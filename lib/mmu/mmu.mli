@@ -20,17 +20,22 @@ val page_mask : int
 val l1_entry : l2_base:Word32.t -> Word32.t
 val l2_entry : pa:Word32.t -> writable:bool -> user:bool -> Word32.t
 
-type entry = { page_pa : Word32.t; writable : bool; user : bool }
+type entry = Word32.t
+(** A valid L2 descriptor, as {!l2_entry} builds it. *)
 
-val walk : Repro_machine.Bus.t -> ttbr:Word32.t -> Word32.t -> (entry, Repro_arm.Mem.fault_kind) result
-(** Translate the page containing a virtual address. Returns
-    [Translation] when an entry is invalid and [Bus] when a table
-    address falls outside RAM. Permission checking is the caller's
-    job (it depends on access type and privilege). *)
+val page_pa : entry -> Word32.t
+val writable : entry -> bool
+val user : entry -> bool
 
-val check_perms :
-  entry -> access:Repro_arm.Mem.access -> privileged:bool ->
-  (unit, Repro_arm.Mem.fault_kind) result
+val walk :
+  Repro_machine.Bus.t -> ttbr:Word32.t -> access:Repro_arm.Mem.access -> Word32.t -> entry
+(** Translate the page containing a virtual address. Raises
+    {!Repro_arm.Mem.Fault} (for [access]) with [Translation] when an
+    entry is invalid and [Bus] when a table address falls outside RAM.
+    Permission checking is the caller's job (it depends on access type
+    and privilege). *)
+
+val permits : entry -> access:Repro_arm.Mem.access -> privileged:bool -> bool
 
 (** {2 The softMMU TLB}
 
@@ -86,14 +91,20 @@ end
 
 (** {2 Reference-machine memory interface} *)
 
+val translate_entry :
+  Repro_machine.Bus.t -> Repro_arm.Cpu.t -> Word32.t ->
+  access:Repro_arm.Mem.access -> privileged:bool -> entry
+(** The permitted entry of a virtual address under the CPU's current
+    MMU configuration: a walk and a permission check when the MMU is
+    on, an identity, writable, user entry when it is off. Raises
+    {!Repro_arm.Mem.Fault}. *)
+
 val translate :
   Repro_machine.Bus.t -> Repro_arm.Cpu.t -> Word32.t ->
-  access:Repro_arm.Mem.access -> privileged:bool ->
-  (Word32.t, Repro_arm.Mem.fault) result
-(** Pure virtual→physical translation under the CPU's current MMU
-    configuration (identity when the MMU is off); performs no access.
-    Used by shadow verification to resolve guest addresses without
-    touching devices. *)
+  access:Repro_arm.Mem.access -> privileged:bool -> Word32.t
+(** Pure virtual→physical translation through {!translate_entry};
+    performs no access. Used by shadow verification to resolve guest
+    addresses without touching devices. Raises {!Repro_arm.Mem.Fault}. *)
 
 val iface :
   ?inject:Repro_faultinject.Faultinject.t ->

@@ -45,16 +45,18 @@ let interp_one (rt : Runtime.t) =
   Runtime.sync_env_to_cpu rt;
   charge rt X.Tag_glue (Costs.interp_one ());
   (* classify for the Table I profile: emulated system-level vs merely
-     uncovered computational instructions *)
+     uncovered computational instructions. This fetch stays separate
+     from the step's own (both make their fault draws), but the word
+     decodes once: the step hits the cache. *)
   (match rt.Runtime.mem.Mem.fetch ~privileged:(Runtime.privileged rt) env.(Envspec.pc) with
-  | Ok word -> (
-    match Repro_arm.Encode.decode word with
+  | word -> (
+    match Repro_arm.Decode_cache.decode rt.Runtime.dcache word with
     | Ok insn ->
       if Repro_arm.Insn.is_system_level insn then
         (Runtime.stats rt).Stats.sys_insns <- (Runtime.stats rt).Stats.sys_insns + 1
     | Error _ -> ())
-  | Error _ -> ());
-  (match Interp.step rt.Runtime.cpu rt.Runtime.mem ~irq:false with
+  | exception Mem.Fault _ -> ());
+  (match Interp.step rt.Runtime.dcache rt.Runtime.cpu rt.Runtime.mem ~irq:false with
   | Interp.Stepped ->
     Runtime.sync_cpu_to_env rt;
     Runtime.refresh_irq_pending rt;
@@ -105,7 +107,7 @@ let data_abort (rt : Runtime.t) (f : Mem.fault) =
       (fun ppc ->
         Cpu.set_reg rt.Runtime.cpu 15 ppc;
         charge rt X.Tag_glue (Costs.interp_one ());
-        ignore (Interp.step rt.Runtime.cpu rt.Runtime.mem ~irq:false))
+        ignore (Interp.step rt.Runtime.dcache rt.Runtime.cpu rt.Runtime.mem ~irq:false))
       producers
   | None -> ());
   Cpu.take_exception rt.Runtime.cpu Cpu.Data_abort ~pc_of_faulting_insn:pc;
@@ -115,22 +117,16 @@ let data_abort (rt : Runtime.t) (f : Mem.fault) =
 
 (* Full softMMU translation in "C": TLB probe, walk + fill on miss,
    MMIO dispatch. Returns the physical address for RAM pages, or
-   performs the device access directly. *)
+   performs the device access directly. A fault raises [Mem.Fault]. *)
 type resolved = Ram_at of int | Device_done of int
 
-let mmu_resolve (rt : Runtime.t) ~(access : Mem.access) ~width vaddr value =
+let resolve (rt : Runtime.t) ~(access : Mem.access) ~width vaddr value =
   let privileged = Runtime.privileged rt in
   let cpu = rt.Runtime.cpu in
   let bus = rt.Runtime.bus in
   let tlb = rt.Runtime.ctx.Exec.tlb in
   let write = access = Mem.Store in
-  let aligned =
-    match width with
-    | Mem.W8 -> true
-    | Mem.W16 -> vaddr land 1 = 0
-    | Mem.W32 -> vaddr land 3 = 0
-  in
-  if not aligned then data_abort rt { Mem.vaddr; access; kind = Mem.Alignment }
+  if not (Mem.aligned width vaddr) then Mem.fault vaddr access Mem.Alignment
   else begin
     charge rt X.Tag_mmu (Costs.mmu_helper_hit ());
     (* Fault point: a spurious TLB invalidation right before the probe
@@ -153,73 +149,63 @@ let mmu_resolve (rt : Runtime.t) ~(access : Mem.access) ~width vaddr value =
           Repro_observe.Trace.Tlb "miss"
       | None -> ());
       charge rt X.Tag_mmu (Costs.mmu_slow_path ());
-      let compute_entry () =
-        if Cpu.mmu_enabled cpu then
-          match Mmu.walk bus ~ttbr:(Cpu.get_ttbr cpu) vaddr with
-          | Error kind -> Error kind
-          | Ok entry -> (
-            match Mmu.check_perms entry ~access ~privileged with
-            | Error kind -> Error kind
-            | Ok () -> Ok entry)
-        else
-          Ok { Mmu.page_pa = vaddr land Mmu.page_mask; writable = true; user = true }
-      in
-      let entry_result = compute_entry () in
+      let compute_entry () = Mmu.translate_entry bus cpu vaddr ~access ~privileged in
       (* Fault point: the walk result comes back corrupted; detection
-         (modelled table-entry parity) discards it and re-walks. *)
-      let entry_result =
+         (modelled table-entry parity) discards it and re-walks. The
+         draw follows the first walk whether or not it faulted. *)
+      let corrupted () =
         match rt.Runtime.inject with
         | Some inj
           when Repro_faultinject.Faultinject.fire inj
                  Repro_faultinject.Faultinject.Walk_corrupt ->
           charge rt X.Tag_mmu (Costs.mmu_slow_path ());
-          compute_entry ()
-        | _ -> entry_result
+          true
+        | _ -> false
       in
-      (match entry_result with
-      | Error kind -> data_abort rt { Mem.vaddr; access; kind }
-      | Ok entry ->
-        let paddr = entry.Mmu.page_pa lor (vaddr land (Mmu.page_size - 1)) in
-        if Bus.is_ram bus entry.Mmu.page_pa then begin
-          (* translated-code pages stay write-protected in the TLB so
-             every store to them takes this slow path and triggers
-             invalidation *)
-          let fill_entry =
-            if rt.Runtime.is_code_page (vaddr lsr 12) then
-              { entry with Mmu.writable = false }
-            else entry
-          in
-          Mmu.Tlb.fill tlb ~privileged ~vaddr fill_entry;
-          Ram_at paddr
-        end
-        else begin
-          (* MMIO: never cached in the TLB; dispatch through the bus. *)
-          charge rt X.Tag_mmu (Costs.io_access ());
-          let r =
+      let entry =
+        match compute_entry () with
+        | entry -> if corrupted () then compute_entry () else entry
+        | exception (Mem.Fault _ as fault) ->
+          if corrupted () then compute_entry () else raise fault
+      in
+      let paddr = Mmu.page_pa entry lor (vaddr land (Mmu.page_size - 1)) in
+      if Bus.is_ram bus (Mmu.page_pa entry) then begin
+        (* translated-code pages stay write-protected in the TLB so
+           every store to them takes this slow path and triggers
+           invalidation *)
+        let fill_entry =
+          if rt.Runtime.is_code_page (vaddr lsr 12) then
+            Mmu.l2_entry ~pa:entry ~writable:false ~user:(Mmu.user entry)
+          else entry
+        in
+        Mmu.Tlb.fill tlb ~privileged ~vaddr fill_entry;
+        Ram_at paddr
+      end
+      else begin
+        (* MMIO: never cached in the TLB; dispatch through the bus. *)
+        charge rt X.Tag_mmu (Costs.io_access ());
+        let v =
+          match
             match (access, width) with
-            | Mem.Store, Mem.W32 -> Result.map (fun () -> 0) (Bus.write32 bus paddr value)
-            | Mem.Store, Mem.W8 -> Result.map (fun () -> 0) (Bus.write8 bus paddr value)
-            | Mem.Store, Mem.W16 -> (
-              match Bus.write8 bus paddr (value land 0xFF) with
-              | Ok () ->
-                Result.map
-                  (fun () -> 0)
-                  (Bus.write8 bus (paddr + 1) ((value lsr 8) land 0xFF))
-              | Error () -> Error ())
+            | Mem.Store, Mem.W32 -> Bus.write32 bus paddr value; 0
+            | Mem.Store, Mem.W8 -> Bus.write8 bus paddr value; 0
+            | Mem.Store, Mem.W16 -> Bus.write16 bus paddr value; 0
             | (Mem.Load | Mem.Fetch), Mem.W32 -> Bus.read32 bus paddr
             | (Mem.Load | Mem.Fetch), Mem.W8 -> Bus.read8 bus paddr
-            | (Mem.Load | Mem.Fetch), Mem.W16 -> (
-              match (Bus.read8 bus paddr, Bus.read8 bus (paddr + 1)) with
-              | Ok lo, Ok hi -> Ok (lo lor (hi lsl 8))
-              | Error (), _ | _, Error () -> Error ())
-          in
-          match r with
-          | Ok v ->
-            check_halt rt;
-            Device_done v
-          | Error () -> data_abort rt { Mem.vaddr; access; kind = Mem.Bus }
-        end)
+            | (Mem.Load | Mem.Fetch), Mem.W16 -> Bus.read16 bus paddr
+          with
+          | v -> v
+          | exception Bus.Bus_error -> Mem.fault vaddr access Mem.Bus
+        in
+        check_halt rt;
+        Device_done v
+      end
   end
+
+let mmu_resolve (rt : Runtime.t) ~access ~width vaddr value =
+  match resolve rt ~access ~width vaddr value with
+  | r -> r
+  | exception Mem.Fault f -> data_abort rt f
 
 let mmu_load (rt : Runtime.t) ~width vaddr =
   match mmu_resolve rt ~access:Mem.Load ~width vaddr 0 with

@@ -4,22 +4,25 @@ module Bus = Repro_machine.Bus
 module Interp = Repro_arm.Interp
 module Mmu = Repro_mmu.Mmu
 
-type t = { cpu : Cpu.t; bus : Bus.t; mem : Repro_arm.Mem.iface }
+type t = {
+  cpu : Cpu.t;
+  bus : Bus.t;
+  mem : Repro_arm.Mem.iface;
+  dcache : Repro_arm.Decode_cache.t;
+}
 
 let create ?(ram_kib = 4096) () =
   let ram = Bytes.make (ram_kib * 1024) '\000' in
   let bus = Bus.create ~ram ~dirty:(Pages.bitmap (Bytes.length ram)) in
   let cpu = Cpu.create () in
   let mem = Mmu.iface bus cpu in
-  { cpu; bus; mem }
+  { cpu; bus; mem; dcache = Repro_arm.Decode_cache.create ~bits:14 }
 
 let load_image t origin words =
   Array.iteri
     (fun i w ->
       let addr = Word32.add origin (4 * i) in
-      match Bus.write32 t.bus addr w with
-      | Ok () -> ()
-      | Error () -> raise (Runtime.Load_error addr))
+      try Bus.write32 t.bus addr w with Bus.Bus_error -> raise (Runtime.Load_error addr))
     words
 
 type outcome = Halted of Word32.t | Step_limit | Decode_error of string
@@ -33,7 +36,7 @@ let run t ~max_steps =
       match Bus.halted t.bus with
       | Some code -> (Halted code, n)
       | None -> (
-        match Interp.step t.cpu t.mem ~irq:(Bus.irq_line t.bus) with
+        match Interp.step t.dcache t.cpu t.mem ~irq:(Bus.irq_line t.bus) with
         | Interp.Stepped ->
           Bus.tick t.bus 1;
           loop (n + 1)

@@ -8,7 +8,12 @@ open Repro_common
 module Cpu = Repro_arm.Cpu
 module Bus = Repro_machine.Bus
 
-type t = { cpu : Cpu.t; bus : Bus.t; mem : Repro_arm.Mem.iface }
+type t = {
+  cpu : Cpu.t;
+  bus : Bus.t;
+  mem : Repro_arm.Mem.iface;
+  dcache : Repro_arm.Decode_cache.t;
+}
 
 val create : ?ram_kib:int -> unit -> t
 

@@ -13,6 +13,7 @@ type t = {
   bus : Bus.t;
   cpu : Cpu.t;
   mutable mem : Mem.iface;
+  dcache : Repro_arm.Decode_cache.t;
   mutable is_code_page : Word32.t -> bool;
   mutable pending_code_write : bool;
   mutable tb_override : int option;
@@ -66,6 +67,9 @@ let create ?(ram_kib = 4096) ?inject ?trace ?ledger ?scope () =
       bus;
       cpu;
       mem;
+      (* The helper tier and the translators decode few distinct words;
+         a small cache keeps a fleet's many machines light. *)
+      dcache = Repro_arm.Decode_cache.create ~bits:10;
       is_code_page = (fun _ -> false);
       pending_code_write = false;
       tb_override = None;
@@ -82,11 +86,8 @@ let create ?(ram_kib = 4096) ?inject ?trace ?ledger ?scope () =
   (* Interpreter-path stores (helpers emulating whole instructions)
      must also notice writes into translated code. *)
   let store width ~privileged vaddr v =
-    let r = mem.Mem.store width ~privileged vaddr v in
-    (match r with
-    | Ok () -> if rt.is_code_page (vaddr lsr 12) then rt.pending_code_write <- true
-    | Error _ -> ());
-    r
+    mem.Mem.store width ~privileged vaddr v;
+    if rt.is_code_page (vaddr lsr 12) then rt.pending_code_write <- true
   in
   rt.mem <- { mem with Mem.store };
   rt
@@ -99,9 +100,7 @@ let load_image t origin words =
   Array.iteri
     (fun i w ->
       let addr = Word32.add origin (4 * i) in
-      match Bus.write32 t.bus addr w with
-      | Ok () -> ()
-      | Error () -> raise (Load_error addr))
+      try Bus.write32 t.bus addr w with Bus.Bus_error -> raise (Load_error addr))
     words
 
 let sync_env_to_cpu t = Envspec.env_to_cpu (env t) t.cpu

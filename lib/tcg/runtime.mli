@@ -14,6 +14,9 @@ type t = {
   bus : Bus.t;
   cpu : Cpu.t;  (** system-state mirror (modes, banks, cp15, FPSCR) *)
   mutable mem : Mem.iface;  (** reference-style translated view over bus+cpu *)
+  dcache : Repro_arm.Decode_cache.t;
+      (** decodes for the interpreter helpers, the translators and the
+          shadow replay; snapshot restore leaves it alone *)
   mutable is_code_page : Word32.t -> bool;
       (** installed by the execution engine: virtual pages containing
           translated code; guest stores into them must invalidate *)

@@ -22,9 +22,9 @@ let fetch_block ?cap (rt : Runtime.t) ~pc =
     if n >= cap then List.rev acc
     else
       match rt.Runtime.mem.Mem.fetch ~privileged pc_cur with
-      | Error _ -> List.rev acc
-      | Ok word -> (
-        match Repro_arm.Encode.decode word with
+      | exception Mem.Fault _ -> List.rev acc
+      | word -> (
+        match Repro_arm.Decode_cache.decode rt.Runtime.dcache word with
         | Error _ -> List.rev acc
         | Ok insn ->
           let acc = insn :: acc in
@@ -148,10 +148,12 @@ let build (rt : Runtime.t) cache ~pc ~insns =
 let translate (rt : Runtime.t) cache ~pc =
   let privileged = Runtime.privileged rt in
   match rt.Runtime.mem.Mem.fetch ~privileged pc with
-  | Error f -> Error f
-  | Ok first_word ->
+  | exception Mem.Fault f -> Error f
+  | first_word ->
     let insn =
-      match Repro_arm.Encode.decode first_word with Ok i -> Some i | Error _ -> None
+      match Repro_arm.Decode_cache.decode rt.Runtime.dcache first_word with
+      | Ok i -> Some i
+      | Error _ -> None
     in
     let start_cap =
       match rt.Runtime.tb_override with Some n -> n | None -> max_tb_insns

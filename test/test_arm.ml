@@ -96,18 +96,17 @@ let setup_flat program =
   let asm = Asm.create () in
   program asm;
   let origin, words = Asm.assemble asm in
-  Array.iteri
-    (fun i w ->
-      match mem.Mem.store Mem.W32 ~privileged:true (origin + (4 * i)) w with
-      | Ok () -> ()
-      | Error _ -> assert false)
-    words;
+  Array.iteri (fun i w -> mem.Mem.store Mem.W32 ~privileged:true (origin + (4 * i)) w) words;
   Cpu.set_pc cpu origin;
   (cpu, mem)
 
+(* Decoding is a pure function of the word, so one cache serves every
+   test. *)
+let dcache = Decode_cache.create ~bits:10
+
 let run_steps cpu mem n =
   for _ = 1 to n do
-    match Interp.step cpu mem ~irq:false with
+    match Interp.step dcache cpu mem ~irq:false with
     | Interp.Stepped | Interp.Took_exception _ -> ()
     | Interp.Decode_error e -> Alcotest.failf "decode error: %s" e
   done
@@ -413,7 +412,7 @@ let test_irq_entry_and_banking () =
   (* Execute setup, then raise IRQ. *)
   run_steps cpu mem 4;
   let sp_before = Cpu.get_reg cpu Insn.sp in
-  (match Interp.step cpu mem ~irq:true with
+  (match Interp.step dcache cpu mem ~irq:true with
   | Interp.Took_exception Cpu.Irq -> ()
   | _ -> Alcotest.fail "expected IRQ");
   Alcotest.(check string) "irq mode" "irq"
@@ -456,7 +455,7 @@ let test_mcr_mrc_ttbr () =
 
 let test_udf_takes_undefined () =
   let cpu, mem = setup_flat (fun a -> Asm.udf a 0) in
-  (match Interp.step cpu mem ~irq:false with
+  (match Interp.step dcache cpu mem ~irq:false with
   | Interp.Took_exception Cpu.Undefined_insn -> ()
   | _ -> Alcotest.fail "expected undefined exception");
   Alcotest.(check int) "at undef vector" 0x4 (Cpu.get_pc cpu)
@@ -497,6 +496,106 @@ let prop_word32_ops =
       && Word32.sub a b = (a - b) land 0xFFFFFFFF
       && Word32.mask (Word32.mul a b) = Word32.mul a b)
 
+(* --- The interpreter's step: no allocation, word-keyed decode --- *)
+
+(* A loop of data-processing, branch and load/store instructions.
+   Once every word is in the decode cache, a step allocates nothing
+   (the two [Gc.minor_words] calls box one float each). *)
+let test_step_does_not_allocate () =
+  let cpu, mem =
+    setup_flat (fun a ->
+        Asm.mov32 a Insn.sp 0x8000;
+        Asm.mov32 a 6 0x1000;
+        Asm.mov a 0 0;
+        Asm.label a "loop";
+        Asm.add a 0 0 1;
+        Asm.add_r a ~s:true 1 0 0;
+        Asm.eor_r a 2 1 0;
+        Asm.orr a 3 2 1;
+        Asm.lsl_ a 4 3 2;
+        Asm.mul a 9 0 1;
+        Asm.str a 4 6 0;
+        Asm.ldr a 5 6 0;
+        Asm.str a ~width:Insn.Byte 5 6 4;
+        Asm.ldr a ~width:Insn.Byte 7 6 4;
+        Asm.str a ~width:Insn.Half 5 6 8;
+        Asm.ldrs a ~half:true 8 6 8;
+        Asm.ldr a ~index:Insn.Post_indexed 10 6 4;
+        Asm.sub a 6 6 4;
+        Asm.push a (Asm.reg_mask [ 0; 1; 2; 14 ]);
+        Asm.pop a (Asm.reg_mask [ 0; 1; 2; 14 ]);
+        Asm.branch_to a ~link:true "leaf";
+        Asm.cmp a 0 200;
+        Asm.mov a ~cond:Cond.GE 0 0;
+        Asm.branch_to a "loop";
+        Asm.label a "leaf";
+        Asm.add a 11 11 1;
+        Asm.bx a Insn.lr)
+  in
+  run_steps cpu mem 2_000;
+  let before = Gc.minor_words () in
+  for _ = 1 to 20_000 do
+    match Interp.step dcache cpu mem ~irq:false with
+    | Interp.Stepped -> ()
+    | Interp.Took_exception _ | Interp.Decode_error _ -> Alcotest.fail "unexpected exit"
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words" words) true (words <= 4.);
+  Alcotest.(check bool) "the leaf ran" true (Cpu.get_reg cpu 11 > 500)
+
+(* The cache is keyed by the instruction word, not its address: a word
+   rewritten in place runs as the new instruction. *)
+let test_rewritten_word_runs () =
+  let cpu, mem =
+    setup_flat (fun a ->
+        Asm.label a "patch";
+        Asm.mov a 0 1)
+  in
+  let origin = Cpu.get_pc cpu in
+  run_steps cpu mem 1;
+  Alcotest.(check int) "old word" 1 (Cpu.get_reg cpu 0);
+  let a = Asm.create ~origin () in
+  Asm.mov a 0 2;
+  mem.Mem.store Mem.W32 ~privileged:true origin (snd (Asm.assemble a)).(0);
+  Cpu.set_pc cpu origin;
+  run_steps cpu mem 1;
+  Alcotest.(check int) "new word" 2 (Cpu.get_reg cpu 0)
+
+(* Two words that map to one cache slot evict each other on every step
+   when run alternately; both still execute. *)
+let test_slot_sharing_words () =
+  (* [add rd, rd, #imm] over every immediate encoding, for rd = r1 and
+     rd = r2: some r2 word lands in the slot of some r1 word. *)
+  let add rd i =
+    let op2 = Insn.Imm { imm8 = i land 0xFF; rot = i lsr 8 } in
+    Encode.encode (Insn.make (Insn.Dp { op = Insn.ADD; s = false; rd; rn = rd; op2 }))
+  in
+  let r1_slots = Hashtbl.create 4096 in
+  for i = 0 to 0xFFF do
+    Hashtbl.replace r1_slots (Decode_cache.slot dcache (add 1 i)) i
+  done;
+  let rec find j =
+    if j > 0xFFF then Alcotest.fail "no two adds share a slot"
+    else
+      match Hashtbl.find_opt r1_slots (Decode_cache.slot dcache (add 2 j)) with
+      | Some i -> (i, j)
+      | None -> find (j + 1)
+  in
+  let i, j = find 0 in
+  let a = add 1 i and b = add 2 j in
+  Alcotest.(check int) "same slot" (Decode_cache.slot dcache a) (Decode_cache.slot dcache b);
+  let cpu, mem =
+    setup_flat (fun asm ->
+        for _ = 1 to 5 do
+          Asm.word asm a;
+          Asm.word asm b
+        done)
+  in
+  run_steps cpu mem 10;
+  let value i = Word32.rotate_right (i land 0xFF) (2 * (i lsr 8)) in
+  Alcotest.(check int) "r1 word ran five times" (Word32.mask (5 * value i)) (Cpu.get_reg cpu 1);
+  Alcotest.(check int) "r2 word ran five times" (Word32.mask (5 * value j)) (Cpu.get_reg cpu 2)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -531,6 +630,9 @@ let suite =
         Alcotest.test_case "udf raises undefined" `Quick test_udf_takes_undefined;
         Alcotest.test_case "umull/smull" `Quick test_umull_smull;
         Alcotest.test_case "pc reads as pc+8" `Quick test_pc_plus_8_view;
+        Alcotest.test_case "step does not allocate" `Quick test_step_does_not_allocate;
+        Alcotest.test_case "rewritten word runs" `Quick test_rewritten_word_runs;
+        Alcotest.test_case "slot-sharing words both run" `Quick test_slot_sharing_words;
       ] );
     ( "arm.properties",
       [ q prop_flags_word_roundtrip; q prop_word32_ops ] );

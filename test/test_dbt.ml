@@ -690,7 +690,7 @@ let prop_random_mem_blocks =
           | None -> ()
           | Some msg -> ignore (QCheck.Test.fail_reportf "[%s]:@\n%s" name msg));
           let peek bus addr =
-            match Bus.read32 bus addr with Ok v -> v | Error () -> -1
+            try Bus.read32 bus addr with Bus.Bus_error -> -1
           in
           let ref_bus = ref_m.T.Ref_machine.bus in
           let got_bus = sys.D.System.rt.T.Runtime.bus in

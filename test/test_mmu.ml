@@ -9,8 +9,7 @@ let make_bus () =
   Bus.create ~ram:(Bytes.make (1 lsl 20) '\000')
     ~dirty:(Repro_common.Pages.bitmap (1 lsl 20))
 
-let write32 bus addr v =
-  match Bus.write32 bus addr v with Ok () -> () | Error () -> Alcotest.fail "bus write"
+let write32 = Bus.write32
 
 (* identity-map the page containing [va] with the given permissions *)
 let map bus ~ttbr ~va ~pa ~writable ~user =
@@ -24,35 +23,30 @@ let test_walk_success () =
   let bus = make_bus () in
   let ttbr = 0x40000 in
   map bus ~ttbr ~va:0x1234_5000 ~pa:0x0008_9000 ~writable:true ~user:false;
-  match Mmu.walk bus ~ttbr 0x1234_5678 with
-  | Ok e ->
-    Alcotest.(check int) "physical page" 0x0008_9000 e.Mmu.page_pa;
-    Alcotest.(check bool) "writable" true e.Mmu.writable;
-    Alcotest.(check bool) "not user" false e.Mmu.user
-  | Error _ -> Alcotest.fail "walk failed"
+  let e = Mmu.walk bus ~ttbr ~access:Mem.Load 0x1234_5678 in
+  Alcotest.(check int) "physical page" 0x0008_9000 (Mmu.page_pa e);
+  Alcotest.(check bool) "writable" true (Mmu.writable e);
+  Alcotest.(check bool) "not user" false (Mmu.user e)
 
 let test_walk_translation_fault () =
   let bus = make_bus () in
-  match Mmu.walk bus ~ttbr:0x40000 0xDEAD0000 with
-  | Error Mem.Translation -> ()
+  match Mmu.walk bus ~ttbr:0x40000 ~access:Mem.Load 0xDEAD0000 with
+  | exception Mem.Fault { vaddr = 0xDEAD0000; access = Mem.Load; kind = Mem.Translation } -> ()
   | _ -> Alcotest.fail "expected translation fault"
 
 let test_perms () =
-  let e = { Mmu.page_pa = 0; writable = false; user = false } in
-  (match Mmu.check_perms e ~access:Mem.Load ~privileged:true with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "kernel read must pass");
-  (match Mmu.check_perms e ~access:Mem.Load ~privileged:false with
-  | Error Mem.Permission -> ()
-  | _ -> Alcotest.fail "user read of kernel page must fault");
-  match Mmu.check_perms e ~access:Mem.Store ~privileged:true with
-  | Error Mem.Permission -> ()
-  | _ -> Alcotest.fail "store to read-only page must fault"
+  let e = Mmu.l2_entry ~pa:0 ~writable:false ~user:false in
+  Alcotest.(check bool) "kernel read must pass" true
+    (Mmu.permits e ~access:Mem.Load ~privileged:true);
+  Alcotest.(check bool) "user read of kernel page must fault" false
+    (Mmu.permits e ~access:Mem.Load ~privileged:false);
+  Alcotest.(check bool) "store to read-only page must fault" false
+    (Mmu.permits e ~access:Mem.Store ~privileged:true)
 
 let test_tlb_fill_lookup_flush () =
   let tlb = Array.make Mmu.Tlb.words 0 in
   Mmu.Tlb.flush tlb;
-  let entry = { Mmu.page_pa = 0x7000; writable = false; user = true } in
+  let entry = Mmu.l2_entry ~pa:0x7000 ~writable:false ~user:true in
   Alcotest.(check (option int)) "miss before fill" None
     (Mmu.Tlb.lookup tlb ~privileged:false ~write:false 0x3456);
   Mmu.Tlb.fill tlb ~privileged:false ~vaddr:0x3456 entry;
@@ -69,7 +63,7 @@ let test_tlb_fill_lookup_flush () =
 let test_tlb_non_user_page_not_filled_in_user_bank () =
   let tlb = Array.make Mmu.Tlb.words 0 in
   Mmu.Tlb.flush tlb;
-  let entry = { Mmu.page_pa = 0x9000; writable = true; user = false } in
+  let entry = Mmu.l2_entry ~pa:0x9000 ~writable:true ~user:false in
   Mmu.Tlb.fill tlb ~privileged:false ~vaddr:0x1000 entry;
   Alcotest.(check (option int)) "kernel page never user-visible" None
     (Mmu.Tlb.lookup tlb ~privileged:false ~write:false 0x1000)
@@ -77,8 +71,8 @@ let test_tlb_non_user_page_not_filled_in_user_bank () =
 let test_tlb_conflict_eviction () =
   let tlb = Array.make Mmu.Tlb.words 0 in
   Mmu.Tlb.flush tlb;
-  let e1 = { Mmu.page_pa = 0x10000; writable = true; user = true } in
-  let e2 = { Mmu.page_pa = 0x20000; writable = true; user = true } in
+  let e1 = Mmu.l2_entry ~pa:0x10000 ~writable:true ~user:true in
+  let e2 = Mmu.l2_entry ~pa:0x20000 ~writable:true ~user:true in
   (* same set: indexes 0x1000 and 0x1000 + entries*4096 *)
   let conflict = 0x1000 + (Mmu.Tlb.entries * 4096) in
   Mmu.Tlb.fill tlb ~privileged:true ~vaddr:0x1000 e1;

@@ -277,6 +277,90 @@ let prop_rule_corruption_repaired =
         else true
       | `Insn_limit | `Livelock _ | `Deadline -> QCheck.Test.fail_reportf "hit the insn limit")
 
+(* ---- 5. the fault-draw stream is pinned ----
+
+   Every [Fi.fire] draws from one PRNG, so the number and order of
+   draws across the bus, the softMMU, the interpreter's memory
+   interface, the helpers and the shadow replay decide which faults a
+   fleet plan sees. This run exercises all of them under surfaced bus
+   faults and shadow verification; its per-site counters and final
+   injector state were recorded before the memory interface moved from
+   [result] returns to the [Mem.Fault] exception, and must not move. *)
+
+type draw_run = {
+  label : string;
+  mode : D.System.mode;
+  shadow_depth : int;
+  guest_insns : int;
+  prng_state : int64;
+  draws : (Fi.site * int * int) list;  (** site, events, fired *)
+}
+
+let draw_runs =
+  [
+    {
+      label = "rules full, shadow 4";
+      mode = D.System.Rules D.Opt.full;
+      shadow_depth = 4;
+      guest_insns = 54537;
+      prng_state = -3158188517708491939L;
+      draws =
+        [
+          (Fi.Bus_read, 17034, 5); (Fi.Bus_write, 24, 0); (Fi.Tlb_flush, 16517, 37);
+          (Fi.Walk_corrupt, 4689, 9); (Fi.Spurious_irq, 10072, 20); (Fi.Tb_flush, 111, 1);
+          (Fi.Rule_corrupt, 63, 1); (Fi.Host_livelock, 62, 0); (Fi.Depot_torn, 0, 0);
+          (Fi.Depot_trunc, 0, 0); (Fi.Depot_flip, 0, 0);
+        ];
+    };
+    {
+      label = "qemu";
+      mode = D.System.Qemu;
+      shadow_depth = 0;
+      guest_insns = 23734;
+      prng_state = 3731650043864239131L;
+      draws =
+        [
+          (Fi.Bus_read, 2196, 1); (Fi.Bus_write, 12, 0); (Fi.Tlb_flush, 20, 0);
+          (Fi.Walk_corrupt, 713, 0); (Fi.Spurious_irq, 4361, 11); (Fi.Tb_flush, 62, 0);
+          (Fi.Rule_corrupt, 0, 0); (Fi.Host_livelock, 0, 0); (Fi.Depot_torn, 0, 0);
+          (Fi.Depot_trunc, 0, 0); (Fi.Depot_flip, 0, 0);
+        ];
+    };
+  ]
+
+let test_fault_draws_pinned () =
+  let spec = W.find "gcc" in
+  let user = W.generate spec ~iterations:(max 1 (60_000 / W.insns_per_iteration spec)) in
+  let image = K.build ~timer_period:5_000 ~user_program:user () in
+  List.iter
+    (fun r ->
+      let inject = Fi.create ~seed:7 ~rate:0.002 ~behavior:Fi.Surface () in
+      Fi.set_rate inject Fi.Bus_read 0.0002;
+      Fi.set_rate inject Fi.Rule_corrupt 0.05;
+      let sys = D.System.create ~inject ~shadow_depth:r.shadow_depth r.mode in
+      K.load image (fun base words -> D.System.load_image sys base words);
+      let res = D.System.run ~max_guest_insns:2_000_000 sys in
+      let check what = Alcotest.(check int) (r.label ^ ": " ^ what) in
+      Alcotest.(check bool) (r.label ^ ": a surfaced fault panics the guest") true
+        (res.T.Engine.reason = `Halted 0xdead0002);
+      check "guest insns" r.guest_insns (D.System.stats sys).Stats.guest_insns;
+      List.iter
+        (fun (site, events, fired) ->
+          check (Fi.site_name site ^ " events") events (Fi.events inject site);
+          check (Fi.site_name site ^ " fired") fired (Fi.fired inject site))
+        r.draws;
+      let rates = List.map (fun (site, _, _) -> Int64.bits_of_float (Fi.rate inject site)) r.draws in
+      let column f = List.map (fun d -> Int64.of_int (f d)) r.draws in
+      let expected =
+        Array.of_list
+          ([ r.prng_state; 1L; Int64.of_int (List.length r.draws) ]
+          @ rates
+          @ column (fun (_, e, _) -> e)
+          @ column (fun (_, _, f) -> f))
+      in
+      Alcotest.(check (array int64)) (r.label ^ ": injector export") expected (Fi.export inject))
+    draw_runs
+
 let suite =
   [
     ( "robustness",
@@ -285,5 +369,6 @@ let suite =
         Alcotest.test_case "transient injection is absorbed" `Slow test_transient_identity;
         Alcotest.test_case "corrupted rule is quarantined" `Quick test_corrupt_rule_quarantined;
         QCheck_alcotest.to_alcotest prop_rule_corruption_repaired;
+        Alcotest.test_case "fault-draw stream is pinned" `Quick test_fault_draws_pinned;
       ] );
   ]
