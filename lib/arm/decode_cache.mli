@@ -12,8 +12,7 @@ type t
 val create : bits:int -> t
 (** A cache of [2^bits] slots. Collisions are a birthday problem: the
     reference machine's 512 hot words of hmmer thrash about 11% of its
-    steps at 12 bits and about 1% at 14; the DBT's interpreter tier
-    decodes far fewer distinct words. *)
+    steps at 12 bits and about 1% at 14. *)
 
 val decode : t -> Repro_common.Word32.t -> (Insn.t, string) result
 (** {!Encode.decode}, memoized: the result of a hit is the very value

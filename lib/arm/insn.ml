@@ -140,17 +140,38 @@ let apply_shift kind value amount ~carry =
   in
   (shifted, carry_out)
 
-let operand2_value op2 regs ~carry =
-  match op2 with
-  | Imm { imm8; rot } ->
-    let v = Word32.rotate_right imm8 (2 * rot) in
-    let c = if rot = 0 then carry else Word32.bit v 31 in
-    (v, c)
-  | Reg_shift_imm { rm; kind; amount } -> apply_shift kind (regs rm) amount ~carry
-  | Reg_shift_reg { rm; kind; rs } ->
+(* Operand 2 is always a word shifted by an amount: an immediate is
+   [imm8] rotated right by [2*rot], which is also its carry rule (the
+   carry passes through when [rot = 0]). [read env r] reads register
+   [r]; with a top-level [read] the value half builds no closure and
+   no pair. *)
+let operand2_kind = function
+  | Imm _ -> ROR
+  | Reg_shift_imm { kind; _ } | Reg_shift_reg { kind; _ } -> kind
+
+let operand2_base read env = function
+  | Imm { imm8; _ } -> imm8
+  | Reg_shift_imm { rm; _ } | Reg_shift_reg { rm; _ } -> read env rm
+
+let operand2_amount read env = function
+  | Imm { rot; _ } -> 2 * rot
+  | Reg_shift_imm { amount; _ } -> amount
+  | Reg_shift_reg { rs; _ } ->
     (* Model simplification (see DESIGN.md): register-specified shift
        amounts are taken mod 32, matching the host's shift semantics. *)
-    apply_shift kind (regs rm) (regs rs land 0x1F) ~carry
+    read env rs land 0x1F
+
+let operand2_word read env op2 =
+  shift_value (operand2_kind op2) (operand2_base read env op2)
+    (operand2_amount read env op2)
+
+let apply_regs regs r = regs r
+
+let operand2_value op2 regs ~carry =
+  apply_shift (operand2_kind op2)
+    (operand2_base apply_regs regs op2)
+    (operand2_amount apply_regs regs op2)
+    ~carry
 
 type width = Word | Byte | Half
 type index_mode = Offset | Pre_indexed | Post_indexed

@@ -54,6 +54,10 @@ val operand2_value : operand2 -> (reg -> int) -> carry:bool -> int * bool
 (** Evaluate an operand2 under a register valuation; returns the value
     and the shifter carry-out. *)
 
+val operand2_word : ('env -> reg -> int) -> 'env -> operand2 -> int
+(** The value half of {!operand2_value}, reading register [r] as
+    [read env r]: with a top-level [read] it allocates nothing. *)
+
 val shift_value : shift_kind -> Repro_common.Word32.t -> int -> Repro_common.Word32.t
 (** [shift_value kind value amount]: the value half of operand
     evaluation for a shift by an effective [amount] (which may exceed

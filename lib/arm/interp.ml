@@ -45,17 +45,6 @@ let sub_nzcv a b ~borrow r =
   lor (if Word32.borrow_of_sub a b ~borrow_in:borrow then 0 else flag_c)
   lor if Word32.overflow_of_sub a b r then flag_v else 0
 
-(* The operand-2 value. The shifter carry-out is not needed: see the
-   logical-operation simplification in [exec_dp]. *)
-let operand2 cpu (op2 : Insn.operand2) =
-  match op2 with
-  | Imm { imm8; rot } -> Word32.rotate_right imm8 (2 * rot)
-  | Reg_shift_imm { rm; kind; amount } -> Insn.shift_value kind (read_reg cpu rm) amount
-  | Reg_shift_reg { rm; kind; rs } ->
-    (* Model simplification (see DESIGN.md): register-specified shift
-       amounts are taken mod 32, matching the host's shift semantics. *)
-    Insn.shift_value kind (read_reg cpu rm) (read_reg cpu rs land 0x1F)
-
 (* Write a data-processing result with its NZCV (when [s]). A PC write
    is a branch, and with the S bit in an exception mode it is an
    exception return (CPSR := SPSR) instead of a flag write. *)
@@ -86,7 +75,8 @@ let dp_test cpu nzcv =
 let exec_dp cpu (op : Insn.dp_op) ~s ~rd ~rn ~op2 =
   let carry = Cpu.get_cpsr cpu land flag_c <> 0 in
   let a = read_reg cpu rn in
-  let b = operand2 cpu op2 in
+  (* No shifter carry-out: logical operations do not use it. *)
+  let b = Insn.operand2_word read_reg cpu op2 in
   match op with
   | AND -> dp_logical cpu ~s ~rd (Word32.logand a b)
   | EOR -> dp_logical cpu ~s ~rd (Word32.logxor a b)

@@ -100,9 +100,11 @@ let write8 t paddr v =
     write32 t (paddr land lnot 3 land 0xFFFFFFFF) (v land 0xFF)
   else raise Bus_error
 
-(* Both bytes are read even when one raises, low byte first: the order
-   and number of Faultinject draws of the pair of reads this replaced,
-   which OCaml evaluated left to right. *)
+(* Both bytes are read even when one raises, so a halfword read always
+   makes two Faultinject draws, as the pair of byte reads it replaced
+   did. Their order cannot matter: both draws are at the [Bus_read]
+   site, the read fails if either fires, and device reads have no side
+   effects. Only the count of two draws is kept. *)
 let read16 t paddr =
   let lo = match read8 t paddr with b -> b | exception Bus_error -> -1 in
   let hi = read8 t (paddr + 1) in

@@ -41,7 +41,29 @@ let test_perms () =
   Alcotest.(check bool) "user read of kernel page must fault" false
     (Mmu.permits e ~access:Mem.Load ~privileged:false);
   Alcotest.(check bool) "store to read-only page must fault" false
-    (Mmu.permits e ~access:Mem.Store ~privileged:true)
+    (Mmu.permits e ~access:Mem.Store ~privileged:true);
+  (* the fault kind a denied access reports (it sets the guest DFSR) *)
+  let bus = make_bus () in
+  let ttbr = 0x40000 in
+  map bus ~ttbr ~va:0x0030_0000 ~pa:0x0008_9000 ~writable:false ~user:false;
+  let cpu = Repro_arm.Cpu.create () in
+  Repro_arm.Cpu.set_ttbr cpu ttbr;
+  Repro_arm.Cpu.set_mmu_enabled cpu true;
+  let translate ~access ~privileged =
+    Mmu.translate bus cpu 0x0030_0124 ~access ~privileged
+  in
+  Alcotest.(check int) "kernel read translates" 0x0008_9124
+    (translate ~access:Mem.Load ~privileged:true);
+  (match translate ~access:Mem.Load ~privileged:false with
+   | exception
+       Mem.Fault { vaddr = 0x0030_0124; access = Mem.Load; kind = Mem.Permission } ->
+     ()
+   | _ -> Alcotest.fail "expected a permission fault on the user load");
+  match translate ~access:Mem.Store ~privileged:true with
+  | exception
+      Mem.Fault { vaddr = 0x0030_0124; access = Mem.Store; kind = Mem.Permission } ->
+    ()
+  | _ -> Alcotest.fail "expected a permission fault on the kernel store"
 
 let test_tlb_fill_lookup_flush () =
   let tlb = Array.make Mmu.Tlb.words 0 in
