@@ -28,12 +28,12 @@ let exit_fleet_dead = 6
 let exit_depot = 7
 let exit_slo = 8
 
-let mode_of_string = function
-  | "qemu" -> Ok D.System.Qemu
-  | "base" -> Ok (D.System.Rules D.Opt.base)
-  | "full" -> Ok (D.System.Rules D.Opt.full)
-  | "regions" -> Ok (D.System.Rules D.Opt.with_regions)
-  | s -> Error (Printf.sprintf "unknown mode %s (qemu|base|full|regions)" s)
+let mode_names = List.map fst D.System.modes
+
+let mode_of_string s =
+  match List.assoc_opt s D.System.modes with
+  | Some m -> Ok m
+  | None -> Error (Printf.sprintf "unknown mode %s (%s)" s (String.concat "|" mode_names))
 
 (* Boot the workload on a pristine machine (injector present but every
    site at rate 0, so the warm phase is fault-free) and capture the
@@ -363,7 +363,7 @@ let bench_arg =
   Arg.(value & pos 0 string "gcc" & info [] ~docv:"BENCH" ~doc)
 
 let mode_arg =
-  let doc = "Engine mode: qemu, base, full or regions." in
+  let doc = "Engine mode: one of " ^ String.concat ", " mode_names ^ "." in
   Arg.(value & opt string "full" & info [ "m"; "mode" ] ~docv:"MODE" ~doc)
 
 let target_arg =

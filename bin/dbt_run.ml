@@ -23,16 +23,12 @@ module Atomicio = Repro_common.Atomicio
 module Cov = Repro_covscope
 open Cmdliner
 
-let mode_of_string = function
-  | "qemu" -> Ok D.System.Qemu
-  | "base" -> Ok (D.System.Rules D.Opt.base)
-  | "reduction" -> Ok (D.System.Rules D.Opt.reduction_only)
-  | "elimination" -> Ok (D.System.Rules D.Opt.with_elimination)
-  | "full" -> Ok (D.System.Rules D.Opt.full)
-  | "regions" -> Ok (D.System.Rules D.Opt.with_regions)
-  | s ->
-    Error
-      (Printf.sprintf "unknown mode %s (qemu|base|reduction|elimination|full|regions)" s)
+let mode_names = List.map fst D.System.modes
+
+let mode_of_string s =
+  match List.assoc_opt s D.System.modes with
+  | Some m -> Ok m
+  | None -> Error (Printf.sprintf "unknown mode %s (%s)" s (String.concat "|" mode_names))
 
 let exit_corrupt = 3
 let exit_load = 4
@@ -582,7 +578,7 @@ let bench_arg =
   Arg.(value & pos 0 string "gcc" & info [] ~docv:"BENCH" ~doc)
 
 let mode_arg =
-  let doc = "Engine: qemu, base, reduction, elimination or full." in
+  let doc = "Engine: one of " ^ String.concat ", " mode_names ^ "." in
   Arg.(value & opt string "full" & info [ "m"; "mode" ] ~docv:"MODE" ~doc)
 
 let target_arg =

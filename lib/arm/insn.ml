@@ -244,6 +244,13 @@ let reads_flags { cond; op } =
 
 let bitmask r = 1 lsl r
 
+let popcount mask =
+  let n = ref 0 in
+  for r = 0 to 15 do
+    if mask land (1 lsl r) <> 0 then incr n
+  done;
+  !n
+
 let op2_uses = function
   | Imm _ -> 0
   | Reg_shift_imm { rm; _ } -> bitmask rm

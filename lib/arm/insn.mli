@@ -137,6 +137,9 @@ val defs : t -> int
 val uses : t -> int
 (** Bitmask of general registers read. *)
 
+val popcount : int -> int
+(** Registers in a 16-bit register mask. *)
+
 val is_branch : t -> bool
 (** Direct/indirect branches and any PC write. *)
 

@@ -125,13 +125,6 @@ let access_addr (index : Insn.index_mode) ~base ~eff =
 let write_back cpu (index : Insn.index_mode) ~rn eff =
   match index with Offset -> () | Pre_indexed | Post_indexed -> Cpu.set_reg cpu rn eff
 
-let popcount regs =
-  let n = ref 0 in
-  for r = 0 to 15 do
-    if regs land (1 lsl r) <> 0 then incr n
-  done;
-  !n
-
 (* LDM makes every load before it writes any register, so a data abort
    part-way leaves the registers as they were. The recursion loads in
    ascending order on the way down and writes on the way back up; the
@@ -184,14 +177,14 @@ let exec_mem cpu (mem : Mem.iface) insn_op =
     advance cpu
   | Insn.Ldm { kind; rn; writeback; regs } ->
     let base = read_reg cpu rn in
-    let bytes = 4 * popcount regs in
+    let bytes = 4 * Insn.popcount regs in
     let start = match kind with Insn.IA -> base | Insn.DB -> Word32.sub base bytes in
     let after = match kind with Insn.IA -> Word32.add base bytes | Insn.DB -> start in
     ldm cpu mem ~privileged regs 0 start ~wb_rn:(if writeback then rn else -1) ~wb:after;
     if regs land 0x8000 = 0 then advance cpu
   | Insn.Stm { kind; rn; writeback; regs } ->
     let base = read_reg cpu rn in
-    let bytes = 4 * popcount regs in
+    let bytes = 4 * Insn.popcount regs in
     let start = match kind with Insn.IA -> base | Insn.DB -> Word32.sub base bytes in
     let addr = ref start in
     for r = 0 to 15 do

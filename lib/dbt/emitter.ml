@@ -6,6 +6,7 @@ module Prog = Repro_x86.Prog
 module Tb = Repro_tcg.Tb
 module Envspec = Repro_tcg.Envspec
 module Helpers = Repro_tcg.Helpers
+module Backend = Repro_tcg.Backend
 module Rule = Repro_rules.Rule
 module Ruleset = Repro_rules.Ruleset
 module Flagconv = Repro_rules.Flagconv
@@ -101,13 +102,6 @@ let native_tier st = if st.in_region then Attr.Region else Attr.Rule
 let env_op slot = X.Mem (X.env_slot slot)
 let emit st ?tag i = Prog.emit st.b ?tag i
 let credit st pass ~ops ~insns = Ledger.prov_add st.prov pass ~ops ~insns
-
-let popcount mask =
-  let n = ref 0 in
-  for r = 0 to 14 do
-    if mask land (1 lsl r) <> 0 then incr n
-  done;
-  !n
 
 (* Guest PC of the instruction at (scheduled) index [idx]: scheduling
    permutes emission order but every instruction keeps its original
@@ -333,7 +327,7 @@ let eager_restore_after_helper st ~from_index =
        emit — register reloads for every later use plus the flag
        rebuild — stays lazy instead. *)
     let reloads =
-      popcount (!remaining_uses land Pinmap.pinned_mask land lnot st.loaded)
+      A.popcount (!remaining_uses land Pinmap.pinned_mask land lnot st.loaded)
     in
     credit st Ledger.Elim_mem
       ~ops:(if !reads_flags_later then 1 else 0)
@@ -496,18 +490,6 @@ let emit_fallback_body st ~pc ~index =
 
 (* ---------- memory bodies ---------- *)
 
-let mmu_load_id (w : A.width) =
-  match w with
-  | A.Word -> Helpers.h_mmu_load_w
-  | A.Byte -> Helpers.h_mmu_load_b
-  | A.Half -> Helpers.h_mmu_load_h
-
-let mmu_store_id (w : A.width) =
-  match w with
-  | A.Word -> Helpers.h_mmu_store_w
-  | A.Byte -> Helpers.h_mmu_store_b
-  | A.Half -> Helpers.h_mmu_store_h
-
 let shift_op : A.shift_kind -> X.shift_op = function
   | A.LSL -> X.Shl
   | A.LSR -> X.Shr
@@ -595,86 +577,30 @@ let emit_mem_inline st ~pc (insn : A.t) =
   emit st ~tag:X.Tag_mmu (X.Count X.Cnt_mmu_access);
   compute_address st rn off;  (* address in rdx; uses rax as scratch *)
   let t = X.Tag_mmu in
-  let addr = Helpers.arg0_reg in
-  let bank_disp =
-    4 * Repro_mmu.Mmu.Tlb.bank_offset_words ~privileged:st.privileged
-  in
   let slow = Prog.fresh_label st.b in
   let done_ = Prog.fresh_label st.b in
-  (* set index in rax *)
-  emit st ~tag:t (X.Mov { width = X.W32; dst = X.Reg X.rax; src = X.Reg addr });
-  emit st ~tag:t (X.Shift { op = X.Shr; dst = X.Reg X.rax; amount = X.Sh_imm 12 });
-  emit st ~tag:t (X.Alu { op = X.And; dst = X.Reg X.rax; src = X.Imm 0xFF });
-  emit st ~tag:t (X.Shift { op = X.Shl; dst = X.Reg X.rax; amount = X.Sh_imm 4 });
-  (* tag compare *)
-  emit st ~tag:t (X.Mov { width = X.W32; dst = X.Reg X.rcx; src = X.Reg addr });
-  emit st ~tag:t
-    (X.Alu { op = X.And; dst = X.Reg X.rcx; src = X.Imm Repro_mmu.Mmu.page_mask });
-  emit st ~tag:t
-    (X.Alu
-       {
-         op = X.Cmp;
-         dst =
-           X.Mem
-             { X.seg = X.Tlb; base = Some X.rax; index = None; scale = 1;
-               disp = bank_disp + (if is_load then 0 else 4) };
-         src = X.Reg X.rcx;
-       });
-  emit st ~tag:t (X.Jcc { cc = X.NE; target = slow });
-  (* hit: paddr = tlb.paddr | (addr & 0xFFF) *)
-  emit st ~tag:t
-    (X.Mov
-       {
-         width = X.W32;
-         dst = X.Reg X.rcx;
-         src =
-           X.Mem
-             { X.seg = X.Tlb; base = Some X.rax; index = None; scale = 1;
-               disp = bank_disp + 8 };
-       });
-  emit st ~tag:t (X.Mov { width = X.W32; dst = X.Reg X.rax; src = X.Reg addr });
-  emit st ~tag:t (X.Alu { op = X.And; dst = X.Reg X.rax; src = X.Imm 0xFFF });
-  emit st ~tag:t (X.Alu { op = X.Add; dst = X.Reg X.rcx; src = X.Reg X.rax });
-  let ram = X.Mem { X.seg = X.Ram; base = Some X.rcx; index = None; scale = 1; disp = 0 } in
-  (if is_load then
-     match width with
-     | A.Word ->
-       if Pinmap.is_pinned rd then
-         emit st ~tag:t (X.Mov { width = X.W32; dst = X.Reg (host_of rd); src = ram })
-       else begin
-         emit st ~tag:t (X.Mov { width = X.W32; dst = X.Reg X.rax; src = ram });
-         emit st ~tag:t
-           (X.Mov { width = X.W32; dst = env_op (Envspec.reg rd); src = X.Reg X.rax })
-       end
-     | A.Byte ->
-       if Pinmap.is_pinned rd then emit st ~tag:t (X.Movzx8 { dst = host_of rd; src = ram })
-       else begin
-         emit st ~tag:t (X.Movzx8 { dst = X.rax; src = ram });
-         emit st ~tag:t
-           (X.Mov { width = X.W32; dst = env_op (Envspec.reg rd); src = X.Reg X.rax })
-       end
-     | A.Half ->
-       if Pinmap.is_pinned rd then
-         emit st ~tag:t (X.Movzx16 { dst = host_of rd; src = ram })
-       else begin
-         emit st ~tag:t (X.Movzx16 { dst = X.rax; src = ram });
-         emit st ~tag:t
-           (X.Mov { width = X.W32; dst = env_op (Envspec.reg rd); src = X.Reg X.rax })
-       end
+  let ram =
+    Backend.tlb_probe st.b ~addr:Helpers.arg0_reg ~set:X.rax ~pa:X.rcx ~tmp:X.rax
+      ~bank:(4 * Repro_mmu.Mmu.Tlb.bank_offset_words ~privileged:st.privileged)
+      ~write:(not is_load) ~slow
+  in
+  (if is_load then begin
+     let dst = if Pinmap.is_pinned rd then host_of rd else X.rax in
+     emit st ~tag:t (Backend.ram_load width ~dst ram);
+     if dst = X.rax then
+       emit st ~tag:t (X.Mov { width = X.W32; dst = env_op (Envspec.reg rd); src = X.Reg X.rax })
+   end
    else begin
      (* store: value from its pinned home or env via rax *)
-     let src_op =
-       if Pinmap.is_pinned rd && st.loaded land (1 lsl rd) <> 0 then X.Reg (host_of rd)
+     let src =
+       if Pinmap.is_pinned rd && st.loaded land (1 lsl rd) <> 0 then host_of rd
        else begin
          emit st ~tag:t
            (X.Mov { width = X.W32; dst = X.Reg X.rax; src = env_op (Envspec.reg rd) });
-         X.Reg X.rax
+         X.rax
        end
      in
-     match width with
-     | A.Word -> emit st ~tag:t (X.Mov { width = X.W32; dst = ram; src = src_op })
-     | A.Byte -> emit st ~tag:t (X.Mov { width = X.W8; dst = ram; src = src_op })
-     | A.Half -> emit st ~tag:t (X.Mov { width = X.W16; dst = ram; src = src_op })
+     emit st ~tag:t (Backend.ram_store width ram ~src)
    end);
   emit st ~tag:t (X.Jmp done_);
   (* slow path: full coordination, helper, reload of live state *)
@@ -686,28 +612,11 @@ let emit_mem_inline st ~pc (insn : A.t) =
         (X.Mov { width = X.W32; dst = env_op (Envspec.reg r); src = X.Reg (host_of r) })
   done;
   set_env_pc st pc;
-  (if not is_load then
-     let src_op =
-       if Pinmap.is_pinned rd then X.Reg (host_of rd)
-       else begin
-         emit st ~tag:t
-           (X.Mov
-              { width = X.W32; dst = X.Reg Helpers.arg1_reg; src = env_op (Envspec.reg rd) });
-         X.Reg Helpers.arg1_reg
-       end
-     in
-     match src_op with
-     | X.Reg r when r <> Helpers.arg1_reg ->
-       emit st ~tag:t (X.Mov { width = X.W32; dst = X.Reg Helpers.arg1_reg; src = X.Reg r })
-     | _ -> ());
-  emit st ~tag:t
-    (X.Call_helper { id = (if is_load then mmu_load_id width else mmu_store_id width) });
-  (if is_load then
-     if Pinmap.is_pinned rd then
-       emit st ~tag:t (X.Mov { width = X.W32; dst = X.Reg (host_of rd); src = X.Reg X.rax })
-     else
-       emit st ~tag:t
-         (X.Mov { width = X.W32; dst = env_op (Envspec.reg rd); src = X.Reg X.rax }));
+  let home = if Pinmap.is_pinned rd then X.Reg (host_of rd) else env_op (Envspec.reg rd) in
+  if not is_load then
+    emit st ~tag:t (X.Mov { width = X.W32; dst = X.Reg Helpers.arg1_reg; src = home });
+  emit st ~tag:t (X.Call_helper { id = Helpers.mmu_helper ~store:(not is_load) width });
+  if is_load then emit st ~tag:t (X.Mov { width = X.W32; dst = home; src = X.Reg X.rax });
   (* reload everything the fast path kept live *)
   for r = 0 to 14 do
     if st.loaded land (1 lsl r) <> 0 && not (is_load && r = rd) then
@@ -718,6 +627,46 @@ let emit_mem_inline st ~pc (insn : A.t) =
   (* join: fast-path state (slow path reconstructed it) *)
   if Pinmap.is_pinned rd && is_load then mark_def st rd;
   (match st.fl with F_both _ | F_dirty _ -> st.fl <- F_env | F_env -> ())
+
+(* LDM/STM: one word helper call per listed register, ascending, its
+   address taken from the base in env; a load's result goes to env, a
+   store's value comes from env. *)
+let emit_block_transfer st ~pc ~index ~load ~kind ~rn ~writeback regs =
+  sync_for_qemu st;
+  maybe_scheduled_irq_check st ~index;
+  set_env_pc st pc;
+  let t = X.Tag_mmu in
+  let count = A.popcount regs in
+  let start = match kind with A.IA -> 0 | A.DB -> -4 * count in
+  let k = ref 0 in
+  for r = 0 to 15 do
+    if regs land (1 lsl r) <> 0 then begin
+      if !k > 0 then invalidate_after_helper st;
+      emit st ~tag:t
+        (X.Mov { width = X.W32; dst = X.Reg Helpers.arg0_reg; src = env_op (Envspec.reg rn) });
+      let off = start + (4 * !k) in
+      if off <> 0 then
+        emit st ~tag:t
+          (X.Alu { op = X.Add; dst = X.Reg Helpers.arg0_reg; src = X.Imm (Word32.of_signed off) });
+      if not load then
+        emit st ~tag:t
+          (X.Mov { width = X.W32; dst = X.Reg Helpers.arg1_reg; src = env_op (Envspec.reg r) });
+      emit st ~tag:t (X.Count X.Cnt_mmu_access);
+      emit st ~tag:t (X.Call_helper { id = Helpers.mmu_helper ~store:(not load) A.Word });
+      if load then
+        emit st ~tag:t (X.Mov { width = X.W32; dst = env_op (Envspec.reg r); src = X.Reg X.rax });
+      incr k
+    end
+  done;
+  invalidate_after_helper st;
+  if writeback then begin
+    emit st ~tag:t (X.Mov { width = X.W32; dst = X.Reg X.rax; src = env_op (Envspec.reg rn) });
+    let delta = 4 * count * (match kind with A.IA -> 1 | A.DB -> -1) in
+    emit st ~tag:t
+      (X.Alu { op = X.Add; dst = X.Reg X.rax; src = X.Imm (Word32.of_signed delta) });
+    emit st ~tag:t (X.Mov { width = X.W32; dst = env_op (Envspec.reg rn); src = X.Reg X.rax })
+  end;
+  eager_restore_after_helper st ~from_index:(index + 1)
 
 (* Offset-form ldr/str through the QEMU softMMU helper, with
    coordination (the paper: the learning-based approach context
@@ -730,154 +679,63 @@ let rec emit_mem_body st ~pc ~index (insn : A.t) =
   | _ -> emit_mem_helper st ~pc ~index insn
 
 and emit_mem_helper st ~pc ~index (insn : A.t) =
-  match insn.A.op with
-  | A.Ldr { width; rd; rn; off; index = idx_mode }
-    when not (idx_mode <> A.Offset && rd = rn) ->
+  (* One single-register access: sync, address, helper call, then
+     [result] moves the loaded value (rax) home before any writeback. *)
+  let single ~rn ~off ~idx_mode ~helper ?value result =
     sync_for_qemu st;
     maybe_scheduled_irq_check st ~index;
     emit st ~tag:X.Tag_mmu (X.Count X.Cnt_mmu_access);
     compute_address ~base_only:(idx_mode = A.Post_indexed) st rn off;
+    Option.iter (read_reg_to st ~dst:Helpers.arg1_reg) value;
     set_env_pc st pc;
-    emit st ~tag:X.Tag_mmu (X.Call_helper { id = mmu_load_id width });
+    emit st ~tag:X.Tag_mmu (X.Call_helper { id = helper });
     invalidate_after_helper st;
-    (* result first (rax), then the writeback (which clobbers rax);
-       rd ≠ rn is guaranteed for indexed forms by the guard above *)
-    if Pinmap.is_pinned rd then begin
-      emit st ~tag:X.Tag_mmu
-        (X.Mov { width = X.W32; dst = X.Reg (host_of rd); src = X.Reg X.rax });
-      mark_def st rd
-    end
-    else
-      emit st ~tag:X.Tag_mmu
-        (X.Mov { width = X.W32; dst = env_op (Envspec.reg rd); src = X.Reg X.rax });
+    result ();
     (match idx_mode with
     | A.Offset -> ()
     | A.Pre_indexed | A.Post_indexed -> emit_writeback st rn off);
     eager_restore_after_helper st ~from_index:(index + 1)
-  | A.Ldrs { half; rd; rn; off; index = idx_mode }
-    when not (idx_mode <> A.Offset && rd = rn) ->
-    sync_for_qemu st;
-    maybe_scheduled_irq_check st ~index;
-    emit st ~tag:X.Tag_mmu (X.Count X.Cnt_mmu_access);
-    compute_address ~base_only:(idx_mode = A.Post_indexed) st rn off;
-    set_env_pc st pc;
-    emit st ~tag:X.Tag_mmu
-      (X.Call_helper
-         { id = (if half then Helpers.h_mmu_load_h else Helpers.h_mmu_load_b) });
-    invalidate_after_helper st;
-    (* the helper zero-extends; sign-extend host-side (movsx leaves
-       EFLAGS alone, so no flag bookkeeping is owed) *)
-    let sx dst =
-      emit st ~tag:X.Tag_mmu
-        (if half then X.Movsx16 { dst; src = X.Reg X.rax }
-         else X.Movsx8 { dst; src = X.Reg X.rax })
-    in
+  in
+  (* The loaded value (rax) into guest [rd], through [extend] (a sign
+     extension into a given register) when given. *)
+  let load_into rd extend () =
     if Pinmap.is_pinned rd then begin
-      sx (host_of rd);
+      emit st ~tag:X.Tag_mmu
+        (match extend with
+        | Some f -> f (host_of rd)
+        | None -> X.Mov { width = X.W32; dst = X.Reg (host_of rd); src = X.Reg X.rax });
       mark_def st rd
     end
     else begin
-      sx X.rax;
+      Option.iter (fun f -> emit st ~tag:X.Tag_mmu (f X.rax)) extend;
       emit st ~tag:X.Tag_mmu
         (X.Mov { width = X.W32; dst = env_op (Envspec.reg rd); src = X.Reg X.rax })
-    end;
-    (match idx_mode with
-    | A.Offset -> ()
-    | A.Pre_indexed | A.Post_indexed -> emit_writeback st rn off);
-    eager_restore_after_helper st ~from_index:(index + 1)
+    end
+  in
+  match insn.A.op with
+  (* rd ≠ rn for the indexed forms: the result lands before the
+     writeback, which re-reads the base *)
+  | A.Ldr { width; rd; rn; off; index = idx_mode }
+    when not (idx_mode <> A.Offset && rd = rn) ->
+    single ~rn ~off ~idx_mode ~helper:(Helpers.mmu_helper ~store:false width) (load_into rd None)
+  | A.Ldrs { half; rd; rn; off; index = idx_mode }
+    when not (idx_mode <> A.Offset && rd = rn) ->
+    (* the helper zero-extends; sign-extend host-side (movsx leaves
+       EFLAGS alone, so no flag bookkeeping is owed) *)
+    single ~rn ~off ~idx_mode
+      ~helper:(Helpers.mmu_helper ~store:false (if half then A.Half else A.Byte))
+      (load_into rd
+         (Some
+            (fun dst ->
+              if half then X.Movsx16 { dst; src = X.Reg X.rax }
+              else X.Movsx8 { dst; src = X.Reg X.rax })))
   | A.Str { width; rd; rn; off; index = idx_mode } ->
-    sync_for_qemu st;
-    maybe_scheduled_irq_check st ~index;
-    emit st ~tag:X.Tag_mmu (X.Count X.Cnt_mmu_access);
-    compute_address ~base_only:(idx_mode = A.Post_indexed) st rn off;
-    read_reg_to st ~dst:Helpers.arg1_reg rd;
-    set_env_pc st pc;
-    emit st ~tag:X.Tag_mmu (X.Call_helper { id = mmu_store_id width });
-    invalidate_after_helper st;
-    (match idx_mode with
-    | A.Offset -> ()
-    | A.Pre_indexed | A.Post_indexed -> emit_writeback st rn off);
-    eager_restore_after_helper st ~from_index:(index + 1)
+    single ~rn ~off ~idx_mode ~helper:(Helpers.mmu_helper ~store:true width) ~value:rd
+      ignore
   | A.Ldm { kind; rn; writeback; regs } when regs land (1 lsl rn) = 0 ->
-    sync_for_qemu st;
-    maybe_scheduled_irq_check st ~index;
-    set_env_pc st pc;
-    let count = ref 0 in
-    for r = 0 to 15 do
-      if regs land (1 lsl r) <> 0 then incr count
-    done;
-    let start = match kind with A.IA -> 0 | A.DB -> -4 * !count in
-    let k = ref 0 in
-    let first = ref true in
-    for r = 0 to 15 do
-      if regs land (1 lsl r) <> 0 then begin
-        if not !first then invalidate_after_helper st;
-        first := false;
-        emit st ~tag:X.Tag_mmu
-          (X.Mov { width = X.W32; dst = X.Reg Helpers.arg0_reg; src = env_op (Envspec.reg rn) });
-        let off = start + (4 * !k) in
-        if off <> 0 then
-          emit st ~tag:X.Tag_mmu
-            (X.Alu
-               { op = X.Add; dst = X.Reg Helpers.arg0_reg; src = X.Imm (Word32.of_signed off) });
-        emit st ~tag:X.Tag_mmu (X.Count X.Cnt_mmu_access);
-        emit st ~tag:X.Tag_mmu (X.Call_helper { id = Helpers.h_mmu_load_w });
-        emit st ~tag:X.Tag_mmu
-          (X.Mov { width = X.W32; dst = env_op (Envspec.reg r); src = X.Reg X.rax });
-        incr k
-      end
-    done;
-    invalidate_after_helper st;
-    if writeback then begin
-      emit st ~tag:X.Tag_mmu
-        (X.Mov { width = X.W32; dst = X.Reg X.rax; src = env_op (Envspec.reg rn) });
-      let delta = 4 * !count * (match kind with A.IA -> 1 | A.DB -> -1) in
-      emit st ~tag:X.Tag_mmu
-        (X.Alu { op = X.Add; dst = X.Reg X.rax; src = X.Imm (Word32.of_signed delta) });
-      emit st ~tag:X.Tag_mmu
-        (X.Mov { width = X.W32; dst = env_op (Envspec.reg rn); src = X.Reg X.rax })
-    end;
-    eager_restore_after_helper st ~from_index:(index + 1)
+    emit_block_transfer st ~pc ~index ~load:true ~kind ~rn ~writeback regs
   | A.Stm { kind; rn; writeback; regs } ->
-    sync_for_qemu st;
-    maybe_scheduled_irq_check st ~index;
-    set_env_pc st pc;
-    let count = ref 0 in
-    for r = 0 to 15 do
-      if regs land (1 lsl r) <> 0 then incr count
-    done;
-    let start = match kind with A.IA -> 0 | A.DB -> -4 * !count in
-    let k = ref 0 in
-    let first = ref true in
-    for r = 0 to 15 do
-      if regs land (1 lsl r) <> 0 then begin
-        if not !first then invalidate_after_helper st;
-        first := false;
-        emit st ~tag:X.Tag_mmu
-          (X.Mov { width = X.W32; dst = X.Reg Helpers.arg0_reg; src = env_op (Envspec.reg rn) });
-        let off = start + (4 * !k) in
-        if off <> 0 then
-          emit st ~tag:X.Tag_mmu
-            (X.Alu
-               { op = X.Add; dst = X.Reg Helpers.arg0_reg; src = X.Imm (Word32.of_signed off) });
-        emit st ~tag:X.Tag_mmu
-          (X.Mov { width = X.W32; dst = X.Reg Helpers.arg1_reg; src = env_op (Envspec.reg r) });
-        emit st ~tag:X.Tag_mmu (X.Count X.Cnt_mmu_access);
-        emit st ~tag:X.Tag_mmu (X.Call_helper { id = Helpers.h_mmu_store_w });
-        incr k
-      end
-    done;
-    invalidate_after_helper st;
-    if writeback then begin
-      emit st ~tag:X.Tag_mmu
-        (X.Mov { width = X.W32; dst = X.Reg X.rax; src = env_op (Envspec.reg rn) });
-      let delta = 4 * !count * (match kind with A.IA -> 1 | A.DB -> -1) in
-      emit st ~tag:X.Tag_mmu
-        (X.Alu { op = X.Add; dst = X.Reg X.rax; src = X.Imm (Word32.of_signed delta) });
-      emit st ~tag:X.Tag_mmu
-        (X.Mov { width = X.W32; dst = env_op (Envspec.reg rn); src = X.Reg X.rax })
-    end;
-    eager_restore_after_helper st ~from_index:(index + 1)
+    emit_block_transfer st ~pc ~index ~load:false ~kind ~rn ~writeback regs
   | _ ->
     (* Pre/post-indexed forms and ldm-with-base-in-list fall back. *)
     emit_fallback_body st ~pc ~index
@@ -1147,7 +1005,7 @@ let seam_credit st =
   in
   credit st Ledger.Region
     ~ops:(if save > 0 then 1 else 0)
-    ~insns:(save + popcount st.dirty + 2 + 2)
+    ~insns:(save + A.popcount st.dirty + 2 + 2)
 
 (* Leave the current chunk for guest [pc]: through an epilogue exit
    from the last chunk ([next = None]), otherwise by falling into the

@@ -22,18 +22,19 @@ let mode_name = function
   | Qemu -> "qemu"
   | Rules o -> "rules:" ^ Opt.name o
 
+let modes =
+  [
+    ("qemu", Qemu);
+    ("base", Rules Opt.base);
+    ("reduction", Rules Opt.reduction_only);
+    ("elimination", Rules Opt.with_elimination);
+    ("full", Rules Opt.full);
+    ("regions", Rules Opt.with_regions);
+    ("future", Rules Opt.future);
+  ]
+
 let mode_of_name s =
-  if s = "qemu" then Some Qemu
-  else if String.length s > 6 && String.sub s 0 6 = "rules:" then begin
-    let n = String.sub s 6 (String.length s - 6) in
-    match List.find_opt (fun (_, o) -> Opt.name o = n) Opt.levels with
-    | Some (_, o) -> Some (Rules o)
-    | None ->
-      if Opt.name Opt.future = n then Some (Rules Opt.future)
-      else if Opt.name Opt.with_regions = n then Some (Rules Opt.with_regions)
-      else None
-  end
-  else None
+  List.find_map (fun (_, m) -> if mode_name m = s then Some m else None) modes
 
 (* The degradation ladder: which engine tier a run starts on. The
    watchdog (or the external supervision layer) only ever moves a
@@ -489,6 +490,21 @@ let max_strikes a b =
     (a @ b);
   Hashtbl.fold (fun id n acc -> (id, n) :: acc) tbl [] |> List.sort compare
 
+(* Merge demotions into the translator's and ruleset's health; [base]
+   (default: the translator's current state) supplies the translator
+   state the blacklist merge does not cover. *)
+let ratchet_health ?base tr rs ~blacklist ~strikes ~quarantined =
+  let cur = Translator_rule.save_state tr in
+  let cur_strikes, cur_quarantined = Ruleset.export_health rs in
+  Translator_rule.restore_state tr
+    {
+      (Option.value base ~default:cur) with
+      Translator_rule.s_blacklist = union_int blacklist cur.Translator_rule.s_blacklist;
+    };
+  Ruleset.restore_health rs
+    ~strikes:(max_strikes strikes cur_strikes)
+    ~quarantined:(union_int quarantined cur_quarantined)
+
 (* Snapshot cache rebuilds and depot install waves re-run translations
    made elsewhere (by the checkpointed machine, or by the run that
    captured the depot), spliced into a machine that must not notice.
@@ -670,18 +686,8 @@ let restore ?(rebuild = true) t snap =
   (match (t.rule_translator, t.ruleset, Snapshot.find_opt snap "translator") with
   | Some tr, Some rs, Some payload ->
     let saved, strikes, quarantined = decode_translator payload in
-    let cur = Translator_rule.save_state tr in
-    let cur_strikes, cur_quarantined = Ruleset.export_health rs in
-    Translator_rule.restore_state tr
-      {
-        saved with
-        Translator_rule.s_blacklist =
-          union_int saved.Translator_rule.s_blacklist
-            cur.Translator_rule.s_blacklist;
-      };
-    Ruleset.restore_health rs
-      ~strikes:(max_strikes strikes cur_strikes)
-      ~quarantined:(union_int quarantined cur_quarantined)
+    ratchet_health tr rs ~base:saved ~blacklist:saved.Translator_rule.s_blacklist ~strikes
+      ~quarantined
   | None, _, None -> ()
   | Some _, _, None -> raise (Snapshot.Corrupt "missing section translator")
   | _ -> raise (Snapshot.Corrupt "translator section in a qemu-mode snapshot"));
@@ -760,6 +766,11 @@ let depot_err section fmt =
   Printf.ksprintf
     (fun reason -> raise (Depot.Depot_error { section; reason }))
     fmt
+
+(* Decode a depot payload, reporting a malformed one against [section]. *)
+let depot_decode section decode payload =
+  try decode payload with
+  | Snapshot.Corrupt reason | Invalid_argument reason -> depot_err section "%s" reason
 
 (* Install-time fidelity guard: a depot recipe is only replayed when
    the guest code it came from is what this machine's memory holds at
@@ -978,9 +989,7 @@ let depot_install t depot =
        natural %s engine"
       (rung_name t.rung_floor) (rung_name natural);
   let records, links, regions, region_links =
-    try decode_cache (Depot.cache_payload depot) with
-    | Snapshot.Corrupt reason -> depot_err "cache" "%s" reason
-    | Invalid_argument reason -> depot_err "cache" "%s" reason
+    depot_decode "cache" decode_cache (Depot.cache_payload depot)
   in
   let srcsum = Depot.srcsum depot in
   if Array.length srcsum <> Array.length records then
@@ -989,9 +998,7 @@ let depot_install t depot =
   if Array.length regions > 0 && t.rule_translator = None then
     depot_err "cache" "superblock recipes in a qemu-mode depot";
   let blacklist, strikes, quarantined =
-    try decode_depot_health (Depot.health depot) with
-    | Snapshot.Corrupt reason -> depot_err "health" "%s" reason
-    | Invalid_argument reason -> depot_err "health" "%s" reason
+    depot_decode "health" decode_depot_health (Depot.health depot)
   in
   (* The depot's durable demotions ratchet in before any recipe is
      replayed (union/max merge, the same policy snapshot restore
@@ -999,18 +1006,7 @@ let depot_install t depot =
      health alive. *)
   Tb.Cache.flush t.cache;
   (match (t.rule_translator, t.ruleset) with
-  | Some tr, Some rs ->
-    let cur = Translator_rule.save_state tr in
-    let cur_strikes, cur_quarantined = Ruleset.export_health rs in
-    Translator_rule.restore_state tr
-      {
-        cur with
-        Translator_rule.s_blacklist =
-          union_int cur.Translator_rule.s_blacklist blacklist;
-      };
-    Ruleset.restore_health rs
-      ~strikes:(max_strikes strikes cur_strikes)
-      ~quarantined:(union_int quarantined cur_quarantined)
+  | Some tr, Some rs -> ratchet_health tr rs ~blacklist ~strikes ~quarantined
   | _ -> ());
   let n = Array.length records and m = Array.length regions in
   let qpcs = Hashtbl.create 8 in
@@ -1124,26 +1120,20 @@ let depot_poisoned t =
    payload the way install would. Returns (plain recipes, superblocks). *)
 let depot_check depot =
   let records, _, regions, _ =
-    try decode_cache (Depot.cache_payload depot) with
-    | Snapshot.Corrupt reason -> depot_err "cache" "%s" reason
-    | Invalid_argument reason -> depot_err "cache" "%s" reason
+    depot_decode "cache" decode_cache (Depot.cache_payload depot)
   in
   if Array.length (Depot.srcsum depot) <> Array.length records then
     depot_err "srcsum" "%d checksums for %d recipes"
       (Array.length (Depot.srcsum depot))
       (Array.length records);
-  (try ignore (decode_depot_health (Depot.health depot)) with
-  | Snapshot.Corrupt reason -> depot_err "health" "%s" reason
-  | Invalid_argument reason -> depot_err "health" "%s" reason);
+  ignore (depot_decode "health" decode_depot_health (Depot.health depot));
   (Array.length records, Array.length regions)
 
 (* Fleet write-back: fold breaker-quarantined rule ids into the depot's
    durable health. Returns true when the set grew (save warranted). *)
 let depot_quarantine_rules depot ids =
   let blacklist, strikes, quarantined =
-    try decode_depot_health (Depot.health depot) with
-    | Snapshot.Corrupt reason -> depot_err "health" "%s" reason
-    | Invalid_argument reason -> depot_err "health" "%s" reason
+    depot_decode "health" decode_depot_health (Depot.health depot)
   in
   let merged = union_int ids quarantined in
   if List.length merged = List.length quarantined then false

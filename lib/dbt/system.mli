@@ -22,9 +22,14 @@ type mode =
 
 val mode_name : mode -> string
 
+val modes : (string * mode) list
+(** The engine presets by command-line name, in paper order: [qemu],
+    the four cumulative levels ([base], [reduction], [elimination],
+    [full]), then the two extensions ([regions], [future]). *)
+
 val mode_of_name : string -> mode option
-(** Inverse of {!mode_name} over the named optimization levels
-    (snapshots record the mode as a string). *)
+(** Inverse of {!mode_name} over {!modes} (snapshots record the mode
+    as a string). *)
 
 (** {2 Degradation ladder} *)
 

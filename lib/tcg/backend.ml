@@ -30,9 +30,47 @@ let binop_to_x86 : Ir.binop -> [ `Alu of X.alu_op | `Shift of X.shift_op | `Mul 
   | Ir.Sar -> `Shift X.Sar
   | Ir.Ror -> `Shift X.Ror
 
-type stub =
-  | Slow_load of { label : int; done_ : int; addr : X.reg; dst : X.reg; width : Ir.width; insn_pc : int }
-  | Slow_store of { label : int; done_ : int; addr : X.reg; src : X.reg; width : Ir.width; insn_pc : int }
+let tlb_probe b ~addr ~set ~pa ~tmp ~bank ~write ~slow =
+  let emit i = Prog.emit b ~tag:X.Tag_mmu i in
+  let tlb disp = X.Mem { seg = X.Tlb; base = Some set; index = None; scale = 1; disp } in
+  (* Set index: set = ((addr >> 12) & 0xFF) * 16 bytes *)
+  emit (X.Mov { width = X.W32; dst = X.Reg set; src = X.Reg addr });
+  emit (X.Shift { op = X.Shr; dst = X.Reg set; amount = X.Sh_imm 12 });
+  emit (X.Alu { op = X.And; dst = X.Reg set; src = X.Imm 0xFF });
+  emit (X.Shift { op = X.Shl; dst = X.Reg set; amount = X.Sh_imm 4 });
+  (* Tag compare: the read tag is the set's first word, the write tag
+     its second *)
+  emit (X.Mov { width = X.W32; dst = X.Reg pa; src = X.Reg addr });
+  emit (X.Alu { op = X.And; dst = X.Reg pa; src = X.Imm Mmu.page_mask });
+  emit (X.Alu { op = X.Cmp; dst = tlb (bank + if write then 4 else 0); src = X.Reg pa });
+  emit (X.Jcc { cc = X.NE; target = slow });
+  (* Hit: paddr = tlb.paddr_page | (addr & 0xFFF) *)
+  emit (X.Mov { width = X.W32; dst = X.Reg pa; src = tlb (bank + 8) });
+  emit (X.Mov { width = X.W32; dst = X.Reg tmp; src = X.Reg addr });
+  emit (X.Alu { op = X.And; dst = X.Reg tmp; src = X.Imm 0xFFF });
+  emit (X.Alu { op = X.Add; dst = X.Reg pa; src = X.Reg tmp });
+  X.Mem { seg = X.Ram; base = Some pa; index = None; scale = 1; disp = 0 }
+
+let ram_load (width : Ir.width) ~dst src =
+  match width with
+  | Word -> X.Mov { width = X.W32; dst = X.Reg dst; src }
+  | Half -> X.Movzx16 { dst; src }
+  | Byte -> X.Movzx8 { dst; src }
+
+let ram_store (width : Ir.width) dst ~src =
+  let width = match width with Word -> X.W32 | Half -> X.W16 | Byte -> X.W8 in
+  X.Mov { width; dst; src = X.Reg src }
+
+(* A softMMU slow path: the helper call a TLB miss jumps to. *)
+type stub = {
+  label : int;
+  done_ : int;
+  addr : X.reg;
+  insn_pc : int;
+  helper : int;
+  value : X.reg option;  (* the stored value *)
+  result : X.reg option;  (* the loaded value's destination *)
+}
 
 let lower b ~privileged ~tb_pc ops =
   let stubs = ref [] in
@@ -68,92 +106,24 @@ let lower b ~privileged ~tb_pc ops =
     end
   in
   let emit_shift op dst a amount =
-    if dst <> a then begin
-      (match amount with
-      | X.Sh_cl -> ()
-      | X.Sh_imm _ -> ());
-      Prog.emit b (X.Mov { width = X.W32; dst = X.Reg dst; src = X.Reg a })
-    end;
+    if dst <> a then Prog.emit b (X.Mov { width = X.W32; dst = X.Reg dst; src = X.Reg a });
     Prog.emit b (X.Shift { op; dst = X.Reg dst; amount })
   in
 
-  let emit_qemu_ld ~dst ~addr ~width ~insn_pc =
+  (* Inline TLB probe, the access itself on a hit, and a slow-path
+     stub (emitted after the body) for a miss. *)
+  let emit_qemu_access ~addr ~width ~insn_pc ?value ?result access =
     Prog.emit b ~tag:X.Tag_mmu (X.Count X.Cnt_mmu_access);
     let slow = Prog.fresh_label b in
     let done_ = Prog.fresh_label b in
-    let t = X.Tag_mmu in
-    (* Set index: s1 = ((addr >> 12) & 0xFF) * 16 bytes *)
-    Prog.emit b ~tag:t (X.Mov { width = X.W32; dst = X.Reg mmu_s1; src = X.Reg addr });
-    Prog.emit b ~tag:t (X.Shift { op = X.Shr; dst = X.Reg mmu_s1; amount = X.Sh_imm 12 });
-    Prog.emit b ~tag:t (X.Alu { op = X.And; dst = X.Reg mmu_s1; src = X.Imm 0xFF });
-    Prog.emit b ~tag:t (X.Shift { op = X.Shl; dst = X.Reg mmu_s1; amount = X.Sh_imm 4 });
-    (* Tag compare *)
-    Prog.emit b ~tag:t (X.Mov { width = X.W32; dst = X.Reg mmu_s2; src = X.Reg addr });
-    Prog.emit b ~tag:t (X.Alu { op = X.And; dst = X.Reg mmu_s2; src = X.Imm Mmu.page_mask });
-    Prog.emit b ~tag:t
-      (X.Alu
-         {
-           op = X.Cmp;
-           dst = X.Mem { seg = X.Tlb; base = Some mmu_s1; index = None; scale = 1; disp = bank_disp };
-           src = X.Reg mmu_s2;
-         });
-    Prog.emit b ~tag:t (X.Jcc { cc = X.NE; target = slow });
-    (* Hit: paddr = tlb.paddr_page | (addr & 0xFFF) *)
-    Prog.emit b ~tag:t
-      (X.Mov
-         {
-           width = X.W32;
-           dst = X.Reg mmu_s2;
-           src = X.Mem { seg = X.Tlb; base = Some mmu_s1; index = None; scale = 1; disp = bank_disp + 8 };
-         });
-    Prog.emit b ~tag:t (X.Mov { width = X.W32; dst = X.Reg X.rcx; src = X.Reg addr });
-    Prog.emit b ~tag:t (X.Alu { op = X.And; dst = X.Reg X.rcx; src = X.Imm 0xFFF });
-    Prog.emit b ~tag:t (X.Alu { op = X.Add; dst = X.Reg mmu_s2; src = X.Reg X.rcx });
-    let ram = X.Mem { seg = X.Ram; base = Some mmu_s2; index = None; scale = 1; disp = 0 } in
-    (match width with
-    | Ir.W32 -> Prog.emit b ~tag:t (X.Mov { width = X.W32; dst = X.Reg dst; src = ram })
-    | Ir.W16 -> Prog.emit b ~tag:t (X.Movzx16 { dst; src = ram })
-    | Ir.W8 -> Prog.emit b ~tag:t (X.Movzx8 { dst; src = ram }));
+    let write = Option.is_some value in
+    let ram =
+      tlb_probe b ~addr ~set:mmu_s1 ~pa:mmu_s2 ~tmp:X.rcx ~bank:bank_disp ~write ~slow
+    in
+    Prog.emit b ~tag:X.Tag_mmu (access ram);
     Prog.emit b (X.Label done_);
-    stubs := Slow_load { label = slow; done_; addr; dst; width; insn_pc } :: !stubs
-  in
-  let emit_qemu_st ~src ~addr ~width ~insn_pc =
-    Prog.emit b ~tag:X.Tag_mmu (X.Count X.Cnt_mmu_access);
-    let slow = Prog.fresh_label b in
-    let done_ = Prog.fresh_label b in
-    let t = X.Tag_mmu in
-    Prog.emit b ~tag:t (X.Mov { width = X.W32; dst = X.Reg mmu_s1; src = X.Reg addr });
-    Prog.emit b ~tag:t (X.Shift { op = X.Shr; dst = X.Reg mmu_s1; amount = X.Sh_imm 12 });
-    Prog.emit b ~tag:t (X.Alu { op = X.And; dst = X.Reg mmu_s1; src = X.Imm 0xFF });
-    Prog.emit b ~tag:t (X.Shift { op = X.Shl; dst = X.Reg mmu_s1; amount = X.Sh_imm 4 });
-    Prog.emit b ~tag:t (X.Mov { width = X.W32; dst = X.Reg mmu_s2; src = X.Reg addr });
-    Prog.emit b ~tag:t (X.Alu { op = X.And; dst = X.Reg mmu_s2; src = X.Imm Mmu.page_mask });
-    Prog.emit b ~tag:t
-      (X.Alu
-         {
-           op = X.Cmp;
-           (* write tag is the second word of the set *)
-           dst = X.Mem { seg = X.Tlb; base = Some mmu_s1; index = None; scale = 1; disp = bank_disp + 4 };
-           src = X.Reg mmu_s2;
-         });
-    Prog.emit b ~tag:t (X.Jcc { cc = X.NE; target = slow });
-    Prog.emit b ~tag:t
-      (X.Mov
-         {
-           width = X.W32;
-           dst = X.Reg mmu_s2;
-           src = X.Mem { seg = X.Tlb; base = Some mmu_s1; index = None; scale = 1; disp = bank_disp + 8 };
-         });
-    Prog.emit b ~tag:t (X.Mov { width = X.W32; dst = X.Reg X.rcx; src = X.Reg addr });
-    Prog.emit b ~tag:t (X.Alu { op = X.And; dst = X.Reg X.rcx; src = X.Imm 0xFFF });
-    Prog.emit b ~tag:t (X.Alu { op = X.Add; dst = X.Reg mmu_s2; src = X.Reg X.rcx });
-    let ram = X.Mem { seg = X.Ram; base = Some mmu_s2; index = None; scale = 1; disp = 0 } in
-    (match width with
-    | Ir.W32 -> Prog.emit b ~tag:t (X.Mov { width = X.W32; dst = ram; src = X.Reg src })
-    | Ir.W16 -> Prog.emit b ~tag:t (X.Mov { width = X.W16; dst = ram; src = X.Reg src })
-    | Ir.W8 -> Prog.emit b ~tag:t (X.Mov { width = X.W8; dst = ram; src = X.Reg src }));
-    Prog.emit b (X.Label done_);
-    stubs := Slow_store { label = slow; done_; addr; src; width; insn_pc } :: !stubs
+    let helper = Helpers.mmu_helper ~store:write width in
+    stubs := { label = slow; done_; addr; insn_pc; helper; value; result } :: !stubs
   in
 
   let lower_op op =
@@ -205,9 +175,13 @@ let lower b ~privileged ~tb_pc ops =
     | Ir.Br l -> Prog.emit b (X.Jmp (prog_label l))
     | Ir.Set_label l -> Prog.emit b (X.Label (prog_label l))
     | Ir.Qemu_ld { dst; addr; width; insn_pc } ->
-      emit_qemu_ld ~dst:(host_of_temp dst) ~addr:(host_of_temp addr) ~width ~insn_pc
+      let dst = host_of_temp dst in
+      emit_qemu_access ~addr:(host_of_temp addr) ~width ~insn_pc ~result:dst
+        (ram_load width ~dst)
     | Ir.Qemu_st { src; addr; width; insn_pc } ->
-      emit_qemu_st ~src:(host_of_temp src) ~addr:(host_of_temp addr) ~width ~insn_pc
+      let src = host_of_temp src in
+      emit_qemu_access ~addr:(host_of_temp addr) ~width ~insn_pc ~value:src
+        (fun ram -> ram_store width ram ~src)
     | Ir.Call { helper; args; ret } ->
       let arg_regs = [| Helpers.arg0_reg; Helpers.arg1_reg |] in
       List.iteri
@@ -227,46 +201,24 @@ let lower b ~privileged ~tb_pc ops =
       Prog.emit b ~tag:X.Tag_glue (X.Exit { slot })
     | Ir.Exit_indirect slot -> Prog.emit b ~tag:X.Tag_glue (X.Exit { slot })
   in
-  (* Pseudo guest-insn boundary markers are interleaved by the
-     translator via Count ops in the IR? No — the translator emits them
-     directly; here we only lower the ops. *)
   List.iter lower_op ops;
 
   (* Stubs: softMMU slow paths, then the interrupt-exit stub. *)
   List.iter
-    (fun stub ->
-      match stub with
-      | Slow_load { label; done_; addr; dst; width; insn_pc } ->
-        Prog.emit b (X.Label label);
-        Prog.emit b ~tag:X.Tag_mmu
-          (X.Mov { width = X.W32; dst = env_op Envspec.pc; src = X.Imm insn_pc });
-        Prog.emit b ~tag:X.Tag_mmu
-          (X.Mov { width = X.W32; dst = X.Reg Helpers.arg0_reg; src = X.Reg addr });
-        Prog.emit b ~tag:X.Tag_mmu
-          (X.Call_helper
-             { id = (match width with
-              | Ir.W32 -> Helpers.h_mmu_load_w
-              | Ir.W16 -> Helpers.h_mmu_load_h
-              | Ir.W8 -> Helpers.h_mmu_load_b) });
-        Prog.emit b ~tag:X.Tag_mmu
-          (X.Mov { width = X.W32; dst = X.Reg dst; src = X.Reg X.rax });
-        Prog.emit b ~tag:X.Tag_mmu (X.Jmp done_)
-      | Slow_store { label; done_; addr; src; width; insn_pc } ->
-        Prog.emit b (X.Label label);
-        Prog.emit b ~tag:X.Tag_mmu
-          (X.Mov { width = X.W32; dst = env_op Envspec.pc; src = X.Imm insn_pc });
-        (* value first: src may alias the address register rdx *)
-        Prog.emit b ~tag:X.Tag_mmu
-          (X.Mov { width = X.W32; dst = X.Reg Helpers.arg1_reg; src = X.Reg src });
-        Prog.emit b ~tag:X.Tag_mmu
-          (X.Mov { width = X.W32; dst = X.Reg Helpers.arg0_reg; src = X.Reg addr });
-        Prog.emit b ~tag:X.Tag_mmu
-          (X.Call_helper
-             { id = (match width with
-              | Ir.W32 -> Helpers.h_mmu_store_w
-              | Ir.W16 -> Helpers.h_mmu_store_h
-              | Ir.W8 -> Helpers.h_mmu_store_b) });
-        Prog.emit b ~tag:X.Tag_mmu (X.Jmp done_))
+    (fun { label; done_; addr; insn_pc; helper; value; result } ->
+      let emit i = Prog.emit b ~tag:X.Tag_mmu i in
+      Prog.emit b (X.Label label);
+      emit (X.Mov { width = X.W32; dst = env_op Envspec.pc; src = X.Imm insn_pc });
+      (* value first: it may alias the address argument register rdx *)
+      Option.iter
+        (fun v -> emit (X.Mov { width = X.W32; dst = X.Reg Helpers.arg1_reg; src = X.Reg v }))
+        value;
+      emit (X.Mov { width = X.W32; dst = X.Reg Helpers.arg0_reg; src = X.Reg addr });
+      emit (X.Call_helper { id = helper });
+      Option.iter
+        (fun d -> emit (X.Mov { width = X.W32; dst = X.Reg d; src = X.Reg X.rax }))
+        result;
+      emit (X.Jmp done_))
     (List.rev !stubs);
 
   (* Interrupt exit stub: record the TB's own PC so delivery computes

@@ -323,15 +323,46 @@ let mem_offset_temp ctx ~pc off =
     end
     else t
 
-let ir_width = function A.Word -> Ir.W32 | A.Byte -> Ir.W8 | A.Half -> Ir.W16
-
-(* After a Qemu_ld/st the only live temp is the op's dst; recompute the
-   writeback address from env (registers there are still pre-insn). *)
-let emit_writeback ctx ~pc rn off =
+(* The address a single load/store accesses, in a fresh temp: base
+   plus offset, or the bare base when post-indexed. *)
+let address ctx ~pc rn off (index : A.index_mode) =
   let base = ld_reg ctx ~pc rn in
-  let offv = mem_offset_temp ctx ~pc off in
-  emit ctx (Ir.Binop (Ir.Add, base, base, offv));
-  st_reg ctx rn base
+  (match index with
+  | A.Offset | A.Pre_indexed ->
+    let offv = mem_offset_temp ctx ~pc off in
+    emit ctx (Ir.Binop (Ir.Add, base, base, offv))
+  | A.Post_indexed -> ());
+  base
+
+(* Base writeback of the indexed forms. After a Qemu_ld/st the only
+   live temp is the op's dst; recompute base + offset from env
+   (registers there are still pre-insn). *)
+let emit_writeback ctx ~pc rn off (index : A.index_mode) =
+  match index with
+  | A.Offset -> ()
+  | A.Pre_indexed | A.Post_indexed -> st_reg ctx rn (address ctx ~pc rn off A.Offset)
+
+(* LDM/STM: [f r addr] for each listed register in ascending order,
+   with the word's address in a fresh temp, then the base writeback. *)
+let block_walk ctx ~pc ~kind ~rn ~writeback regs f =
+  let count = A.popcount regs in
+  let start_off = match kind with A.IA -> 0 | A.DB -> -4 * count in
+  let k = ref 0 in
+  for r = 0 to 15 do
+    if regs land (1 lsl r) <> 0 then begin
+      reset_temps ctx;
+      let base = ld_reg ctx ~pc rn in
+      emit ctx (Ir.Binopi (Ir.Add, base, base, start_off + (4 * !k)));
+      f r base;
+      incr k
+    end
+  done;
+  if writeback then begin
+    reset_temps ctx;
+    let base = ld_reg ctx ~pc rn in
+    emit ctx (Ir.Binopi (Ir.Add, base, base, 4 * count * (match kind with A.IA -> 1 | A.DB -> -1)));
+    st_reg ctx rn base
+  end
 
 (* Fallback: emulate the instruction at [pc] inside QEMU. *)
 let emit_interp_call ctx ~pc =
@@ -363,20 +394,10 @@ let translate_unconditional ctx ~pc (insn : A.t) =
     if s then logic_flags ctx r;
     false
   | A.Ldr { width; rd; rn; off; index } ->
-    let base = ld_reg ctx ~pc rn in
-    let addr =
-      match index with
-      | A.Offset | A.Pre_indexed ->
-        let offv = mem_offset_temp ctx ~pc off in
-        emit ctx (Ir.Binop (Ir.Add, base, base, offv));
-        base
-      | A.Post_indexed -> base
-    in
+    let addr = address ctx ~pc rn off index in
     let dst = temp ctx in
-    emit ctx (Ir.Qemu_ld { dst; addr; width = ir_width width; insn_pc = pc });
-    (match index with
-    | A.Pre_indexed | A.Post_indexed -> emit_writeback ctx ~pc rn off
-    | A.Offset -> ());
+    emit ctx (Ir.Qemu_ld { dst; addr; width; insn_pc = pc });
+    emit_writeback ctx ~pc rn off index;
     if rd = 15 then begin
       st_reg ctx Envspec.pc dst;
       emit ctx (Ir.Exit_indirect (ctx.alloc_indirect ()));
@@ -387,109 +408,41 @@ let translate_unconditional ctx ~pc (insn : A.t) =
       false
     end
   | A.Ldrs { half; rd; rn; off; index } ->
-    let base = ld_reg ctx ~pc rn in
-    let addr =
-      match index with
-      | A.Offset | A.Pre_indexed ->
-        let offv = mem_offset_temp ctx ~pc off in
-        emit ctx (Ir.Binop (Ir.Add, base, base, offv));
-        base
-      | A.Post_indexed -> base
-    in
+    let addr = address ctx ~pc rn off index in
     let dst = temp ctx in
     emit ctx
-      (Ir.Qemu_ld
-         { dst; addr; width = (if half then Ir.W16 else Ir.W8); insn_pc = pc });
+      (Ir.Qemu_ld { dst; addr; width = (if half then A.Half else A.Byte); insn_pc = pc });
     (* sign-extend the zero-extended load *)
     let k = if half then 16 else 24 in
     emit ctx (Ir.Binopi (Ir.Shl, dst, dst, k));
     emit ctx (Ir.Binopi (Ir.Sar, dst, dst, k));
-    (match index with
-    | A.Pre_indexed | A.Post_indexed -> emit_writeback ctx ~pc rn off
-    | A.Offset -> ());
+    emit_writeback ctx ~pc rn off index;
     st_reg ctx rd dst;
     false
   | A.Str { width; rd; rn; off; index } ->
-    let base = ld_reg ctx ~pc rn in
-    let addr =
-      match index with
-      | A.Offset | A.Pre_indexed ->
-        let offv = mem_offset_temp ctx ~pc off in
-        emit ctx (Ir.Binop (Ir.Add, base, base, offv));
-        base
-      | A.Post_indexed -> base
-    in
+    let addr = address ctx ~pc rn off index in
     let src = ld_reg ctx ~pc rd in
-    emit ctx (Ir.Qemu_st { src; addr; width = ir_width width; insn_pc = pc });
-    (match index with
-    | A.Pre_indexed | A.Post_indexed -> emit_writeback ctx ~pc rn off
-    | A.Offset -> ());
+    emit ctx (Ir.Qemu_st { src; addr; width; insn_pc = pc });
+    emit_writeback ctx ~pc rn off index;
     false
   | A.Ldm { kind; rn; writeback; regs } ->
-    if regs land (1 lsl rn) <> 0 then begin
+    if regs land (1 lsl rn) <> 0 then
       (* Base register in the list: rare and fiddly — emulate. *)
-      emit_interp_call ctx ~pc;
-      if regs land 0x8000 <> 0 then begin
-        emit ctx (Ir.Exit_indirect (ctx.alloc_indirect ()));
-        true
-      end
-      else false
-    end
-    else begin
-      let count = ref 0 in
-      for r = 0 to 15 do
-        if regs land (1 lsl r) <> 0 then incr count
-      done;
-      let start_off = match kind with A.IA -> 0 | A.DB -> -4 * !count in
-      let k = ref 0 in
-      let loads_pc = regs land 0x8000 <> 0 in
-      for r = 0 to 15 do
-        if regs land (1 lsl r) <> 0 then begin
-          reset_temps ctx;
-          let base = ld_reg ctx ~pc rn in
-          emit ctx (Ir.Binopi (Ir.Add, base, base, start_off + (4 * !k)));
+      emit_interp_call ctx ~pc
+    else
+      block_walk ctx ~pc ~kind ~rn ~writeback regs (fun r addr ->
           let dst = temp ctx in
-          emit ctx (Ir.Qemu_ld { dst; addr = base; width = Ir.W32; insn_pc = pc });
-          st_reg ctx (if r = 15 then Envspec.pc else r) dst;
-          incr k
-        end
-      done;
-      if writeback then begin
-        reset_temps ctx;
-        let base = ld_reg ctx ~pc rn in
-        emit ctx (Ir.Binopi (Ir.Add, base, base, 4 * !count * (match kind with A.IA -> 1 | A.DB -> -1)));
-        st_reg ctx rn base
-      end;
-      if loads_pc then begin
-        emit ctx (Ir.Exit_indirect (ctx.alloc_indirect ()));
-        true
-      end
-      else false
+          emit ctx (Ir.Qemu_ld { dst; addr; width = A.Word; insn_pc = pc });
+          st_reg ctx (if r = 15 then Envspec.pc else r) dst);
+    if regs land 0x8000 <> 0 then begin
+      emit ctx (Ir.Exit_indirect (ctx.alloc_indirect ()));
+      true
     end
+    else false
   | A.Stm { kind; rn; writeback; regs } ->
-    let count = ref 0 in
-    for r = 0 to 15 do
-      if regs land (1 lsl r) <> 0 then incr count
-    done;
-    let start_off = match kind with A.IA -> 0 | A.DB -> -4 * !count in
-    let k = ref 0 in
-    for r = 0 to 15 do
-      if regs land (1 lsl r) <> 0 then begin
-        reset_temps ctx;
-        let base = ld_reg ctx ~pc rn in
-        emit ctx (Ir.Binopi (Ir.Add, base, base, start_off + (4 * !k)));
+    block_walk ctx ~pc ~kind ~rn ~writeback regs (fun r addr ->
         let src = ld_reg ctx ~pc r in
-        emit ctx (Ir.Qemu_st { src; addr = base; width = Ir.W32; insn_pc = pc });
-        incr k
-      end
-    done;
-    if writeback then begin
-      reset_temps ctx;
-      let base = ld_reg ctx ~pc rn in
-      emit ctx
-        (Ir.Binopi (Ir.Add, base, base, 4 * !count * (match kind with A.IA -> 1 | A.DB -> -1)));
-      st_reg ctx rn base
-    end;
+        emit ctx (Ir.Qemu_st { src; addr; width = A.Word; insn_pc = pc }));
     false
   | A.B { link; offset } ->
     if link then begin

@@ -22,6 +22,15 @@ let h_mmu_store_b = 4
 let h_mmu_load_h = 5
 let h_mmu_store_h = 6
 
+let mmu_helper ~store (w : Repro_arm.Insn.width) =
+  match (store, w) with
+  | false, Word -> h_mmu_load_w
+  | false, Byte -> h_mmu_load_b
+  | false, Half -> h_mmu_load_h
+  | true, Word -> h_mmu_store_w
+  | true, Byte -> h_mmu_store_b
+  | true, Half -> h_mmu_store_h
+
 let charge (rt : Runtime.t) tag n =
   Stats.charge_tag (Runtime.stats rt) tag n;
   (Runtime.stats rt).Stats.helper_insns <- (Runtime.stats rt).Stats.helper_insns + n

@@ -26,6 +26,10 @@ val h_mmu_store_b : int
 val h_mmu_load_h : int
 val h_mmu_store_h : int
 
+val mmu_helper : store:bool -> Repro_arm.Insn.width -> int
+(** The softMMU load ([store = false]) or store helper for an access
+    width. *)
+
 val install : Runtime.t -> unit
 (** Install the dispatcher into the execution context. *)
 

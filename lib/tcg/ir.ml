@@ -10,7 +10,7 @@ let cmp_to_cc : cmp -> Repro_x86.Insn.cc = function
   | Ges -> Repro_x86.Insn.GE
 
 type binop = Add | Sub | And | Or | Xor | Mul | Shl | Shr | Sar | Ror
-type width = W8 | W16 | W32
+type width = Repro_arm.Insn.width = Word | Byte | Half
 
 type t =
   | Insn_start of int
@@ -73,11 +73,11 @@ let pp ppf = function
   | Set_label l -> Format.fprintf ppf "L%d:" l
   | Qemu_ld { dst; addr; width; _ } ->
     Format.fprintf ppf "t%d = qemu_ld%s [t%d]" dst
-      (match width with W8 -> "8" | W16 -> "16" | W32 -> "32")
+      (match width with Byte -> "8" | Half -> "16" | Word -> "32")
       addr
   | Qemu_st { src; addr; width; _ } ->
     Format.fprintf ppf "qemu_st%s [t%d] = t%d"
-      (match width with W8 -> "8" | W16 -> "16" | W32 -> "32")
+      (match width with Byte -> "8" | Half -> "16" | Word -> "32")
       addr src
   | Call { helper; args; ret } ->
     Format.fprintf ppf "%scall h%d(%s)"

@@ -14,7 +14,7 @@ val cmp_to_cc : cmp -> Repro_x86.Insn.cc
 
 type binop = Add | Sub | And | Or | Xor | Mul | Shl | Shr | Sar | Ror
 
-type width = W8 | W16 | W32
+type width = Repro_arm.Insn.width = Word | Byte | Half
 
 type t =
   | Insn_start of int

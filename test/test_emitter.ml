@@ -257,6 +257,102 @@ let test_region_conditional_seam () =
     (fun r -> Alcotest.(check int) "one interrupt check" 1 (irq_polls r.D.Emitter.prog))
     [ taken; fall ]
 
+(* ---- emitted host code is pinned --------------------------------- *)
+
+(* A digest of every host program a run emits or re-emits: each fresh
+   translation, each fused region and each program the link hook
+   rewrites (inter-TB elision). The kernel's self-modifying-code
+   flushes leave only a few dozen TBs live at the halt, so the run's
+   callbacks are wrapped instead of reading the cache at the end. A
+   program contributes its printed code, its per-insn tags, its exit
+   kinds, its coordination provenance and its region member ids.
+   Refactors of the lowering code must leave these digests unchanged. *)
+let program_digest (tb : Repro_tcg.Tb.t) =
+  let p = tb.Repro_tcg.Tb.prog in
+  Digest.string
+    (String.concat "\n"
+       [
+         Format.asprintf "%a" Prog.pp p;
+         String.concat "," (Array.to_list (Array.map X.tag_name p.Prog.tags));
+         Marshal.to_string
+           (tb.Repro_tcg.Tb.exits, tb.Repro_tcg.Tb.prov, tb.Repro_tcg.Tb.region_ids)
+           [ Marshal.No_sharing ];
+       ])
+
+let emitted_code_digest bench mode =
+  let module T = Repro_tcg in
+  let module R = D.Translator_rule in
+  let module K = Repro_kernel.Kernel in
+  let module W = Repro_workloads.Workloads in
+  let spec = W.find bench in
+  let iterations = max 1 (40_000 / W.insns_per_iteration spec) in
+  let image = K.build ~timer_period:2_000 ~user_program:(W.generate spec ~iterations) () in
+  let sys = D.System.create mode in
+  K.load image (D.System.load_image sys);
+  let rt = sys.D.System.rt and cache = sys.D.System.cache in
+  let acc = Buffer.create 4096 and n = ref 0 in
+  let note (tb : T.Tb.t) =
+    incr n;
+    Buffer.add_string acc (program_digest tb)
+  in
+  let noted = function Ok tb -> note tb; Ok tb | Error _ as e -> e in
+  let res =
+    match sys.D.System.rule_translator with
+    | None ->
+      T.Engine.run rt cache
+        ~translate:(fun rt cache ~pc -> noted (T.Translator_qemu.translate rt cache ~pc))
+        ~max_guest_insns:5_000_000 ()
+    | Some tr ->
+      T.Engine.run rt cache
+        ~translate:(fun rt cache ~pc -> noted (R.translate tr rt cache ~pc))
+        ~on_hot:(fun tb ->
+          let r = R.form_region tr rt cache tb in
+          Option.iter note r;
+          r)
+        ~link_hook:(fun ~pred ~slot ~succ ->
+          let p0 = pred.T.Tb.prog and s0 = succ.T.Tb.prog in
+          R.link_hook tr ~pred ~slot ~succ;
+          if pred.T.Tb.prog != p0 then note pred;
+          if succ != pred && succ.T.Tb.prog != s0 then note succ)
+        ~on_enter:(fun tb -> R.on_enter tr rt tb)
+        ~on_executed:(fun tb ~outcome ~guest -> R.on_executed tr rt tb ~outcome ~guest)
+        ~max_guest_insns:5_000_000 ()
+  in
+  (match res.T.Engine.reason with
+  | `Halted _ -> ()
+  | _ -> Alcotest.failf "%s/%s: the run did not halt" bench (D.System.mode_name mode));
+  (!n, Digest.to_hex (Digest.string (Buffer.contents acc)))
+
+(* Recorded before the memory-access lowerings were merged into one
+   TLB probe and one LDM/STM expansion. *)
+let pinned_code =
+  let qemu = D.System.Qemu and rules o = D.System.Rules o in
+  [
+    ("gcc", qemu, 44, "6ae03420f7732463b35871222fd414fb");
+    ("gcc", rules D.Opt.base, 44, "f3c88e21dc5e03a22323edc60e9c7c1b");
+    ("gcc", rules D.Opt.reduction_only, 44, "2e94226d86a4e6e9cb69d9768fe73b48");
+    ("gcc", rules D.Opt.with_elimination, 52, "148ca4a3ec464184ac8c150339958e41");
+    ("gcc", rules D.Opt.full, 67, "21c759a02d0b527832c9d39f0f73fdca");
+    ("gcc", rules D.Opt.with_regions, 87, "7b6bce4611586244d694c5b4ea6f75f5");
+    ("gcc", rules D.Opt.future, 60, "2447460775d58ea9b89c828d12d49b4b");
+    ("hmmer", qemu, 44, "f9d61667ec1ac38fc53b348de8cfcdc0");
+    ("hmmer", rules D.Opt.base, 44, "45ff8670db43b9f2363772200575dcd0");
+    ("hmmer", rules D.Opt.reduction_only, 44, "218017dcf635e75fae76dfd97a0e2b47");
+    ("hmmer", rules D.Opt.with_elimination, 54, "3cc8ee0ca3a5fcb0c6bb8b526a3dfc91");
+    ("hmmer", rules D.Opt.full, 58, "aeede9feace7d2d3d6228f41fb70a73f");
+    ("hmmer", rules D.Opt.with_regions, 85, "278e51a73d411d13de79165722e94123");
+    ("hmmer", rules D.Opt.future, 58, "bb7d38c2762d53a17920dfe7d4820c88");
+  ]
+
+let test_emitted_code_pinned () =
+  List.iter
+    (fun (bench, mode, programs, digest) ->
+      let n, d = emitted_code_digest bench mode in
+      let what = bench ^ "/" ^ D.System.mode_name mode in
+      Alcotest.(check int) (what ^ ": programs emitted") programs n;
+      Alcotest.(check string) (what ^ ": code digest") digest d)
+    pinned_code
+
 let suite =
   [
     ( "emitter",
@@ -274,5 +370,6 @@ let suite =
           test_inline_mmu_has_no_helper_on_fast_path;
         Alcotest.test_case "region: contiguous seam" `Quick test_region_contiguous_seam;
         Alcotest.test_case "region: conditional B seam" `Quick test_region_conditional_seam;
+        Alcotest.test_case "emitted host code is pinned" `Quick test_emitted_code_pinned;
       ] );
   ]
