@@ -81,6 +81,16 @@ type region_record = {
   rg_meta : (bool array * Flagconv.t option) option;
 }
 
+(* A decoded cache section. Link targets live in a combined index
+   space: plain records are 0..n-1, regions n, n+1, ... in recipe
+   order; -1 is an empty slot. *)
+type recipes = {
+  records : tb_record array;
+  links : int array array;
+  regions : region_record array;
+  region_links : int array array;
+}
+
 (* Warm-boot bookkeeping for recipes loaded from a persistent depot.
    Indices 0..n-1 are plain records, n.. the superblock recipes (the
    same combined index space the chain graph uses). A recipe is
@@ -90,10 +100,7 @@ type region_record = {
    pending otherwise — pending recipes are retried in waves, each
    triggered by the first cache miss on one of them. *)
 type depot_state = {
-  dp_records : tb_record array;
-  dp_links : int array array;
-  dp_regions : region_record array;
-  dp_region_links : int array array;
+  dp_recipes : recipes;
   dp_srcsum : int array;  (* per plain record, install fidelity guard *)
   dp_keys : (int * bool * bool, int) Hashtbl.t;
       (* (pc, privileged, mmu_on) -> plain record index *)
@@ -224,23 +231,23 @@ let conv_of_int = function
   | 4 -> Some Flagconv.Canonical
   | n -> raise (Snapshot.Corrupt (Printf.sprintf "cache: bad flag convention %d" n))
 
-(* One record per live plain TB, in translation (id) order; then the
+(* The live plain TBs in translation (id) order. *)
+let live_tbs t =
+  Tb.Cache.to_list t.cache
+  |> List.sort (fun (a : Tb.t) (b : Tb.t) -> compare a.Tb.id b.Tb.id)
+  |> Array.of_list
+
+(* One record per live plain TB ([tbs], from [live_tbs]); then the
    plain chain graph; then one recipe per installed superblock (its
-   constituents as record indices); then the region chain graph. Link
-   targets live in a combined index space: plain records are 0..n-1,
-   regions n, n+1, ... in recipe order. The host code itself is not
+   constituents as record indices); then the region chain graph, all
+   in the combined index space of [recipes]. The host code itself is not
    serialized: every translator input it depends on — guest memory,
    the SMC length override, the injected corruption, the accumulated
    link-time meta, the constituent traces — is recorded, so restore
    re-translates (and re-fuses) to bit-identical programs (live TBs
    always postdate the last quarantine/blacklist change because every
    health change flushes the cache). *)
-let encode_cache t =
-  let tbs =
-    Tb.Cache.to_list t.cache
-    |> List.sort (fun (a : Tb.t) (b : Tb.t) -> compare a.Tb.id b.Tb.id)
-    |> Array.of_list
-  in
+let encode_cache t tbs =
   let regions =
     Tb.Cache.regions_list t.cache
     |> List.sort (fun (a : Tb.t) (b : Tb.t) -> compare a.Tb.id b.Tb.id)
@@ -365,51 +372,36 @@ let decode_cache payload =
   let region_links = dec_links m in
   if not (Snapshot.Dec.finished d) then
     raise (Snapshot.Corrupt "cache: trailing bytes");
-  (records, links, regions, region_links)
+  let valid = Array.for_all (Array.for_all (fun s -> s >= -1 && s < n + m)) in
+  if not (valid links && valid region_links) then
+    raise (Snapshot.Corrupt "cache: link to a nonexistent record");
+  { records; links; regions; region_links }
 
 let encode_translator tr rs =
   let saved = Translator_rule.save_state tr in
   let strikes, quarantined = Ruleset.export_health rs in
   let b = Snapshot.Enc.create () in
-  let ints l =
-    Snapshot.Enc.int b (List.length l);
-    List.iter (Snapshot.Enc.int b) l
-  in
-  let pairs l =
-    Snapshot.Enc.int b (List.length l);
-    List.iter
-      (fun (x, y) ->
-        Snapshot.Enc.int b x;
-        Snapshot.Enc.int b y)
-      l
-  in
+  let ints l = Snapshot.Enc.int_array b (Array.of_list l) in
   ints saved.Translator_rule.s_blacklist;
-  pairs saved.Translator_rule.s_shadow_done;
-  pairs saved.Translator_rule.s_shadow_tries;
+  Snapshot.Enc.int_pairs b saved.Translator_rule.s_shadow_done;
+  Snapshot.Enc.int_pairs b saved.Translator_rule.s_shadow_tries;
   Snapshot.Enc.int b saved.Translator_rule.s_rule_covered;
   Snapshot.Enc.int b saved.Translator_rule.s_fallback;
   Snapshot.Enc.int b saved.Translator_rule.s_inter_tb_elisions;
-  pairs strikes;
+  Snapshot.Enc.int_pairs b strikes;
   ints quarantined;
   Snapshot.Enc.contents b
 
 let decode_translator payload =
   let d = Snapshot.Dec.of_string ~name:"translator" payload in
   let ints () = Array.to_list (Snapshot.Dec.int_array d) in
-  let pairs () =
-    let n = Snapshot.Dec.int d in
-    List.init n (fun _ ->
-        let x = Snapshot.Dec.int d in
-        let y = Snapshot.Dec.int d in
-        (x, y))
-  in
   let s_blacklist = ints () in
-  let s_shadow_done = pairs () in
-  let s_shadow_tries = pairs () in
+  let s_shadow_done = Snapshot.Dec.int_pairs d in
+  let s_shadow_tries = Snapshot.Dec.int_pairs d in
   let s_rule_covered = Snapshot.Dec.int d in
   let s_fallback = Snapshot.Dec.int d in
   let s_inter_tb_elisions = Snapshot.Dec.int d in
-  let strikes = pairs () in
+  let strikes = Snapshot.Dec.int_pairs d in
   let quarantined = ints () in
   if not (Snapshot.Dec.finished d) then
     raise (Snapshot.Corrupt "translator: trailing bytes");
@@ -453,7 +445,7 @@ let capture ?resume t =
   let snap = Snapshot.create () in
   Snapshot.add snap "mode" (mode_name t.mode);
   Snapshot.capture_machine t.rt snap;
-  Snapshot.add snap "cache" (encode_cache t);
+  Snapshot.add snap "cache" (encode_cache t (live_tbs t));
   let ctl = Snapshot.Enc.create () in
   Snapshot.Enc.int ctl (Tb.Cache.full_flushes t.cache);
   Snapshot.Enc.int ctl (Tb.Cache.ids t.cache);
@@ -556,101 +548,164 @@ let natural_translate t =
   | Some tr -> fun rt cache ~pc -> Translator_rule.translate tr rt cache ~pc
   | None -> Repro_tcg.Translator_qemu.translate
 
-(* Put a re-translated plain TB into the cache with its recorded
-   hotness, and write-protect its code exactly as the engine does after
-   a cold translation. *)
-let install_exact t (tb : Tb.t) ~hot =
-  tb.Tb.hot <- hot;
-  Tb.Cache.add_exact t.cache tb;
-  Tlb.clear_write_tag t.rt.Runtime.ctx.Runtime.Exec.tlb tb.Tb.guest_pc;
-  Tlb.clear_write_tag t.rt.Runtime.ctx.Runtime.Exec.tlb
-    (tb.Tb.guest_pc + (4 * tb.Tb.guest_len) - 4)
+(* Install-time fidelity guard: a depot recipe is only replayed when
+   the guest code it came from is what this machine's memory holds at
+   install time. The checksum is FNV-1a over the little-endian
+   re-encoding of every decoded instruction, so it covers the
+   decoder's view: [Encode.encode] is total and injective on decoder
+   output. *)
+let guest_checksum (tb : Tb.t) =
+  let step h byte = (h lxor byte) * 0x01000193 land 0xFFFF_FFFF in
+  Array.fold_left
+    (fun h i ->
+      let w = Repro_arm.Encode.encode i in
+      step
+        (step (step (step h (w land 0xFF)) ((w lsr 8) land 0xFF))
+           ((w lsr 16) land 0xFF))
+        (w lsr 24))
+    0x811c9dc5 tb.Tb.guest_insns
 
-(* Re-translate the captured live set in id order under each record's
-   recorded context (privilege, MMU, SMC length override, injected
-   corruption), re-fuse the captured superblocks from their recorded
-   constituent traces, then re-apply the captured link-time meta and
-   chain graph. The mirror CPU is temporarily forced to each record's
-   translation regime and put back afterwards. *)
-let rebuild_cache t records links regions region_links =
+(* How [install] replays a recipe set; its caller picks one.
+   - [Exact] (snapshot restore): flush first, give every TB its
+     captured id, and raise [Snapshot.Corrupt] when a plain record
+     does not translate or a region does not fuse.
+   - [Waves] (a depot install wave): install a recipe only when its
+     re-translation matches its guest-code checksum, adopt a TB the
+     engine already translated, and leave the rest pending or dead in
+     the depot's bookkeeping. *)
+type policy = Exact | Waves of depot_state
+
+(* Replay a recipe set into the live cache. Each pending plain record
+   re-translates under its recorded regime (privilege, MMU, SMC length
+   override, injected corruption), takes its captured hotness and
+   link-time meta, and has its code write-protected as after a cold
+   translation. A region re-fuses from its recorded constituent trace
+   once all its members are installed: the fused emission reads only
+   the constituents' scheduled bodies, so with its own meta re-applied
+   it is bit-identical to the captured one. A region is skipped, its
+   members staying installed, when a member's PC is blacklisted (live
+   formation never fuses across one, and restore merges a live
+   blacklist that may have grown since the capture) or when the live
+   engine already fused a region at that head. Last, the chain graph
+   fills empty link slots between installed entries; links the live
+   engine made stand. *)
+let install t policy rc =
   let rt = t.rt in
+  let n = Array.length rc.records in
+  let exact = match policy with Exact -> true | Waves _ -> false in
+  let installed, dead =
+    match policy with
+    | Exact ->
+      let k = n + Array.length rc.regions in
+      (Array.make k None, Array.make k false)
+    | Waves dp -> (dp.dp_installed, dp.dp_dead)
+  in
+  let pending k = Option.is_none installed.(k) && not dead.(k) in
+  let corrupt fmt = Printf.ksprintf (fun s -> raise (Snapshot.Corrupt s)) fmt in
+  let enter k (tb : Tb.t) ~served =
+    installed.(k) <- Some tb;
+    match policy with
+    | Exact -> ()
+    | Waves dp ->
+      dp.dp_installed_count <- dp.dp_installed_count + 1;
+      if served then Hashtbl.replace dp.dp_served tb.Tb.id tb
+  in
+  let replayed k (tb : Tb.t) ~hot ~meta =
+    tb.Tb.hot <- hot;
+    (match (t.rule_translator, meta) with
+    | Some tr, Some (elide, entry_conv) ->
+      Translator_rule.restore_cache_meta tr tb ~elide ~entry_conv
+    | _ -> ());
+    enter k tb ~served:true
+  in
+  if Array.length rc.regions > 0 && t.rule_translator = None then
+    corrupt "cache: region records for a qemu-mode machine";
   retranslating t @@ fun () ->
   let translate = natural_translate t in
-  Tb.Cache.flush t.cache;
-  let tbs =
-    Array.map
-      (fun r ->
-        Cpu.set_mode rt.Runtime.cpu (if r.r_priv then Cpu.Supervisor else Cpu.User);
-        Cpu.set_mmu_enabled rt.Runtime.cpu r.r_mmu;
-        rt.Runtime.tb_override <- r.r_override;
-        rt.Runtime.corrupt_override <- Some r.r_injected;
-        Tb.Cache.set_ids t.cache (r.r_id - 1);
-        match translate rt t.cache ~pc:r.r_pc with
-        | Ok tb ->
-          install_exact t tb ~hot:r.r_hot;
-          tb
-        | Error _ ->
-          raise
-            (Snapshot.Corrupt
-               (Printf.sprintf "cache rebuild: TB at %#x is no longer translatable"
-                  r.r_pc)))
-      records
-  in
-  (match t.rule_translator with
-  | Some tr ->
-    Array.iteri
-      (fun i r ->
-        match r.r_meta with
-        | Some (elide, entry_conv) ->
-          Translator_rule.restore_cache_meta tr tbs.(i) ~elide ~entry_conv
-        | None -> ())
-      records
-  | None -> ());
-  (* Superblocks re-fuse from their recorded constituent traces after
-     the constituents carry their captured meta — the fused emission
-     reads only the constituents' scheduled bodies, so the rebuilt
-     region prog (after its own meta is re-applied) is bit-identical
-     to the captured one. *)
-  let region_tbs =
-    Array.map
-      (fun rg ->
-        match t.rule_translator with
-        | None ->
-          raise (Snapshot.Corrupt "cache: region records in a qemu-mode snapshot")
-        | Some tr -> (
-          Tb.Cache.set_ids t.cache (rg.rg_id - 1);
-          let trace = Array.to_list (Array.map (fun i -> tbs.(i)) rg.rg_members) in
-          match Translator_rule.fuse_trace tr rt t.cache ~trace with
-          | Some region ->
-            region.Tb.hot <- rg.rg_hot;
-            (match rg.rg_meta with
-            | Some (elide, entry_conv) ->
-              Translator_rule.restore_cache_meta tr region ~elide ~entry_conv
-            | None -> ());
-            region
-          | None ->
-            raise
-              (Snapshot.Corrupt
-                 (Printf.sprintf "cache rebuild: region %d is no longer fusable"
-                    rg.rg_id))))
-      regions
-  in
-  let all = Array.append tbs region_tbs in
-  let apply_links owner link_table =
+  if exact then Tb.Cache.flush t.cache;
+  Array.iteri
+    (fun i r ->
+      if pending i then
+        match
+          if exact then None
+          else Tb.Cache.find_plain t.cache ~pc:r.r_pc ~privileged:r.r_priv ~mmu_on:r.r_mmu
+        with
+        | Some tb ->
+          (* the engine already translated this PC cold; adopt it so
+             regions and links over it can still install. Its meta
+             evolves through the live link hook, and it was never
+             served, so it is never the depot's to poison. *)
+          enter i tb ~served:false
+        | None -> (
+          Cpu.set_mode rt.Runtime.cpu (if r.r_priv then Cpu.Supervisor else Cpu.User);
+          Cpu.set_mmu_enabled rt.Runtime.cpu r.r_mmu;
+          rt.Runtime.tb_override <- r.r_override;
+          rt.Runtime.corrupt_override <- Some r.r_injected;
+          if exact then Tb.Cache.set_ids t.cache (r.r_id - 1);
+          match (translate rt t.cache ~pc:r.r_pc, policy) with
+          | Ok tb, Waves dp when guest_checksum tb <> dp.dp_srcsum.(i) -> ()
+          | Ok tb, _ ->
+            Tb.Cache.add_exact t.cache tb;
+            let tlb = rt.Runtime.ctx.Runtime.Exec.tlb in
+            Tlb.clear_write_tag tlb tb.Tb.guest_pc;
+            Tlb.clear_write_tag tlb (tb.Tb.guest_pc + (4 * tb.Tb.guest_len) - 4);
+            replayed i tb ~hot:r.r_hot ~meta:r.r_meta
+          | Error _, Exact ->
+            corrupt "cache rebuild: TB at %#x is no longer translatable" r.r_pc
+          | Error _, Waves _ -> ()))
+    rc.records;
+  Option.iter
+    (fun tr ->
+      Array.iteri
+        (fun j rg ->
+          let k = n + j in
+          let members = Array.map (fun i -> installed.(i)) rg.rg_members in
+          if pending k && Array.for_all Option.is_some members then begin
+            let head = rc.records.(rg.rg_members.(0)) in
+            let fused_live =
+              match
+                Tb.Cache.find t.cache ~pc:head.r_pc ~privileged:head.r_priv
+                  ~mmu_on:head.r_mmu
+              with
+              | Some tb -> Tb.is_region tb
+              | None -> false
+            in
+            if
+              fused_live
+              || Array.exists
+                   (fun i -> Translator_rule.blacklisted tr rc.records.(i).r_pc)
+                   rg.rg_members
+            then dead.(k) <- true
+            else begin
+              if exact then Tb.Cache.set_ids t.cache (rg.rg_id - 1);
+              let trace = Array.to_list (Array.map Option.get members) in
+              match Translator_rule.fuse_trace tr rt t.cache ~trace with
+              | Some region -> replayed k region ~hot:rg.rg_hot ~meta:rg.rg_meta
+              | None when exact ->
+                corrupt "cache rebuild: region %d is no longer fusable" rg.rg_id
+              | None -> dead.(k) <- true
+            end
+          end)
+        rc.regions)
+    t.rule_translator;
+  let fill base table =
     Array.iteri
       (fun i slots ->
-        Array.iteri
-          (fun slot succ ->
-            if succ >= 0 then begin
-              if succ >= Array.length all then
-                raise (Snapshot.Corrupt "cache: link to a nonexistent record");
-              owner.(i).Tb.links.(slot) <- Some all.(succ)
-            end)
-          slots)
-      link_table
+        Option.iter
+          (fun (tb : Tb.t) ->
+            Array.iteri
+              (fun slot succ ->
+                if
+                  succ >= 0
+                  && slot < Array.length tb.Tb.links
+                  && Option.is_none tb.Tb.links.(slot)
+                then tb.Tb.links.(slot) <- installed.(succ))
+              slots)
+          installed.(base + i))
+      table
   in
-  apply_links tbs links;
-  apply_links region_tbs region_links
+  fill 0 rc.links;
+  fill n rc.region_links
 
 let restore ?(rebuild = true) t snap =
   (match t.rt.Runtime.trace with
@@ -706,14 +761,10 @@ let restore ?(rebuild = true) t snap =
      TBs and the engine that will execute them disagree on host-state
      conventions — so a demoted machine flushes instead and lets the
      degraded engine retranslate on demand, which is guest-invariant. *)
-  if rebuild && t.rung_floor = natural_rung t then begin
-    let records, links, regions, region_links =
-      decode_cache (Snapshot.find snap "cache")
-    in
-    rebuild_cache t records links regions region_links
-  end
+  if rebuild && t.rung_floor = natural_rung t then
+    install t Exact (decode_cache (Snapshot.find snap "cache"))
   else Tb.Cache.flush t.cache;
-  (* The rebuild's [retranslating] put back the stats, injector state
+  (* The install's [retranslating] put back the stats, injector state
      and translator counters its translations touched; the
      write-protect tags it set give way to the captured TLB. *)
   let ctl = Snapshot.Dec.of_string ~name:"cachectl" (Snapshot.find snap "cachectl") in
@@ -772,29 +823,6 @@ let depot_decode section decode payload =
   try decode payload with
   | Snapshot.Corrupt reason | Invalid_argument reason -> depot_err section "%s" reason
 
-(* Install-time fidelity guard: a depot recipe is only replayed when
-   the guest code it came from is what this machine's memory holds at
-   install time. The checksum is FNV-1a over the little-endian
-   re-encoding of every decoded instruction, so it covers the
-   decoder's view: [Encode.encode] is total and injective on decoder
-   output. *)
-let guest_checksum (tb : Tb.t) =
-  let step h byte = (h lxor byte) * 0x01000193 land 0xFFFF_FFFF in
-  Array.fold_left
-    (fun h i ->
-      let w = Repro_arm.Encode.encode i in
-      step
-        (step (step (step h (w land 0xFF)) ((w lsr 8) land 0xFF))
-           ((w lsr 16) land 0xFF))
-        (w lsr 24))
-    0x811c9dc5 tb.Tb.guest_insns
-
-let cache_srcsums t =
-  Tb.Cache.to_list t.cache
-  |> List.sort (fun (a : Tb.t) (b : Tb.t) -> compare a.Tb.id b.Tb.id)
-  |> List.map guest_checksum
-  |> Array.of_list
-
 (* The depot's health section carries only the durable demotions —
    PC blacklist, per-rule strikes, quarantined rules. Shadow
    verification progress deliberately stays out: depot-installed TBs
@@ -803,26 +831,14 @@ let cache_srcsums t =
 let encode_depot_health ~blacklist ~strikes ~quarantined =
   let b = Snapshot.Enc.create () in
   Snapshot.Enc.int_array b (Array.of_list blacklist);
-  Snapshot.Enc.int b (List.length strikes);
-  List.iter
-    (fun (x, y) ->
-      Snapshot.Enc.int b x;
-      Snapshot.Enc.int b y)
-    strikes;
+  Snapshot.Enc.int_pairs b strikes;
   Snapshot.Enc.int_array b (Array.of_list quarantined);
   Snapshot.Enc.contents b
 
 let decode_depot_health payload =
   let d = Snapshot.Dec.of_string ~name:"health" payload in
   let blacklist = Array.to_list (Snapshot.Dec.int_array d) in
-  let n = Snapshot.Dec.int d in
-  if n < 0 then raise (Snapshot.Corrupt "health: negative strike count");
-  let strikes =
-    List.init n (fun _ ->
-        let x = Snapshot.Dec.int d in
-        let y = Snapshot.Dec.int d in
-        (x, y))
-  in
+  let strikes = Snapshot.Dec.int_pairs d in
   let quarantined = Array.to_list (Snapshot.Dec.int_array d) in
   if not (Snapshot.Dec.finished d) then
     raise (Snapshot.Corrupt "health: trailing bytes");
@@ -857,116 +873,41 @@ let depot_capture t =
         ~quarantined
     | _ -> encode_depot_health ~blacklist:[] ~strikes:[] ~quarantined:[]
   in
-  Depot.create ~compat:(depot_compat t) ~rules ~cache:(encode_cache t)
-    ~srcsum:(cache_srcsums t) ~health
+  let tbs = live_tbs t in
+  Depot.create ~compat:(depot_compat t) ~rules ~cache:(encode_cache t tbs)
+    ~srcsum:(Array.map guest_checksum tbs) ~health
 
-(* One install wave: re-translate every still-pending recipe against
-   guest memory as it stands right now, keeping whatever matches its
-   recorded checksum. The pass is machine-neutral: [retranslating]
-   puts back everything translation touches, so a warm run's
-   guest-visible behaviour is the cold run's. The only lasting machine
-   change is the write-protect TLB tags on installed code, exactly as
-   cold translation sets them. Recipes whose guest bytes do not match
-   stay pending: the guest has not built that world yet (page tables
-   before the MMU turns on, code it relocates later); the first miss in
-   the new regime triggers the next wave. *)
-let depot_pass t dp =
-  let rt = t.rt in
-  let n = Array.length dp.dp_records in
-  let serve k (tb : Tb.t) =
-    dp.dp_installed.(k) <- Some tb;
-    dp.dp_installed_count <- dp.dp_installed_count + 1;
-    Hashtbl.replace dp.dp_served tb.Tb.id tb
+(* The engine-level payloads, decoded the way an install needs them:
+   the recipes, one guest-code checksum per plain recipe, and the
+   durable health. *)
+let depot_payloads depot =
+  let rc = depot_decode "cache" decode_cache (Depot.cache_payload depot) in
+  let srcsum = Depot.srcsum depot in
+  if Array.length srcsum <> Array.length rc.records then
+    depot_err "srcsum" "%d checksums for %d recipes" (Array.length srcsum)
+      (Array.length rc.records);
+  (rc, srcsum, depot_decode "health" decode_depot_health (Depot.health depot))
+
+(* One install wave: replay every still-pending recipe against guest
+   memory as it stands right now. The wave is machine-neutral:
+   [retranslating] puts back everything translation touches, so a warm
+   run's guest-visible behaviour is the cold run's. The only lasting
+   machine change is the write-protect TLB tags on installed code,
+   exactly as cold translation sets them. Recipes whose guest bytes do
+   not match stay pending: the guest has not built that world yet (page
+   tables before the MMU turns on, code it relocates later); the first
+   miss in the new regime triggers the next wave. This is every wave's
+   one failure boundary: a recipe poisoned in a way the checksums
+   cannot see (it decodes, then fails to replay) drops the depot
+   wholesale, and the machine continues cold. *)
+let depot_wave t dp =
+  let failed reason =
+    t.depot <- None;
+    depot_err "cache" "recipe replay failed: %s" reason
   in
-  retranslating t @@ fun () ->
-  let translate = natural_translate t in
-  Array.iteri
-    (fun i r ->
-      if Option.is_none dp.dp_installed.(i) && not dp.dp_dead.(i) then
-        match
-          Tb.Cache.find_plain t.cache ~pc:r.r_pc ~privileged:r.r_priv
-            ~mmu_on:r.r_mmu
-        with
-        | Some tb ->
-          (* the engine already translated this PC cold; adopt it so
-             regions and links over it can still install. Its meta
-             evolves through the live link hook, and it was never
-             served, so it is never the depot's to poison. *)
-          dp.dp_installed.(i) <- Some tb;
-          dp.dp_installed_count <- dp.dp_installed_count + 1
-        | None -> (
-          Cpu.set_mode rt.Runtime.cpu
-            (if r.r_priv then Cpu.Supervisor else Cpu.User);
-          Cpu.set_mmu_enabled rt.Runtime.cpu r.r_mmu;
-          rt.Runtime.tb_override <- r.r_override;
-          rt.Runtime.corrupt_override <- Some r.r_injected;
-          match translate rt t.cache ~pc:r.r_pc with
-          | Ok tb when guest_checksum tb = dp.dp_srcsum.(i) ->
-            install_exact t tb ~hot:r.r_hot;
-            (* the captured link-time meta *)
-            (match (t.rule_translator, r.r_meta) with
-            | Some tr, Some (elide, entry_conv) ->
-              Translator_rule.restore_cache_meta tr tb ~elide ~entry_conv
-            | _ -> ());
-            serve i tb
-          | Ok _ | Error _ -> ()))
-    dp.dp_records;
-  (* superblocks whose constituents all made it *)
-  (match t.rule_translator with
-  | None -> ()
-  | Some tr ->
-    Array.iteri
-      (fun j rg ->
-        let k = n + j in
-        if Option.is_none dp.dp_installed.(k) && not dp.dp_dead.(k) then begin
-          let members = Array.map (fun i -> dp.dp_installed.(i)) rg.rg_members in
-          if Array.for_all Option.is_some members then begin
-            let head = dp.dp_records.(rg.rg_members.(0)) in
-            match
-              Tb.Cache.find t.cache ~pc:head.r_pc ~privileged:head.r_priv
-                ~mmu_on:head.r_mmu
-            with
-            | Some tb when Tb.is_region tb ->
-              (* the live engine fused its own superblock here first *)
-              dp.dp_dead.(k) <- true
-            | _ -> (
-              let trace = Array.to_list (Array.map Option.get members) in
-              match Translator_rule.fuse_trace tr rt t.cache ~trace with
-              | Some region ->
-                region.Tb.hot <- rg.rg_hot;
-                (match rg.rg_meta with
-                | Some (elide, entry_conv) ->
-                  Translator_rule.restore_cache_meta tr region ~elide
-                    ~entry_conv
-                | None -> ());
-                serve k region
-              | None -> dp.dp_dead.(k) <- true)
-          end
-        end)
-      dp.dp_regions);
-  (* the captured chain graph, filling only empty slots between
-     depot-tracked TBs — links the live engine already made stand *)
-  let apply_links base table =
-    Array.iteri
-      (fun i slots ->
-        match dp.dp_installed.(base + i) with
-        | None -> ()
-        | Some tb ->
-          Array.iteri
-            (fun slot succ ->
-              if
-                succ >= 0
-                && succ < Array.length dp.dp_installed
-                && slot < Array.length tb.Tb.links
-              then
-                match (tb.Tb.links.(slot), dp.dp_installed.(succ)) with
-                | None, Some s -> tb.Tb.links.(slot) <- Some s
-                | _ -> ())
-            slots)
-      table
-  in
-  apply_links 0 dp.dp_links;
-  apply_links n dp.dp_region_links
+  try install t (Waves dp) dp.dp_recipes with
+  | Snapshot.Corrupt reason | Invalid_argument reason -> failed reason
+  | Not_found -> failed "Not_found"
 
 let depot_install t depot =
   let c = Depot.compat depot in
@@ -988,18 +929,7 @@ let depot_install t depot =
       "machine floor is the %s rung; depot recipes are translated for its \
        natural %s engine"
       (rung_name t.rung_floor) (rung_name natural);
-  let records, links, regions, region_links =
-    depot_decode "cache" decode_cache (Depot.cache_payload depot)
-  in
-  let srcsum = Depot.srcsum depot in
-  if Array.length srcsum <> Array.length records then
-    depot_err "srcsum" "%d checksums for %d recipes" (Array.length srcsum)
-      (Array.length records);
-  if Array.length regions > 0 && t.rule_translator = None then
-    depot_err "cache" "superblock recipes in a qemu-mode depot";
-  let blacklist, strikes, quarantined =
-    depot_decode "health" decode_depot_health (Depot.health depot)
-  in
+  let rc, srcsum, (blacklist, strikes, quarantined) = depot_payloads depot in
   (* The depot's durable demotions ratchet in before any recipe is
      replayed (union/max merge, the same policy snapshot restore
      uses); the flush keeps no TB translated under the pre-merge
@@ -1008,7 +938,7 @@ let depot_install t depot =
   (match (t.rule_translator, t.ruleset) with
   | Some tr, Some rs -> ratchet_health tr rs ~blacklist ~strikes ~quarantined
   | _ -> ());
-  let n = Array.length records and m = Array.length regions in
+  let n = Array.length rc.records and m = Array.length rc.regions in
   let qpcs = Hashtbl.create 8 in
   List.iter
     (fun pc -> Hashtbl.replace qpcs pc ())
@@ -1016,21 +946,18 @@ let depot_install t depot =
   let skip = Array.make (n + m) false in
   Array.iteri
     (fun i r -> if Hashtbl.mem qpcs r.r_pc then skip.(i) <- true)
-    records;
+    rc.records;
   Array.iteri
     (fun j rg ->
       if Array.exists (fun i -> skip.(i)) rg.rg_members then skip.(n + j) <- true)
-    regions;
+    rc.regions;
   let keys = Hashtbl.create (2 * (n + 1)) in
   Array.iteri
     (fun i r -> Hashtbl.replace keys (r.r_pc, r.r_priv, r.r_mmu) i)
-    records;
+    rc.records;
   let dp =
     {
-      dp_records = records;
-      dp_links = links;
-      dp_regions = regions;
-      dp_region_links = region_links;
+      dp_recipes = rc;
       dp_srcsum = srcsum;
       dp_keys = keys;
       dp_skip = skip;
@@ -1046,20 +973,15 @@ let depot_install t depot =
   (* Wave 1 installs whatever current guest memory supports — at a
      cold boot, the MMU-off recipes. The rest stays pending for
      miss-triggered waves once the guest builds those worlds. *)
-  (try depot_pass t dp with
-  | Snapshot.Corrupt reason | Invalid_argument reason ->
-    t.depot <- None;
-    depot_err "cache" "recipe replay failed: %s" reason);
+  depot_wave t dp;
   dp.dp_installed_count
 
 (* Miss-triggered wave: the engine missed on (pc, regime); if that key
    is a still-pending depot recipe, run a wave and serve the result.
    A recipe that cannot install even at its own miss is dead — the
    guest memory it was recorded against no longer exists — so it never
-   triggers another wave. A recipe poisoned in a way the checksums
-   cannot see (it decodes, installs, then misbehaves semantically)
-   surfaces as an exception here; the depot is dropped wholesale and
-   the run continues cold. *)
+   triggers another wave. A failed wave has dropped the depot (see
+   [depot_wave]): the miss is served cold. *)
 let depot_hit t ~pc =
   match t.depot with
   | None -> None
@@ -1082,15 +1004,11 @@ let depot_hit t ~pc =
     | Some i ->
       if Option.is_some dp.dp_installed.(i) || dp.dp_dead.(i) then None
       else begin
-        (match depot_pass t dp with
-        | () -> ()
-        | exception (Snapshot.Corrupt _ | Invalid_argument _ | Not_found) ->
-          t.depot <- None);
-        match t.depot with
-        | None -> None
-        | Some dp -> (
+        match depot_wave t dp with
+        | exception Depot.Depot_error _ -> None
+        | () -> (
           match dp.dp_installed.(i) with
-          | Some tb -> Some tb
+          | Some _ as tb -> tb
           | None ->
             dp.dp_dead.(i) <- true;
             None)
@@ -1119,15 +1037,8 @@ let depot_poisoned t =
 (* Structural verification without a machine: decode every engine-level
    payload the way install would. Returns (plain recipes, superblocks). *)
 let depot_check depot =
-  let records, _, regions, _ =
-    depot_decode "cache" decode_cache (Depot.cache_payload depot)
-  in
-  if Array.length (Depot.srcsum depot) <> Array.length records then
-    depot_err "srcsum" "%d checksums for %d recipes"
-      (Array.length (Depot.srcsum depot))
-      (Array.length records);
-  ignore (depot_decode "health" decode_depot_health (Depot.health depot));
-  (Array.length records, Array.length regions)
+  let rc, _, _ = depot_payloads depot in
+  (Array.length rc.records, Array.length rc.regions)
 
 (* Fleet write-back: fold breaker-quarantined rule ids into the depot's
    durable health. Returns true when the set grew (save warranted). *)

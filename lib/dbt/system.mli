@@ -221,7 +221,9 @@ val restore : ?rebuild:bool -> t -> Snapshot.t -> unit
     (default true) re-translates the captured live TB set to
     bit-identical host code and restores the chain graph; [false]
     just flushes the cache (the watchdog's rollback path). Raises
-    [Snapshot.Corrupt] on any mismatch.
+    [Snapshot.Corrupt] on any mismatch. A captured superblock with a
+    member PC this machine has blacklisted since is not re-fused; its
+    members are restored unfused.
 
     Demotion state (PC blacklist, per-rule strikes and quarantine,
     degradation floor) {e merges} instead of replacing: restore takes
@@ -291,6 +293,16 @@ val replay : ?slack:int -> t -> Snapshot.t -> replay_report
     on installed code. Every replayed recipe must match its recorded
     guest-code checksum or it stays out of the cache.
 
+    A wave and a {!restore} run one installer under two policies.
+    Restore is exact: it flushes, reproduces every TB id, and raises
+    [Snapshot.Corrupt] when a record no longer installs. A wave checks
+    checksums, adopts TBs the engine already translated, and leaves
+    the rest pending or dead. Both re-apply link-time meta, fuse a
+    superblock only when all its members installed and none of their
+    PCs is blacklisted, and link only installed entries. A wave that
+    fails drops the depot: {!depot_install} raises, {!depot_hit}
+    serves the miss cold.
+
     Every function here raises {!Repro_aotcache.Depot.Depot_error}
     (and nothing else) when the depot cannot be used; callers degrade
     to a cold start. *)
@@ -333,8 +345,9 @@ val depot_poisoned : t -> int list
     reload. Sorted ascending. *)
 
 val depot_check : Repro_aotcache.Depot.t -> int * int
-(** Machine-free structural verification: decode the cache recipes and
-    health payload exactly as {!depot_install} would. Returns
+(** Machine-free structural verification: decode the cache recipes
+    (including the chain graph's link targets), the checksum count and
+    the health payload with {!depot_install}'s own decoder. Returns
     [(plain recipes, superblocks)]; raises
     {!Repro_aotcache.Depot.Depot_error} on damage. *)
 

@@ -830,6 +830,7 @@ let on_enter t (rt : Runtime.t) (tb : Tb.t) =
 let stats_rule_covered t = t.rule_covered
 let stats_fallback t = t.fallback
 let blacklist_size t = Hashtbl.length t.blacklist
+let blacklisted t pc = Hashtbl.mem t.blacklist pc
 
 (* ---------- snapshot support ----------
 

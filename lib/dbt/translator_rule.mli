@@ -89,6 +89,8 @@ val stats_fallback : t -> int
 val blacklist_size : t -> int
 (** Guest PCs permanently routed to the baseline translator. *)
 
+val blacklisted : t -> Word32.t -> bool
+
 (** {2 Snapshot support} *)
 
 type saved = {

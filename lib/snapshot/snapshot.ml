@@ -55,6 +55,14 @@ module Enc = struct
     int b (Array.length a);
     Array.iter (u64 b) a
 
+  let int_pairs b l =
+    int b (List.length l);
+    List.iter
+      (fun (x, y) ->
+        int b x;
+        int b y)
+      l
+
   let contents = Buffer.contents
 end
 
@@ -89,6 +97,12 @@ module Dec = struct
 
   let int_array d = array d int
   let i64_array d = array d u64
+
+  let int_pairs d =
+    Array.to_list
+      (array d (fun d ->
+           let x = int d in
+           (x, int d)))
   let finished d = d.pos = String.length d.src
 end
 

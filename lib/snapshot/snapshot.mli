@@ -47,6 +47,10 @@ module Enc : sig
   val string : t -> string -> unit
   val int_array : t -> int array -> unit
   val i64_array : t -> int64 array -> unit
+
+  val int_pairs : t -> (int * int) list -> unit
+  (** A count, then each pair's two ints. *)
+
   val contents : t -> string
 end
 
@@ -62,6 +66,7 @@ module Dec : sig
   val string : t -> string
   val int_array : t -> int array
   val i64_array : t -> int64 array
+  val int_pairs : t -> (int * int) list
 
   val finished : t -> bool
   (** All input consumed — decoders should end on [true]. *)

@@ -608,6 +608,144 @@ let test_rule_writeback () =
   Alcotest.(check (pair int string)) "demoted warm boot still correct"
     cold_outcome (guest_outcome sys res)
 
+(* ---- the chain graph is validated at decode ------------------------ *)
+
+(* A cache section of one plain recipe whose single link slot targets
+   [target]; the combined index space has one entry, so only -1 and 0
+   are valid targets. *)
+let one_recipe_cache ~pc ~target =
+  let b = Snapshot.Enc.create () in
+  let int = Snapshot.Enc.int b and bool = Snapshot.Enc.bool b in
+  int 1 (* one plain record: *);
+  List.iter int [ 1; pc ] (* id, guest PC *);
+  List.iter bool [ true; false ] (* privileged, MMU off *);
+  List.iter int [ -1; 0; 0 ] (* no override, no injection, hot 0 *);
+  bool false (* no meta *);
+  List.iter int [ 1; target ] (* its one link slot *);
+  int 0 (* no regions *);
+  Snapshot.Enc.contents b
+
+let test_link_targets_validated () =
+  let image, _, _, depot = Lazy.force cold_ctx in
+  let sys = make_sys mode image in
+  ignore (D.System.run ~max_guest_insns:5_000 sys);
+  let snap = D.System.snapshot sys in
+  let pc = K.kernel_base in
+  List.iter
+    (fun target ->
+      let cache = one_recipe_cache ~pc ~target in
+      let what = Printf.sprintf "link target %d" target in
+      let forged = Snapshot.create () in
+      List.iter
+        (fun name ->
+          Snapshot.add forged name
+            (if name = "cache" then cache else Snapshot.find snap name))
+        (Snapshot.names snap);
+      (match D.System.restore (make_sys mode image) forged with
+      | () -> Alcotest.failf "snapshot with %s restored" what
+      | exception Snapshot.Corrupt _ -> ());
+      let forged =
+        Depot.create ~compat:(Depot.compat depot) ~rules:(Depot.rules depot) ~cache
+          ~srcsum:[| 0 |] ~health:(Depot.health depot)
+      in
+      let cache_error f =
+        match f () with
+        | _ -> Alcotest.failf "depot with %s accepted" what
+        | exception Depot.Depot_error { section; _ } ->
+          Alcotest.(check string) (what ^ " blames the cache") "cache" section
+      in
+      cache_error (fun () -> D.System.depot_check forged);
+      cache_error (fun () -> D.System.depot_install (make_sys mode image) forged))
+    [ 1; 7; -2 ]
+
+(* ---- installed code equals captured code --------------------------- *)
+
+(* The installer's oracle, over gcc and hmmer under every preset. A
+   snapshot restore into a fresh machine must rebuild every live TB and
+   region with the captured id, hotness, host program (the pin test's
+   digest) and chain links. A depot wave must install, for every
+   recipe, the program the capturing machine held for it; wave TB ids
+   are the installing machine's own, so a region is compared by its
+   members' PCs instead of their ids. *)
+let restored_view (sys : D.System.t) =
+  let target = function Some (s : T.Tb.t) -> s.T.Tb.id | None -> -1 in
+  List.map
+    (fun (tb : T.Tb.t) ->
+      ( tb.T.Tb.id,
+        tb.T.Tb.hot,
+        Test_emitter.program_digest tb,
+        Array.to_list (Array.map target tb.T.Tb.links) ))
+    (T.Tb.Cache.to_list sys.D.System.cache
+    @ T.Tb.Cache.regions_list sys.D.System.cache)
+
+let recipe_view (sys : D.System.t) =
+  let plain = T.Tb.Cache.to_list sys.D.System.cache in
+  let pc_of id = (List.find (fun (tb : T.Tb.t) -> tb.T.Tb.id = id) plain).T.Tb.guest_pc in
+  List.map
+    (fun (tb : T.Tb.t) ->
+      ( (tb.T.Tb.guest_pc, tb.T.Tb.privileged, tb.T.Tb.mmu_on),
+        Array.to_list (Array.map pc_of tb.T.Tb.region_ids),
+        tb.T.Tb.hot,
+        Test_emitter.program_digest { tb with T.Tb.region_ids = [||] } ))
+    (plain @ T.Tb.Cache.regions_list sys.D.System.cache)
+  |> List.sort compare
+
+let test_installed_code_equals_captured () =
+  List.iter
+    (fun bench ->
+      let spec = W.find bench in
+      let iterations = max 1 (100_000 / W.insns_per_iteration spec) in
+      let image =
+        K.build ~timer_period:2_000 ~user_program:(W.generate spec ~iterations) ()
+      in
+      List.iter
+        (fun (name, mode) ->
+          let what = bench ^ "/" ^ name in
+          let captured = make_sys mode image in
+          (match (D.System.run ~max_guest_insns:40_000 captured).T.Engine.reason with
+          | `Insn_limit -> ()
+          | _ -> Alcotest.failf "%s: the capture run should stop at its budget" what);
+          let snap = D.System.snapshot captured in
+          let restored = D.System.create mode in
+          D.System.restore restored snap;
+          let view = Alcotest.(list (pair (pair (pair int int) string) (list int))) in
+          let flat l = List.map (fun (id, hot, d, links) -> (((id, hot), d), links)) l in
+          Alcotest.check view (what ^ ": restore rebuilds the captured cache")
+            (flat (restored_view captured)) (flat (restored_view restored));
+          (* depot waves into a machine whose memory is the captured
+             one: the first wave installs every recipe, and a miss
+             after a flush reinstalls them all *)
+          let depot = D.System.depot_capture captured in
+          let warm = D.System.create mode in
+          D.System.restore ~rebuild:false warm snap;
+          let recipes = recipe_view captured in
+          let view =
+            Alcotest.(
+              list
+                (pair
+                   (pair (pair (triple int bool bool) (list int)) int)
+                   string))
+          in
+          let flat l = List.map (fun (k, pcs, hot, d) -> (((k, pcs), hot), d)) l in
+          let installed = D.System.depot_install warm depot in
+          Alcotest.(check int) (what ^ ": the first wave installs every recipe")
+            (List.length recipes) installed;
+          Alcotest.check view (what ^ ": the first wave installs the captured code")
+            (flat recipes) (flat (recipe_view warm));
+          T.Tb.Cache.flush warm.D.System.cache;
+          let rt = warm.D.System.rt in
+          let privileged = T.Runtime.privileged rt
+          and mmu_on = Repro_arm.Cpu.mmu_enabled rt.T.Runtime.cpu in
+          let (pc, _, _), _, _, _ =
+            List.find (fun ((_, p, m), _, _, _) -> p = privileged && m = mmu_on) recipes
+          in
+          Alcotest.(check bool) (what ^ ": the miss wave serves its PC") true
+            (D.System.depot_hit warm ~pc <> None);
+          Alcotest.check view (what ^ ": the miss wave installs the captured code")
+            (flat recipes) (flat (recipe_view warm)))
+        D.System.modes)
+    [ "gcc"; "hmmer" ]
+
 let suite =
   [
     ( "aotcache",
@@ -635,5 +773,9 @@ let suite =
           test_format_and_code_rejection;
         Alcotest.test_case "poison needs a depot-served TB" `Quick
           test_poison_needs_a_served_tb;
+        Alcotest.test_case "link targets are validated at decode" `Quick
+          test_link_targets_validated;
+        Alcotest.test_case "installed code equals captured code" `Quick
+          test_installed_code_equals_captured;
       ] );
   ]

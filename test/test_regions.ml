@@ -192,6 +192,54 @@ let test_region_restore () =
     (Stats.to_array (D.System.stats full))
     (Stats.to_array (D.System.stats thawed))
 
+(* ---- restore under a grown blacklist -------------------------------
+
+   A machine can blacklist a PC after a snapshot was taken, and restore
+   merges the live blacklist before it rebuilds. Live formation never
+   fuses across a blacklisted PC, so the rebuild skips a region with a
+   blacklisted member: its members are installed, links into it stay
+   empty, and the guest still computes the reference answer. *)
+let test_region_restore_grown_blacklist () =
+  let mode = D.System.Rules D.Opt.with_regions in
+  let image = kernel_image () in
+  let reference = make_sys mode image in
+  let ref_code = halt_code (D.System.run ~max_guest_insns:3_000_000 reference) in
+  let sys = make_sys mode image in
+  (match (D.System.run ~max_guest_insns:25_000 ~checkpoint_every:4_000 sys).T.Engine.reason with
+  | `Insn_limit -> ()
+  | _ -> Alcotest.fail "interrupted run should hit its budget");
+  let snap = D.System.snapshot sys in
+  let cache = sys.D.System.cache in
+  let region =
+    match T.Tb.Cache.regions_list cache with
+    | r :: _ -> r
+    | [] -> Alcotest.fail "the snapshot should hold a live region"
+  in
+  let member =
+    List.find
+      (fun (tb : T.Tb.t) -> tb.T.Tb.id = region.T.Tb.region_ids.(1))
+      (T.Tb.Cache.to_list cache)
+  in
+  let pc = member.T.Tb.guest_pc in
+  let tr = Option.get sys.D.System.rule_translator in
+  let saved = D.Translator_rule.save_state tr in
+  D.Translator_rule.restore_state tr
+    { saved with D.Translator_rule.s_blacklist = pc :: saved.D.Translator_rule.s_blacklist };
+  D.System.restore sys snap;
+  (* restore pins TB ids, so the captured ids name the restored TBs *)
+  Alcotest.(check bool) "no live region fuses across the blacklisted PC" false
+    (List.exists
+       (fun (rg : T.Tb.t) -> Array.mem member.T.Tb.id rg.T.Tb.region_ids)
+       (T.Tb.Cache.regions_list cache));
+  Alcotest.(check bool) "the skipped region's members are installed" true
+    (Array.for_all
+       (fun id -> List.exists (fun (tb : T.Tb.t) -> tb.T.Tb.id = id) (T.Tb.Cache.to_list cache))
+       region.T.Tb.region_ids);
+  let res = D.System.run ~max_guest_insns:2_975_000 sys in
+  Alcotest.(check int) "reference halt code" ref_code (halt_code res);
+  Alcotest.(check string) "reference uart" (D.System.uart_output reference)
+    (D.System.uart_output sys)
+
 (* ---- watchdog rollback bends the perfscope partition ---------------
 
    Over a rollback-free run the scope's phase totals partition the
@@ -276,5 +324,7 @@ let suite =
           test_region_restore;
         Alcotest.test_case "watchdog rollback bends the perf partition" `Quick
           test_region_watchdog_bend;
+        Alcotest.test_case "restore skips a region over a blacklisted PC" `Quick
+          test_region_restore_grown_blacklist;
       ] );
   ]
