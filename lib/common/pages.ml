@@ -1,10 +1,6 @@
 let bits = 12
 let size = 1 lsl bits
 let count n = (n + size - 1) lsr bits
-let bitmap n = Bytes.make (count n) '\000'
-let mark dirty addr = Bytes.set dirty (addr lsr bits) '\001'
-let is_dirty dirty i = Bytes.get dirty i <> '\000'
-let clear dirty = Bytes.fill dirty 0 (Bytes.length dirty) '\000'
 
 (* immutable, so one string serves every machine in every domain *)
 let zero_page = String.make size '\000'

@@ -1,10 +1,9 @@
 (** Guest RAM seen as 4 KiB pages, for checkpoints that copy only what
     changed.
 
-    RAM writers mark the page they wrote in a dirty bitmap (one byte
-    per page); a checkpoint holds RAM as an array of immutable page
-    strings and shares every clean page with the checkpoint before it.
-    Marking costs real time only: nothing modelled is charged. *)
+    A checkpoint holds RAM as an array of immutable page strings and
+    shares every page that did not change with the checkpoint before
+    it; {!Ram} keeps the live pages and knows which ones were written. *)
 
 val bits : int
 (** [12]: a page is [1 lsl bits] bytes. *)
@@ -12,17 +11,11 @@ val bits : int
 val size : int
 (** 4096. *)
 
-val bitmap : int -> Bytes.t
-(** A clean dirty-page bitmap for [n] bytes of RAM, one byte per page;
-    the last page may be partial. *)
+val count : int -> int
+(** Pages in [n] bytes of RAM; the last one may be partial. *)
 
-val mark : Bytes.t -> int -> unit
-(** [mark dirty addr] marks the page holding byte [addr]. *)
-
-val is_dirty : Bytes.t -> int -> bool
-(** Page [i] was written since the bitmap was last cleared. *)
-
-val clear : Bytes.t -> unit
+val page_len : int -> int -> int
+(** [page_len n i]: bytes of page [i] in [n] bytes of RAM. *)
 
 val zero : int -> string array
 (** The pages of [n] zero bytes. Every full page is one shared string,

@@ -127,6 +127,7 @@ type t = {
   mutable pending_resume : Engine.resume option;
   mutable last_checkpoint : Snapshot.t option;
   mutable stop_checkpoint : Snapshot.t option;
+  mutable last_capture : Snapshot.t option;
   mutable rung_floor : rung;
   mutable depot : depot_state option;
 }
@@ -163,6 +164,7 @@ let create ?ram_kib ?ruleset ?tb_capacity ?inject ?shadow_depth
     pending_resume = None;
     last_checkpoint = None;
     stop_checkpoint = None;
+    last_capture = None;
     rung_floor = (match mode with Qemu -> Rung_baseline | Rules _ -> Rung_rules);
     depot = None;
   }
@@ -231,13 +233,7 @@ let conv_of_int = function
   | 4 -> Some Flagconv.Canonical
   | n -> raise (Snapshot.Corrupt (Printf.sprintf "cache: bad flag convention %d" n))
 
-(* The live plain TBs in translation (id) order. *)
-let live_tbs t =
-  Tb.Cache.to_list t.cache
-  |> List.sort (fun (a : Tb.t) (b : Tb.t) -> compare a.Tb.id b.Tb.id)
-  |> Array.of_list
-
-(* One record per live plain TB ([tbs], from [live_tbs]); then the
+(* One record per live plain TB ([tbs], from [Tb.Cache.by_id]); then the
    plain chain graph; then one recipe per installed superblock (its
    constituents as record indices); then the region chain graph, all
    in the combined index space of [recipes]. The host code itself is not
@@ -248,11 +244,7 @@ let live_tbs t =
    always postdate the last quarantine/blacklist change because every
    health change flushes the cache). *)
 let encode_cache t tbs =
-  let regions =
-    Tb.Cache.regions_list t.cache
-    |> List.sort (fun (a : Tb.t) (b : Tb.t) -> compare a.Tb.id b.Tb.id)
-    |> Array.of_list
-  in
+  let regions = Tb.Cache.regions_by_id t.cache in
   let index_of_id = Hashtbl.create 64 in
   Array.iteri (fun i (tb : Tb.t) -> Hashtbl.replace index_of_id tb.Tb.id i) tbs;
   Array.iteri
@@ -442,24 +434,25 @@ let capture ?resume t =
   (match t.rt.Runtime.trace with
   | Some tr -> Trace.emit tr Trace.Snapshot "capture"
   | None -> ());
+  let prev = t.last_capture in
   let snap = Snapshot.create () in
-  Snapshot.add snap "mode" (mode_name t.mode);
-  Snapshot.capture_machine t.rt snap;
-  Snapshot.add snap "cache" (encode_cache t (live_tbs t));
+  let add = Snapshot.add ?prev snap in
+  add "mode" (mode_name t.mode);
+  Snapshot.capture_machine ?prev t.rt snap;
+  add "cache" (encode_cache t (Tb.Cache.by_id t.cache));
   let ctl = Snapshot.Enc.create () in
   Snapshot.Enc.int ctl (Tb.Cache.full_flushes t.cache);
   Snapshot.Enc.int ctl (Tb.Cache.ids t.cache);
-  Snapshot.add snap "cachectl" (Snapshot.Enc.contents ctl);
+  add "cachectl" (Snapshot.Enc.contents ctl);
   (match (t.rule_translator, t.ruleset) with
-  | Some tr, Some rs -> Snapshot.add snap "translator" (encode_translator tr rs)
+  | Some tr, Some rs -> add "translator" (encode_translator tr rs)
   | _ -> ());
-  (match resume with
-  | Some r -> Snapshot.add snap "resume" (encode_resume r)
-  | None -> ());
+  (match resume with Some r -> add "resume" (encode_resume r) | None -> ());
   let dg = Snapshot.Enc.create () in
   Snapshot.Enc.int dg (rung_level t.rung_floor);
-  Snapshot.add snap "degrade" (Snapshot.Enc.contents dg);
-  Snapshot.add snap "journal" (Journal.to_string t.journal);
+  add "degrade" (Snapshot.Enc.contents dg);
+  add "journal" (Journal.to_string t.journal);
+  t.last_capture <- Some snap;
   snap
 
 let snapshot t =
@@ -781,7 +774,8 @@ let restore ?(rebuild = true) t snap =
     | Some j -> Journal.of_string j
     | None -> Journal.create ());
   t.last_checkpoint <- None;
-  t.stop_checkpoint <- None
+  t.stop_checkpoint <- None;
+  t.last_capture <- Some snap
 
 (* ---- snapshot readers for front ends ---- *)
 
@@ -873,7 +867,7 @@ let depot_capture t =
         ~quarantined
     | _ -> encode_depot_health ~blacklist:[] ~strikes:[] ~quarantined:[]
   in
-  let tbs = live_tbs t in
+  let tbs = Tb.Cache.by_id t.cache in
   Depot.create ~compat:(depot_compat t) ~rules ~cache:(encode_cache t tbs)
     ~srcsum:(Array.map guest_checksum tbs) ~health
 

@@ -73,6 +73,10 @@ type t = {
       (** checkpoint taken when the previous run hit its instruction
           limit — what {!snapshot} returns so a saved run resumes
           bit-identically *)
+  mutable last_capture : Snapshot.t option;
+      (** the snapshot this machine last captured or restored: a
+          capture shares each of its sections whose bytes did not
+          change since ({!Snapshot.add} [?prev]) *)
   mutable rung_floor : rung;
       (** sticky degradation floor: the best engine rung this machine
           is still allowed to run. Ratchets down on watchdog

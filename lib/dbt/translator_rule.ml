@@ -364,7 +364,7 @@ let on_executed t (rt : Runtime.t) (tb : Tb.t) ~outcome ~guest =
         env.(Envspec.pc) <- exp.exp_pc;
         Envspec.set_flags_both env (exp.exp_flags land 0xF0000000);
         Hashtbl.iter
-          (fun paddr b -> Exec.write_ram8 rt.Runtime.ctx paddr b)
+          (Ram.set8 rt.Runtime.ctx.Exec.ram)
           exp.writes;
         Runtime.sync_env_to_cpu rt;
         (* ...blacklist the address (it retranslates via the baseline)

@@ -1,4 +1,4 @@
-module Pages = Repro_common.Pages
+module Ram = Repro_common.Ram
 
 let timer_base = 0xF000_0000
 let uart_base = 0xF000_1000
@@ -7,8 +7,7 @@ let device_window = 0xF000_0000
 let device_window_end = 0xF000_3000
 
 type t = {
-  ram : Bytes.t;
-  dirty : Bytes.t;
+  ram : Ram.t;
   timer : Devices.Timer.t;
   uart : Devices.Uart.t;
   syscon : Devices.Syscon.t;
@@ -16,10 +15,9 @@ type t = {
   mutable device_read_hook : (int -> int -> unit) option;
 }
 
-let create ~ram ~dirty =
+let create ~ram =
   {
     ram;
-    dirty;
     timer = Devices.Timer.create ();
     uart = Devices.Uart.create ();
     syscon = Devices.Syscon.create ();
@@ -37,8 +35,8 @@ let bus_fault t site =
     && Repro_faultinject.Faultinject.surfaces inj
   | None -> false
 
-let ram_size t = Bytes.length t.ram
-let in_ram t paddr n = paddr >= 0 && paddr + n <= Bytes.length t.ram
+let ram_size t = Ram.size t.ram
+let in_ram t paddr n = paddr >= 0 && paddr + n <= Ram.size t.ram
 
 let is_ram t paddr = in_ram t paddr 4
 
@@ -46,11 +44,7 @@ exception Bus_error
 
 let read32 t paddr =
   if bus_fault t Repro_faultinject.Faultinject.Bus_read then raise Bus_error
-  else if in_ram t paddr 4 then
-    Char.code (Bytes.get t.ram paddr)
-    lor (Char.code (Bytes.get t.ram (paddr + 1)) lsl 8)
-    lor (Char.code (Bytes.get t.ram (paddr + 2)) lsl 16)
-    lor (Char.code (Bytes.get t.ram (paddr + 3)) lsl 24)
+  else if in_ram t paddr 4 then Ram.get32 t.ram paddr
   else begin
     let v =
       if paddr >= timer_base && paddr < uart_base then
@@ -67,14 +61,7 @@ let read32 t paddr =
 
 let write32 t paddr v =
   if bus_fault t Repro_faultinject.Faultinject.Bus_write then raise Bus_error
-  else if in_ram t paddr 4 then begin
-    Bytes.set t.ram paddr (Char.chr (v land 0xFF));
-    Bytes.set t.ram (paddr + 1) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set t.ram (paddr + 2) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set t.ram (paddr + 3) (Char.chr ((v lsr 24) land 0xFF));
-    Pages.mark t.dirty paddr;
-    Pages.mark t.dirty (paddr + 3)
-  end
+  else if in_ram t paddr 4 then Ram.set32 t.ram paddr v
   else if paddr >= timer_base && paddr < uart_base then
     Devices.Timer.write t.timer (paddr - timer_base) v
   else if paddr >= uart_base && paddr < syscon_base then
@@ -86,16 +73,13 @@ let write32 t paddr v =
 let read8 t paddr =
   if in_ram t paddr 1 then
     if bus_fault t Repro_faultinject.Faultinject.Bus_read then raise Bus_error
-    else Char.code (Bytes.get t.ram paddr)
+    else Ram.get8 t.ram paddr
   else (read32 t (paddr land lnot 3 land 0xFFFFFFFF) lsr (8 * (paddr land 3))) land 0xFF
 
 let write8 t paddr v =
   if in_ram t paddr 1 then
     if bus_fault t Repro_faultinject.Faultinject.Bus_write then raise Bus_error
-    else begin
-      Bytes.set t.ram paddr (Char.chr (v land 0xFF));
-      Pages.mark t.dirty paddr
-    end
+    else Ram.set8 t.ram paddr v
   else if paddr >= device_window && paddr < device_window_end then
     write32 t (paddr land lnot 3 land 0xFFFFFFFF) (v land 0xFF)
   else raise Bus_error

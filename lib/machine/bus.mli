@@ -1,8 +1,8 @@
 (** The guest physical address space: RAM at 0x0 plus the MMIO device
-    window at 0xF000_0000. The RAM backing store is shared with the
-    host execution context so DBT-emitted code can access guest memory
-    directly after translation, while device pages always take the
-    slow path (they are never entered into the TLB). *)
+    window at 0xF000_0000. The RAM ({!Repro_common.Ram}) is shared
+    with the host execution context so DBT-emitted code can access
+    guest memory directly after translation, while device pages always
+    take the slow path (they are never entered into the TLB). *)
 
 open Repro_common
 
@@ -11,10 +11,9 @@ val uart_base : Word32.t
 val syscon_base : Word32.t
 
 type t = {
-  ram : Bytes.t;
-  dirty : Bytes.t;
-      (** The {!Pages} bitmap of [ram]; RAM writes through the bus mark
-          the page of their first and of their last byte. *)
+  ram : Ram.t;
+      (** Checked against the RAM size here, once per access, and
+          shared with whoever else reads and writes it. *)
   timer : Devices.Timer.t;
   uart : Devices.Uart.t;
   syscon : Devices.Syscon.t;
@@ -29,9 +28,7 @@ type t = {
           timestamps. Transient run state, never serialized. *)
 }
 
-val create : ram:Bytes.t -> dirty:Bytes.t -> t
-(** [dirty] is [ram]'s page bitmap ({!Pages.bitmap}), shared with
-    whoever else writes [ram]. *)
+val create : ram:Ram.t -> t
 
 val ram_size : t -> int
 

@@ -60,11 +60,9 @@ module Tlb = struct
       tlb.(base + 2) <- page_pa entry
     end
 
-  (* Snapshot support: the softMMU array is plain data, so a copy is a
-     complete, bit-exact capture of every cached translation and
+  (* Snapshot support: the softMMU array is plain data, so its words
+     are a complete, bit-exact capture of every cached translation and
      write-protection tag. *)
-  let save tlb = Array.copy tlb
-
   let restore tlb saved =
     if Array.length saved <> Array.length tlb then
       invalid_arg "Tlb.restore: size mismatch";
@@ -82,8 +80,7 @@ module Tlb = struct
     let base = set_base_words ~privileged vaddr in
     let tag = vaddr land page_mask in
     let stored = if write then tlb.(base + 1) else tlb.(base) in
-    if stored = tag then Some (tlb.(base + 2) lor (vaddr land (page_size - 1)))
-    else None
+    if stored = tag then tlb.(base + 2) lor (vaddr land (page_size - 1)) else -1
 end
 
 let translate_entry bus cpu vaddr ~access ~privileged =

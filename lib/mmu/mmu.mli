@@ -72,21 +72,18 @@ module Tlb : sig
       it is user-accessible — non-user pages are never filled in the
       user bank at all). *)
 
-  val lookup :
-    int array -> privileged:bool -> write:bool -> Word32.t -> Word32.t option
-  (** Fast-path probe: physical address on hit. *)
+  val lookup : int array -> privileged:bool -> write:bool -> Word32.t -> int
+  (** Fast-path probe: the physical address on a hit, [-1] on a miss. *)
 
   val clear_write_tag : int array -> Word32.t -> unit
   (** Drop the write entry for the page of a virtual address in both
       banks (write-protecting translated code so self-modifying stores
       always take the slow path). *)
 
-  val save : int array -> int array
-  (** Bit-exact copy of the softMMU state (machine snapshots). *)
-
   val restore : int array -> int array -> unit
-  (** [restore tlb saved] writes a {!save}d capture back in place.
-      Raises [Invalid_argument] on size mismatch. *)
+  (** [restore tlb saved] writes a capture of the softMMU words back in
+      place (machine snapshots). Raises [Invalid_argument] on size
+      mismatch. *)
 end
 
 (** {2 Reference-machine memory interface} *)

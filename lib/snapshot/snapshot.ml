@@ -12,6 +12,7 @@ module Devices = Repro_machine.Devices
 module Tlb = Repro_mmu.Mmu.Tlb
 module Fi = Repro_faultinject.Faultinject
 module Pages = Repro_common.Pages
+module Ram = Repro_common.Ram
 
 let magic = "DBTSNAP\x01"
 let format_version = 2
@@ -128,9 +129,22 @@ let add_payload t name payload =
     invalid_arg (Printf.sprintf "Snapshot.add: duplicate section %s" name);
   t.sections <- (name, payload) :: t.sections
 
-let add t name payload =
+(* Section [name] of [prev] when it holds exactly the bytes [same]
+   accepts. A capture adds that string in place of an equal new one,
+   so checkpoints share every section that did not change. *)
+let reusable prev name same =
+  match prev with
+  | None -> None
+  | Some p -> (
+    match List.assoc_opt name p.sections with
+    | Some (Whole s) when same s -> Some s
+    | _ -> None)
+
+let add ?prev t name payload =
   add_payload t name
-    (if name = ram_section then Paged (Pages.split payload) else Whole payload)
+    (if name = ram_section then Paged (Pages.split payload)
+     else
+       Whole (Option.value (reusable prev name (String.equal payload)) ~default:payload))
 
 let find_opt t name = Option.map materialize (List.assoc_opt name t.sections)
 
@@ -246,10 +260,13 @@ let load_file path =
 
 (* ---- machine-core capture ---- *)
 
+(* [Enc.int_array] into a buffer of exactly its size. *)
 let ints a =
-  let b = Enc.create () in
-  Enc.int_array b a;
-  Enc.contents b
+  let n = Array.length a in
+  let b = Bytes.create (8 * (n + 1)) in
+  Bytes.set_int64_le b 0 (Int64.of_int n);
+  Array.iteri (fun i v -> Bytes.set_int64_le b (8 * (i + 1)) (Int64.of_int v)) a;
+  Bytes.unsafe_to_string b
 
 let dec_ints name payload =
   let d = Dec.of_string ~name payload in
@@ -257,44 +274,25 @@ let dec_ints name payload =
   if not (Dec.finished d) then corrupt "%s: trailing bytes" name;
   a
 
-(* RAM pages. Every page [ctx.dirty] does not mark holds exactly its
-   [ctx.sync] string, so a capture copies only the marked pages and
-   shares the rest with [sync], and a restore of any page array —
-   older than the last capture, or from another machine — rewrites
-   only the pages that are marked or whose string differs physically
-   from [sync]'s. Either way the result becomes [sync] and the bitmap
-   is cleared. *)
-let capture_ram (ctx : Exec.t) =
-  let pages =
-    Array.mapi
-      (fun i page ->
-        if Pages.is_dirty ctx.Exec.dirty i then
-          Bytes.sub_string ctx.Exec.ram (i lsl Pages.bits)
-            (String.length page)
-        else page)
-      ctx.Exec.sync
+(* [s] is [ints a], checked without encoding [a]. *)
+let encodes_ints a s =
+  let n = Array.length a in
+  String.length s = 8 * (n + 1)
+  && String.get_int64_le s 0 = Int64.of_int n
+  &&
+  let rec from i =
+    i = n || (String.get_int64_le s (8 * (i + 1)) = Int64.of_int a.(i) && from (i + 1))
   in
-  ctx.Exec.sync <- pages;
-  Pages.clear ctx.Exec.dirty;
-  pages
+  from 0
 
-let restore_ram (ctx : Exec.t) pages =
-  let have = Pages.length pages in
-  if have <> Bytes.length ctx.Exec.ram then
-    corrupt "ram: %d bytes, machine has %d" have (Bytes.length ctx.Exec.ram);
-  Array.iteri
-    (fun i page ->
-      if Pages.is_dirty ctx.Exec.dirty i || page != ctx.Exec.sync.(i) then
-        Bytes.blit_string page 0 ctx.Exec.ram (i lsl Pages.bits)
-          (String.length page))
-    pages;
-  ctx.Exec.sync <- pages;
-  Pages.clear ctx.Exec.dirty
+let add_ints ?prev t name a =
+  add_payload t name
+    (Whole (match reusable prev name (encodes_ints a) with Some s -> s | None -> ints a))
 
-let capture_machine (rt : Rt.t) t =
+let capture_machine ?prev (rt : Rt.t) t =
   let ctx = rt.Rt.ctx in
-  add t "cpu" (ints (Cpu.save_words rt.Rt.cpu));
-  add t "env" (ints (Array.copy ctx.Exec.env));
+  add_ints ?prev t "cpu" (Cpu.save_words rt.Rt.cpu);
+  add_ints ?prev t "env" ctx.Exec.env;
   let host = Enc.create () in
   Enc.int_array host ctx.Exec.regs;
   Enc.bool host ctx.Exec.cf;
@@ -302,27 +300,27 @@ let capture_machine (rt : Rt.t) t =
   Enc.bool host ctx.Exec.sf;
   Enc.bool host ctx.Exec.o_f;
   Enc.int host ctx.Exec.poison_counter;
-  add t "host" (Enc.contents host);
-  add_payload t ram_section (Paged (capture_ram ctx));
-  add t "tlb" (ints (Tlb.save ctx.Exec.tlb));
-  add t "timer" (ints (Devices.Timer.export rt.Rt.bus.Bus.timer));
+  add ?prev t "host" (Enc.contents host);
+  add_payload t ram_section (Paged (Ram.capture ctx.Exec.ram));
+  add_ints ?prev t "tlb" ctx.Exec.tlb;
+  add_ints ?prev t "timer" (Devices.Timer.export rt.Rt.bus.Bus.timer);
   let uart = Enc.create () in
   Enc.string uart (Devices.Uart.output rt.Rt.bus.Bus.uart);
-  add t "uart" (Enc.contents uart);
+  add ?prev t "uart" (Enc.contents uart);
   let syscon = Enc.create () in
   (match Devices.Syscon.halted rt.Rt.bus.Bus.syscon with
   | None -> Enc.bool syscon false
   | Some code ->
     Enc.bool syscon true;
     Enc.int syscon code);
-  add t "syscon" (Enc.contents syscon);
+  add ?prev t "syscon" (Enc.contents syscon);
   (match rt.Rt.inject with
   | None -> ()
   | Some inj ->
     let b = Enc.create () in
     Enc.i64_array b (Fi.export inj);
-    add t "inject" (Enc.contents b));
-  add t "stats" (ints (Stats.to_array (Rt.stats rt)))
+    add ?prev t "inject" (Enc.contents b));
+  add_ints ?prev t "stats" (Stats.to_array (Rt.stats rt))
 
 let restore_machine (rt : Rt.t) t =
   let ctx = rt.Rt.ctx in
@@ -345,7 +343,8 @@ let restore_machine (rt : Rt.t) t =
   ctx.Exec.o_f <- Dec.bool host;
   ctx.Exec.poison_counter <- Dec.int host;
   if not (Dec.finished host) then corrupt "host: trailing bytes";
-  restore_ram ctx (ram_pages t);
+  (try Ram.restore ctx.Exec.ram (ram_pages t)
+   with Invalid_argument e -> corrupt "ram: %s" e);
   (try Tlb.restore ctx.Exec.tlb (dec_ints "tlb" (find t "tlb"))
    with Invalid_argument e -> corrupt "tlb: %s" e);
   (try Devices.Timer.import rt.Rt.bus.Bus.timer (dec_ints "timer" (find t "timer"))

@@ -91,9 +91,12 @@ val copy : t -> t
     other as it was. Payloads are immutable and shared, so this costs
     nothing per byte. *)
 
-val add : t -> string -> string -> unit
+val add : ?prev:t -> t -> string -> string -> unit
 (** Append section [name] with the given payload (a ["ram"] payload is
-    cut into pages). Raises [Invalid_argument] on a duplicate name. *)
+    cut into pages). When [prev] has a section [name] with the same
+    bytes, its string is added instead, so a capture shares what did
+    not change since [prev]. Raises [Invalid_argument] on a duplicate
+    name. *)
 
 val find : t -> string -> string
 (** Raises {!Corrupt} when the section is absent. The ["ram"] section
@@ -133,21 +136,23 @@ val load_file : string -> t
     the three devices, the fault injector's PRNG cursor and counters,
     and the statistics block. *)
 
-val capture_machine : Repro_tcg.Runtime.t -> t -> unit
+val capture_machine : ?prev:t -> Repro_tcg.Runtime.t -> t -> unit
 (** Append the machine-core sections to [t]. RAM costs only the pages
-    written since the machine's last capture or restore
-    ([Exec.dirty]); the rest are shared with that snapshot
-    ([Exec.sync]), which the new one replaces. *)
+    written since the machine's last capture or restore; the rest are
+    shared with that snapshot ({!Repro_common.Ram.capture}). Every
+    other section whose bytes equal [prev]'s is [prev]'s string; the
+    int-array ones ([cpu], [env], [tlb], [timer], [stats]) are
+    compared without being encoded. *)
 
 val restore_machine : Repro_tcg.Runtime.t -> t -> unit
 (** Write a capture back into a machine created with the same shape
     (RAM size, injector presence). Any snapshot may be restored — an
     older one, or one from another machine or a file: a RAM page is
-    rewritten only when the machine dirtied it or its [Exec.sync]
-    page is not physically the snapshot's, and the snapshot's pages
-    become [Exec.sync]. Engine-transient runtime fields (pending code
-    write, TB override, fault producers) are reset to their between-TB
-    defaults. Raises {!Corrupt} on shape mismatch — including a
+    rewritten only when the machine dirtied it or its [sync] page is
+    not physically the snapshot's, and the snapshot's pages become
+    [sync] ({!Repro_common.Ram.restore}). Engine-transient runtime
+    fields (pending code write, TB override, fault producers) are
+    reset to their between-TB defaults. Raises {!Corrupt} on shape mismatch — including a
     snapshot that carries injector state restored into a machine
     without an injector, or vice versa. *)
 

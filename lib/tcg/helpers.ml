@@ -125,10 +125,9 @@ let data_abort (rt : Runtime.t) (f : Mem.fault) =
   stop_exception ()
 
 (* Full softMMU translation in "C": TLB probe, walk + fill on miss,
-   MMIO dispatch. Returns the physical address for RAM pages, or
-   performs the device access directly. A fault raises [Mem.Fault]. *)
-type resolved = Ram_at of int | Device_done of int
-
+   MMIO dispatch. Returns the physical address (>= 0) for RAM pages, or
+   performs the device access directly and returns [lnot v] for its
+   32-bit result [v] (0 for a store). A fault raises [Mem.Fault]. *)
 let resolve (rt : Runtime.t) ~(access : Mem.access) ~width vaddr value =
   let privileged = Runtime.privileged rt in
   let cpu = rt.Runtime.cpu in
@@ -146,9 +145,9 @@ let resolve (rt : Runtime.t) ~(access : Mem.access) ~width vaddr value =
       ->
       Mmu.Tlb.flush tlb
     | _ -> ());
-    match Mmu.Tlb.lookup tlb ~privileged ~write vaddr with
-    | Some paddr -> Ram_at paddr
-    | None ->
+    let paddr = Mmu.Tlb.lookup tlb ~privileged ~write vaddr in
+    if paddr >= 0 then paddr
+    else begin
       (* Miss path: translate (or identity when the MMU is off). *)
       (Runtime.stats rt).Stats.tlb_misses <- (Runtime.stats rt).Stats.tlb_misses + 1;
       (match rt.Runtime.trace with
@@ -188,7 +187,7 @@ let resolve (rt : Runtime.t) ~(access : Mem.access) ~width vaddr value =
           else entry
         in
         Mmu.Tlb.fill tlb ~privileged ~vaddr fill_entry;
-        Ram_at paddr
+        paddr
       end
       else begin
         (* MMIO: never cached in the TLB; dispatch through the bus. *)
@@ -207,8 +206,9 @@ let resolve (rt : Runtime.t) ~(access : Mem.access) ~width vaddr value =
           | exception Bus.Bus_error -> Mem.fault vaddr access Mem.Bus
         in
         check_halt rt;
-        Device_done v
+        lnot v
       end
+    end
   end
 
 let mmu_resolve (rt : Runtime.t) ~access ~width vaddr value =
@@ -217,21 +217,23 @@ let mmu_resolve (rt : Runtime.t) ~access ~width vaddr value =
   | exception Mem.Fault f -> data_abort rt f
 
 let mmu_load (rt : Runtime.t) ~width vaddr =
-  match mmu_resolve rt ~access:Mem.Load ~width vaddr 0 with
-  | Ram_at paddr -> (
+  let paddr = mmu_resolve rt ~access:Mem.Load ~width vaddr 0 in
+  if paddr < 0 then lnot paddr
+  else
+    let ram = rt.Runtime.ctx.Exec.ram in
     match width with
-    | Mem.W8 -> Exec.read_ram8 rt.Runtime.ctx paddr
-    | Mem.W16 -> Exec.read_ram16 rt.Runtime.ctx paddr
-    | Mem.W32 -> Exec.read_ram32 rt.Runtime.ctx paddr)
-  | Device_done v -> v
+    | Mem.W8 -> Ram.get8 ram paddr
+    | Mem.W16 -> Ram.get16 ram paddr
+    | Mem.W32 -> Ram.get32 ram paddr
 
 let mmu_store (rt : Runtime.t) ~width vaddr value =
-  (match mmu_resolve rt ~access:Mem.Store ~width vaddr value with
-  | Ram_at paddr -> (
-    (match width with
-    | Mem.W8 -> Exec.write_ram8 rt.Runtime.ctx paddr value
-    | Mem.W16 -> Exec.write_ram16 rt.Runtime.ctx paddr (value land 0xFFFF)
-    | Mem.W32 -> Exec.write_ram32 rt.Runtime.ctx paddr (Word32.mask value));
+  let paddr = mmu_resolve rt ~access:Mem.Store ~width vaddr value in
+  if paddr >= 0 then begin
+    (let ram = rt.Runtime.ctx.Exec.ram in
+     match width with
+     | Mem.W8 -> Ram.set8 ram paddr value
+     | Mem.W16 -> Ram.set16 ram paddr value
+     | Mem.W32 -> Ram.set32 ram paddr value);
     (* self-modifying code: the store completed; make the engine drop
        the (now stale) translations and resume at this very store,
        whose re-execution is idempotent *)
@@ -243,8 +245,8 @@ let mmu_store (rt : Runtime.t) ~width vaddr value =
       else begin
         charge rt X.Tag_glue (Costs.exception_entry ());
         stop_code_write ()
-      end)
-  | Device_done _ -> ());
+      end
+  end;
   0
 
 let install (rt : Runtime.t) =

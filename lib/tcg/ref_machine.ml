@@ -12,8 +12,7 @@ type t = {
 }
 
 let create ?(ram_kib = 4096) () =
-  let ram = Bytes.make (ram_kib * 1024) '\000' in
-  let bus = Bus.create ~ram ~dirty:(Pages.bitmap (Bytes.length ram)) in
+  let bus = Bus.create ~ram:(Ram.create (ram_kib * 1024)) in
   let cpu = Cpu.create () in
   let mem = Mmu.iface bus cpu in
   { cpu; bus; mem; dcache = Repro_arm.Decode_cache.create ~bits:14 }

@@ -153,6 +153,14 @@ module Cache = struct
     Hashtbl.fold (fun _ tb acc -> tb :: acc) t.regions []
     |> List.sort (fun a b -> compare a.guest_pc b.guest_pc)
 
+  let sorted_by_id table =
+    let a = Array.of_seq (Hashtbl.to_seq_values table) in
+    Array.sort (fun a b -> compare a.id b.id) a;
+    a
+
+  let by_id t = sorted_by_id t.table
+  let regions_by_id t = sorted_by_id t.regions
+
   (* Null every chain link that targets [target] (physical equality),
      across plain TBs and regions: after a region is installed over
      [target], stale chained jumps would keep bypassing it. *)

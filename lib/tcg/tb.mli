@@ -137,6 +137,13 @@ module Cache : sig
   val regions_list : t -> tb list
   (** All installed superblocks, ordered by head guest PC. *)
 
+  val by_id : t -> tb array
+  (** All cached plain TBs in translation (id) order (snapshots and
+      depots). *)
+
+  val regions_by_id : t -> tb array
+  (** All installed superblocks in id order. *)
+
   val is_code_page : t -> int -> bool
   (** Does any cached TB overlap the given virtual page? Guest stores
       into such pages must invalidate (self-modifying code). *)

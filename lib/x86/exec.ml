@@ -7,9 +7,7 @@ type t = {
   mutable sf : bool;
   mutable o_f : bool;
   env : int array;
-  ram : Bytes.t;
-  dirty : Bytes.t;
-  mutable sync : string array;
+  ram : Ram.t;
   tlb : int array;
   stats : Stats.t;
   mutable helper : t -> int -> int;
@@ -27,9 +25,7 @@ let create ?(env_slots = 64) ?(ram_size = 1 lsl 20) ?(tlb_words = 768) () =
     sf = false;
     o_f = false;
     env = Array.make env_slots 0;
-    ram = Bytes.make ram_size '\000';
-    dirty = Pages.bitmap ram_size;
-    sync = Pages.zero ram_size;
+    ram = Ram.create ram_size;
     tlb = Array.make tlb_words 0;
     stats = Stats.create ();
     helper = (fun _ _ -> failwith "Exec: no helper dispatcher installed");
@@ -45,33 +41,6 @@ let set_flags_word t w =
   t.zf <- Word32.bit w 30;
   t.cf <- Word32.bit w 29;
   t.o_f <- Word32.bit w 28
-
-let read_ram32 t addr = Int32.to_int (Bytes.get_int32_le t.ram addr) land 0xFFFF_FFFF
-
-(* Every RAM write marks its pages dirty once it has succeeded; a
-   multi-byte write marks the page of its first and of its last byte. *)
-let write_ram32 t addr v =
-  Bytes.set t.ram addr (Char.chr (v land 0xFF));
-  Bytes.set t.ram (addr + 1) (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set t.ram (addr + 2) (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set t.ram (addr + 3) (Char.chr ((v lsr 24) land 0xFF));
-  Pages.mark t.dirty addr;
-  Pages.mark t.dirty (addr + 3)
-
-let read_ram8 t addr = Char.code (Bytes.get t.ram addr)
-
-let write_ram8 t addr v =
-  Bytes.set t.ram addr (Char.chr (v land 0xFF));
-  Pages.mark t.dirty addr
-
-let read_ram16 t addr =
-  Char.code (Bytes.get t.ram addr) lor (Char.code (Bytes.get t.ram (addr + 1)) lsl 8)
-
-let write_ram16 t addr v =
-  Bytes.set t.ram addr (Char.chr (v land 0xFF));
-  Bytes.set t.ram (addr + 1) (Char.chr ((v lsr 8) land 0xFF));
-  Pages.mark t.dirty addr;
-  Pages.mark t.dirty (addr + 1)
 
 (* Deterministic, obviously-wrong values: coordination bugs surface as
    0xBAD... register contents in differential tests. *)
@@ -148,10 +117,10 @@ let read32 (m : Insn.mem) : t -> int =
     match (m.base, m.index) with
     | Some b, None ->
       let disp = m.disp in
-      fun c -> read_ram32 c (Word32.mask (c.regs.(b) + disp))
+      fun c -> Ram.get32 c.ram (Word32.mask (c.regs.(b) + disp))
     | _ ->
       let addr = compile_addr m in
-      fun c -> read_ram32 c (addr c))
+      fun c -> Ram.get32 c.ram (addr c))
 
 let write32 (m : Insn.mem) : t -> int -> unit =
   match (m.seg, const_slot m) with
@@ -167,18 +136,18 @@ let write32 (m : Insn.mem) : t -> int -> unit =
     match (m.base, m.index) with
     | Some b, None ->
       let disp = m.disp in
-      fun c v -> write_ram32 c (Word32.mask (c.regs.(b) + disp)) v
+      fun c v -> Ram.set32 c.ram (Word32.mask (c.regs.(b) + disp)) v
     | _ ->
       let addr = compile_addr m in
-      fun c v -> write_ram32 c (addr c) v)
+      fun c v -> Ram.set32 c.ram (addr c) v)
 
 (* Sub-word ([len] = 8 or 16) memory access, zero-extended on read. *)
 let read_sub ~len (m : Insn.mem) : t -> int =
   let addr = compile_addr m in
   let lane_of slots a = Word32.extract slots.(a lsr 2) ~lo:(lane a ~len) ~len in
   match (m.seg, len) with
-  | Insn.Ram, 8 -> fun c -> read_ram8 c (addr c)
-  | Insn.Ram, _ -> fun c -> read_ram16 c (addr c)
+  | Insn.Ram, 8 -> fun c -> Ram.get8 c.ram (addr c)
+  | Insn.Ram, _ -> fun c -> Ram.get16 c.ram (addr c)
   | Insn.Env, _ -> fun c -> lane_of c.env (addr c)
   | Insn.Tlb, _ -> fun c -> lane_of c.tlb (addr c)
 
@@ -189,8 +158,8 @@ let write_sub ~len (m : Insn.mem) : t -> int -> unit =
     slots.(a lsr 2) <- Word32.insert slots.(a lsr 2) ~lo ~len v
   in
   match (m.seg, len) with
-  | Insn.Ram, 8 -> fun c v -> write_ram8 c (addr c) v
-  | Insn.Ram, _ -> fun c v -> write_ram16 c (addr c) v
+  | Insn.Ram, 8 -> fun c v -> Ram.set8 c.ram (addr c) v
+  | Insn.Ram, _ -> fun c v -> Ram.set16 c.ram (addr c) v
   | Insn.Env, _ -> fun c v -> set_lane c.env (addr c) v
   | Insn.Tlb, _ -> fun c v -> set_lane c.tlb (addr c) v
 

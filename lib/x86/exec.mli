@@ -28,17 +28,10 @@ type t = {
   mutable sf : bool;
   mutable o_f : bool;
   env : int array;
-  ram : Bytes.t;
-  dirty : Bytes.t;
-      (** {!Repro_common.Pages} bitmap of the [ram] pages written since
-          [sync] was last brought up to date. Every RAM writer marks
-          it — the [write_ram*] functions and the bus, which shares
-          [ram] and [dirty]. *)
-  mutable sync : string array;
-      (** The pages of the checkpoint [ram] last matched: every page
-          not marked in [dirty] holds exactly its [sync] string.
-          Starts as the zero pages. Only checkpoint capture and
-          restore move it. *)
+  ram : Ram.t;
+      (** Guest physical RAM, shared with the bus
+          ({!Repro_machine.Bus.t}); its dirty bitmap and [sync] pages
+          are what checkpoints copy from. *)
   tlb : int array;
   stats : Stats.t;
   mutable helper : t -> int -> int;
@@ -68,12 +61,6 @@ val get_flags_word : t -> Word32.t
     what [Savef] stores. *)
 
 val set_flags_word : t -> Word32.t -> unit
-val read_ram32 : t -> int -> Word32.t
-val write_ram32 : t -> int -> Word32.t -> unit
-val read_ram8 : t -> int -> int
-val write_ram8 : t -> int -> int -> unit
-val read_ram16 : t -> int -> int
-val write_ram16 : t -> int -> int -> unit
 
 type outcome =
   | Exited of int  (** TB finished through exit slot [n] *)

@@ -66,6 +66,53 @@ let test_geomean () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "non-positive must raise"
 
+(* Paged RAM against one flat byte array: random byte, halfword and
+   word accesses, many at or across page boundaries, over three pages
+   and a partial fourth; then a capture of it, restored into a fresh
+   RAM. *)
+let prop_ram_is_flat =
+  let size = (3 * Pages.size) + 1024 in
+  let access =
+    QCheck.(
+      triple (int_range 0 5)
+        (oneof [ int_range 0 (size - 4); map (fun k -> (Pages.size * (1 + (k mod 3))) - 4 + (k / 3)) (int_range 0 23) ])
+        int)
+  in
+  QCheck.Test.make ~count:300 ~name:"paged RAM reads and writes as flat bytes"
+    QCheck.(list_of_size Gen.(int_range 1 60) access)
+    (fun ops ->
+      let ram = Ram.create size and flat = Bytes.make size '\000' in
+      let flat_get a n =
+        let v = ref 0 in
+        for k = n - 1 downto 0 do
+          v := (!v lsl 8) lor Char.code (Bytes.get flat (a + k))
+        done;
+        !v
+      in
+      let flat_set a n v =
+        for k = 0 to n - 1 do
+          Bytes.set flat (a + k) (Char.chr ((v lsr (8 * k)) land 0xFF))
+        done
+      in
+      let ok =
+        List.for_all
+          (fun (op, a, v) ->
+            match op with
+            | 0 -> Ram.get8 ram a = flat_get a 1
+            | 1 -> Ram.get16 ram a = flat_get a 2
+            | 2 -> Ram.get32 ram a = flat_get a 4
+            | 3 -> Ram.set8 ram a v; flat_set a 1 v; true
+            | 4 -> Ram.set16 ram a v; flat_set a 2 v; true
+            | _ -> Ram.set32 ram a v; flat_set a 4 v; true)
+          ops
+      in
+      let copy = Ram.create size in
+      Ram.restore copy (Ram.capture ram);
+      ok
+      && Ram.to_string ram = Bytes.to_string flat
+      && Ram.to_string copy = Bytes.to_string flat
+      && String.concat "" (Array.to_list (Ram.sync ram)) = Bytes.to_string flat)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -74,6 +121,7 @@ let suite =
         Alcotest.test_case "word32 basics" `Quick test_word32_basics;
         q prop_rotate_inverse;
         q prop_carry_borrow_duality;
+        q prop_ram_is_flat;
         Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
         Alcotest.test_case "prng bounds" `Quick test_prng_bounds;
         Alcotest.test_case "table rendering" `Quick test_table_render;

@@ -35,7 +35,7 @@ let test_syscon_halt () =
 
 let test_bus_dispatch () =
   let bus =
-    Bus.create ~ram:(Bytes.make 4096 '\000') ~dirty:(Repro_common.Pages.bitmap 4096)
+    Bus.create ~ram:(Repro_common.Ram.create 4096)
   in
   Bus.write32 bus 0x100 0xCAFE;
   Alcotest.(check int) "ram readback" 0xCAFE (Bus.read32 bus 0x100);

@@ -180,7 +180,7 @@ let run_image ?trace ?ledger image mode =
 let fingerprint sys =
   let rt = sys.D.System.rt in
   ( Cpu.save_words rt.T.Runtime.cpu,
-    Digest.to_hex (Digest.bytes rt.T.Runtime.ctx.Exec.ram),
+    Digest.to_hex (Digest.string (Repro_common.Ram.to_string rt.T.Runtime.ctx.Exec.ram)),
     Stats.to_array (D.System.stats sys),
     D.System.uart_output sys )
 

@@ -38,7 +38,7 @@ let halt_code res =
 let guest_fingerprint sys =
   let rt = sys.D.System.rt in
   ( Cpu.save_words rt.T.Runtime.cpu,
-    Digest.to_hex (Digest.bytes rt.T.Runtime.ctx.Exec.ram),
+    Digest.to_hex (Digest.string (Repro_common.Ram.to_string rt.T.Runtime.ctx.Exec.ram)),
     D.System.uart_output sys )
 
 (* ---- fusion is guest-invisible and actually pays ------------------- *)

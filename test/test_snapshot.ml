@@ -30,7 +30,7 @@ let make_sys ?inject ?scope ?(shadow_depth = 0) mode image =
 let fingerprint sys =
   let rt = sys.D.System.rt in
   ( Cpu.save_words rt.T.Runtime.cpu,
-    Digest.to_hex (Digest.bytes rt.T.Runtime.ctx.Exec.ram),
+    Digest.to_hex (Digest.string (Repro_common.Ram.to_string rt.T.Runtime.ctx.Exec.ram)),
     Stats.to_array (D.System.stats sys),
     D.System.uart_output sys )
 
@@ -450,7 +450,7 @@ let test_postmortem_profile_determinism () =
   let guest_state sys =
     let rt = sys.D.System.rt in
     ( Cpu.save_words rt.T.Runtime.cpu,
-      Digest.to_hex (Digest.bytes rt.T.Runtime.ctx.Exec.ram),
+      Digest.to_hex (Digest.string (Repro_common.Ram.to_string rt.T.Runtime.ctx.Exec.ram)),
       D.System.uart_output sys )
   in
   (* uninterrupted reference run *)
@@ -508,6 +508,7 @@ let test_postmortem_profile_determinism () =
 (* ---- page-shared RAM --------------------------------------------- *)
 
 module Pages = Repro_common.Pages
+module Ram = Repro_common.Ram
 
 let ram_of rt = rt.T.Runtime.ctx.Exec.ram
 
@@ -520,12 +521,13 @@ let capture_rt rt =
 (* The page invariant every capture and restore relies on: a page the
    dirty bitmap does not mark holds exactly its [sync] string. *)
 let check_clean_pages msg (ctx : Exec.t) =
+  let bytes = Ram.to_string ctx.Exec.ram in
   Array.iteri
     (fun i page ->
-      if not (Pages.is_dirty ctx.Exec.dirty i) then
-        if Bytes.sub_string ctx.Exec.ram (i * Pages.size) (String.length page) <> page
+      if not (Ram.is_dirty ctx.Exec.ram i) then
+        if String.sub bytes (i * Pages.size) (String.length page) <> page
         then Alcotest.failf "%s: clean page %d differs from its sync page" msg i)
-    ctx.Exec.sync
+    (Ram.sync ctx.Exec.ram)
 
 (* Stores that straddle a page boundary must mark both pages, or a
    capture shares the second page's stale string and a restore of it
@@ -534,11 +536,11 @@ let test_straddling_writes () =
   let rt = T.Runtime.create () in
   let ctx = rt.T.Runtime.ctx and bus = rt.T.Runtime.bus in
   let before = capture_rt rt in
-  Exec.write_ram32 ctx 0x0FFE 0xAABBCCDD;
-  Exec.write_ram16 ctx 0x2FFF 0xEEFF;
+  Ram.set32 ctx.Exec.ram 0x0FFE 0xAABBCCDD;
+  Ram.set16 ctx.Exec.ram 0x2FFF 0xEEFF;
   Repro_machine.Bus.write32 bus 0x4FFE 0x11223344;
   Repro_machine.Bus.write8 bus 0x6FFF 0x55;
-  let expected = Bytes.to_string (ram_of rt) in
+  let expected = Ram.to_string (ram_of rt) in
   let after = capture_rt rt in
   Alcotest.(check string) "capture holds every written byte" expected
     (Snapshot.find after "ram");
@@ -552,11 +554,11 @@ let test_straddling_writes () =
   Snapshot.restore_machine rt before;
   Alcotest.(check string) "restore of the older capture zeroes them"
     (Snapshot.find before "ram")
-    (Bytes.to_string (ram_of rt));
+    (Ram.to_string (ram_of rt));
   Snapshot.restore_machine rt after;
   Alcotest.(check string) "restore of the newer capture brings them back"
     expected
-    (Bytes.to_string (ram_of rt))
+    (Ram.to_string (ram_of rt))
 
 (* The reference capture: RAM from a full copy of the machine's bytes,
    every other section taken from [snap]. *)
@@ -565,7 +567,7 @@ let full_copy_capture snap ram =
   List.iter
     (fun name ->
       Snapshot.add r name
-        (if name = "ram" then Bytes.to_string ram else Snapshot.find snap name))
+        (if name = "ram" then Ram.to_string ram else Snapshot.find snap name))
     (Snapshot.names snap);
   r
 
@@ -583,13 +585,13 @@ let test_page_sharing_oracle () =
   let pool = ref [] in
   let keep snap =
     Alcotest.(check string) "capture holds the RAM it was taken from"
-      (Bytes.to_string (ram ())) (Snapshot.find snap "ram");
+      (Ram.to_string (ram ())) (Snapshot.find snap "ram");
     pool := snap :: !pool
   in
   let check_restored what snap =
     Alcotest.(check string) (what ^ ": RAM equals the snapshot's")
       (Snapshot.find snap "ram")
-      (Bytes.to_string (ram ()))
+      (Ram.to_string (ram ()))
   in
   let pick prng = List.nth !pool (Repro_common.Prng.int prng (List.length !pool)) in
   let prng = Repro_common.Prng.create ~seed:23 in
@@ -654,7 +656,7 @@ let test_capture_scales_with_dirty_pages () =
   let rt = T.Runtime.create () in
   let ctx = rt.T.Runtime.ctx in
   for i = 0 to 1023 do
-    Exec.write_ram32 ctx ((i * Pages.size) + 8) (i + 1)
+    Ram.set32 ctx.Exec.ram ((i * Pages.size) + 8) (i + 1)
   done;
   let base = capture_rt rt in
   let base_ram = Snapshot.find base "ram" in
@@ -662,7 +664,7 @@ let test_capture_scales_with_dirty_pages () =
     (fun k ->
       Snapshot.restore_machine rt base;
       let dirtied = List.init k (fun j -> (j * 389) mod 1024) in
-      List.iter (fun p -> Exec.write_ram8 ctx ((p * Pages.size) + 100) 0x5A) dirtied;
+      List.iter (fun p -> Ram.set8 ctx.Exec.ram ((p * Pages.size) + 100) 0x5A) dirtied;
       let snap = capture_rt rt in
       let fresh =
         List.filter
@@ -680,6 +682,64 @@ let test_capture_scales_with_dirty_pages () =
     [ 0; 1; 7; 100; 1024 ];
   Alcotest.(check string) "the restored snapshot was never written"
     base_ram (Snapshot.find base "ram")
+
+(* A machine's RAM costs only the pages it wrote, and never the pages
+   of another machine: every unwritten page is the one shared zero
+   page, which no write reaches. *)
+let test_ram_is_lazy_and_isolated () =
+  let rt = T.Runtime.create () in
+  let ram = ram_of rt in
+  Alcotest.(check int) "a fresh runtime owns no page" 0 (Ram.owned ram);
+  let zeros = capture_rt rt in
+  Ram.set32 ram 0x5000 0xCAFEF00D;
+  Alcotest.(check int) "one write owns one page" 1 (Ram.owned ram);
+  Ram.set32 ram 0x8FFE 0x01020304;
+  Alcotest.(check int) "a straddling write owns two more" 3 (Ram.owned ram);
+  let other = T.Runtime.create () in
+  Alcotest.(check int) "a second runtime reads 0 there" 0 (Ram.get32 (ram_of other) 0x5000);
+  Alcotest.(check int) "and owns no page" 0 (Ram.owned (ram_of other));
+  Snapshot.restore_machine rt zeros;
+  Alcotest.(check int) "restoring an all-zero page reads back 0" 0 (Ram.get32 ram 0x5000);
+  Alcotest.(check int) "straddled bytes read back 0" 0 (Ram.get32 ram 0x8FFE);
+  Alcotest.(check int) "its pages stay owned" 3 (Ram.owned ram);
+  let fresh = T.Runtime.create () in
+  Snapshot.restore_machine fresh (Snapshot.of_string (Snapshot.to_string zeros));
+  Alcotest.(check int) "zero pages read from a file own nothing" 0
+    (Ram.owned (ram_of fresh))
+
+(* Checkpoints of one machine share every section that did not change
+   since the last capture or restore, physically: nothing is
+   re-encoded into a new string. *)
+let test_captures_share_sections () =
+  let image = kernel_image () in
+  let mode = D.System.Rules D.Opt.full in
+  let sys = make_sys mode image in
+  ignore (D.System.run ~max_guest_insns:12_000 sys);
+  D.System.restore sys (D.System.snapshot sys);
+  let first = D.System.snapshot sys in
+  let second = D.System.snapshot sys in
+  let section snap name =
+    if name = "ram" then Obj.repr (Snapshot.ram_pages snap) else Obj.repr (Snapshot.find snap name)
+  in
+  let names = Snapshot.names first in
+  Alcotest.(check (list string)) "same sections" names (Snapshot.names second);
+  Alcotest.(check (list string)) "no execution between: every section shared" []
+    (List.filter (fun n -> section first n != section second n) names);
+  Repro_mmu.Mmu.Tlb.flush sys.D.System.rt.T.Runtime.ctx.Exec.tlb;
+  let flushed = D.System.snapshot sys in
+  Alcotest.(check (list string)) "after a TLB flush only tlb changes bytes" [ "tlb" ]
+    (List.filter (fun n -> Snapshot.find flushed n <> Snapshot.find second n) names);
+  Alcotest.(check (list string)) "and only tlb is a new string" [ "tlb" ]
+    (List.filter (fun n -> section flushed n != section second n) names);
+  let restored snap =
+    let m = D.System.create mode in
+    D.System.restore m snap;
+    ignore (D.System.run ~max_guest_insns:5_000 m);
+    (fingerprint m, Snapshot.to_string (D.System.snapshot m))
+  in
+  let fa, sa = restored first and fb, sb = restored second in
+  check_fingerprint "restore from the shared capture" fa fb;
+  Alcotest.(check bool) "and its next capture is byte-identical" true (sa = sb)
 
 let suite =
   [
@@ -718,5 +778,9 @@ let suite =
           test_page_sharing_oracle;
         Alcotest.test_case "capture copies only the dirtied pages" `Quick
           test_capture_scales_with_dirty_pages;
+        Alcotest.test_case "RAM owns only written pages, per machine" `Quick
+          test_ram_is_lazy_and_isolated;
+        Alcotest.test_case "captures share unchanged sections" `Quick
+          test_captures_share_sections;
       ] );
   ]

@@ -6,11 +6,14 @@
 # by every domain and is either a data race or a hidden determinism
 # leak (DESIGN.md §19). This lint greps for column-0 `let` bindings
 # that allocate mutable state — `ref`, `Hashtbl.create`, array
-# constructors and literals, `Buffer.create`, `Queue.create`,
-# `Stack.create` — and fails on any hit not in the allowlist below.
+# constructors and literals, `Bytes.make`/`Bytes.create`,
+# `Buffer.create`, `Queue.create`, `Stack.create` — and fails on any
+# hit not in the allowlist below.
 #
-# Allowlisted entries are read-only-by-convention array literals
-# (consulted, never written). If you need new module-level state,
+# Allowlisted entries are read-only by convention (consulted, never
+# written): array literals, and RAM's shared zero page, which no write
+# reaches because `Ram` gives a page its own bytes before its first
+# write. If you need new module-level state,
 # prefer: scope it inside the initialisation expression (see
 # lib/learn/corpus.ml), derive it positionally (lib/rules/builtin.ml),
 # or make it an Atomic with a comment saying who writes it
@@ -24,9 +27,10 @@ allowlist='
 lib/workloads/workloads.ml:let alu_targets = [|
 lib/rules/pinmap.ml:let scratch = [|
 lib/symexec/equiv.ml:let boundary = [|
+lib/common/ram.ml:let zero_page = Bytes.make
 '
 
-pattern='^let [a-zA-Z_0-9]+ *(: *[^=]*)? *= *(ref |Hashtbl\.create|Array\.(make|init|create)|Buffer\.create|Queue\.create|Stack\.create|\[\|)'
+pattern='^let [a-zA-Z_0-9]+ *(: *[^=]*)? *= *(ref |Hashtbl\.create|Array\.(make|init|create)|Bytes\.(make|create)|Buffer\.create|Queue\.create|Stack\.create|\[\|)'
 
 hits=$(grep -rnE "$pattern" lib --include='*.ml' || true)
 
