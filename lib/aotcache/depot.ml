@@ -7,15 +7,14 @@ exception Depot_error of { section : string; reason : string }
 let err section fmt =
   Printf.ksprintf (fun reason -> raise (Depot_error { section; reason })) fmt
 
-(* Any decoder slip (truncated payload, bad tag) inside [section]
-   becomes the typed error; nothing else escapes the load path. *)
+(* Any decoder slip (truncated payload, bad tag) or failed read inside
+   [section] becomes the typed error; nothing else escapes the load
+   path. *)
 let guard section f =
   try f () with
-  | Snapshot.Corrupt reason -> err section "%s" reason
-  | Invalid_argument reason -> err section "%s" reason
+  | Snapshot.Corrupt reason | Invalid_argument reason | Sys_error reason ->
+    err section "%s" reason
 
-let format_version = 2
-let magic = "DBTDEPOT"
 let manifest_name = "MANIFEST"
 let manifest_header = "DBTDEPOT-MANIFEST 1"
 
@@ -51,117 +50,59 @@ let quarantine_pcs t pcs =
 
 let ruleset_digest = Repro_rules.Serialize.digest
 
-(* ---- blob container ---- *)
-
-let encode_compat c =
-  let b = Snapshot.Enc.create () in
-  Snapshot.Enc.string b c.c_mode;
-  Snapshot.Enc.int b c.c_rules_digest;
-  Snapshot.Enc.int b c.c_hot_threshold;
-  Snapshot.Enc.contents b
-
-let decode_compat payload =
-  guard "compat" @@ fun () ->
-  let d = Snapshot.Dec.of_string ~name:"compat" payload in
-  let c_mode = Snapshot.Dec.string d in
-  let c_rules_digest = Snapshot.Dec.int d in
-  let c_hot_threshold = Snapshot.Dec.int d in
-  if not (Snapshot.Dec.finished d) then err "compat" "trailing bytes";
-  { c_mode; c_rules_digest; c_hot_threshold }
-
-let encode_ints l =
-  let b = Snapshot.Enc.create () in
-  Snapshot.Enc.int_array b (Array.of_list l);
-  Snapshot.Enc.contents b
-
-let decode_ints section payload =
-  guard section @@ fun () ->
-  let d = Snapshot.Dec.of_string ~name:section payload in
-  let a = Snapshot.Dec.int_array d in
-  if not (Snapshot.Dec.finished d) then err section "trailing bytes";
-  Array.to_list a
+(* ---- the blob: a snapshot container ---- *)
 
 let to_string t =
-  let b = Snapshot.Enc.create () in
-  Snapshot.Enc.int b t.generation;
-  let srcsum_payload =
-    let e = Snapshot.Enc.create () in
-    Snapshot.Enc.int_array e t.srcsum;
-    Snapshot.Enc.contents e
+  let c = Snapshot.create () in
+  let add name encode =
+    let b = Snapshot.Enc.create () in
+    encode b;
+    Snapshot.add c name (Snapshot.Enc.contents b)
   in
-  let sections =
-    [
-      ("compat", encode_compat t.compat);
-      ("rules", t.rules);
-      ("cache", t.cache);
-      ("srcsum", srcsum_payload);
-      ("health", t.health);
-      ("quarantine", encode_ints t.quarantined);
-    ]
-  in
-  Snapshot.Enc.int b (List.length sections);
-  List.iter
-    (fun (name, payload) ->
-      Snapshot.Enc.string b name;
-      Snapshot.Enc.string b payload;
-      Snapshot.Enc.int b (Snapshot.fnv1a32 payload))
-    sections;
-  let body = Snapshot.Enc.contents b in
-  let hdr = Snapshot.Enc.create () in
-  Snapshot.Enc.int hdr format_version;
-  Snapshot.Enc.int hdr (Snapshot.fnv1a32 body);
-  magic ^ Snapshot.Enc.contents hdr ^ body
+  add "generation" (fun b -> Snapshot.Enc.int b t.generation);
+  add "compat" (fun b ->
+      Snapshot.Enc.string b t.compat.c_mode;
+      Snapshot.Enc.int b t.compat.c_rules_digest;
+      Snapshot.Enc.int b t.compat.c_hot_threshold);
+  Snapshot.add c "rules" t.rules;
+  Snapshot.add c "cache" t.cache;
+  add "srcsum" (fun b -> Snapshot.Enc.int_array b t.srcsum);
+  Snapshot.add c "health" t.health;
+  add "quarantine" (fun b ->
+      Snapshot.Enc.int_array b (Array.of_list t.quarantined));
+  Snapshot.to_string c
 
 let of_string s =
-  if String.length s < 24 then
-    err "container" "truncated header (%d bytes)" (String.length s);
-  if String.sub s 0 8 <> magic then err "container" "bad magic";
-  let hdr = Snapshot.Dec.of_string ~name:"container" (String.sub s 8 16) in
-  let version = guard "container" (fun () -> Snapshot.Dec.int hdr) in
-  if version <> format_version then
-    err "container" "format version %d, this build reads %d" version
-      format_version;
-  let sum = guard "container" (fun () -> Snapshot.Dec.int hdr) in
-  let body = String.sub s 24 (String.length s - 24) in
-  let actual = Snapshot.fnv1a32 body in
-  if sum <> actual then
-    err "container" "body checksum mismatch (stored %#x, computed %#x)" sum
-      actual;
-  let d = Snapshot.Dec.of_string ~name:"depot" body in
-  let generation = guard "container" (fun () -> Snapshot.Dec.int d) in
-  if generation < 0 then err "container" "negative generation";
-  let count = guard "container" (fun () -> Snapshot.Dec.int d) in
-  if count < 0 || count > 64 then err "container" "bad section count %d" count;
-  let sections =
-    List.init count (fun _ ->
-        guard "container" @@ fun () ->
-        let name = Snapshot.Dec.string d in
-        let payload = Snapshot.Dec.string d in
-        let sum = Snapshot.Dec.int d in
-        let actual = Snapshot.fnv1a32 payload in
-        if sum <> actual then
-          err name "section checksum mismatch (stored %#x, computed %#x)" sum
-            actual;
-        (name, payload))
+  let c =
+    try Snapshot.of_string s
+    with Snapshot.Load_error { section; reason } ->
+      raise (Depot_error { section; reason })
   in
-  if not (guard "container" (fun () -> Snapshot.Dec.finished d)) then
-    err "container" "trailing bytes";
-  let find name =
-    match List.assoc_opt name sections with
-    | Some p -> p
-    | None -> err name "missing section"
+  let find name = guard name (fun () -> Snapshot.find c name) in
+  let decode name f =
+    guard name @@ fun () ->
+    let d = Snapshot.Dec.of_string ~name (find name) in
+    let v = f d in
+    if not (Snapshot.Dec.finished d) then err name "trailing bytes";
+    v
   in
-  let compat = decode_compat (find "compat") in
-  let srcsum = Array.of_list (decode_ints "srcsum" (find "srcsum")) in
-  let quarantined = List.sort_uniq compare (decode_ints "quarantine" (find "quarantine")) in
+  let generation = decode "generation" Snapshot.Dec.int in
+  if generation < 0 then err "generation" "negative generation";
+  let compat =
+    decode "compat" @@ fun d ->
+    let c_mode = Snapshot.Dec.string d in
+    let c_rules_digest = Snapshot.Dec.int d in
+    { c_mode; c_rules_digest; c_hot_threshold = Snapshot.Dec.int d }
+  in
+  let quarantined = decode "quarantine" Snapshot.Dec.int_array in
   {
     generation;
     compat;
     rules = find "rules";
     cache = find "cache";
-    srcsum;
+    srcsum = decode "srcsum" Snapshot.Dec.int_array;
     health = find "health";
-    quarantined;
+    quarantined = List.sort_uniq compare (Array.to_list quarantined);
   }
 
 (* ---- the directory: manifest-committed generations ---- *)
@@ -175,16 +116,6 @@ type manifest = {
 
 let blob_name t = Printf.sprintf "depot-%d.bin" t.generation
 let is_blob f = String.length f > 10 && String.sub f 0 6 = "depot-" && Filename.check_suffix f ".bin"
-
-let read_whole_file section path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> s
-  | exception Sys_error e -> err section "%s" e
 
 let parse_manifest s =
   match String.split_on_char '\n' s with
@@ -225,7 +156,9 @@ let read_manifest dir =
   let path = Filename.concat dir manifest_name in
   if not (Sys.file_exists path) then
     err "manifest" "no depot manifest in %s" dir;
-  parse_manifest (read_whole_file "manifest" path)
+  parse_manifest
+    (guard "manifest" (fun () ->
+         In_channel.with_open_bin path In_channel.input_all))
 
 let render_manifest m =
   Printf.sprintf "%s\ngeneration %d\nblob %s\nbytes %d\nchecksum 0x%08x\n"
@@ -284,7 +217,11 @@ let load ?inject dir =
   | false -> err "manifest" "%s is not a directory" dir
   | exception Sys_error _ -> err "manifest" "no depot at %s" dir);
   let m = read_manifest dir in
-  let raw = read_whole_file "blob" (Filename.concat dir m.m_blob) in
+  let raw =
+    guard "blob" (fun () ->
+        In_channel.with_open_bin (Filename.concat dir m.m_blob)
+          In_channel.input_all)
+  in
   (* Read-path fault sites: lose the tail, or flip one bit. Both are
      deterministic in *placement* (middle of the blob) — only the
      firing decision draws from the injector PRNG. *)

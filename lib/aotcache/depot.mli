@@ -17,25 +17,18 @@
     rename. A crash between the two leaves an orphaned blob the loader
     never looks at; the previous generation stays live.
 
-    Blob container format:
-
-    {v
-      bytes 0..7    magic "DBTDEPOT"
-      bytes 8..15   u64 LE format version (currently 2)
-      bytes 16..23  u64 LE FNV-1a-32 checksum of the body
-      bytes 24..    body: u64 generation, u64 section count, then per
-                    section a length-prefixed name, a length-prefixed
-                    payload and a u64 FNV-1a-32 payload checksum
-    v}
-
-    Sections: ["compat"] (the {!compat} key), ["rules"] (the
-    serialized ruleset), ["cache"] (translation recipes — the opaque
-    payload produced by [Repro_dbt.System]), ["srcsum"] (per-recipe
-    guest-code checksums, the install-time fidelity guard), ["health"]
-    (blacklist / rule strikes / quarantined rules) and ["quarantine"]
-    (guest PCs whose depot entries were poisoned — shadow verification
-    caught a depot-loaded TB diverging, and the write-back keeps the
-    poison from ever reloading).
+    A blob is a {!Repro_snapshot.Snapshot} container: the same magic,
+    version, section framing, per-section and whole-body checksums,
+    and the same {!Repro_snapshot.Snapshot.of_string} parses it. Its
+    sections, in order: ["generation"] (the commit generation, one
+    int), ["compat"] (the {!compat} key), ["rules"] (the serialized
+    ruleset), ["cache"] (translation recipes — the opaque payload
+    produced by [Repro_dbt.System]), ["srcsum"] (per-recipe guest-code
+    checksums, the install-time fidelity guard), ["health"] (blacklist
+    / rule strikes / quarantined rules) and ["quarantine"] (guest PCs
+    whose depot entries were poisoned — shadow verification caught a
+    depot-loaded TB diverging, and the write-back keeps the poison
+    from ever reloading).
 
     Nothing translated is trusted untyped: every load failure — torn
     write, truncation, bit flip, version or compatibility skew —
@@ -47,7 +40,15 @@ exception Depot_error of { section : string; reason : string }
     bytes on disk. [section] is a blob section name, or ["manifest"] /
     ["blob"] / ["container"] for damage outside any section. *)
 
-val format_version : int
+val err : string -> ('a, unit, string, 'b) format4 -> 'a
+(** [err section fmt ...] raises {!Depot_error} against [section]. *)
+
+val guard : string -> (unit -> 'a) -> 'a
+(** [guard section f] runs [f], turning a decoder slip
+    ({!Repro_snapshot.Snapshot.Corrupt}, [Invalid_argument]) or a
+    failed read ([Sys_error]) into {!Depot_error} against [section] —
+    the one error boundary for depot payloads, here and in the engine
+    layer that decodes the recipes. *)
 
 type compat = {
   c_mode : string;  (** engine mode name, e.g. ["rules:full"] *)
@@ -100,9 +101,10 @@ val ruleset_digest : Repro_rules.Ruleset.t -> int
 
 val to_string : t -> string
 val of_string : string -> t
-(** Parse and validate magic, version, every per-section checksum and
-    the whole-body checksum. Raises {!Depot_error} (and nothing else)
-    on any failure. *)
+(** Parse the container ({!Repro_snapshot.Snapshot.of_string}: magic,
+    version, every per-section checksum, then the whole-body checksum)
+    and decode the sections. Raises {!Depot_error} (and nothing else)
+    on any failure, naming the section the container blamed. *)
 
 val save : ?inject:Repro_faultinject.Faultinject.t -> dir:string -> t -> int
 (** Commit the depot to [dir] as the next generation (creating the

@@ -124,38 +124,8 @@ let smull t ?(cond = Cond.AL) ?(s = false) rdlo rdhi rm rn =
 let ldr t ?(cond = Cond.AL) ?(width = Insn.Word) ?(index = Insn.Offset) rd rn off =
   emit t { cond; op = Insn.Ldr { width; rd; rn; off = Insn.Imm_off off; index } }
 
-let ldr_r t ?(cond = Cond.AL) rd rn rm =
-  emit t
-    {
-      cond;
-      op =
-        Insn.Ldr
-          {
-            width = Insn.Word;
-            rd;
-            rn;
-            off = Insn.Reg_off { rm; kind = Insn.LSL; amount = 0; subtract = false };
-            index = Insn.Offset;
-          };
-    }
-
 let str t ?(cond = Cond.AL) ?(width = Insn.Word) ?(index = Insn.Offset) rd rn off =
   emit t { cond; op = Insn.Str { width; rd; rn; off = Insn.Imm_off off; index } }
-
-let str_r t ?(cond = Cond.AL) rd rn rm =
-  emit t
-    {
-      cond;
-      op =
-        Insn.Str
-          {
-            width = Insn.Word;
-            rd;
-            rn;
-            off = Insn.Reg_off { rm; kind = Insn.LSL; amount = 0; subtract = false };
-            index = Insn.Offset;
-          };
-    }
 
 let push t ?(cond = Cond.AL) mask =
   emit t { cond; op = Insn.Stm { kind = Insn.DB; rn = Insn.sp; writeback = true; regs = mask } }

@@ -86,9 +86,7 @@ val smull : t -> ?cond:Cond.t -> ?s:bool -> Insn.reg -> Insn.reg -> Insn.reg -> 
 val ldr : t -> ?cond:Cond.t -> ?width:Insn.width -> ?index:Insn.index_mode -> Insn.reg -> Insn.reg -> int -> unit
 (** [ldr t rd rn off] — immediate offset form. *)
 
-val ldr_r : t -> ?cond:Cond.t -> Insn.reg -> Insn.reg -> Insn.reg -> unit
 val str : t -> ?cond:Cond.t -> ?width:Insn.width -> ?index:Insn.index_mode -> Insn.reg -> Insn.reg -> int -> unit
-val str_r : t -> ?cond:Cond.t -> Insn.reg -> Insn.reg -> Insn.reg -> unit
 val push : t -> ?cond:Cond.t -> int -> unit
 (** [push t mask] = [stmdb sp!, {mask}]. *)
 

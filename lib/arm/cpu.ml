@@ -139,7 +139,6 @@ let get_dfsr t = t.dfsr
 let set_dfsr t v = t.dfsr <- Word32.mask v
 let get_fpscr t = t.fpscr
 let set_fpscr t v = t.fpscr <- Word32.mask v
-let get_tick_count t = t.tlb_flushes
 let bump_tlb_flush t = t.tlb_flushes <- t.tlb_flushes + 1
 
 type exn_kind = Reset | Undefined_insn | Supervisor_call | Prefetch_abort | Data_abort | Irq
@@ -151,16 +150,6 @@ let vector_of = function
   | Prefetch_abort -> 0x0C
   | Data_abort -> 0x10
   | Irq -> 0x18
-
-let pp_exn_kind ppf k =
-  Format.pp_print_string ppf
-    (match k with
-    | Reset -> "reset"
-    | Undefined_insn -> "undef"
-    | Supervisor_call -> "svc"
-    | Prefetch_abort -> "pabt"
-    | Data_abort -> "dabt"
-    | Irq -> "irq")
 
 let exception_mode = function
   | Reset -> Supervisor
@@ -265,7 +254,3 @@ let pp_snapshot ppf s =
     Cond.pp_flags
     (Cond.flags_of_word s.cpsr)
     Word32.pp s.spsr Word32.pp s.fpscr
-
-let equal_snapshot a b =
-  a.regs = b.regs && a.cpsr = b.cpsr && a.spsr = b.spsr && a.ttbr = b.ttbr
-  && a.sctlr_m = b.sctlr_m && a.fpscr = b.fpscr

@@ -67,10 +67,6 @@ val get_dfsr : t -> Word32.t
 val set_dfsr : t -> Word32.t -> unit
 val get_fpscr : t -> Word32.t
 val set_fpscr : t -> Word32.t -> unit
-val get_tick_count : t -> int
-(** Number of cp15 c8 TLB-maintenance writes observed (used by tests
-    and by the machine layer to trigger TLB flushes). *)
-
 val bump_tlb_flush : t -> unit
 
 (** {2 Exceptions} *)
@@ -78,7 +74,6 @@ val bump_tlb_flush : t -> unit
 type exn_kind = Reset | Undefined_insn | Supervisor_call | Prefetch_abort | Data_abort | Irq
 
 val vector_of : exn_kind -> Word32.t
-val pp_exn_kind : Format.formatter -> exn_kind -> unit
 
 val take_exception : t -> exn_kind -> pc_of_faulting_insn:Word32.t -> unit
 (** Architectural exception entry: bank SPSR := CPSR, LR_new := the
@@ -115,4 +110,3 @@ type snapshot = {
 val to_snapshot : t -> snapshot
 val of_snapshot : snapshot -> t
 val pp_snapshot : Format.formatter -> snapshot -> unit
-val equal_snapshot : snapshot -> snapshot -> bool

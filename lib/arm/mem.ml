@@ -10,16 +10,6 @@ let dfsr_status = function
   | Alignment -> 1
   | Bus -> 8
 
-let pp_fault ppf { vaddr; access; kind } =
-  Format.fprintf ppf "%s fault (%s) at %a"
-    (match kind with
-    | Translation -> "translation"
-    | Permission -> "permission"
-    | Alignment -> "alignment"
-    | Bus -> "bus")
-    (match access with Fetch -> "fetch" | Load -> "load" | Store -> "store")
-    Word32.pp vaddr
-
 exception Fault of fault
 
 let fault vaddr access kind = raise (Fault { vaddr; access; kind })

@@ -19,8 +19,6 @@ val dfsr_status : fault_kind -> int
     13 permission, 1 alignment, 8 external abort). The interpreter and
     the DBT helpers both report through it. *)
 
-val pp_fault : Format.formatter -> fault -> unit
-
 exception Fault of fault
 (** How every memory interface reports a guest-visible fault. An access
     that succeeds returns a plain word and allocates nothing; only a

@@ -1,8 +1,6 @@
 type t = int
 
 let mask w = w land 0xFFFF_FFFF
-let of_int32 i = Int32.to_int i land 0xFFFF_FFFF
-let to_int32 w = Int32.of_int w
 let zero = 0
 let max_value = 0xFFFF_FFFF
 let add a b = mask (a + b)

@@ -12,9 +12,6 @@ type t = int
 val mask : t -> t
 (** Truncate an arbitrary [int] to 32 bits. *)
 
-val of_int32 : int32 -> t
-val to_int32 : t -> int32
-
 val zero : t
 val max_value : t
 (** [0xFFFF_FFFF]. *)

@@ -174,8 +174,6 @@ let natural_rung t =
 
 let rung_floor t = t.rung_floor
 
-let set_rung_floor t rung = t.rung_floor <- lowest_rung t.rung_floor rung
-
 let degrade_floor t =
   match degrade t.rung_floor with
   | Some next ->
@@ -202,11 +200,6 @@ let coverage_report t =
 let cpu t = t.rt.Runtime.cpu
 let journal t = t.journal
 let uart_output t = Devices.Uart.output t.rt.Runtime.bus.Repro_machine.Bus.uart
-
-let set_timer t ~period =
-  let timer = t.rt.Runtime.bus.Repro_machine.Bus.timer in
-  Devices.Timer.write timer 0x4 period;
-  Devices.Timer.write timer 0x0 1
 
 (* ---- snapshot encoding ---- *)
 
@@ -807,16 +800,6 @@ let snapshot_clean snap =
 
 (* ---- the persistent AOT code depot ---- *)
 
-let depot_err section fmt =
-  Printf.ksprintf
-    (fun reason -> raise (Depot.Depot_error { section; reason }))
-    fmt
-
-(* Decode a depot payload, reporting a malformed one against [section]. *)
-let depot_decode section decode payload =
-  try decode payload with
-  | Snapshot.Corrupt reason | Invalid_argument reason -> depot_err section "%s" reason
-
 (* The depot's health section carries only the durable demotions —
    PC blacklist, per-rule strikes, quarantined rules. Shadow
    verification progress deliberately stays out: depot-installed TBs
@@ -829,13 +812,13 @@ let encode_depot_health ~blacklist ~strikes ~quarantined =
   Snapshot.Enc.int_array b (Array.of_list quarantined);
   Snapshot.Enc.contents b
 
-let decode_depot_health payload =
-  let d = Snapshot.Dec.of_string ~name:"health" payload in
+let depot_health depot =
+  Depot.guard "health" @@ fun () ->
+  let d = Snapshot.Dec.of_string ~name:"health" (Depot.health depot) in
   let blacklist = Array.to_list (Snapshot.Dec.int_array d) in
   let strikes = Snapshot.Dec.int_pairs d in
   let quarantined = Array.to_list (Snapshot.Dec.int_array d) in
-  if not (Snapshot.Dec.finished d) then
-    raise (Snapshot.Corrupt "health: trailing bytes");
+  if not (Snapshot.Dec.finished d) then Depot.err "health" "trailing bytes";
   (blacklist, strikes, quarantined)
 
 let depot_compat t =
@@ -849,7 +832,7 @@ let depot_compat t =
 let depot_capture t =
   let natural = natural_rung t in
   if t.rung_floor <> natural then
-    depot_err "compat"
+    Depot.err "compat"
       "machine floor is the %s rung; a depot captures its natural %s engine's \
        cache"
       (rung_name t.rung_floor) (rung_name natural);
@@ -875,12 +858,14 @@ let depot_capture t =
    the recipes, one guest-code checksum per plain recipe, and the
    durable health. *)
 let depot_payloads depot =
-  let rc = depot_decode "cache" decode_cache (Depot.cache_payload depot) in
+  let rc =
+    Depot.guard "cache" (fun () -> decode_cache (Depot.cache_payload depot))
+  in
   let srcsum = Depot.srcsum depot in
   if Array.length srcsum <> Array.length rc.records then
-    depot_err "srcsum" "%d checksums for %d recipes" (Array.length srcsum)
+    Depot.err "srcsum" "%d checksums for %d recipes" (Array.length srcsum)
       (Array.length rc.records);
-  (rc, srcsum, depot_decode "health" decode_depot_health (Depot.health depot))
+  (rc, srcsum, depot_health depot)
 
 (* One install wave: replay every still-pending recipe against guest
    memory as it stands right now. The wave is machine-neutral:
@@ -897,7 +882,7 @@ let depot_payloads depot =
 let depot_wave t dp =
   let failed reason =
     t.depot <- None;
-    depot_err "cache" "recipe replay failed: %s" reason
+    Depot.err "cache" "recipe replay failed: %s" reason
   in
   try install t (Waves dp) dp.dp_recipes with
   | Snapshot.Corrupt reason | Invalid_argument reason -> failed reason
@@ -907,19 +892,19 @@ let depot_install t depot =
   let c = Depot.compat depot in
   let here = depot_compat t in
   if c.Depot.c_mode <> here.Depot.c_mode then
-    depot_err "compat" "depot built under mode %s, this machine runs %s"
+    Depot.err "compat" "depot built under mode %s, this machine runs %s"
       c.Depot.c_mode here.Depot.c_mode;
   if c.Depot.c_rules_digest <> here.Depot.c_rules_digest then
-    depot_err "compat"
+    Depot.err "compat"
       "ruleset digest mismatch (depot %#x, machine %#x): recipes are only \
        replayable under the ruleset that learned them"
       c.Depot.c_rules_digest here.Depot.c_rules_digest;
   if c.Depot.c_hot_threshold <> here.Depot.c_hot_threshold then
-    depot_err "compat" "hot threshold mismatch (depot %d, engine %d)"
+    Depot.err "compat" "hot threshold mismatch (depot %d, engine %d)"
       c.Depot.c_hot_threshold here.Depot.c_hot_threshold;
   let natural = natural_rung t in
   if t.rung_floor <> natural then
-    depot_err "compat"
+    Depot.err "compat"
       "machine floor is the %s rung; depot recipes are translated for its \
        natural %s engine"
       (rung_name t.rung_floor) (rung_name natural);
@@ -1037,9 +1022,7 @@ let depot_check depot =
 (* Fleet write-back: fold breaker-quarantined rule ids into the depot's
    durable health. Returns true when the set grew (save warranted). *)
 let depot_quarantine_rules depot ids =
-  let blacklist, strikes, quarantined =
-    depot_decode "health" decode_depot_health (Depot.health depot)
-  in
+  let blacklist, strikes, quarantined = depot_health depot in
   let merged = union_int ids quarantined in
   if List.length merged = List.length quarantined then false
   else begin

@@ -81,8 +81,8 @@ type t = {
       (** sticky degradation floor: the best engine rung this machine
           is still allowed to run. Ratchets down on watchdog
           demotions, rides in snapshots (["degrade"] section), and
-          merges downward on {!restore} — prefer {!set_rung_floor} /
-          {!degrade_floor} over writing it directly *)
+          merges downward on {!restore} — prefer {!degrade_floor}
+          over writing it directly *)
   mutable depot : depot_state option;
       (** set by {!depot_install}; [None] means cold (no depot, or the
           depot was dropped after a semantically-poisoned recipe) *)
@@ -139,10 +139,6 @@ val load_image : t -> Word32.t -> Word32.t array -> unit
 
 val rung_floor : t -> rung
 (** Current degradation floor (see {!type-rung}). *)
-
-val set_rung_floor : t -> rung -> unit
-(** Lower the floor to [rung] (monotone: a rung above the current
-    floor is a no-op — health only ratchets down). *)
 
 val degrade_floor : t -> bool
 (** Force the floor one rung down (the supervision layer's demotion
@@ -206,10 +202,6 @@ val coverage_report : t -> Repro_covscope.Report.t
 val cpu : t -> Repro_arm.Cpu.t
 val journal : t -> Journal.t
 val uart_output : t -> string
-
-val set_timer : t -> period:int -> unit
-(** Pre-arm the platform timer (alternative to the guest programming
-    it over MMIO). *)
 
 (** {2 Snapshots} *)
 

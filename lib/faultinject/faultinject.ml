@@ -47,8 +47,6 @@ let site_name = function
   | Depot_trunc -> "depot-trunc"
   | Depot_flip -> "depot-flip"
 
-let site_of_name n = List.find_opt (fun s -> site_name s = n) all_sites
-
 type t = {
   prng : Prng.t;
   rates : float array;

@@ -64,7 +64,6 @@ val total_events : t -> int
 val total_fired : t -> int
 val all_sites : site list
 val site_name : site -> string
-val site_of_name : string -> site option
 val pp : Format.formatter -> t -> unit
 
 val set_fire_hook : t -> (site -> unit) option -> unit

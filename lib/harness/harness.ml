@@ -53,10 +53,6 @@ let create ?ruleset ?(target_insns = 200_000) ?(timer_period = 5_000) () =
 let host_per_guest r = if r.guest = 0 then 0. else float_of_int r.host /. float_of_int r.guest
 let sync_per_guest r = if r.guest = 0 then 0. else float_of_int r.sync_insns /. float_of_int r.guest
 
-let modes =
-  ("qemu", D.System.Qemu)
-  :: List.map (fun (n, o) -> ("rules:" ^ n, D.System.Rules o)) D.Opt.levels
-
 let execute ?(chaining = true) ?timer_period ?ruleset ?inject ?shadow_depth
     ?quarantine_threshold t ~bench ~mode_name mode user_program =
   let timer_period = Option.value timer_period ~default:t.timer_period in

@@ -49,9 +49,6 @@ exception Did_not_halt of string
 val host_per_guest : run -> float
 val sync_per_guest : run -> float
 
-val modes : (string * Repro_dbt.System.mode) list
-(** qemu, rules:base, rules:+reduction, rules:+elimination, rules:full. *)
-
 val run_spec :
   ?inject:Repro_faultinject.Faultinject.t ->
   ?shadow_depth:int ->

@@ -260,5 +260,3 @@ let programs =
         Assign ("d", v "d" + (v "d" <<< 1));
       ];
   ]
-
-let runnable = programs

@@ -5,8 +5,3 @@
     of many small training sources. *)
 
 val programs : Repro_minic.Ast.program list
-
-val runnable : Repro_minic.Ast.program list
-(** The subset meaningful to execute end-to-end (used by tests: each
-    is compiled, run under every engine and compared with the
-    reference interpreter). All [programs] are runnable here. *)

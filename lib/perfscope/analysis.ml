@@ -210,11 +210,7 @@ let gate ?(threshold_pct = 5.) ~baseline ~current () =
 
 (* ---- file loading ---- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let load_json path = Jsonx.parse (read_file path)
 

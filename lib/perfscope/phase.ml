@@ -25,13 +25,3 @@ let name = function
   | Helper -> "helper"
   | Deliver -> "deliver"
   | Region -> "region"
-
-let of_name = function
-  | "translate" -> Some Translate
-  | "execute" -> Some Execute
-  | "coordinate" -> Some Coordinate
-  | "softmmu" -> Some Softmmu
-  | "helper" -> Some Helper
-  | "deliver" -> Some Deliver
-  | "region" -> Some Region
-  | _ -> None

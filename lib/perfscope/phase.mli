@@ -33,4 +33,3 @@ val index : t -> int
 (** Position in {!all}; the layout of every per-phase [int array]. *)
 
 val name : t -> string
-val of_name : string -> t option

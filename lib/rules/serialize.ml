@@ -514,9 +514,4 @@ let save_file ruleset path =
   output_string oc (save ruleset);
   close_out oc
 
-let load_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  load text
+let load_file path = load (In_channel.with_open_bin path In_channel.input_all)

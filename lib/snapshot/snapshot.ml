@@ -248,12 +248,7 @@ let of_string s =
 let save_file path t = Repro_common.Atomicio.write path (to_string t)
 
 let load_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | s -> of_string s
   | exception Sys_error e ->
     raise (Load_error { section = "container"; reason = e })

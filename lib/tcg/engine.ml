@@ -219,6 +219,18 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
         (ref (lookup_or_translate r.rpc), ref true))
     | None -> (ref (lookup_or_translate env.(Envspec.pc)), ref true)
   in
+  (* Back through the engine to a fresh dispatch at [env.pc]: host
+     registers are dead, and the next TB runs its entry callback. *)
+  let return_to_engine () =
+    Exec.poison_caller_saved rt.Runtime.ctx;
+    stats.Stats.engine_returns <- stats.Stats.engine_returns + 1;
+    charge_glue (Costs.engine_dispatch ());
+    drain_to Phase.Execute
+      ~page:(env.(Envspec.pc) lsr 12)
+      ~privileged:(Runtime.privileged rt);
+    current := lookup_or_translate env.(Envspec.pc);
+    needs_enter := true
+  in
   let checkpoint () =
     match on_checkpoint with
     | Some f ->
@@ -341,15 +353,8 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
                repaired from the reference replay. Drop every translation
                (the divergent TB's PC re-translates through the fallback
                ladder) and re-dispatch at the repaired PC. *)
-            Exec.poison_caller_saved rt.Runtime.ctx;
             Tb.Cache.flush cache;
-            stats.Stats.engine_returns <- stats.Stats.engine_returns + 1;
-            charge_glue (Costs.engine_dispatch ());
-            drain_to Phase.Execute
-              ~page:(env.(Envspec.pc) lsr 12)
-              ~privileged:(Runtime.privileged rt);
-            current := lookup_or_translate env.(Envspec.pc);
-            needs_enter := true
+            return_to_engine ()
           | `Continue -> (
             match outcome with
             | Exec.Exited slot -> (
@@ -385,15 +390,7 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
                   end;
                   current := next;
                   needs_enter := true)
-              | Tb.Indirect ->
-                Exec.poison_caller_saved rt.Runtime.ctx;
-                stats.Stats.engine_returns <- stats.Stats.engine_returns + 1;
-                charge_glue (Costs.engine_dispatch ());
-                drain_to Phase.Execute
-                  ~page:(env.(Envspec.pc) lsr 12)
-                  ~privileged:(Runtime.privileged rt);
-                current := lookup_or_translate env.(Envspec.pc);
-                needs_enter := true
+              | Tb.Indirect -> return_to_engine ()
               | Tb.Irq_deliver ->
                 Exec.poison_caller_saved rt.Runtime.ctx;
                 stats.Stats.irqs_delivered <- stats.Stats.irqs_delivered + 1;
@@ -455,18 +452,10 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
                        (`Halted
                          (match Bus.halted rt.Runtime.bus with Some c -> c | None -> 0)))
               end
-              else begin
+              else
                 (* A guest exception was taken inside a helper; continue at
                    the vector. *)
-                Exec.poison_caller_saved rt.Runtime.ctx;
-                stats.Stats.engine_returns <- stats.Stats.engine_returns + 1;
-                charge_glue (Costs.engine_dispatch ());
-                drain_to Phase.Execute
-                  ~page:(env.(Envspec.pc) lsr 12)
-                  ~privileged:(Runtime.privileged rt);
-                current := lookup_or_translate env.(Envspec.pc);
-                needs_enter := true
-              end)))
+                return_to_engine ())))
     end
   done;
   match !result with Some r -> r | None -> assert false

@@ -263,5 +263,3 @@ let install (rt : Runtime.t) =
     else failwith (Printf.sprintf "Helpers.dispatch: unknown helper %d" id)
   in
   rt.Runtime.ctx.Exec.helper <- dispatch
-
-let mmu_access_cost_estimate () = Costs.helper_call_overhead () + Costs.mmu_helper_hit ()

@@ -32,7 +32,3 @@ val mmu_helper : store:bool -> Repro_arm.Insn.width -> int
 
 val install : Runtime.t -> unit
 (** Install the dispatcher into the execution context. *)
-
-val mmu_access_cost_estimate : unit -> int
-(** Rough per-access helper cost at a TLB hit (for documentation and
-    bench labelling). *)

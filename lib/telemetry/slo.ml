@@ -68,15 +68,10 @@ let of_json v =
   | _ -> raise (Slo_error "SLO file must be one JSON object")
 
 let load path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let text = really_input_string ic (in_channel_length ic) in
-      match Jsonx.parse text with
-      | v -> of_json v
-      | exception Jsonx.Parse_error msg ->
-        raise (Slo_error (Printf.sprintf "%s: %s" path msg)))
+  match Jsonx.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | v -> of_json v
+  | exception Jsonx.Parse_error msg ->
+    raise (Slo_error (Printf.sprintf "%s: %s" path msg))
 
 let evaluate t fleet =
   let objective name target actual burned = { name; target; actual; burned } in

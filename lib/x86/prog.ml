@@ -41,7 +41,6 @@ let fresh_label b =
   b.next_label <- l + 1;
   l
 
-let bind_label b l = emit b (Insn.Label l)
 let length b = b.count
 
 type t = Exec.program = private {

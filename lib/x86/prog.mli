@@ -22,9 +22,6 @@ val repatch_last_retire : builder -> (int -> int) -> unit
 val fresh_label : builder -> int
 (** Allocate a label id (place it with [emit (Label id)]). *)
 
-val bind_label : builder -> int -> unit
-(** Shorthand for [emit (Label id)]. *)
-
 val length : builder -> int
 (** Number of countable (non-pseudo) instructions emitted so far. *)
 

@@ -104,6 +104,35 @@ let test_container_fuzz () =
     load (Printf.sprintf "random flip at %d" pos) (Bytes.to_string b)
   done
 
+(* ---- a depot blob is a snapshot container ------------------------- *)
+
+let test_section_blame () =
+  let _, _, _, depot = Lazy.force cold_ctx in
+  let good = Depot.to_string depot in
+  let snap = Snapshot.of_string good in
+  Alcotest.(check (list string)) "the container lists the depot's sections"
+    [ "generation"; "compat"; "rules"; "cache"; "srcsum"; "health"; "quarantine" ]
+    (Snapshot.names snap);
+  (* Each section is framed as a name, a payload (both length-prefixed)
+     and a checksum, after the 24-byte header and the section count. *)
+  let framed name = 24 + String.length name + String.length (Snapshot.find snap name) in
+  let cache = Depot.cache_payload depot in
+  let at =
+    24 + 8
+    + List.fold_left (fun acc n -> acc + framed n) 0 [ "generation"; "compat"; "rules" ]
+    + 8 + String.length "cache" + 8
+  in
+  Alcotest.(check string) "the cache payload sits where the framing says" cache
+    (String.sub good at (String.length cache));
+  let b = Bytes.of_string good in
+  let pos = at + (String.length cache / 2) in
+  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xff));
+  match Depot.of_string (Bytes.to_string b) with
+  | _ -> Alcotest.fail "a flipped cache byte was accepted"
+  | exception Depot.Depot_error { section; _ } ->
+    Alcotest.(check string) "a flip inside the cache payload blames it" "cache"
+      section
+
 (* ---- file-level damage: truncated and zero-length blobs ------------ *)
 
 let test_file_damage () =
@@ -752,6 +781,8 @@ let suite =
       [
         Alcotest.test_case "depot container fuzz (flip + truncate)" `Quick
           test_container_fuzz;
+        Alcotest.test_case "a flipped section is named by the container" `Quick
+          test_section_blame;
         Alcotest.test_case "truncated + zero-length blob files" `Quick
           test_file_damage;
         Alcotest.test_case "crash-commit protocol" `Quick test_commit_protocol;
