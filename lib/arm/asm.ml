@@ -85,7 +85,6 @@ let rsi rm = Insn.Reg_shift_imm { rm; kind = Insn.LSL; amount = 0 }
 
 let mov t ?(cond = Cond.AL) ?(s = false) rd v = dp t cond s Insn.MOV rd 0 (imm v)
 let mov_r t ?(cond = Cond.AL) ?(s = false) rd rm = dp t cond s Insn.MOV rd 0 (rsi rm)
-let mvn t ?(cond = Cond.AL) rd v = dp t cond false Insn.MVN rd 0 (imm v)
 let add t ?(cond = Cond.AL) ?(s = false) rd rn v = dp t cond s Insn.ADD rd rn (imm v)
 let add_r t ?(cond = Cond.AL) ?(s = false) rd rn rm = dp t cond s Insn.ADD rd rn (rsi rm)
 let sub t ?(cond = Cond.AL) ?(s = false) rd rn v = dp t cond s Insn.SUB rd rn (imm v)

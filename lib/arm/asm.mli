@@ -10,9 +10,6 @@ type t
 val create : ?origin:Word32.t -> unit -> t
 (** [origin] is the load address of the first word (default 0). *)
 
-val here : t -> Word32.t
-(** Address of the next word to be emitted. *)
-
 val label : t -> string -> unit
 (** Define [name] at the current address; raises on redefinition. *)
 
@@ -55,7 +52,6 @@ val mov : t -> ?cond:Cond.t -> ?s:bool -> Insn.reg -> int -> unit
 (** [mov t rd imm] with a modified-immediate operand (must encode). *)
 
 val mov_r : t -> ?cond:Cond.t -> ?s:bool -> Insn.reg -> Insn.reg -> unit
-val mvn : t -> ?cond:Cond.t -> Insn.reg -> int -> unit
 val add : t -> ?cond:Cond.t -> ?s:bool -> Insn.reg -> Insn.reg -> int -> unit
 val add_r : t -> ?cond:Cond.t -> ?s:bool -> Insn.reg -> Insn.reg -> Insn.reg -> unit
 val sub : t -> ?cond:Cond.t -> ?s:bool -> Insn.reg -> Insn.reg -> int -> unit

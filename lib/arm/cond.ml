@@ -93,7 +93,6 @@ let to_string = function
   | LE -> "le"
   | AL -> ""
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 let all = [ EQ; NE; CS; CC; MI; PL; VS; VC; HI; LS; GE; LT; GT; LE; AL ]
 
 open Repro_common

@@ -40,8 +40,6 @@ val of_int : int -> t option
 val to_string : t -> string
 (** Lower-case suffix; [""] for AL. *)
 
-val pp : Format.formatter -> t -> unit
-
 val all : t list
 (** Every condition, in encoding order. *)
 

@@ -113,8 +113,8 @@ let imm_operand_exn value =
 
 (* Shift semantics shared by the interpreter and operand evaluation.
    [amount] is the effective shift count (may exceed 31 for
-   register-specified shifts). [shift_value] is the shifted value alone,
-   [apply_shift] adds the carry-out. *)
+   register-specified shifts). The model has no shifter carry-out:
+   logical S-ops set C := 0 (see DESIGN.md). *)
 let shift_value kind value amount =
   if amount = 0 then value
   else
@@ -127,24 +127,9 @@ let shift_value kind value amount =
       else 0
     | ROR -> Word32.rotate_right value amount
 
-let apply_shift kind value amount ~carry =
-  let shifted = shift_value kind value amount in
-  let carry_out =
-    if amount = 0 then carry
-    else
-      match kind with
-      | LSL -> amount <= 32 && Word32.bit value (32 - amount)
-      | LSR -> amount <= 32 && Word32.bit value (amount - 1)
-      | ASR -> Word32.bit value (min amount 32 - 1)
-      | ROR -> Word32.bit shifted 31
-  in
-  (shifted, carry_out)
-
 (* Operand 2 is always a word shifted by an amount: an immediate is
-   [imm8] rotated right by [2*rot], which is also its carry rule (the
-   carry passes through when [rot = 0]). [read env r] reads register
-   [r]; with a top-level [read] the value half builds no closure and
-   no pair. *)
+   [imm8] rotated right by [2*rot]. [read env r] reads register [r];
+   with a top-level [read] it builds no closure. *)
 let operand2_kind = function
   | Imm _ -> ROR
   | Reg_shift_imm { kind; _ } | Reg_shift_reg { kind; _ } -> kind
@@ -164,14 +149,6 @@ let operand2_amount read env = function
 let operand2_word read env op2 =
   shift_value (operand2_kind op2) (operand2_base read env op2)
     (operand2_amount read env op2)
-
-let apply_regs regs r = regs r
-
-let operand2_value op2 regs ~carry =
-  apply_shift (operand2_kind op2)
-    (operand2_base apply_regs regs op2)
-    (operand2_amount apply_regs regs op2)
-    ~carry
 
 type width = Word | Byte | Half
 type index_mode = Offset | Pre_indexed | Post_indexed

@@ -50,18 +50,14 @@ val imm_operand : int -> operand2 option
 (** Express a word as a modified immediate if possible. *)
 
 val imm_operand_exn : int -> operand2
-val operand2_value : operand2 -> (reg -> int) -> carry:bool -> int * bool
-(** Evaluate an operand2 under a register valuation; returns the value
-    and the shifter carry-out. *)
-
 val operand2_word : ('env -> reg -> int) -> 'env -> operand2 -> int
-(** The value half of {!operand2_value}, reading register [r] as
-    [read env r]: with a top-level [read] it allocates nothing. *)
+(** Evaluate an operand2, reading register [r] as [read env r]: with a
+    top-level [read] it allocates nothing. The model has no shifter
+    carry-out. *)
 
 val shift_value : shift_kind -> Repro_common.Word32.t -> int -> Repro_common.Word32.t
-(** [shift_value kind value amount]: the value half of operand
-    evaluation for a shift by an effective [amount] (which may exceed
-    31), without building a pair. *)
+(** [shift_value kind value amount]: [value] shifted by an effective
+    [amount], which may exceed 31. *)
 
 type width = Word | Byte | Half
 

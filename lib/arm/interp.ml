@@ -370,12 +370,3 @@ let step cache cpu (mem : Mem.iface) ~irq =
     | r -> r
     | exception Mem.Fault f -> abort cpu f
 
-let run cache cpu mem ~irq ~max_steps =
-  let rec loop n =
-    if n >= max_steps then n
-    else
-      match step cache cpu mem ~irq:(irq ()) with
-      | Stepped | Took_exception _ -> loop (n + 1)
-      | Decode_error _ -> n
-  in
-  loop 0

@@ -29,9 +29,3 @@ val execute_insn : Cpu.t -> Mem.iface -> Insn.t -> step_result
 (** Execute an already-decoded instruction at the current PC (used by
     TB-level differential tests and by the symbolic verifier's
     concrete cross-check). Advances PC and takes aborts like {!step}. *)
-
-val run :
-  Decode_cache.t -> Cpu.t -> Mem.iface -> irq:(unit -> bool) -> max_steps:int -> int
-(** Step until [max_steps] instructions have retired or a
-    [Decode_error] occurs; returns the number of retired
-    instructions. *)

@@ -14,6 +14,6 @@ let zero n =
 
 let length pages = Array.fold_left (fun n p -> n + String.length p) 0 pages
 
-let split s =
-  let n = String.length s in
-  Array.init (count n) (fun i -> String.sub s (i lsl bits) (page_len n i))
+let split ?(pos = 0) ?len s =
+  let n = match len with Some n -> n | None -> String.length s - pos in
+  Array.init (count n) (fun i -> String.sub s (pos + (i lsl bits)) (page_len n i))

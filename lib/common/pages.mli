@@ -22,8 +22,9 @@ val zero : int -> string array
     so a fresh machine's first checkpoint copies only what was
     written. *)
 
-val split : string -> string array
-(** A RAM image cut into pages. *)
+val split : ?pos:int -> ?len:int -> string -> string array
+(** A RAM image cut into pages: bytes [pos] (default 0) to the end of
+    the string, or [len] of them. *)
 
 val length : string array -> int
 (** Bytes of RAM the pages hold. *)

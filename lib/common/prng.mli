@@ -12,9 +12,6 @@ val of_string : string -> t
 (** Seed derived from a string (e.g. a benchmark name), stable across
     runs. *)
 
-val next : t -> int
-(** Uniform 62-bit non-negative integer. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). [bound] must be positive. *)
 

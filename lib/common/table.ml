@@ -31,7 +31,6 @@ let render ~header ?aligns rows =
   in
   String.concat "\n" (line header :: rule :: List.map line rows) ^ "\n"
 
-let print ~header ?aligns rows = print_string (render ~header ?aligns rows)
 let fixed d x = Printf.sprintf "%.*f" d x
 let percent x = Printf.sprintf "%.2f%%" (x *. 100.)
 

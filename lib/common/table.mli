@@ -8,8 +8,6 @@ val render : header:string list -> ?aligns:align list -> string list list -> str
     separator rule under the header. [aligns] defaults to left for the
     first column and right for the rest. *)
 
-val print : header:string list -> ?aligns:align list -> string list list -> unit
-
 val fixed : int -> float -> string
 (** [fixed d x] formats [x] with [d] decimals. *)
 

@@ -1,7 +1,6 @@
 type t = int
 
 let mask w = w land 0xFFFF_FFFF
-let zero = 0
 let max_value = 0xFFFF_FFFF
 let add a b = mask (a + b)
 let sub a b = mask (a - b)

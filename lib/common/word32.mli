@@ -12,7 +12,6 @@ type t = int
 val mask : t -> t
 (** Truncate an arbitrary [int] to 32 bits. *)
 
-val zero : t
 val max_value : t
 (** [0xFFFF_FFFF]. *)
 

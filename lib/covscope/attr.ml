@@ -84,12 +84,3 @@ let rule attr =
   if f = 0 then None else Some (f - 1)
 
 let retier attr tier = attr land lnot 7 lor tier_index tier
-
-let pp ppf attr =
-  let t = tier attr in
-  let c = AI.cls_of_index (cls attr) in
-  Format.fprintf ppf "%s/%s.%s" (tier_name t) (AI.cls_name c)
-    (AI.idiom_name c (idiom attr));
-  match rule attr with
-  | None -> ()
-  | Some id -> Format.fprintf ppf "/r%d" id

@@ -45,5 +45,3 @@ val rule : int -> int option
 val retier : int -> tier -> int
 (** Same word re-attributed to another tier (the fallback-path
     repatch). *)
-
-val pp : Format.formatter -> int -> unit

@@ -3,7 +3,7 @@ module X = Repro_x86.Insn
 module Pinmap = Repro_rules.Pinmap
 module Flagconv = Repro_rules.Flagconv
 module Term = Repro_symexec.Term
-module Sym_arm = Repro_symexec.Sym_arm
+module Sym_ir = Repro_symexec.Sym_ir
 module Sym_x86 = Repro_symexec.Sym_x86
 module Equiv = Repro_symexec.Equiv
 
@@ -49,9 +49,22 @@ let weakest a b =
 
 exception Failed of string
 
-let check_under ~guest ~host carry_in =
-  let g0 = Sym_arm.initial () in
-  let g1 = Sym_arm.exec g0 guest in
+(* The guest fragment as QEMU mode executes it: lowered by the
+   baseline frontend. PC reads and writes are rejected first, since the
+   frontend would fold in a concrete PC or end the block. *)
+let lower guest =
+  let ctx =
+    Repro_tcg.Frontend.create ~alloc_direct:(fun _ -> 0) ~alloc_indirect:(fun () -> 0) ()
+  in
+  List.iteri
+    (fun i insn ->
+      if A.uses insn land (1 lsl 15) <> 0 then raise (Sym_ir.Unsupported "pc read");
+      if A.defs insn land (1 lsl 15) <> 0 then raise (Sym_ir.Unsupported "pc write");
+      ignore (Repro_tcg.Frontend.translate_insn ctx ~pc:(4 * i) insn : bool))
+    guest;
+  Repro_tcg.Frontend.ops ctx
+
+let check_under ~g1 ~guest ~host carry_in =
   let h1 = Sym_x86.exec (seed_host carry_in) host in
   let defs = List.fold_left (fun acc i -> acc lor A.defs i) 0 guest in
   if defs land lnot Pinmap.pinned_mask <> 0 then raise (Failed "defines unpinned register");
@@ -74,7 +87,7 @@ let check_under ~guest ~host carry_in =
       | Some h ->
         if defs land (1 lsl g) <> 0 then begin
           check_no_flag_vars (Printf.sprintf "r%d" g) h1.Sym_x86.regs.(h);
-          require (Printf.sprintf "r%d" g) g1.Sym_arm.regs.(g) h1.Sym_x86.regs.(h)
+          require (Printf.sprintf "r%d" g) g1.Sym_ir.regs.(g) h1.Sym_x86.regs.(h)
         end
         else
           require
@@ -87,21 +100,21 @@ let check_under ~guest ~host carry_in =
   let flags =
     if not writes then F_none { host_clobbers = List.exists host_flag_writer host }
     else begin
-      require "N" g1.Sym_arm.n h1.Sym_x86.sf;
-      require "Z" g1.Sym_arm.z h1.Sym_x86.zf;
+      require "N" g1.Sym_ir.n h1.Sym_x86.sf;
+      require "Z" g1.Sym_ir.z h1.Sym_x86.zf;
       let try_conv conv =
         let saved = !strength in
         try
           (match conv with
           | Flagconv.Sub_like ->
-            require "C(sub)" g1.Sym_arm.c (Term.bool_not h1.Sym_x86.cf);
-            require "V" g1.Sym_arm.v h1.Sym_x86.o_f
+            require "C(sub)" g1.Sym_ir.c (Term.bool_not h1.Sym_x86.cf);
+            require "V" g1.Sym_ir.v h1.Sym_x86.o_f
           | Flagconv.Add_like ->
-            require "C(add)" g1.Sym_arm.c h1.Sym_x86.cf;
-            require "V" g1.Sym_arm.v h1.Sym_x86.o_f
+            require "C(add)" g1.Sym_ir.c h1.Sym_x86.cf;
+            require "V" g1.Sym_ir.v h1.Sym_x86.o_f
           | Flagconv.Logic_like ->
-            require "C(logic)" g1.Sym_arm.c (Term.const 0);
-            require "V(logic)" g1.Sym_arm.v (Term.const 0);
+            require "C(logic)" g1.Sym_ir.c (Term.const 0);
+            require "V(logic)" g1.Sym_ir.v (Term.const 0);
             require "OF(logic)" h1.Sym_x86.o_f (Term.const 0)
           | Flagconv.Canonical -> raise (Failed "canonical is not a producer convention"));
           true
@@ -119,13 +132,14 @@ let check_under ~guest ~host carry_in =
 
 let check ~guest ~host =
   let attempts = [ None; Some `Direct; Some `Inverted ] in
-  let rec go last_err = function
+  let rec go g1 last_err = function
     | [] -> Error last_err
     | c :: rest -> (
-      match check_under ~guest ~host c with
+      match check_under ~g1 ~guest ~host c with
       | v -> Ok { v with carry_in = c }
-      | exception Failed msg -> go msg rest
-      | exception Sym_arm.Unsupported msg -> Error ("guest: " ^ msg)
+      | exception Failed msg -> go g1 msg rest
       | exception Sym_x86.Unsupported msg -> Error ("host: " ^ msg))
   in
-  go "no attempts" attempts
+  match Sym_ir.exec (lower guest) with
+  | g1 -> go g1 "no attempts" attempts
+  | exception Sym_ir.Unsupported msg -> Error ("guest: " ^ msg)

@@ -3,7 +3,9 @@
 
     Both fragments are evaluated symbolically from a shared initial
     state (pinned host registers seeded with the corresponding guest
-    registers). The pair verifies when every guest register the
+    registers). The guest fragment is first lowered by the TCG frontend
+    ({!Repro_tcg.Frontend}), so it is checked against the semantics QEMU
+    mode executes ({!Repro_symexec.Sym_ir}). The pair verifies when every guest register the
     fragment defines matches the pinned host register, every other
     pinned register is untouched, and the final flag states correspond
     under one of the three host conventions. Equivalence is

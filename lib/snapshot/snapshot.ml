@@ -27,11 +27,13 @@ let load_error section fmt =
 
 let fnv_basis = 0x811c9dc5
 
-let fnv_fold h s =
+(* Folds bytes [pos] to the end of [s], or [len] of them. *)
+let fnv_fold ?(pos = 0) ?len h s =
+  let len = match len with Some n -> n | None -> String.length s - pos in
   let h = ref h in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFF_FFFF)
-    s;
+  for i = pos to pos + len - 1 do
+    h := (!h lxor Char.code s.[i]) * 0x01000193 land 0xFFFF_FFFF
+  done;
   !h
 
 let fnv1a32 s = fnv_fold fnv_basis s
@@ -68,13 +70,16 @@ module Enc = struct
 end
 
 module Dec = struct
-  type t = { src : string; mutable pos : int; name : string }
+  (* Reads [src] from [base] to its end; messages count bytes from
+     [base]. *)
+  type t = { src : string; base : int; mutable pos : int; name : string }
 
-  let of_string ?(name = "payload") src = { src; pos = 0; name }
+  let at ~name src base = { src; base; pos = base; name }
+  let of_string ?(name = "payload") src = at ~name src 0
 
   let u64 d =
     if d.pos + 8 > String.length d.src then
-      corrupt "%s: truncated at byte %d" d.name d.pos;
+      corrupt "%s: truncated at byte %d" d.name (d.pos - d.base);
     let v = String.get_int64_le d.src d.pos in
     d.pos <- d.pos + 8;
     v
@@ -82,18 +87,23 @@ module Dec = struct
   let int d = Int64.to_int (u64 d)
   let bool d = int d <> 0
 
-  let string d =
+  (* A length-prefixed string's offset and length, skipped, not copied. *)
+  let span d =
     let n = int d in
-    if n < 0 || d.pos + n > String.length d.src then
-      corrupt "%s: bad string length %d at byte %d" d.name n d.pos;
-    let s = String.sub d.src d.pos n in
+    if n < 0 || n > String.length d.src - d.pos then
+      corrupt "%s: bad string length %d at byte %d" d.name n (d.pos - d.base);
+    let pos = d.pos in
     d.pos <- d.pos + n;
-    s
+    (pos, n)
+
+  let string d =
+    let pos, n = span d in
+    String.sub d.src pos n
 
   let array d elt =
     let n = int d in
     if n < 0 || d.pos + (8 * n) > String.length d.src then
-      corrupt "%s: bad array length %d at byte %d" d.name n d.pos;
+      corrupt "%s: bad array length %d at byte %d" d.name n (d.pos - d.base);
     Array.init n (fun _ -> elt d)
 
   let int_array d = array d int
@@ -209,28 +219,31 @@ let of_string s =
   if String.length s < 24 then
     load_error "container" "shorter than its header (%d bytes)"
       (String.length s);
-  if String.sub s 0 8 <> magic then load_error "container" "bad magic";
-  let hdr = Dec.of_string ~name:"header" (String.sub s 8 16) in
+  if not (String.starts_with ~prefix:magic s) then load_error "container" "bad magic";
+  let hdr = Dec.at ~name:"header" s 8 in
   let version = guard "container" (fun () -> Dec.int hdr) in
   if version <> format_version then
     load_error "container" "format version %d, expected %d" version
       format_version;
   let sum = guard "container" (fun () -> Dec.int hdr) in
-  let body = String.sub s 24 (String.length s - 24) in
-  let d = Dec.of_string ~name:"body" body in
+  (* The body is decoded in place: payloads and RAM pages are cut
+     straight from [s], and checksums fold over byte ranges of it. *)
+  let d = Dec.at ~name:"body" s 24 in
   let n = guard "container" (fun () -> Dec.int d) in
   if n < 0 then load_error "container" "negative section count";
   let t = create () in
   for _ = 1 to n do
     let name = guard "container" (fun () -> Dec.string d) in
     guard name (fun () ->
-        let payload = Dec.string d in
+        let pos, len = Dec.span d in
         let stored = Dec.int d in
-        let computed = fnv1a32 payload in
+        let computed = fnv_fold ~pos ~len fnv_basis s in
         if stored <> computed then
           corrupt "section checksum mismatch (stored %#x, computed %#x)"
             stored computed;
-        add t name payload)
+        add_payload t name
+          (if name = ram_section then Paged (Pages.split ~pos ~len s)
+           else Whole (String.sub s pos len)))
   done;
   if not (Dec.finished d) then
     load_error "container" "trailing bytes after last section";
@@ -239,7 +252,7 @@ let of_string s =
      framing damage the per-section sums cannot see (a flipped name
      byte that still parses, a rewritten length that re-frames
      cleanly). *)
-  let actual = fnv1a32 body in
+  let actual = fnv_fold ~pos:24 fnv_basis s in
   if sum <> actual then
     load_error "container" "body checksum mismatch (stored %#x, computed %#x)"
       sum actual;

@@ -179,6 +179,26 @@ let test_determinism () =
     (List.length b.L.Learn.rules);
   Alcotest.(check int) "same verified" a.L.Learn.verified b.L.Learn.verified
 
+(* The learned ruleset and the verifier's verdicts, pinned: a change to
+   how either side of a candidate is evaluated symbolically must leave
+   the same rules, counts and Proved/Probable split. *)
+let test_learned_ruleset_pinned () =
+  let r = Lazy.force report in
+  Alcotest.(check int) "ruleset digest" 498959982
+    (Repro_rules.Serialize.digest (L.Learn.ruleset r));
+  Alcotest.(check (list int)) "candidates, verified, rules, rejected" [ 152; 152; 53; 0 ]
+    [ r.L.Learn.candidates; r.L.Learn.verified; List.length r.L.Learn.rules;
+      List.length r.L.Learn.rejected ];
+  let proved = ref 0 and probable = ref 0 in
+  List.iter
+    (fun (c : L.Extract.candidate) ->
+      match L.Verify.check ~guest:c.L.Extract.guest ~host:c.L.Extract.host with
+      | Ok { L.Verify.strength = Repro_symexec.Equiv.Proved; _ } -> incr proved
+      | Ok _ -> incr probable
+      | Error _ -> ())
+    (List.concat_map L.Extract.of_program L.Corpus.programs);
+  Alcotest.(check (pair int int)) "proved, probable" (148, 4) (!proved, !probable)
+
 let suite =
   [
     ( "learn.pipeline",
@@ -188,6 +208,7 @@ let suite =
         Alcotest.test_case "variable-shift rules" `Quick test_variable_shift_rules;
         Alcotest.test_case "deterministic" `Quick test_determinism;
         Alcotest.test_case "learned rules serialize" `Quick test_learned_rules_serialize;
+        Alcotest.test_case "learned ruleset is pinned" `Quick test_learned_ruleset_pinned;
       ] );
     ( "learn.verify",
       [

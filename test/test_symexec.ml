@@ -65,59 +65,61 @@ let prop_normalize_preserves_eval =
       let lookup v = env.(int_of_string (String.sub v 1 1)) in
       Word32.mask (Term.eval lookup t) = Word32.mask (Term.eval lookup (Term.normalize t)))
 
-(* --- symbolic ARM vs the interpreter --- *)
+(* --- the frontend's IR, evaluated symbolically, vs the interpreter --- *)
 
-let gen_al_plain =
-  QCheck.Gen.map
-    (List.map (fun (i : Insn.t) -> { i with Insn.cond = Cond.AL }))
-    (QCheck.gen (Gen.arbitrary_plain_block 8))
-
-let prop_sym_arm_matches_interp =
-  QCheck.Test.make ~count:200 ~name:"symbolic ARM = interpreter on straight-line code"
-    (QCheck.make
-       ~print:(fun l -> String.concat "; " (List.map Insn.to_string l))
-       gen_al_plain)
+let prop_sym_ir_matches_interp =
+  QCheck.Test.make ~count:300
+    ~name:"frontend IR evaluated symbolically = interpreter, conditions included"
+    (Gen.arbitrary_plain_block 8)
     (fun insns ->
-      (* no pc-relative reads and registers restricted to r0-r12 by the
-         generator; run both on a random initial state *)
-      let sym0 = S.Sym_arm.initial () in
-      match S.Sym_arm.exec sym0 insns with
-      | exception S.Sym_arm.Unsupported _ -> QCheck.assume_fail ()
-      | sym ->
-        let prng = Prng.create ~seed:99 in
-        let init = Array.init 16 (fun _ -> Prng.word prng) in
-        let n0 = Prng.bool prng and z0 = Prng.bool prng in
-        let c0 = Prng.bool prng and v0 = Prng.bool prng in
-        let cpu = Cpu.create () in
-        Array.iteri (fun r v -> if r < 15 then Cpu.set_reg cpu r v) init;
-        Cpu.set_flags cpu { Cond.n = n0; z = z0; c = c0; v = v0 };
-        let _buf, mem = Mem.flat ~size:64 in
-        List.iter
-          (fun insn ->
-            match Interp.execute_insn cpu mem insn with
-            | Interp.Stepped -> ()
-            | _ -> Alcotest.fail "interp failed")
-          insns;
-        let lookup v =
-          match v with
-          | "n" -> if n0 then 1 else 0
-          | "z" -> if z0 then 1 else 0
-          | "c" -> if c0 then 1 else 0
-          | "v" -> if v0 then 1 else 0
-          | _ -> init.(int_of_string (String.sub v 1 (String.length v - 1)))
-        in
-        let ok = ref true in
-        for r = 0 to 12 do
-          if Word32.mask (Term.eval lookup sym.S.Sym_arm.regs.(r)) <> Cpu.get_reg cpu r
-          then ok := false
-        done;
-        let f = Cpu.get_flags cpu in
-        let flag t b = Word32.mask (Term.eval lookup t) = if b then 1 else 0 in
-        !ok
-        && flag sym.S.Sym_arm.n f.Cond.n
-        && flag sym.S.Sym_arm.z f.Cond.z
-        && flag sym.S.Sym_arm.c f.Cond.c
-        && flag sym.S.Sym_arm.v f.Cond.v)
+      (* no pc access and registers restricted to r0-r12 by the
+         generator; conditional instructions keep their condition, so
+         the frontend's guards are checked too *)
+      let insns =
+        (* [clz] lowers to a helper call, which the evaluator rejects *)
+        List.filter (fun i -> match i.Insn.op with Insn.Clz _ -> false | _ -> true) insns
+      in
+      let ctx =
+        Repro_tcg.Frontend.create ~alloc_direct:(fun _ -> 0) ~alloc_indirect:(fun () -> 0) ()
+      in
+      List.iteri
+        (fun i insn -> ignore (Repro_tcg.Frontend.translate_insn ctx ~pc:(4 * i) insn : bool))
+        insns;
+      let sym = S.Sym_ir.exec (Repro_tcg.Frontend.ops ctx) in
+      let prng = Prng.create ~seed:99 in
+      let init = Array.init 16 (fun _ -> Prng.word prng) in
+      let n0 = Prng.bool prng and z0 = Prng.bool prng in
+      let c0 = Prng.bool prng and v0 = Prng.bool prng in
+      let cpu = Cpu.create () in
+      Array.iteri (fun r v -> if r < 15 then Cpu.set_reg cpu r v) init;
+      Cpu.set_flags cpu { Cond.n = n0; z = z0; c = c0; v = v0 };
+      let _buf, mem = Mem.flat ~size:64 in
+      List.iter
+        (fun insn ->
+          match Interp.execute_insn cpu mem insn with
+          | Interp.Stepped -> ()
+          | _ -> Alcotest.fail "interp failed")
+        insns;
+      let lookup v =
+        match v with
+        | "n" -> if n0 then 1 else 0
+        | "z" -> if z0 then 1 else 0
+        | "c" -> if c0 then 1 else 0
+        | "v" -> if v0 then 1 else 0
+        | _ -> init.(int_of_string (String.sub v 1 (String.length v - 1)))
+      in
+      let ok = ref true in
+      for r = 0 to 12 do
+        if Word32.mask (Term.eval lookup sym.S.Sym_ir.regs.(r)) <> Cpu.get_reg cpu r then
+          ok := false
+      done;
+      let f = Cpu.get_flags cpu in
+      let flag t b = Word32.mask (Term.eval lookup t) = if b then 1 else 0 in
+      !ok
+      && flag sym.S.Sym_ir.n f.Cond.n
+      && flag sym.S.Sym_ir.z f.Cond.z
+      && flag sym.S.Sym_ir.c f.Cond.c
+      && flag sym.S.Sym_ir.v f.Cond.v)
 
 (* --- equivalence checker --- *)
 
@@ -144,6 +146,6 @@ let suite =
         Alcotest.test_case "normalization identities" `Quick test_normalize_identities;
         q prop_normalize_preserves_eval;
       ] );
-    ("symexec.arm", [ q prop_sym_arm_matches_interp ]);
+    ("symexec.ir", [ q prop_sym_ir_matches_interp ]);
     ("symexec.equiv", [ Alcotest.test_case "basics" `Quick test_equiv_basics ]);
   ]
