@@ -2,7 +2,7 @@ type t = {
   size : int;
   pages : Bytes.t array;
   dirty : Bytes.t;
-  mutable sync : string array;
+  mutable sync : Pages.t;
 }
 
 (* Never written: [own] gives a page its own bytes before its first
@@ -105,33 +105,26 @@ let to_string t =
   Bytes.unsafe_to_string b
 
 let capture t =
-  if Bytes.for_all (fun c -> c = '\000') t.dirty then t.sync
-  else begin
-    let pages =
-      Array.mapi
-        (fun i page ->
-          if is_dirty t i then Bytes.sub_string t.pages.(i) 0 (String.length page)
-          else page)
-        t.sync
-    in
+  let pages =
+    Pages.update t.sync ~marked:(is_dirty t) (fun i ->
+        Bytes.sub_string t.pages.(i) 0 (Pages.page_len t.size i))
+  in
+  if pages != t.sync then begin
     t.sync <- pages;
-    Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
-    pages
-  end
+    Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000'
+  end;
+  pages
 
 let restore t pages =
   let have = Pages.length pages in
   if have <> t.size then
     invalid_arg (Printf.sprintf "%d bytes, machine has %d" have t.size);
-  Array.iteri
-    (fun i page ->
-      if is_dirty t i || page != t.sync.(i) then
-        let p = t.pages.(i) in
-        (* an owned page stays owned, even when [page] is all zeros:
-           giving it back would only make the next write allocate *)
-        if p != zero_page then Bytes.blit_string page 0 p 0 (String.length page)
-        else if not (String.for_all (fun c -> c = '\000') page) then
-          Bytes.blit_string page 0 (own t (i lsl Pages.bits)) 0 (String.length page))
-    pages;
+  Pages.iter_changed ~old:t.sync ~marked:(is_dirty t) pages (fun i page ->
+      let p = t.pages.(i) in
+      (* an owned page stays owned, even when [page] is all zeros:
+         giving it back would only make the next write allocate *)
+      if p != zero_page then Bytes.blit_string page 0 p 0 (String.length page)
+      else if not (String.for_all (fun c -> c = '\000') page) then
+        Bytes.blit_string page 0 (own t (i lsl Pages.bits)) 0 (String.length page));
   t.sync <- pages;
   Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000'

@@ -44,14 +44,16 @@ val owned : t -> int
 val is_dirty : t -> int -> bool
 (** Page [i] was written since the last {!capture} or {!restore}. *)
 
-val sync : t -> string array
+val sync : t -> Pages.t
 
-val capture : t -> string array
+val capture : t -> Pages.t
 (** The RAM as page strings: the marked pages copied, every other one
-    shared with [sync] (and [sync] itself when no page is marked). The
-    result becomes [sync] and the bitmap is cleared. *)
+    shared with [sync] (and [sync] itself when no page is marked), so
+    what a capture allocates grows with the pages marked, not with the
+    RAM ({!Pages.update}). The result becomes [sync] and the bitmap is
+    cleared. *)
 
-val restore : t -> string array -> unit
+val restore : t -> Pages.t -> unit
 (** Write any page array of the same total length back: an older
     capture, or another machine's, or one cut from a file. A page is
     rewritten only when it is marked or its [sync] string is not

@@ -226,50 +226,146 @@ let conv_of_int = function
   | 4 -> Some Flagconv.Canonical
   | n -> raise (Snapshot.Corrupt (Printf.sprintf "cache: bad flag convention %d" n))
 
-(* One record per live plain TB ([tbs], from [Tb.Cache.by_id]); then the
-   plain chain graph; then one recipe per installed superblock (its
-   constituents as record indices); then the region chain graph, all
-   in the combined index space of [recipes]. The host code itself is not
-   serialized: every translator input it depends on — guest memory,
-   the SMC length override, the injected corruption, the accumulated
-   link-time meta, the constituent traces — is recorded, so restore
-   re-translates (and re-fuses) to bit-identical programs (live TBs
-   always postdate the last quarantine/blacklist change because every
-   health change flushes the cache). *)
-let encode_cache t tbs =
-  let regions = Tb.Cache.regions_by_id t.cache in
-  let index_of_id = Hashtbl.create 64 in
-  Array.iteri (fun i (tb : Tb.t) -> Hashtbl.replace index_of_id tb.Tb.id i) tbs;
-  Array.iteri
-    (fun i (tb : Tb.t) ->
-      Hashtbl.replace index_of_id tb.Tb.id (Array.length tbs + i))
-    regions;
-  let b = Snapshot.Enc.create () in
-  let enc_meta (tb : Tb.t) =
+(* The live code cache as a value: what a snapshot captured in this
+   process carries, and what restoring it installs without translating.
+   [f_tb] is a copy of the TB record as it stood (program, provenance,
+   injected corruption; its links emptied; its [hot] field is not
+   read), [f_links] its chain graph in the combined index space of
+   [recipes], [f_members] a region's constituents as plain indices
+   ([||] for a plain TB) and [f_meta] the translator's meta. Hotness
+   moves with nearly every dispatch, so it lives apart, in [c_hot]
+   (plain entries, then regions), and an entry outlives many captures.
+   Nothing here is ever mutated, so consecutive captures share what did
+   not change, and every machine a snapshot is restored into shares
+   the programs. *)
+type frozen = {
+  f_tb : Tb.t;
+  f_links : int array;
+  f_members : int array;
+  f_meta : Translator_rule.frozen option;
+}
+
+type code = { c_tbs : frozen array; c_regions : frozen array; c_hot : int array }
+type Snapshot.value += Code of code
+
+(* Index of the entry with id [id] in an id-sorted array, or -1. *)
+let search (a : Tb.t array) id =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let m = a.(mid).Tb.id in
+      if m = id then mid else if m < id then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
+
+(* Freeze the live cache: plain TBs in id order, then regions in id
+   order. An entry of [prev] (the machine's last capture or restored
+   snapshot) is reused when its TB has not changed since: same id, the
+   very same program and provenance, the same injected corruption,
+   links, members and link-time meta (a TB's other fields change only
+   with its program). Each array of [prev] that would come out equal is
+   reused, and [prev] itself when all three would. *)
+let freeze_code t prev =
+  let tbs = Tb.Cache.by_id t.cache and regions = Tb.Cache.regions_by_id t.cache in
+  let n = Array.length tbs in
+  let index (s : Tb.t) =
+    match search tbs s.Tb.id with
+    | -1 -> (
+      match search regions s.Tb.id with -1 -> raise Not_found | j -> n + j)
+    | i -> i
+  in
+  let link = function None -> -1 | Some s -> index s in
+  let member (tb : Tb.t) cid =
+    match search tbs cid with
+    | -1 ->
+      raise
+        (Snapshot.Corrupt
+           (Printf.sprintf "cache: region %d references a dead constituent %d" tb.Tb.id cid))
+    | i -> i
+  in
+  let rec all_from i len f = i = len || (f i && all_from (i + 1) len f) in
+  let unchanged (f : frozen) (tb : Tb.t) =
+    let c = f.f_tb in
+    c.Tb.id = tb.Tb.id
+    && c.Tb.prog == tb.Tb.prog
+    && c.Tb.prov == tb.Tb.prov
+    && c.Tb.injected = tb.Tb.injected
+    && Array.length f.f_links = Array.length tb.Tb.links
+    && all_from 0 (Array.length f.f_links) (fun s -> f.f_links.(s) = link tb.Tb.links.(s))
+    && all_from 0 (Array.length f.f_members) (fun k ->
+           f.f_members.(k) = member tb tb.Tb.region_ids.(k))
+    &&
     match t.rule_translator with
+    | Some tr -> Translator_rule.unchanged_since tr tb f.f_meta
+    | None -> true
+  in
+  let freeze (tb : Tb.t) =
+    {
+      f_tb = { tb with Tb.links = [||] };
+      f_links = Array.map link tb.Tb.links;
+      f_members = Array.map (member tb) tb.Tb.region_ids;
+      f_meta = Option.bind t.rule_translator (fun tr -> Translator_rule.freeze tr tb);
+    }
+  in
+  let freeze_all (live : Tb.t array) before =
+    if
+      Array.length live = Array.length before
+      && all_from 0 (Array.length live) (fun k -> unchanged before.(k) live.(k))
+    then before
+    else
+      (* [before] is id-sorted too, so one cursor finds each TB's entry *)
+      let k = ref 0 in
+      Array.map
+        (fun (tb : Tb.t) ->
+          while !k < Array.length before && before.(!k).f_tb.Tb.id < tb.Tb.id do
+            incr k
+          done;
+          if !k < Array.length before && unchanged before.(!k) tb then before.(!k)
+          else freeze tb)
+        live
+  in
+  let before = Option.value prev ~default:{ c_tbs = [||]; c_regions = [||]; c_hot = [||] } in
+  let c_tbs = freeze_all tbs before.c_tbs and c_regions = freeze_all regions before.c_regions in
+  let hot k = if k < n then tbs.(k).Tb.hot else regions.(k - n).Tb.hot in
+  let m = n + Array.length regions in
+  let c_hot =
+    if Array.length before.c_hot = m && all_from 0 m (fun k -> before.c_hot.(k) = hot k)
+    then before.c_hot
+    else Array.init m hot
+  in
+  match prev with
+  | Some p when p.c_tbs == c_tbs && p.c_regions == c_regions && p.c_hot == c_hot -> p
+  | _ -> { c_tbs; c_regions; c_hot }
+
+(* The bytes of a code cache: one record per plain TB; then the plain
+   chain graph; then one recipe per superblock (its constituents as
+   record indices); then the region chain graph. The host code itself
+   is not serialized: every translator input it depends on — guest
+   memory, the SMC length override, the injected corruption, the
+   accumulated link-time meta, the constituent traces — is recorded,
+   so restoring from bytes re-translates (and re-fuses) to
+   bit-identical programs (live TBs always postdate the last
+   quarantine/blacklist change because every health change flushes
+   the cache). *)
+let encode_code code =
+  let b = Snapshot.Enc.create () in
+  let n = Array.length code.c_tbs in
+  let enc_meta f =
+    match f.f_meta with
     | None -> Snapshot.Enc.bool b false
-    | Some tr -> (
-      match Translator_rule.cache_meta tr tb with
-      | None -> Snapshot.Enc.bool b false
-      | Some (elide, conv) ->
-        Snapshot.Enc.bool b true;
-        Snapshot.Enc.int b (Array.length elide);
-        Array.iter (Snapshot.Enc.bool b) elide;
-        Snapshot.Enc.int b (int_of_conv conv))
+    | Some m ->
+      let elide, conv = Translator_rule.frozen_link_meta m in
+      Snapshot.Enc.bool b true;
+      Snapshot.Enc.int b (Array.length elide);
+      Array.iter (Snapshot.Enc.bool b) elide;
+      Snapshot.Enc.int b (int_of_conv conv)
   in
-  let enc_links (tb : Tb.t) =
-    Snapshot.Enc.int b (Array.length tb.Tb.links);
-    Array.iter
-      (fun succ ->
-        Snapshot.Enc.int b
-          (match succ with
-          | None -> -1
-          | Some (s : Tb.t) -> Hashtbl.find index_of_id s.Tb.id))
-      tb.Tb.links
-  in
-  Snapshot.Enc.int b (Array.length tbs);
-  Array.iter
-    (fun (tb : Tb.t) ->
+  let enc_links f = Snapshot.Enc.int_array b f.f_links in
+  Snapshot.Enc.int b n;
+  Array.iteri
+    (fun k f ->
+      let tb = f.f_tb in
       Snapshot.Enc.int b tb.Tb.id;
       Snapshot.Enc.int b tb.Tb.guest_pc;
       Snapshot.Enc.bool b tb.Tb.privileged;
@@ -277,30 +373,19 @@ let encode_cache t tbs =
       Snapshot.Enc.int b
         (match tb.Tb.translated_override with None -> -1 | Some n -> n);
       Snapshot.Enc.int b (int_of_injected tb.Tb.injected);
-      Snapshot.Enc.int b tb.Tb.hot;
-      enc_meta tb)
-    tbs;
-  Array.iter enc_links tbs;
-  Snapshot.Enc.int b (Array.length regions);
-  Array.iter
-    (fun (tb : Tb.t) ->
-      Snapshot.Enc.int b tb.Tb.id;
-      Snapshot.Enc.int b tb.Tb.hot;
-      Snapshot.Enc.int b (Array.length tb.Tb.region_ids);
-      Array.iter
-        (fun cid ->
-          match Hashtbl.find_opt index_of_id cid with
-          | Some i when i < Array.length tbs -> Snapshot.Enc.int b i
-          | _ ->
-            raise
-              (Snapshot.Corrupt
-                 (Printf.sprintf
-                    "cache: region %d references a dead constituent %d" tb.Tb.id
-                    cid)))
-        tb.Tb.region_ids;
-      enc_meta tb)
-    regions;
-  Array.iter enc_links regions;
+      Snapshot.Enc.int b code.c_hot.(k);
+      enc_meta f)
+    code.c_tbs;
+  Array.iter enc_links code.c_tbs;
+  Snapshot.Enc.int b (Array.length code.c_regions);
+  Array.iteri
+    (fun j f ->
+      Snapshot.Enc.int b f.f_tb.Tb.id;
+      Snapshot.Enc.int b code.c_hot.(n + j);
+      Snapshot.Enc.int_array b f.f_members;
+      enc_meta f)
+    code.c_regions;
+  Array.iter enc_links code.c_regions;
   Snapshot.Enc.contents b
 
 let decode_cache payload =
@@ -432,7 +517,16 @@ let capture ?resume t =
   let add = Snapshot.add ?prev snap in
   add "mode" (mode_name t.mode);
   Snapshot.capture_machine ?prev t.rt snap;
-  add "cache" (encode_cache t (Tb.Cache.by_id t.cache));
+  let cache =
+    match Option.bind prev (fun p -> Snapshot.value p "cache") with
+    | Some (Code c as v) ->
+      let code = freeze_code t (Some c) in
+      if code == c then v else Code code
+    | _ -> Code (freeze_code t None)
+  in
+  Snapshot.add_value snap "cache" cache ~encode:(function
+    | Code c -> encode_code c
+    | _ -> assert false);
   let ctl = Snapshot.Enc.create () in
   Snapshot.Enc.int ctl (Tb.Cache.full_flushes t.cache);
   Snapshot.Enc.int ctl (Tb.Cache.ids t.cache);
@@ -496,7 +590,12 @@ let ratchet_health ?base tr rs ~blacklist ~strikes ~quarantined =
      and superblock fusion charge statistics; the translator bumps its
      counters. Translation reads guest memory and page tables but
      writes neither, and leaves env, host registers, TLB and devices
-     alone, so none of those is copied. *)
+     alone, so none of those is copied.
+   - injection is disarmed: every site's rate is 0 while the re-run
+     lasts. A recipe must translate to the code it was recorded from,
+     and a bus fault firing under a fetch would cut a block short (or
+     make it untranslatable); the saved injector state puts the rates
+     back. *)
 let retranslating t f =
   let rt = t.rt in
   let ledger = rt.Runtime.ledger and cov_static = rt.Runtime.cov_static in
@@ -511,6 +610,7 @@ let retranslating t f =
   and counters = Option.map Translator_rule.save_state t.rule_translator in
   rt.Runtime.ledger <- None;
   rt.Runtime.cov_static <- None;
+  Option.iter (fun inj -> List.iter (fun s -> Fi.set_rate inj s 0.) Fi.all_sites) rt.Runtime.inject;
   Fun.protect f ~finally:(fun () ->
       rt.Runtime.ledger <- ledger;
       rt.Runtime.cov_static <- cov_static;
@@ -693,6 +793,45 @@ let install t policy rc =
   fill 0 rc.links;
   fill n rc.region_links
 
+(* Install captured code as it was: every TB and region a fresh record
+   (its own links, hotness and meta) sharing the captured program, with
+   its captured id; regions over their members' pages; then the chain
+   graph. Nothing is translated, fused or re-emitted, and no machine
+   state but the cache and the translator's metas is touched. A
+   captured region never has a blacklisted member (blacklisting flushes
+   the cache), and this path runs only when the health is the
+   captured one, so no region is skipped. *)
+let thaw t code =
+  let n = Array.length code.c_tbs in
+  let fresh base k f =
+    let tb =
+      {
+        f.f_tb with
+        Tb.links = Array.make (Array.length f.f_links) None;
+        hot = code.c_hot.(base + k);
+      }
+    in
+    (match (t.rule_translator, f.f_meta) with
+    | Some tr, Some m -> Translator_rule.thaw tr tb m
+    | _ -> ());
+    tb
+  in
+  Tb.Cache.flush t.cache;
+  let tbs = Array.mapi (fresh 0) code.c_tbs in
+  Array.iter (Tb.Cache.add_exact t.cache) tbs;
+  let regions = Array.mapi (fresh n) code.c_regions in
+  Array.iteri
+    (fun j region ->
+      Tb.Cache.add_region t.cache region
+        ~members:(Array.to_list (Array.map (Array.get tbs) code.c_regions.(j).f_members)))
+    regions;
+  let entry k = if k < n then tbs.(k) else regions.(k - n) in
+  let link (tb : Tb.t) f =
+    Array.iteri (fun slot k -> if k >= 0 then tb.Tb.links.(slot) <- Some (entry k)) f.f_links
+  in
+  Array.iter2 link tbs code.c_tbs;
+  Array.iter2 link regions code.c_regions
+
 let restore ?(rebuild = true) t snap =
   (match t.rt.Runtime.trace with
   | Some tr ->
@@ -724,14 +863,19 @@ let restore ?(rebuild = true) t snap =
      Shadow-verification progress, by contrast, is taken from the
      snapshot as-is: rolling it back only means re-verifying, which is
      always sound. *)
-  (match (t.rule_translator, t.ruleset, Snapshot.find_opt snap "translator") with
-  | Some tr, Some rs, Some payload ->
-    let saved, strikes, quarantined = decode_translator payload in
-    ratchet_health tr rs ~base:saved ~blacklist:saved.Translator_rule.s_blacklist ~strikes
-      ~quarantined
-  | None, _, None -> ()
-  | Some _, _, None -> raise (Snapshot.Corrupt "missing section translator")
-  | _ -> raise (Snapshot.Corrupt "translator section in a qemu-mode snapshot"));
+  let health_as_captured =
+    match (t.rule_translator, t.ruleset, Snapshot.find_opt snap "translator") with
+    | Some tr, Some rs, Some payload ->
+      let saved, strikes, quarantined = decode_translator payload in
+      let blacklist = saved.Translator_rule.s_blacklist in
+      ratchet_health tr rs ~base:saved ~blacklist ~strikes ~quarantined;
+      (* the merge is a union, so equal sizes mean equal sets *)
+      Translator_rule.blacklist_size tr = List.length blacklist
+      && Ruleset.quarantined_count rs = List.length quarantined
+    | None, _, None -> true
+    | Some _, _, None -> raise (Snapshot.Corrupt "missing section translator")
+    | _ -> raise (Snapshot.Corrupt "translator section in a qemu-mode snapshot")
+  in
   (match Snapshot.find_opt snap "degrade" with
   | Some payload ->
     let d = Snapshot.Dec.of_string ~name:"degrade" payload in
@@ -740,16 +884,22 @@ let restore ?(rebuild = true) t snap =
       raise (Snapshot.Corrupt "degrade: trailing bytes");
     t.rung_floor <- lowest_rung t.rung_floor floor
   | None -> ());
-  (* The rebuild re-translates the records with the mode's own
-     translator, which is only faithful while the machine still runs on
-     its natural rung. Once the floor has ratcheted below it (a sticky
-     watchdog demotion, here or recorded in the snapshot), the captured
-     TBs and the engine that will execute them disagree on host-state
-     conventions — so a demoted machine flushes instead and lets the
-     degraded engine retranslate on demand, which is guest-invariant. *)
-  if rebuild && t.rung_floor = natural_rung t then
-    install t Exact (decode_cache (Snapshot.find snap "cache"))
-  else Tb.Cache.flush t.cache;
+  (* The captured cache is the mode's own translator's code, which is
+     only faithful while the machine still runs on its natural rung.
+     Once the floor has ratcheted below it (a sticky watchdog demotion,
+     here or recorded in the snapshot), the captured TBs and the engine
+     that will execute them disagree on host-state conventions — so a
+     demoted machine flushes instead and lets the degraded engine
+     retranslate on demand, which is guest-invariant. Otherwise a
+     snapshot captured in this process installs its code as captured,
+     unless the merged health differs from the captured one (a rule or
+     PC demoted since would translate differently): then, as for
+     snapshots read from bytes, the records re-translate. *)
+  (if rebuild && t.rung_floor = natural_rung t then
+     match Snapshot.value snap "cache" with
+     | Some (Code code) when health_as_captured -> thaw t code
+     | _ -> install t Exact (decode_cache (Snapshot.find snap "cache"))
+   else Tb.Cache.flush t.cache);
   (* The install's [retranslating] put back the stats, injector state
      and translator counters its translations touched; the
      write-protect tags it set give way to the captured TLB. *)
@@ -850,9 +1000,9 @@ let depot_capture t =
         ~quarantined
     | _ -> encode_depot_health ~blacklist:[] ~strikes:[] ~quarantined:[]
   in
-  let tbs = Tb.Cache.by_id t.cache in
-  Depot.create ~compat:(depot_compat t) ~rules ~cache:(encode_cache t tbs)
-    ~srcsum:(Array.map guest_checksum tbs) ~health
+  let code = freeze_code t None in
+  Depot.create ~compat:(depot_compat t) ~rules ~cache:(encode_code code)
+    ~srcsum:(Array.map (fun f -> guest_checksum f.f_tb) code.c_tbs) ~health
 
 (* The engine-level payloads, decoded the way an install needs them:
    the recipes, one guest-code checksum per plain recipe, and the

@@ -214,9 +214,13 @@ val snapshot : t -> Snapshot.t
 val restore : ?rebuild:bool -> t -> Snapshot.t -> unit
 (** Restore a snapshot into a machine created with the same shape
     (mode, RAM size, injector presence/behavior, ruleset). [rebuild]
-    (default true) re-translates the captured live TB set to
-    bit-identical host code and restores the chain graph; [false]
-    just flushes the cache (the watchdog's rollback path). Raises
+    (default true) rebuilds the captured live TB set and its chain
+    graph: a snapshot captured in this process installs its code as
+    captured, translating nothing, while one read from bytes (or one
+    whose health this machine's merge below changed) re-translates its
+    records to bit-identical host code, with fault injection disarmed
+    for the re-translation; [false] just flushes the cache (the
+    watchdog's rollback path). Raises
     [Snapshot.Corrupt] on any mismatch. A captured superblock with a
     member PC this machine has blacklisted since is not re-fused; its
     members are restored unfused.

@@ -640,16 +640,7 @@ let fuse_trace t (rt : Runtime.t) cache ~(trace : Tb.t list) =
     with
     | exception Tb.Tb_too_complex -> None
     | _, region ->
-      let pages =
-        List.concat_map
-          (fun (tb : Tb.t) ->
-            let first = tb.Tb.guest_pc lsr 12 in
-            let last = (tb.Tb.guest_pc + (4 * tb.Tb.guest_len) - 1) lsr 12 in
-            if first = last then [ first ] else [ first; last ])
-          trace
-        |> List.sort_uniq compare
-      in
-      Tb.Cache.add_region cache region ~pages;
+      Tb.Cache.add_region cache region ~members:trace;
       (* Stale chained jumps into the head would keep bypassing the
          region; force the next transfer there through dispatch. *)
       Tb.Cache.unlink_target cache head;
@@ -836,13 +827,16 @@ let blacklisted t pc = Hashtbl.mem t.blacklist pc
 
    The translator's durable state is small: the PC blacklist, the
    per-PC shadow-sampling counters and three statistics. Per-TB metas
-   are NOT serialized — the code cache is rebuilt on restore by
-   re-translation (deterministic given the restored RAM, ruleset
-   health and blacklist: every quarantine/blacklist change flushes the
-   whole cache, so live TBs always postdate the last such change), and
-   [restore_cache_meta] re-applies the link-time elision state the
-   linker had accumulated. [pending] is always [None] at a checkpoint
-   (checkpoints fire at TB boundaries before [on_enter] arms it). *)
+   ride with the code cache instead. A snapshot captured in this
+   process keeps each live TB's meta as a value ([freeze]) and a
+   restore installs it as it was ([thaw]). A snapshot read from bytes
+   re-translates its records (deterministic given the restored RAM,
+   ruleset health and blacklist: every quarantine/blacklist change
+   flushes the whole cache, so live TBs always postdate the last such
+   change), and [restore_cache_meta] re-applies the link-time elision
+   state the linker had accumulated. [pending] is always [None] at a
+   checkpoint (checkpoints fire at TB boundaries before [on_enter] arms
+   it). *)
 
 type saved = {
   s_blacklist : Word32.t list;
@@ -885,10 +879,22 @@ let restore_state t s =
   Hashtbl.reset t.metas;
   restore_counters t s
 
-let cache_meta t (tb : Tb.t) =
-  match Hashtbl.find_opt t.metas tb.Tb.id with
-  | None -> None
-  | Some m -> Some (Array.copy m.elide, m.entry_conv)
+type frozen = meta
+
+(* [elide] is the one part of a meta mutated in place (by the linker);
+   every other field is replaced whole, so a copy of it is a value. *)
+let freeze t (tb : Tb.t) =
+  Option.map (fun m -> { m with elide = Array.copy m.elide }) (Hashtbl.find_opt t.metas tb.Tb.id)
+
+let frozen_link_meta (f : frozen) = (f.elide, f.entry_conv)
+
+let unchanged_since t (tb : Tb.t) f =
+  match (Hashtbl.find_opt t.metas tb.Tb.id, f) with
+  | None, None -> true
+  | Some m, Some f -> m.entry_conv = f.entry_conv && m.elide = f.elide
+  | _ -> false
+
+let thaw t (tb : Tb.t) f = Hashtbl.replace t.metas tb.Tb.id { f with elide = Array.copy f.elide }
 
 let restore_cache_meta t (tb : Tb.t) ~elide ~entry_conv =
   match Hashtbl.find_opt t.metas tb.Tb.id with

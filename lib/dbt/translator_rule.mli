@@ -102,9 +102,10 @@ type saved = {
   s_inter_tb_elisions : int;
 }
 (** The translator's durable state (sorted for stable encodings).
-    Per-TB metadata is not part of it: the code cache is rebuilt by
-    deterministic re-translation on restore, and {!restore_cache_meta}
-    re-applies the accumulated link-time state. *)
+    Per-TB metadata is not part of it: it rides with the code cache, as
+    a {!frozen} value in a snapshot captured in this process, or
+    re-derived by re-translation and {!restore_cache_meta} from
+    bytes. *)
 
 val save_state : t -> saved
 
@@ -116,10 +117,29 @@ val restore_state : t -> saved -> unit
 
 val restore_counters : t -> saved -> unit
 
-val cache_meta : t -> Repro_tcg.Tb.t -> (bool array * Repro_rules.Flagconv.t option) option
-(** The link-time meta state of a live TB — per-slot flag-save
-    elisions and the entry flag-convention assumption — or [None] for
-    TBs the rule emitter did not produce (baseline fallbacks). *)
+type frozen
+(** A live TB's translator meta as it stood when {!freeze} took it:
+    its emission chunks, exit states, rules used and link-time state
+    (per-slot flag-save elisions, the entry flag-convention
+    assumption). A value: nothing the translator does later changes
+    it. *)
+
+val freeze : t -> Repro_tcg.Tb.t -> frozen option
+(** [None] for TBs the rule emitter did not produce (baseline
+    fallbacks). *)
+
+val frozen_link_meta : frozen -> bool array * Repro_rules.Flagconv.t option
+(** The link-time part of a frozen meta, the part snapshot bytes
+    record. Do not mutate the array. *)
+
+val unchanged_since : t -> Repro_tcg.Tb.t -> frozen option -> bool
+(** The TB's live link-time meta equals the frozen one (and both
+    exist or neither does). Every other part of a meta changes only
+    with the TB's program. *)
+
+val thaw : t -> Repro_tcg.Tb.t -> frozen -> unit
+(** Install a frozen meta for a TB rebuilt from captured code, as the
+    TB's live meta; nothing is re-emitted. *)
 
 val restore_cache_meta :
   t ->

@@ -41,7 +41,8 @@ let fnv1a32 s = fnv_fold fnv_basis s
 module Enc = struct
   type t = Buffer.t
 
-  let create () = Buffer.create 1024
+  (* most sections are a few words; a capture encodes several *)
+  let create () = Buffer.create 64
   let u64 b v = Buffer.add_int64_le b v
   let int b v = u64 b (Int64.of_int v)
   let bool b v = int b (if v then 1 else 0)
@@ -120,14 +121,18 @@ end
 (* ---- the section container ---- *)
 
 (* RAM is kept as pages so checkpoints can share the ones that did not
-   change; every other section is one string. *)
-type payload = Whole of string | Paged of string array
+   change. A [Value] section is an OCaml value its owner captured,
+   encoded each time its bytes are asked for. Every other section is
+   one string. *)
+type value = ..
+type payload = Whole of string | Paged of Pages.t | Value of value * (value -> string)
 
 let ram_section = "ram"
 
 let materialize = function
   | Whole s -> s
-  | Paged ps -> String.concat "" (Array.to_list ps)
+  | Paged ps -> Pages.to_string ps
+  | Value (v, encode) -> encode v
 
 type t = { mutable sections : (string * payload) list (* reversed *) }
 
@@ -156,6 +161,13 @@ let add ?prev t name payload =
      else
        Whole (Option.value (reusable prev name (String.equal payload)) ~default:payload))
 
+let add_value t name value ~encode = add_payload t name (Value (value, encode))
+
+let value t name =
+  match List.assoc_opt name t.sections with
+  | Some (Value (v, _)) -> Some v
+  | _ -> None
+
 let find_opt t name = Option.map materialize (List.assoc_opt name t.sections)
 
 let find t name =
@@ -169,7 +181,7 @@ let names t = List.rev_map fst t.sections
 let ram_pages t =
   match List.assoc_opt ram_section t.sections with
   | Some (Paged ps) -> ps
-  | Some (Whole _) -> assert false (* [add] splits the RAM section *)
+  | Some (Whole _ | Value _) -> assert false (* [add] splits the RAM section *)
   | None -> corrupt "missing section %s" ram_section
 
 let to_string t =
@@ -183,16 +195,17 @@ let to_string t =
          to the section it corrupts, not just "somewhere in the body" *)
       let sum =
         match payload with
-        | Whole s ->
-          Enc.string body s;
-          fnv1a32 s
         | Paged ps ->
           Enc.int body (Pages.length ps);
-          Array.fold_left
+          Pages.fold
             (fun h p ->
               Buffer.add_string body p;
               fnv_fold h p)
             fnv_basis ps
+        | Whole _ | Value _ ->
+          let s = materialize payload in
+          Enc.string body s;
+          fnv1a32 s
       in
       Enc.int body sum)
     ordered;

@@ -74,13 +74,16 @@ end
 
 (** {2 The section container}
 
-    In memory the ["ram"] section is an array of immutable 4 KiB page
-    strings ({!Repro_common.Pages}); every other section is one
-    string. A checkpoint shares each page it did not need to copy with
-    the checkpoint before it, so holding many checkpoints of one
-    machine costs the pages that changed between them, not a RAM image
-    each. The serialized form does not know about pages: the ["ram"]
-    payload is the pages concatenated. *)
+    In memory the ["ram"] section is a vector of immutable 4 KiB page
+    strings ({!Repro_common.Pages}). A checkpoint shares each page it
+    did not need to copy with the checkpoint before it, so holding
+    many checkpoints of one machine costs the pages that changed
+    between them, not a RAM image each. A section added with
+    {!add_value} holds a captured value and is encoded to bytes only
+    when they are asked for ({!find}, {!to_string}); the bytes are not
+    kept. Every other section is one string. The serialized form knows
+    neither: the ["ram"] payload is the pages concatenated, and a value
+    section is its encoding. *)
 
 type t
 
@@ -98,17 +101,32 @@ val add : ?prev:t -> t -> string -> string -> unit
     not change since [prev]. Raises [Invalid_argument] on a duplicate
     name. *)
 
+type value = ..
+(** What a value section holds; its owner extends the type. *)
+
+val add_value : t -> string -> value -> encode:(value -> string) -> unit
+(** Append section [name] holding [value] as it is; [encode value] is
+    its bytes, computed each time they are asked for ({!find},
+    {!to_string}). The value must not change after it is added. Raises
+    [Invalid_argument] on a duplicate name. *)
+
+val value : t -> string -> value option
+(** The value of a section added with {!add_value}; [None] when the
+    section is absent or holds bytes (every section of a snapshot read
+    by {!of_string} does). *)
+
 val find : t -> string -> string
 (** Raises {!Corrupt} when the section is absent. The ["ram"] section
-    comes back as one string built from its pages. *)
+    comes back as one string built from its pages, a value section as
+    its encoding. *)
 
 val find_opt : t -> string -> string option
 val mem : t -> string -> bool
 val names : t -> string list
 
-val ram_pages : t -> string array
-(** The ["ram"] section's pages, shared, not copied — never mutate
-    them. Raises {!Corrupt} when the section is absent. *)
+val ram_pages : t -> Repro_common.Pages.t
+(** The ["ram"] section's pages, shared, not copied. Raises {!Corrupt}
+    when the section is absent. *)
 
 val to_string : t -> string
 (** Serialize to the checksummed container format. *)

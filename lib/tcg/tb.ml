@@ -31,10 +31,22 @@ let is_region tb = Array.length tb.region_ids > 0
 module Cache = struct
   type tb = t
 
-  (* Virtual pages span a 32-bit address space: 2^20 pages, one byte
+  (* Virtual pages span a 32-bit address space: 2^20 pages, one bit
      each in the code bitmap — the O(1) "is this a code page?" check
-     the hot store path performs on every write. *)
+     the hot store path performs on every write. 128 KiB a machine: a
+     fleet creates machines by the dozen. *)
   let n_pages = 1 lsl 20
+
+  let bit_byte p = (p land (n_pages - 1)) lsr 3
+  let bit p = 1 lsl (p land 7)
+
+  let set_bit b p =
+    let i = bit_byte p in
+    Bytes.unsafe_set b i (Char.unsafe_chr (Char.code (Bytes.unsafe_get b i) lor bit p))
+
+  let clear_bit b p =
+    let i = bit_byte p in
+    Bytes.unsafe_set b i (Char.unsafe_chr (Char.code (Bytes.unsafe_get b i) land lnot (bit p)))
 
   type nonrec t = {
     table : (int * bool * bool, tb) Hashtbl.t;
@@ -50,6 +62,10 @@ module Cache = struct
         (* bumped on every flush; direct-mapped dispatch caches in
            front of [find] key their entries on it so a flush
            invalidates them without a scan *)
+    mutable by_id : tb array option;
+    mutable regions_by_id : tb array option;
+        (* [table] and [regions] in id order, kept until either
+           changes: every checkpoint reads them *)
   }
 
   let create ?(capacity = 4096) () =
@@ -58,11 +74,13 @@ module Cache = struct
       table = Hashtbl.create 1024;
       regions = Hashtbl.create 64;
       pages = Hashtbl.create 64;
-      code_bitmap = Bytes.make n_pages '\000';
+      code_bitmap = Bytes.make (n_pages / 8) '\000';
       capacity;
       full_flushes = 0;
       ids = 0;
       generation = 0;
+      by_id = None;
+      regions_by_id = None;
     }
 
   let find t ~pc ~privileged ~mmu_on =
@@ -82,10 +100,12 @@ module Cache = struct
     if first = last then [ first ] else [ first; last ]
 
   let flush t =
-    Hashtbl.iter (fun p _ -> Bytes.unsafe_set t.code_bitmap (p land (n_pages - 1)) '\000') t.pages;
+    Hashtbl.iter (fun p _ -> clear_bit t.code_bitmap p) t.pages;
     Hashtbl.reset t.table;
     Hashtbl.reset t.regions;
     Hashtbl.reset t.pages;
+    t.by_id <- None;
+    t.regions_by_id <- None;
     t.generation <- t.generation + 1
 
   let register_pages t ps =
@@ -93,7 +113,7 @@ module Cache = struct
       (fun p ->
         let n = try Hashtbl.find t.pages p with Not_found -> 0 in
         Hashtbl.replace t.pages p (n + 1);
-        Bytes.unsafe_set t.code_bitmap (p land (n_pages - 1)) '\001')
+        set_bit t.code_bitmap p)
       ps
 
   let add t tb =
@@ -106,6 +126,7 @@ module Cache = struct
       t.full_flushes <- t.full_flushes + 1
     end;
     Hashtbl.replace t.table (tb.guest_pc, tb.privileged, tb.mmu_on) tb;
+    t.by_id <- None;
     register_pages t (tb_pages tb)
 
   (* Snapshot rebuild inserts a live set that fit the cache when it
@@ -113,6 +134,7 @@ module Cache = struct
      when that set is exactly at capacity. *)
   let add_exact t tb =
     Hashtbl.replace t.table (tb.guest_pc, tb.privileged, tb.mmu_on) tb;
+    t.by_id <- None;
     register_pages t (tb_pages tb)
 
   let size t = Hashtbl.length t.table
@@ -124,7 +146,7 @@ module Cache = struct
   let generation t = t.generation
 
   let is_code_page t page =
-    Bytes.unsafe_get t.code_bitmap (page land (n_pages - 1)) <> '\000'
+    Char.code (Bytes.unsafe_get t.code_bitmap (bit_byte page)) land bit page <> 0
 
   let code_pages t = Hashtbl.fold (fun p _ acc -> p :: acc) t.pages []
 
@@ -137,13 +159,14 @@ module Cache = struct
   (* Install a fused superblock. Never triggers the capacity flush (a
      flush here would drop the constituents the region was just formed
      from — and, during snapshot rebuild, TBs the recipe still
-     references). [pages] is every virtual page a constituent chunk
-     touches, so self-modifying stores anywhere in the trace are
+     references). Every virtual page a constituent touches is
+     registered, so self-modifying stores anywhere in the trace are
      detected. The caller must clear links targeting the head TB so
      the next transfer re-dispatches into the region. *)
-  let add_region t tb ~pages =
+  let add_region t tb ~members =
     Hashtbl.replace t.regions (tb.guest_pc, tb.privileged, tb.mmu_on) tb;
-    register_pages t pages
+    t.regions_by_id <- None;
+    register_pages t (List.sort_uniq compare (List.concat_map tb_pages members))
 
   let to_list t =
     Hashtbl.fold (fun _ tb acc -> tb :: acc) t.table []
@@ -158,8 +181,21 @@ module Cache = struct
     Array.sort (fun a b -> compare a.id b.id) a;
     a
 
-  let by_id t = sorted_by_id t.table
-  let regions_by_id t = sorted_by_id t.regions
+  let by_id t =
+    match t.by_id with
+    | Some a -> a
+    | None ->
+      let a = sorted_by_id t.table in
+      t.by_id <- Some a;
+      a
+
+  let regions_by_id t =
+    match t.regions_by_id with
+    | Some a -> a
+    | None ->
+      let a = sorted_by_id t.regions in
+      t.regions_by_id <- Some a;
+      a
 
   (* Null every chain link that targets [target] (physical equality),
      across plain TBs and regions: after a region is installed over

@@ -94,12 +94,13 @@ module Cache : sig
   (** Insert without the capacity check — snapshot rebuild only, where
       the inserted set is known to have fit the captured cache. *)
 
-  val add_region : t -> tb -> pages:int list -> unit
+  val add_region : t -> tb -> members:tb list -> unit
   (** Install a fused superblock (keyed by its head PC, preferred by
-      {!find}). Never capacity-flushes; registers [pages] — every
-      virtual page a constituent chunk touches — so self-modifying
-      stores anywhere in the trace invalidate. The caller clears
-      chain links targeting the head TB (see {!unlink_target}). *)
+      {!find}) over its constituent TBs [members]. Never
+      capacity-flushes; registers every virtual page a member touches,
+      so self-modifying stores anywhere in the trace invalidate. The
+      caller clears chain links targeting the head TB (see
+      {!unlink_target}). *)
 
   val unlink_target : t -> tb -> unit
   (** Null every chain link (plain TBs and regions) that points at the
@@ -139,10 +140,11 @@ module Cache : sig
 
   val by_id : t -> tb array
   (** All cached plain TBs in translation (id) order (snapshots and
-      depots). *)
+      depots). The array is kept and returned again until the cache
+      changes: do not mutate it. *)
 
   val regions_by_id : t -> tb array
-  (** All installed superblocks in id order. *)
+  (** All installed superblocks in id order; kept like {!by_id}. *)
 
   val is_code_page : t -> int -> bool
   (** Does any cached TB overlap the given virtual page? Guest stores

@@ -268,34 +268,51 @@ let to_json t =
        (host_per_guest t) (sync_per_guest t));
   Buffer.contents buf
 
+let n_scalars = 19
+
 (* Snapshot support: every counter flattened in a fixed order (scalars
    first, then the by-tag array). Comparing two [to_array] dumps is
-   the bit-identity check used by the restore tests. *)
+   the bit-identity check used by the restore tests. Built in place:
+   a checkpoint takes one of these every few thousand guest insns. *)
 let to_array t =
-  let entries = cov_entries t in
+  let a = t.attribution in
   (* coverage tail: mark, pending+1 (kept nonnegative for the varint
      encoder), entry count, then (attr, retirements, cost) triples in
-     ascending attr order — deterministic regardless of Hashtbl order. *)
-  let cov =
-    Array.of_list
-      (t.attribution.mark :: (t.attribution.pending + 1)
-      :: List.length entries
-      :: List.concat_map (fun (a, n, c) -> [ a; n; c ]) entries)
+     ascending attr order — deterministic regardless of slot order. *)
+  let slots = Array.make a.used 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun i key ->
+      if key <> empty then begin
+        slots.(!k) <- i;
+        incr k
+      end)
+    a.keys;
+  Array.sort (fun i j -> Int.compare a.keys.(i) a.keys.(j)) slots;
+  let base = n_scalars + n_tags in
+  let out = Array.make (base + 3 + (3 * a.used)) 0 in
+  let scalars =
+    [|
+      t.host_insns; t.helper_insns; t.helper_calls; t.sys_insns; t.guest_insns;
+      t.sync_ops; t.mmu_accesses; t.irq_polls; t.tlb_misses; t.engine_returns;
+      t.chained_jumps; t.tb_translations; t.irqs_delivered; t.shadow_replays;
+      t.shadow_divergences; t.rules_quarantined; t.quarantine_fallbacks;
+      t.livelocks_recovered; t.regions_formed;
+    |]
   in
-  Array.concat
-    [
-      [|
-        t.host_insns; t.helper_insns; t.helper_calls; t.sys_insns; t.guest_insns;
-        t.sync_ops; t.mmu_accesses; t.irq_polls; t.tlb_misses; t.engine_returns;
-        t.chained_jumps; t.tb_translations; t.irqs_delivered; t.shadow_replays;
-        t.shadow_divergences; t.rules_quarantined; t.quarantine_fallbacks;
-        t.livelocks_recovered; t.regions_formed;
-      |];
-      Array.copy t.by_tag;
-      cov;
-    ]
-
-let n_scalars = 19
+  Array.blit scalars 0 out 0 n_scalars;
+  Array.blit t.by_tag 0 out n_scalars n_tags;
+  out.(base) <- a.mark;
+  out.(base + 1) <- a.pending + 1;
+  out.(base + 2) <- a.used;
+  Array.iteri
+    (fun e s ->
+      let o = base + 3 + (3 * e) in
+      out.(o) <- a.keys.(s);
+      out.(o + 1) <- a.counts.(s);
+      out.(o + 2) <- a.costs.(s))
+    slots;
+  out
 
 let load_array t a =
   let base = n_scalars + n_tags in

@@ -692,17 +692,25 @@ let test_link_targets_validated () =
 (* The installer's oracle, over gcc and hmmer under every preset. A
    snapshot restore into a fresh machine must rebuild every live TB and
    region with the captured id, hotness, host program (the pin test's
-   digest) and chain links. A depot wave must install, for every
-   recipe, the program the capturing machine held for it; wave TB ids
-   are the installing machine's own, so a region is compared by its
-   members' PCs instead of their ids. *)
+   digest), chain links and translator meta, whether it installs the
+   in-memory snapshot's code or re-translates the recipes its bytes
+   hold. A depot wave must install, for every recipe, the program the
+   capturing machine held for it; wave TB ids are the installing
+   machine's own, so a region is compared by its members' PCs instead
+   of their ids. *)
 let restored_view (sys : D.System.t) =
   let target = function Some (s : T.Tb.t) -> s.T.Tb.id | None -> -1 in
+  let meta tb =
+    match sys.D.System.rule_translator with
+    | None -> ""
+    | Some tr ->
+      Digest.to_hex
+        (Digest.string (Marshal.to_string (D.Translator_rule.freeze tr tb) [ Marshal.No_sharing ]))
+  in
   List.map
     (fun (tb : T.Tb.t) ->
-      ( tb.T.Tb.id,
-        tb.T.Tb.hot,
-        Test_emitter.program_digest tb,
+      ( (tb.T.Tb.id, tb.T.Tb.hot),
+        (Test_emitter.program_digest tb, meta tb),
         Array.to_list (Array.map target tb.T.Tb.links) ))
     (T.Tb.Cache.to_list sys.D.System.cache
     @ T.Tb.Cache.regions_list sys.D.System.cache)
@@ -735,12 +743,15 @@ let test_installed_code_equals_captured () =
           | `Insn_limit -> ()
           | _ -> Alcotest.failf "%s: the capture run should stop at its budget" what);
           let snap = D.System.snapshot captured in
-          let restored = D.System.create mode in
-          D.System.restore restored snap;
-          let view = Alcotest.(list (pair (pair (pair int int) string) (list int))) in
-          let flat l = List.map (fun (id, hot, d, links) -> (((id, hot), d), links)) l in
-          Alcotest.check view (what ^ ": restore rebuilds the captured cache")
-            (flat (restored_view captured)) (flat (restored_view restored));
+          let view = Alcotest.(list (triple (pair int int) (pair string string) (list int))) in
+          List.iter
+            (fun (from, snap) ->
+              let restored = D.System.create mode in
+              D.System.restore restored snap;
+              Alcotest.check view
+                (Printf.sprintf "%s: restore from %s rebuilds the captured cache" what from)
+                (restored_view captured) (restored_view restored))
+            [ ("memory", snap); ("bytes", Snapshot.of_string (Snapshot.to_string snap)) ];
           (* depot waves into a machine whose memory is the captured
              one: the first wave installs every recipe, and a miss
              after a flush reinstalls them all *)

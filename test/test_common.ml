@@ -111,7 +111,7 @@ let prop_ram_is_flat =
       ok
       && Ram.to_string ram = Bytes.to_string flat
       && Ram.to_string copy = Bytes.to_string flat
-      && String.concat "" (Array.to_list (Ram.sync ram)) = Bytes.to_string flat)
+      && Pages.to_string (Ram.sync ram) = Bytes.to_string flat)
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in

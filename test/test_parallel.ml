@@ -9,6 +9,7 @@ module Par = Repro_parallel
 module Tel = Repro_telemetry
 module Histo = Repro_perfscope.Histo
 module CovR = Repro_covscope.Report
+module Snapshot = Repro_snapshot.Snapshot
 
 (* Domain-parallel dispatcher tests. The oracle throughout is
    byte-identity: a drill served across N domains must produce the
@@ -58,12 +59,10 @@ let chaos_plan ~machines ~faulty ~seed () =
 (* One parallel drill: build a fresh fleet from the shared warm base,
    serve [requests] across [domains] with a telemetry collector
    attached, and return (fleet report, telemetry document). *)
-let drill ~seed ~machines ~faulty ~requests ~domains =
+let drill ?(base = Lazy.force base) ~seed ~machines ~faulty ~requests ~domains () =
   let plan = chaos_plan ~machines ~faulty ~seed () in
   let f =
-    Res.Fleet.create ~plan
-      ~config:{ Res.Fleet.machines; min_healthy = 1; policy }
-      (Lazy.force base)
+    Res.Fleet.create ~plan ~config:{ Res.Fleet.machines; min_healthy = 1; policy } base
   in
   let collector = Tel.Collector.create ~every:4 f in
   Par.Parfleet.run f ~domains
@@ -80,11 +79,11 @@ let drill ~seed ~machines ~faulty ~requests ~domains =
    cores are short), so this identity check runs unconditionally —
    even a 1-core CI runner exercises true multi-domain serving. *)
 let test_identity_two_domains () =
-  let m1, t1 = drill ~seed:11 ~machines:3 ~faulty:1 ~requests:9 ~domains:1 in
-  let m2, t2 = drill ~seed:11 ~machines:3 ~faulty:1 ~requests:9 ~domains:2 in
+  let m1, t1 = drill ~seed:11 ~machines:3 ~faulty:1 ~requests:9 ~domains:1 () in
+  let m2, t2 = drill ~seed:11 ~machines:3 ~faulty:1 ~requests:9 ~domains:2 () in
   Alcotest.(check string) "2-domain report byte-identical to 1-domain" m1 m2;
   Alcotest.(check string) "2-domain telemetry byte-identical" t1 t2;
-  let m3, _ = drill ~seed:11 ~machines:3 ~faulty:1 ~requests:9 ~domains:3 in
+  let m3, _ = drill ~seed:11 ~machines:3 ~faulty:1 ~requests:9 ~domains:3 () in
   Alcotest.(check string) "3 domains (more domains than busy shards)" m1 m3
 
 (* The full 4-domain chaos drill (the CI gate's shape: 4 machines,
@@ -95,11 +94,26 @@ let test_identity_four_domain_chaos () =
   if Domain.recommended_domain_count () < 2 then
     Alcotest.skip ()
   else begin
-    let m1, t1 = drill ~seed:7 ~machines:4 ~faulty:2 ~requests:12 ~domains:1 in
-    let m4, t4 = drill ~seed:7 ~machines:4 ~faulty:2 ~requests:12 ~domains:4 in
+    let m1, t1 = drill ~seed:7 ~machines:4 ~faulty:2 ~requests:12 ~domains:1 () in
+    let m4, t4 = drill ~seed:7 ~machines:4 ~faulty:2 ~requests:12 ~domains:4 () in
     Alcotest.(check string) "4-domain chaos report byte-identical" m1 m4;
     Alcotest.(check string) "4-domain chaos telemetry byte-identical" t1 t4
   end
+
+(* ---- snapshot source identity ---- *)
+
+(* The warm base holds its code cache as values, so every restore from
+   it installs that code as captured and every domain's machines share
+   its programs; the same base read back from bytes re-translates its
+   recipes on each restore. Which one a fleet serves from must not
+   show in its report. *)
+let test_identity_base_bytes () =
+  let from_bytes = Snapshot.of_string (Snapshot.to_string (Lazy.force base)) in
+  let m1, _ = drill ~seed:11 ~machines:3 ~faulty:1 ~requests:9 ~domains:2 () in
+  let m2, _ =
+    drill ~base:from_bytes ~seed:11 ~machines:3 ~faulty:1 ~requests:9 ~domains:1 ()
+  in
+  Alcotest.(check string) "a fleet on the base's bytes reports the same" m1 m2
 
 let test_invalid_args () =
   let f =
@@ -203,6 +217,8 @@ let suite =
           test_invalid_args;
         Alcotest.test_case "parfleet: 2-domain report byte-identical" `Slow
           test_identity_two_domains;
+        Alcotest.test_case "parfleet: a base from bytes serves identically" `Slow
+          test_identity_base_bytes;
         Alcotest.test_case "parfleet: 4-domain chaos drill identity" `Slow
           test_identity_four_domain_chaos;
         Alcotest.test_case "histo: merge is order-invariant" `Quick

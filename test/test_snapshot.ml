@@ -522,7 +522,7 @@ let capture_rt rt =
    dirty bitmap does not mark holds exactly its [sync] string. *)
 let check_clean_pages msg (ctx : Exec.t) =
   let bytes = Ram.to_string ctx.Exec.ram in
-  Array.iteri
+  Pages.iteri
     (fun i page ->
       if not (Ram.is_dirty ctx.Exec.ram i) then
         if String.sub bytes (i * Pages.size) (String.length page) <> page
@@ -546,7 +546,8 @@ let test_straddling_writes () =
     (Snapshot.find after "ram");
   let changed =
     List.filter
-      (fun i -> (Snapshot.ram_pages after).(i) != (Snapshot.ram_pages before).(i))
+      (fun i ->
+        Pages.get (Snapshot.ram_pages after) i != Pages.get (Snapshot.ram_pages before) i)
       (List.init 1024 Fun.id)
   in
   Alcotest.(check (list int)) "the pages touched, first and last byte"
@@ -668,7 +669,8 @@ let test_capture_scales_with_dirty_pages () =
       let snap = capture_rt rt in
       let fresh =
         List.filter
-          (fun i -> (Snapshot.ram_pages snap).(i) != (Snapshot.ram_pages base).(i))
+          (fun i ->
+            Pages.get (Snapshot.ram_pages snap) i != Pages.get (Snapshot.ram_pages base) i)
           (List.init 1024 Fun.id)
       in
       Alcotest.(check (list int))
@@ -678,10 +680,29 @@ let test_capture_scales_with_dirty_pages () =
       Alcotest.(check bool)
         (Printf.sprintf "k = %d: a capture with no writes since copies nothing" k)
         true
-        (Array.for_all2 ( == ) (Snapshot.ram_pages again) (Snapshot.ram_pages snap)))
+        (List.for_all
+           (fun i -> Pages.get (Snapshot.ram_pages again) i == Pages.get (Snapshot.ram_pages snap) i)
+           (List.init 1024 Fun.id)))
     [ 0; 1; 7; 100; 1024 ];
   Alcotest.(check string) "the restored snapshot was never written"
-    base_ram (Snapshot.find base "ram")
+    base_ram (Snapshot.find base "ram");
+  (* and so does what a capture allocates: the k page copies, one leaf
+     per page at most and one top array, nothing that grows with the
+     RAM *)
+  List.iter
+    (fun k ->
+      Snapshot.restore_machine rt base;
+      List.iter
+        (fun p -> Ram.set8 ctx.Exec.ram ((p * Pages.size) + 100) 0x5A)
+        (List.init k (fun j -> (j * 389) mod 1024));
+      let before = Gc.allocated_bytes () in
+      ignore (Sys.opaque_identity (Ram.capture ctx.Exec.ram));
+      let words = int_of_float ((Gc.allocated_bytes () -. before) /. 8.) in
+      let page = (Pages.size / 8) + 2 and leaf = Pages.fan + 1 in
+      let bound = (k * (page + leaf)) + leaf + 64 in
+      if words > bound then
+        Alcotest.failf "k = %d: a capture allocated %d words, bound %d" k words bound)
+    [ 0; 1; 7 ]
 
 (* A machine's RAM costs only the pages it wrote, and never the pages
    of another machine: every unwritten page is the one shared zero
@@ -719,7 +740,11 @@ let test_captures_share_sections () =
   let first = D.System.snapshot sys in
   let second = D.System.snapshot sys in
   let section snap name =
-    if name = "ram" then Obj.repr (Snapshot.ram_pages snap) else Obj.repr (Snapshot.find snap name)
+    if name = "ram" then Obj.repr (Snapshot.ram_pages snap)
+    else
+      match Snapshot.value snap name with
+      | Some v -> Obj.repr v
+      | None -> Obj.repr (Snapshot.find snap name)
   in
   let names = Snapshot.names first in
   Alcotest.(check (list string)) "same sections" names (Snapshot.names second);
@@ -740,6 +765,82 @@ let test_captures_share_sections () =
   let fa, sa = restored first and fb, sb = restored second in
   check_fingerprint "restore from the shared capture" fa fb;
   Alcotest.(check bool) "and its next capture is byte-identical" true (sa = sb)
+
+(* ---- a snapshot is a value --------------------------------------- *)
+
+(* A capture holds the code cache as values and encodes it only when
+   its bytes are asked for, so nothing the machine does after the
+   capture may reach them. Checkpoints of a gcc run under regions
+   (links, hotness, elisions and fused regions all move) are
+   serialized when taken and again after the run, when the machine has
+   re-linked, re-emitted and flushed past every one of them. *)
+let test_snapshot_bytes_are_fixed () =
+  let image = kernel_image () in
+  let sys = make_sys (D.System.Rules D.Opt.with_regions) image in
+  let taken = ref [] in
+  let res =
+    D.System.run ~checkpoint_every:2_000 ~max_guest_insns:2_000_000
+      ~on_checkpoint:(fun snap -> taken := (snap, Snapshot.to_string snap) :: !taken)
+      sys
+  in
+  ignore (halt_code res);
+  Alcotest.(check bool) "the run took checkpoints" true (List.length !taken > 10);
+  Alcotest.(check bool) "and they hold fused regions" true
+    (List.exists
+       (fun (snap, _) ->
+         let m = D.System.create (D.System.Rules D.Opt.with_regions) in
+         D.System.restore m snap;
+         T.Tb.Cache.region_count m.D.System.cache > 0)
+       !taken);
+  List.iteri
+    (fun i (snap, bytes) ->
+      if Snapshot.to_string snap <> bytes then
+        Alcotest.failf "checkpoint %d: its bytes changed after the run went on" i)
+    (List.rev !taken)
+
+(* ---- re-translation ignores live fault injection ------------------ *)
+
+(* A restore from bytes re-translates every recipe, and a recipe must
+   translate to the code it was recorded from. A machine that has run
+   has its bus injection point armed, so with the restored injector's
+   bus-read rate above zero a fault under a fetch would cut a block
+   short (or leave it untranslatable). Re-translation runs with
+   injection disarmed: both the in-memory snapshot and its bytes
+   rebuild every TB as captured, and the injector state is the
+   captured one afterwards. *)
+let test_retranslation_ignores_injection () =
+  let image = kernel_image () in
+  let mode = D.System.Rules D.Opt.full in
+  let surfacing () = Fi.create ~seed:1 ~rate:0.0 ~behavior:Fi.Surface () in
+  let inject = surfacing () in
+  let captured = make_sys ~inject mode image in
+  ignore (D.System.run ~max_guest_insns:15_000 captured);
+  Fi.set_rate inject Fi.Bus_read 0.008;
+  captured.D.System.stop_checkpoint <- None;
+  let snap = D.System.snapshot captured in
+  let view (sys : D.System.t) =
+    List.map
+      (fun (tb : T.Tb.t) ->
+        (tb.T.Tb.id, tb.T.Tb.guest_pc, tb.T.Tb.guest_len, Test_emitter.program_digest tb))
+      (T.Tb.Cache.to_list sys.D.System.cache @ T.Tb.Cache.regions_list sys.D.System.cache)
+  in
+  let expected = view captured in
+  let view_t = Alcotest.(list (pair (pair (pair int int) int) string)) in
+  let flat = List.map (fun (id, pc, len, d) -> (((id, pc), len), d)) in
+  List.iter
+    (fun (what, snap) ->
+      let target = make_sys ~inject:(surfacing ()) mode image in
+      ignore (D.System.run ~max_guest_insns:1_000 target);
+      (match D.System.restore target snap with
+      | () -> ()
+      | exception Snapshot.Corrupt e -> Alcotest.failf "%s: restore failed: %s" what e);
+      Alcotest.check view_t (what ^ ": every TB rebuilt as captured") (flat expected)
+        (flat (view target));
+      Alcotest.(check (array int64))
+        (what ^ ": the injector is the captured one")
+        (Fi.export inject)
+        (Fi.export (Option.get target.D.System.rt.T.Runtime.inject)))
+    [ ("in-memory", snap); ("bytes", Snapshot.of_string (Snapshot.to_string snap)) ]
 
 let suite =
   [
@@ -782,5 +883,9 @@ let suite =
           test_ram_is_lazy_and_isolated;
         Alcotest.test_case "captures share unchanged sections" `Quick
           test_captures_share_sections;
+        Alcotest.test_case "snapshot bytes are fixed at capture" `Quick
+          test_snapshot_bytes_are_fixed;
+        Alcotest.test_case "re-translation ignores live fault injection" `Quick
+          test_retranslation_ignores_injection;
       ] );
   ]
