@@ -38,7 +38,7 @@ let mode_of_string s =
 (* Boot the workload on a pristine machine (injector present but every
    site at rate 0, so the warm phase is fault-free) and capture the
    warm snapshot all fleet machines serve from. With [depot], the boot
-   machine installs the depot's recipes first, so the whole fleet
+   machine installs the depot's code first, so the whole fleet
    inherits the persistent cache through the one shared snapshot; an
    incompatible depot degrades to a cold warm-up. Returns the boot
    machine too, so --depot-save can capture its cache after the warm
@@ -453,7 +453,7 @@ let depot_save_arg =
 let depot_load_arg =
   let doc =
     "Boot the whole fleet warm from the AOT depot in directory $(docv): the \
-     boot machine installs its recipes before the warm snapshot is taken, \
+     boot machine installs its code before the warm snapshot is taken, \
      so every fleet machine inherits the persistent cache. Rules the fleet \
      breaker quarantines during the drill are written back to the depot. \
      An unusable depot degrades to a cold fleet boot."

@@ -166,7 +166,7 @@ let run bench mode_name target budget timer builtin_only rules_file dump_tbs
              ())
     in
     (* The depot loads before the ruleset is built: a readable depot
-       embeds the ruleset its recipes were learned under, and adopting
+       embeds the ruleset its code was translated under, and adopting
        it both skips re-learning and makes the compatibility digest
        match by construction (explicit --rules/--builtin-rules still
        win; install then checks the digest). Any failure here degrades
@@ -236,7 +236,7 @@ let run bench mode_name target budget timer builtin_only rules_file dump_tbs
           K.load image (fun base words -> D.System.load_image sys base words);
           (sys, Some image)
       in
-      (* Warm boot: replay depot recipes into the live cache. Any
+      (* Warm boot: install depot code into the live cache. Any
          incompatibility (mode, ruleset digest, hot threshold, rung) or
          undecodable payload is a typed error and a cold start — never
          a crash. *)
@@ -763,7 +763,7 @@ let flamegraph_arg =
 let depot_save_arg =
   let doc =
     "After the run, save a persistent AOT depot (learned rule set + \
-     translation recipes + health state) into directory $(docv) with a \
+     translated code + health state) into directory $(docv) with a \
      crash-atomic generation commit, so later runs of the same \
      configuration can boot warm with --depot-load."
   in
@@ -772,7 +772,7 @@ let depot_save_arg =
 let depot_load_arg =
   let doc =
     "Warm-boot from the AOT depot in directory $(docv): adopt its embedded \
-     rule set and pre-install its translation recipes so the run starts \
+     rule set and pre-install its translated code so the run starts \
      with a hot code cache. An unreadable or incompatible depot degrades \
      to a normal cold start (exit code unaffected)."
   in

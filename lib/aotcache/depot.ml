@@ -25,19 +25,17 @@ type t = {
   compat : compat;
   rules : string;
   cache : string;
-  srcsum : int array;
   mutable health : string;
   mutable quarantined : int list;  (* sorted ascending *)
 }
 
-let create ~compat ~rules ~cache ~srcsum ~health =
-  { generation = 0; compat; rules; cache; srcsum; health; quarantined = [] }
+let create ~compat ~rules ~cache ~health =
+  { generation = 0; compat; rules; cache; health; quarantined = [] }
 
 let compat t = t.compat
 let generation t = t.generation
 let rules t = t.rules
 let cache_payload t = t.cache
-let srcsum t = t.srcsum
 let health t = t.health
 let set_health t h = t.health <- h
 let quarantined_pcs t = t.quarantined
@@ -66,7 +64,6 @@ let to_string t =
       Snapshot.Enc.int b t.compat.c_hot_threshold);
   Snapshot.add c "rules" t.rules;
   Snapshot.add c "cache" t.cache;
-  add "srcsum" (fun b -> Snapshot.Enc.int_array b t.srcsum);
   Snapshot.add c "health" t.health;
   add "quarantine" (fun b ->
       Snapshot.Enc.int_array b (Array.of_list t.quarantined));
@@ -100,7 +97,6 @@ let of_string s =
     compat;
     rules = find "rules";
     cache = find "cache";
-    srcsum = decode "srcsum" Snapshot.Dec.int_array;
     health = find "health";
     quarantined = List.sort_uniq compare (Array.to_list quarantined);
   }

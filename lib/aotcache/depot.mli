@@ -1,7 +1,8 @@
 (** The persistent AOT code depot: a durable on-disk artifact holding
-    a learned ruleset plus translation recipes (TBs and superblocks),
-    decoupled from full machine snapshots — so a machine, or a whole
-    fleet, boots {e warm} with (almost) zero translation cost.
+    a learned ruleset plus translated code (TBs and superblocks, host
+    programs included), decoupled from full machine snapshots — so a
+    machine, or a whole fleet, boots {e warm} without translating what
+    the depot holds.
 
     The depot is a {e directory}:
 
@@ -22,9 +23,8 @@
     and the same {!Repro_snapshot.Snapshot.of_string} parses it. Its
     sections, in order: ["generation"] (the commit generation, one
     int), ["compat"] (the {!compat} key), ["rules"] (the serialized
-    ruleset), ["cache"] (translation recipes — the opaque payload
-    produced by [Repro_dbt.System]), ["srcsum"] (per-recipe guest-code
-    checksums, the install-time fidelity guard), ["health"] (blacklist
+    ruleset), ["cache"] (the code cache — the opaque payload produced
+    by [Repro_dbt.System], in the byte form snapshots use), ["health"] (blacklist
     / rule strikes / quarantined rules) and ["quarantine"] (guest PCs
     whose depot entries were poisoned — shadow verification caught a
     depot-loaded TB diverging, and the write-back keeps the poison
@@ -48,20 +48,20 @@ val guard : string -> (unit -> 'a) -> 'a
     ({!Repro_snapshot.Snapshot.Corrupt}, [Invalid_argument]) or a
     failed read ([Sys_error]) into {!Depot_error} against [section] —
     the one error boundary for depot payloads, here and in the engine
-    layer that decodes the recipes. *)
+    layer that decodes the code. *)
 
 type compat = {
   c_mode : string;  (** engine mode name, e.g. ["rules:full"] *)
   c_rules_digest : int;
-      (** FNV-1a-32 of the serialized ruleset the recipes were
+      (** FNV-1a-32 of the serialized ruleset the code was
           translated under (see {!ruleset_digest}); [0] in qemu mode *)
   c_hot_threshold : int;
-      (** {!Repro_tcg.Engine.hot_threshold} at capture time — recipes
+      (** {!Repro_tcg.Engine.hot_threshold} at capture time — depots
           record superblocks fused at exactly this hotness *)
 }
 (** The compatibility key. Install refuses a depot whose key differs
-    from the machine's in any component: recipes are only replayable
-    under the translator configuration that produced them. *)
+    from the machine's in any component: code is only installable
+    under the translator configuration that produced it. *)
 
 type t
 
@@ -69,7 +69,6 @@ val create :
   compat:compat ->
   rules:string ->
   cache:string ->
-  srcsum:int array ->
   health:string ->
   t
 (** A fresh depot at generation 0 (stamped on first {!save}). *)
@@ -82,12 +81,11 @@ val rules : t -> string
     boot can adopt it instead of re-learning. *)
 
 val cache_payload : t -> string
-val srcsum : t -> int array
 val health : t -> string
 val set_health : t -> string -> unit
 
 val quarantined_pcs : t -> int list
-(** Sorted guest PCs whose depot recipes are poisoned. *)
+(** Sorted guest PCs whose depot entries are poisoned. *)
 
 val quarantine_pcs : t -> int list -> bool
 (** Add PCs to the poison set (write-back after a shadow-verification

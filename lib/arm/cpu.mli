@@ -47,9 +47,6 @@ val get_spsr : t -> Word32.t
 
 val set_spsr : t -> Word32.t -> unit
 val mode : t -> mode
-val set_mode : t -> mode -> unit
-(** Switch mode, banking sp/lr (and selecting the SPSR view). *)
-
 val irq_masked : t -> bool
 (** CPSR.I — true when IRQs are disabled. *)
 

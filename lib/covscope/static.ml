@@ -1,9 +1,7 @@
 (* Translation-time side of the per-rule ledger: how many TB sites
    each rule translated and how many host instructions those sites
    emitted. Purely a sink — the translator reports into it when one is
-   attached, and cache rebuilds / depot passes detach it (exactly like
-   the decision ledger) so re-translation of already-counted sites
-   cannot double-count. *)
+   attached; installed code is never emitted, so never counted. *)
 
 type row = { mutable sites : int; mutable emitted : int }
 type t = { by_rule : (int, row) Hashtbl.t }

@@ -2,10 +2,10 @@
 
     Records, per rule id, how many TB sites the rule translated and
     how many host instructions those sites emitted. The translator
-    reports into an attached sink; cache rebuilds and depot passes
-    detach it (the decision-ledger discipline) so re-translation never
-    double-counts. Not a snapshot section — it describes this
-    process's translation work, not guest state. *)
+    reports into an attached sink; code installed from a snapshot or a
+    depot is not emitted, so it counts nothing. Not a snapshot
+    section — it describes this process's translation work, not guest
+    state. *)
 
 type t
 

@@ -12,6 +12,7 @@ module Ruleset = Repro_rules.Ruleset
 module Flagconv = Repro_rules.Flagconv
 module Snapshot = Repro_snapshot.Snapshot
 module Journal = Repro_snapshot.Journal
+module Tbcodec = Repro_snapshot.Tbcodec
 module Depot = Repro_aotcache.Depot
 module Trace = Repro_observe.Trace
 module Scope = Repro_perfscope.Scope
@@ -63,48 +64,41 @@ let degrade = function
   | Rung_baseline -> Some Rung_interp
   | Rung_interp -> None
 
-type tb_record = {
-  r_id : int;
-  r_pc : int;
-  r_priv : bool;
-  r_mmu : bool;
-  r_override : int option;
-  r_injected : [ `None | `Rule_corrupt | `Livelock ];
-  r_hot : int;
-  r_meta : (bool array * Flagconv.t option) option;
+(* The live code cache as a value: what a capture carries, and what
+   every install puts back without translating. [f_tb] is a copy of the
+   TB record as it stood (program, provenance, injected corruption; its
+   links emptied; its [hot] field is not read), [f_links] its chain
+   graph in the combined index space (plain entries 0..n-1, then the
+   regions; -1 is an empty slot), [f_members] a region's constituents
+   as plain indices ([||] for a plain TB) and [f_meta] the translator's
+   meta. Hotness moves with nearly every dispatch, so it lives apart,
+   in [c_hot] (plain entries, then regions), and an entry outlives many
+   captures. Nothing here is ever mutated, so consecutive captures
+   share what did not change, and every machine the code is installed
+   into shares the programs. *)
+type frozen = {
+  f_tb : Tb.t;
+  f_links : int array;
+  f_members : int array;
+  f_meta : Translator_rule.frozen option;
 }
 
-type region_record = {
-  rg_id : int;
-  rg_hot : int;
-  rg_members : int array;  (* plain record indices, trace order *)
-  rg_meta : (bool array * Flagconv.t option) option;
-}
+type code = { c_tbs : frozen array; c_regions : frozen array; c_hot : int array }
+type Snapshot.value += Code of code
 
-(* A decoded cache section. Link targets live in a combined index
-   space: plain records are 0..n-1, regions n, n+1, ... in recipe
-   order; -1 is an empty slot. *)
-type recipes = {
-  records : tb_record array;
-  links : int array array;
-  regions : region_record array;
-  region_links : int array array;
-}
-
-(* Warm-boot bookkeeping for recipes loaded from a persistent depot.
-   Indices 0..n-1 are plain records, n.. the superblock recipes (the
-   same combined index space the chain graph uses). A recipe is
-   [installed] once it has been replayed into the live cache for the
-   current cache generation, [dead] once it can never install in this
-   generation (quarantined, or its guest bytes never matched), and
-   pending otherwise — pending recipes are retried in waves, each
-   triggered by the first cache miss on one of them. *)
+(* Warm-boot bookkeeping for the code a persistent depot holds, in the
+   combined index space of [dp_code]. An entry is [installed] once a
+   wave put it into the live cache for the current cache generation (or
+   adopted the TB the engine had already translated at its key), [dead]
+   once it can never install in this generation (poisoned, stale under
+   live health, or its guest code never matched), and pending otherwise
+   — pending entries are retried in waves, each triggered by the first
+   cache miss on one of them. *)
 type depot_state = {
-  dp_recipes : recipes;
-  dp_srcsum : int array;  (* per plain record, install fidelity guard *)
+  dp_code : code;
   dp_keys : (int * bool * bool, int) Hashtbl.t;
-      (* (pc, privileged, mmu_on) -> plain record index *)
-  dp_skip : bool array;  (* quarantined at install time; never replayed *)
+      (* (pc, privileged, mmu_on) -> plain entry index *)
+  dp_skip : bool array;  (* poisoned at install time; never installed *)
   dp_installed : Tb.t option array;
   dp_dead : bool array;
   mutable dp_generation : int;
@@ -112,7 +106,7 @@ type depot_state = {
   dp_served : (int, Tb.t) Hashtbl.t;
       (* TB id -> the TB a wave installed in this generation; poison
          attribution compares physically, so a cold TB at the same PC
-         (another regime, or after SMC killed the recipe) never counts *)
+         (another regime, or after SMC killed the entry) never counts *)
   mutable dp_poisoned : int list;
       (* depot-served PCs whose TB shadow verification invalidated *)
 }
@@ -202,51 +196,6 @@ let journal t = t.journal
 let uart_output t = Devices.Uart.output t.rt.Runtime.bus.Repro_machine.Bus.uart
 
 (* ---- snapshot encoding ---- *)
-
-let int_of_injected = function `None -> 0 | `Rule_corrupt -> 1 | `Livelock -> 2
-
-let injected_of_int = function
-  | 0 -> `None
-  | 1 -> `Rule_corrupt
-  | 2 -> `Livelock
-  | n -> raise (Snapshot.Corrupt (Printf.sprintf "cache: bad injection kind %d" n))
-
-let int_of_conv = function
-  | None -> 0
-  | Some Flagconv.Add_like -> 1
-  | Some Flagconv.Sub_like -> 2
-  | Some Flagconv.Logic_like -> 3
-  | Some Flagconv.Canonical -> 4
-
-let conv_of_int = function
-  | 0 -> None
-  | 1 -> Some Flagconv.Add_like
-  | 2 -> Some Flagconv.Sub_like
-  | 3 -> Some Flagconv.Logic_like
-  | 4 -> Some Flagconv.Canonical
-  | n -> raise (Snapshot.Corrupt (Printf.sprintf "cache: bad flag convention %d" n))
-
-(* The live code cache as a value: what a snapshot captured in this
-   process carries, and what restoring it installs without translating.
-   [f_tb] is a copy of the TB record as it stood (program, provenance,
-   injected corruption; its links emptied; its [hot] field is not
-   read), [f_links] its chain graph in the combined index space of
-   [recipes], [f_members] a region's constituents as plain indices
-   ([||] for a plain TB) and [f_meta] the translator's meta. Hotness
-   moves with nearly every dispatch, so it lives apart, in [c_hot]
-   (plain entries, then regions), and an entry outlives many captures.
-   Nothing here is ever mutated, so consecutive captures share what did
-   not change, and every machine a snapshot is restored into shares
-   the programs. *)
-type frozen = {
-  f_tb : Tb.t;
-  f_links : int array;
-  f_members : int array;
-  f_meta : Translator_rule.frozen option;
-}
-
-type code = { c_tbs : frozen array; c_regions : frozen array; c_hot : int array }
-type Snapshot.value += Code of code
 
 (* Index of the entry with id [id] in an id-sorted array, or -1. *)
 let search (a : Tb.t array) id =
@@ -338,114 +287,67 @@ let freeze_code t prev =
   | Some p when p.c_tbs == c_tbs && p.c_regions == c_regions && p.c_hot == c_hot -> p
   | _ -> { c_tbs; c_regions; c_hot }
 
-(* The bytes of a code cache: one record per plain TB; then the plain
-   chain graph; then one recipe per superblock (its constituents as
-   record indices); then the region chain graph. The host code itself
-   is not serialized: every translator input it depends on — guest
-   memory, the SMC length override, the injected corruption, the
-   accumulated link-time meta, the constituent traces — is recorded,
-   so restoring from bytes re-translates (and re-fuses) to
-   bit-identical programs (live TBs always postdate the last
-   quarantine/blacklist change because every health change flushes
-   the cache). *)
+(* The bytes of a code cache: its plain entries, then its regions, each
+   the TB's byte form ({!Tbcodec}), hotness, links, constituents and
+   translator meta. Read back, they are the captured value. *)
 let encode_code code =
-  let b = Snapshot.Enc.create () in
-  let n = Array.length code.c_tbs in
-  let enc_meta f =
-    match f.f_meta with
-    | None -> Snapshot.Enc.bool b false
-    | Some m ->
-      let elide, conv = Translator_rule.frozen_link_meta m in
-      Snapshot.Enc.bool b true;
-      Snapshot.Enc.int b (Array.length elide);
-      Array.iter (Snapshot.Enc.bool b) elide;
-      Snapshot.Enc.int b (int_of_conv conv)
+  let b = Buffer.create 4096 in
+  let entries base a =
+    Tbcodec.put b (Array.length a);
+    Array.iteri
+      (fun k f ->
+        Tbcodec.enc_tb b f.f_tb;
+        Tbcodec.put b code.c_hot.(base + k);
+        Tbcodec.put_array b Tbcodec.put_int f.f_links;
+        Tbcodec.put_array b Tbcodec.put f.f_members;
+        Tbcodec.put_bool b (Option.is_some f.f_meta);
+        Option.iter (Translator_rule.encode_frozen b) f.f_meta)
+      a
   in
-  let enc_links f = Snapshot.Enc.int_array b f.f_links in
-  Snapshot.Enc.int b n;
-  Array.iteri
-    (fun k f ->
-      let tb = f.f_tb in
-      Snapshot.Enc.int b tb.Tb.id;
-      Snapshot.Enc.int b tb.Tb.guest_pc;
-      Snapshot.Enc.bool b tb.Tb.privileged;
-      Snapshot.Enc.bool b tb.Tb.mmu_on;
-      Snapshot.Enc.int b
-        (match tb.Tb.translated_override with None -> -1 | Some n -> n);
-      Snapshot.Enc.int b (int_of_injected tb.Tb.injected);
-      Snapshot.Enc.int b code.c_hot.(k);
-      enc_meta f)
-    code.c_tbs;
-  Array.iter enc_links code.c_tbs;
-  Snapshot.Enc.int b (Array.length code.c_regions);
-  Array.iteri
-    (fun j f ->
-      Snapshot.Enc.int b f.f_tb.Tb.id;
-      Snapshot.Enc.int b code.c_hot.(n + j);
-      Snapshot.Enc.int_array b f.f_members;
-      enc_meta f)
-    code.c_regions;
-  Array.iter enc_links code.c_regions;
-  Snapshot.Enc.contents b
+  entries 0 code.c_tbs;
+  entries (Array.length code.c_tbs) code.c_regions;
+  Buffer.contents b
 
-let decode_cache payload =
-  let d = Snapshot.Dec.of_string ~name:"cache" payload in
-  let dec_meta () =
-    if Snapshot.Dec.bool d then begin
-      let len = Snapshot.Dec.int d in
-      let elide = Array.init len (fun _ -> Snapshot.Dec.bool d) in
-      let conv = conv_of_int (Snapshot.Dec.int d) in
-      Some (elide, conv)
-    end
-    else None
-  in
-  let dec_links n =
-    Array.init n (fun _ ->
-        let slots = Snapshot.Dec.int d in
-        Array.init slots (fun _ -> Snapshot.Dec.int d))
-  in
-  let n = Snapshot.Dec.int d in
-  if n < 0 then raise (Snapshot.Corrupt "cache: negative record count");
-  let records =
-    Array.init n (fun _ ->
-        let r_id = Snapshot.Dec.int d in
-        let r_pc = Snapshot.Dec.int d in
-        let r_priv = Snapshot.Dec.bool d in
-        let r_mmu = Snapshot.Dec.bool d in
-        let ov = Snapshot.Dec.int d in
-        let r_override = if ov < 0 then None else Some ov in
-        let r_injected = injected_of_int (Snapshot.Dec.int d) in
-        let r_hot = Snapshot.Dec.int d in
-        let r_meta = dec_meta () in
-        { r_id; r_pc; r_priv; r_mmu; r_override; r_injected; r_hot; r_meta })
-  in
-  let links = dec_links n in
-  let m = Snapshot.Dec.int d in
-  if m < 0 then raise (Snapshot.Corrupt "cache: negative region count");
-  let regions =
-    Array.init m (fun _ ->
-        let rg_id = Snapshot.Dec.int d in
-        let rg_hot = Snapshot.Dec.int d in
-        let members = Snapshot.Dec.int d in
-        if members < 2 then
-          raise (Snapshot.Corrupt "cache: region with fewer than two chunks");
-        let rg_members =
-          Array.init members (fun _ ->
-              let i = Snapshot.Dec.int d in
-              if i < 0 || i >= n then
-                raise (Snapshot.Corrupt "cache: region member out of range");
-              i)
-        in
-        let rg_meta = dec_meta () in
-        { rg_id; rg_hot; rg_members; rg_meta })
-  in
-  let region_links = dec_links m in
-  if not (Snapshot.Dec.finished d) then
-    raise (Snapshot.Corrupt "cache: trailing bytes");
-  let valid = Array.for_all (Array.for_all (fun s -> s >= -1 && s < n + m)) in
-  if not (valid links && valid region_links) then
-    raise (Snapshot.Corrupt "cache: link to a nonexistent record");
-  { records; links; regions; region_links }
+let rule_lookup rs id =
+  List.find_opt (fun (r : Repro_rules.Rule.t) -> r.Repro_rules.Rule.id = id) (Ruleset.rules rs)
+
+(* [rule] resolves meta rule ids; [None] for a qemu-mode machine, whose
+   code has no meta and no regions. Every failure is [Corrupt]. *)
+let decode_code ~rule payload =
+  let corrupt s = raise (Snapshot.Corrupt ("cache: " ^ s)) in
+  try
+    let r = Tbcodec.reader payload in
+    let entry r =
+      let tb = Tbcodec.dec_tb r in
+      let hot = Tbcodec.get r in
+      let f_links = Tbcodec.get_array r Tbcodec.get_int in
+      let f_members = Tbcodec.get_array r Tbcodec.get in
+      let slots = Array.length tb.Tb.exits in
+      let f_meta =
+        match (Tbcodec.get_bool r, rule) with
+        | false, _ -> None
+        | true, Some rule ->
+          Some (Translator_rule.decode_frozen ~rule ~slots ~guest:tb.Tb.guest_insns r)
+        | true, None -> corrupt "translator meta for a qemu-mode machine"
+      in
+      (hot, { f_tb = tb; f_links; f_members; f_meta })
+    in
+    let plain = Tbcodec.get_array r entry in
+    let regions = Tbcodec.get_array r entry in
+    if not (Tbcodec.finished r) then corrupt "trailing bytes";
+    let n = Array.length plain and all = Array.append plain regions in
+    (* a link per exit, within the entries; a region over two or more plain ones *)
+    let valid k (_, f) =
+      Array.length f.f_links = Array.length f.f_tb.Tb.exits
+      && Array.for_all (fun s -> s >= -1 && s < Array.length all) f.f_links
+      && if k < n then f.f_members = [||]
+         else
+           Option.is_some rule && Array.length f.f_members >= 2
+           && Array.for_all (fun i -> i < n) f.f_members
+    in
+    if not (Array.for_all Fun.id (Array.mapi valid all)) then corrupt "link or member out of range";
+    { c_tbs = Array.map snd plain; c_regions = Array.map snd regions; c_hot = Array.map fst all }
+  with Invalid_argument e -> corrupt e
 
 let encode_translator tr rs =
   let saved = Translator_rule.save_state tr in
@@ -577,260 +479,64 @@ let ratchet_health ?base tr rs ~blacklist ~strikes ~quarantined =
     ~strikes:(max_strikes strikes cur_strikes)
     ~quarantined:(union_int quarantined cur_quarantined)
 
-(* Snapshot cache rebuilds and depot install waves re-run translations
-   made elsewhere (by the checkpointed machine, or by the run that
-   captured the depot), spliced into a machine that must not notice.
-   [retranslating] brackets that work:
-   - both translation sinks are detached, since recording the re-run's
-     static provenance or rule-template sites would double-count;
-   - exactly the state translation can touch is saved and put back.
-     Each record forces its mode and MMU bit into the mirror CPU and
-     sets the engine-transient runtime fields; fetches draw from the
-     injector (bus reads, page-walk corruption); blacklist fallbacks
-     and superblock fusion charge statistics; the translator bumps its
-     counters. Translation reads guest memory and page tables but
-     writes neither, and leaves env, host registers, TLB and devices
-     alone, so none of those is copied.
-   - injection is disarmed: every site's rate is 0 while the re-run
-     lasts. A recipe must translate to the code it was recorded from,
-     and a bus fault firing under a fetch would cut a block short (or
-     make it untranslatable); the saved injector state puts the rates
-     back. *)
-let retranslating t f =
-  let rt = t.rt in
-  let ledger = rt.Runtime.ledger and cov_static = rt.Runtime.cov_static in
-  let cpu = Cpu.save_words rt.Runtime.cpu
-  and stats = Stats.to_array (Runtime.stats rt)
-  and inject = Option.map Fi.export rt.Runtime.inject
-  and pcw = rt.Runtime.pending_code_write
-  and scw = rt.Runtime.suppress_code_write
-  and tbov = rt.Runtime.tb_override
-  and cov = rt.Runtime.corrupt_override
-  and fps = rt.Runtime.fault_producers
-  and counters = Option.map Translator_rule.save_state t.rule_translator in
-  rt.Runtime.ledger <- None;
-  rt.Runtime.cov_static <- None;
-  Option.iter (fun inj -> List.iter (fun s -> Fi.set_rate inj s 0.) Fi.all_sites) rt.Runtime.inject;
-  Fun.protect f ~finally:(fun () ->
-      rt.Runtime.ledger <- ledger;
-      rt.Runtime.cov_static <- cov_static;
-      Cpu.load_words rt.Runtime.cpu cpu;
-      Stats.load_array (Runtime.stats rt) stats;
-      (match (rt.Runtime.inject, inject) with
-      | Some inj, Some words -> Fi.import inj words
-      | _ -> ());
-      rt.Runtime.pending_code_write <- pcw;
-      rt.Runtime.suppress_code_write <- scw;
-      rt.Runtime.tb_override <- tbov;
-      rt.Runtime.corrupt_override <- cov;
-      rt.Runtime.fault_producers <- fps;
-      match (t.rule_translator, counters) with
-      | Some tr, Some s -> Translator_rule.restore_counters tr s
-      | _ -> ())
+(* A live record for captured entry [k]: empty links, captured hotness
+   and meta, the captured program. *)
+let fresh t code k f ~id ~region_ids =
+  let links = Array.make (Array.length f.f_links) None in
+  let tb = { f.f_tb with Tb.id; links; hot = code.c_hot.(k); region_ids } in
+  (match (t.rule_translator, f.f_meta) with Some tr, Some m -> Translator_rule.thaw tr tb m | _ -> ());
+  tb
 
-(* The translator of the machine's natural rung. *)
-let natural_translate t =
-  match t.rule_translator with
-  | Some tr -> fun rt cache ~pc -> Translator_rule.translate tr rt cache ~pc
-  | None -> Repro_tcg.Translator_qemu.translate
+let stale t f =
+  match (t.rule_translator, f.f_meta) with Some tr, Some m -> Translator_rule.stale tr f.f_tb m | _ -> false
 
-(* Install-time fidelity guard: a depot recipe is only replayed when
-   the guest code it came from is what this machine's memory holds at
-   install time. The checksum is FNV-1a over the little-endian
-   re-encoding of every decoded instruction, so it covers the
-   decoder's view: [Encode.encode] is total and injective on decoder
-   output. *)
-let guest_checksum (tb : Tb.t) =
-  let step h byte = (h lxor byte) * 0x01000193 land 0xFFFF_FFFF in
-  Array.fold_left
-    (fun h i ->
-      let w = Repro_arm.Encode.encode i in
-      step
-        (step (step (step h (w land 0xFF)) ((w lsr 8) land 0xFF))
-           ((w lsr 16) land 0xFF))
-        (w lsr 24))
-    0x811c9dc5 tb.Tb.guest_insns
-
-(* How [install] replays a recipe set; its caller picks one.
-   - [Exact] (snapshot restore): flush first, give every TB its
-     captured id, and raise [Snapshot.Corrupt] when a plain record
-     does not translate or a region does not fuse.
-   - [Waves] (a depot install wave): install a recipe only when its
-     re-translation matches its guest-code checksum, adopt a TB the
-     engine already translated, and leave the rest pending or dead in
-     the depot's bookkeeping. *)
-type policy = Exact | Waves of depot_state
-
-(* Replay a recipe set into the live cache. Each pending plain record
-   re-translates under its recorded regime (privilege, MMU, SMC length
-   override, injected corruption), takes its captured hotness and
-   link-time meta, and has its code write-protected as after a cold
-   translation. A region re-fuses from its recorded constituent trace
-   once all its members are installed: the fused emission reads only
-   the constituents' scheduled bodies, so with its own meta re-applied
-   it is bit-identical to the captured one. A region is skipped, its
-   members staying installed, when a member's PC is blacklisted (live
-   formation never fuses across one, and restore merges a live
-   blacklist that may have grown since the capture) or when the live
-   engine already fused a region at that head. Last, the chain graph
-   fills empty link slots between installed entries; links the live
-   engine made stand. *)
-let install t policy rc =
-  let rt = t.rt in
-  let n = Array.length rc.records in
-  let exact = match policy with Exact -> true | Waves _ -> false in
-  let installed, dead =
-    match policy with
-    | Exact ->
-      let k = n + Array.length rc.regions in
-      (Array.make k None, Array.make k false)
-    | Waves dp -> (dp.dp_installed, dp.dp_dead)
-  in
-  let pending k = Option.is_none installed.(k) && not dead.(k) in
-  let corrupt fmt = Printf.ksprintf (fun s -> raise (Snapshot.Corrupt s)) fmt in
-  let enter k (tb : Tb.t) ~served =
-    installed.(k) <- Some tb;
-    match policy with
-    | Exact -> ()
-    | Waves dp ->
-      dp.dp_installed_count <- dp.dp_installed_count + 1;
-      if served then Hashtbl.replace dp.dp_served tb.Tb.id tb
-  in
-  let replayed k (tb : Tb.t) ~hot ~meta =
-    tb.Tb.hot <- hot;
-    (match (t.rule_translator, meta) with
-    | Some tr, Some (elide, entry_conv) ->
-      Translator_rule.restore_cache_meta tr tb ~elide ~entry_conv
-    | _ -> ());
-    enter k tb ~served:true
-  in
-  if Array.length rc.regions > 0 && t.rule_translator = None then
-    corrupt "cache: region records for a qemu-mode machine";
-  retranslating t @@ fun () ->
-  let translate = natural_translate t in
-  if exact then Tb.Cache.flush t.cache;
+(* The captured chain graph between installed entries ([installed] in
+   the combined index space), in the slots the live engine left empty. *)
+let link_installed code installed =
   Array.iteri
-    (fun i r ->
-      if pending i then
-        match
-          if exact then None
-          else Tb.Cache.find_plain t.cache ~pc:r.r_pc ~privileged:r.r_priv ~mmu_on:r.r_mmu
-        with
-        | Some tb ->
-          (* the engine already translated this PC cold; adopt it so
-             regions and links over it can still install. Its meta
-             evolves through the live link hook, and it was never
-             served, so it is never the depot's to poison. *)
-          enter i tb ~served:false
-        | None -> (
-          Cpu.set_mode rt.Runtime.cpu (if r.r_priv then Cpu.Supervisor else Cpu.User);
-          Cpu.set_mmu_enabled rt.Runtime.cpu r.r_mmu;
-          rt.Runtime.tb_override <- r.r_override;
-          rt.Runtime.corrupt_override <- Some r.r_injected;
-          if exact then Tb.Cache.set_ids t.cache (r.r_id - 1);
-          match (translate rt t.cache ~pc:r.r_pc, policy) with
-          | Ok tb, Waves dp when guest_checksum tb <> dp.dp_srcsum.(i) -> ()
-          | Ok tb, _ ->
-            Tb.Cache.add_exact t.cache tb;
-            let tlb = rt.Runtime.ctx.Runtime.Exec.tlb in
-            Tlb.clear_write_tag tlb tb.Tb.guest_pc;
-            Tlb.clear_write_tag tlb (tb.Tb.guest_pc + (4 * tb.Tb.guest_len) - 4);
-            replayed i tb ~hot:r.r_hot ~meta:r.r_meta
-          | Error _, Exact ->
-            corrupt "cache rebuild: TB at %#x is no longer translatable" r.r_pc
-          | Error _, Waves _ -> ()))
-    rc.records;
-  Option.iter
-    (fun tr ->
-      Array.iteri
-        (fun j rg ->
-          let k = n + j in
-          let members = Array.map (fun i -> installed.(i)) rg.rg_members in
-          if pending k && Array.for_all Option.is_some members then begin
-            let head = rc.records.(rg.rg_members.(0)) in
-            let fused_live =
-              match
-                Tb.Cache.find t.cache ~pc:head.r_pc ~privileged:head.r_priv
-                  ~mmu_on:head.r_mmu
-              with
-              | Some tb -> Tb.is_region tb
-              | None -> false
-            in
-            if
-              fused_live
-              || Array.exists
-                   (fun i -> Translator_rule.blacklisted tr rc.records.(i).r_pc)
-                   rg.rg_members
-            then dead.(k) <- true
-            else begin
-              if exact then Tb.Cache.set_ids t.cache (rg.rg_id - 1);
-              let trace = Array.to_list (Array.map Option.get members) in
-              match Translator_rule.fuse_trace tr rt t.cache ~trace with
-              | Some region -> replayed k region ~hot:rg.rg_hot ~meta:rg.rg_meta
-              | None when exact ->
-                corrupt "cache rebuild: region %d is no longer fusable" rg.rg_id
-              | None -> dead.(k) <- true
-            end
-          end)
-        rc.regions)
-    t.rule_translator;
-  let fill base table =
-    Array.iteri
-      (fun i slots ->
-        Option.iter
-          (fun (tb : Tb.t) ->
-            Array.iteri
-              (fun slot succ ->
-                if
-                  succ >= 0
-                  && slot < Array.length tb.Tb.links
-                  && Option.is_none tb.Tb.links.(slot)
-                then tb.Tb.links.(slot) <- installed.(succ))
-              slots)
-          installed.(base + i))
-      table
-  in
-  fill 0 rc.links;
-  fill n rc.region_links
+    (fun k f ->
+      Option.iter
+        (fun (tb : Tb.t) ->
+          Array.iteri
+            (fun slot succ ->
+              if succ >= 0 && slot < Array.length tb.Tb.links && Option.is_none tb.Tb.links.(slot)
+              then tb.Tb.links.(slot) <- installed.(succ))
+            f.f_links)
+        installed.(k))
+    (Array.append code.c_tbs code.c_regions)
 
 (* Install captured code as it was: every TB and region a fresh record
-   (its own links, hotness and meta) sharing the captured program, with
-   its captured id; regions over their members' pages; then the chain
-   graph. Nothing is translated, fused or re-emitted, and no machine
-   state but the cache and the translator's metas is touched. A
-   captured region never has a blacklisted member (blacklisting flushes
-   the cache), and this path runs only when the health is the
-   captured one, so no region is skipped. *)
-let thaw t code =
+   with its captured id, sharing the captured program, then the chain
+   graph. Nothing is translated, fused or re-emitted. When the live
+   health is not the captured one, a [stale] entry is dropped with
+   every region over it; the engine translates it on demand. *)
+let thaw t code ~health_as_captured =
   let n = Array.length code.c_tbs in
-  let fresh base k f =
-    let tb =
-      {
-        f.f_tb with
-        Tb.links = Array.make (Array.length f.f_links) None;
-        hot = code.c_hot.(base + k);
-      }
-    in
-    (match (t.rule_translator, f.f_meta) with
-    | Some tr, Some m -> Translator_rule.thaw tr tb m
-    | _ -> ());
-    tb
-  in
-  Tb.Cache.flush t.cache;
-  let tbs = Array.mapi (fresh 0) code.c_tbs in
-  Array.iter (Tb.Cache.add_exact t.cache) tbs;
-  let regions = Array.mapi (fresh n) code.c_regions in
+  let entries = Array.append code.c_tbs code.c_regions in
+  let drop = Array.map (fun f -> (not health_as_captured) && stale t f) entries in
   Array.iteri
-    (fun j region ->
-      Tb.Cache.add_region t.cache region
-        ~members:(Array.to_list (Array.map (Array.get tbs) code.c_regions.(j).f_members)))
-    regions;
-  let entry k = if k < n then tbs.(k) else regions.(k - n) in
-  let link (tb : Tb.t) f =
-    Array.iteri (fun slot k -> if k >= 0 then tb.Tb.links.(slot) <- Some (entry k)) f.f_links
+    (fun j f -> if Array.exists (Array.get drop) f.f_members then drop.(n + j) <- true)
+    code.c_regions;
+  Tb.Cache.flush t.cache;
+  let live =
+    Array.mapi
+      (fun k f ->
+        if drop.(k) then None
+        else
+          let region_ids = Array.map (fun i -> code.c_tbs.(i).f_tb.Tb.id) f.f_members in
+          Some (fresh t code k f ~id:f.f_tb.Tb.id ~region_ids))
+      entries
   in
-  Array.iter2 link tbs code.c_tbs;
-  Array.iter2 link regions code.c_regions
+  Array.iteri
+    (fun k tb ->
+      match tb with
+      | Some tb when k < n -> Tb.Cache.add_exact t.cache tb
+      | Some tb ->
+        Tb.Cache.add_region t.cache tb
+          ~members:(Array.to_list (Array.map (fun i -> Option.get live.(i)) entries.(k).f_members))
+      | None -> ())
+    live;
+  link_installed code live
 
 let restore ?(rebuild = true) t snap =
   (match t.rt.Runtime.trace with
@@ -846,11 +552,10 @@ let restore ?(rebuild = true) t snap =
             (mode_name t.mode)))
   | None -> raise (Snapshot.Corrupt "missing section mode"));
   Snapshot.restore_machine t.rt snap;
-  (* Translator tables and rule health install before the cache
-     rebuild: translation consults the blacklist and the quarantine
-     set, and every health change flushed the captured cache, so the
-     restored final health state is the one every live TB was
-     translated under.
+  (* Translator tables and rule health install before the cache: every
+     health change flushed the captured cache, so the captured health
+     is the one every captured TB was translated under, and [thaw]
+     drops what a health grown since would translate differently.
 
      Demotion state merges instead of replacing: a machine that
      quarantined a rule, blacklisted a PC or degraded its engine rung
@@ -890,24 +595,21 @@ let restore ?(rebuild = true) t snap =
      here or recorded in the snapshot), the captured TBs and the engine
      that will execute them disagree on host-state conventions — so a
      demoted machine flushes instead and lets the degraded engine
-     retranslate on demand, which is guest-invariant. Otherwise a
-     snapshot captured in this process installs its code as captured,
-     unless the merged health differs from the captured one (a rule or
-     PC demoted since would translate differently): then, as for
-     snapshots read from bytes, the records re-translate. *)
+     retranslate on demand, which is guest-invariant. Otherwise the
+     captured code installs as it was, from the value a capture in this
+     process holds or from its bytes. *)
   (if rebuild && t.rung_floor = natural_rung t then
-     match Snapshot.value snap "cache" with
-     | Some (Code code) when health_as_captured -> thaw t code
-     | _ -> install t Exact (decode_cache (Snapshot.find snap "cache"))
+     let code =
+       match Snapshot.value snap "cache" with
+       | Some (Code code) -> code
+       | _ ->
+         decode_code ~rule:(Option.map rule_lookup t.ruleset) (Snapshot.find snap "cache")
+     in
+     thaw t code ~health_as_captured
    else Tb.Cache.flush t.cache);
-  (* The install's [retranslating] put back the stats, injector state
-     and translator counters its translations touched; the
-     write-protect tags it set give way to the captured TLB. *)
   let ctl = Snapshot.Dec.of_string ~name:"cachectl" (Snapshot.find snap "cachectl") in
   Tb.Cache.set_full_flushes t.cache (Snapshot.Dec.int ctl);
   Tb.Cache.set_ids t.cache (Snapshot.Dec.int ctl);
-  let tlb = Snapshot.Dec.of_string ~name:"tlb" (Snapshot.find snap "tlb") in
-  Tlb.restore t.rt.Runtime.ctx.Runtime.Exec.tlb (Snapshot.Dec.int_array tlb);
   t.pending_resume <-
     (match Snapshot.find_opt snap "resume" with
     | Some p -> Some (decode_resume p)
@@ -1000,43 +702,102 @@ let depot_capture t =
         ~quarantined
     | _ -> encode_depot_health ~blacklist:[] ~strikes:[] ~quarantined:[]
   in
-  let code = freeze_code t None in
-  Depot.create ~compat:(depot_compat t) ~rules ~cache:(encode_code code)
-    ~srcsum:(Array.map (fun f -> guest_checksum f.f_tb) code.c_tbs) ~health
+  Depot.create ~compat:(depot_compat t) ~rules ~cache:(encode_code (freeze_code t None)) ~health
 
-(* The engine-level payloads, decoded the way an install needs them:
-   the recipes, one guest-code checksum per plain recipe, and the
-   durable health. *)
-let depot_payloads depot =
-  let rc =
-    Depot.guard "cache" (fun () -> decode_cache (Depot.cache_payload depot))
+(* Guest memory holds [tb]'s block as a fresh fetch at its PC and regime
+   would read it: each word fetches, with no side effect, and decodes to
+   the instruction it was translated from (the interpreter-helper TB
+   records none; its word need only fetch). *)
+let holds_block t (tb : Tb.t) =
+  let rt = t.rt and ttbr = Cpu.get_ttbr t.rt.Runtime.cpu in
+  let holds k =
+    let pc = tb.Tb.guest_pc + (4 * k) in
+    match
+      Repro_mmu.Mmu.peek_fetch rt.Runtime.bus ~ttbr ~mmu_on:tb.Tb.mmu_on ~privileged:tb.Tb.privileged pc
+    with
+    | None -> false
+    | Some _ when Array.length tb.Tb.guest_insns = 0 -> true
+    | Some w -> (
+      match Repro_arm.Decode_cache.decode rt.Runtime.dcache w with
+      | Ok i -> Repro_arm.Insn.equal i tb.Tb.guest_insns.(k)
+      | Error _ -> false)
   in
-  let srcsum = Depot.srcsum depot in
-  if Array.length srcsum <> Array.length rc.records then
-    Depot.err "srcsum" "%d checksums for %d recipes" (Array.length srcsum)
-      (Array.length rc.records);
-  (rc, srcsum, depot_health depot)
+  let rec from k = k = tb.Tb.guest_len || (holds k && from (k + 1)) in
+  from 0
 
-(* One install wave: replay every still-pending recipe against guest
-   memory as it stands right now. The wave is machine-neutral:
-   [retranslating] puts back everything translation touches, so a warm
-   run's guest-visible behaviour is the cold run's. The only lasting
-   machine change is the write-protect TLB tags on installed code,
-   exactly as cold translation sets them. Recipes whose guest bytes do
-   not match stay pending: the guest has not built that world yet (page
-   tables before the MMU turns on, code it relocates later); the first
-   miss in the new regime triggers the next wave. This is every wave's
-   one failure boundary: a recipe poisoned in a way the checksums
-   cannot see (it decodes, then fails to replay) drops the depot
-   wholesale, and the machine continues cold. *)
+(* One install wave (DESIGN §16). A pending entry whose block memory
+   holds installs with a fresh id, as its cold translation was left
+   (code write-protected); a TB the engine already translated at its
+   key is adopted instead, never served, so never the depot's to
+   poison. A stale entry is dead. A region installs once its members
+   are, unless the engine fused one at its head, it or a member is
+   stale, or an adopted member holds other guest code. Entries whose
+   memory does not hold stay pending until the first miss in their
+   regime. Nothing here translates, draws from the injector, counts or
+   touches the CPU. *)
 let depot_wave t dp =
-  let failed reason =
-    t.depot <- None;
-    Depot.err "cache" "recipe replay failed: %s" reason
+  let code = dp.dp_code and installed = dp.dp_installed and dead = dp.dp_dead in
+  let n = Array.length code.c_tbs in
+  let pending k = Option.is_none installed.(k) && not dead.(k) in
+  let enter k tb =
+    installed.(k) <- Some tb;
+    dp.dp_installed_count <- dp.dp_installed_count + 1
   in
-  try install t (Waves dp) dp.dp_recipes with
-  | Snapshot.Corrupt reason | Invalid_argument reason -> failed reason
-  | Not_found -> failed "Not_found"
+  let install k f ~region_ids =
+    let tb = fresh t code k f ~id:(Tb.Cache.next_id t.cache) ~region_ids in
+    enter k tb;
+    Hashtbl.replace dp.dp_served tb.Tb.id tb;
+    tb
+  in
+  Array.iteri
+    (fun i f ->
+      let c = f.f_tb in
+      if pending i then
+        match
+          Tb.Cache.find_plain t.cache ~pc:c.Tb.guest_pc ~privileged:c.Tb.privileged
+            ~mmu_on:c.Tb.mmu_on
+        with
+        | Some tb -> enter i tb
+        | None ->
+          if stale t f then dead.(i) <- true
+          else if holds_block t c then begin
+            let tb = install i f ~region_ids:[||] in
+            Tb.Cache.add_exact t.cache tb;
+            let tlb = t.rt.Runtime.ctx.Runtime.Exec.tlb in
+            Tlb.clear_write_tag tlb tb.Tb.guest_pc;
+            Tlb.clear_write_tag tlb (tb.Tb.guest_pc + (4 * tb.Tb.guest_len) - 4)
+          end)
+    code.c_tbs;
+  Array.iteri
+    (fun j f ->
+      let k = n + j in
+      let members = Array.map (Array.get installed) f.f_members in
+      if pending k && Array.for_all Option.is_some members then begin
+        let members = Array.map Option.get members in
+        let head = members.(0) in
+        let fused_live =
+          match
+            Tb.Cache.find t.cache ~pc:head.Tb.guest_pc ~privileged:head.Tb.privileged
+              ~mmu_on:head.Tb.mmu_on
+          with
+          | Some tb -> Tb.is_region tb
+          | None -> false
+        in
+        let same i (tb : Tb.t) =
+          let c = code.c_tbs.(i) in
+          (not (stale t c)) && tb.Tb.guest_insns = c.f_tb.Tb.guest_insns
+        in
+        if fused_live || stale t f || not (Array.for_all2 same f.f_members members) then
+          dead.(k) <- true
+        else begin
+          let region = install k f ~region_ids:(Array.map (fun (tb : Tb.t) -> tb.Tb.id) members) in
+          Tb.Cache.add_region t.cache region ~members:(Array.to_list members);
+          (* stale chained jumps into the head would bypass the region *)
+          Tb.Cache.unlink_target t.cache head
+        end
+      end)
+    code.c_regions;
+  link_installed code installed
 
 let depot_install t depot =
   let c = Depot.compat depot in
@@ -1046,8 +807,8 @@ let depot_install t depot =
       c.Depot.c_mode here.Depot.c_mode;
   if c.Depot.c_rules_digest <> here.Depot.c_rules_digest then
     Depot.err "compat"
-      "ruleset digest mismatch (depot %#x, machine %#x): recipes are only \
-       replayable under the ruleset that learned them"
+      "ruleset digest mismatch (depot %#x, machine %#x): depot code only \
+       installs under the ruleset that translated it"
       c.Depot.c_rules_digest here.Depot.c_rules_digest;
   if c.Depot.c_hot_threshold <> here.Depot.c_hot_threshold then
     Depot.err "compat" "hot threshold mismatch (depot %d, engine %d)"
@@ -1055,39 +816,38 @@ let depot_install t depot =
   let natural = natural_rung t in
   if t.rung_floor <> natural then
     Depot.err "compat"
-      "machine floor is the %s rung; depot recipes are translated for its \
+      "machine floor is the %s rung; depot code is translated for its \
        natural %s engine"
       (rung_name t.rung_floor) (rung_name natural);
-  let rc, srcsum, (blacklist, strikes, quarantined) = depot_payloads depot in
-  (* The depot's durable demotions ratchet in before any recipe is
-     replayed (union/max merge, the same policy snapshot restore
-     uses); the flush keeps no TB translated under the pre-merge
-     health alive. *)
+  let rule = Option.map rule_lookup t.ruleset in
+  let code = Depot.guard "cache" (fun () -> decode_code ~rule (Depot.cache_payload depot)) in
+  let blacklist, strikes, quarantined = depot_health depot in
+  (* The depot's durable demotions ratchet in before any entry installs
+     (union/max merge, the same policy snapshot restore uses); the
+     flush keeps no TB translated under the pre-merge health alive. *)
   Tb.Cache.flush t.cache;
   (match (t.rule_translator, t.ruleset) with
   | Some tr, Some rs -> ratchet_health tr rs ~blacklist ~strikes ~quarantined
   | _ -> ());
-  let n = Array.length rc.records and m = Array.length rc.regions in
+  let n = Array.length code.c_tbs and m = Array.length code.c_regions in
   let qpcs = Hashtbl.create 8 in
   List.iter
     (fun pc -> Hashtbl.replace qpcs pc ())
     (Depot.quarantined_pcs depot);
   let skip = Array.make (n + m) false in
-  Array.iteri
-    (fun i r -> if Hashtbl.mem qpcs r.r_pc then skip.(i) <- true)
-    rc.records;
-  Array.iteri
-    (fun j rg ->
-      if Array.exists (fun i -> skip.(i)) rg.rg_members then skip.(n + j) <- true)
-    rc.regions;
   let keys = Hashtbl.create (2 * (n + 1)) in
   Array.iteri
-    (fun i r -> Hashtbl.replace keys (r.r_pc, r.r_priv, r.r_mmu) i)
-    rc.records;
+    (fun i f ->
+      let tb = f.f_tb in
+      if Hashtbl.mem qpcs tb.Tb.guest_pc then skip.(i) <- true;
+      Hashtbl.replace keys (tb.Tb.guest_pc, tb.Tb.privileged, tb.Tb.mmu_on) i)
+    code.c_tbs;
+  Array.iteri
+    (fun j f -> if Array.exists (Array.get skip) f.f_members then skip.(n + j) <- true)
+    code.c_regions;
   let dp =
     {
-      dp_recipes = rc;
-      dp_srcsum = srcsum;
+      dp_code = code;
       dp_keys = keys;
       dp_skip = skip;
       dp_installed = Array.make (n + m) None;
@@ -1099,18 +859,17 @@ let depot_install t depot =
     }
   in
   t.depot <- Some dp;
-  (* Wave 1 installs whatever current guest memory supports — at a
-     cold boot, the MMU-off recipes. The rest stays pending for
+  (* Wave 1 installs whatever current guest memory holds — at a cold
+     boot, the MMU-off entries. The rest stays pending for
      miss-triggered waves once the guest builds those worlds. *)
   depot_wave t dp;
   dp.dp_installed_count
 
 (* Miss-triggered wave: the engine missed on (pc, regime); if that key
-   is a still-pending depot recipe, run a wave and serve the result.
-   A recipe that cannot install even at its own miss is dead — the
-   guest memory it was recorded against no longer exists — so it never
-   triggers another wave. A failed wave has dropped the depot (see
-   [depot_wave]): the miss is served cold. *)
+   is a still-pending depot entry, run a wave and serve the result. An
+   entry that cannot install even at its own miss is dead — the guest
+   memory it was captured against no longer exists — so it never
+   triggers another wave. *)
 let depot_hit t ~pc =
   match t.depot with
   | None -> None
@@ -1133,14 +892,12 @@ let depot_hit t ~pc =
     | Some i ->
       if Option.is_some dp.dp_installed.(i) || dp.dp_dead.(i) then None
       else begin
-        match depot_wave t dp with
-        | exception Depot.Depot_error _ -> None
-        | () -> (
-          match dp.dp_installed.(i) with
-          | Some _ as tb -> tb
-          | None ->
-            dp.dp_dead.(i) <- true;
-            None)
+        depot_wave t dp;
+        match dp.dp_installed.(i) with
+        | Some _ as tb -> tb
+        | None ->
+          dp.dp_dead.(i) <- true;
+          None
       end)
 
 let depot_served dp (tb : Tb.t) =
@@ -1164,10 +921,20 @@ let depot_poisoned t =
   | Some dp -> List.sort compare dp.dp_poisoned
 
 (* Structural verification without a machine: decode every engine-level
-   payload the way install would. Returns (plain recipes, superblocks). *)
+   payload the way install would, the code's rule ids against the
+   depot's own ruleset. Returns (plain TBs, superblocks). *)
 let depot_check depot =
-  let rc, _, _ = depot_payloads depot in
-  (Array.length rc.records, Array.length rc.regions)
+  let rule =
+    match mode_of_name (Depot.compat depot).Depot.c_mode with
+    | Some Qemu -> None
+    | _ -> (
+      match Repro_rules.Serialize.load (Depot.rules depot) with
+      | Ok rs -> Some (rule_lookup rs)
+      | Error e -> Depot.err "rules" "%s" e)
+  in
+  let code = Depot.guard "cache" (fun () -> decode_code ~rule (Depot.cache_payload depot)) in
+  ignore (depot_health depot);
+  (Array.length code.c_tbs, Array.length code.c_regions)
 
 (* Fleet write-back: fold breaker-quarantined rule ids into the depot's
    durable health. Returns true when the set grew (save warranted). *)
@@ -1355,7 +1122,7 @@ let run ?chaining ?(max_guest_insns = max_int) ?deadline
       let translate =
         match t.mode with
         | Qemu ->
-          (* baseline is qemu-mode's natural rung: depot recipes serve
+          (* baseline is qemu-mode's natural rung: depot code serves
              its misses too *)
           fun rt cache ~pc -> (
             match depot_hit t ~pc with

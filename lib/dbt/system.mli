@@ -49,7 +49,7 @@ val rung_of_level : int -> rung
     else (the ["degrade"] snapshot section decodes through this). *)
 
 type depot_state
-(** Warm-boot bookkeeping for recipes loaded from a persistent depot:
+(** Warm-boot bookkeeping for code loaded from a persistent depot:
     which are installed in the live cache, which are still pending
     (their guest-memory world does not exist yet) and which are dead
     for the current cache generation. See {!depot_install}. *)
@@ -84,8 +84,7 @@ type t = {
           merges downward on {!restore} — prefer {!degrade_floor}
           over writing it directly *)
   mutable depot : depot_state option;
-      (** set by {!depot_install}; [None] means cold (no depot, or the
-          depot was dropped after a semantically-poisoned recipe) *)
+      (** set by {!depot_install}; [None] means cold *)
 }
 
 val create :
@@ -128,10 +127,9 @@ val create :
     All of them are purely observational: guest-visible behaviour
     and every modelled cost counter are bit-identical with or without
     them, and none rides in snapshots — a restored machine continues
-    accumulating into whatever observers it was created with;
-    snapshot cache rebuilds and depot install waves detach the ledger
-    and the coverage sink, so re-translation never re-records
-    statics. (Watchdog rollbacks reload [Stats] from the checkpoint
+    accumulating into whatever observers it was created with. Code
+    installed from a snapshot or a depot was not emitted here, so it
+    records no statics. (Watchdog rollbacks reload [Stats] from the checkpoint
     but the scope keeps its accumulations, so under injection the
     scope's phase total can exceed the final [host_insns].) *)
 
@@ -214,16 +212,14 @@ val snapshot : t -> Snapshot.t
 val restore : ?rebuild:bool -> t -> Snapshot.t -> unit
 (** Restore a snapshot into a machine created with the same shape
     (mode, RAM size, injector presence/behavior, ruleset). [rebuild]
-    (default true) rebuilds the captured live TB set and its chain
-    graph: a snapshot captured in this process installs its code as
-    captured, translating nothing, while one read from bytes (or one
-    whose health this machine's merge below changed) re-translates its
-    records to bit-identical host code, with fault injection disarmed
-    for the re-translation; [false] just flushes the cache (the
-    watchdog's rollback path). Raises
-    [Snapshot.Corrupt] on any mismatch. A captured superblock with a
-    member PC this machine has blacklisted since is not re-fused; its
-    members are restored unfused.
+    (default true) installs the captured live TB set and its chain
+    graph as captured, from the value a capture in this process holds
+    or from its bytes alike: nothing is translated, and every TB keeps
+    its id. When the merge below grew the health, a TB whose PC is
+    blacklisted now or whose code used a rule quarantined now is
+    dropped, with every superblock over it, and translates on demand.
+    [false] just flushes the cache (the watchdog's rollback path).
+    Raises [Snapshot.Corrupt] on any mismatch or damaged section.
 
     Demotion state (PC blacklist, per-rule strikes and quarantine,
     degradation floor) {e merges} instead of replacing: restore takes
@@ -274,43 +270,29 @@ val replay : ?slack:int -> t -> Snapshot.t -> replay_report
 (** {2 The persistent AOT code depot}
 
     A {!Repro_aotcache.Depot} holds a machine's learned ruleset plus
-    its translation recipes (TBs and superblocks) decoupled from any
-    machine snapshot, so a fresh boot — same image, same mode — starts
-    {e warm}: recipes replay into the live cache instead of being
-    translated on demand, and the perfscope translate phase stays near
-    zero. Unlike {!restore}, nothing architectural is touched; the
-    guest-visible run is bit-identical to a cold boot.
+    its translated code (TBs and superblocks, host programs included,
+    in the snapshot byte form), so a fresh boot of the same image and
+    mode starts {e warm}: the code installs instead of being
+    translated, and the guest-visible run is bit-identical to a cold
+    boot. Nothing architectural is touched.
 
-    Because recipes re-translate from guest memory, installation is
-    {e wave}-based: {!depot_install} replays whatever current memory
-    supports (the MMU-off boot path), and recipes for worlds the guest
-    builds later (its page tables, relocated code) stay pending until
-    the first cache miss in that regime triggers another wave. Each
-    wave is machine-neutral: it puts back exactly what translation
-    touches (CPU words, statistics, injector state, the
-    engine-transient runtime fields and the translator's counters),
-    and its only lasting machine change is the write-protect TLB tags
-    on installed code. Every replayed recipe must match its recorded
-    guest-code checksum or it stays out of the cache.
-
-    A wave and a {!restore} run one installer under two policies.
-    Restore is exact: it flushes, reproduces every TB id, and raises
-    [Snapshot.Corrupt] when a record no longer installs. A wave checks
-    checksums, adopts TBs the engine already translated, and leaves
-    the rest pending or dead. Both re-apply link-time meta, fuse a
-    superblock only when all its members installed and none of their
-    PCs is blacklisted, and link only installed entries. A wave that
-    fails drops the depot: {!depot_install} raises, {!depot_hit}
-    serves the miss cold.
+    Installation goes in {e waves}: an entry installs once guest memory
+    holds its block (read with no side effect under the entry's
+    regime), so {!depot_install} installs what memory holds at boot
+    and the rest waits for the first cache miss in its regime. A wave
+    translates nothing and draws from no injector; its one machine
+    change is the write-protect TLB tags on installed code. It adopts
+    TBs the engine already translated, gives the rest fresh ids,
+    installs a superblock once all its members are, and links only
+    installed entries.
 
     Every function here raises {!Repro_aotcache.Depot.Depot_error}
     (and nothing else) when the depot cannot be used; callers degrade
     to a cold start. *)
 
 val depot_capture : t -> Repro_aotcache.Depot.t
-(** Package the machine's current ruleset, live translation cache,
-    per-recipe guest-code checksums and durable rule health into a
-    depot (generation stamped on save). Raises on a machine demoted
+(** Package the machine's current ruleset, live translation cache and
+    durable rule health into a depot (generation stamped on save). Raises on a machine demoted
     below its natural rung — degraded caches are not publishable. *)
 
 val depot_install : t -> Repro_aotcache.Depot.t -> int
@@ -318,7 +300,7 @@ val depot_install : t -> Repro_aotcache.Depot.t -> int
     threshold, natural rung) against this machine, ratchet in its
     durable health (union/max merge), skip quarantined (poisoned)
     entries, and run the first install wave. Call after {!load_image},
-    before {!run}. Returns the number of recipes installed by the
+    before {!run}. Returns the number of entries installed by the
     first wave; the rest install from miss-triggered waves during
     {!run}. Raises {!Repro_aotcache.Depot.Depot_error} on any
     incompatibility or undecodable payload, leaving the machine cold
@@ -326,16 +308,16 @@ val depot_install : t -> Repro_aotcache.Depot.t -> int
 
 val depot_hit : t -> pc:Word32.t -> Repro_tcg.Tb.t option
 (** The engine's miss hook under a depot: when [pc] in the machine's
-    current regime (privilege, MMU) names a recipe not installed in
+    current regime (privilege, MMU) names an entry not installed in
     the current cache generation, run an install wave and return that
-    recipe's TB. [None] when there is no such recipe, and for a recipe
+    entry's TB. [None] when there is no such entry, and for an entry
     that cannot install even at its own miss (it is dead from then
     on). The first miss after a cache flush forgets every install of
     the earlier generation. {!run} calls it; it is exposed so drills can trigger a miss
     wave without executing guest code. *)
 
 val depot_coverage : t -> int * int
-(** [(installed, pending)] recipe counts for the current cache
+(** [(installed, pending)] entry counts for the current cache
     generation; [(0, 0)] when no depot is attached. *)
 
 val depot_poisoned : t -> int list
@@ -345,10 +327,10 @@ val depot_poisoned : t -> int list
     reload. Sorted ascending. *)
 
 val depot_check : Repro_aotcache.Depot.t -> int * int
-(** Machine-free structural verification: decode the cache recipes
-    (including the chain graph's link targets), the checksum count and
-    the health payload with {!depot_install}'s own decoder. Returns
-    [(plain recipes, superblocks)]; raises
+(** Machine-free structural verification: decode the code (every
+    count, constructor and index, rule ids against the depot's own
+    ruleset) and the health payload with {!depot_install}'s own
+    decoder. Returns [(plain TBs, superblocks)]; raises
     {!Repro_aotcache.Depot.Depot_error} on damage. *)
 
 val depot_quarantine_rules : Repro_aotcache.Depot.t -> int list -> bool

@@ -21,6 +21,7 @@ module Fi = Repro_faultinject.Faultinject
 module Trace = Repro_observe.Trace
 module Ledger = Repro_observe.Ledger
 module Covscope = Repro_covscope
+module Tbcodec = Repro_snapshot.Tbcodec
 
 (* Per-TB metadata the emitter produces and the linker consumes. *)
 type meta = {
@@ -83,8 +84,8 @@ let create ~opt ~ruleset ?(shadow_depth = 0) ?(quarantine_threshold = 2) rt =
     inter_tb_elisions = 0;
   }
 
-(* Translation-time statics, into whichever sinks the runtime carries
-   (snapshot cache rebuilds and depot waves detach them). A first
+(* Translation-time statics, into whichever sinks the runtime carries.
+   Installed code is never emitted here, so it records nothing. A first
    emission records its provenance and its rule-template sites. A
    re-emission [~replacing] a TB's old provenance records only the
    difference — the static view tracks the live code without
@@ -486,8 +487,7 @@ let fault_producers (c : Emitter.chunk) =
 (* The one way a rule-emitted cache entry comes to be, plain TB and
    fused region alike: emit [chunks], wrap the code at the head PC and
    register the entry's meta. *)
-let new_tb t cache chunks ~shadowable ~privileged ~mmu_on ~guest_insns ~translated_override
-    ~region_ids =
+let new_tb t cache chunks ~shadowable ~privileged ~mmu_on ~guest_insns ~region_ids =
   let slots = if Array.length chunks > 1 then Tb.region_exit_slots else Tb.exit_slots in
   let m =
     {
@@ -514,7 +514,6 @@ let new_tb t cache chunks ~shadowable ~privileged ~mmu_on ~guest_insns ~translat
       guest_insns;
       guest_len = Array.length guest_insns;
       fault_producers = Array.concat (List.map fault_producers (Array.to_list chunks));
-      translated_override;
       injected = `None;
       prov = r.Emitter.prov;
       hot = 0;
@@ -529,33 +528,21 @@ let build_tb t (rt : Runtime.t) cache ~insns chunk =
     new_tb t cache [| chunk |]
       ~shadowable:(Array.for_all shadowable_insn insns)
       ~privileged:(Runtime.privileged rt)
-      ~mmu_on:(Repro_arm.Cpu.mmu_enabled rt.Runtime.cpu) ~guest_insns:insns
-      ~translated_override:rt.Runtime.tb_override ~region_ids:[||]
+      ~mmu_on:(Repro_arm.Cpu.mmu_enabled rt.Runtime.cpu) ~guest_insns:insns ~region_ids:[||]
   in
   t.rule_covered <- t.rule_covered + r.Emitter.rule_covered;
   t.fallback <- t.fallback + r.Emitter.fallback;
-  (match rt.Runtime.corrupt_override with
-  | Some `Rule_corrupt ->
-    (* Snapshot cache rebuild: re-apply the recorded corruption without
-       touching the injector's PRNG stream. *)
-    tb.Tb.prog <- corrupt_prog tb.Tb.prog;
-    tb.Tb.injected <- `Rule_corrupt
-  | Some `Livelock ->
-    tb.Tb.prog <- livelock_prog tb.Tb.prog;
-    tb.Tb.injected <- `Livelock
-  | Some `None -> ()
-  | None -> (
-    match rt.Runtime.inject with
-    | Some inj when r.Emitter.rule_covered > 0 ->
-      if Fi.fire inj Fi.Rule_corrupt then begin
-        tb.Tb.prog <- corrupt_prog tb.Tb.prog;
-        tb.Tb.injected <- `Rule_corrupt
-      end
-      else if Fi.fire inj Fi.Host_livelock then begin
-        tb.Tb.prog <- livelock_prog tb.Tb.prog;
-        tb.Tb.injected <- `Livelock
-      end
-    | _ -> ()));
+  (match rt.Runtime.inject with
+  | Some inj when r.Emitter.rule_covered > 0 ->
+    if Fi.fire inj Fi.Rule_corrupt then begin
+      tb.Tb.prog <- corrupt_prog tb.Tb.prog;
+      tb.Tb.injected <- `Rule_corrupt
+    end
+    else if Fi.fire inj Fi.Host_livelock then begin
+      tb.Tb.prog <- livelock_prog tb.Tb.prog;
+      tb.Tb.injected <- `Livelock
+    end
+  | _ -> ());
   tb
 
 let translate t (rt : Runtime.t) cache ~pc =
@@ -613,42 +600,6 @@ let re_emit t (tb : Tb.t) m =
    an SMC flush simply drops both views. *)
 
 let max_region_chunks = 8
-
-(* Fuse an already-selected constituent trace and install the result.
-   Shared between live formation and snapshot rebuild (which replays a
-   recorded constituent list); returns [None] when the emitter rejects
-   the trace. *)
-let fuse_trace t (rt : Runtime.t) cache ~(trace : Tb.t list) =
-  let head = List.hd trace in
-  let chunks =
-    List.filter_map
-      (fun (tb : Tb.t) ->
-        Option.map (fun m -> m.chunks.(0)) (Hashtbl.find_opt t.metas tb.Tb.id))
-      trace
-  in
-  (* a constituent without meta is unfusable *)
-  if List.compare_lengths chunks trace <> 0 then None
-  else
-    match
-      new_tb t cache (Array.of_list chunks)
-        (* shadow verification replays straight-line blocks on the
-           reference interpreter; a multi-path region is not one *)
-        ~shadowable:false ~privileged:head.Tb.privileged ~mmu_on:head.Tb.mmu_on
-        ~guest_insns:(Array.concat (List.map (fun (tb : Tb.t) -> tb.Tb.guest_insns) trace))
-        ~translated_override:None
-        ~region_ids:(Array.of_list (List.map (fun (tb : Tb.t) -> tb.Tb.id) trace))
-    with
-    | exception Tb.Tb_too_complex -> None
-    | _, region ->
-      Tb.Cache.add_region cache region ~members:trace;
-      (* Stale chained jumps into the head would keep bypassing the
-         region; force the next transfer there through dispatch. *)
-      Tb.Cache.unlink_target cache head;
-      let stats = Runtime.stats rt in
-      Stats.charge_tag stats X.Tag_glue
-        (Costs.region_form_per_guest_insn () * region.Tb.guest_len);
-      stats.Stats.regions_formed <- stats.Stats.regions_formed + 1;
-      Some region
 
 (* The engine's [on_hot] hook: select the trace, then fuse. *)
 let form_region t (rt : Runtime.t) cache (head : Tb.t) =
@@ -753,7 +704,29 @@ let form_region t (rt : Runtime.t) cache (head : Tb.t) =
         hm.entry_conv <- None;
         re_emit t head hm
       | _ -> ());
-      fuse_trace t rt cache ~trace:(List.rev !rev_trace)
+      (* Fuse the trace (every constituent has a meta) and install the
+         result; the emitter may still reject it. *)
+      let trace = List.rev !rev_trace in
+      match
+        new_tb t cache
+          (Array.of_list (List.map (fun (tb : Tb.t) -> (Hashtbl.find t.metas tb.Tb.id).chunks.(0)) trace))
+          (* shadow verification replays straight-line blocks on the
+             reference interpreter; a multi-path region is not one *)
+          ~shadowable:false ~privileged:head.Tb.privileged ~mmu_on:head.Tb.mmu_on
+          ~guest_insns:(Array.concat (List.map (fun (tb : Tb.t) -> tb.Tb.guest_insns) trace))
+          ~region_ids:(Array.of_list (List.map (fun (tb : Tb.t) -> tb.Tb.id) trace))
+      with
+      | exception Tb.Tb_too_complex -> None
+      | _, region ->
+        Tb.Cache.add_region cache region ~members:trace;
+        (* Stale chained jumps into the head would keep bypassing the
+           region; force the next transfer there through dispatch. *)
+        Tb.Cache.unlink_target cache head;
+        let stats = Runtime.stats rt in
+        Stats.charge_tag stats X.Tag_glue
+          (Costs.region_form_per_guest_insn () * region.Tb.guest_len);
+        stats.Stats.regions_formed <- stats.Stats.regions_formed + 1;
+        Some region
     end
   end
 
@@ -821,22 +794,16 @@ let on_enter t (rt : Runtime.t) (tb : Tb.t) =
 let stats_rule_covered t = t.rule_covered
 let stats_fallback t = t.fallback
 let blacklist_size t = Hashtbl.length t.blacklist
-let blacklisted t pc = Hashtbl.mem t.blacklist pc
 
 (* ---------- snapshot support ----------
 
    The translator's durable state is small: the PC blacklist, the
    per-PC shadow-sampling counters and three statistics. Per-TB metas
-   ride with the code cache instead. A snapshot captured in this
-   process keeps each live TB's meta as a value ([freeze]) and a
-   restore installs it as it was ([thaw]). A snapshot read from bytes
-   re-translates its records (deterministic given the restored RAM,
-   ruleset health and blacklist: every quarantine/blacklist change
-   flushes the whole cache, so live TBs always postdate the last such
-   change), and [restore_cache_meta] re-applies the link-time elision
-   state the linker had accumulated. [pending] is always [None] at a
-   checkpoint (checkpoints fire at TB boundaries before [on_enter] arms
-   it). *)
+   ride with the code cache instead: a capture keeps each live TB's
+   meta as a value ([freeze]), its bytes carry it whole
+   ([encode_frozen]), and an install puts it back as it was ([thaw]).
+   [pending] is always [None] at a checkpoint (checkpoints fire at TB
+   boundaries before [on_enter] arms it). *)
 
 type saved = {
   s_blacklist : Word32.t list;
@@ -860,14 +827,6 @@ let save_state t =
     s_inter_tb_elisions = t.inter_tb_elisions;
   }
 
-(* The counters live apart from the tables because the cache rebuild
-   itself goes through [build_tb]/[re_emit], which bump them: restore
-   the tables first, rebuild, then pin the counters back. *)
-let restore_counters t s =
-  t.rule_covered <- s.s_rule_covered;
-  t.fallback <- s.s_fallback;
-  t.inter_tb_elisions <- s.s_inter_tb_elisions
-
 let restore_state t s =
   Hashtbl.reset t.blacklist;
   List.iter (fun pc -> Hashtbl.replace t.blacklist pc ()) s.s_blacklist;
@@ -877,7 +836,9 @@ let restore_state t s =
   List.iter (fun (pc, n) -> Hashtbl.replace t.shadow_tries pc n) s.s_shadow_tries;
   t.pending <- None;
   Hashtbl.reset t.metas;
-  restore_counters t s
+  t.rule_covered <- s.s_rule_covered;
+  t.fallback <- s.s_fallback;
+  t.inter_tb_elisions <- s.s_inter_tb_elisions
 
 type frozen = meta
 
@@ -885,8 +846,6 @@ type frozen = meta
    every other field is replaced whole, so a copy of it is a value. *)
 let freeze t (tb : Tb.t) =
   Option.map (fun m -> { m with elide = Array.copy m.elide }) (Hashtbl.find_opt t.metas tb.Tb.id)
-
-let frozen_link_meta (f : frozen) = (f.elide, f.entry_conv)
 
 let unchanged_since t (tb : Tb.t) f =
   match (Hashtbl.find_opt t.metas tb.Tb.id, f) with
@@ -896,17 +855,62 @@ let unchanged_since t (tb : Tb.t) f =
 
 let thaw t (tb : Tb.t) f = Hashtbl.replace t.metas tb.Tb.id { f with elide = Array.copy f.elide }
 
-let restore_cache_meta t (tb : Tb.t) ~elide ~entry_conv =
-  match Hashtbl.find_opt t.metas tb.Tb.id with
-  | None -> ()
-  | Some m ->
-    let dirty = entry_conv <> m.entry_conv || elide <> m.elide in
-    if dirty then begin
-      m.elide <- Array.copy elide;
-      m.entry_conv <- entry_conv;
-      (* Final prog = a pure function of the meta: one re-emission
-         reproduces whatever sequence of link-time re-emissions the
-         original run performed, in any order. The counters the
-         re-emission would perturb are restored afterwards. *)
-      re_emit t tb m
-    end
+let stale t (tb : Tb.t) (f : frozen) =
+  Hashtbl.mem t.blacklist tb.Tb.guest_pc
+  || List.exists (fun (r, _) -> Ruleset.is_quarantined t.ruleset r) f.rules_used
+
+(* Flag conventions by their position here. *)
+let convs = Flagconv.[ None; Some Add_like; Some Sub_like; Some Logic_like; Some Canonical ]
+
+let encode_frozen b (f : frozen) =
+  let open Tbcodec in
+  put_array b
+    (fun b (c : Emitter.chunk) ->
+      put b c.Emitter.pc;
+      put_array b put c.Emitter.origins;
+      put b c.Emitter.hoists)
+    f.chunks;
+  put_array b put_bool f.elide;
+  enc_enum convs b f.entry_conv;
+  put_array b
+    (fun b (e : Emitter.exit_state) ->
+      enc_enum convs b e.Emitter.conv_at_exit;
+      put_bool b e.Emitter.flags_save_in_epilogue)
+    f.exit_states;
+  put_bool b f.first_flag_is_def;
+  put_array b (fun b ((r : Rule.t), defs) -> put b r.Rule.id; put b defs) (Array.of_list f.rules_used);
+  put_bool b f.shadowable
+
+let decode_frozen ~rule ~slots ~guest r =
+  let open Tbcodec in
+  let corrupt s = raise (Repro_snapshot.Snapshot.Corrupt ("cache: " ^ s)) in
+  (* a chunk is its block of [guest], the TB's fetched code, scheduled *)
+  let block = ref 0 in
+  let chunk r =
+    let pc = get r in
+    let origins = get_array r get in
+    let n = Array.length origins in
+    if !block + n > Array.length guest || Array.exists (fun o -> o >= n) origins then
+      corrupt "chunk outside its block";
+    let insns = Array.map (fun o -> guest.(!block + o)) origins in
+    block := !block + n;
+    { Emitter.pc; insns; origins; hoists = get r }
+  in
+  let chunks = get_array r chunk in
+  let elide = get_array r get_bool in
+  let entry_conv = dec_enum convs r in
+  let exit_states =
+    get_array r (fun r ->
+        let conv_at_exit = dec_enum convs r in
+        { Emitter.conv_at_exit; flags_save_in_epilogue = get_bool r })
+  in
+  if Array.length chunks = 0 || !block <> Array.length guest || Array.length elide <> slots
+     || Array.length exit_states <> slots
+  then corrupt "meta shaped for another block";
+  let first_flag_is_def = get_bool r in
+  let rule_used r =
+    let id = get r in
+    match rule id with Some rule -> (rule, get r) | None -> corrupt (Printf.sprintf "unknown rule id %d" id)
+  in
+  let rules_used = Array.to_list (get_array r rule_used) in
+  { chunks; elide; entry_conv; exit_states; first_flag_is_def; rules_used; shadowable = get_bool r }

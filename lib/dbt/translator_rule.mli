@@ -54,12 +54,6 @@ val form_region :
     fusable trace of at least two chunks exists — the TB simply keeps
     running unfused. *)
 
-val fuse_trace :
-  t -> Repro_tcg.Runtime.t -> Repro_tcg.Tb.Cache.t ->
-  trace:Repro_tcg.Tb.t list -> Repro_tcg.Tb.t option
-(** Fuse an already-selected constituent trace (snapshot rebuild
-    replays a recorded one through this). *)
-
 val link_hook :
   t -> pred:Repro_tcg.Tb.t -> slot:int -> succ:Repro_tcg.Tb.t -> unit
 
@@ -89,8 +83,6 @@ val stats_fallback : t -> int
 val blacklist_size : t -> int
 (** Guest PCs permanently routed to the baseline translator. *)
 
-val blacklisted : t -> Word32.t -> bool
-
 (** {2 Snapshot support} *)
 
 type saved = {
@@ -102,20 +94,14 @@ type saved = {
   s_inter_tb_elisions : int;
 }
 (** The translator's durable state (sorted for stable encodings).
-    Per-TB metadata is not part of it: it rides with the code cache, as
-    a {!frozen} value in a snapshot captured in this process, or
-    re-derived by re-translation and {!restore_cache_meta} from
-    bytes. *)
+    Per-TB metadata is not part of it: it rides with the code cache,
+    as {!frozen} values. *)
 
 val save_state : t -> saved
 
 val restore_state : t -> saved -> unit
-(** Install [saved]'s tables, clear per-TB metadata and any pending
-    shadow expectation. Call {e before} rebuilding the code cache
-    (translation consults the blacklist), then {!restore_counters}
-    after it (the rebuild itself bumps the counters). *)
-
-val restore_counters : t -> saved -> unit
+(** Install [saved]'s tables and counters, and clear per-TB metadata
+    and any pending shadow expectation. *)
 
 type frozen
 (** A live TB's translator meta as it stood when {!freeze} took it:
@@ -128,26 +114,29 @@ val freeze : t -> Repro_tcg.Tb.t -> frozen option
 (** [None] for TBs the rule emitter did not produce (baseline
     fallbacks). *)
 
-val frozen_link_meta : frozen -> bool array * Repro_rules.Flagconv.t option
-(** The link-time part of a frozen meta, the part snapshot bytes
-    record. Do not mutate the array. *)
-
 val unchanged_since : t -> Repro_tcg.Tb.t -> frozen option -> bool
 (** The TB's live link-time meta equals the frozen one (and both
     exist or neither does). Every other part of a meta changes only
     with the TB's program. *)
 
 val thaw : t -> Repro_tcg.Tb.t -> frozen -> unit
-(** Install a frozen meta for a TB rebuilt from captured code, as the
+(** Install a frozen meta for a TB installed from captured code, as the
     TB's live meta; nothing is re-emitted. *)
 
-val restore_cache_meta :
-  t ->
-  Repro_tcg.Tb.t ->
-  elide:bool array ->
-  entry_conv:Repro_rules.Flagconv.t option ->
-  unit
-(** Re-apply captured link-time meta to a freshly rebuilt TB,
-    re-emitting its code if it differs from the just-translated
-    default — the rebuilt prog becomes bit-identical to the captured
-    one. *)
+val stale : t -> Repro_tcg.Tb.t -> frozen -> bool
+(** Live health would translate the TB differently: its PC is
+    blacklisted now, or its meta used a rule quarantined now. *)
+
+val encode_frozen : Buffer.t -> frozen -> unit
+(** The whole meta, rules by id, in {!Repro_snapshot.Tbcodec} numbers. *)
+
+val decode_frozen :
+  rule:(int -> Repro_rules.Rule.t option) ->
+  slots:int ->
+  guest:Repro_arm.Insn.t array ->
+  Repro_snapshot.Tbcodec.reader ->
+  frozen
+(** What {!encode_frozen} wrote, for a TB with [slots] exit slots whose
+    guest instructions are [guest] (its chunks are their blocks).
+    Raises {!Repro_snapshot.Snapshot.Corrupt} on an unknown rule id or
+    flag convention, or a meta shaped for another block. *)

@@ -60,14 +60,6 @@ module Tlb = struct
       tlb.(base + 2) <- page_pa entry
     end
 
-  (* Snapshot support: the softMMU array is plain data, so its words
-     are a complete, bit-exact capture of every cached translation and
-     write-protection tag. *)
-  let restore tlb saved =
-    if Array.length saved <> Array.length tlb then
-      invalid_arg "Tlb.restore: size mismatch";
-    Array.blit saved 0 tlb 0 (Array.length tlb)
-
   let clear_write_tag tlb vaddr =
     List.iter
       (fun privileged ->
@@ -92,6 +84,22 @@ let translate_entry bus cpu vaddr ~access ~privileged =
 
 let translate bus cpu vaddr ~access ~privileged =
   page_pa (translate_entry bus cpu vaddr ~access ~privileged) lor (vaddr land (page_size - 1))
+
+(* [walk]'s steps over RAM words alone; [Exit] where the fetch faults. *)
+let peek_fetch bus ~ttbr ~mmu_on ~privileged vaddr =
+  let word a = if Bus.is_ram bus a then Ram.get32 bus.Bus.ram a else raise Exit in
+  let valid e = if e land 1 = 0 then raise Exit else e in
+  match
+    if vaddr land 3 <> 0 then raise Exit;
+    if not mmu_on then word vaddr
+    else
+      let l1 = valid (word ((ttbr land page_mask) + (4 * ((vaddr lsr 22) land 0x3FF)))) in
+      let l2 = valid (word ((l1 land page_mask) + (4 * ((vaddr lsr 12) land 0x3FF)))) in
+      if not (permits l2 ~access:Mem.Fetch ~privileged) then raise Exit;
+      word (page_pa l2 lor (vaddr land (page_size - 1)))
+  with
+  | w -> Some w
+  | exception Exit -> None
 
 (* With an injector armed, a walk result can come back corrupted; the
    corruption is detected (modelled table-entry parity) and the walk is

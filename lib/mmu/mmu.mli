@@ -79,11 +79,6 @@ module Tlb : sig
   (** Drop the write entry for the page of a virtual address in both
       banks (write-protecting translated code so self-modifying stores
       always take the slow path). *)
-
-  val restore : int array -> int array -> unit
-  (** [restore tlb saved] writes a capture of the softMMU words back in
-      place (machine snapshots). Raises [Invalid_argument] on size
-      mismatch. *)
 end
 
 (** {2 Reference-machine memory interface} *)
@@ -102,6 +97,14 @@ val translate :
 (** Pure virtual→physical translation through {!translate_entry};
     performs no access. Used by shadow verification to resolve guest
     addresses without touching devices. Raises {!Repro_arm.Mem.Fault}. *)
+
+val peek_fetch :
+  Repro_machine.Bus.t -> ttbr:Word32.t -> mmu_on:bool -> privileged:bool -> Word32.t ->
+  Word32.t option
+(** The word a fetch at a virtual address would read under the given
+    regime, read from RAM with no side effect (no injector draw, TLB
+    fill, device read or count); [None] where the fetch would fault or
+    read outside RAM. *)
 
 val iface :
   ?inject:Repro_faultinject.Faultinject.t ->

@@ -9,13 +9,12 @@ module Stats = Repro_x86.Stats
 module Cpu = Repro_arm.Cpu
 module Bus = Repro_machine.Bus
 module Devices = Repro_machine.Devices
-module Tlb = Repro_mmu.Mmu.Tlb
 module Fi = Repro_faultinject.Faultinject
 module Pages = Repro_common.Pages
 module Ram = Repro_common.Ram
 
 let magic = "DBTSNAP\x01"
-let format_version = 2
+let format_version = 3
 
 exception Corrupt of string
 exception Load_error of { section : string; reason : string }
@@ -347,11 +346,13 @@ let restore_machine (rt : Rt.t) t =
   let ctx = rt.Rt.ctx in
   (try Cpu.load_words rt.Rt.cpu (dec_ints "cpu" (find t "cpu"))
    with Invalid_argument e -> corrupt "cpu: %s" e);
-  let env = dec_ints "env" (find t "env") in
-  if Array.length env <> Array.length ctx.Exec.env then
-    corrupt "env: %d slots, machine has %d" (Array.length env)
-      (Array.length ctx.Exec.env);
-  Array.blit env 0 ctx.Exec.env 0 (Array.length env);
+  (* [env] and the softMMU [tlb] are plain words, written back whole *)
+  let words name dst =
+    let src = dec_ints name (find t name) in
+    if Array.length src <> Array.length dst then corrupt "%s: %d slots" name (Array.length src);
+    Array.blit src 0 dst 0 (Array.length dst)
+  in
+  words "env" ctx.Exec.env;
   let host = Dec.of_string ~name:"host" (find t "host") in
   let regs = Dec.int_array host in
   if Array.length regs <> Array.length ctx.Exec.regs then
@@ -366,8 +367,7 @@ let restore_machine (rt : Rt.t) t =
   if not (Dec.finished host) then corrupt "host: trailing bytes";
   (try Ram.restore ctx.Exec.ram (ram_pages t)
    with Invalid_argument e -> corrupt "ram: %s" e);
-  (try Tlb.restore ctx.Exec.tlb (dec_ints "tlb" (find t "tlb"))
-   with Invalid_argument e -> corrupt "tlb: %s" e);
+  words "tlb" ctx.Exec.tlb;
   (try Devices.Timer.import rt.Rt.bus.Bus.timer (dec_ints "timer" (find t "timer"))
    with Invalid_argument e -> corrupt "timer: %s" e);
   let uart = Dec.of_string ~name:"uart" (find t "uart") in
@@ -389,5 +389,4 @@ let restore_machine (rt : Rt.t) t =
   rt.Rt.pending_code_write <- false;
   rt.Rt.suppress_code_write <- false;
   rt.Rt.tb_override <- None;
-  rt.Rt.corrupt_override <- None;
   rt.Rt.fault_producers <- [||]

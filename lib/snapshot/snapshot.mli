@@ -5,7 +5,7 @@
 
     {v
       bytes 0..7    magic "DBTSNAP\x01"
-      bytes 8..15   u64 LE format version (currently 2)
+      bytes 8..15   u64 LE format version (currently 3)
       bytes 16..23  u64 LE FNV-1a-32 checksum of the body (low 32 bits)
       bytes 24..    body: u64 section count, then per section a
                     length-prefixed name, a length-prefixed payload,

@@ -20,9 +20,8 @@ type t = {
   mutable suppress_code_write : bool;
   inject : Repro_faultinject.Faultinject.t option;
   mutable fault_producers : (Word32.t * Word32.t array) array;
-  mutable corrupt_override : [ `None | `Rule_corrupt | `Livelock ] option;
   trace : Trace.t option;
-  mutable ledger : Ledger.t option;
+  ledger : Ledger.t option;
   mutable cov_static : Repro_covscope.Static.t option;
   scope : Scope.t option;
 }
@@ -76,7 +75,6 @@ let create ?(ram_kib = 4096) ?inject ?trace ?ledger ?scope () =
       suppress_code_write = false;
       inject;
       fault_producers = [||];
-      corrupt_override = None;
       trace;
       ledger;
       cov_static = None;

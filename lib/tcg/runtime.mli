@@ -36,17 +36,12 @@ type t = {
           by the engine before each TB run: consulted on a guest data
           abort to replay instructions the translator scheduled after
           the faulting access but that architecturally precede it *)
-  mutable corrupt_override : [ `None | `Rule_corrupt | `Livelock ] option;
-      (** snapshot cache rebuild: [Some k] forces the rule translator
-          to apply (or skip, for [`None]) exactly the recorded code
-          corruption instead of drawing from the injector, so the
-          reconstructed TB is bit-identical to the captured one *)
   trace : Repro_observe.Trace.t option;
       (** structured event ring shared by the engine, devices, MMU
           helpers and the rule translator; [None] disables emission
           everywhere (the purely observational path — host-instruction
           counts are bit-identical with tracing on or off) *)
-  mutable ledger : Repro_observe.Ledger.t option;
+  ledger : Repro_observe.Ledger.t option;
       (** coordination ledger: the engine feeds per-TB provenance into
           it at dispatch time and the rule translator records each
           translation's static savings; [None] disables attribution *)
@@ -62,11 +57,8 @@ type t = {
           observational either way) *)
 }
 (** The observers ([trace], [ledger], [cov_static], [scope]) are the
-    one place anything watching a run attaches. [ledger] and
-    [cov_static] are mutable only so that work which re-runs earlier
-    translations (snapshot cache rebuild, depot install waves) can
-    detach them for its duration and never double-count statics —
-    plus, for [cov_static], the initial attach. *)
+    one place anything watching a run attaches. [cov_static] is
+    mutable only for its initial attach. *)
 
 exception Load_error of Word32.t
 (** Raised by {!load_image} (and [Ref_machine.load_image]) when part

@@ -16,7 +16,6 @@ type t = {
   guest_insns : Repro_arm.Insn.t array;
   guest_len : int;
   fault_producers : (Word32.t * Word32.t array) array;
-  translated_override : int option;
   mutable injected : [ `None | `Rule_corrupt | `Livelock ];
   mutable prov : int array;
   mutable hot : int;
@@ -129,8 +128,8 @@ module Cache = struct
     t.by_id <- None;
     register_pages t (tb_pages tb)
 
-  (* Snapshot rebuild inserts a live set that fit the cache when it
-     was captured; the capacity check in [add] would spuriously flush
+  (* Installing captured code inserts a live set that fit the cache
+     when it was captured; the capacity check in [add] would spuriously flush
      when that set is exactly at capacity. *)
   let add_exact t tb =
     Hashtbl.replace t.table (tb.guest_pc, tb.privileged, tb.mmu_on) tb;
@@ -158,8 +157,7 @@ module Cache = struct
 
   (* Install a fused superblock. Never triggers the capacity flush (a
      flush here would drop the constituents the region was just formed
-     from — and, during snapshot rebuild, TBs the recipe still
-     references). Every virtual page a constituent touches is
+     from, or the members an install just put in). Every virtual page a constituent touches is
      registered, so self-modifying stores anywhere in the trace are
      detected. The caller must clear links targeting the head TB so
      the next transfer re-dispatches into the region. *)

@@ -32,15 +32,10 @@ type t = {
           delivering the exception, so the guest observes
           program-order state ([[||]] for translators that do not
           reorder). *)
-  translated_override : int option;
-      (** The {!Runtime.t.tb_override} in effect when this TB was
-          translated (the SMC singleton protocol). Recorded so a
-          snapshot restore can re-translate the live set under the
-          same length cap and obtain bit-identical host code. *)
   mutable injected : [ `None | `Rule_corrupt | `Livelock ];
       (** Which fault-injection corruption (if any) was applied to
-          this TB's emitted code — replayed verbatim on snapshot
-          restore so the rebuilt cache matches the captured one. *)
+          this TB's emitted code: region formation never fuses a
+          corrupted TB. *)
   mutable prov : int array;
       (** Coordination-savings provenance
           ({!Repro_observe.Ledger.prov_len} slots) recorded by the
@@ -83,7 +78,7 @@ module Cache : sig
 
   val find_plain : t -> pc:Word32.t -> privileged:bool -> mmu_on:bool -> tb option
   (** Like {!find} but never returns a region — the constituent-TB
-      view (snapshot rebuild, region formation). *)
+      view (depot install waves). *)
 
   val add : t -> tb -> unit
   (** Insert a TB. When the cache is at capacity this first drops every
@@ -91,8 +86,8 @@ module Cache : sig
       executions because flushed TBs become unreachable. *)
 
   val add_exact : t -> tb -> unit
-  (** Insert without the capacity check — snapshot rebuild only, where
-      the inserted set is known to have fit the captured cache. *)
+  (** Insert without the capacity check — installing captured code,
+      which is known to have fit the captured cache. *)
 
   val add_region : t -> tb -> members:tb list -> unit
   (** Install a fused superblock (keyed by its head PC, preferred by

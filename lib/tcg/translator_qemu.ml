@@ -84,7 +84,6 @@ let emulate_one_tb ?insn (rt : Runtime.t) cache ~pc =
     guest_insns = [||];
     guest_len = 1;
     fault_producers = [||];
-    translated_override = rt.Runtime.tb_override;
     injected = `None;
     prov = [||];
     hot = 0;
@@ -138,7 +137,6 @@ let build (rt : Runtime.t) cache ~pc ~insns =
     guest_insns = Array.of_list insns;
     guest_len = List.length insns;
     fault_producers = [||];
-    translated_override = rt.Runtime.tb_override;
     injected = `None;
     prov = [||];
     hot = 0;

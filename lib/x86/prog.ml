@@ -53,6 +53,10 @@ let finalize b =
   let items = Array.of_list (List.rev b.rev_code) in
   Exec.compile ~code:(Array.map fst items) ~tags:(Array.map snd items)
 
+let of_code ~code ~tags =
+  if Array.length code <> Array.length tags then invalid_arg "Prog.of_code: length mismatch";
+  Exec.compile ~code ~tags
+
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   Array.iteri

@@ -35,6 +35,10 @@ val finalize : builder -> t
 (** The emitted instructions as a program, compiled by {!Exec.compile}.
     A program is never modified: to change one, emit a new one. *)
 
+val of_code : code:Insn.t array -> tags:Insn.tag array -> t
+(** Instructions emitted once before (a code cache read back from
+    bytes), compiled as {!finalize} compiles. *)
+
 val pp : Format.formatter -> t -> unit
 val static_count : t -> int
 (** Countable (non-pseudo) instructions in the program. *)

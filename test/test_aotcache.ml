@@ -111,7 +111,7 @@ let test_section_blame () =
   let good = Depot.to_string depot in
   let snap = Snapshot.of_string good in
   Alcotest.(check (list string)) "the container lists the depot's sections"
-    [ "generation"; "compat"; "rules"; "cache"; "srcsum"; "health"; "quarantine" ]
+    [ "generation"; "compat"; "rules"; "cache"; "health"; "quarantine" ]
     (Snapshot.names snap);
   (* Each section is framed as a name, a payload (both length-prefixed)
      and a checksum, after the 24-byte header and the section count. *)
@@ -332,8 +332,7 @@ let variant ?mode:m ?digest ?hot depot =
     }
   in
   Depot.create ~compat:c ~rules:(Depot.rules depot)
-    ~cache:(Depot.cache_payload depot) ~srcsum:(Depot.srcsum depot)
-    ~health:(Depot.health depot)
+    ~cache:(Depot.cache_payload depot) ~health:(Depot.health depot)
 
 let test_compat_rejection () =
   let image, cold_outcome, _, depot = Lazy.force cold_ctx in
@@ -639,20 +638,43 @@ let test_rule_writeback () =
 
 (* ---- the chain graph is validated at decode ------------------------ *)
 
-(* A cache section of one plain recipe whose single link slot targets
-   [target]; the combined index space has one entry, so only -1 and 0
-   are valid targets. *)
+(* A one-instruction TB at [pc] with one exit slot: the smallest block
+   the cache codec carries. *)
+let tiny_tb ~pc =
+  {
+    T.Tb.id = 1;
+    guest_pc = pc;
+    privileged = true;
+    mmu_on = false;
+    prog =
+      Repro_x86.Prog.of_code
+        ~code:[| Repro_x86.Insn.Exit { slot = 0 } |]
+        ~tags:[| Repro_x86.Insn.Tag_glue |];
+    exits = [| T.Tb.Indirect |];
+    links = [||];
+    guest_insns = [||];
+    guest_len = 1;
+    fault_producers = [||];
+    injected = `None;
+    prov = [||];
+    hot = 0;
+    region_ids = [||];
+  }
+
+(* A cache section of one plain entry, the tiny TB, whose single link
+   slot targets [target]; the combined index space has one entry, so
+   only -1 and 0 are valid targets. *)
 let one_recipe_cache ~pc ~target =
-  let b = Snapshot.Enc.create () in
-  let int = Snapshot.Enc.int b and bool = Snapshot.Enc.bool b in
-  int 1 (* one plain record: *);
-  List.iter int [ 1; pc ] (* id, guest PC *);
-  List.iter bool [ true; false ] (* privileged, MMU off *);
-  List.iter int [ -1; 0; 0 ] (* no override, no injection, hot 0 *);
-  bool false (* no meta *);
-  List.iter int [ 1; target ] (* its one link slot *);
-  int 0 (* no regions *);
-  Snapshot.Enc.contents b
+  let module C = Repro_snapshot.Tbcodec in
+  let b = Buffer.create 64 in
+  C.put b 1 (* one plain entry: *);
+  C.enc_tb b (tiny_tb ~pc);
+  C.put b 0 (* hot *);
+  C.put_array b C.put_int [| target |] (* its one link slot *);
+  C.put b 0 (* no members *);
+  C.put_bool b false (* no meta *);
+  C.put b 0 (* no regions *);
+  Buffer.contents b
 
 let test_link_targets_validated () =
   let image, _, _, depot = Lazy.force cold_ctx in
@@ -675,7 +697,7 @@ let test_link_targets_validated () =
       | exception Snapshot.Corrupt _ -> ());
       let forged =
         Depot.create ~compat:(Depot.compat depot) ~rules:(Depot.rules depot) ~cache
-          ~srcsum:[| 0 |] ~health:(Depot.health depot)
+          ~health:(Depot.health depot)
       in
       let cache_error f =
         match f () with
@@ -786,6 +808,240 @@ let test_installed_code_equals_captured () =
         D.System.modes)
     [ "gcc"; "hmmer" ]
 
+(* ---- the code codec round-trips every program ---------------------- *)
+
+module X = Repro_x86.Insn
+module Tbcodec = Repro_snapshot.Tbcodec
+
+(* [tb] through its byte form and back, with the meta [sys]'s translator
+   holds for it: the program digest (printed code, tags, exits,
+   provenance, region ids), the code and tags themselves, the fault
+   producers, the guest code and the other record fields come back
+   equal, and the meta is the same value (compared as "installed code
+   equals captured code" compares it). *)
+let round_trip what (sys : D.System.t) (tb : T.Tb.t) =
+  let meta = Option.bind sys.D.System.rule_translator (fun tr -> D.Translator_rule.freeze tr tb) in
+  let b = Buffer.create 256 in
+  Tbcodec.enc_tb b tb;
+  Option.iter (D.Translator_rule.encode_frozen b) meta;
+  let d = Tbcodec.reader (Buffer.contents b) in
+  let back = { (Tbcodec.dec_tb d) with T.Tb.region_ids = tb.T.Tb.region_ids } in
+  let meta_back =
+    Option.map
+      (fun _ ->
+        let rules = R.Ruleset.rules (Option.get sys.D.System.ruleset) in
+        D.Translator_rule.decode_frozen ~slots:(Array.length back.T.Tb.exits)
+          ~guest:back.T.Tb.guest_insns d
+          ~rule:(fun id -> List.find_opt (fun (r : R.Rule.t) -> r.R.Rule.id = id) rules))
+      meta
+  in
+  Alcotest.(check bool) (what ^ ": every byte read") true (Tbcodec.finished d);
+  let marshal m = Digest.to_hex (Digest.string (Marshal.to_string m [ Marshal.No_sharing ])) in
+  Alcotest.(check string) (what ^ ": meta") (marshal meta) (marshal meta_back);
+  Alcotest.(check string) (what ^ ": program digest") (Test_emitter.program_digest tb)
+    (Test_emitter.program_digest back);
+  let fields (tb : T.Tb.t) =
+    ( (tb.T.Tb.id, tb.T.Tb.guest_pc, tb.T.Tb.privileged, tb.T.Tb.mmu_on, tb.T.Tb.guest_len),
+      (tb.T.Tb.prog.Repro_x86.Prog.code, tb.T.Tb.prog.Repro_x86.Prog.tags),
+      (tb.T.Tb.fault_producers, tb.T.Tb.guest_insns, tb.T.Tb.injected) )
+  in
+  Alcotest.(check bool) (what ^ ": code, tags, fault producers, guest code, fields") true
+    (fields back = fields tb)
+
+(* Every constructor of the host instruction set, and every operand,
+   memory and counter form, in one program. *)
+let every_insn_form =
+  let m ?base ?index ?(scale = 1) seg disp = { X.seg; base; index; scale; disp } in
+  let mems =
+    [
+      m X.Env 8;
+      m ~base:X.rbx X.Ram (-4);
+      m ~base:X.rsi ~index:X.rcx ~scale:4 X.Tlb 12;
+      m ~index:X.r15 ~scale:8 X.Ram 0x7fff_ffff;
+    ]
+  in
+  let operands = [ X.Reg X.r15; X.Imm (-1); X.Imm 0xFFFF_FFFF ] @ List.map (fun m -> X.Mem m) mems in
+  let ccs = X.[ E; NE; B; AE; S; NS; O; NO; A; BE; GE; L; G; LE ] in
+  List.concat
+    [
+      [ X.Label 0; X.Label 1_000_000 ];
+      List.concat_map
+        (fun width -> List.map (fun dst -> X.Mov { width; dst; src = X.Imm 7 }) operands)
+        [ X.W8; X.W16; X.W32 ];
+      List.map (fun src -> X.Mov { width = X.W32; dst = X.Reg X.rax; src }) operands;
+      List.concat_map
+        (fun src ->
+          [
+            X.Movzx8 { dst = X.rcx; src };
+            X.Movzx16 { dst = X.rdx; src };
+            X.Movsx8 { dst = X.rbx; src };
+            X.Movsx16 { dst = X.rsp; src };
+            X.Imul { dst = X.rbp; src };
+            X.Cmovcc { cc = X.LE; dst = X.r8; src };
+            X.Neg src;
+            X.Not src;
+          ])
+        operands;
+      List.map (fun addr -> X.Lea { dst = X.rdi; addr }) mems;
+      List.map
+        (fun op -> X.Alu { op; dst = X.Mem (m X.Env 0); src = X.Reg X.r11 })
+        X.[ Add; Adc; Sub; Sbb; And; Or; Xor; Cmp; Test ];
+      List.concat_map
+        (fun op ->
+          [
+            X.Shift { op; dst = X.Reg X.rax; amount = X.Sh_imm 31 };
+            X.Shift { op; dst = X.Mem (m X.Env 4); amount = X.Sh_cl };
+          ])
+        X.[ Shl; Shr; Sar; Ror ];
+      List.concat_map (fun cc -> [ X.Setcc { cc; dst = X.r12 }; X.Jcc { cc; target = 1 } ]) ccs;
+      [ X.Jmp 0; X.Savef X.r9; X.Loadf X.r10; X.Call_helper { id = 17 }; X.Exit { slot = 0 } ];
+      List.map
+        (fun c -> X.Count c)
+        X.[ Cnt_guest_insn 0x1234_5678; Cnt_sync_op; Cnt_mmu_access; Cnt_irq_poll ];
+      [ X.Exit { slot = 3 } ];
+    ]
+
+let test_codec_round_trip () =
+  let code = Array.of_list every_insn_form in
+  let tags = Array.mapi (fun i _ -> List.nth X.all_tags (i mod List.length X.all_tags)) code in
+  let guest =
+    Array.map
+      (fun w -> Result.get_ok (Repro_arm.Encode.decode w))
+      [| mov_r0 0; mov_r0 1; mov_r0 0xff |]
+  in
+  let synthetic =
+    {
+      T.Tb.id = 41;
+      guest_pc = 0x8000;
+      privileged = false;
+      mmu_on = true;
+      prog = Repro_x86.Prog.of_code ~code ~tags;
+      exits = [| T.Tb.Direct 0x8010; T.Tb.Indirect; T.Tb.Direct 0xFFFF_FFFC; T.Tb.Irq_deliver |];
+      links = [||];
+      guest_insns = guest;
+      guest_len = Array.length guest;
+      fault_producers = [| (0x8008, [| 0x8000; 0x8004 |]) |];
+      injected = `Livelock;
+      prov = [| 1; 2; 3 |];
+      hot = 0;
+      region_ids = [||];
+    }
+  in
+  round_trip "every instruction form" (D.System.create D.System.Qemu) synthetic;
+  (* every program the pinned-code harness records *)
+  List.iter
+    (fun bench ->
+      List.iter
+        (fun (name, mode) ->
+          let k = ref 0 in
+          ignore
+            (Test_emitter.emitted_code_digest bench mode ~on_program:(fun sys tb ->
+                 incr k;
+                 round_trip (Printf.sprintf "%s/%s program %d" bench name !k) sys tb)))
+        D.System.modes)
+    [ "gcc"; "hmmer" ]
+
+(* ---- forged code sections fail typed ------------------------------- *)
+
+(* Hand-built code sections, each damaged in one way a decoder must
+   bound: a count, a constructor tag, an index, a rule id, the framing.
+   Restoring one raises [Snapshot.Corrupt]; installing or checking one
+   in a depot raises [Depot_error] against ["cache"]; nothing else
+   escapes. *)
+(* Numbers as the code codec writes them. *)
+let nums l =
+  let b = Buffer.create 16 in
+  List.iter (Tbcodec.put b) l;
+  Buffer.contents b
+
+(* A glue-tagged instruction with constructor [ctor] and one field, 0:
+   [Exit { slot = 0 }] for constructor 6. *)
+let insn ctor = nums [ (ctor * 8) + 4; 0 ]
+
+(* The tiny TB's bytes: a program of [code] ([n] its claimed length),
+   one exit slot (indirect, -1 zigzagged to 1), the guest words
+   [guest]. *)
+let tb_bytes ?(code = [ insn 6 ]) ?n ?(guest = []) ~pc () =
+  nums [ 1; pc; 1; 0; Option.value n ~default:(List.length code) ]
+  ^ String.concat "" code
+  ^ nums ([ 1; 1; List.length guest ] @ guest @ [ 1; 0; 0; 0 ])
+
+(* A meta for a one-slot TB whose one chunk is its one guest
+   instruction and which used rule [rule]. *)
+let meta_bytes ~pc ~rule = nums [ 1; pc; 1; 0; 0; 1; 0; 0; 1; 0; 0; 0; 1; rule; 0; 0 ]
+
+(* A cache entry: hotness 0, one link slot (zigzagged), [members], [meta]. *)
+let entry ?(link = -1) ?(members = []) ?meta tb =
+  let l = Buffer.create 8 in
+  Tbcodec.put_int l link;
+  tb ^ nums [ 0; 1 ] ^ Buffer.contents l
+  ^ nums ((List.length members :: members) @ [ (if meta = None then 0 else 1) ])
+  ^ Option.value meta ~default:""
+
+let section plain regions =
+  nums [ List.length plain ] ^ String.concat "" plain ^ nums [ List.length regions ]
+  ^ String.concat "" regions
+
+let test_forged_code_sections () =
+  let image, _, _, depot = Lazy.force cold_ctx in
+  let sys = make_sys mode image in
+  ignore (D.System.run ~max_guest_insns:5_000 sys);
+  let snap = D.System.snapshot sys in
+  let pc = K.kernel_base in
+  let tb = tb_bytes ~pc () in
+  let real_rule = (List.hd (R.Ruleset.rules (Option.get sys.D.System.ruleset))).R.Rule.id in
+  let ruled = tb_bytes ~guest:[ mov_r0 0 ] ~pc () in
+  let good = section [ entry ruled ~meta:(meta_bytes ~pc ~rule:real_rule) ] [] in
+  let old_format =
+    let b = Snapshot.Enc.create () in
+    List.iter (Snapshot.Enc.int b) [ 1; 1; pc; 1; 0; -1; 0; 0; 0; 1; -1; 0 ];
+    Snapshot.Enc.contents b (* one record in the recipe layout *)
+  in
+  let forgeries =
+    [
+      ("a negative entry count", String.make 8 '\xff' ^ "\x7f" ^ nums [ 0 ]);
+      ("an oversized entry count", nums [ 1 lsl 40; 0 ]);
+      ("a negative link count", section [ tb ^ nums [ 0 ] ^ String.make 8 '\xff' ^ "\x7f" ] []);
+      ("an oversized program length", section [ entry (tb_bytes ~n:(1 lsl 40) ~pc ()) ] []);
+      ("an unknown constructor tag", section [ entry (tb_bytes ~code:[ insn 31 ] ~pc ()) ] []);
+      ("an out-of-range link", section [ entry ~link:2 tb ] []);
+      ("an out-of-range region member", section [ entry tb ] [ entry ~members:[ 0; 5 ] tb ]);
+      ("an unknown rule id", section [ entry ruled ~meta:(meta_bytes ~pc ~rule:99_999) ] []);
+      ("trailing bytes", good ^ nums [ 0 ]);
+      ("an old-format payload", old_format);
+    ]
+  in
+  let with_cache cache =
+    let forged = Snapshot.create () in
+    List.iter
+      (fun name ->
+        Snapshot.add forged name (if name = "cache" then cache else Snapshot.find snap name))
+      (Snapshot.names snap);
+    forged
+  in
+  (* the hand-built layout is the real one: the undamaged section loads *)
+  D.System.restore (make_sys mode image) (with_cache good);
+  List.iter
+    (fun (what, cache) ->
+      (match D.System.restore (make_sys mode image) (with_cache cache) with
+      | () -> Alcotest.failf "a snapshot with %s restored" what
+      | exception Snapshot.Corrupt _ -> ()
+      | exception e -> Alcotest.failf "%s: restore raised %s" what (Printexc.to_string e));
+      let forged =
+        Depot.create ~compat:(Depot.compat depot) ~rules:(Depot.rules depot) ~cache
+          ~health:(Depot.health depot)
+      in
+      let cache_error how f =
+        match f () with
+        | _ -> Alcotest.failf "%s: a depot with %s was accepted" how what
+        | exception Depot.Depot_error { section; _ } ->
+          Alcotest.(check string) (Printf.sprintf "%s: %s blames the cache" how what) "cache" section
+        | exception e -> Alcotest.failf "%s: %s raised %s" how what (Printexc.to_string e)
+      in
+      cache_error "depot_check" (fun () -> D.System.depot_check forged);
+      cache_error "depot_install" (fun () -> D.System.depot_install (make_sys mode image) forged))
+    forgeries
+
 let suite =
   [
     ( "aotcache",
@@ -819,5 +1075,9 @@ let suite =
           test_link_targets_validated;
         Alcotest.test_case "installed code equals captured code" `Quick
           test_installed_code_equals_captured;
+        Alcotest.test_case "the code codec round-trips every program" `Quick
+          test_codec_round_trip;
+        Alcotest.test_case "forged code sections fail typed" `Quick
+          test_forged_code_sections;
       ] );
   ]

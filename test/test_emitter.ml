@@ -279,7 +279,7 @@ let program_digest (tb : Repro_tcg.Tb.t) =
            [ Marshal.No_sharing ];
        ])
 
-let emitted_code_digest bench mode =
+let emitted_code_digest ?(on_program = fun _ _ -> ()) bench mode =
   let module T = Repro_tcg in
   let module R = D.Translator_rule in
   let module K = Repro_kernel.Kernel in
@@ -292,6 +292,7 @@ let emitted_code_digest bench mode =
   let rt = sys.D.System.rt and cache = sys.D.System.cache in
   let acc = Buffer.create 4096 and n = ref 0 in
   let note (tb : T.Tb.t) =
+    on_program sys tb;
     incr n;
     Buffer.add_string acc (program_digest tb)
   in

@@ -192,13 +192,15 @@ let test_region_restore () =
     (Stats.to_array (D.System.stats full))
     (Stats.to_array (D.System.stats thawed))
 
-(* ---- restore under a grown blacklist -------------------------------
+(* ---- restore under grown health -----------------------------------
 
-   A machine can blacklist a PC after a snapshot was taken, and restore
-   merges the live blacklist before it rebuilds. Live formation never
-   fuses across a blacklisted PC, so the rebuild skips a region with a
-   blacklisted member: its members are installed, links into it stay
-   empty, and the guest still computes the reference answer. *)
+   A machine can blacklist a PC or quarantine a rule after a snapshot
+   was taken, and restore merges the live health in before it installs
+   the captured code. Nothing is translated: an entry the grown health
+   would translate differently is dropped, with every region over it,
+   and the engine translates it again on demand. Every other entry
+   keeps its captured id and program, and the guest still computes the
+   reference answer, from the in-memory snapshot and from its bytes. *)
 let test_region_restore_grown_blacklist () =
   let mode = D.System.Rules D.Opt.with_regions in
   let image = kernel_image () in
@@ -210,35 +212,78 @@ let test_region_restore_grown_blacklist () =
   | _ -> Alcotest.fail "interrupted run should hit its budget");
   let snap = D.System.snapshot sys in
   let cache = sys.D.System.cache in
+  let plain = T.Tb.Cache.to_list cache and regions = T.Tb.Cache.regions_list cache in
   let region =
-    match T.Tb.Cache.regions_list cache with
+    match regions with
     | r :: _ -> r
     | [] -> Alcotest.fail "the snapshot should hold a live region"
   in
-  let member =
-    List.find
-      (fun (tb : T.Tb.t) -> tb.T.Tb.id = region.T.Tb.region_ids.(1))
-      (T.Tb.Cache.to_list cache)
+  let by_id id = List.find (fun (tb : T.Tb.t) -> tb.T.Tb.id = id) plain in
+  let member = by_id region.T.Tb.region_ids.(1) in
+  let tr = Option.get sys.D.System.rule_translator in
+  let view = List.map (fun (tb : T.Tb.t) -> (tb.T.Tb.id, Test_emitter.program_digest tb)) in
+  (* Restore into a fresh machine that [demote] demoted first; [gone]
+     names the captured plain TBs the grown health must drop. *)
+  let restore_demoted what ~demote ~gone =
+    let dropped (tb : T.Tb.t) =
+      if T.Tb.is_region tb then Array.exists (fun id -> gone (by_id id)) tb.T.Tb.region_ids
+      else gone tb
+    in
+    let kept = List.filter (fun tb -> not (dropped tb)) (plain @ regions) in
+    Alcotest.(check bool) (what ^ ": the region over a demoted member goes") true
+      (dropped region && List.length kept > 1);
+    List.iter
+      (fun (from, snap) ->
+        let what = Printf.sprintf "%s, from %s" what from in
+        let m = make_sys mode image in
+        demote m;
+        D.System.restore m snap;
+        let live = T.Tb.Cache.to_list m.D.System.cache @ T.Tb.Cache.regions_list m.D.System.cache in
+        Alcotest.(check (list (pair int string)))
+          (what ^ ": every other entry keeps its captured id and program")
+          (view kept) (view live);
+        let res = D.System.run ~max_guest_insns:2_975_000 m in
+        Alcotest.(check int) (what ^ ": reference halt code") ref_code (halt_code res);
+        Alcotest.(check string) (what ^ ": reference uart") (D.System.uart_output reference)
+          (D.System.uart_output m))
+      [ ("memory", snap); ("bytes", Snapshot.of_string (Snapshot.to_string snap)) ]
   in
   let pc = member.T.Tb.guest_pc in
-  let tr = Option.get sys.D.System.rule_translator in
-  let saved = D.Translator_rule.save_state tr in
-  D.Translator_rule.restore_state tr
-    { saved with D.Translator_rule.s_blacklist = pc :: saved.D.Translator_rule.s_blacklist };
-  D.System.restore sys snap;
-  (* restore pins TB ids, so the captured ids name the restored TBs *)
-  Alcotest.(check bool) "no live region fuses across the blacklisted PC" false
-    (List.exists
-       (fun (rg : T.Tb.t) -> Array.mem member.T.Tb.id rg.T.Tb.region_ids)
-       (T.Tb.Cache.regions_list cache));
-  Alcotest.(check bool) "the skipped region's members are installed" true
-    (Array.for_all
-       (fun id -> List.exists (fun (tb : T.Tb.t) -> tb.T.Tb.id = id) (T.Tb.Cache.to_list cache))
-       region.T.Tb.region_ids);
-  let res = D.System.run ~max_guest_insns:2_975_000 sys in
-  Alcotest.(check int) "reference halt code" ref_code (halt_code res);
-  Alcotest.(check string) "reference uart" (D.System.uart_output reference)
-    (D.System.uart_output sys)
+  restore_demoted "a PC blacklisted since"
+    ~demote:(fun m ->
+      let tr = Option.get m.D.System.rule_translator in
+      let saved = D.Translator_rule.save_state tr in
+      D.Translator_rule.restore_state tr
+        { saved with D.Translator_rule.s_blacklist = pc :: saved.D.Translator_rule.s_blacklist })
+    ~gone:(fun tb -> tb.T.Tb.guest_pc = pc);
+  (* a rule the region's second member used, quarantined since: the
+     first rule whose quarantine makes that member stale *)
+  let probe = make_sys mode image in
+  let stale_under id =
+    Repro_rules.Ruleset.restore_health (Option.get probe.D.System.ruleset) ~strikes:[]
+      ~quarantined:[ id ];
+    let ptr = Option.get probe.D.System.rule_translator in
+    fun (tb : T.Tb.t) ->
+      match D.Translator_rule.freeze tr tb with
+      | Some f -> D.Translator_rule.stale ptr tb f
+      | None -> false
+  in
+  let rule =
+    match
+      List.find_opt
+        (fun id -> stale_under id member)
+        (List.map
+           (fun (r : Repro_rules.Rule.t) -> r.Repro_rules.Rule.id)
+           (Repro_rules.Ruleset.rules (Option.get sys.D.System.ruleset)))
+    with
+    | Some id -> id
+    | None -> Alcotest.fail "the region's second member uses no rule"
+  in
+  restore_demoted
+    (Printf.sprintf "rule %d quarantined since" rule)
+    ~demote:(fun m ->
+      ignore (Repro_rules.Ruleset.quarantine_by_id (Option.get m.D.System.ruleset) rule))
+    ~gone:(stale_under rule)
 
 (* ---- watchdog rollback bends the perfscope partition ---------------
 
