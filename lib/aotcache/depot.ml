@@ -1,4 +1,6 @@
 module Snapshot = Repro_snapshot.Snapshot
+module Enc = Snapshot.Enc
+module Dec = Snapshot.Dec
 module Fi = Repro_faultinject.Faultinject
 module Atomicio = Repro_common.Atomicio
 
@@ -52,21 +54,16 @@ let ruleset_digest = Repro_rules.Serialize.digest
 
 let to_string t =
   let c = Snapshot.create () in
-  let add name encode =
-    let b = Snapshot.Enc.create () in
-    encode b;
-    Snapshot.add c name (Snapshot.Enc.contents b)
-  in
-  add "generation" (fun b -> Snapshot.Enc.int b t.generation);
+  let add name encode = Snapshot.add c name (Enc.encode encode) in
+  add "generation" (fun b -> Enc.nat b t.generation);
   add "compat" (fun b ->
-      Snapshot.Enc.string b t.compat.c_mode;
-      Snapshot.Enc.int b t.compat.c_rules_digest;
-      Snapshot.Enc.int b t.compat.c_hot_threshold);
+      Enc.string b t.compat.c_mode;
+      Enc.int b t.compat.c_rules_digest;
+      Enc.int b t.compat.c_hot_threshold);
   Snapshot.add c "rules" t.rules;
   Snapshot.add c "cache" t.cache;
   Snapshot.add c "health" t.health;
-  add "quarantine" (fun b ->
-      Snapshot.Enc.int_array b (Array.of_list t.quarantined));
+  add "quarantine" (fun b -> Enc.list b Enc.int t.quarantined);
   Snapshot.to_string c
 
 let of_string s =
@@ -76,29 +73,22 @@ let of_string s =
       raise (Depot_error { section; reason })
   in
   let find name = guard name (fun () -> Snapshot.find c name) in
-  let decode name f =
-    guard name @@ fun () ->
-    let d = Snapshot.Dec.of_string ~name (find name) in
-    let v = f d in
-    if not (Snapshot.Dec.finished d) then err name "trailing bytes";
-    v
-  in
-  let generation = decode "generation" Snapshot.Dec.int in
-  if generation < 0 then err "generation" "negative generation";
+  let decode name f = guard name (fun () -> Snapshot.decode c name f) in
+  let generation = decode "generation" Dec.nat in
   let compat =
     decode "compat" @@ fun d ->
-    let c_mode = Snapshot.Dec.string d in
-    let c_rules_digest = Snapshot.Dec.int d in
-    { c_mode; c_rules_digest; c_hot_threshold = Snapshot.Dec.int d }
+    let c_mode = Dec.string d in
+    let c_rules_digest = Dec.int d in
+    { c_mode; c_rules_digest; c_hot_threshold = Dec.int d }
   in
-  let quarantined = decode "quarantine" Snapshot.Dec.int_array in
+  let quarantined = decode "quarantine" (fun d -> Dec.list d Dec.int) in
   {
     generation;
     compat;
     rules = find "rules";
     cache = find "cache";
     health = find "health";
-    quarantined = List.sort_uniq compare (Array.to_list quarantined);
+    quarantined = List.sort_uniq compare quarantined;
   }
 
 (* ---- the directory: manifest-committed generations ---- *)
@@ -195,7 +185,7 @@ let save ?inject ~dir t =
          m_generation = t.generation;
          m_blob = name;
          m_bytes = String.length blob;
-         m_checksum = Snapshot.fnv1a32 blob;
+         m_checksum = Snapshot.header_checksum blob;
        });
   (* Older generations (and orphans from crashed saves) are garbage
      once the manifest moved on. Removal is best-effort: a leftover
@@ -241,11 +231,12 @@ let load ?inject dir =
   if String.length raw <> m.m_bytes then
     err "blob" "manifest promises %d bytes, %s has %d" m.m_bytes m.m_blob
       (String.length raw);
-  let actual = Snapshot.fnv1a32 raw in
-  if actual <> m.m_checksum then
-    err "blob" "blob checksum mismatch (manifest %#x, computed %#x)"
-      m.m_checksum actual;
   let t = of_string raw in
+  (* Parsing checked every byte after the header against the header's
+     checksum, so comparing that with the manifest's folds nothing. *)
+  let stored = Snapshot.header_checksum raw in
+  if stored <> m.m_checksum then
+    err "blob" "blob checksum mismatch (manifest %#x, header %#x)" m.m_checksum stored;
   if t.generation <> m.m_generation then
     err "manifest" "generation skew (manifest %d, blob %d)" m.m_generation
       t.generation;

@@ -13,13 +13,13 @@
 
     and every update is crash-atomic: the new blob is written first
     (temp + fsync + rename via {!Repro_common.Atomicio}), then the
-    manifest — which names the blob, its byte count and its whole-blob
-    FNV checksum — commits the new generation with a second atomic
-    rename. A crash between the two leaves an orphaned blob the loader
-    never looks at; the previous generation stays live.
+    manifest — which names the blob, its byte count and the framing
+    checksum its header stores — commits the new generation with a
+    second atomic rename. A crash between the two leaves an orphaned
+    blob the loader never looks at; the previous generation stays live.
 
     A blob is a {!Repro_snapshot.Snapshot} container: the same magic,
-    version, section framing, per-section and whole-body checksums,
+    version, section framing, per-section and framing checksums,
     and the same {!Repro_snapshot.Snapshot.of_string} parses it. Its
     sections, in order: ["generation"] (the commit generation, one
     int), ["compat"] (the {!compat} key), ["rules"] (the serialized
@@ -100,7 +100,7 @@ val ruleset_digest : Repro_rules.Ruleset.t -> int
 val to_string : t -> string
 val of_string : string -> t
 (** Parse the container ({!Repro_snapshot.Snapshot.of_string}: magic,
-    version, every per-section checksum, then the whole-body checksum)
+    version, every per-section checksum, then the framing checksum)
     and decode the sections. Raises {!Depot_error} (and nothing else)
     on any failure, naming the section the container blamed. *)
 

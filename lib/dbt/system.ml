@@ -13,6 +13,8 @@ module Flagconv = Repro_rules.Flagconv
 module Snapshot = Repro_snapshot.Snapshot
 module Journal = Repro_snapshot.Journal
 module Tbcodec = Repro_snapshot.Tbcodec
+module Enc = Snapshot.Enc
+module Dec = Snapshot.Dec
 module Depot = Repro_aotcache.Depot
 module Trace = Repro_observe.Trace
 module Scope = Repro_perfscope.Scope
@@ -291,22 +293,21 @@ let freeze_code t prev =
    the TB's byte form ({!Tbcodec}), hotness, links, constituents and
    translator meta. Read back, they are the captured value. *)
 let encode_code code =
-  let b = Buffer.create 4096 in
+  Enc.encode @@ fun b ->
   let entries base a =
-    Tbcodec.put b (Array.length a);
+    Enc.nat b (Array.length a);
     Array.iteri
       (fun k f ->
         Tbcodec.enc_tb b f.f_tb;
-        Tbcodec.put b code.c_hot.(base + k);
-        Tbcodec.put_array b Tbcodec.put_int f.f_links;
-        Tbcodec.put_array b Tbcodec.put f.f_members;
-        Tbcodec.put_bool b (Option.is_some f.f_meta);
+        Enc.nat b code.c_hot.(base + k);
+        Enc.array b Enc.int f.f_links;
+        Enc.array b Enc.nat f.f_members;
+        Enc.bool b (Option.is_some f.f_meta);
         Option.iter (Translator_rule.encode_frozen b) f.f_meta)
       a
   in
   entries 0 code.c_tbs;
-  entries (Array.length code.c_tbs) code.c_regions;
-  Buffer.contents b
+  entries (Array.length code.c_tbs) code.c_regions
 
 let rule_lookup rs id =
   List.find_opt (fun (r : Repro_rules.Rule.t) -> r.Repro_rules.Rule.id = id) (Ruleset.rules rs)
@@ -316,15 +317,14 @@ let rule_lookup rs id =
 let decode_code ~rule payload =
   let corrupt s = raise (Snapshot.Corrupt ("cache: " ^ s)) in
   try
-    let r = Tbcodec.reader payload in
     let entry r =
       let tb = Tbcodec.dec_tb r in
-      let hot = Tbcodec.get r in
-      let f_links = Tbcodec.get_array r Tbcodec.get_int in
-      let f_members = Tbcodec.get_array r Tbcodec.get in
+      let hot = Dec.nat r in
+      let f_links = Dec.array r Dec.int in
+      let f_members = Dec.array r Dec.nat in
       let slots = Array.length tb.Tb.exits in
       let f_meta =
-        match (Tbcodec.get_bool r, rule) with
+        match (Dec.bool r, rule) with
         | false, _ -> None
         | true, Some rule ->
           Some (Translator_rule.decode_frozen ~rule ~slots ~guest:tb.Tb.guest_insns r)
@@ -332,9 +332,8 @@ let decode_code ~rule payload =
       in
       (hot, { f_tb = tb; f_links; f_members; f_meta })
     in
-    let plain = Tbcodec.get_array r entry in
-    let regions = Tbcodec.get_array r entry in
-    if not (Tbcodec.finished r) then corrupt "trailing bytes";
+    let entries r = Dec.array r entry in
+    let plain, regions = Dec.whole ~name:"cache" payload (Dec.pair entries entries) in
     let n = Array.length plain and all = Array.append plain regions in
     (* a link per exit, within the entries; a region over two or more plain ones *)
     let valid k (_, f) =
@@ -349,34 +348,45 @@ let decode_code ~rule payload =
     { c_tbs = Array.map snd plain; c_regions = Array.map snd regions; c_hot = Array.map fst all }
   with Invalid_argument e -> corrupt e
 
+(* Ruleset health: the PC blacklist, per-rule strikes and quarantined
+   rules. It is the whole of a depot's health section and the start of
+   a snapshot's translator section. *)
+let health saved rs =
+  let strikes, quarantined = Ruleset.export_health rs in
+  (saved.Translator_rule.s_blacklist, strikes, quarantined)
+
+let enc_health b (blacklist, strikes, quarantined) =
+  Enc.list b Enc.int blacklist;
+  Enc.list b (Enc.pair Enc.int Enc.int) strikes;
+  Enc.list b Enc.int quarantined
+
+let dec_health d =
+  let blacklist = Dec.list d Dec.int in
+  let strikes = Dec.list d (Dec.pair Dec.int Dec.int) in
+  (blacklist, strikes, Dec.list d Dec.int)
+
+(* The health, then shadow-verification progress and the counters. *)
 let encode_translator tr rs =
   let saved = Translator_rule.save_state tr in
-  let strikes, quarantined = Ruleset.export_health rs in
-  let b = Snapshot.Enc.create () in
-  let ints l = Snapshot.Enc.int_array b (Array.of_list l) in
-  ints saved.Translator_rule.s_blacklist;
-  Snapshot.Enc.int_pairs b saved.Translator_rule.s_shadow_done;
-  Snapshot.Enc.int_pairs b saved.Translator_rule.s_shadow_tries;
-  Snapshot.Enc.int b saved.Translator_rule.s_rule_covered;
-  Snapshot.Enc.int b saved.Translator_rule.s_fallback;
-  Snapshot.Enc.int b saved.Translator_rule.s_inter_tb_elisions;
-  Snapshot.Enc.int_pairs b strikes;
-  ints quarantined;
-  Snapshot.Enc.contents b
+  Enc.encode @@ fun b ->
+  enc_health b (health saved rs);
+  List.iter (Enc.list b (Enc.pair Enc.int Enc.int))
+    [ saved.Translator_rule.s_shadow_done; saved.Translator_rule.s_shadow_tries ];
+  List.iter (Enc.int b)
+    [
+      saved.Translator_rule.s_rule_covered;
+      saved.Translator_rule.s_fallback;
+      saved.Translator_rule.s_inter_tb_elisions;
+    ]
 
 let decode_translator payload =
-  let d = Snapshot.Dec.of_string ~name:"translator" payload in
-  let ints () = Array.to_list (Snapshot.Dec.int_array d) in
-  let s_blacklist = ints () in
-  let s_shadow_done = Snapshot.Dec.int_pairs d in
-  let s_shadow_tries = Snapshot.Dec.int_pairs d in
-  let s_rule_covered = Snapshot.Dec.int d in
-  let s_fallback = Snapshot.Dec.int d in
-  let s_inter_tb_elisions = Snapshot.Dec.int d in
-  let strikes = Snapshot.Dec.int_pairs d in
-  let quarantined = ints () in
-  if not (Snapshot.Dec.finished d) then
-    raise (Snapshot.Corrupt "translator: trailing bytes");
+  Dec.whole ~name:"translator" payload @@ fun d ->
+  let ((s_blacklist, _, _) as h) = dec_health d in
+  let s_shadow_done = Dec.list d (Dec.pair Dec.int Dec.int) in
+  let s_shadow_tries = Dec.list d (Dec.pair Dec.int Dec.int) in
+  let s_rule_covered = Dec.int d in
+  let s_fallback = Dec.int d in
+  let s_inter_tb_elisions = Dec.int d in
   ( {
       Translator_rule.s_blacklist;
       s_shadow_done;
@@ -385,26 +395,19 @@ let decode_translator payload =
       s_fallback;
       s_inter_tb_elisions;
     },
-    strikes,
-    quarantined )
+    h )
 
 let encode_resume (r : Engine.resume) =
-  let b = Snapshot.Enc.create () in
-  Snapshot.Enc.int b r.Engine.rpc;
-  Snapshot.Enc.bool b r.Engine.rprivileged;
-  Snapshot.Enc.bool b r.Engine.rmmu_on;
-  Snapshot.Enc.bool b r.Engine.rneeds_enter;
-  Snapshot.Enc.contents b
+  Enc.encode @@ fun b ->
+  Enc.int b r.Engine.rpc;
+  List.iter (Enc.bool b) [ r.Engine.rprivileged; r.Engine.rmmu_on; r.Engine.rneeds_enter ]
 
 let decode_resume payload =
-  let d = Snapshot.Dec.of_string ~name:"resume" payload in
-  let rpc = Snapshot.Dec.int d in
-  let rprivileged = Snapshot.Dec.bool d in
-  let rmmu_on = Snapshot.Dec.bool d in
-  let rneeds_enter = Snapshot.Dec.bool d in
-  if not (Snapshot.Dec.finished d) then
-    raise (Snapshot.Corrupt "resume: trailing bytes");
-  { Engine.rpc; rprivileged; rmmu_on; rneeds_enter }
+  Dec.whole ~name:"resume" payload @@ fun d ->
+  let rpc = Dec.int d in
+  let rprivileged = Dec.bool d in
+  let rmmu_on = Dec.bool d in
+  { Engine.rpc; rprivileged; rmmu_on; rneeds_enter = Dec.bool d }
 
 let capture ?resume t =
   (* The trace ring and the coordination ledger are deliberately NOT
@@ -429,17 +432,12 @@ let capture ?resume t =
   Snapshot.add_value snap "cache" cache ~encode:(function
     | Code c -> encode_code c
     | _ -> assert false);
-  let ctl = Snapshot.Enc.create () in
-  Snapshot.Enc.int ctl (Tb.Cache.full_flushes t.cache);
-  Snapshot.Enc.int ctl (Tb.Cache.ids t.cache);
-  add "cachectl" (Snapshot.Enc.contents ctl);
+  add "cachectl" (Enc.encode (fun b -> List.iter (Enc.int b) Tb.Cache.[ full_flushes t.cache; ids t.cache ]));
   (match (t.rule_translator, t.ruleset) with
   | Some tr, Some rs -> add "translator" (encode_translator tr rs)
   | _ -> ());
   (match resume with Some r -> add "resume" (encode_resume r) | None -> ());
-  let dg = Snapshot.Enc.create () in
-  Snapshot.Enc.int dg (rung_level t.rung_floor);
-  add "degrade" (Snapshot.Enc.contents dg);
+  add "degrade" (Enc.encode (fun b -> Enc.int b (rung_level t.rung_floor)));
   add "journal" (Journal.to_string t.journal);
   t.last_capture <- Some snap;
   snap
@@ -571,8 +569,7 @@ let restore ?(rebuild = true) t snap =
   let health_as_captured =
     match (t.rule_translator, t.ruleset, Snapshot.find_opt snap "translator") with
     | Some tr, Some rs, Some payload ->
-      let saved, strikes, quarantined = decode_translator payload in
-      let blacklist = saved.Translator_rule.s_blacklist in
+      let saved, (blacklist, strikes, quarantined) = decode_translator payload in
       ratchet_health tr rs ~base:saved ~blacklist ~strikes ~quarantined;
       (* the merge is a union, so equal sizes mean equal sets *)
       Translator_rule.blacklist_size tr = List.length blacklist
@@ -583,10 +580,7 @@ let restore ?(rebuild = true) t snap =
   in
   (match Snapshot.find_opt snap "degrade" with
   | Some payload ->
-    let d = Snapshot.Dec.of_string ~name:"degrade" payload in
-    let floor = rung_of_level (Snapshot.Dec.int d) in
-    if not (Snapshot.Dec.finished d) then
-      raise (Snapshot.Corrupt "degrade: trailing bytes");
+    let floor = rung_of_level (Dec.whole ~name:"degrade" payload Dec.int) in
     t.rung_floor <- lowest_rung t.rung_floor floor
   | None -> ());
   (* The captured cache is the mode's own translator's code, which is
@@ -607,9 +601,9 @@ let restore ?(rebuild = true) t snap =
      in
      thaw t code ~health_as_captured
    else Tb.Cache.flush t.cache);
-  let ctl = Snapshot.Dec.of_string ~name:"cachectl" (Snapshot.find snap "cachectl") in
-  Tb.Cache.set_full_flushes t.cache (Snapshot.Dec.int ctl);
-  Tb.Cache.set_ids t.cache (Snapshot.Dec.int ctl);
+  let full_flushes, ids = Snapshot.decode snap "cachectl" (Dec.pair Dec.int Dec.int) in
+  Tb.Cache.set_full_flushes t.cache full_flushes;
+  Tb.Cache.set_ids t.cache ids;
   t.pending_resume <-
     (match Snapshot.find_opt snap "resume" with
     | Some p -> Some (decode_resume p)
@@ -634,8 +628,8 @@ let snapshot_injector snap =
   match Snapshot.find_opt snap "inject" with
   | None -> None
   | Some payload ->
-    let d = Snapshot.Dec.of_string ~name:"inject" payload in
-    Some (Fi.of_export (Snapshot.Dec.i64_array d))
+    let words = Dec.whole ~name:"inject" payload Dec.i64_array in
+    Some (try Fi.of_export words with Invalid_argument e -> raise (Snapshot.Corrupt ("inject: " ^ e)))
 
 let snapshot_ram_kib snap =
   Repro_common.Pages.length (Snapshot.ram_pages snap) / 1024
@@ -657,21 +651,10 @@ let snapshot_clean snap =
    verification progress deliberately stays out: depot-installed TBs
    re-verify on every warm boot, and that re-verification is the
    sensor the depot's self-repair loop (poison write-back) runs on. *)
-let encode_depot_health ~blacklist ~strikes ~quarantined =
-  let b = Snapshot.Enc.create () in
-  Snapshot.Enc.int_array b (Array.of_list blacklist);
-  Snapshot.Enc.int_pairs b strikes;
-  Snapshot.Enc.int_array b (Array.of_list quarantined);
-  Snapshot.Enc.contents b
+let encode_health h = Enc.encode (fun b -> enc_health b h)
 
 let depot_health depot =
-  Depot.guard "health" @@ fun () ->
-  let d = Snapshot.Dec.of_string ~name:"health" (Depot.health depot) in
-  let blacklist = Array.to_list (Snapshot.Dec.int_array d) in
-  let strikes = Snapshot.Dec.int_pairs d in
-  let quarantined = Array.to_list (Snapshot.Dec.int_array d) in
-  if not (Snapshot.Dec.finished d) then Depot.err "health" "trailing bytes";
-  (blacklist, strikes, quarantined)
+  Depot.guard "health" (fun () -> Dec.whole ~name:"health" (Depot.health depot) dec_health)
 
 let depot_compat t =
   {
@@ -695,12 +678,8 @@ let depot_capture t =
   in
   let health =
     match (t.rule_translator, t.ruleset) with
-    | Some tr, Some rs ->
-      let saved = Translator_rule.save_state tr in
-      let strikes, quarantined = Ruleset.export_health rs in
-      encode_depot_health ~blacklist:saved.Translator_rule.s_blacklist ~strikes
-        ~quarantined
-    | _ -> encode_depot_health ~blacklist:[] ~strikes:[] ~quarantined:[]
+    | Some tr, Some rs -> encode_health (health (Translator_rule.save_state tr) rs)
+    | _ -> encode_health ([], [], [])
   in
   Depot.create ~compat:(depot_compat t) ~rules ~cache:(encode_code (freeze_code t None)) ~health
 
@@ -944,7 +923,7 @@ let depot_quarantine_rules depot ids =
   if List.length merged = List.length quarantined then false
   else begin
     Depot.set_health depot
-      (encode_depot_health ~blacklist ~strikes ~quarantined:merged);
+      (encode_health (blacklist, strikes, merged));
     true
   end
 

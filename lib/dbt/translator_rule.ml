@@ -21,7 +21,8 @@ module Fi = Repro_faultinject.Faultinject
 module Trace = Repro_observe.Trace
 module Ledger = Repro_observe.Ledger
 module Covscope = Repro_covscope
-module Tbcodec = Repro_snapshot.Tbcodec
+module Enc = Repro_snapshot.Snapshot.Enc
+module Dec = Repro_snapshot.Snapshot.Dec
 
 (* Per-TB metadata the emitter produces and the linker consumes. *)
 type meta = {
@@ -863,54 +864,52 @@ let stale t (tb : Tb.t) (f : frozen) =
 let convs = Flagconv.[ None; Some Add_like; Some Sub_like; Some Logic_like; Some Canonical ]
 
 let encode_frozen b (f : frozen) =
-  let open Tbcodec in
-  put_array b
+  Enc.array b
     (fun b (c : Emitter.chunk) ->
-      put b c.Emitter.pc;
-      put_array b put c.Emitter.origins;
-      put b c.Emitter.hoists)
+      Enc.nat b c.Emitter.pc;
+      Enc.array b Enc.nat c.Emitter.origins;
+      Enc.nat b c.Emitter.hoists)
     f.chunks;
-  put_array b put_bool f.elide;
-  enc_enum convs b f.entry_conv;
-  put_array b
+  Enc.array b Enc.bool f.elide;
+  Enc.enum convs b f.entry_conv;
+  Enc.array b
     (fun b (e : Emitter.exit_state) ->
-      enc_enum convs b e.Emitter.conv_at_exit;
-      put_bool b e.Emitter.flags_save_in_epilogue)
+      Enc.enum convs b e.Emitter.conv_at_exit;
+      Enc.bool b e.Emitter.flags_save_in_epilogue)
     f.exit_states;
-  put_bool b f.first_flag_is_def;
-  put_array b (fun b ((r : Rule.t), defs) -> put b r.Rule.id; put b defs) (Array.of_list f.rules_used);
-  put_bool b f.shadowable
+  Enc.bool b f.first_flag_is_def;
+  Enc.list b (fun b ((r : Rule.t), defs) -> Enc.nat b r.Rule.id; Enc.nat b defs) f.rules_used;
+  Enc.bool b f.shadowable
 
 let decode_frozen ~rule ~slots ~guest r =
-  let open Tbcodec in
   let corrupt s = raise (Repro_snapshot.Snapshot.Corrupt ("cache: " ^ s)) in
   (* a chunk is its block of [guest], the TB's fetched code, scheduled *)
   let block = ref 0 in
   let chunk r =
-    let pc = get r in
-    let origins = get_array r get in
+    let pc = Dec.nat r in
+    let origins = Dec.array r Dec.nat in
     let n = Array.length origins in
     if !block + n > Array.length guest || Array.exists (fun o -> o >= n) origins then
       corrupt "chunk outside its block";
     let insns = Array.map (fun o -> guest.(!block + o)) origins in
     block := !block + n;
-    { Emitter.pc; insns; origins; hoists = get r }
+    { Emitter.pc; insns; origins; hoists = Dec.nat r }
   in
-  let chunks = get_array r chunk in
-  let elide = get_array r get_bool in
-  let entry_conv = dec_enum convs r in
+  let chunks = Dec.array r chunk in
+  let elide = Dec.array r Dec.bool in
+  let entry_conv = Dec.enum convs r in
   let exit_states =
-    get_array r (fun r ->
-        let conv_at_exit = dec_enum convs r in
-        { Emitter.conv_at_exit; flags_save_in_epilogue = get_bool r })
+    Dec.array r (fun r ->
+        let conv_at_exit = Dec.enum convs r in
+        { Emitter.conv_at_exit; flags_save_in_epilogue = Dec.bool r })
   in
   if Array.length chunks = 0 || !block <> Array.length guest || Array.length elide <> slots
      || Array.length exit_states <> slots
   then corrupt "meta shaped for another block";
-  let first_flag_is_def = get_bool r in
+  let first_flag_is_def = Dec.bool r in
   let rule_used r =
-    let id = get r in
-    match rule id with Some rule -> (rule, get r) | None -> corrupt (Printf.sprintf "unknown rule id %d" id)
+    let id = Dec.nat r in
+    match rule id with Some rule -> (rule, Dec.nat r) | None -> corrupt (Printf.sprintf "unknown rule id %d" id)
   in
-  let rules_used = Array.to_list (get_array r rule_used) in
-  { chunks; elide; entry_conv; exit_states; first_flag_is_def; rules_used; shadowable = get_bool r }
+  let rules_used = Dec.list r rule_used in
+  { chunks; elide; entry_conv; exit_states; first_flag_is_def; rules_used; shadowable = Dec.bool r }

@@ -127,14 +127,14 @@ val stale : t -> Repro_tcg.Tb.t -> frozen -> bool
 (** Live health would translate the TB differently: its PC is
     blacklisted now, or its meta used a rule quarantined now. *)
 
-val encode_frozen : Buffer.t -> frozen -> unit
-(** The whole meta, rules by id, in {!Repro_snapshot.Tbcodec} numbers. *)
+val encode_frozen : Repro_snapshot.Snapshot.Enc.t -> frozen -> unit
+(** The whole meta, rules by id. *)
 
 val decode_frozen :
   rule:(int -> Repro_rules.Rule.t option) ->
   slots:int ->
   guest:Repro_arm.Insn.t array ->
-  Repro_snapshot.Tbcodec.reader ->
+  Repro_snapshot.Snapshot.Dec.t ->
   frozen
 (** What {!encode_frozen} wrote, for a TB with [slots] exit slots whose
     guest instructions are [guest] (its chunks are their blocks).

@@ -63,7 +63,9 @@ let to_string t =
 let of_string s =
   let t = create () in
   List.iter
-    (fun line -> if String.trim line <> "" then record t (event_of_string line))
+    (fun line ->
+      if String.trim line <> "" then
+        try record t (event_of_string line) with Failure e -> raise (Snapshot.Corrupt ("journal: " ^ e)))
     (String.split_on_char '\n' s);
   t
 

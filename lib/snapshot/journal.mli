@@ -47,6 +47,7 @@ val to_string : t -> string
     journal. *)
 
 val of_string : string -> t
-(** Blank lines ignored. Raises [Failure] on a malformed line. *)
+(** Blank lines ignored. Raises {!Snapshot.Corrupt} on a malformed
+    line. *)
 
 val pp : Format.formatter -> t -> unit

@@ -14,7 +14,7 @@ module Pages = Repro_common.Pages
 module Ram = Repro_common.Ram
 
 let magic = "DBTSNAP\x01"
-let format_version = 3
+let format_version = 4
 
 exception Corrupt of string
 exception Load_error of { section : string; reason : string }
@@ -37,61 +37,85 @@ let fnv_fold ?(pos = 0) ?len h s =
 
 let fnv1a32 s = fnv_fold fnv_basis s
 
+(* Numbers are varints: 7 bits a byte, low bits first, the high bit set
+   on every byte but the last, so at most 9 bytes for 63 bits. A signed
+   number is zigzagged first: 0, -1, 1, -2 ... become 0, 1, 2, 3 ... *)
 module Enc = struct
   type t = Buffer.t
 
   (* most sections are a few words; a capture encodes several *)
   let create () = Buffer.create 64
-  let u64 b v = Buffer.add_int64_le b v
-  let int b v = u64 b (Int64.of_int v)
-  let bool b v = int b (if v then 1 else 0)
+
+  let rec varint b u =
+    if u lsr 7 = 0 then Buffer.add_char b (Char.unsafe_chr u)
+    else begin
+      Buffer.add_char b (Char.unsafe_chr (u land 0x7f lor 0x80));
+      varint b (u lsr 7)
+    end
+
+  let nat b n = if n < 0 then invalid_arg "Snapshot.Enc.nat: negative" else varint b n
+  let int b v = varint b ((v lsl 1) lxor (v asr 62))
+  let bool b v = varint b (Bool.to_int v)
 
   let string b s =
-    int b (String.length s);
+    nat b (String.length s);
     Buffer.add_string b s
 
-  let int_array b a =
-    int b (Array.length a);
-    Array.iter (int b) a
+  let array b f a =
+    nat b (Array.length a);
+    Array.iter (f b) a
 
-  let i64_array b a =
-    int b (Array.length a);
-    Array.iter (u64 b) a
+  let list b f l =
+    nat b (List.length l);
+    List.iter (f b) l
 
-  let int_pairs b l =
-    int b (List.length l);
-    List.iter
-      (fun (x, y) ->
-        int b x;
-        int b y)
-      l
-
+  let pair f g b (x, y) = f b x; g b y
+  let enum l b v = nat b (Option.get (List.find_index (( = ) v) l))
+  let int_array b a = array b int a
+  let i64_array b a = array b Buffer.add_int64_le a
   let contents = Buffer.contents
+  let encode f = let b = create () in f b; contents b
 end
 
 module Dec = struct
-  (* Reads [src] from [base] to its end; messages count bytes from
-     [base]. *)
-  type t = { src : string; base : int; mutable pos : int; name : string }
+  type t = { src : string; mutable pos : int; name : string }
 
-  let at ~name src base = { src; base; pos = base; name }
-  let of_string ?(name = "payload") src = at ~name src 0
+  let of_string ?(name = "payload") src = { src; pos = 0; name }
+  let left d = String.length d.src - d.pos
 
-  let u64 d =
-    if d.pos + 8 > String.length d.src then
-      corrupt "%s: truncated at byte %d" d.name (d.pos - d.base);
-    let v = String.get_int64_le d.src d.pos in
-    d.pos <- d.pos + 8;
-    v
+  let rec varint d acc shift =
+    if d.pos >= String.length d.src || shift > 56 then
+      corrupt "%s: bad number at byte %d" d.name d.pos;
+    let c = Char.code (String.unsafe_get d.src d.pos) in
+    d.pos <- d.pos + 1;
+    let acc = acc lor ((c land 0x7f) lsl shift) in
+    if c < 0x80 then acc else varint d acc (shift + 7)
 
-  let int d = Int64.to_int (u64 d)
-  let bool d = int d <> 0
+  let nat d =
+    match varint d 0 0 with
+    | n when n >= 0 -> n
+    | n -> corrupt "%s: negative number %d at byte %d" d.name n d.pos
+
+  let int d =
+    let u = varint d 0 0 in
+    (u lsr 1) lxor -(u land 1)
+
+  let bool d =
+    match nat d with
+    | 0 -> false
+    | 1 -> true
+    | k -> corrupt "%s: bad flag %d at byte %d" d.name k d.pos
+
+  (* A count of things that each take a byte or more: no more than the
+     bytes left, checked before anything is allocated. *)
+  let count d =
+    let n = nat d in
+    if n > left d then corrupt "%s: count %d past the end at byte %d" d.name n d.pos;
+    n
 
   (* A length-prefixed string's offset and length, skipped, not copied. *)
   let span d =
-    let n = int d in
-    if n < 0 || n > String.length d.src - d.pos then
-      corrupt "%s: bad string length %d at byte %d" d.name n (d.pos - d.base);
+    let n = count d in
     let pos = d.pos in
     d.pos <- d.pos + n;
     (pos, n)
@@ -100,21 +124,32 @@ module Dec = struct
     let pos, n = span d in
     String.sub d.src pos n
 
-  let array d elt =
-    let n = int d in
-    if n < 0 || d.pos + (8 * n) > String.length d.src then
-      corrupt "%s: bad array length %d at byte %d" d.name n (d.pos - d.base);
-    Array.init n (fun _ -> elt d)
+  let array d f = Array.init (count d) (fun _ -> f d)
+  let list d f = Array.to_list (array d f)
+
+  let pair f g d = let x = f d in (x, g d)
+
+  let enum l d =
+    let k = nat d in
+    match List.nth_opt l k with
+    | Some v -> v
+    | None -> corrupt "%s: bad enumeration value %d" d.name k
 
   let int_array d = array d int
-  let i64_array d = array d u64
 
-  let int_pairs d =
-    Array.to_list
-      (array d (fun d ->
-           let x = int d in
-           (x, int d)))
+  let i64_array d =
+    array d (fun d ->
+        if left d < 8 then corrupt "%s: truncated at byte %d" d.name d.pos;
+        d.pos <- d.pos + 8;
+        String.get_int64_le d.src (d.pos - 8))
+
   let finished d = d.pos = String.length d.src
+
+  let whole ~name payload f =
+    let d = of_string ~name payload in
+    let v = f d in
+    if not (finished d) then corrupt "%s: trailing bytes" name;
+    v
 end
 
 (* ---- the section container ---- *)
@@ -143,22 +178,18 @@ let add_payload t name payload =
     invalid_arg (Printf.sprintf "Snapshot.add: duplicate section %s" name);
   t.sections <- (name, payload) :: t.sections
 
-(* Section [name] of [prev] when it holds exactly the bytes [same]
-   accepts. A capture adds that string in place of an equal new one,
-   so checkpoints share every section that did not change. *)
-let reusable prev name same =
-  match prev with
-  | None -> None
-  | Some p -> (
-    match List.assoc_opt name p.sections with
-    | Some (Whole s) when same s -> Some s
-    | _ -> None)
+(* Section [name] of [prev]. A capture adds its payload in place of an
+   equal new one, so checkpoints share every section that did not
+   change. *)
+let previous prev name = Option.bind prev (fun p -> List.assoc_opt name p.sections)
 
 let add ?prev t name payload =
   add_payload t name
     (if name = ram_section then Paged (Pages.split payload)
      else
-       Whole (Option.value (reusable prev name (String.equal payload)) ~default:payload))
+       match previous prev name with
+       | Some (Whole s as same) when String.equal s payload -> same
+       | _ -> Whole payload)
 
 let add_value t name value ~encode = add_payload t name (Value (value, encode))
 
@@ -183,38 +214,49 @@ let ram_pages t =
   | Some (Whole _ | Value _) -> assert false (* [add] splits the RAM section *)
   | None -> corrupt "missing section %s" ram_section
 
+(* The body is the framing — a section count, then per section a name,
+   a payload length and, after the payload, the payload's checksum —
+   with the payloads between. The header checksum folds the framing
+   alone: each payload byte is under its section's checksum, each
+   framing byte under the header's, and the header's still commits to
+   every payload through the section checksums it covers. *)
 let to_string t =
-  let body = Enc.create () in
   let ordered = List.rev t.sections in
-  Enc.int body (List.length ordered);
+  let body = Enc.create () and framing = ref fnv_basis and from = ref 0 in
+  (* folds the framing written since the last payload *)
+  let framed () = framing := fnv_fold !framing (Buffer.sub body !from (Buffer.length body - !from)) in
+  Enc.nat body (List.length ordered);
   List.iter
     (fun (name, payload) ->
       Enc.string body name;
-      (* per-section checksum (format v2): a flipped bit is attributed
-         to the section it corrupts, not just "somewhere in the body" *)
       let sum =
         match payload with
         | Paged ps ->
-          Enc.int body (Pages.length ps);
-          Pages.fold
-            (fun h p ->
-              Buffer.add_string body p;
-              fnv_fold h p)
-            fnv_basis ps
+          Enc.nat body (Pages.length ps);
+          framed ();
+          Pages.fold (fun h p -> Buffer.add_string body p; fnv_fold h p) fnv_basis ps
         | Whole _ | Value _ ->
           let s = materialize payload in
-          Enc.string body s;
+          Enc.nat body (String.length s);
+          framed ();
+          Buffer.add_string body s;
           fnv1a32 s
       in
-      Enc.int body sum)
+      from := Buffer.length body;
+      Enc.nat body sum)
     ordered;
-  let body = Enc.contents body in
-  let out = Buffer.create (String.length body + 24) in
+  framed ();
+  let out = Buffer.create (Buffer.length body + 24) in
   Buffer.add_string out magic;
   Buffer.add_int64_le out (Int64.of_int format_version);
-  Buffer.add_int64_le out (Int64.of_int (fnv1a32 body));
-  Buffer.add_string out body;
+  Buffer.add_int64_le out (Int64.of_int !framing);
+  Buffer.add_buffer out body;
   Buffer.contents out
+
+let header_checksum s =
+  if String.length s < 24 then
+    load_error "container" "shorter than its header (%d bytes)" (String.length s);
+  Int64.to_int (String.get_int64_le s 16)
 
 (* Loading is total over arbitrary byte strings: every failure mode —
    truncation, bit flips, bad lengths, version skew — surfaces as
@@ -228,27 +270,26 @@ let of_string s =
     | Corrupt reason -> raise (Load_error { section; reason })
     | Invalid_argument reason -> raise (Load_error { section; reason })
   in
-  if String.length s < 24 then
-    load_error "container" "shorter than its header (%d bytes)"
-      (String.length s);
+  let sum = header_checksum s in
   if not (String.starts_with ~prefix:magic s) then load_error "container" "bad magic";
-  let hdr = Dec.at ~name:"header" s 8 in
-  let version = guard "container" (fun () -> Dec.int hdr) in
-  if version <> format_version then
-    load_error "container" "format version %d, expected %d" version
-      format_version;
-  let sum = guard "container" (fun () -> Dec.int hdr) in
+  let version = String.get_int64_le s 8 in
+  if version <> Int64.of_int format_version then
+    load_error "container" "format version %Ld, expected %d" version format_version;
   (* The body is decoded in place: payloads and RAM pages are cut
-     straight from [s], and checksums fold over byte ranges of it. *)
-  let d = Dec.at ~name:"body" s 24 in
-  let n = guard "container" (fun () -> Dec.int d) in
-  if n < 0 then load_error "container" "negative section count";
+     straight from [s], and checksums fold over byte ranges of it. The
+     framing folds up to each payload and from its end on. *)
+  let d = Dec.of_string ~name:"body" s in
+  d.Dec.pos <- 24;
+  let framing = ref fnv_basis and from = ref 24 in
+  let n = guard "container" (fun () -> Dec.count d) in
   let t = create () in
   for _ = 1 to n do
     let name = guard "container" (fun () -> Dec.string d) in
     guard name (fun () ->
         let pos, len = Dec.span d in
-        let stored = Dec.int d in
+        framing := fnv_fold ~pos:!from ~len:(pos - !from) !framing s;
+        from := pos + len;
+        let stored = Dec.nat d in
         let computed = fnv_fold ~pos ~len fnv_basis s in
         if stored <> computed then
           corrupt "section checksum mismatch (stored %#x, computed %#x)"
@@ -259,14 +300,14 @@ let of_string s =
   done;
   if not (Dec.finished d) then
     load_error "container" "trailing bytes after last section";
-  (* The whole-body checksum runs last so damage inside a section is
+  (* The framing checksum runs last so damage inside a section is
      attributed to that section first; what reaches this check is
-     framing damage the per-section sums cannot see (a flipped name
+     framing damage the section checksums cannot see (a flipped name
      byte that still parses, a rewritten length that re-frames
      cleanly). *)
-  let actual = fnv_fold ~pos:24 fnv_basis s in
+  let actual = fnv_fold ~pos:!from !framing s in
   if sum <> actual then
-    load_error "container" "body checksum mismatch (stored %#x, computed %#x)"
+    load_error "container" "framing checksum mismatch (stored %#x, computed %#x)"
       sum actual;
   t
 
@@ -280,110 +321,86 @@ let load_file path =
 
 (* ---- machine-core capture ---- *)
 
-(* [Enc.int_array] into a buffer of exactly its size. *)
-let ints a =
-  let n = Array.length a in
-  let b = Bytes.create (8 * (n + 1)) in
-  Bytes.set_int64_le b 0 (Int64.of_int n);
-  Array.iteri (fun i v -> Bytes.set_int64_le b (8 * (i + 1)) (Int64.of_int v)) a;
-  Bytes.unsafe_to_string b
+(* An int-array section ([cpu], [env], [tlb], [timer], [stats]) holds
+   a copy of the words and is encoded only when its bytes are asked
+   for. A capture shares [prev]'s section when the words are equal,
+   compared without encoding or allocating, and a restore reads the
+   words of a captured section without decoding them. *)
+type value += Ints of int array
 
-let dec_ints name payload =
-  let d = Dec.of_string ~name payload in
-  let a = Dec.int_array d in
-  if not (Dec.finished d) then corrupt "%s: trailing bytes" name;
-  a
-
-(* [s] is [ints a], checked without encoding [a]. *)
-let encodes_ints a s =
-  let n = Array.length a in
-  String.length s = 8 * (n + 1)
-  && String.get_int64_le s 0 = Int64.of_int n
-  &&
-  let rec from i =
-    i = n || (String.get_int64_le s (8 * (i + 1)) = Int64.of_int a.(i) && from (i + 1))
-  in
-  from 0
+let encode_ints = function Ints a -> Enc.encode (fun b -> Enc.int_array b a) | _ -> assert false
 
 let add_ints ?prev t name a =
   add_payload t name
-    (Whole (match reusable prev name (encodes_ints a) with Some s -> s | None -> ints a))
+    (match previous prev name with
+    | Some (Value (Ints b, _) as same) when b = a -> same
+    | _ -> Value (Ints (Array.copy a), encode_ints))
+
+let decode t name f = Dec.whole ~name (find t name) f
+
+let ints t name =
+  match List.assoc_opt name t.sections with
+  | Some (Value (Ints a, _)) -> a
+  | _ -> decode t name Dec.int_array
 
 let capture_machine ?prev (rt : Rt.t) t =
   let ctx = rt.Rt.ctx in
+  let add name f = add ?prev t name (Enc.encode f) in
   add_ints ?prev t "cpu" (Cpu.save_words rt.Rt.cpu);
   add_ints ?prev t "env" ctx.Exec.env;
-  let host = Enc.create () in
-  Enc.int_array host ctx.Exec.regs;
-  Enc.bool host ctx.Exec.cf;
-  Enc.bool host ctx.Exec.zf;
-  Enc.bool host ctx.Exec.sf;
-  Enc.bool host ctx.Exec.o_f;
-  Enc.int host ctx.Exec.poison_counter;
-  add ?prev t "host" (Enc.contents host);
+  add "host" (fun b ->
+      Enc.int_array b ctx.Exec.regs;
+      List.iter (Enc.bool b) [ ctx.Exec.cf; ctx.Exec.zf; ctx.Exec.sf; ctx.Exec.o_f ];
+      Enc.int b ctx.Exec.poison_counter);
   add_payload t ram_section (Paged (Ram.capture ctx.Exec.ram));
   add_ints ?prev t "tlb" ctx.Exec.tlb;
   add_ints ?prev t "timer" (Devices.Timer.export rt.Rt.bus.Bus.timer);
-  let uart = Enc.create () in
-  Enc.string uart (Devices.Uart.output rt.Rt.bus.Bus.uart);
-  add ?prev t "uart" (Enc.contents uart);
-  let syscon = Enc.create () in
-  (match Devices.Syscon.halted rt.Rt.bus.Bus.syscon with
-  | None -> Enc.bool syscon false
-  | Some code ->
-    Enc.bool syscon true;
-    Enc.int syscon code);
-  add ?prev t "syscon" (Enc.contents syscon);
-  (match rt.Rt.inject with
-  | None -> ()
-  | Some inj ->
-    let b = Enc.create () in
-    Enc.i64_array b (Fi.export inj);
-    add ?prev t "inject" (Enc.contents b));
+  add "uart" (fun b -> Enc.string b (Devices.Uart.output rt.Rt.bus.Bus.uart));
+  add "syscon" (fun b ->
+      let halted = Devices.Syscon.halted rt.Rt.bus.Bus.syscon in
+      Enc.bool b (Option.is_some halted);
+      Option.iter (Enc.int b) halted);
+  Option.iter (fun inj -> add "inject" (fun b -> Enc.i64_array b (Fi.export inj))) rt.Rt.inject;
   add_ints ?prev t "stats" (Stats.to_array (Rt.stats rt))
 
 let restore_machine (rt : Rt.t) t =
   let ctx = rt.Rt.ctx in
-  (try Cpu.load_words rt.Rt.cpu (dec_ints "cpu" (find t "cpu"))
+  (try Cpu.load_words rt.Rt.cpu (ints t "cpu")
    with Invalid_argument e -> corrupt "cpu: %s" e);
   (* [env] and the softMMU [tlb] are plain words, written back whole *)
   let words name dst =
-    let src = dec_ints name (find t name) in
+    let src = ints t name in
     if Array.length src <> Array.length dst then corrupt "%s: %d slots" name (Array.length src);
     Array.blit src 0 dst 0 (Array.length dst)
   in
   words "env" ctx.Exec.env;
-  let host = Dec.of_string ~name:"host" (find t "host") in
-  let regs = Dec.int_array host in
-  if Array.length regs <> Array.length ctx.Exec.regs then
-    corrupt "host: %d registers, machine has %d" (Array.length regs)
-      (Array.length ctx.Exec.regs);
-  Array.blit regs 0 ctx.Exec.regs 0 (Array.length regs);
-  ctx.Exec.cf <- Dec.bool host;
-  ctx.Exec.zf <- Dec.bool host;
-  ctx.Exec.sf <- Dec.bool host;
-  ctx.Exec.o_f <- Dec.bool host;
-  ctx.Exec.poison_counter <- Dec.int host;
-  if not (Dec.finished host) then corrupt "host: trailing bytes";
+  decode t "host" (fun d ->
+      let regs = Dec.int_array d in
+      if Array.length regs <> Array.length ctx.Exec.regs then
+        corrupt "host: %d registers, machine has %d" (Array.length regs)
+          (Array.length ctx.Exec.regs);
+      Array.blit regs 0 ctx.Exec.regs 0 (Array.length regs);
+      ctx.Exec.cf <- Dec.bool d;
+      ctx.Exec.zf <- Dec.bool d;
+      ctx.Exec.sf <- Dec.bool d;
+      ctx.Exec.o_f <- Dec.bool d;
+      ctx.Exec.poison_counter <- Dec.int d);
   (try Ram.restore ctx.Exec.ram (ram_pages t)
    with Invalid_argument e -> corrupt "ram: %s" e);
   words "tlb" ctx.Exec.tlb;
-  (try Devices.Timer.import rt.Rt.bus.Bus.timer (dec_ints "timer" (find t "timer"))
+  (try Devices.Timer.import rt.Rt.bus.Bus.timer (ints t "timer")
    with Invalid_argument e -> corrupt "timer: %s" e);
-  let uart = Dec.of_string ~name:"uart" (find t "uart") in
-  Devices.Uart.import rt.Rt.bus.Bus.uart (Dec.string uart);
-  let syscon = Dec.of_string ~name:"syscon" (find t "syscon") in
+  Devices.Uart.import rt.Rt.bus.Bus.uart (decode t "uart" Dec.string);
   Devices.Syscon.import rt.Rt.bus.Bus.syscon
-    (if Dec.bool syscon then Some (Dec.int syscon) else None);
-  (match (rt.Rt.inject, find_opt t "inject") with
-  | None, None -> ()
-  | Some inj, Some payload -> (
-    let d = Dec.of_string ~name:"inject" payload in
-    try Fi.import inj (Dec.i64_array d)
+    (decode t "syscon" (fun d -> if Dec.bool d then Some (Dec.int d) else None));
+  (match (rt.Rt.inject, mem t "inject") with
+  | None, false -> ()
+  | Some inj, true -> (
+    try Fi.import inj (decode t "inject" Dec.i64_array)
     with Invalid_argument e -> corrupt "inject: %s" e)
-  | Some _, None -> corrupt "machine has a fault injector, snapshot has none"
-  | None, Some _ -> corrupt "snapshot has injector state, machine has none");
-  (try Stats.load_array (Rt.stats rt) (dec_ints "stats" (find t "stats"))
+  | Some _, false -> corrupt "machine has a fault injector, snapshot has none"
+  | None, true -> corrupt "snapshot has injector state, machine has none");
+  (try Stats.load_array (Rt.stats rt) (ints t "stats")
    with Invalid_argument e -> corrupt "stats: %s" e);
   (* engine-transient runtime fields: between-TB defaults *)
   rt.Rt.pending_code_write <- false;

@@ -5,19 +5,22 @@
 
     {v
       bytes 0..7    magic "DBTSNAP\x01"
-      bytes 8..15   u64 LE format version (currently 3)
-      bytes 16..23  u64 LE FNV-1a-32 checksum of the body (low 32 bits)
-      bytes 24..    body: u64 section count, then per section a
+      bytes 8..15   u64 LE format version (currently 4)
+      bytes 16..23  u64 LE FNV-1a-32 checksum of the framing
+      bytes 24..    body: a section count, then per section a
                     length-prefixed name, a length-prefixed payload,
-                    and a u64 FNV-1a-32 checksum of the payload
+                    and the payload's FNV-1a-32 checksum
     v}
 
-    All integers are little-endian u64 ({!Enc}/{!Dec}); section order
-    is preserved so save -> load -> save is byte-identical. The
-    machine-core sections (CPU, env, RAM, TLB, devices, injector,
-    stats) are produced and consumed here; engine-level sections
-    (translation-cache records, ruleset health, resume cursor,
-    journal) are layered on by [Repro_dbt.System]. *)
+    Every number after the header is a varint ({!Enc}/{!Dec}). The
+    framing is the body without its payloads: each payload byte is
+    under its section's checksum, each framing byte under the
+    header's, which still commits to every payload through the section
+    checksums it covers. Section order is preserved so save -> load ->
+    save is byte-identical. The machine-core sections (CPU, env, RAM,
+    TLB, devices, injector, stats) are produced and consumed here;
+    engine-level sections (the code cache, ruleset health, resume
+    cursor, journal) are layered on by [Repro_dbt.System]. *)
 
 exception Corrupt of string
 (** A semantic problem in an already-loaded snapshot: missing or
@@ -35,41 +38,72 @@ exception Load_error of { section : string; reason : string }
 
 val format_version : int
 
-(** {2 Primitive little-endian encoders} *)
+(** {2 The byte codec}
+
+    Snapshots and depots write every section with this one codec. A
+    [nat] is a varint: 7 bits a byte, low bits first, the high bit set
+    on every byte but the last, at most 9 bytes. An [int] is a
+    zigzagged varint (0, -1, 1, -2 ... as 0, 1, 2, 3 ...). A bool is
+    the nat 0 or 1, a string or an array its length as a nat, then its
+    bytes or elements. Only the injector's [int64] words stay 8 bytes
+    wide. *)
 
 module Enc : sig
   type t
 
   val create : unit -> t
-  val u64 : t -> int64 -> unit
+  val contents : t -> string
+
+  val encode : (t -> unit) -> string
+  (** The bytes [f] writes to a fresh encoder. *)
+
+  val nat : t -> int -> unit
+  (** Raises [Invalid_argument] on a negative number. *)
+
   val int : t -> int -> unit
   val bool : t -> bool -> unit
   val string : t -> string -> unit
+  val array : t -> (t -> 'a -> unit) -> 'a array -> unit
+  val list : t -> (t -> 'a -> unit) -> 'a list -> unit
+  val pair : (t -> 'a -> unit) -> (t -> 'b -> unit) -> t -> 'a * 'b -> unit
+
+  val enum : 'a list -> t -> 'a -> unit
+  (** A value as its position in the list. *)
+
   val int_array : t -> int array -> unit
   val i64_array : t -> int64 array -> unit
-
-  val int_pairs : t -> (int * int) list -> unit
-  (** A count, then each pair's two ints. *)
-
-  val contents : t -> string
 end
 
+(** Every decoding failure is {!Corrupt}, naming the payload: a varint
+    longer than 9 bytes, a negative [nat], a bool other than 0 or 1, a
+    count or length past the bytes left (refused before anything is
+    allocated), an enumeration value past the list. *)
 module Dec : sig
   type t
 
   val of_string : ?name:string -> string -> t
   (** [name] labels {!Corrupt} messages. *)
 
-  val u64 : t -> int64
+  val whole : name:string -> string -> (t -> 'a) -> 'a
+  (** [f] over the whole payload; bytes it leaves unread are {!Corrupt}. *)
+
+  val nat : t -> int
   val int : t -> int
   val bool : t -> bool
+
+  val count : t -> int
+  (** A nat counting things of a byte or more each, as arrays and
+      strings are prefixed. *)
+
   val string : t -> string
+  val array : t -> (t -> 'a) -> 'a array
+  val list : t -> (t -> 'a) -> 'a list
+  val pair : (t -> 'a) -> (t -> 'b) -> t -> 'a * 'b
+  val enum : 'a list -> t -> 'a
   val int_array : t -> int array
   val i64_array : t -> int64 array
-  val int_pairs : t -> (int * int) list
-
   val finished : t -> bool
-  (** All input consumed — decoders should end on [true]. *)
+  (** All input consumed. *)
 end
 
 (** {2 The section container}
@@ -111,9 +145,10 @@ val add_value : t -> string -> value -> encode:(value -> string) -> unit
     [Invalid_argument] on a duplicate name. *)
 
 val value : t -> string -> value option
-(** The value of a section added with {!add_value}; [None] when the
-    section is absent or holds bytes (every section of a snapshot read
-    by {!of_string} does). *)
+(** The value of a section added with {!add_value} (or an int-array
+    section of {!capture_machine}); [None] when the section is absent
+    or holds bytes (every section of a snapshot read by {!of_string}
+    does). *)
 
 val find : t -> string -> string
 (** Raises {!Corrupt} when the section is absent. The ["ram"] section
@@ -133,9 +168,18 @@ val to_string : t -> string
 
 val of_string : string -> t
 (** Parse and validate magic, version, every per-section checksum and
-    the whole-body checksum, and cut the ["ram"] payload into pages.
+    the framing checksum, and cut the ["ram"] payload into pages.
     Raises {!Load_error} (and nothing else) on any failure, naming the
     damaged section. *)
+
+val header_checksum : string -> int
+(** The framing checksum a container's header stores, read without
+    folding anything. Raises {!Load_error} against ["container"] when
+    the string is shorter than a header. *)
+
+val decode : t -> string -> (Dec.t -> 'a) -> 'a
+(** [decode t name f] is {!Dec.whole} over section [name]'s payload.
+    Raises {!Corrupt} when the section is absent. *)
 
 val save_file : string -> t -> unit
 (** Crash-atomic: write-to-temp + fsync + rename
@@ -157,10 +201,11 @@ val load_file : string -> t
 val capture_machine : ?prev:t -> Repro_tcg.Runtime.t -> t -> unit
 (** Append the machine-core sections to [t]. RAM costs only the pages
     written since the machine's last capture or restore; the rest are
-    shared with that snapshot ({!Repro_common.Ram.capture}). Every
-    other section whose bytes equal [prev]'s is [prev]'s string; the
-    int-array ones ([cpu], [env], [tlb], [timer], [stats]) are
-    compared without being encoded. *)
+    shared with that snapshot ({!Repro_common.Ram.capture}). The
+    int-array sections ([cpu], [env], [tlb], [timer], [stats]) hold
+    copies of their words, encoded only when their bytes are asked
+    for, and are [prev]'s when the words are equal; every other section
+    whose bytes equal [prev]'s is [prev]'s string. *)
 
 val restore_machine : Repro_tcg.Runtime.t -> t -> unit
 (** Write a capture back into a machine created with the same shape
@@ -177,4 +222,4 @@ val restore_machine : Repro_tcg.Runtime.t -> t -> unit
 (** {2 Checksum} *)
 
 val fnv1a32 : string -> int
-(** The body checksum (FNV-1a, 32-bit). *)
+(** The section checksum (FNV-1a, 32-bit). *)

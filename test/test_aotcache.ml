@@ -114,13 +114,19 @@ let test_section_blame () =
     [ "generation"; "compat"; "rules"; "cache"; "health"; "quarantine" ]
     (Snapshot.names snap);
   (* Each section is framed as a name, a payload (both length-prefixed)
-     and a checksum, after the 24-byte header and the section count. *)
-  let framed name = 24 + String.length name + String.length (Snapshot.find snap name) in
+     and a checksum, after the 24-byte header and the section count;
+     every number is a varint. *)
+  let varint n = String.length (Snapshot.Enc.encode (fun b -> Snapshot.Enc.nat b n)) in
+  let prefixed s = varint (String.length s) + String.length s in
+  let framed name =
+    let p = Snapshot.find snap name in
+    prefixed name + prefixed p + varint (Snapshot.fnv1a32 p)
+  in
   let cache = Depot.cache_payload depot in
   let at =
-    24 + 8
+    24 + varint 6
     + List.fold_left (fun acc n -> acc + framed n) 0 [ "generation"; "compat"; "rules" ]
-    + 8 + String.length "cache" + 8
+    + prefixed "cache" + varint (String.length cache)
   in
   Alcotest.(check string) "the cache payload sits where the framing says" cache
     (String.sub good at (String.length cache));
@@ -665,16 +671,16 @@ let tiny_tb ~pc =
    slot targets [target]; the combined index space has one entry, so
    only -1 and 0 are valid targets. *)
 let one_recipe_cache ~pc ~target =
-  let module C = Repro_snapshot.Tbcodec in
-  let b = Buffer.create 64 in
-  C.put b 1 (* one plain entry: *);
-  C.enc_tb b (tiny_tb ~pc);
-  C.put b 0 (* hot *);
-  C.put_array b C.put_int [| target |] (* its one link slot *);
-  C.put b 0 (* no members *);
-  C.put_bool b false (* no meta *);
-  C.put b 0 (* no regions *);
-  Buffer.contents b
+  let module C = Snapshot.Enc in
+  let b = C.create () in
+  C.nat b 1 (* one plain entry: *);
+  Repro_snapshot.Tbcodec.enc_tb b (tiny_tb ~pc);
+  C.nat b 0 (* hot *);
+  C.array b C.int [| target |] (* its one link slot *);
+  C.nat b 0 (* no members *);
+  C.bool b false (* no meta *);
+  C.nat b 0 (* no regions *);
+  C.contents b
 
 let test_link_targets_validated () =
   let image, _, _, depot = Lazy.force cold_ctx in
@@ -821,10 +827,10 @@ module Tbcodec = Repro_snapshot.Tbcodec
    equals captured code" compares it). *)
 let round_trip what (sys : D.System.t) (tb : T.Tb.t) =
   let meta = Option.bind sys.D.System.rule_translator (fun tr -> D.Translator_rule.freeze tr tb) in
-  let b = Buffer.create 256 in
+  let b = Snapshot.Enc.create () in
   Tbcodec.enc_tb b tb;
   Option.iter (D.Translator_rule.encode_frozen b) meta;
-  let d = Tbcodec.reader (Buffer.contents b) in
+  let d = Snapshot.Dec.of_string (Snapshot.Enc.contents b) in
   let back = { (Tbcodec.dec_tb d) with T.Tb.region_ids = tb.T.Tb.region_ids } in
   let meta_back =
     Option.map
@@ -835,7 +841,7 @@ let round_trip what (sys : D.System.t) (tb : T.Tb.t) =
           ~rule:(fun id -> List.find_opt (fun (r : R.Rule.t) -> r.R.Rule.id = id) rules))
       meta
   in
-  Alcotest.(check bool) (what ^ ": every byte read") true (Tbcodec.finished d);
+  Alcotest.(check bool) (what ^ ": every byte read") true (Snapshot.Dec.finished d);
   let marshal m = Digest.to_hex (Digest.string (Marshal.to_string m [ Marshal.No_sharing ])) in
   Alcotest.(check string) (what ^ ": meta") (marshal meta) (marshal meta_back);
   Alcotest.(check string) (what ^ ": program digest") (Test_emitter.program_digest tb)
@@ -950,9 +956,9 @@ let test_codec_round_trip () =
    escapes. *)
 (* Numbers as the code codec writes them. *)
 let nums l =
-  let b = Buffer.create 16 in
-  List.iter (Tbcodec.put b) l;
-  Buffer.contents b
+  let b = Snapshot.Enc.create () in
+  List.iter (Snapshot.Enc.nat b) l;
+  Snapshot.Enc.contents b
 
 (* A glue-tagged instruction with constructor [ctor] and one field, 0:
    [Exit { slot = 0 }] for constructor 6. *)
@@ -972,9 +978,9 @@ let meta_bytes ~pc ~rule = nums [ 1; pc; 1; 0; 0; 1; 0; 0; 1; 0; 0; 0; 1; rule; 
 
 (* A cache entry: hotness 0, one link slot (zigzagged), [members], [meta]. *)
 let entry ?(link = -1) ?(members = []) ?meta tb =
-  let l = Buffer.create 8 in
-  Tbcodec.put_int l link;
-  tb ^ nums [ 0; 1 ] ^ Buffer.contents l
+  let l = Snapshot.Enc.create () in
+  Snapshot.Enc.int l link;
+  tb ^ nums [ 0; 1 ] ^ Snapshot.Enc.contents l
   ^ nums ((List.length members :: members) @ [ (if meta = None then 0 else 1) ])
   ^ Option.value meta ~default:""
 

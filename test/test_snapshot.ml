@@ -842,6 +842,106 @@ let test_retranslation_ignores_injection () =
         (Fi.export (Option.get target.D.System.rt.T.Runtime.inject)))
     [ ("in-memory", snap); ("bytes", Snapshot.of_string (Snapshot.to_string snap)) ]
 
+(* ---- forged section counts fail typed ----------------------------- *)
+
+(* Every section of a qemu-mode snapshot and of a regions-mode one with
+   an injector, each in turn led by a count of 2^61+1 and framed again
+   with valid checksums: restoring it into a fresh machine raises
+   [Snapshot.Corrupt] and nothing else. A count is checked against the
+   bytes left before anything is allocated, and every decoder reads
+   its whole payload. *)
+let test_forged_section_counts () =
+  let image = kernel_image () in
+  let huge =
+    let b = Snapshot.Enc.create () in
+    Snapshot.Enc.int b ((1 lsl 61) + 1);
+    Snapshot.Enc.contents b
+  in
+  List.iter
+    (fun (mode, with_injector) ->
+      let inject () = if with_injector then Some (Fi.create ~seed:3 ~rate:0.0 ()) else None in
+      let sys = make_sys ?inject:(inject ()) mode image in
+      ignore (D.System.run ~max_guest_insns:20_000 sys);
+      let snap = D.System.snapshot sys in
+      let forged victim =
+        let f = Snapshot.create () in
+        List.iter
+          (fun name ->
+            let payload = Snapshot.find snap name in
+            Snapshot.add f name (if name = victim then huge ^ payload else payload))
+          (Snapshot.names snap);
+        Snapshot.of_string (Snapshot.to_string f)
+      in
+      let restore snap = D.System.restore (D.System.create ?inject:(inject ()) mode) snap in
+      restore (forged "");
+      List.iter
+        (fun name ->
+          let what = Printf.sprintf "%s: a forged %s section" (D.System.mode_name mode) name in
+          match restore (forged name) with
+          | () -> Alcotest.failf "%s restored" what
+          | exception Snapshot.Corrupt _ -> ()
+          | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+        (Snapshot.names snap))
+    [ (D.System.Qemu, false); (D.System.Rules D.Opt.with_regions, true) ]
+
+(* ---- the byte codec ------------------------------------------------ *)
+
+let edge_ints = [ min_int; max_int; 0; -1; 1; 63; 64; -64; -65; 0xFFFF_FFFF ]
+
+(* Ints (edge cases among them), strings, arrays of pairs and nats,
+   written and read back with the one codec. *)
+let prop_codec_round_trip =
+  let any_int = QCheck.(oneof [ int; oneofl edge_ints ]) in
+  QCheck.Test.make ~count:500 ~name:"codec round-trips ints, strings, arrays and pairs"
+    QCheck.(quad (list any_int) (small_list string) (array (pair any_int bool)) (list (map abs int)))
+    (fun ((ints, strings, pairs, nats) as v) ->
+      let module E = Snapshot.Enc in
+      let module Dc = Snapshot.Dec in
+      let bytes =
+        E.encode (fun b ->
+            E.list b E.int ints;
+            E.list b E.string strings;
+            E.array b (E.pair E.int E.bool) pairs;
+            E.list b E.nat nats)
+      in
+      Dc.whole ~name:"qcheck" bytes (fun d ->
+          let ints = Dc.list d Dc.int in
+          let strings = Dc.list d Dc.string in
+          let pairs = Dc.array d (Dc.pair Dc.int Dc.bool) in
+          (ints, strings, pairs, Dc.list d Dc.nat))
+      = v)
+
+let test_codec_refusals () =
+  let module E = Snapshot.Enc in
+  let module Dc = Snapshot.Dec in
+  let refused what f bytes =
+    match Dc.whole ~name:"forged" bytes f with
+    | _ -> Alcotest.failf "%s was accepted" what
+    | exception Snapshot.Corrupt _ -> ()
+    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  List.iter
+    (fun v ->
+      Alcotest.(check int) (Printf.sprintf "%d round-trips" v) v
+        (Dc.whole ~name:"edge" (E.encode (fun b -> E.int b v)) Dc.int))
+    edge_ints;
+  Alcotest.(check int) "max_int takes 9 bytes" 9 (String.length (E.encode (fun b -> E.nat b max_int)));
+  let ten = String.make 9 '\x80' ^ "\x01" in
+  refused "a 10-byte varint as a nat" Dc.nat ten;
+  refused "a 10-byte varint as an int" Dc.int ten;
+  refused "a varint cut short" Dc.nat "\x80";
+  refused "a negative nat" Dc.nat (String.make 8 '\xff' ^ "\x7f");
+  refused "a flag of 2" Dc.bool "\x02";
+  let count n tail = E.encode (fun b -> E.nat b n) ^ tail in
+  refused "a count past the bytes left" (fun d -> Dc.array d Dc.nat) (count 4 "\x01\x02\x03");
+  refused "a length past the bytes left" Dc.string (count 4 "abc");
+  refused "a count of 2^61+1" Dc.int_array (count ((1 lsl 61) + 1) "");
+  refused "int64 words past the bytes left" Dc.i64_array (count 1 "1234567");
+  refused "trailing bytes" Dc.nat "\x01\x01";
+  match E.encode (fun b -> E.nat b (-1)) with
+  | _ -> Alcotest.fail "a negative nat was encoded"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     ( "snapshot",
@@ -887,5 +987,9 @@ let suite =
           test_snapshot_bytes_are_fixed;
         Alcotest.test_case "re-translation ignores live fault injection" `Quick
           test_retranslation_ignores_injection;
+        Alcotest.test_case "forged section counts fail typed" `Quick
+          test_forged_section_counts;
+        QCheck_alcotest.to_alcotest prop_codec_round_trip;
+        Alcotest.test_case "codec refuses malformed bytes" `Quick test_codec_refusals;
       ] );
   ]
