@@ -46,10 +46,7 @@ let build_ruleset builtin_only rules_file =
       exit 2)
   | None ->
     if builtin_only then Repro_rules.Builtin.ruleset ()
-    else
-      let learned = Repro_learn.Learn.learn () in
-      Repro_rules.Ruleset.of_list
-        (Repro_rules.Builtin.all () @ learned.Repro_learn.Learn.rules)
+    else Repro_learn.Learn.(full_ruleset (learn ()))
 
 (* --replay: reconstruct a machine matching the dump (mode, RAM,
    injector) and check the recorded failure reproduces. *)

@@ -9,8 +9,10 @@ let run verbose show_rejects out =
   Format.printf "%a@.@." L.Learn.pp_report report;
   (match out with
   | Some path ->
-    Repro_rules.Serialize.save_file (L.Learn.ruleset report) path;
-    Format.printf "wrote %d rules to %s@.@." (List.length report.L.Learn.rules) path
+    let rs = L.Learn.full_ruleset report in
+    Repro_rules.Serialize.save_file rs path;
+    Format.printf "wrote %d rules (builtin and learned) to %s@.@."
+      (Repro_rules.Ruleset.size rs) path
   | None -> ());
   List.iter
     (fun r ->

@@ -48,8 +48,6 @@ let quarantine_pcs t pcs =
   t.quarantined <- merged;
   grew
 
-let ruleset_digest = Repro_rules.Serialize.digest
-
 (* ---- the blob: a snapshot container ---- *)
 
 let to_string t =

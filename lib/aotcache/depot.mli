@@ -53,8 +53,9 @@ val guard : string -> (unit -> 'a) -> 'a
 type compat = {
   c_mode : string;  (** engine mode name, e.g. ["rules:full"] *)
   c_rules_digest : int;
-      (** FNV-1a-32 of the serialized ruleset the code was
-          translated under (see {!ruleset_digest}); [0] in qemu mode *)
+      (** {!Repro_rules.Serialize.digest} of the ruleset the code was
+          translated under, FNV-1a-32 of its [rules] bytes; [0] in
+          qemu mode *)
   c_hot_threshold : int;
       (** {!Repro_tcg.Engine.hot_threshold} at capture time — depots
           record superblocks fused at exactly this hotness *)
@@ -77,8 +78,8 @@ val compat : t -> compat
 val generation : t -> int
 
 val rules : t -> string
-(** The serialized ruleset ({!Repro_rules.Serialize} format) — a warm
-    boot can adopt it instead of re-learning. *)
+(** The ruleset as {!Repro_rules.Serialize.save} bytes (empty in qemu
+    mode) — a warm boot can adopt it instead of re-learning. *)
 
 val cache_payload : t -> string
 val health : t -> string
@@ -91,11 +92,6 @@ val quarantine_pcs : t -> int list -> bool
 (** Add PCs to the poison set (write-back after a shadow-verification
     divergence on a depot-installed TB). Returns [true] when the set
     grew — i.e. a {!save} is warranted. *)
-
-val ruleset_digest : Repro_rules.Ruleset.t -> int
-(** {!Repro_rules.Serialize.digest} — the ruleset component of the
-    {!compat} key, equal for rulesets with the same
-    {!Repro_rules.Serialize.save} text. *)
 
 val to_string : t -> string
 val of_string : string -> t

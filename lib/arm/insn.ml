@@ -54,24 +54,12 @@ let dp_op_code = function
   | BIC -> 14
   | MVN -> 15
 
-let dp_op_of_code = function
-  | 0 -> AND
-  | 1 -> EOR
-  | 2 -> SUB
-  | 3 -> RSB
-  | 4 -> ADD
-  | 5 -> ADC
-  | 6 -> SBC
-  | 7 -> RSC
-  | 8 -> TST
-  | 9 -> TEQ
-  | 10 -> CMP
-  | 11 -> CMN
-  | 12 -> ORR
-  | 13 -> MOV
-  | 14 -> BIC
-  | 15 -> MVN
-  | n -> invalid_arg (Printf.sprintf "dp_op_of_code: %d" n)
+let all_dp_ops = [ AND; EOR; SUB; RSB; ADD; ADC; SBC; RSC; TST; TEQ; CMP; CMN; ORR; MOV; BIC; MVN ]
+let dp_op_table = Array.of_list all_dp_ops
+
+let dp_op_of_code n =
+  if n < 0 || n > 15 then invalid_arg (Printf.sprintf "dp_op_of_code: %d" n);
+  dp_op_table.(n)
 
 type shift_kind = LSL | LSR | ASR | ROR
 
@@ -83,6 +71,8 @@ let shift_kind_of_code = function
   | 2 -> ASR
   | 3 -> ROR
   | n -> invalid_arg (Printf.sprintf "shift_kind_of_code: %d" n)
+
+let all_shift_kinds = List.init 4 shift_kind_of_code
 
 let shift_kind_to_string = function
   | LSL -> "lsl"
@@ -354,7 +344,7 @@ let non_dp_classes =
   ]
 
 let all_classes =
-  List.map (fun op -> C_dp op) (List.init 16 dp_op_of_code) @ non_dp_classes
+  List.map (fun op -> C_dp op) all_dp_ops @ non_dp_classes
 
 let n_classes = List.length all_classes
 

@@ -30,11 +30,17 @@ val dp_op_to_string : dp_op -> string
 val dp_op_code : dp_op -> int
 val dp_op_of_code : int -> dp_op
 
+val all_dp_ops : dp_op list
+(** Every opcode once, in {!dp_op_code} order. *)
+
 type shift_kind = LSL | LSR | ASR | ROR
 
 val shift_kind_code : shift_kind -> int
 val shift_kind_of_code : int -> shift_kind
 val shift_kind_to_string : shift_kind -> string
+
+val all_shift_kinds : shift_kind list
+(** Every kind once, in {!shift_kind_code} order. *)
 
 type operand2 =
   | Imm of { imm8 : int; rot : int }

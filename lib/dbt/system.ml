@@ -302,8 +302,7 @@ let encode_code code =
         Enc.nat b code.c_hot.(base + k);
         Enc.array b Enc.int f.f_links;
         Enc.array b Enc.nat f.f_members;
-        Enc.bool b (Option.is_some f.f_meta);
-        Option.iter (Translator_rule.encode_frozen b) f.f_meta)
+        Enc.option b Translator_rule.encode_frozen f.f_meta)
       a
   in
   entries 0 code.c_tbs;
@@ -660,7 +659,7 @@ let depot_compat t =
   {
     Depot.c_mode = mode_name t.mode;
     c_rules_digest =
-      (match t.ruleset with Some rs -> Depot.ruleset_digest rs | None -> 0);
+      (match t.ruleset with Some rs -> Repro_rules.Serialize.digest rs | None -> 0);
     c_hot_threshold = Engine.hot_threshold;
   }
 

@@ -861,7 +861,7 @@ let stale t (tb : Tb.t) (f : frozen) =
   || List.exists (fun (r, _) -> Ruleset.is_quarantined t.ruleset r) f.rules_used
 
 (* Flag conventions by their position here. *)
-let convs = Flagconv.[ None; Some Add_like; Some Sub_like; Some Logic_like; Some Canonical ]
+let convs = None :: List.map Option.some Flagconv.all
 
 let encode_frozen b (f : frozen) =
   Enc.array b

@@ -44,9 +44,7 @@ let create ?ruleset ?(target_insns = 200_000) ?(timer_period = 5_000) () =
          than ours. The hand-checked core set stands in for that
          coverage, extended by what our pipeline learns (see
          EXPERIMENTS.md). *)
-      let learned = Repro_learn.Learn.learn () in
-      Repro_rules.Ruleset.of_list
-        (Repro_rules.Builtin.all () @ learned.Repro_learn.Learn.rules)
+      Repro_learn.Learn.(full_ruleset (learn ()))
   in
   { ruleset; target_insns; timer_period; memo = Hashtbl.create 64 }
 

@@ -166,6 +166,7 @@ let learn ?(corpus = Corpus.programs) () =
   }
 
 let ruleset report = Ruleset.of_list report.rules
+let full_ruleset report = Ruleset.of_list (Repro_rules.Builtin.all () @ report.rules)
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -15,4 +15,10 @@ val learn : ?corpus:Repro_minic.Ast.program list -> unit -> report
 (** Defaults to {!Corpus.programs}. Deterministic. *)
 
 val ruleset : report -> Repro_rules.Ruleset.t
+(** The learned rules alone. *)
+
+val full_ruleset : report -> Repro_rules.Ruleset.t
+(** The set the translator runs by default: the hand-checked builtin
+    rules, then the learned ones. *)
+
 val pp_report : Format.formatter -> report -> unit

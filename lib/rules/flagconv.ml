@@ -3,6 +3,8 @@ module Cond = Repro_arm.Cond
 
 type t = Add_like | Sub_like | Logic_like | Canonical
 
+let all = [ Add_like; Sub_like; Logic_like; Canonical ]
+
 type cond_eval = Cc of X.cc | Always | Never | Needs_materialize
 
 (* Shared N/Z/V-only mappings (identical under every convention since

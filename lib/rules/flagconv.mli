@@ -13,6 +13,9 @@
 
 type t = Add_like | Sub_like | Logic_like | Canonical
 
+val all : t list
+(** Every convention once; a codec writes one as its position here. *)
+
 type cond_eval =
   | Cc of Repro_x86.Insn.cc
   | Always

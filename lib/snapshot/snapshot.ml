@@ -16,141 +16,17 @@ module Ram = Repro_common.Ram
 let magic = "DBTSNAP\x01"
 let format_version = 4
 
-exception Corrupt of string
+module Codec = Repro_common.Codec
+module Enc = Codec.Enc
+module Dec = Codec.Dec
+
+exception Corrupt = Codec.Corrupt
 exception Load_error of { section : string; reason : string }
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 let load_error section fmt =
   Printf.ksprintf (fun reason -> raise (Load_error { section; reason })) fmt
-
-let fnv_basis = 0x811c9dc5
-
-(* Folds bytes [pos] to the end of [s], or [len] of them. *)
-let fnv_fold ?(pos = 0) ?len h s =
-  let len = match len with Some n -> n | None -> String.length s - pos in
-  let h = ref h in
-  for i = pos to pos + len - 1 do
-    h := (!h lxor Char.code s.[i]) * 0x01000193 land 0xFFFF_FFFF
-  done;
-  !h
-
-let fnv1a32 s = fnv_fold fnv_basis s
-
-(* Numbers are varints: 7 bits a byte, low bits first, the high bit set
-   on every byte but the last, so at most 9 bytes for 63 bits. A signed
-   number is zigzagged first: 0, -1, 1, -2 ... become 0, 1, 2, 3 ... *)
-module Enc = struct
-  type t = Buffer.t
-
-  (* most sections are a few words; a capture encodes several *)
-  let create () = Buffer.create 64
-
-  let rec varint b u =
-    if u lsr 7 = 0 then Buffer.add_char b (Char.unsafe_chr u)
-    else begin
-      Buffer.add_char b (Char.unsafe_chr (u land 0x7f lor 0x80));
-      varint b (u lsr 7)
-    end
-
-  let nat b n = if n < 0 then invalid_arg "Snapshot.Enc.nat: negative" else varint b n
-  let int b v = varint b ((v lsl 1) lxor (v asr 62))
-  let bool b v = varint b (Bool.to_int v)
-
-  let string b s =
-    nat b (String.length s);
-    Buffer.add_string b s
-
-  let array b f a =
-    nat b (Array.length a);
-    Array.iter (f b) a
-
-  let list b f l =
-    nat b (List.length l);
-    List.iter (f b) l
-
-  let pair f g b (x, y) = f b x; g b y
-  let enum l b v = nat b (Option.get (List.find_index (( = ) v) l))
-  let int_array b a = array b int a
-  let i64_array b a = array b Buffer.add_int64_le a
-  let contents = Buffer.contents
-  let encode f = let b = create () in f b; contents b
-end
-
-module Dec = struct
-  type t = { src : string; mutable pos : int; name : string }
-
-  let of_string ?(name = "payload") src = { src; pos = 0; name }
-  let left d = String.length d.src - d.pos
-
-  let rec varint d acc shift =
-    if d.pos >= String.length d.src || shift > 56 then
-      corrupt "%s: bad number at byte %d" d.name d.pos;
-    let c = Char.code (String.unsafe_get d.src d.pos) in
-    d.pos <- d.pos + 1;
-    let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c < 0x80 then acc else varint d acc (shift + 7)
-
-  let nat d =
-    match varint d 0 0 with
-    | n when n >= 0 -> n
-    | n -> corrupt "%s: negative number %d at byte %d" d.name n d.pos
-
-  let int d =
-    let u = varint d 0 0 in
-    (u lsr 1) lxor -(u land 1)
-
-  let bool d =
-    match nat d with
-    | 0 -> false
-    | 1 -> true
-    | k -> corrupt "%s: bad flag %d at byte %d" d.name k d.pos
-
-  (* A count of things that each take a byte or more: no more than the
-     bytes left, checked before anything is allocated. *)
-  let count d =
-    let n = nat d in
-    if n > left d then corrupt "%s: count %d past the end at byte %d" d.name n d.pos;
-    n
-
-  (* A length-prefixed string's offset and length, skipped, not copied. *)
-  let span d =
-    let n = count d in
-    let pos = d.pos in
-    d.pos <- d.pos + n;
-    (pos, n)
-
-  let string d =
-    let pos, n = span d in
-    String.sub d.src pos n
-
-  let array d f = Array.init (count d) (fun _ -> f d)
-  let list d f = Array.to_list (array d f)
-
-  let pair f g d = let x = f d in (x, g d)
-
-  let enum l d =
-    let k = nat d in
-    match List.nth_opt l k with
-    | Some v -> v
-    | None -> corrupt "%s: bad enumeration value %d" d.name k
-
-  let int_array d = array d int
-
-  let i64_array d =
-    array d (fun d ->
-        if left d < 8 then corrupt "%s: truncated at byte %d" d.name d.pos;
-        d.pos <- d.pos + 8;
-        String.get_int64_le d.src (d.pos - 8))
-
-  let finished d = d.pos = String.length d.src
-
-  let whole ~name payload f =
-    let d = of_string ~name payload in
-    let v = f d in
-    if not (finished d) then corrupt "%s: trailing bytes" name;
-    v
-end
 
 (* ---- the section container ---- *)
 
@@ -222,9 +98,11 @@ let ram_pages t =
    every payload through the section checksums it covers. *)
 let to_string t =
   let ordered = List.rev t.sections in
-  let body = Enc.create () and framing = ref fnv_basis and from = ref 0 in
+  let body = Enc.create () and framing = ref Codec.fnv_basis and from = ref 0 in
   (* folds the framing written since the last payload *)
-  let framed () = framing := fnv_fold !framing (Buffer.sub body !from (Buffer.length body - !from)) in
+  let framed () =
+    framing := Codec.fnv_fold !framing (Buffer.sub body !from (Buffer.length body - !from))
+  in
   Enc.nat body (List.length ordered);
   List.iter
     (fun (name, payload) ->
@@ -234,13 +112,13 @@ let to_string t =
         | Paged ps ->
           Enc.nat body (Pages.length ps);
           framed ();
-          Pages.fold (fun h p -> Buffer.add_string body p; fnv_fold h p) fnv_basis ps
+          Pages.fold (fun h p -> Buffer.add_string body p; Codec.fnv_fold h p) Codec.fnv_basis ps
         | Whole _ | Value _ ->
           let s = materialize payload in
           Enc.nat body (String.length s);
           framed ();
           Buffer.add_string body s;
-          fnv1a32 s
+          Codec.fnv1a32 s
       in
       from := Buffer.length body;
       Enc.nat body sum)
@@ -278,19 +156,18 @@ let of_string s =
   (* The body is decoded in place: payloads and RAM pages are cut
      straight from [s], and checksums fold over byte ranges of it. The
      framing folds up to each payload and from its end on. *)
-  let d = Dec.of_string ~name:"body" s in
-  d.Dec.pos <- 24;
-  let framing = ref fnv_basis and from = ref 24 in
+  let d = Dec.of_string ~name:"body" ~pos:24 s in
+  let framing = ref Codec.fnv_basis and from = ref 24 in
   let n = guard "container" (fun () -> Dec.count d) in
   let t = create () in
   for _ = 1 to n do
     let name = guard "container" (fun () -> Dec.string d) in
     guard name (fun () ->
         let pos, len = Dec.span d in
-        framing := fnv_fold ~pos:!from ~len:(pos - !from) !framing s;
+        framing := Codec.fnv_fold ~pos:!from ~len:(pos - !from) !framing s;
         from := pos + len;
         let stored = Dec.nat d in
-        let computed = fnv_fold ~pos ~len fnv_basis s in
+        let computed = Codec.fnv_fold ~pos ~len Codec.fnv_basis s in
         if stored <> computed then
           corrupt "section checksum mismatch (stored %#x, computed %#x)"
             stored computed;
@@ -305,7 +182,7 @@ let of_string s =
      framing damage the section checksums cannot see (a flipped name
      byte that still parses, a rewritten length that re-frames
      cleanly). *)
-  let actual = fnv_fold ~pos:!from !framing s in
+  let actual = Codec.fnv_fold ~pos:!from !framing s in
   if sum <> actual then
     load_error "container" "framing checksum mismatch (stored %#x, computed %#x)"
       sum actual;
@@ -356,10 +233,7 @@ let capture_machine ?prev (rt : Rt.t) t =
   add_ints ?prev t "tlb" ctx.Exec.tlb;
   add_ints ?prev t "timer" (Devices.Timer.export rt.Rt.bus.Bus.timer);
   add "uart" (fun b -> Enc.string b (Devices.Uart.output rt.Rt.bus.Bus.uart));
-  add "syscon" (fun b ->
-      let halted = Devices.Syscon.halted rt.Rt.bus.Bus.syscon in
-      Enc.bool b (Option.is_some halted);
-      Option.iter (Enc.int b) halted);
+  add "syscon" (fun b -> Enc.option b Enc.int (Devices.Syscon.halted rt.Rt.bus.Bus.syscon));
   Option.iter (fun inj -> add "inject" (fun b -> Enc.i64_array b (Fi.export inj))) rt.Rt.inject;
   add_ints ?prev t "stats" (Stats.to_array (Rt.stats rt))
 
@@ -392,7 +266,7 @@ let restore_machine (rt : Rt.t) t =
    with Invalid_argument e -> corrupt "timer: %s" e);
   Devices.Uart.import rt.Rt.bus.Bus.uart (decode t "uart" Dec.string);
   Devices.Syscon.import rt.Rt.bus.Bus.syscon
-    (decode t "syscon" (fun d -> if Dec.bool d then Some (Dec.int d) else None));
+    (decode t "syscon" (fun d -> Dec.option d Dec.int));
   (match (rt.Rt.inject, mem t "inject") with
   | None, false -> ()
   | Some inj, true -> (

@@ -23,9 +23,10 @@
     cursor, journal) are layered on by [Repro_dbt.System]. *)
 
 exception Corrupt of string
-(** A semantic problem in an already-loaded snapshot: missing or
-    malformed section payload, shape mismatch against the machine
-    being restored into. *)
+(** {!Repro_common.Codec.Corrupt}, the codec's one failure, also
+    raised for a semantic problem in an already-loaded snapshot:
+    missing or malformed section payload, shape mismatch against the
+    machine being restored into. *)
 
 exception Load_error of { section : string; reason : string }
 (** Container-integrity failure while {e loading} raw bytes
@@ -40,71 +41,12 @@ val format_version : int
 
 (** {2 The byte codec}
 
-    Snapshots and depots write every section with this one codec. A
-    [nat] is a varint: 7 bits a byte, low bits first, the high bit set
-    on every byte but the last, at most 9 bytes. An [int] is a
-    zigzagged varint (0, -1, 1, -2 ... as 0, 1, 2, 3 ...). A bool is
-    the nat 0 or 1, a string or an array its length as a nat, then its
-    bytes or elements. Only the injector's [int64] words stay 8 bytes
-    wide. *)
+    Snapshots and depots write every section with
+    {!Repro_common.Codec}; these are its modules under the names the
+    engine's section writers use. *)
 
-module Enc : sig
-  type t
-
-  val create : unit -> t
-  val contents : t -> string
-
-  val encode : (t -> unit) -> string
-  (** The bytes [f] writes to a fresh encoder. *)
-
-  val nat : t -> int -> unit
-  (** Raises [Invalid_argument] on a negative number. *)
-
-  val int : t -> int -> unit
-  val bool : t -> bool -> unit
-  val string : t -> string -> unit
-  val array : t -> (t -> 'a -> unit) -> 'a array -> unit
-  val list : t -> (t -> 'a -> unit) -> 'a list -> unit
-  val pair : (t -> 'a -> unit) -> (t -> 'b -> unit) -> t -> 'a * 'b -> unit
-
-  val enum : 'a list -> t -> 'a -> unit
-  (** A value as its position in the list. *)
-
-  val int_array : t -> int array -> unit
-  val i64_array : t -> int64 array -> unit
-end
-
-(** Every decoding failure is {!Corrupt}, naming the payload: a varint
-    longer than 9 bytes, a negative [nat], a bool other than 0 or 1, a
-    count or length past the bytes left (refused before anything is
-    allocated), an enumeration value past the list. *)
-module Dec : sig
-  type t
-
-  val of_string : ?name:string -> string -> t
-  (** [name] labels {!Corrupt} messages. *)
-
-  val whole : name:string -> string -> (t -> 'a) -> 'a
-  (** [f] over the whole payload; bytes it leaves unread are {!Corrupt}. *)
-
-  val nat : t -> int
-  val int : t -> int
-  val bool : t -> bool
-
-  val count : t -> int
-  (** A nat counting things of a byte or more each, as arrays and
-      strings are prefixed. *)
-
-  val string : t -> string
-  val array : t -> (t -> 'a) -> 'a array
-  val list : t -> (t -> 'a) -> 'a list
-  val pair : (t -> 'a) -> (t -> 'b) -> t -> 'a * 'b
-  val enum : 'a list -> t -> 'a
-  val int_array : t -> int array
-  val i64_array : t -> int64 array
-  val finished : t -> bool
-  (** All input consumed. *)
-end
+module Enc = Repro_common.Codec.Enc
+module Dec = Repro_common.Codec.Dec
 
 (** {2 The section container}
 
@@ -218,8 +160,3 @@ val restore_machine : Repro_tcg.Runtime.t -> t -> unit
     reset to their between-TB defaults. Raises {!Corrupt} on shape mismatch — including a
     snapshot that carries injector state restored into a machine
     without an injector, or vice versa. *)
-
-(** {2 Checksum} *)
-
-val fnv1a32 : string -> int
-(** The section checksum (FNV-1a, 32-bit). *)

@@ -10,8 +10,6 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Snapshot.Corrupt ("cache: " ^
 (* Enumerations by their position here. *)
 let widths = X.[ W8; W16; W32 ]
 let segs = X.[ Env; Ram; Tlb ]
-let alu_ops = X.[ Add; Adc; Sub; Sbb; And; Or; Xor; Cmp; Test ]
-let shift_ops = X.[ Shl; Shr; Sar; Ror ]
 let ccs = X.[ E; NE; B; AE; S; NS; O; NO; A; BE; GE; L; G; LE ]
 let counters = X.[ Cnt_sync_op; Cnt_mmu_access; Cnt_irq_poll ]
 let injected_kinds = [ `None; `Rule_corrupt; `Livelock ]
@@ -51,7 +49,7 @@ let enc_insn b insn tag =
   | X.Mov { width; dst; src } -> ctor 1; put (index widths width); operand dst; operand src
   | X.Count (X.Cnt_guest_insn attr) -> ctor 2; put 0; put attr
   | X.Count c -> ctor 2; put (1 + index counters c)
-  | X.Alu { op; dst; src } -> ctor 3; put (index alu_ops op); operand dst; operand src
+  | X.Alu { op; dst; src } -> ctor 3; put (index X.all_alu_ops op); operand dst; operand src
   | X.Jcc { cc; target } -> ctor 4; put (index ccs cc); put target
   | X.Jmp l -> ctor 5; put l
   | X.Exit { slot } -> ctor 6; put slot
@@ -61,8 +59,8 @@ let enc_insn b insn tag =
   | X.Lea { dst; addr } -> ctor 10; put dst; operand (X.Mem addr)
   | X.Setcc { cc; dst } -> ctor 11; put (index ccs cc); put dst
   | X.Cmovcc { cc; dst; src } -> ctor 12; put (index ccs cc); put dst; operand src
-  | X.Shift { op; dst; amount = X.Sh_imm n } -> ctor 13; put (index shift_ops op); operand dst; put 1; Enc.int b n
-  | X.Shift { op; dst; amount = X.Sh_cl } -> ctor 13; put (index shift_ops op); operand dst; put 0
+  | X.Shift { op; dst; amount = X.Sh_imm n } -> ctor 13; put (index X.all_shift_ops op); operand dst; put 1; Enc.int b n
+  | X.Shift { op; dst; amount = X.Sh_cl } -> ctor 13; put (index X.all_shift_ops op); operand dst; put 0
   | X.Neg o -> ctor 14; operand o
   | X.Not o -> ctor 15; operand o
   | X.Imul { dst; src } -> ctor 16; put dst; operand src
@@ -101,7 +99,7 @@ let dec_insn r tags k =
     X.Mov { width; dst; src = operand r }
   | 2 -> X.Count (match Dec.nat r with 0 -> X.Cnt_guest_insn (Dec.nat r) | c -> nth counters (c - 1))
   | 3 ->
-    let op = Dec.enum alu_ops r in
+    let op = Dec.enum X.all_alu_ops r in
     let dst = operand r in
     X.Alu { op; dst; src = operand r }
   | 4 -> let cc = Dec.enum ccs r in X.Jcc { cc; target = Dec.nat r }
@@ -119,7 +117,7 @@ let dec_insn r tags k =
     let dst = reg r in
     X.Cmovcc { cc; dst; src = operand r }
   | 13 ->
-    let op = Dec.enum shift_ops r in
+    let op = Dec.enum X.all_shift_ops r in
     let dst = operand r in
     X.Shift { op; dst; amount = (if Dec.nat r = 0 then X.Sh_cl else X.Sh_imm (Dec.int r)) }
   | 14 -> X.Neg (operand r)

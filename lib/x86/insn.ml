@@ -193,3 +193,5 @@ let tag_name = function
   | Tag_glue -> "glue"
 
 let all_tags = [ Tag_compute; Tag_sync; Tag_mmu; Tag_irq_check; Tag_glue ]
+let all_alu_ops = [ Add; Adc; Sub; Sbb; And; Or; Xor; Cmp; Test ]
+let all_shift_ops = [ Shl; Shr; Sar; Ror ]

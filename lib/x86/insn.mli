@@ -124,4 +124,12 @@ type tag =
   | Tag_glue      (** prologue/epilogue, chaining, condition re-eval *)
 
 val tag_name : tag -> string
+
+(** {2 Enumerations}
+
+    Every constructor once; a codec writes a value as its position
+    here. *)
+
 val all_tags : tag list
+val all_alu_ops : alu_op list
+val all_shift_ops : shift_op list

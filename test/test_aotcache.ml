@@ -120,7 +120,7 @@ let test_section_blame () =
   let prefixed s = varint (String.length s) + String.length s in
   let framed name =
     let p = Snapshot.find snap name in
-    prefixed name + prefixed p + varint (Snapshot.fnv1a32 p)
+    prefixed name + prefixed p + varint (Repro_common.Codec.fnv1a32 p)
   in
   let cache = Depot.cache_payload depot in
   let at =
@@ -340,24 +340,25 @@ let variant ?mode:m ?digest ?hot depot =
   Depot.create ~compat:c ~rules:(Depot.rules depot)
     ~cache:(Depot.cache_payload depot) ~health:(Depot.health depot)
 
+let reject what d =
+  let image, cold_outcome, _, _ = Lazy.force cold_ctx in
+  let sys = make_sys mode image in
+  (match D.System.depot_install sys d with
+  | _ -> Alcotest.failf "%s: incompatible depot accepted" what
+  | exception Depot.Depot_error { section; _ } ->
+    Alcotest.(check string) (what ^ ": blames the compat key") "compat"
+      section
+  | exception e ->
+    Alcotest.failf "%s: escaped exception %s" what (Printexc.to_string e));
+  (* the refusal must leave the machine pristine: a cold run on the
+     very same instance still reaches the reference outcome *)
+  let res = D.System.run ~max_guest_insns:2_000_000 sys in
+  Alcotest.(check (pair int string))
+    (what ^ ": cold fallback reaches the reference outcome")
+    cold_outcome (guest_outcome sys res)
+
 let test_compat_rejection () =
-  let image, cold_outcome, _, depot = Lazy.force cold_ctx in
-  let reject what d =
-    let sys = make_sys mode image in
-    (match D.System.depot_install sys d with
-    | _ -> Alcotest.failf "%s: incompatible depot accepted" what
-    | exception Depot.Depot_error { section; _ } ->
-      Alcotest.(check string) (what ^ ": blames the compat key") "compat"
-        section
-    | exception e ->
-      Alcotest.failf "%s: escaped exception %s" what (Printexc.to_string e));
-    (* the refusal must leave the machine pristine: a cold run on the
-       very same instance still reaches the reference outcome *)
-    let res = D.System.run ~max_guest_insns:2_000_000 sys in
-    Alcotest.(check (pair int string))
-      (what ^ ": cold fallback reaches the reference outcome")
-      cold_outcome (guest_outcome sys res)
-  in
+  let image, _, _, depot = Lazy.force cold_ctx in
   let c = Depot.compat depot in
   reject "mutated ruleset digest"
     (variant ~digest:(c.Depot.c_rules_digest lxor 0xBEEF) depot);
@@ -372,6 +373,30 @@ let test_compat_rejection () =
   ignore (D.System.run ~max_guest_insns:2_000_000 full_sys);
   let full_depot = D.System.depot_capture full_sys in
   reject "depot captured under rules:full" full_depot
+
+(* A depot written before rule sets were codec bytes: its [rules]
+   section is text and its compatibility digest the old walk's (here
+   the builtin set's, 0x2aa67e2f). Verification names [rules]; a warm
+   boot cannot adopt the rules, builds its own, and the digest refuses
+   the code, so the machine boots cold to the reference outcome. *)
+let test_text_rules_depot () =
+  let _, _, _, depot = Lazy.force cold_ctx in
+  let old =
+    Depot.of_string
+      (Depot.to_string
+         (Depot.create
+            ~compat:{ (Depot.compat depot) with Depot.c_rules_digest = 0x2aa67e2f }
+            ~rules:Test_rules.old_text_file ~cache:(Depot.cache_payload depot)
+            ~health:(Depot.health depot)))
+  in
+  (match D.System.depot_check old with
+  | _ -> Alcotest.fail "verification accepted a text rules section"
+  | exception Depot.Depot_error { section; _ } ->
+    Alcotest.(check string) "verification blames the rules" "rules" section);
+  (match R.Serialize.load (Depot.rules old) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "text rules loaded");
+  reject "depot with text rules" old
 
 (* ---- self-repair: poisoned recipes stay quarantined ---------------- *)
 
@@ -1067,6 +1092,8 @@ let suite =
           test_rebuilds_record_no_statics;
         Alcotest.test_case "cross-version/cross-ruleset rejection" `Quick
           test_compat_rejection;
+        Alcotest.test_case "a depot with text rules boots cold" `Quick
+          test_text_rules_depot;
         Alcotest.test_case "poisoned recipes stay quarantined" `Quick
           test_quarantine_honored;
         Alcotest.test_case "breaker rule write-back persists" `Quick

@@ -172,6 +172,29 @@ let test_learned_rules_serialize () =
       (Repro_rules.Ruleset.rules rs = Repro_rules.Ruleset.rules rs')
   | Error e -> Alcotest.failf "learned serialization failed: %s" e
 
+(* Loading is total: every prefix of the learned set's bytes, and the
+   bytes with any one byte inverted or its low bit flipped, load or
+   give an [Error]; no input raises. *)
+let test_learned_rules_load_total () =
+  let bytes = Repro_rules.Serialize.save (L.Learn.ruleset (Lazy.force report)) in
+  let total what s =
+    match Repro_rules.Serialize.load s with
+    | Ok _ | Error _ -> ()
+    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  for n = 0 to String.length bytes - 1 do
+    total (Printf.sprintf "prefix %d" n) (String.sub bytes 0 n)
+  done;
+  String.iteri
+    (fun i c ->
+      List.iter
+        (fun mask ->
+          let b = Bytes.of_string bytes in
+          Bytes.set b i (Char.chr (Char.code c lxor mask));
+          total (Printf.sprintf "byte %d xor %#x" i mask) (Bytes.to_string b))
+        [ 0xff; 0x01 ])
+    bytes
+
 let test_determinism () =
   let a = L.Learn.learn () in
   let b = L.Learn.learn () in
@@ -181,10 +204,12 @@ let test_determinism () =
 
 (* The learned ruleset and the verifier's verdicts, pinned: a change to
    how either side of a candidate is evaluated symbolically must leave
-   the same rules, counts and Proved/Probable split. *)
+   the same rules, counts and Proved/Probable split. The digest is
+   FNV-1a of the set's saved bytes, so it moves with the byte format
+   as well as with the rules. *)
 let test_learned_ruleset_pinned () =
   let r = Lazy.force report in
-  Alcotest.(check int) "ruleset digest" 498959982
+  Alcotest.(check int) "ruleset digest" 1885240043
     (Repro_rules.Serialize.digest (L.Learn.ruleset r));
   Alcotest.(check (list int)) "candidates, verified, rules, rejected" [ 152; 152; 53; 0 ]
     [ r.L.Learn.candidates; r.L.Learn.verified; List.length r.L.Learn.rules;
@@ -208,6 +233,7 @@ let suite =
         Alcotest.test_case "variable-shift rules" `Quick test_variable_shift_rules;
         Alcotest.test_case "deterministic" `Quick test_determinism;
         Alcotest.test_case "learned rules serialize" `Quick test_learned_rules_serialize;
+        Alcotest.test_case "rule set load is total" `Quick test_learned_rules_load_total;
         Alcotest.test_case "learned ruleset is pinned" `Quick test_learned_ruleset_pinned;
       ] );
     ( "learn.verify",

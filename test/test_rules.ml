@@ -268,39 +268,133 @@ let suite =
 
 (* --- serialization --- *)
 
+let load_exn bytes =
+  match R.Serialize.load bytes with Ok rs -> rs | Error e -> Alcotest.failf "load failed: %s" e
+
 let test_serialize_roundtrip_builtin () =
   List.iter
     (fun r ->
-      match R.Serialize.rule_of_string (R.Serialize.rule_to_string r) with
-      | Ok r' ->
-        if r' <> r then Alcotest.failf "roundtrip mismatch for %s" r.Rule.name
-      | Error e -> Alcotest.failf "parse failed for %s: %s" r.Rule.name e)
+      match Ruleset.rules (load_exn (R.Serialize.save (Ruleset.of_list [ r ]))) with
+      | [ r' ] when r' = r -> ()
+      | _ -> Alcotest.failf "roundtrip mismatch for %s" r.Rule.name)
     (Lazy.force rules)
 
 let test_serialize_ruleset_file () =
   let rs = Lazy.force ruleset in
-  let text = R.Serialize.save rs in
-  match R.Serialize.load text with
-  | Ok rs' ->
-    Alcotest.(check int) "same size" (Ruleset.size rs) (Ruleset.size rs');
-    Alcotest.(check bool) "same rules" true (Ruleset.rules rs = Ruleset.rules rs')
-  | Error e -> Alcotest.failf "load failed: %s" e
+  let rs' = load_exn (R.Serialize.save rs) in
+  Alcotest.(check int) "same size" (Ruleset.size rs) (Ruleset.size rs');
+  Alcotest.(check bool) "same rules" true (Ruleset.rules rs = Ruleset.rules rs')
 
 let test_serialize_rejects_garbage () =
   match R.Serialize.load "(rule (id banana))" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage must not parse"
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The first two lines of a rule file written by the text format this
+   codec replaced. *)
+let old_text_file =
+  "; repro-dbt rule set (one rule per line)\n\
+   (rule (id 1001) (name arith_basic:154) (source (learned arith_basic:154)) (guest (dp \
+   (mov) false 0 0 (imm (p 0)))) (host (mov (param 0) (imm (p 0)))) (regs 1) (imms 1) \
+   (flags false false none) (carry none) (distinct))\n"
+
+let test_serialize_old_text () =
+  match R.Serialize.load old_text_file with
+  | Error e ->
+    if not (contains e "not a rule set in this format") then
+      Alcotest.failf "error does not say the format is wrong: %s" e
+  | Ok _ -> Alcotest.fail "an old text rule file loaded"
+
+(* Each forgery is a builtin rule with one field made invalid, saved
+   unchecked: the encoder writes whatever it is given, and only the
+   decoder judges. [mov_imm] is [mov rd, #i0] -> [mov p0, i0]; [add_imm]
+   has two register parameters. *)
+let forgeries =
+  let mov_imm = find_rule "mov_imm" and mov_reg = find_rule "mov_reg" in
+  let one r = [ r ] in
+  let bytes rules = R.Serialize.save (Ruleset.of_list rules) in
+  [
+    ( "guest register index past its count",
+      bytes
+        (one
+           {
+             mov_imm with
+             guest = [ G_dp { ops = [ A.MOV ]; s = false; rd = 1; rn = 0; op2 = G_imm (P_imm 0) } ];
+           }) );
+    ( "guest immediate index past its count",
+      bytes
+        (one
+           {
+             mov_imm with
+             guest = [ G_dp { ops = [ A.MOV ]; s = false; rd = 0; rn = 0; op2 = G_imm (P_imm 3) } ];
+           }) );
+    ( "host register index past its count",
+      bytes (one { mov_imm with host = [ H_mov { dst = H_param 1; src = H_imm (P_imm 0) } ] }) );
+    ( "host immediate index past its count",
+      bytes (one { mov_imm with host = [ H_mov { dst = H_param 0; src = H_imm (P_imm 1) } ] }) );
+    ("require_distinct index past its count", bytes (one { mov_reg with require_distinct = [ (0, 2) ] }));
+    ( "shifted immediate in a guest pattern",
+      bytes
+        (one
+           {
+             mov_imm with
+             guest =
+               [ G_dp { ops = [ A.MOV ]; s = false; rd = 0; rn = 0; op2 = G_imm (P_imm_shl (0, 16)) } ];
+           }) );
+    ( "scratch register past the scratch set",
+      bytes
+        (one
+           {
+             mov_imm with
+             host =
+               [ H_mov { dst = H_scratch (Array.length R.Pinmap.scratch); src = H_imm (P_imm 0) } ];
+           }) );
+    ( "immediate in a register position",
+      bytes (one { mov_imm with host = [ H_mov { dst = H_imm (P_imm 0); src = H_param 0 } ] }) );
+    ("parameter count past the bound", bytes (one { mov_imm with n_imm_params = 17 }));
+    ("duplicate rule id", bytes [ mov_imm; { mov_reg with id = mov_imm.id } ]);
+    ("trailing bytes", bytes [ mov_imm ] ^ "\000");
+  ]
+
+let test_serialize_forgery bytes () =
+  match R.Serialize.load bytes with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a forged rule set loaded"
+
+(* A file round trip goes through the crash-atomic writer: it leaves
+   the file and nothing else, and a file that is not there is an
+   [Error], not an exception. *)
+let test_serialize_file_roundtrip () =
+  let dir = Filename.temp_file "repro-rules" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let path = Filename.concat dir "rules.bin" in
+  let rs = Lazy.force ruleset in
+  R.Serialize.save_file rs path;
+  let listed = Sys.readdir dir in
+  let back = R.Serialize.load_file path in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) listed;
+  Sys.rmdir dir;
+  Alcotest.(check (array string)) "only the file is left" [| "rules.bin" |] listed;
+  (match back with
+  | Ok rs' -> Alcotest.(check bool) "same rules" true (Ruleset.rules rs = Ruleset.rules rs')
+  | Error e -> Alcotest.failf "load_file failed: %s" e);
+  match R.Serialize.load_file path with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a missing file loaded"
+
 (* The depot's compatibility key: over every builtin rule's shape
    (ids and names blanked) and single-field edits of it, two rules
-   share a digest exactly when they save to the same text. *)
+   share a digest exactly when they save to the same bytes. *)
 let test_serialize_digest () =
   let rs = Lazy.force ruleset in
-  (match R.Serialize.load (R.Serialize.save rs) with
-  | Ok rs' ->
-    Alcotest.(check int) "reloaded set keeps its digest" (R.Serialize.digest rs)
-      (R.Serialize.digest rs')
-  | Error e -> Alcotest.failf "load failed: %s" e);
+  Alcotest.(check int) "reloaded set keeps its digest" (R.Serialize.digest rs)
+    (R.Serialize.digest (load_exn (R.Serialize.save rs)));
   let edits (r : Rule.t) =
     let r = { r with Rule.id = 0; name = "r" } in
     [
@@ -333,17 +427,18 @@ let test_serialize_digest () =
   let pool =
     List.concat_map edits (Lazy.force rules)
     |> List.map (fun r ->
-           (R.Serialize.rule_to_string r, R.Serialize.digest (Ruleset.of_list [ r ])))
+           let rs = Ruleset.of_list [ r ] in
+           (R.Serialize.save rs, R.Serialize.digest rs))
   in
   List.iter
-    (fun (text, d) ->
+    (fun (bytes, d) ->
       List.iter
-        (fun (text', d') ->
-          if (text = text') <> (d = d') then
-            Alcotest.failf "%s texts but %s digests:\n%s\n%s"
-              (if text = text' then "equal" else "different")
+        (fun (bytes', d') ->
+          if (bytes = bytes') <> (d = d') then
+            Alcotest.failf "%s bytes but %s digests:\n%S\n%S"
+              (if bytes = bytes' then "equal" else "different")
               (if d = d' then "equal" else "different")
-              text text')
+              bytes bytes')
         pool)
     pool
 
@@ -354,6 +449,13 @@ let serialize_suite =
       Alcotest.test_case "ruleset save/load" `Quick test_serialize_ruleset_file;
       Alcotest.test_case "rejects garbage" `Quick test_serialize_rejects_garbage;
       Alcotest.test_case "digest follows the saved text" `Quick test_serialize_digest;
-    ] )
+      Alcotest.test_case "a text rule file is not this format" `Quick test_serialize_old_text;
+      Alcotest.test_case "file round trip, atomic, missing file" `Quick
+        test_serialize_file_roundtrip;
+    ]
+    @ List.map
+        (fun (name, bytes) ->
+          Alcotest.test_case ("refuses " ^ name) `Quick (test_serialize_forgery bytes))
+        forgeries )
 
 let suite = suite @ [ serialize_suite ]
