@@ -10,6 +10,7 @@ module K = Repro_kernel.Kernel
 module W = Repro_workloads.Workloads
 module Stats = Repro_x86.Stats
 module Jsonx = Repro_observe.Jsonx
+module Ledger = Repro_observe.Ledger
 
 (* Performance-observatory tests: the histogram and flamegraph
    primitives, the Jsonx parser, the load-bearing scope invariants
@@ -249,6 +250,131 @@ let test_scope_determinism () =
     rows;
   Alcotest.(check (float 0.)) "max |delta|" 0. (A.max_abs_pct rows)
 
+(* ---- observer outputs are pinned ------------------------------------ *)
+
+let observed_run ?scope ?ledger bench mode =
+  let spec = W.find bench in
+  let iterations = max 1 (40_000 / W.insns_per_iteration spec) in
+  let image = K.build ~timer_period:2_000 ~user_program:(W.generate spec ~iterations) () in
+  let sys = D.System.create ?scope ?ledger mode in
+  K.load image (D.System.load_image sys);
+  ignore (D.System.run ~max_guest_insns:5_000_000 sys);
+  (image, sys)
+
+(* The five renderings of a fully observed run: the scope's JSON, its
+   hot-block table, its flamegraph under [dbt_run]'s frames, the
+   ledger's JSON and the raw counters. *)
+let observer_outputs bench mode =
+  let scope = Scope.create () and ledger = Ledger.create () in
+  let image, sys = observed_run ~scope ~ledger bench mode in
+  let frames (b : Scope.block) =
+    [
+      D.System.mode_name mode;
+      (if b.Scope.privileged then "kernel" else "user");
+      K.symbolize image b.Scope.pc;
+      Printf.sprintf (if b.Scope.region then "region_0x%08x" else "tb_0x%08x") b.Scope.pc;
+    ]
+  in
+  let folded =
+    String.concat "\n"
+      (List.map
+         (fun (stack, n) -> Printf.sprintf "%s %d" stack n)
+         (Flame.fold (Scope.flame scope ~frames)))
+  in
+  [
+    Scope.to_json scope;
+    Format.asprintf "%a" (Scope.pp_blocks ~top:10) scope;
+    folded;
+    Ledger.to_json ledger;
+    String.concat "," (Array.to_list (Array.map string_of_int (Stats.to_array (D.System.stats sys))));
+  ]
+  |> List.map (fun s -> Digest.to_hex (Digest.string s))
+
+(* MD5s of [observer_outputs], in its order. Refactors of the engine's
+   cost plumbing or of the observers' folds must leave them unchanged. *)
+let pinned_outputs =
+  let qemu = D.System.Qemu and rules o = D.System.Rules o in
+  [
+    ( "gcc",
+      qemu,
+      [
+        "1fe5b5d111304e331c9c8e0df0ecd52c"; "d4d9b074aa8d2d2c7ccae27989d60464";
+        "2cf779bd52d5d38bc3a9a3171aede78f"; "f6ddf017ed849e15600f7990da42e83d";
+        "b97966e6c25fdaf165fa81e1906207c7";
+      ] );
+    ( "gcc",
+      rules D.Opt.full,
+      [
+        "daaa6996a60236c94eef16396c76d252"; "c201b1fd297cbc70a73c7e5170d6d27b";
+        "cc9db32b588ee5a225d118a4d40992a3"; "3d7352414c69f953f870fad686c53ced";
+        "80994fcfdaeec84cb2ae848f78f2c039";
+      ] );
+    ( "gcc",
+      rules D.Opt.with_regions,
+      [
+        "bd2652e69f01dbfc8af364e86c72e8ce"; "49e4be021f9809f1fd8c2b34efb8a140";
+        "59af01bcfbce85045f3b3f094fdb73fc"; "88c62d30f1c4912bfb81d8926f76788b";
+        "7c0ddf360bccf8bfb1b67076bf7c0f04";
+      ] );
+    ( "hmmer",
+      qemu,
+      [
+        "d7f554f7528b980ace6dea8301dd5800"; "ed4e9e6ee961f5c15384a7871d2e6552";
+        "34fa4b6b0cbc1097ec413ec662c7cfcf"; "f6ddf017ed849e15600f7990da42e83d";
+        "adb6d8eb245d0f1d815b638c4fc4c41a";
+      ] );
+    ( "hmmer",
+      rules D.Opt.full,
+      [
+        "e6926a071abcc95e181e86409f57cac5"; "e3859ab074c6030b468481cbcfe3f35a";
+        "1cca15541d3d31291f4d4cbc60cb8d2b"; "37712733ba0e9e38a6a551062cb3ecdc";
+        "679504da38f55c71f0de772c3e64de41";
+      ] );
+    ( "hmmer",
+      rules D.Opt.with_regions,
+      [
+        "1a95d109e4e78333eb67783b9cff144e"; "54917932ae62edc9ea702b19d8824e9e";
+        "4c0fe2ce9fc909935034ebad1670e12a"; "702e67a7c43d7883da2b9f0b3cd64000";
+        "1687d29010199381d976dbd9375457ec";
+      ] );
+  ]
+
+let test_outputs_pinned () =
+  let names = [ "scope json"; "hot blocks"; "flamegraph"; "ledger json"; "stats" ] in
+  List.iter
+    (fun (bench, mode, digests) ->
+      let got = observer_outputs bench mode in
+      List.iteri
+        (fun i name ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s/%s: %s" bench (D.System.mode_name mode) name)
+            (List.nth digests i) (List.nth got i))
+        names)
+    pinned_outputs
+
+(* Each observer sees the same run whoever else watches: the counters
+   match a bare run, the scope's JSON does not depend on a ledger
+   being attached, nor the ledger's on a scope. *)
+let test_observers_independent () =
+  let mode = D.System.Rules D.Opt.with_regions in
+  let run ~with_scope ~with_ledger =
+    let scope = if with_scope then Some (Scope.create ()) else None in
+    let ledger = if with_ledger then Some (Ledger.create ()) else None in
+    let _, sys = observed_run ?scope ?ledger "gcc" mode in
+    ( Stats.to_array (D.System.stats sys),
+      Option.map Scope.to_json scope,
+      Option.map Ledger.to_json ledger )
+  in
+  let bare, _, _ = run ~with_scope:false ~with_ledger:false in
+  let s_only, scope_alone, _ = run ~with_scope:true ~with_ledger:false in
+  let l_only, _, ledger_alone = run ~with_scope:false ~with_ledger:true in
+  let both, scope_both, ledger_both = run ~with_scope:true ~with_ledger:true in
+  List.iter
+    (fun (what, a) -> Alcotest.(check (array int)) (what ^ ": stats as bare") bare a)
+    [ ("scope only", s_only); ("ledger only", l_only); ("both", both) ];
+  Alcotest.(check (option string)) "scope JSON without or with a ledger" scope_alone scope_both;
+  Alcotest.(check (option string)) "ledger JSON without or with a scope" ledger_alone ledger_both
+
 (* ---- profile phase split -------------------------------------------- *)
 
 let test_profile_phases () =
@@ -420,6 +546,8 @@ let suite =
         Alcotest.test_case "scope determinism + zero diff" `Quick
           test_scope_determinism;
         Alcotest.test_case "profile phase split" `Quick test_profile_phases;
+        Alcotest.test_case "observer outputs are pinned" `Quick test_outputs_pinned;
+        Alcotest.test_case "observers are independent" `Quick test_observers_independent;
         Alcotest.test_case "flamegraph folding" `Quick test_flame_fold;
         Alcotest.test_case "regression gate" `Quick test_gate;
         Alcotest.test_case "bench decode rejects malformed" `Quick
