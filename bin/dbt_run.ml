@@ -195,7 +195,7 @@ let run bench mode_name target budget timer builtin_only rules_file dump_tbs
     let trace =
       match trace_file with Some _ -> Some (Obs.Trace.create ()) | None -> None
     in
-    let ledger = if ledger_on then Some (Obs.Ledger.create ()) else None in
+    let ledger = if ledger_on then Some (Perf.Ledger.create ()) else None in
     (* One scope serves --perf and the hot-block views (--profile,
        --flamegraph, post-mortem dumps) alike. *)
     let scope =
@@ -391,7 +391,7 @@ let run bench mode_name target budget timer builtin_only rules_file dump_tbs
       (match ledger with
       | Some l ->
         Format.printf "@.--- coordination ledger (paper Fig. 17) ---@.@[<v>%a@]@."
-          Obs.Ledger.pp_report l
+          Perf.Ledger.pp_report l
       | None -> ());
       (* Coverage views assert the tier partition invariant as they
          are built; both are read-only over the stats table. *)
@@ -464,7 +464,7 @@ let run bench mode_name target budget timer builtin_only rules_file dump_tbs
                  [ ("perf", Perf.Scope.to_json sc); ("costs", T.Costs.to_json ()) ]
                | _ -> [])
              @ (match ledger with
-               | Some l -> [ ("ledger", Obs.Ledger.to_json l) ]
+               | Some l -> [ ("ledger", Perf.Ledger.to_json l) ]
                | None -> [])
              @ (match (depot_loaded, sys.D.System.depot) with
                | Some _, Some _ ->

@@ -19,6 +19,7 @@
 
 module D = Repro_dbt
 module O = Repro_observe
+module Ledger = Repro_perfscope.Ledger
 module K = Repro_kernel.Kernel
 module W = Repro_workloads.Workloads
 
@@ -29,7 +30,7 @@ let () =
   in
   let image = K.build ~timer_period:5_000 ~user_program:user () in
   let trace = O.Trace.create () in
-  let ledger = O.Ledger.create () in
+  let ledger = Ledger.create () in
   let sys = D.System.create ~trace ~ledger (D.System.Rules D.Opt.full) in
   K.load image (fun base words -> D.System.load_image sys base words);
   (match (D.System.run ~max_guest_insns:3_000_000 sys).Repro_tcg.Engine.reason with
@@ -64,17 +65,17 @@ let () =
     O.Trace.categories;
 
   (* the dynamic Fig. 17 view, ranked *)
-  Format.printf "@.%a@.@." O.Ledger.pp_report ledger;
+  Format.printf "@.%a@.@." Ledger.pp_report ledger;
   let ranked =
     List.sort
-      (fun a b -> compare (O.Ledger.dyn_insns ledger b) (O.Ledger.dyn_insns ledger a))
-      O.Ledger.passes
+      (fun a b -> compare (Ledger.dyn_insns ledger b) (Ledger.dyn_insns ledger a))
+      Ledger.passes
   in
   Format.printf "top-3 coordination hotspots (host insns saved at run time):@.";
   List.iteri
     (fun i p ->
       if i < 3 then
         Format.printf "  %d. %s (%s): %d host insns, %d sync ops@." (i + 1)
-          (O.Ledger.pass_name p) (O.Ledger.pass_id p)
-          (O.Ledger.dyn_insns ledger p) (O.Ledger.dyn_ops ledger p))
+          (Ledger.pass_name p) (Ledger.pass_id p)
+          (Ledger.dyn_insns ledger p) (Ledger.dyn_ops ledger p))
     ranked

@@ -79,7 +79,3 @@ val to_json : t -> string
     [volatile]. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_tiers : Format.formatter -> t -> unit
-val pp_matrix : Format.formatter -> t -> unit
-val pp_rules : Format.formatter -> t -> unit
-val pp_opportunities : ?limit:int -> Format.formatter -> t -> unit

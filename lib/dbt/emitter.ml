@@ -11,7 +11,7 @@ module Rule = Repro_rules.Rule
 module Ruleset = Repro_rules.Ruleset
 module Flagconv = Repro_rules.Flagconv
 module Pinmap = Repro_rules.Pinmap
-module Ledger = Repro_observe.Ledger
+module Ledger = Repro_perfscope.Ledger
 module Attr = Repro_covscope.Attr
 
 (* Where the guest condition flags currently live. [F_env]: env is

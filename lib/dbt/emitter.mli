@@ -39,7 +39,7 @@ type result = {
           registers they wrote *)
   prov : int array;
       (** coordination-savings provenance
-          ({!Repro_observe.Ledger.prov_len} slots): per optimization
+          ({!Repro_perfscope.Ledger.prov_len} slots): per optimization
           pass, the sync ops and host instructions this emission saves
           over the counterfactual with that pass disabled.  Observational
           only — accumulating it never changes the emitted program. *)

@@ -18,6 +18,7 @@ module Dec = Snapshot.Dec
 module Depot = Repro_aotcache.Depot
 module Trace = Repro_observe.Trace
 module Scope = Repro_perfscope.Scope
+module Ledger = Repro_perfscope.Ledger
 
 type mode = Qemu | Rules of Opt.t
 
@@ -119,6 +120,7 @@ type t = {
   cache : Tb.Cache.t;
   rule_translator : Translator_rule.t option;
   ruleset : Repro_rules.Ruleset.t option;
+  scope : Scope.t option;
   mutable journal : Journal.t;
   mutable pending_resume : Engine.resume option;
   mutable last_checkpoint : Snapshot.t option;
@@ -130,7 +132,14 @@ type t = {
 
 let create ?ram_kib ?ruleset ?tb_capacity ?inject ?shadow_depth
     ?quarantine_threshold ?trace ?ledger ?scope mode =
-  let rt = Runtime.create ?ram_kib ?inject ?trace ?ledger ?scope () in
+  let observer =
+    match (scope, ledger) with
+    | None, None -> None
+    | Some sc, None -> Some (Scope.fold sc)
+    | None, Some l -> Some (Ledger.fold l)
+    | Some sc, Some l -> Some (fun w -> Scope.fold sc w; Ledger.fold l w)
+  in
+  let rt = Runtime.create ?ram_kib ?inject ?trace ?observer () in
   Helpers.install rt;
   (* Observational wiring: devices and the injector share the
      runtime's event ring. *)
@@ -148,7 +157,7 @@ let create ?ram_kib ?ruleset ?tb_capacity ?inject ?shadow_depth
       ( Some ruleset,
         Some
           (Translator_rule.create ~opt ~ruleset ?shadow_depth
-             ?quarantine_threshold rt) )
+             ?quarantine_threshold ?ledger rt) )
   in
   {
     mode;
@@ -156,6 +165,7 @@ let create ?ram_kib ?ruleset ?tb_capacity ?inject ?shadow_depth
     cache;
     rule_translator;
     ruleset;
+    scope;
     journal = Journal.create ();
     pending_resume = None;
     last_checkpoint = None;
@@ -939,7 +949,7 @@ let postmortem_dump t ~reason =
     Snapshot.add dump "reason" reason;
     (* Where was the time going when it died? The hot-block table is
        the first thing a post-mortem reader wants. *)
-    (match t.rt.Runtime.scope with
+    (match t.scope with
     | Some sc ->
       Snapshot.add dump "profile" (Format.asprintf "%a" (Scope.pp_blocks ~top:10) sc)
     | None -> ());
@@ -1003,7 +1013,7 @@ let run ?chaining ?(max_guest_insns = max_int) ?deadline
        before the capture makes the serialized journal the
        post-checkpoint state, so a restored run and the uninterrupted
        one keep identical journals from here on. *)
-    (match t.rt.Runtime.scope with
+    (match t.scope with
     | Some sc -> Scope.note_checkpoint sc ~at:stats.Stats.guest_insns
     | None -> ());
     if resume.Engine.rneeds_enter then Journal.clear t.journal;

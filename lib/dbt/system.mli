@@ -62,6 +62,7 @@ type t = {
   ruleset : Repro_rules.Ruleset.t option;
       (** the ruleset driving [rule_translator] (health state is part
           of every snapshot); [None] in [Qemu] mode *)
+  scope : Repro_perfscope.Scope.t option;  (** see {!create} *)
   mutable journal : Journal.t;
       (** events recorded since the last clean checkpoint *)
   mutable pending_resume : Repro_tcg.Engine.resume option;
@@ -95,7 +96,7 @@ val create :
   ?shadow_depth:int ->
   ?quarantine_threshold:int ->
   ?trace:Repro_observe.Trace.t ->
-  ?ledger:Repro_observe.Ledger.t ->
+  ?ledger:Repro_perfscope.Ledger.t ->
   ?scope:Repro_perfscope.Scope.t ->
   mode ->
   t
@@ -110,19 +111,16 @@ val create :
     rule-translated TBs (see {!Translator_rule}); ignored in [Qemu]
     mode.
 
-    The observers go to {!Repro_tcg.Runtime.create}, the one place
-    anything watching a run attaches; the engine and the rule
-    translator read them from [rt]. [trace] installs a structured
-    event ring shared by the engine, the timer, the softMMU helpers,
-    the injector, the watchdog and the snapshot layer; its clock is
-    retired guest instructions. [ledger] enables the per-pass
-    coordination-savings attribution (see {!Repro_observe.Ledger}).
-    [scope] attaches a performance scope (see
-    {!Repro_perfscope.Scope}): every retired host instruction is
-    attributed to a phase and guest-PC region on the
-    retired-guest-insn clock, every TB run window to the hot-block
-    table, and the engine feeds the IRQ-latency, chain-latency and
-    checkpoint-interval histograms. The coverage per-rule sink is
+    The observers attach to the runtime ({!Repro_tcg.Runtime.create}).
+    [trace] installs a structured event ring shared by the engine,
+    the timer, the softMMU helpers, the injector, the watchdog and the
+    snapshot layer; its clock is retired guest instructions. [ledger]
+    enables the per-pass coordination-savings attribution (see
+    {!Repro_perfscope.Ledger}); the rule translator feeds its static
+    view. [scope] attaches a performance scope (see
+    {!Repro_perfscope.Scope}); {!run} feeds its checkpoint intervals.
+    The runtime's observer hook is the two folds composed: each sees
+    every charge window the engine closes. The coverage per-rule sink is
     attached by setting [rt.cov_static] before the first translation.
     All of them are purely observational: guest-visible behaviour
     and every modelled cost counter are bit-identical with or without

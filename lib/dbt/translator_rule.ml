@@ -19,7 +19,7 @@ module Rule = Repro_rules.Rule
 module Ruleset = Repro_rules.Ruleset
 module Fi = Repro_faultinject.Faultinject
 module Trace = Repro_observe.Trace
-module Ledger = Repro_observe.Ledger
+module Ledger = Repro_perfscope.Ledger
 module Covscope = Repro_covscope
 module Enc = Repro_snapshot.Snapshot.Enc
 module Dec = Repro_snapshot.Snapshot.Dec
@@ -52,8 +52,11 @@ type expectation = {
 
 type t = {
   rt : Runtime.t;
-      (* the machine translated for: its observers receive every
-         emission's statics, including link-time re-emissions *)
+      (* the machine translated for: its coverage sink receives every
+         first emission's rule-template sites *)
+  ledger : Ledger.t option;
+      (* receives every emission's static savings, link-time
+         re-emissions included *)
   opt : Opt.t;
   ruleset : Ruleset.t;
   metas : (int, meta) Hashtbl.t;
@@ -68,9 +71,10 @@ type t = {
   mutable inter_tb_elisions : int;
 }
 
-let create ~opt ~ruleset ?(shadow_depth = 0) ?(quarantine_threshold = 2) rt =
+let create ~opt ~ruleset ?(shadow_depth = 0) ?(quarantine_threshold = 2) ?ledger rt =
   {
     rt;
+    ledger;
     opt;
     ruleset;
     metas = Hashtbl.create 256;
@@ -85,7 +89,7 @@ let create ~opt ~ruleset ?(shadow_depth = 0) ?(quarantine_threshold = 2) rt =
     inter_tb_elisions = 0;
   }
 
-(* Translation-time statics, into whichever sinks the runtime carries.
+(* Translation-time statics, into whichever sinks are attached.
    Installed code is never emitted here, so it records nothing. A first
    emission records its provenance and its rule-template sites. A
    re-emission [~replacing] a TB's old provenance records only the
@@ -93,7 +97,7 @@ let create ~opt ~ruleset ?(shadow_depth = 0) ?(quarantine_threshold = 2) rt =
    re-bumping the translation count — and no sites, which were
    counted when the TB was first built. *)
 let record_statics t ?replacing (r : Emitter.result) =
-  (match (t.rt.Runtime.ledger, replacing) with
+  (match (t.ledger, replacing) with
   | Some l, None -> Ledger.record_static l r.Emitter.prov
   | Some l, Some old_ ->
     Ledger.record_static_delta l (Ledger.prov_diff ~old_ r.Emitter.prov)
@@ -780,13 +784,11 @@ let on_enter t (rt : Runtime.t) (tb : Tb.t) =
       in
       Exec.set_flags_word rt.Runtime.ctx bits;
       let stats = Runtime.stats rt in
+      (* the one engine-side Sync charge besides the interrupt's lazy
+         parse: the ledger counts the entry window's share as III-C.3's
+         dynamic cost *)
       Stats.charge_tag stats X.Tag_sync 2;
       stats.Stats.sync_ops <- stats.Stats.sync_ops + 1;
-      (* III-C.3 pays an engine-side restore on every engine entry of
-         an assuming TB: a negative dynamic saving *)
-      (match rt.Runtime.ledger with
-      | Some l -> Ledger.add_dynamic l Ledger.Inter_tb ~ops:(-1) ~insns:(-2)
-      | None -> ());
       (match rt.Runtime.trace with
       | Some tr -> Trace.emit tr ~a:tb.Tb.guest_pc Sync "entry_restore"
       | None -> ())));

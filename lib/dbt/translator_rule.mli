@@ -23,17 +23,18 @@ val create :
   ruleset:Repro_rules.Ruleset.t ->
   ?shadow_depth:int ->
   ?quarantine_threshold:int ->
+  ?ledger:Repro_perfscope.Ledger.t ->
   Repro_tcg.Runtime.t ->
   t
 (** A translator for the machine whose runtime is given. [shadow_depth]
     (default 0 = disabled) is the number of verified executions per TB
     address; [quarantine_threshold] (default 2) the strikes that
-    quarantine a rule. Every emission reports into the runtime's
-    observers: per-pass static coordination savings into
-    {!Repro_tcg.Runtime.t.ledger} (re-emissions as deltas) and each
-    first emission's rule-template sites into
-    {!Repro_tcg.Runtime.t.cov_static}; engine-entry restore costs
-    (III-C.3) go to the ledger's dynamic view. *)
+    quarantine a rule. Every emission reports its statics: per-pass
+    static coordination savings into [ledger] (re-emissions as
+    deltas) and each first emission's rule-template sites into
+    {!Repro_tcg.Runtime.t.cov_static}. Engine-entry restores charge
+    Sync in the [Entered] charge window, which the ledger's dynamic
+    view folds as III-C.3's cost. *)
 
 val translate :
   t -> Repro_tcg.Runtime.t -> Repro_tcg.Tb.Cache.t -> pc:Word32.t ->

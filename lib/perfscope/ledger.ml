@@ -10,16 +10,17 @@
 
    - static: provenance summed once per translation (savings baked
      into the emitted code);
-   - dynamic: provenance summed once per TB *execution* (host
-     instructions and sync ops actually avoided at run time), plus
-     dynamic-only entries the emitter cannot see — e.g. the lazy
-     flag-parse cost III-B pays at interrupt delivery is charged here
-     as a negative saving.
+   - dynamic: a fold over the engine's charge windows — provenance
+     summed once per TB *execution*, plus the costs the emitter cannot
+     see, read off the windows as negative savings (see [fold]).
 
    Provenance layout: a flat int array of length [2 * n_passes];
    slot [2*i] holds sync ops saved and slot [2*i+1] host insns saved
    for the pass with index [i].  Negative entries are legal and mean
    the pass *costs* that much in the given view. *)
+
+module Jsonx = Repro_observe.Jsonx
+module Window = Repro_tcg.Window
 
 type pass =
   | Reduction       (* III-B   flag-use reduction *)
@@ -99,14 +100,6 @@ let create () =
     tb_execs = 0;
   }
 
-let reset t =
-  Array.fill t.static_ops 0 n_passes 0;
-  Array.fill t.static_insns 0 n_passes 0;
-  Array.fill t.dyn_ops 0 n_passes 0;
-  Array.fill t.dyn_insns 0 n_passes 0;
-  t.tb_statics <- 0;
-  t.tb_execs <- 0
-
 let add_into ops insns p =
   for i = 0 to n_passes - 1 do
     ops.(i) <- ops.(i) + p.(2 * i);
@@ -136,6 +129,19 @@ let add_dynamic t pass ~ops ~insns =
   let i = pass_index pass in
   t.dyn_ops.(i) <- t.dyn_ops.(i) + ops;
   t.dyn_insns.(i) <- t.dyn_insns.(i) + insns
+
+let sync = Repro_x86.Stats.tag_index Repro_x86.Insn.Tag_sync
+
+(* Outside emitted code Sync is charged only at interrupt delivery
+   (III-B's lazy flag parse) and at an assuming TB's engine entry
+   (III-C.3's flag restore), so those windows' Sync is exactly those
+   costs. *)
+let fold t (w : Window.t) =
+  match w.event with
+  | Ran -> record_exec t w.tb.Repro_tcg.Tb.prov
+  | Irq_delivered -> add_dynamic t Reduction ~ops:0 ~insns:(-w.tags.(sync))
+  | Entered -> add_dynamic t Inter_tb ~ops:(-w.sync_ops) ~insns:(-w.tags.(sync))
+  | _ -> ()
 
 let static_ops t pass = t.static_ops.(pass_index pass)
 let static_insns t pass = t.static_insns.(pass_index pass)

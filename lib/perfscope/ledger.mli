@@ -6,11 +6,12 @@
     The emitter builds a {e provenance vector} per TB while emitting:
     for each pass, how many sync ops and host instructions the
     emitted code saves versus the counterfactual with that pass
-    disabled.  [record_static] sums it once at translation;
-    [record_exec] sums it on every execution of the TB.  Negative
-    entries mean the pass costs coordination in that view (e.g.
-    III-C.3 installs an entry-convention check; III-B pays a lazy
-    flag parse at interrupt delivery). *)
+    disabled.  [record_static] sums it once at translation; the
+    dynamic view is a {!fold} over the engine's charge windows, which
+    sums it on every execution of the TB.  Negative entries mean the
+    pass costs coordination in that view (e.g. III-C.3 installs an
+    entry-convention check and pays an engine-side flag restore;
+    III-B pays a lazy flag parse at interrupt delivery). *)
 
 type pass =
   | Reduction       (** III-B: flag-use reduction *)
@@ -24,7 +25,6 @@ type pass =
                         by fusing a hot chained trace into one body *)
 
 val passes : pass list
-val n_passes : int
 val pass_index : pass -> int
 val pass_id : pass -> string
 (** Paper section: ["III-B"], ["III-C.1"], … *)
@@ -44,14 +44,11 @@ val prov_diff : old_:int array -> int array -> int array
 (** Elementwise [p - old_] (missing [old_] slots read as 0) — the
     static delta when a TB is re-emitted in place. *)
 
-val prov_is_zero : int array -> bool
-
 (** {2 Ledger} *)
 
 type t
 
 val create : unit -> t
-val reset : t -> unit
 
 val record_static : t -> int array -> unit
 (** Sum a TB's provenance into the static view (call once per
@@ -62,13 +59,14 @@ val record_static_delta : t -> int array -> unit
 (** Like {!record_static} but without bumping the translation count —
     for {!prov_diff} deltas when a TB is re-emitted in place. *)
 
-val record_exec : t -> int array -> unit
-(** Sum a TB's provenance into the dynamic view (call once per TB
-    execution).  Tolerates [[||]] from provenance-free TBs. *)
-
-val add_dynamic : t -> pass -> ops:int -> insns:int -> unit
-(** Dynamic-only entries the emitter cannot see (interrupt-delivery
-    costs, scheduling effects).  Negative values record costs. *)
+val fold : t -> Repro_tcg.Window.t -> unit
+(** The dynamic view: a [Ran] window adds its TB's provenance
+    ([[||]] from the baseline translator adds nothing, nor does an
+    all-zero vector count as an attributed execution); an
+    [Irq_delivered] window's Sync is III-B's lazy flag parse (negative
+    insns), an [Entered] window's sync ops and Sync are III-C.3's
+    engine-side flag restore (negative ops and insns). Outside emitted
+    code Sync is charged only at those two sites. *)
 
 val static_ops : t -> pass -> int
 val static_insns : t -> pass -> int
@@ -76,7 +74,6 @@ val dyn_ops : t -> pass -> int
 val dyn_insns : t -> pass -> int
 val total_static_ops : t -> int
 val total_static_insns : t -> int
-val total_dyn_ops : t -> int
 val total_dyn_insns : t -> int
 
 val pp_report : Format.formatter -> t -> unit

@@ -1,7 +1,7 @@
 (* The per-run performance scope: deterministic phase attribution, the
-   per-block hot-code table and the latency histograms. One of these
-   hangs off the runtime (like the trace ring and the ledger) and the
-   engine drains host-insn deltas into it at every phase transition.
+   per-block hot-code table and the latency histograms, all a fold
+   over the engine's charge windows. The scope owns the mapping of
+   engine sites and host-insn tags to phases; the engine knows none.
 
    Everything is keyed to the retired-guest-insn clock and to exact
    host-instruction counts, so two same-seed runs produce
@@ -10,6 +10,8 @@
    scope never perturbs guest-visible state or any cost counter. *)
 
 module Jsonx = Repro_observe.Jsonx
+module Window = Repro_tcg.Window
+module Tb = Repro_tcg.Tb
 module Itbl = Hashtbl.Make (Int)
 
 type block = {
@@ -32,7 +34,6 @@ type t = {
   irq_latency : Histo.t;
   chain_latency : Histo.t;
   checkpoint_interval : Histo.t;
-  mutable irq_raised_at : int;  (* -1 = no raise outstanding *)
   translated_at : (int, int) Hashtbl.t;  (* tb id -> clock at translation *)
   mutable last_checkpoint_at : int;  (* -1 = none yet *)
 }
@@ -53,14 +54,15 @@ let create () =
     irq_latency = Histo.create ();
     chain_latency = Histo.create ();
     checkpoint_interval = Histo.create ();
-    irq_raised_at = -1;
     translated_at = Hashtbl.create 256;
     last_checkpoint_at = -1;
   }
 
-let charge t phase ~page ~privileged n =
+(* Host instructions charged outside a TB run window (an engine site
+   or an entry hook), to phase index [i] and a (page, privileged)
+   site row. *)
+let charge t i ~page ~privileged n =
   if n > 0 then begin
-    let i = Phase.index phase in
     t.phase_total.(i) <- t.phase_total.(i) + n;
     let key = page_key ~page ~privileged in
     let row =
@@ -74,37 +76,19 @@ let charge t phase ~page ~privileged n =
     row.(i) <- row.(i) + n
   end
 
-let charge_block t ~pc ~privileged ~region ~insns ~len ~guest ~host split =
+let block t (tb : Tb.t) =
+  let pc = tb.guest_pc and privileged = tb.privileged and region = Tb.is_region tb in
   let key = block_key ~pc ~privileged ~region in
-  let b =
-    match Itbl.find t.blocks key with
-    | b -> b
-    | exception Not_found ->
-      let b =
-        {
-          pc;
-          privileged;
-          region;
-          insns = Array.sub insns 0 (min len (Array.length insns));
-          execs = 0;
-          guest_retired = 0;
-          host_spent = 0;
-          phases = Array.make Phase.n 0;
-        }
-      in
-      Itbl.add t.blocks key b;
-      b
-  in
-  b.execs <- b.execs + 1;
-  b.guest_retired <- b.guest_retired + guest;
-  b.host_spent <- b.host_spent + host;
-  for i = 0 to Phase.n - 1 do
-    let n = split.(i) in
-    if n > 0 then begin
-      t.phase_total.(i) <- t.phase_total.(i) + n;
-      b.phases.(i) <- b.phases.(i) + n
-    end
-  done
+  match Itbl.find t.blocks key with
+  | b -> b
+  | exception Not_found ->
+    let len = min tb.guest_len (Array.length tb.guest_insns) in
+    let b =
+      { pc; privileged; region; insns = Array.sub tb.guest_insns 0 len; execs = 0;
+        guest_retired = 0; host_spent = 0; phases = Array.make Phase.n 0 }
+    in
+    Itbl.add t.blocks key b;
+    b
 
 let phase_count t phase = t.phase_total.(Phase.index phase)
 let total t = Array.fold_left ( + ) 0 t.phase_total
@@ -113,28 +97,62 @@ let irq_latency t = t.irq_latency
 let chain_latency t = t.chain_latency
 let checkpoint_interval t = t.checkpoint_interval
 
-(* A raise is the first moment the IRQ line is deliverable (asserted
-   and unmasked); re-notifications while it stays outstanding keep the
-   original timestamp so the histogram measures raise->deliver. *)
-let note_irq_raised t ~at = if t.irq_raised_at < 0 then t.irq_raised_at <- at
+(* ---- the fold ---- *)
 
-let note_irq_delivered t ~at =
-  if t.irq_raised_at >= 0 then begin
-    Histo.record t.irq_latency (at - t.irq_raised_at);
-    t.irq_raised_at <- -1
-  end
+(* Engine sites: everything since the previous close belongs to one
+   phase. *)
+let site_phase : Window.event -> Phase.t = function
+  | Translated | Prefetch_abort -> Translate
+  | Region_formed -> Region
+  | Irq_delivered -> Deliver
+  | Dispatched | Chained | Linked | Smc_flush | Entered | Ran -> Execute
 
-let note_translated t ~id ~at =
-  if not (Hashtbl.mem t.translated_at id) then Hashtbl.add t.translated_at id at
+(* Mixed windows (entry hooks, TB runs) split by tag, indexed by
+   [by_tag] slot: Compute is emitted guest work, Sync and irq polls
+   are coordination, Mmu is the softMMU, glue is helper machinery. *)
+let tag_phase =
+  let phase : Repro_x86.Insn.tag -> Phase.t = function
+    | Tag_compute -> Execute
+    | Tag_sync | Tag_irq_check -> Coordinate
+    | Tag_mmu -> Softmmu
+    | Tag_glue -> Helper
+  in
+  Array.of_list (List.map (fun tag -> Phase.index (phase tag)) Repro_x86.Insn.all_tags)
 
-(* First time [id] becomes the target of a chained link: the
-   lookup->chain latency of that translation. *)
-let note_chained t ~id ~at =
-  match Hashtbl.find_opt t.translated_at id with
-  | Some t0 ->
-    Histo.record t.chain_latency (at - t0);
-    Hashtbl.remove t.translated_at id
-  | None -> ()
+let fold t (w : Window.t) =
+  let page = w.page and privileged = w.privileged in
+  match w.event with
+  | Entered ->
+    if w.host > 0 then
+      for s = 0 to Array.length tag_phase - 1 do
+        charge t tag_phase.(s) ~page ~privileged w.tags.(s)
+      done
+  | Ran ->
+    let b = block t w.tb in
+    b.execs <- b.execs + 1;
+    b.guest_retired <- b.guest_retired + w.guest;
+    b.host_spent <- b.host_spent + w.host;
+    for s = 0 to Array.length tag_phase - 1 do
+      let i = tag_phase.(s) in
+      t.phase_total.(i) <- t.phase_total.(i) + w.tags.(s);
+      b.phases.(i) <- b.phases.(i) + w.tags.(s)
+    done
+  | event ->
+    (match event with
+    | Translated ->
+      if not (Hashtbl.mem t.translated_at w.tb.id) then
+        Hashtbl.add t.translated_at w.tb.id w.clock
+    | Linked -> (
+      (* the first link into a translation stops its clock *)
+      match Hashtbl.find_opt t.translated_at w.tb.id with
+      | Some t0 ->
+        Histo.record t.chain_latency (w.clock - t0);
+        Hashtbl.remove t.translated_at w.tb.id
+      | None -> ())
+    | Irq_delivered when w.irq_raised_at >= 0 ->
+      Histo.record t.irq_latency (w.clock - w.irq_raised_at)
+    | _ -> ());
+    charge t (Phase.index (site_phase event)) ~page ~privileged w.host
 
 let note_checkpoint t ~at =
   if t.last_checkpoint_at >= 0 then
@@ -250,17 +268,3 @@ let to_json t =
             ("checkpoint_interval", Histo.to_json t.checkpoint_interval);
           ] );
     ]
-
-let pp ppf t =
-  let total = total t in
-  Format.fprintf ppf "@[<v>%-12s %12s %7s@ " "phase" "host insns" "share";
-  List.iter
-    (fun p ->
-      let n = phase_count t p in
-      Format.fprintf ppf "%-12s %12d %6.1f%%@ " (Phase.name p) n
-        (if total = 0 then 0. else 100. *. float_of_int n /. float_of_int total))
-    Phase.all;
-  Format.fprintf ppf "%-12s %12d@ @ " "total" total;
-  Format.fprintf ppf "irq raise->deliver    %a@ " Histo.pp t.irq_latency;
-  Format.fprintf ppf "tb lookup->chain      %a@ " Histo.pp t.chain_latency;
-  Format.fprintf ppf "checkpoint interval   %a@]" Histo.pp t.checkpoint_interval

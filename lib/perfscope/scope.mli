@@ -3,8 +3,10 @@
     three latency histograms (IRQ raise->deliver, TB lookup->chain,
     checkpoint intervals), all on the retired-guest-insn clock.
 
-    A scope attaches to the runtime like the trace ring and the
-    coordination ledger: purely observational (attached runs are
+    Everything is a {!fold} over the engine's charge windows: the
+    scope maps engine sites and host-insn tags to phases, keeps the
+    site rows and the hot-block rows, and times translate->chain and
+    IRQ raise->deliver. Purely observational (attached runs are
     bit-identical to bare ones) and deliberately excluded from
     snapshots. Over any engine run without watchdog rollbacks the
     phase totals partition the run's
@@ -14,10 +16,15 @@ type t
 
 val create : unit -> t
 
-val charge : t -> Phase.t -> page:int -> privileged:bool -> int -> unit
-(** Attribute host instructions charged outside a TB run window (an
-    engine site or an entry hook) to a phase and a guest-PC region
-    (4 KiB page, kernel/user). Non-positive charges are ignored. *)
+val fold : t -> Repro_tcg.Window.t -> unit
+(** Attribute one charge window. An engine site charges it whole to
+    its phase ({!Phase}) and (4 KiB page, privilege) site row; a
+    translation starts the TB's translate->chain clock, its first link
+    stops it, a delivery records its raise->deliver latency. An
+    [Entered] window splits by tag onto the TB's site row, a [Ran]
+    window onto its hot-block row: Compute to [Execute], Sync and
+    interrupt polls to [Coordinate], Mmu to [Softmmu], glue to
+    [Helper]. *)
 
 (** {2 The hot-block table}
 
@@ -40,7 +47,9 @@ type block = private {
   region : bool;
       (** a fused superblock (kept apart from the plain TB sharing its
           head PC) *)
-  insns : Repro_arm.Insn.t array;  (** the TB's guest code *)
+  insns : Repro_arm.Insn.t array;
+      (** the TB's guest code (empty for the interpreter-helper TB,
+          which carries no decoded instruction) *)
   mutable execs : int;  (** completed executions *)
   mutable guest_retired : int;  (** dynamic guest instructions *)
   mutable host_spent : int;  (** dynamic host instructions *)
@@ -48,25 +57,6 @@ type block = private {
       (** {!Phase}-indexed split of [host_spent] (execute / coordinate
           / softmmu / helper within the run windows) *)
 }
-
-val charge_block :
-  t ->
-  pc:int ->
-  privileged:bool ->
-  region:bool ->
-  insns:Repro_arm.Insn.t array ->
-  len:int ->
-  guest:int ->
-  host:int ->
-  int array ->
-  unit
-(** One completed run of a TB whose guest code is the first [len]
-    elements of [insns] ([insns] may be shorter: the interpreter-helper
-    TB carries no decoded instruction): it retired [guest] guest instructions and
-    spent [host] host instructions, split by phase in the final
-    {!Phase}-indexed array (summing to [host]). The split also counts
-    toward the phase totals and, folded onto the TB's head page, the
-    region rows of {!to_json}. *)
 
 val blocks : t -> block list
 (** All rows, unordered. *)
@@ -104,19 +94,6 @@ val irq_latency : t -> Histo.t
 val chain_latency : t -> Histo.t
 val checkpoint_interval : t -> Histo.t
 
-val note_irq_raised : t -> at:int -> unit
-(** First deliverable assertion of the IRQ line; re-notifications
-    while the raise is outstanding keep the original timestamp. *)
-
-val note_irq_delivered : t -> at:int -> unit
-(** Records raise->deliver latency (no-op without an outstanding
-    raise, e.g. an injected spurious interrupt). *)
-
-val note_translated : t -> id:int -> at:int -> unit
-val note_chained : t -> id:int -> at:int -> unit
-(** First time TB [id] becomes the target of a chained link; records
-    its translation->chain latency once. *)
-
 val note_checkpoint : t -> at:int -> unit
 
 val to_json : t -> string
@@ -124,5 +101,3 @@ val to_json : t -> string
     ["perf"] section of [--stats-json]; byte-identical across
     same-seed runs. A region row is a (page, privilege) pair: its
     site charges plus its blocks' run windows. *)
-
-val pp : Format.formatter -> t -> unit

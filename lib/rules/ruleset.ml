@@ -25,26 +25,17 @@ let key_of_insn (i : A.t) =
   | A.Udf _ -> None
 
 type t = {
-  table : (key, Rule.t list ref) Hashtbl.t;
+  table : (key, Rule.t list) Hashtbl.t;
+      (* longest pattern first, ties in the order the rules were given *)
   active : (key, Rule.t list) Hashtbl.t;
       (* [table] minus quarantined rules, same longest-first order —
          what [match_at] scans, so the hot lookup loop pays no
          per-rule quarantine Hashtbl probe *)
-  mutable all : Rule.t list;
-  mutable count : int;  (* O(1) [size]; [all] is kept for [rules] *)
+  all : Rule.t list;
+  count : int;  (* O(1) [size]; [all] is kept for [rules] *)
   strikes : (int, int) Hashtbl.t;  (* rule id → divergence strikes *)
   quarantined : (int, unit) Hashtbl.t;
 }
-
-let create () =
-  {
-    table = Hashtbl.create 64;
-    active = Hashtbl.create 64;
-    all = [];
-    count = 0;
-    strikes = Hashtbl.create 8;
-    quarantined = Hashtbl.create 8;
-  }
 
 let is_quarantined t (rule : Rule.t) = Hashtbl.mem t.quarantined rule.Rule.id
 let quarantined_count t = Hashtbl.length t.quarantined
@@ -56,36 +47,26 @@ let refresh_active_bucket t k =
   match Hashtbl.find_opt t.table k with
   | None -> Hashtbl.remove t.active k
   | Some bucket ->
-    Hashtbl.replace t.active k
-      (List.filter (fun r -> not (is_quarantined t r)) !bucket)
+    Hashtbl.replace t.active k (List.filter (fun r -> not (is_quarantined t r)) bucket)
 
 let refresh_active t = Hashtbl.iter (fun k _ -> refresh_active_bucket t k) t.table
 
-let add t rule =
-  t.all <- t.all @ [ rule ];
-  t.count <- t.count + 1;
-  List.iter
-    (fun k ->
-      let bucket =
-        match Hashtbl.find_opt t.table k with
-        | Some b -> b
-        | None ->
-          let b = ref [] in
-          Hashtbl.replace t.table k b;
-          b
-      in
-      (* Keep longest patterns first so lookup is longest-match. *)
-      bucket :=
-        List.stable_sort
-          (fun a b ->
-            compare (Rule.guest_pattern_length b) (Rule.guest_pattern_length a))
-          (!bucket @ [ rule ]);
-      refresh_active_bucket t k)
-    (keys_of_rule rule)
-
 let of_list rules =
-  let t = create () in
-  List.iter (add t) rules;
+  (* Each bucket is built once, longest pattern first (lookup is
+     longest-match); the stable sort keeps equal lengths in the order
+     the rules were given. *)
+  let table = Hashtbl.create 64 in
+  let add rule k =
+    Hashtbl.replace table k (rule :: Option.value ~default:[] (Hashtbl.find_opt table k))
+  in
+  List.iter (fun rule -> List.iter (add rule) (keys_of_rule rule)) rules;
+  let longest_first a b = compare (Rule.guest_pattern_length b) (Rule.guest_pattern_length a) in
+  Hashtbl.filter_map_inplace (fun _ b -> Some (List.stable_sort longest_first (List.rev b))) table;
+  let t =
+    { table; active = Hashtbl.create 64; all = rules; count = List.length rules;
+      strikes = Hashtbl.create 8; quarantined = Hashtbl.create 8 }
+  in
+  refresh_active t;
   t
 
 let size t = t.count
@@ -121,7 +102,8 @@ let quarantine_by_id t id =
 
 (* Snapshot support: the ruleset's mutable health state (strikes and
    quarantined ids), sorted for stable encodings. The rules themselves
-   ride in snapshots as {!Serialize} text. *)
+   are not snapshot state: rule files and depot rules sections carry
+   them as {!Serialize} codec bytes. *)
 let export_health t =
   let strikes =
     Hashtbl.fold (fun id n acc -> (id, n) :: acc) t.strikes [] |> List.sort compare

@@ -5,9 +5,9 @@ module A := Repro_arm.Insn
 
 type t
 
-val create : unit -> t
-val add : t -> Rule.t -> unit
 val of_list : Rule.t list -> t
+(** Index the rules; {!rules} returns them in the order given. *)
+
 val size : t -> int
 val rules : t -> Rule.t list
 

@@ -7,9 +7,6 @@
     cost signature the paper attributes ≈20 host instructions per
     system-mode memory access to. *)
 
-val temp_pool : Repro_x86.Insn.reg array
-(** Host registers available to IR temps, in temp-index order. *)
-
 val tlb_probe :
   Repro_x86.Prog.builder ->
   addr:Repro_x86.Insn.reg ->

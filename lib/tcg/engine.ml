@@ -5,9 +5,6 @@ module Stats = Repro_x86.Stats
 module Bus = Repro_machine.Bus
 module Cpu = Repro_arm.Cpu
 module Trace = Repro_observe.Trace
-module Ledger = Repro_observe.Ledger
-module Phase = Repro_perfscope.Phase
-module Scope = Repro_perfscope.Scope
 
 type translator = Runtime.t -> Tb.Cache.t -> pc:Word32.t -> (Tb.t, Repro_arm.Mem.fault) result
 
@@ -68,47 +65,20 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
     | _ -> ()
   in
   let charge_glue n = Stats.charge_tag stats X.Tag_glue n in
-  (* Phase attribution: per-tag host-insn cursors, drained into the
-     scope at every phase transition. Every charge goes through
-     [Stats.charge_tag], so the drained deltas partition this run's
-     host_insns delta exactly (watchdog rollbacks excepted: stats are
-     rolled back, the observational scope keeps what it saw). The
-     cursors are run-local and resync at every drain, so restored runs
-     attribute their own window only. *)
-  let scope = rt.Runtime.scope in
-  let split_tags =
-    [| X.Tag_compute; X.Tag_sync; X.Tag_mmu; X.Tag_irq_check; X.Tag_glue |]
-  in
-  let cursor = Array.map (fun tag -> Stats.tag_count stats tag) split_tags in
-  let delta = Array.make (Array.length split_tags) 0 in
-  let split () =
-    for i = 0 to Array.length split_tags - 1 do
-      let now = Stats.tag_count stats split_tags.(i) in
-      delta.(i) <- now - cursor.(i);
-      cursor.(i) <- now
-    done
-  in
-  (* Engine-side glue site: everything since the last drain belongs to
-     one phase (dispatch, translation, delivery...). *)
-  let drain_to phase ~page ~privileged =
-    match scope with
+  (* Cost attribution: every site where control leaves or enters
+     emitted code closes one charge window for the runtime's observer.
+     The cursors are run-local, so restored runs attribute their own
+     windows only; with no observer nothing is split. *)
+  let window = Window.create stats in
+  let close event tb ~page ~privileged =
+    match rt.Runtime.observer with
     | None -> ()
-    | Some sc ->
-      split ();
-      Scope.charge sc phase ~page ~privileged
-        (delta.(0) + delta.(1) + delta.(2) + delta.(3) + delta.(4))
+    | Some observe ->
+      Window.close window stats event tb ~page ~privileged;
+      observe window
   in
-  (* Mixed windows (entry hooks, TB runs): the tag names the phase —
-     Compute is emitted guest work, Sync and irq polls are
-     coordination, Mmu is the softMMU, glue is helper machinery.
-     Leaves the Phase-indexed split in [window]. *)
-  let window = Array.make Phase.n 0 in
-  let drain_window () =
-    split ();
-    window.(Phase.index Phase.Execute) <- delta.(0);
-    window.(Phase.index Phase.Coordinate) <- delta.(1) + delta.(3);
-    window.(Phase.index Phase.Softmmu) <- delta.(2);
-    window.(Phase.index Phase.Helper) <- delta.(4)
+  let close_at event tb =
+    close event tb ~page:(tb.Tb.guest_pc lsr 12) ~privileged:tb.Tb.privileged
   in
   (* Purely observational: emits nothing and costs nothing when the
      runtime carries no trace. *)
@@ -178,12 +148,7 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
         Repro_mmu.Mmu.Tlb.clear_write_tag rt.Runtime.ctx.Runtime.Exec.tlb tb.Tb.guest_pc;
         Repro_mmu.Mmu.Tlb.clear_write_tag rt.Runtime.ctx.Runtime.Exec.tlb
           (tb.Tb.guest_pc + (4 * tb.Tb.guest_len) - 4);
-        (match scope with
-        | Some sc ->
-          Scope.note_translated sc ~id:tb.Tb.id ~at:stats.Stats.guest_insns
-        | None -> ());
-        drain_to Phase.Translate ~page:(tb.Tb.guest_pc lsr 12)
-          ~privileged:tb.Tb.privileged;
+        close_at Window.Translated tb;
         fill tb
       | Error fault ->
         (* Prefetch abort: enter the guest's handler and translate
@@ -192,7 +157,7 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
         charge_glue (Costs.exception_entry ());
         Runtime.take_guest_exception rt Cpu.Prefetch_abort
           ~pc_of_faulting_insn:fault.Repro_arm.Mem.vaddr;
-        drain_to Phase.Translate
+        close Window.Prefetch_abort Window.no_tb
           ~page:(fault.Repro_arm.Mem.vaddr lsr 12)
           ~privileged:true;
         lookup_or_translate env.(Envspec.pc))
@@ -225,7 +190,7 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
     Exec.poison_caller_saved rt.Runtime.ctx;
     stats.Stats.engine_returns <- stats.Stats.engine_returns + 1;
     charge_glue (Costs.engine_dispatch ());
-    drain_to Phase.Execute
+    close Window.Dispatched !current
       ~page:(env.(Envspec.pc) lsr 12)
       ~privileged:(Runtime.privileged rt);
     current := lookup_or_translate env.(Envspec.pc);
@@ -289,8 +254,7 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
             trace_emit ~a:tb.Tb.guest_pc ~b:region.Tb.guest_len Trace.Chain
               "region_form";
             jc_invalidate tb.Tb.guest_pc;
-            drain_to Phase.Region ~page:(tb.Tb.guest_pc lsr 12)
-              ~privileged:tb.Tb.privileged;
+            close_at Window.Region_formed region;
             current := region;
             needs_enter := true
           | None -> ()
@@ -301,19 +265,11 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
         on_enter tb;
         needs_enter := false
       end;
-      (* Entry-hook charges (inter-TB flag restore -> coordinate,
-         shadow replay -> helper) drain to the page before the run
-         window opens, so the block row holds only the TB's own
+      (* Entry-hook charges (inter-TB flag restore, shadow replay)
+         close before the TB runs, so its own window holds only its
          execution. *)
-      (match scope with
-      | Some sc ->
-        drain_window ();
-        let page = tb.Tb.guest_pc lsr 12 and privileged = tb.Tb.privileged in
-        List.iter
-          (fun p -> Scope.charge sc p ~page ~privileged window.(Phase.index p))
-          Phase.all
-      | None -> ());
-      let guest0 = stats.Stats.guest_insns and host0 = stats.Stats.host_insns in
+      close_at Window.Entered tb;
+      let guest0 = stats.Stats.guest_insns in
       rt.Runtime.fault_producers <- tb.Tb.fault_producers;
       match Exec.run rt.Runtime.ctx tb.Tb.prog ~fuel:tb_fuel with
       | exception Exec.Fuel_exhausted _ ->
@@ -325,18 +281,7 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
         trace_emit ~a:tb.Tb.guest_pc Trace.Watchdog "fuel_exhausted";
         result := Some (finish (`Livelock tb.Tb.guest_pc))
       | outcome ->
-        (match scope with
-        | Some sc ->
-          drain_window ();
-          Scope.charge_block sc ~pc:tb.Tb.guest_pc ~privileged:tb.Tb.privileged
-            ~region:(Tb.is_region tb) ~insns:tb.Tb.guest_insns ~len:tb.Tb.guest_len
-            ~guest:(stats.Stats.guest_insns - guest0)
-            ~host:(stats.Stats.host_insns - host0)
-            window
-        | None -> ());
-        (match rt.Runtime.ledger with
-        | Some l -> Ledger.record_exec l tb.Tb.prov
-        | None -> ());
+        close_at Window.Ran tb;
         (* the one-shot code-write suppression never outlives the TB it
            was armed for *)
         rt.Runtime.suppress_code_write <- false;
@@ -366,26 +311,20 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
                   trace_emit ~a:tb.Tb.guest_pc ~b:next.Tb.guest_pc Trace.Chain
                     "jump";
                   charge_glue (Costs.chain_jump ());
-                  drain_to Phase.Execute
-                    ~page:(next.Tb.guest_pc lsr 12)
-                    ~privileged:next.Tb.privileged;
+                  close_at Window.Chained next;
                   current := next
                 | None ->
                   Exec.poison_caller_saved rt.Runtime.ctx;
                   stats.Stats.engine_returns <- stats.Stats.engine_returns + 1;
                   charge_glue (Costs.engine_dispatch ());
-                  drain_to Phase.Execute ~page:(target lsr 12)
+                  close Window.Dispatched tb ~page:(target lsr 12)
                     ~privileged:tb.Tb.privileged;
                   let next = lookup_or_translate target in
                   if chaining then begin
                     tb.Tb.links.(slot) <- Some next;
                     trace_emit ~a:tb.Tb.guest_pc ~b:next.Tb.guest_pc Trace.Chain
                       "link";
-                    (match scope with
-                    | Some sc ->
-                      Scope.note_chained sc ~id:next.Tb.id
-                        ~at:stats.Stats.guest_insns
-                    | None -> ());
+                    close_at Window.Linked next;
                     link_hook ~pred:tb ~slot ~succ:next
                   end;
                   current := next;
@@ -400,24 +339,13 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
                    actually needs the condition codes (paper Fig. 7). *)
                 let parse_cost = Envspec.parse_packed env in
                 Stats.charge_tag stats X.Tag_sync parse_cost;
-                if parse_cost > 0 then begin
-                  trace_emit ~b:parse_cost Trace.Sync "lazy_parse";
-                  (* The deferred parse is the runtime price of III-B's
-                     packed flag format — a negative dynamic saving. *)
-                  match rt.Runtime.ledger with
-                  | Some l ->
-                    Ledger.add_dynamic l Ledger.Reduction ~ops:0
-                      ~insns:(-parse_cost)
-                  | None -> ()
-                end;
-                (match scope with
-                | Some sc ->
-                  Scope.note_irq_delivered sc ~at:stats.Stats.guest_insns
-                | None -> ());
+                if parse_cost > 0 then trace_emit ~b:parse_cost Trace.Sync "lazy_parse";
+                Window.set_irq_raised_at window rt.Runtime.irq_raised_at;
+                rt.Runtime.irq_raised_at <- -1;
                 on_irq env.(Envspec.pc);
                 Runtime.take_guest_exception rt Cpu.Irq
                   ~pc_of_faulting_insn:env.(Envspec.pc);
-                drain_to Phase.Deliver
+                close Window.Irq_delivered tb
                   ~page:(env.(Envspec.pc) lsr 12)
                   ~privileged:true;
                 current := lookup_or_translate env.(Envspec.pc);
@@ -434,7 +362,7 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
                 Tb.Cache.flush cache;
                 trace_emit ~a:env.(Envspec.pc) Trace.Exec "smc_flush";
                 charge_glue (Costs.engine_dispatch () + Costs.exception_entry ());
-                drain_to Phase.Execute
+                close Window.Smc_flush tb
                   ~page:(env.(Envspec.pc) lsr 12)
                   ~privileged:(Runtime.privileged rt);
                 rt.Runtime.tb_override <- Some 1;

@@ -72,13 +72,14 @@ val run :
     instruction budget, takes no checkpoint, and composes with
     [max_guest_insns] (whichever trips first wins).
 
-    Observers attach to the runtime, not to the run: with
-    {!Runtime.t.scope} set, every phase transition drains its
-    host-instruction delta into the scope, and every completed TB
-    execution charges its run window to the scope's hot-block row
-    ({!Repro_perfscope.Scope.charge_block}) with exact guest/host
-    instruction attribution; {!Runtime.t.trace} and
-    {!Runtime.t.ledger} receive events and per-TB provenance.
+    Observers attach to the runtime, not to the run. At every site
+    where control leaves or enters emitted code the engine closes one
+    {!Window.t} (the per-tag host-instruction and sync-op deltas since
+    the last close, the site's page and privilege, and what happened)
+    and hands it to {!Runtime.t.observer}; with none attached it
+    splits nothing. The engine knows no phases, scopes or ledgers:
+    those are folds over the windows. {!Runtime.t.trace} receives
+    events.
 
     [on_enter tb] fires on every entry to [tb] that goes through the
     engine (initial dispatch, unlinked/indirect transitions, exception

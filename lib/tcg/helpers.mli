@@ -19,12 +19,6 @@ val arg0_reg : Repro_x86.Insn.reg
 val arg1_reg : Repro_x86.Insn.reg
 
 val h_interp_one : int
-val h_mmu_load_w : int
-val h_mmu_load_b : int
-val h_mmu_store_w : int
-val h_mmu_store_b : int
-val h_mmu_load_h : int
-val h_mmu_store_h : int
 
 val mmu_helper : store:bool -> Repro_arm.Insn.width -> int
 (** The softMMU load ([store = false]) or store helper for an access

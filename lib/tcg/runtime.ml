@@ -5,8 +5,6 @@ module Cpu = Repro_arm.Cpu
 module Mem = Repro_arm.Mem
 module Mmu = Repro_mmu.Mmu
 module Trace = Repro_observe.Trace
-module Ledger = Repro_observe.Ledger
-module Scope = Repro_perfscope.Scope
 
 type t = {
   ctx : Exec.t;
@@ -21,9 +19,9 @@ type t = {
   inject : Repro_faultinject.Faultinject.t option;
   mutable fault_producers : (Word32.t * Word32.t array) array;
   trace : Trace.t option;
-  ledger : Ledger.t option;
   mutable cov_static : Repro_covscope.Static.t option;
-  scope : Scope.t option;
+  observer : (Window.t -> unit) option;
+  mutable irq_raised_at : int;
 }
 
 exception Load_error of Word32.t
@@ -32,7 +30,7 @@ let stop_exception = 1
 let stop_halt = 2
 let stop_code_write = 3
 
-let create ?(ram_kib = 4096) ?inject ?trace ?ledger ?scope () =
+let create ?(ram_kib = 4096) ?inject ?trace ?observer () =
   let ctx =
     Exec.create ~env_slots:Envspec.n_slots ~ram_size:(ram_kib * 1024)
       ~tlb_words:Mmu.Tlb.words ()
@@ -76,9 +74,9 @@ let create ?(ram_kib = 4096) ?inject ?trace ?ledger ?scope () =
       inject;
       fault_producers = [||];
       trace;
-      ledger;
       cov_static = None;
-      scope;
+      observer;
+      irq_raised_at = -1;
     }
   in
   (* Interpreter-path stores (helpers emulating whole instructions)
@@ -107,12 +105,8 @@ let sync_cpu_to_env t = Envspec.cpu_to_env t.cpu (env t)
 let refresh_irq_pending t =
   let pending = Bus.irq_line t.bus && not (Cpu.irq_masked t.cpu) in
   (env t).(Envspec.irq_pending) <- (if pending then 1 else 0);
-  (* Raise->deliver latency starts ticking the first time the line is
-     deliverable; purely observational (clock = retired guest insns). *)
-  match t.scope with
-  | Some sc when pending ->
-    Scope.note_irq_raised sc ~at:(stats t).Repro_x86.Stats.guest_insns
-  | _ -> ()
+  if pending && t.irq_raised_at < 0 then
+    t.irq_raised_at <- (stats t).Repro_x86.Stats.guest_insns
 
 let take_guest_exception t kind ~pc_of_faulting_insn =
   sync_env_to_cpu t;

@@ -41,24 +41,22 @@ type t = {
           helpers and the rule translator; [None] disables emission
           everywhere (the purely observational path — host-instruction
           counts are bit-identical with tracing on or off) *)
-  ledger : Repro_observe.Ledger.t option;
-      (** coordination ledger: the engine feeds per-TB provenance into
-          it at dispatch time and the rule translator records each
-          translation's static savings; [None] disables attribution *)
   mutable cov_static : Repro_covscope.Static.t option;
       (** coverage per-rule translation sink: the rule translator
           reports each first emission's rule-template sites and their
           emitted host instructions; [None] (the default) disables it.
           Attach it before the first translation. *)
-  scope : Repro_perfscope.Scope.t option;
-      (** performance scope the engine drains per-phase host-insn
-          deltas, per-TB run windows (the hot-block table) and latency
-          observations into; [None] disables attribution (purely
-          observational either way) *)
+  observer : (Window.t -> unit) option;
+      (** handed every charge window the engine closes; [None] and the
+          engine splits nothing *)
+  mutable irq_raised_at : int;
+      (** retired-guest-insn clock at which the IRQ line became
+          deliverable, until the engine delivers one ([-1] = none
+          outstanding); observational, not snapshot state *)
 }
-(** The observers ([trace], [ledger], [cov_static], [scope]) are the
-    one place anything watching a run attaches. [cov_static] is
-    mutable only for its initial attach. *)
+(** The observers ([trace], [cov_static], [observer]) are the one
+    place anything watching a run attaches. [cov_static] is mutable
+    only for its initial attach. *)
 
 exception Load_error of Word32.t
 (** Raised by {!load_image} (and [Ref_machine.load_image]) when part
@@ -82,8 +80,7 @@ val create :
   ?ram_kib:int ->
   ?inject:Repro_faultinject.Faultinject.t ->
   ?trace:Repro_observe.Trace.t ->
-  ?ledger:Repro_observe.Ledger.t ->
-  ?scope:Repro_perfscope.Scope.t ->
+  ?observer:(Window.t -> unit) ->
   unit ->
   t
 (** Fresh machine with RAM zeroed, CPU at reset, TLB invalid. The
@@ -92,10 +89,8 @@ val create :
     injection point is armed separately at run time (see
     {!Repro_machine.Bus.t}) so image loading is never perturbed.
     [trace] installs the event ring (its clock becomes retired guest
-    instructions); [ledger] enables static and dynamic coordination
-    attribution; [scope] enables per-phase cost attribution, the
-    hot-block table and the latency histograms. The coverage sink
-    starts detached (see {!t.cov_static}). *)
+    instructions); [observer] receives every charge window. The
+    coverage sink starts detached (see {!t.cov_static}). *)
 
 val env : t -> int array
 val stats : t -> Repro_x86.Stats.t
@@ -109,7 +104,8 @@ val load_image : t -> Word32.t -> Word32.t array -> unit
 val sync_env_to_cpu : t -> unit
 val sync_cpu_to_env : t -> unit
 val refresh_irq_pending : t -> unit
-(** [env.irq_pending := bus line && not CPSR.I] — engine-maintained. *)
+(** [env.irq_pending := bus line && not CPSR.I] (engine-maintained);
+    stamps {!t.irq_raised_at}. *)
 
 val take_guest_exception : t -> Cpu.exn_kind -> pc_of_faulting_insn:Word32.t -> unit
 (** Full exception entry on the mirror, then resync to [env]. *)

@@ -38,7 +38,7 @@ type t = {
           corrupted TB. *)
   mutable prov : int array;
       (** Coordination-savings provenance
-          ({!Repro_observe.Ledger.prov_len} slots) recorded by the
+          ([Ledger.prov_len] slots of the coordination ledger) recorded by the
           rule emitter; [[||]] for baseline translations. Purely
           observational: never serialized, never affects emitted code
           or modelled cost. *)

@@ -4,14 +4,12 @@
 
 open Repro_common
 
-val max_tb_insns : int
-
 val fetch_block : ?cap:int -> Runtime.t -> pc:Word32.t -> Repro_arm.Insn.t list
 (** Decode one guest basic block at [pc] under the current privilege:
     stops at branches, system-level TB enders, the length limit, page
     boundaries or undecodable words. [cap] overrides the length limit
     (used by the bailout ladder); it defaults to the runtime's
-    [tb_override] or {!max_tb_insns}. Shared with the rule-based
+    [tb_override] or the baseline's block-length limit. Shared with the rule-based
     translator. *)
 
 val emulate_one_tb : ?insn:Repro_arm.Insn.t -> Runtime.t -> Tb.Cache.t -> pc:Word32.t -> Tb.t

@@ -8,7 +8,7 @@ module Snapshot = Repro_snapshot.Snapshot
 module Depot = Repro_aotcache.Depot
 module Scope = Repro_perfscope.Scope
 module Phase = Repro_perfscope.Phase
-module Ledger = Repro_observe.Ledger
+module Ledger = Repro_perfscope.Ledger
 module Jsonx = Repro_observe.Jsonx
 module Static = Repro_covscope.Static
 

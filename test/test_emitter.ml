@@ -209,7 +209,7 @@ let test_inline_mmu_has_no_helper_on_fast_path () =
 let irq_polls prog = count_in prog (function X.Count X.Cnt_irq_poll -> true | _ -> false)
 
 let region_credit (r : D.Emitter.result) =
-  r.D.Emitter.prov.((2 * Repro_observe.Ledger.(pass_index Region)) + 1)
+  r.D.Emitter.prov.((2 * Repro_perfscope.Ledger.(pass_index Region)) + 1)
 
 let exits_to r pc =
   Array.fold_left

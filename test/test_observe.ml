@@ -1,6 +1,7 @@
 module T = Repro_tcg
 module D = Repro_dbt
 module O = Repro_observe
+module Ledger = Repro_perfscope.Ledger
 module K = Repro_kernel.Kernel
 module W = Repro_workloads.Workloads
 module Stats = Repro_x86.Stats
@@ -126,38 +127,52 @@ let test_trace_writers () =
 (* ---- ledger unit level ---------------------------------------------- *)
 
 let test_ledger_units () =
-  let l = O.Ledger.create () in
-  let p = O.Ledger.zero_prov () in
-  O.Ledger.prov_add p O.Ledger.Elim_mem ~ops:2 ~insns:7;
-  O.Ledger.prov_add p O.Ledger.Reduction ~ops:0 ~insns:5;
-  O.Ledger.record_static l p;
-  O.Ledger.record_exec l p;
-  O.Ledger.record_exec l p;
-  O.Ledger.record_exec l (O.Ledger.zero_prov ());  (* ignored: all-zero *)
-  O.Ledger.record_exec l [||];                     (* ignored: no provenance *)
-  Alcotest.(check int) "static ops" 2 (O.Ledger.static_ops l O.Ledger.Elim_mem);
-  Alcotest.(check int) "static insns" 5 (O.Ledger.static_insns l O.Ledger.Reduction);
-  Alcotest.(check int) "dyn ops x2" 4 (O.Ledger.dyn_ops l O.Ledger.Elim_mem);
-  Alcotest.(check int) "dyn insns x2" 14 (O.Ledger.dyn_insns l O.Ledger.Elim_mem);
-  let json = O.Ledger.to_json l in
+  let l = Ledger.create () in
+  (* the dynamic view folds charge windows *)
+  let stats = Stats.create () in
+  let w = T.Window.create stats in
+  let close ?(prov = [||]) event =
+    let tb = { T.Window.no_tb with T.Tb.prov } in
+    T.Window.close w stats event tb ~page:0 ~privileged:true;
+    Ledger.fold l w
+  in
+  let p = Ledger.zero_prov () in
+  Ledger.prov_add p Ledger.Elim_mem ~ops:2 ~insns:7;
+  Ledger.prov_add p Ledger.Reduction ~ops:0 ~insns:5;
+  Ledger.record_static l p;
+  close ~prov:p T.Window.Ran;
+  close ~prov:p T.Window.Ran;
+  close ~prov:(Ledger.zero_prov ()) T.Window.Ran;  (* ignored: all-zero *)
+  close T.Window.Ran;                              (* ignored: no provenance *)
+  Alcotest.(check int) "static ops" 2 (Ledger.static_ops l Ledger.Elim_mem);
+  Alcotest.(check int) "static insns" 5 (Ledger.static_insns l Ledger.Reduction);
+  Alcotest.(check int) "dyn ops x2" 4 (Ledger.dyn_ops l Ledger.Elim_mem);
+  Alcotest.(check int) "dyn insns x2" 14 (Ledger.dyn_insns l Ledger.Elim_mem);
+  let json = Ledger.to_json l in
   Alcotest.(check bool) "to_json is an object" true
     (String.length json > 2 && json.[0] = '{');
   (* re-emission delta: replace the TB's contribution without bumping
      the translation count *)
-  let p' = O.Ledger.zero_prov () in
-  O.Ledger.prov_add p' O.Ledger.Elim_mem ~ops:3 ~insns:9;
-  O.Ledger.record_static_delta l (O.Ledger.prov_diff ~old_:p p');
-  Alcotest.(check int) "delta replaced ops" 3 (O.Ledger.static_ops l O.Ledger.Elim_mem);
+  let p' = Ledger.zero_prov () in
+  Ledger.prov_add p' Ledger.Elim_mem ~ops:3 ~insns:9;
+  Ledger.record_static_delta l (Ledger.prov_diff ~old_:p p');
+  Alcotest.(check int) "delta replaced ops" 3 (Ledger.static_ops l Ledger.Elim_mem);
   Alcotest.(check int) "delta replaced insns" 9
-    (O.Ledger.static_insns l O.Ledger.Elim_mem);
+    (Ledger.static_insns l Ledger.Elim_mem);
   Alcotest.(check int) "delta retired the old pass entry" 0
-    (O.Ledger.static_insns l O.Ledger.Reduction);
-  (* dynamic-only entries, negative = cost *)
-  O.Ledger.add_dynamic l O.Ledger.Reduction ~ops:0 ~insns:(-6);
+    (Ledger.static_insns l Ledger.Reduction);
+  (* dynamic-only entries, negative = cost: a delivery window's Sync
+     is III-B's lazy parse, an entry window's sync ops and Sync are
+     III-C.3's engine-side restore *)
+  Stats.charge_tag stats Repro_x86.Insn.Tag_sync 6;
+  close T.Window.Irq_delivered;
   Alcotest.(check int) "negative dynamic entry" (10 - 6)
-    (O.Ledger.dyn_insns l O.Ledger.Reduction);
-  O.Ledger.reset l;
-  Alcotest.(check int) "reset" 0 (O.Ledger.total_static_ops l)
+    (Ledger.dyn_insns l Ledger.Reduction);
+  Stats.charge_tag stats Repro_x86.Insn.Tag_sync 2;
+  stats.Stats.sync_ops <- stats.Stats.sync_ops + 1;
+  close T.Window.Entered;
+  Alcotest.(check int) "entry restore ops" (-1) (Ledger.dyn_ops l Ledger.Inter_tb);
+  Alcotest.(check int) "entry restore insns" (-2) (Ledger.dyn_insns l Ledger.Inter_tb)
 
 (* ---- whole-system runs ---------------------------------------------- *)
 
@@ -197,13 +212,13 @@ let test_tracing_off_bit_identity () =
   let image = kernel_image () in
   let plain = run_image image (D.System.Rules D.Opt.full) in
   let trace = O.Trace.create () in
-  let ledger = O.Ledger.create () in
+  let ledger = Ledger.create () in
   let traced = run_image ~trace ~ledger image (D.System.Rules D.Opt.full) in
   check_fingerprint "instrumented vs plain" (fingerprint plain) (fingerprint traced);
   (* and the instrumentation did observe the run *)
   Alcotest.(check bool) "events captured" true (O.Trace.total trace > 1000);
   Alcotest.(check bool) "dynamic savings attributed" true
-    (O.Ledger.total_dyn_insns ledger > 0);
+    (Ledger.total_dyn_insns ledger > 0);
   Alcotest.(check bool) "timestamps are guest insns" true
     (List.for_all
        (fun e -> e.O.Trace.at <= (D.System.stats traced).Stats.guest_insns)
@@ -247,14 +262,14 @@ let test_trace_taxonomy () =
    enough to survive the interactions. *)
 let test_ledger_vs_ablation () =
   let image = kernel_image () in
-  let ledger = O.Ledger.create () in
+  let ledger = Ledger.create () in
   let full = run_image ~ledger image (D.System.Rules D.Opt.full) in
   let full_sync = (D.System.stats full).Stats.sync_ops in
   List.iter
     (fun (name, pass, factor, opt) ->
       let abl = run_image image (D.System.Rules opt) in
       let measured = (D.System.stats abl).Stats.sync_ops - full_sync in
-      let attributed = O.Ledger.dyn_ops ledger pass in
+      let attributed = Ledger.dyn_ops ledger pass in
       Alcotest.(check bool) (name ^ ": pass removes sync ops") true (measured > 0);
       Alcotest.(check bool) (name ^ ": ledger attributed some") true (attributed > 0);
       Alcotest.(check bool)
@@ -263,8 +278,8 @@ let test_ledger_vs_ablation () =
         true
         (attributed <= factor * measured && measured <= factor * attributed))
     [
-      ("III-C.2", O.Ledger.Elim_mem, 2, { D.Opt.full with D.Opt.elim_mem = false });
-      ("III-C.3", O.Ledger.Inter_tb, 12, { D.Opt.full with D.Opt.inter_tb = false });
+      ("III-C.2", Ledger.Elim_mem, 2, { D.Opt.full with D.Opt.elim_mem = false });
+      ("III-C.3", Ledger.Inter_tb, 12, { D.Opt.full with D.Opt.inter_tb = false });
     ];
   (* guest-visible output must be identical across every ablation
      (retired-instruction totals may differ slightly: interrupt
@@ -278,7 +293,7 @@ let test_ledger_vs_ablation () =
    against the Tag_sync instruction delta instead. *)
 let test_ledger_reduction_insns () =
   let image = kernel_image () in
-  let ledger = O.Ledger.create () in
+  let ledger = Ledger.create () in
   let full = run_image ~ledger image (D.System.Rules D.Opt.full) in
   let abl =
     run_image image (D.System.Rules { D.Opt.full with D.Opt.reduction = false })
@@ -287,7 +302,7 @@ let test_ledger_reduction_insns () =
   let measured =
     tag_sync (D.System.stats abl) - tag_sync (D.System.stats full)
   in
-  let attributed = O.Ledger.dyn_insns ledger O.Ledger.Reduction in
+  let attributed = Ledger.dyn_insns ledger Ledger.Reduction in
   Alcotest.(check bool) "reduction saves sync insns" true (measured > 0);
   Alcotest.(check bool)
     (Printf.sprintf "attribution within 2x (measured %d, attributed %d)"
@@ -305,7 +320,7 @@ let test_roundtrip_with_tracing () =
   let image = kernel_image () in
   let full = run_image image (D.System.Rules D.Opt.full) in
   let trace1 = O.Trace.create () in
-  let ledger1 = O.Ledger.create () in
+  let ledger1 = Ledger.create () in
   let part = D.System.create ~trace:trace1 ~ledger:ledger1 (D.System.Rules D.Opt.full) in
   K.load image (fun base words -> D.System.load_image part base words);
   (match (D.System.run ~max_guest_insns:15_000 ~checkpoint_every:4_000 part).T.Engine.reason with
@@ -314,7 +329,7 @@ let test_roundtrip_with_tracing () =
   let frozen = Snapshot.to_string (D.System.snapshot part) in
   let snap = Snapshot.of_string frozen in
   let trace2 = O.Trace.create () in
-  let ledger2 = O.Ledger.create () in
+  let ledger2 = Ledger.create () in
   let thawed =
     D.System.create
       ~ram_kib:(D.System.snapshot_ram_kib snap)
@@ -325,7 +340,7 @@ let test_roundtrip_with_tracing () =
   (* the cache rebuild runs with the ledger detached: restoring must
      not re-count statics the interrupted machine already recorded *)
   Alcotest.(check int) "rebuild recorded no statics (ledger detached)" 0
-    (O.Ledger.total_static_ops ledger2 + O.Ledger.total_static_insns ledger2);
+    (Ledger.total_static_ops ledger2 + Ledger.total_static_insns ledger2);
   let events_at_restore = O.Trace.total trace2 in
   (match (D.System.run ~max_guest_insns:1_985_000 thawed).T.Engine.reason with
   | `Halted _ -> ()

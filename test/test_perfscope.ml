@@ -10,7 +10,7 @@ module K = Repro_kernel.Kernel
 module W = Repro_workloads.Workloads
 module Stats = Repro_x86.Stats
 module Jsonx = Repro_observe.Jsonx
-module Ledger = Repro_observe.Ledger
+module Ledger = Repro_perfscope.Ledger
 
 (* Performance-observatory tests: the histogram and flamegraph
    primitives, the Jsonx parser, the load-bearing scope invariants

@@ -119,6 +119,32 @@ let test_longest_match_wins () =
   | Some (r, _) -> Alcotest.(check string) "longest first" "two" r.Rule.name
   | None -> Alcotest.fail "no match"
 
+(* [match_at] against a naive scan of every active rule, longest
+   pattern first, ties to the earliest added — over random rule
+   orders, quarantine sets and instruction blocks. *)
+let prop_match_at_reference =
+  let gen =
+    QCheck.Gen.(
+      let* order = shuffle_l (Lazy.force rules) in
+      let* quarantined = list_size (int_range 0 8) (oneofl order) in
+      let* block = list_size (int_range 1 4) Gen.gen_plain_insn in
+      return (order, quarantined, List.map (fun i -> { i with A.cond = Cond.AL }) block))
+  in
+  let print (_, _, block) = String.concat "; " (List.map A.to_string block) in
+  QCheck.Test.make ~count:300 ~name:"match_at = naive longest-first scan"
+    (QCheck.make ~print gen) (fun (order, quarantined, insns) ->
+      let rs = Ruleset.of_list order in
+      List.iter (fun r -> ignore (Ruleset.quarantine_by_id rs r.Rule.id)) quarantined;
+      let naive =
+        List.stable_sort
+          (fun a b -> compare (Rule.guest_pattern_length b) (Rule.guest_pattern_length a))
+          order
+        |> List.find_map (fun r ->
+               if Ruleset.is_quarantined rs r then None
+               else Option.map (fun b -> (r.Rule.id, b)) (Rule.match_sequence r insns))
+      in
+      Option.map (fun (r, b) -> (r.Rule.id, b)) (Ruleset.match_at rs insns) = naive)
+
 let test_coverage_metric () =
   let insns =
     [
@@ -253,6 +279,7 @@ let suite =
           test_unpinned_instantiation_fails;
         Alcotest.test_case "movt immediate shifting" `Quick test_imm_linking;
         Alcotest.test_case "longest match wins" `Quick test_longest_match_wins;
+        QCheck_alcotest.to_alcotest prop_match_at_reference;
         Alcotest.test_case "static coverage metric" `Quick test_coverage_metric;
       ] );
     ( "rules.flagconv",
