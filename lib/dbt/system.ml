@@ -318,9 +318,6 @@ let encode_code code =
   entries 0 code.c_tbs;
   entries (Array.length code.c_tbs) code.c_regions
 
-let rule_lookup rs id =
-  List.find_opt (fun (r : Repro_rules.Rule.t) -> r.Repro_rules.Rule.id = id) (Ruleset.rules rs)
-
 (* [rule] resolves meta rule ids; [None] for a qemu-mode machine, whose
    code has no meta and no regions. Every failure is [Corrupt]. *)
 let decode_code ~rule payload =
@@ -486,11 +483,11 @@ let ratchet_health ?base tr rs ~blacklist ~strikes ~quarantined =
     ~strikes:(max_strikes strikes cur_strikes)
     ~quarantined:(union_int quarantined cur_quarantined)
 
-(* A live record for captured entry [k]: empty links, captured hotness
-   and meta, the captured program. *)
-let fresh t code k f ~id ~region_ids =
+(* A live record for a captured entry: empty links, hotness [hot],
+   the captured meta and program. *)
+let fresh t f ~id ~hot ~region_ids =
   let links = Array.make (Array.length f.f_links) None in
-  let tb = { f.f_tb with Tb.id; links; hot = code.c_hot.(k); region_ids } in
+  let tb = { f.f_tb with Tb.id; links; hot; region_ids } in
   (match (t.rule_translator, f.f_meta) with Some tr, Some m -> Translator_rule.thaw tr tb m | _ -> ());
   tb
 
@@ -531,7 +528,7 @@ let thaw t code ~health_as_captured =
         if drop.(k) then None
         else
           let region_ids = Array.map (fun i -> code.c_tbs.(i).f_tb.Tb.id) f.f_members in
-          Some (fresh t code k f ~id:f.f_tb.Tb.id ~region_ids))
+          Some (fresh t f ~id:f.f_tb.Tb.id ~hot:code.c_hot.(k) ~region_ids))
       entries
   in
   Array.iteri
@@ -606,7 +603,7 @@ let restore ?(rebuild = true) t snap =
        match Snapshot.value snap "cache" with
        | Some (Code code) -> code
        | _ ->
-         decode_code ~rule:(Option.map rule_lookup t.ruleset) (Snapshot.find snap "cache")
+         decode_code ~rule:(Option.map Ruleset.find t.ruleset) (Snapshot.find snap "cache")
      in
      thaw t code ~health_as_captured
    else Tb.Cache.flush t.cache);
@@ -722,7 +719,15 @@ let holds_block t (tb : Tb.t) =
    stale, or an adopted member holds other guest code. Entries whose
    memory does not hold stay pending until the first miss in their
    regime. Nothing here translates, draws from the injector, counts or
-   touches the CPU. *)
+   touches the CPU.
+
+   The hotness contract: an entry captured below [Engine.hot_threshold]
+   installs at 0, as its cold translation starts, so the warm run
+   reaches the threshold where a cold run reaches it; one at or over
+   the threshold keeps its count, as it was offered once already and
+   its region, if one formed, is in the depot. *)
+let depot_hot h = if h >= Engine.hot_threshold then h else 0
+
 let depot_wave t dp =
   let code = dp.dp_code and installed = dp.dp_installed and dead = dp.dp_dead in
   let n = Array.length code.c_tbs in
@@ -732,7 +737,9 @@ let depot_wave t dp =
     dp.dp_installed_count <- dp.dp_installed_count + 1
   in
   let install k f ~region_ids =
-    let tb = fresh t code k f ~id:(Tb.Cache.next_id t.cache) ~region_ids in
+    let tb =
+      fresh t f ~id:(Tb.Cache.next_id t.cache) ~hot:(depot_hot code.c_hot.(k)) ~region_ids
+    in
     enter k tb;
     Hashtbl.replace dp.dp_served tb.Tb.id tb;
     tb
@@ -807,7 +814,7 @@ let depot_install t depot =
       "machine floor is the %s rung; depot code is translated for its \
        natural %s engine"
       (rung_name t.rung_floor) (rung_name natural);
-  let rule = Option.map rule_lookup t.ruleset in
+  let rule = Option.map Ruleset.find t.ruleset in
   let code = Depot.guard "cache" (fun () -> decode_code ~rule (Depot.cache_payload depot)) in
   let blacklist, strikes, quarantined = depot_health depot in
   (* The depot's durable demotions ratchet in before any entry installs
@@ -917,7 +924,7 @@ let depot_check depot =
     | Some Qemu -> None
     | _ -> (
       match Repro_rules.Serialize.load (Depot.rules depot) with
-      | Ok rs -> Some (rule_lookup rs)
+      | Ok rs -> Some (Ruleset.find rs)
       | Error e -> Depot.err "rules" "%s" e)
   in
   let code = Depot.guard "cache" (fun () -> decode_code ~rule (Depot.cache_payload depot)) in

@@ -33,6 +33,7 @@ type t = {
          per-rule quarantine Hashtbl probe *)
   all : Rule.t list;
   count : int;  (* O(1) [size]; [all] is kept for [rules] *)
+  by_id : (int, Rule.t) Hashtbl.t;  (* the first rule given with each id *)
   strikes : (int, int) Hashtbl.t;  (* rule id → divergence strikes *)
   quarantined : (int, unit) Hashtbl.t;
 }
@@ -62,8 +63,12 @@ let of_list rules =
   List.iter (fun rule -> List.iter (add rule) (keys_of_rule rule)) rules;
   let longest_first a b = compare (Rule.guest_pattern_length b) (Rule.guest_pattern_length a) in
   Hashtbl.filter_map_inplace (fun _ b -> Some (List.stable_sort longest_first (List.rev b))) table;
+  let by_id = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Rule.t) -> if not (Hashtbl.mem by_id r.Rule.id) then Hashtbl.add by_id r.Rule.id r)
+    rules;
   let t =
-    { table; active = Hashtbl.create 64; all = rules; count = List.length rules;
+    { table; active = Hashtbl.create 64; all = rules; count = List.length rules; by_id;
       strikes = Hashtbl.create 8; quarantined = Hashtbl.create 8 }
   in
   refresh_active t;
@@ -71,6 +76,7 @@ let of_list rules =
 
 let size t = t.count
 let rules t = t.all
+let find t id = Hashtbl.find_opt t.by_id id
 
 let strike t (rule : Rule.t) ~threshold =
   if is_quarantined t rule then false
@@ -93,7 +99,7 @@ let strikes t (rule : Rule.t) =
 let quarantine_by_id t id =
   if Hashtbl.mem t.quarantined id then false
   else
-    match List.find_opt (fun (r : Rule.t) -> r.Rule.id = id) t.all with
+    match find t id with
     | None -> false
     | Some rule ->
       Hashtbl.replace t.quarantined id ();

@@ -11,6 +11,10 @@ val of_list : Rule.t list -> t
 val size : t -> int
 val rules : t -> Rule.t list
 
+val find : t -> int -> Rule.t option
+(** The first rule given with this id, from a table built once by
+    {!of_list}. *)
+
 val match_at : t -> A.t list -> (Rule.t * Rule.binding) option
 (** Find the rule whose guest pattern matches the longest prefix of
     the (condition-stripped) instruction list; ties break toward the

@@ -56,8 +56,8 @@ type outcome = Exited of int | Stopped of { code : int; arg : int }
 
 (* ---------- compilation to threaded code ----------
 
-   Each instruction compiles once, when its program is finalized, to a
-   closure over the context that performs it and returns [fallthrough]
+   Each instruction compiles once, the first time its program runs, to
+   a closure over the context that performs it and returns [fallthrough]
    to continue with the next op, the index of the op a taken jump
    goes to, or [lnot slot] for [Exit { slot }]. Operand kinds,
    constant addresses, condition codes, tags and label targets are
@@ -72,7 +72,13 @@ type kernel = {
   ops : op array;
 }
 
-type program = { code : Insn.t array; tags : Insn.tag array; kernel : kernel }
+(* [kernel] is [unbuilt] until the program first runs. A plain field,
+   not a [Lazy.t]: two domains that first run one shared program at
+   once each build an equal kernel, where a concurrent [Lazy.force]
+   raises [Lazy.Undefined]. *)
+type program = { code : Insn.t array; tags : Insn.tag array; mutable kernel : kernel }
+
+let unbuilt = { slots = [||]; ops = [||] }
 
 (* Env and Tlb are arrays of 32-bit slots: a word access must be
    slot-aligned, and a sub-word access reads or writes the byte lane
@@ -490,7 +496,7 @@ let compile_insn (insn : Insn.t) ~target : op =
    the op that follows it. Op [n_ops] fails when reached (control fell
    off the end), and so does each op past it, one per label that is
    jumped to but never placed. *)
-let compile ~code ~tags =
+let build ~code ~tags =
   let targets = Hashtbl.create 8 in
   let n_ops =
     Array.fold_left
@@ -531,7 +537,10 @@ let compile ~code ~tags =
         slots.(!k) <- Stats.tag_index tags.(i);
         place insn)
     code;
-  { code; tags; kernel = { slots; ops } }
+  { slots; ops }
+
+let compile ~code ~tags = { code; tags; kernel = unbuilt }
+let compiled prog = prog.kernel != unbuilt
 
 (* Top-level rather than a closure in [run], so a run allocates
    nothing but its outcome. *)
@@ -552,7 +561,16 @@ let rec go t (st : Stats.t) slots ops ~fuel k spent =
   else if next >= 0 then go t st slots ops ~fuel next spent
   else Exited (lnot next)
 
+let kernel prog =
+  let k = prog.kernel in
+  if k != unbuilt then k
+  else begin
+    let k = build ~code:prog.code ~tags:prog.tags in
+    prog.kernel <- k;
+    k
+  end
+
 let run t prog ~fuel =
-  let { slots; ops } = prog.kernel in
+  let { slots; ops } = kernel prog in
   try go t t.stats slots ops ~fuel 0 0
   with Helper_stop { code; arg } -> Stopped { code; arg }

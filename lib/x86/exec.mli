@@ -13,11 +13,13 @@
     coordinate guest CPU state breaks loudly in differential tests
     instead of silently working.
 
-    A program is compiled exactly once, by {!compile} (which
-    {!Prog.finalize} calls), into threaded code: one closure per
-    instruction with its operand kinds, constant [Env]/[Tlb] slots,
-    condition code, [by_tag] slot and label targets already resolved.
-    {!run} only dispatches through it. *)
+    A program is compiled at its first run into threaded code: one
+    closure per instruction with its operand kinds, constant
+    [Env]/[Tlb] slots, condition code, [by_tag] slot and label targets
+    already resolved. Later runs only dispatch through it, and a
+    program that never runs (a region member that only runs inside its
+    region, a re-emitted version that is replaced before it runs) is
+    never compiled. *)
 
 open Repro_common
 
@@ -72,16 +74,25 @@ type kernel
 type program = private {
   code : Insn.t array;
   tags : Insn.tag array;  (** the stats tag of each [code] entry *)
-  kernel : kernel;  (** [code] compiled; never rewritten *)
+  mutable kernel : kernel;
+      (** [code] compiled at its first run, by {!run}; written once.
+          Two domains that first run one shared program at the same
+          moment may both compile it: they build equal kernels from the
+          same immutable [code] and [tags], so the racing writes are
+          benign (a [Lazy.t] would raise [Lazy.Undefined] instead). *)
 }
 (** A finalized program (re-exported as {!Prog.t}). Nothing writes
-    [code] or [tags] once the program exists: a rewrite builds and
-    compiles a new program. *)
+    [code] or [tags] once the program exists: a rewrite builds a new
+    program. *)
 
 val compile : code:Insn.t array -> tags:Insn.tag array -> program
-(** Compile instructions and their tags (same length). Never fails: an
-    undefined label or a missing [Exit] fails only if execution
-    reaches it. Use {!Prog.finalize}. *)
+(** A program over instructions and their tags (same length), to be
+    compiled at its first run. Never fails: an undefined label or a
+    missing [Exit] fails only if execution reaches it. Use
+    {!Prog.finalize}. *)
+
+val compiled : program -> bool
+(** Whether the program has run, so holds its threaded code. *)
 
 val run : t -> program -> fuel:int -> outcome
 (** Execute a program from its first instruction. For each non-pseudo

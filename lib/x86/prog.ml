@@ -46,7 +46,7 @@ let length b = b.count
 type t = Exec.program = private {
   code : Insn.t array;
   tags : Insn.tag array;
-  kernel : Exec.kernel;
+  mutable kernel : Exec.kernel;
 }
 
 let finalize b =

@@ -1,8 +1,8 @@
 (** Host-code builder and finalized translation-block programs.
 
     Emission is append-only with fresh local labels; {!finalize}
-    produces an immutable program, compiled once into the threaded
-    code that {!Exec.run} executes. *)
+    produces an immutable program, compiled at its first run into the
+    threaded code that {!Exec.run} executes. *)
 
 type builder
 
@@ -28,16 +28,19 @@ val length : builder -> int
 type t = Exec.program = private {
   code : Insn.t array;
   tags : Insn.tag array;  (** the stats tag of each [code] entry *)
-  kernel : Exec.kernel;  (** [code] compiled; never rewritten *)
+  mutable kernel : Exec.kernel;
+      (** [code] compiled at its first run; see {!Exec.program} for
+          two domains running it first at once *)
 }
 
 val finalize : builder -> t
-(** The emitted instructions as a program, compiled by {!Exec.compile}.
-    A program is never modified: to change one, emit a new one. *)
+(** The emitted instructions as a program ({!Exec.compile}), compiled
+    at its first run. Its code is never modified: to change one, emit
+    a new one. *)
 
 val of_code : code:Insn.t array -> tags:Insn.tag array -> t
 (** Instructions emitted once before (a code cache read back from
-    bytes), compiled as {!finalize} compiles. *)
+    bytes), as {!finalize} makes them. *)
 
 val pp : Format.formatter -> t -> unit
 val static_count : t -> int

@@ -750,7 +750,8 @@ let test_link_targets_validated () =
    hold. A depot wave must install, for every recipe, the program the
    capturing machine held for it; wave TB ids are the installing
    machine's own, so a region is compared by its members' PCs instead
-   of their ids. *)
+   of their ids. Every entry's hotness follows the depot's hotness
+   contract: a count below the threshold installs at 0. *)
 let restored_view (sys : D.System.t) =
   let target = function Some (s : T.Tb.t) -> s.T.Tb.id | None -> -1 in
   let meta tb =
@@ -812,6 +813,7 @@ let test_installed_code_equals_captured () =
           let warm = D.System.create mode in
           D.System.restore ~rebuild:false warm snap;
           let recipes = recipe_view captured in
+          let contract h = if h >= T.Engine.hot_threshold then h else 0 in
           let view =
             Alcotest.(
               list
@@ -820,11 +822,12 @@ let test_installed_code_equals_captured () =
                    string))
           in
           let flat l = List.map (fun (k, pcs, hot, d) -> (((k, pcs), hot), d)) l in
+          let expected = List.map (fun (k, pcs, hot, d) -> (((k, pcs), contract hot), d)) recipes in
           let installed = D.System.depot_install warm depot in
           Alcotest.(check int) (what ^ ": the first wave installs every recipe")
             (List.length recipes) installed;
           Alcotest.check view (what ^ ": the first wave installs the captured code")
-            (flat recipes) (flat (recipe_view warm));
+            expected (flat (recipe_view warm));
           T.Tb.Cache.flush warm.D.System.cache;
           let rt = warm.D.System.rt in
           let privileged = T.Runtime.privileged rt
@@ -835,9 +838,51 @@ let test_installed_code_equals_captured () =
           Alcotest.(check bool) (what ^ ": the miss wave serves its PC") true
             (D.System.depot_hit warm ~pc <> None);
           Alcotest.check view (what ^ ": the miss wave installs the captured code")
-            (flat recipes) (flat (recipe_view warm)))
+            expected (flat (recipe_view warm)))
         D.System.modes)
     [ "gcc"; "hmmer" ]
+
+(* ---- a warm boot forms no region a cold boot does not -------------- *)
+
+(* The depot's hotness contract: an entry captured below the hotness
+   threshold installs at 0, where a cold translation starts. hmmer,
+   libquantum and h264ref form no region in a short cold run, but
+   depots that kept their captured counts (16 to 31) let their TBs
+   cross the threshold warm and fuse a dozen regions each; gcc forms
+   its regions cold, so its depot holds them and a warm boot forms
+   none. Every warm boot still reaches the reference interpreter's
+   halt code and UART bytes. *)
+let test_warm_boot_forms_no_region () =
+  List.iter
+    (fun bench ->
+      let spec = W.find bench in
+      let image =
+        K.build ~timer_period:2_000
+          ~user_program:(W.generate spec ~iterations:(max 1 (8_000 / W.insns_per_iteration spec)))
+          ()
+      in
+      let reference =
+        let r = T.Ref_machine.create () in
+        K.load image (T.Ref_machine.load_image r);
+        match T.Ref_machine.run r ~max_steps:10_000_000 with
+        | T.Ref_machine.Halted code, _ ->
+          (code, Repro_machine.Devices.Uart.output r.T.Ref_machine.bus.Repro_machine.Bus.uart)
+        | _ -> Alcotest.failf "%s: the reference interpreter did not halt" bench
+      in
+      let cold = make_sys mode image in
+      let res = D.System.run ~max_guest_insns:2_000_000 cold in
+      Alcotest.(check (pair int string)) (bench ^ ": cold reaches the reference") reference
+        (guest_outcome cold res);
+      let depot = Depot.of_string (Depot.to_string (D.System.depot_capture cold)) in
+      let warm = make_sys mode image in
+      Alcotest.(check bool) (bench ^ ": the boot wave installs recipes") true
+        (D.System.depot_install warm depot > 0);
+      let res = D.System.run ~max_guest_insns:2_000_000 warm in
+      Alcotest.(check (pair int string)) (bench ^ ": warm reaches the reference") reference
+        (guest_outcome warm res);
+      Alcotest.(check int) (bench ^ ": a warm boot forms no region") 0
+        (D.System.stats warm).Repro_x86.Stats.regions_formed)
+    [ "hmmer"; "libquantum"; "h264ref"; "gcc" ]
 
 (* ---- the code codec round-trips every program ---------------------- *)
 
@@ -1108,6 +1153,8 @@ let suite =
           test_link_targets_validated;
         Alcotest.test_case "installed code equals captured code" `Quick
           test_installed_code_equals_captured;
+        Alcotest.test_case "a warm boot forms no region" `Quick
+          test_warm_boot_forms_no_region;
         Alcotest.test_case "the code codec round-trips every program" `Quick
           test_codec_round_trip;
         Alcotest.test_case "forged code sections fail typed" `Quick

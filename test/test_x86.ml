@@ -396,6 +396,102 @@ let test_shift_by_cl () =
   in
   Alcotest.(check int) "cl shift mod 32" 8 ctx.Exec.regs.(X.rax)
 
+(* A program holds no threaded code until it first runs, whether it was
+   finalized or read back from its code and tags; compiling at first run
+   leaves an undefined label failing only when reached, on every run. *)
+let test_compiled_at_first_run () =
+  let prog =
+    program
+      [
+        X.Alu { op = X.Cmp; dst = X.Reg X.rax; src = X.Imm 0 };
+        X.Jcc { cc = X.NE; target = 99 };  (* label 99 is never placed *)
+        X.Exit { slot = 1 };
+      ]
+  in
+  let decoded = Prog.of_code ~code:prog.Prog.code ~tags:prog.Prog.tags in
+  Alcotest.(check (pair bool bool)) "finalized and decoded programs hold no kernel"
+    (false, false) (Exec.compiled prog, Exec.compiled decoded);
+  let run_with rax =
+    let ctx = Exec.create () in
+    ctx.Exec.regs.(X.rax) <- rax;
+    match Exec.run ctx prog ~fuel:100 with
+    | Exec.Exited 1 -> `Exited
+    | exception Failure _ -> `Failed
+    | _ -> Alcotest.fail "unexpected outcome"
+  in
+  Alcotest.(check bool) "the untaken jump exits" true (run_with 0 = `Exited);
+  Alcotest.(check (pair bool bool)) "only the program that ran is compiled" (true, false)
+    (Exec.compiled prog, Exec.compiled decoded);
+  Alcotest.(check bool) "the taken jump fails when reached" true (run_with 1 = `Failed);
+  Alcotest.(check bool) "the untaken jump still exits" true (run_with 0 = `Exited)
+
+(* A loop of [n] ALU ops run [laps] times: long enough to compile that
+   two domains starting it together overlap in its compilation. *)
+let loop_program ~n ~laps =
+  let b = Prog.builder () in
+  let top = Prog.fresh_label b in
+  Prog.emit b (mov X.rcx laps);
+  Prog.emit b (X.Label top);
+  for k = 1 to n do
+    let r = [| X.rax; X.rbx; X.rdx; X.rsi |].(k land 3) in
+    Prog.emit b ~tag:(if k land 1 = 0 then X.Tag_compute else X.Tag_sync)
+      (X.Alu { op = (if k mod 3 = 0 then X.Xor else X.Add); dst = X.Reg r; src = X.Imm k })
+  done;
+  Prog.emit b (X.Alu { op = X.Sub; dst = X.Reg X.rcx; src = X.Imm 1 });
+  Prog.emit b (X.Jcc { cc = X.NE; target = top });
+  Prog.emit b (X.Exit { slot = 0 });
+  Prog.finalize b
+
+(* Machines share thawed programs, so two domains may run one for the
+   first time at the same moment. Each compiles it; both end with the
+   Stats of a run on one domain. A [Lazy.t] kernel raises
+   [Lazy.Undefined] here. *)
+let test_two_domains_first_run () =
+  let template = loop_program ~n:2_000 ~laps:8 in
+  let rounds = 24 in
+  let thawed () =
+    Array.init rounds (fun _ ->
+        Prog.of_code ~code:template.Prog.code ~tags:template.Prog.tags)
+  in
+  let run_all progs ~arrive =
+    Array.map
+      (fun prog ->
+        let ctx = Exec.create () in
+        arrive ();
+        match Exec.run ctx prog ~fuel:1_000_000 with
+        | Exec.Exited 0 -> Stats.to_array ctx.Exec.stats
+        | _ -> failwith "the loop did not exit")
+      progs
+  in
+  let alone = Ok (run_all (thawed ()) ~arrive:ignore) in
+  let progs = thawed () in
+  let arrived = Atomic.make 0 and broken = Atomic.make false in
+  (* both domains start each program's first run together; a domain
+     that fails releases the other *)
+  let barrier () =
+    let mine = Atomic.fetch_and_add arrived 1 in
+    let target = (mine / 2 * 2) + 2 in
+    while Atomic.get arrived < target && not (Atomic.get broken) do
+      Domain.cpu_relax ()
+    done
+  in
+  let spawn () =
+    Domain.spawn (fun () ->
+        match run_all progs ~arrive:barrier with
+        | stats -> Ok stats
+        | exception e ->
+          Atomic.set broken true;
+          Error (Printexc.to_string e))
+  in
+  let d1 = spawn () and d2 = spawn () in
+  let s1 = Domain.join d1 and s2 = Domain.join d2 in
+  List.iter
+    (function Error e -> Alcotest.failf "a domain raised %s" e | Ok _ -> ())
+    [ s1; s2 ];
+  Alcotest.(check bool) "both domains end with the one-domain Stats" true
+    (s1 = alone && s2 = alone);
+  Alcotest.(check bool) "every program is compiled" true (Array.for_all Exec.compiled progs)
+
 let suite =
   [
     ( "x86.exec",
@@ -417,6 +513,10 @@ let suite =
         Alcotest.test_case "taken jump to an undefined label fails" `Quick
           test_taken_undefined_label;
         Alcotest.test_case "falling off the end fails" `Quick test_fall_off_end;
+        Alcotest.test_case "a program compiles at its first run" `Quick
+          test_compiled_at_first_run;
+        Alcotest.test_case "two domains run one program first together" `Quick
+          test_two_domains_first_run;
         Alcotest.test_case "helper stop mid-TB keeps its charges" `Quick
           test_helper_stop_mid_tb;
         Alcotest.test_case "env/tlb sub-word byte lanes" `Quick test_subword_lanes;
