@@ -8,6 +8,7 @@ module Stats = Repro_x86.Stats
 module Exec = Repro_x86.Exec
 module Snapshot = Repro_snapshot.Snapshot
 module Cpu = Repro_arm.Cpu
+module Fi = Repro_faultinject.Faultinject
 
 (* Observability-layer tests: the JSON writers, the event ring, the
    coordination ledger (unit-level and against whole-system ablation
@@ -354,6 +355,151 @@ let test_roundtrip_with_tracing () =
   Alcotest.(check bool) "thawed ring accumulated its own events" true
     (events_at_restore >= 1 && O.Trace.total trace2 > events_at_restore)
 
+(* ---- trace and coverage outputs are pinned -------------------------- *)
+
+let bench_image bench =
+  let spec = W.find bench in
+  let iterations = max 1 (40_000 / W.insns_per_iteration spec) in
+  K.build ~timer_period:2_000 ~user_program:(W.generate spec ~iterations) ()
+
+(* MD5s of a traced run's JSONL and Chrome exports and of its coverage
+   report, whose per-rule statics count every translation from the
+   first, as [dbt_run]'s do. *)
+let trace_outputs ?inject ?(shadow_depth = 0) load_into mode =
+  let trace = O.Trace.create () in
+  let sys = D.System.create ?inject ~shadow_depth ~trace mode in
+  sys.D.System.rt.T.Runtime.cov_static <- Some (Repro_covscope.Static.create ());
+  load_into (D.System.load_image sys);
+  ignore (D.System.run ~max_guest_insns:5_000_000 sys);
+  let export write =
+    let path = Filename.temp_file "trace" ".out" in
+    Out_channel.with_open_bin path (fun oc -> write oc trace);
+    let d = Digest.to_hex (Digest.file path) in
+    Sys.remove path;
+    d
+  in
+  [
+    export O.Trace.write_jsonl;
+    export O.Trace.write_chrome;
+    Digest.to_hex
+      (Digest.string (Repro_covscope.Report.to_json (D.System.coverage_report sys)));
+  ]
+
+(* A bare-metal program that jumps to unmapped memory; its prefetch
+   abort handler halts with the faulting address + 4. *)
+let prefetch_abort_image () =
+  let module Asm = Repro_arm.Asm in
+  let a = Asm.create ~origin:0 () in
+  List.iter (fun _ -> Asm.branch_to a "start") [ (); (); () ];
+  Asm.branch_to a "pabt" (* 0x0C prefetch abort *);
+  Asm.label a "pabt";
+  Asm.mov32 a 1 Repro_machine.Bus.syscon_base;
+  Asm.str a 14 1 0;
+  Asm.label a "start";
+  Asm.mov32 a 2 0xF100_0000;
+  Asm.bx a 2;
+  Asm.assemble a
+
+(* The runs and their MD5s, in [trace_outputs]' order. The injected
+   run interleaves fault and shadow events with the engine's, the
+   livelocked one a watchdog rollback; the self-modifying program
+   flushes the code cache, and the bare-metal one takes a prefetch
+   abort. *)
+let pinned_traces =
+  let qemu = D.System.Qemu and rules o = D.System.Rules o in
+  let plain bench mode digests =
+    ( bench ^ "/" ^ D.System.mode_name mode,
+      (fun () -> trace_outputs (K.load (bench_image bench)) mode),
+      digests )
+  in
+  [
+    plain "gcc" qemu
+      [
+        "0f1be7d60779997f436edbd0df618abb";
+        "939de292baf87862b11da431427794ea";
+        "bba388c7e59dd3cba9cf0915893aff02";
+      ];
+    plain "gcc" (rules D.Opt.full)
+      [
+        "6c8d1848332733f2dbf60402bb7a130b";
+        "7c4697c022409c0790ae5388287b7212";
+        "8562c2bd87d06de978f5abc9066928ed";
+      ];
+    plain "gcc" (rules D.Opt.with_regions)
+      [
+        "7070f756fa52d820197ac3e48c89b4f1";
+        "3676513b702720425ea70bfcf49888f1";
+        "aaf20423a0611588b246e9e5446682f4";
+      ];
+    plain "hmmer" qemu
+      [
+        "a9284c24b26c46db30a86f55dc911868";
+        "169d76fa1bbbc896b02ff2c9fdcc6377";
+        "156019fd0e8da1fe2d819b557b782ca4";
+      ];
+    plain "hmmer" (rules D.Opt.full)
+      [
+        "705feb4c448fbf6c99f73ac1d8536562";
+        "3e247fd6231e78b535bb00c6a80268ae";
+        "ec4bbafb31012bbf22c72ff1d2a757ed";
+      ];
+    plain "hmmer" (rules D.Opt.with_regions)
+      [
+        "a4275fa07b7a4adf10beb35a61f963b8";
+        "b145560b0bf7ee369242f470d786a7d0";
+        "8aab03d25c0ba645fb34c8458d0861eb";
+      ];
+    ( "gcc injected",
+      (fun () ->
+        let inject = Fi.create ~seed:7 ~rate:0.003 () in
+        trace_outputs ~inject ~shadow_depth:4 (K.load (bench_image "gcc"))
+          (rules D.Opt.with_regions)),
+      [
+        "8abeffa4dfbee1a8b35c4d0768fcce74";
+        "03413569f1a997a960ed346d18c99f45";
+        "c9f6b36784e571d8d5ab69d4694f9fe1";
+      ] );
+    ( "gcc livelocked",
+      (fun () ->
+        let inject = Fi.create ~seed:7 () in
+        Fi.set_rate inject Fi.Host_livelock 0.02;
+        trace_outputs ~inject ~shadow_depth:4 (K.load (bench_image "gcc"))
+          (rules D.Opt.with_regions)),
+      [
+        "ce631469985e9ab2ac18a689aae6c4bc";
+        "8183c6d0416adfa7c5c099e6779c00f8";
+        "24e9e82521b28c7fde8c80232db848c5";
+      ] );
+    ( "self-modifying",
+      (fun () ->
+        trace_outputs (K.load (snd (Test_aotcache.smc_program ~smc:true)))
+          (rules D.Opt.full)),
+      [
+        "bfdbc422eec0820bb07d811d765200fc";
+        "a7592b64f349a324d2b2e911610dcbaa";
+        "f9bb5393b65ea16e96cc3810dbef945f";
+      ] );
+    ( "prefetch abort",
+      (fun () ->
+        let origin, words = prefetch_abort_image () in
+        trace_outputs (fun load -> load origin words) (rules D.Opt.full)),
+      [
+        "2c283fdc0163dbe6b168c5f1ab3935a1";
+        "e7c65fee5ca201d059fa634f9743f92a";
+        "b8bccd1300346495b3a738a515fc9556";
+      ] );
+  ]
+
+let test_traces_pinned () =
+  List.iter
+    (fun (what, outputs, digests) ->
+      List.iter2
+        (fun name (want, got) ->
+          Alcotest.(check string) (Printf.sprintf "%s: %s" what name) want got)
+        [ "trace jsonl"; "trace chrome"; "coverage json" ]
+        (List.combine digests (outputs ())))
+    pinned_traces
+
 let suite =
   [
     ( "observe",
@@ -373,5 +519,7 @@ let suite =
           test_ledger_reduction_insns;
         Alcotest.test_case "save/restore with tracing attached" `Quick
           test_roundtrip_with_tracing;
+        Alcotest.test_case "trace and coverage outputs are pinned" `Quick
+          test_traces_pinned;
       ] );
   ]
