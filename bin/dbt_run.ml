@@ -248,11 +248,6 @@ let run bench mode_name target budget timer builtin_only rules_file dump_tbs
           Printf.eprintf
             "depot incompatible (section %s: %s); falling back to cold start\n"
             section reason));
-      (* The dynamic attribution table in Stats is always on; the
-         static per-rule sink is only worth carrying when a coverage
-         view was requested. Attached before the first translation. *)
-      if coverage || coverage_out <> None then
-        sys.D.System.rt.T.Runtime.cov_static <- Some (Cov.Static.create ());
       let postmortems = ref 0 in
       let on_postmortem =
         match postmortem_dir with

@@ -73,7 +73,7 @@ type rule_row = {
   rule_name : string;
   hits : int;  (* dynamic retirements attributed to this rule (any tier) *)
   dyn_cost : int;
-  sites : int;  (* translation sites (static, when a sink was attached) *)
+  sites : int;  (* translation sites (static, when a tally was given) *)
   emitted : int;  (* host insns those sites emitted *)
   counterfactual : float;  (* estimated baseline cost of the same retirements *)
   payoff : float;  (* counterfactual - dyn_cost; negative = regression *)

@@ -38,7 +38,7 @@ type rule_row = {
   rule_name : string;
   hits : int;  (** dynamic retirements attributed to this rule *)
   dyn_cost : int;
-  sites : int;  (** static translation sites (when a sink was attached) *)
+  sites : int;  (** static translation sites (when a tally was given) *)
   emitted : int;  (** host insns those sites emitted *)
   counterfactual : float;
       (** estimated baseline-TCG cost of the same retirements

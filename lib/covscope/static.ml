@@ -1,13 +1,12 @@
 (* Translation-time side of the per-rule ledger: how many TB sites
    each rule translated and how many host instructions those sites
-   emitted. Purely a sink — the translator reports into it when one is
-   attached; installed code is never emitted, so never counted. *)
+   emitted. The rule translator keeps one; installed code is never
+   emitted, so never counted. *)
 
 type row = { mutable sites : int; mutable emitted : int }
 type t = { by_rule : (int, row) Hashtbl.t }
 
 let create () = { by_rule = Hashtbl.create 32 }
-let reset t = Hashtbl.reset t.by_rule
 
 let record t ~rule ~host_insns =
   let r =

@@ -1,16 +1,15 @@
-(** Translation-time per-rule emission sink.
+(** Translation-time per-rule emission tally.
 
     Records, per rule id, how many TB sites the rule translated and
-    how many host instructions those sites emitted. The translator
-    reports into an attached sink; code installed from a snapshot or a
-    depot is not emitted, so it counts nothing. Not a snapshot
+    how many host instructions those sites emitted. The rule
+    translator keeps one; code installed from a snapshot or a depot is
+    not emitted, so it counts nothing. Not a snapshot
     section — it describes this process's translation work, not guest
     state. *)
 
 type t
 
 val create : unit -> t
-val reset : t -> unit
 
 val record : t -> rule:int -> host_insns:int -> unit
 (** One translated site for [rule] that emitted [host_insns]

@@ -1,5 +1,6 @@
 module Runtime = Repro_tcg.Runtime
 module Engine = Repro_tcg.Engine
+module Window = Repro_tcg.Window
 module Tb = Repro_tcg.Tb
 module Helpers = Repro_tcg.Helpers
 module Devices = Repro_machine.Devices
@@ -130,14 +131,45 @@ type t = {
   mutable depot : depot_state option;
 }
 
+let sync_tag = Stats.tag_index Repro_x86.Insn.Tag_sync
+
+(* The engine's events in the trace ring, read off its charge windows
+   in the order it closes them. A chained jump or a link leaves the TB
+   that ran last, whose PC [from] keeps. *)
+let trace_fold tr =
+  let from = ref 0 in
+  fun (w : Window.t) ->
+    let tb = w.Window.tb in
+    match w.Window.event with
+    | Window.Entered | Dispatched -> ()
+    | Ran -> from := tb.Tb.guest_pc
+    | Translated ->
+      Trace.emit tr ~a:tb.Tb.guest_pc ~b:tb.Tb.guest_len Trace.Exec "translate"
+    | Prefetch_abort -> Trace.emit tr ~a:w.Window.pc Trace.Exec "prefetch_abort"
+    | Region_formed ->
+      Trace.emit tr ~a:tb.Tb.guest_pc ~b:tb.Tb.guest_len Trace.Chain "region_form"
+    | Chained -> Trace.emit tr ~a:!from ~b:tb.Tb.guest_pc Trace.Chain "jump"
+    | Linked -> Trace.emit tr ~a:!from ~b:tb.Tb.guest_pc Trace.Chain "link"
+    | Irq_delivered ->
+      Trace.emit tr ~a:w.Window.pc Trace.Irq "deliver";
+      (* the window's only Sync charge is the lazy flag parse *)
+      let parse = w.Window.tags.(sync_tag) in
+      if parse > 0 then Trace.emit tr ~b:parse Trace.Sync "lazy_parse"
+    | Smc_flush -> Trace.emit tr ~a:w.Window.pc Trace.Exec "smc_flush"
+
 let create ?ram_kib ?ruleset ?tb_capacity ?inject ?shadow_depth
     ?quarantine_threshold ?trace ?ledger ?scope mode =
   let observer =
-    match (scope, ledger) with
-    | None, None -> None
-    | Some sc, None -> Some (Scope.fold sc)
-    | None, Some l -> Some (Ledger.fold l)
-    | Some sc, Some l -> Some (fun w -> Scope.fold sc w; Ledger.fold l w)
+    match
+      List.filter_map Fun.id
+        [ Option.map Scope.fold scope; Option.map Ledger.fold ledger;
+          Option.map trace_fold trace ]
+    with
+    | [] -> None
+    | [ fold ] -> Some fold
+    | folds ->
+      let rec each w = function [] -> () | fold :: rest -> fold w; each w rest in
+      Some (fun w -> each w folds)
   in
   let rt = Runtime.create ?ram_kib ?inject ?trace ?observer () in
   Helpers.install rt;
@@ -157,7 +189,7 @@ let create ?ram_kib ?ruleset ?tb_capacity ?inject ?shadow_depth
       ( Some ruleset,
         Some
           (Translator_rule.create ~opt ~ruleset ?shadow_depth
-             ?quarantine_threshold ?ledger rt) )
+             ?quarantine_threshold ?ledger ()) )
   in
   {
     mode;
@@ -201,7 +233,9 @@ let coverage_rules t =
   | None -> []
 
 let coverage_report t =
-  Repro_covscope.Report.make ?static:t.rt.Runtime.cov_static ~rules:(coverage_rules t)
+  Repro_covscope.Report.make
+    ?static:(Option.map Translator_rule.rule_sites t.rule_translator)
+    ~rules:(coverage_rules t)
     (Repro_covscope.Report.of_stats (Runtime.stats t.rt))
 let cpu t = t.rt.Runtime.cpu
 let journal t = t.journal
@@ -1130,6 +1164,10 @@ let run ?chaining ?(max_guest_insns = max_int) ?deadline
   in
   let rec attempt rung resume =
     let res = engine rung resume in
+    (match (t.rt.Runtime.trace, res.Engine.reason) with
+    | Some tr, `Halted code -> Trace.emit tr ~a:code Trace.Exec "halt"
+    | Some tr, `Livelock pc -> Trace.emit tr ~a:pc Trace.Watchdog "fuel_exhausted"
+    | _ -> ());
     match res.Engine.reason with
     | `Livelock pc when watchdog -> (
       match (degrade rung, t.last_checkpoint) with

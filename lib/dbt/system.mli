@@ -112,17 +112,18 @@ val create :
     mode.
 
     The observers attach to the runtime ({!Repro_tcg.Runtime.create}).
-    [trace] installs a structured event ring shared by the engine,
-    the timer, the softMMU helpers, the injector, the watchdog and the
-    snapshot layer; its clock is retired guest instructions. [ledger]
-    enables the per-pass coordination-savings attribution (see
-    {!Repro_perfscope.Ledger}); the rule translator feeds its static
-    view. [scope] attaches a performance scope (see
-    {!Repro_perfscope.Scope}); {!run} feeds its checkpoint intervals.
-    The runtime's observer hook is the two folds composed: each sees
-    every charge window the engine closes. The coverage per-rule sink is
-    attached by setting [rt.cov_static] before the first translation.
-    All of them are purely observational: guest-visible behaviour
+    [trace] installs a structured event ring shared by the timer, the
+    softMMU helpers, the injector, the rule translator, the watchdog
+    and the snapshot layer; its clock is retired guest instructions.
+    The engine's own events reach it through a trace fold over charge
+    windows, except [halt] and [fuel_exhausted], which {!run} emits
+    from the engine's result. [ledger] enables the per-pass
+    coordination-savings attribution (see {!Repro_perfscope.Ledger});
+    the rule translator feeds its static view. [scope] attaches a
+    performance scope (see {!Repro_perfscope.Scope}); {!run} feeds
+    its checkpoint intervals. The runtime's observer hook is the
+    scope's, the ledger's and the trace's folds composed: each sees
+    every charge window the engine closes. All of them are purely observational: guest-visible behaviour
     and every modelled cost counter are bit-identical with or without
     them, and none rides in snapshots — a restored machine continues
     accumulating into whatever observers it was created with. Code
@@ -191,7 +192,9 @@ val stats : t -> Repro_x86.Stats.t
 val coverage_report : t -> Repro_covscope.Report.t
 (** Build the translation-quality report (tier partition, opcode-class
     matrix, per-rule ledger, opportunity queue) over the machine's
-    always-on {!Repro_x86.Stats} attribution table. Read-only: never
+    always-on {!Repro_x86.Stats} attribution table, with each rule's
+    static sites from the rule translator's tally
+    ({!Translator_rule.rule_sites}; zero in [Qemu] mode). Read-only: never
     perturbs execution. Raises [Failure] if the tier partition
     invariant is broken. *)
 

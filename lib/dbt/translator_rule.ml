@@ -51,9 +51,8 @@ type expectation = {
 }
 
 type t = {
-  rt : Runtime.t;
-      (* the machine translated for: its coverage sink receives every
-         first emission's rule-template sites *)
+  sites : Covscope.Static.t;
+      (* every first emission's rule-template sites, per rule *)
   ledger : Ledger.t option;
       (* receives every emission's static savings, link-time
          re-emissions included *)
@@ -71,9 +70,9 @@ type t = {
   mutable inter_tb_elisions : int;
 }
 
-let create ~opt ~ruleset ?(shadow_depth = 0) ?(quarantine_threshold = 2) ?ledger rt =
+let create ~opt ~ruleset ?(shadow_depth = 0) ?(quarantine_threshold = 2) ?ledger () =
   {
-    rt;
+    sites = Covscope.Static.create ();
     ledger;
     opt;
     ruleset;
@@ -89,25 +88,25 @@ let create ~opt ~ruleset ?(shadow_depth = 0) ?(quarantine_threshold = 2) ?ledger
     inter_tb_elisions = 0;
   }
 
-(* Translation-time statics, into whichever sinks are attached.
-   Installed code is never emitted here, so it records nothing. A first
-   emission records its provenance and its rule-template sites. A
+(* Translation-time statics: the rule-template sites into the
+   translator's own tally, the provenance into the ledger when one is
+   attached. Installed code is never emitted here, so it records
+   nothing. A first emission records its provenance and its sites. A
    re-emission [~replacing] a TB's old provenance records only the
    difference — the static view tracks the live code without
    re-bumping the translation count — and no sites, which were
    counted when the TB was first built. *)
 let record_statics t ?replacing (r : Emitter.result) =
-  (match (t.ledger, replacing) with
-  | Some l, None -> Ledger.record_static l r.Emitter.prov
-  | Some l, Some old_ ->
-    Ledger.record_static_delta l (Ledger.prov_diff ~old_ r.Emitter.prov)
-  | None, _ -> ());
-  match (t.rt.Runtime.cov_static, replacing) with
-  | Some s, None ->
+  match replacing with
+  | None ->
     List.iter
-      (fun (id, n) -> Covscope.Static.record s ~rule:id ~host_insns:n)
-      r.Emitter.cov_sites
-  | _ -> ()
+      (fun (id, n) -> Covscope.Static.record t.sites ~rule:id ~host_insns:n)
+      r.Emitter.cov_sites;
+    Option.iter (fun l -> Ledger.record_static l r.Emitter.prov) t.ledger
+  | Some old_ ->
+    Option.iter
+      (fun l -> Ledger.record_static_delta l (Ledger.prov_diff ~old_ r.Emitter.prov))
+      t.ledger
 
 (* ---------- III-D-1: define-before-use scheduling ----------
 
@@ -794,6 +793,7 @@ let on_enter t (rt : Runtime.t) (tb : Tb.t) =
       | None -> ())));
   arm_shadow t rt tb
 
+let rule_sites t = t.sites
 let stats_rule_covered t = t.rule_covered
 let stats_fallback t = t.fallback
 let blacklist_size t = Hashtbl.length t.blacklist

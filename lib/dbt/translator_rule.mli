@@ -24,17 +24,19 @@ val create :
   ?shadow_depth:int ->
   ?quarantine_threshold:int ->
   ?ledger:Repro_perfscope.Ledger.t ->
-  Repro_tcg.Runtime.t ->
+  unit ->
   t
-(** A translator for the machine whose runtime is given. [shadow_depth]
-    (default 0 = disabled) is the number of verified executions per TB
-    address; [quarantine_threshold] (default 2) the strikes that
-    quarantine a rule. Every emission reports its statics: per-pass
+(** A translator. [shadow_depth] (default 0 = disabled) is the number
+    of verified executions per TB address; [quarantine_threshold]
+    (default 2) the strikes that quarantine a rule. Every emission
+    reports its statics: each first emission's rule-template sites
+    into the translator's own tally ({!rule_sites}), and per-pass
     static coordination savings into [ledger] (re-emissions as
-    deltas) and each first emission's rule-template sites into
-    {!Repro_tcg.Runtime.t.cov_static}. Engine-entry restores charge
-    Sync in the [Entered] charge window, which the ledger's dynamic
-    view folds as III-C.3's cost. *)
+    deltas). The ledger's statics are a sink, not a fold over charge
+    windows: {!link_hook} re-emits after the engine's [Linked] close,
+    and {!form_region} re-emits predecessors even when no region
+    forms. Engine-entry restores charge Sync in the [Entered] charge
+    window, which the ledger's dynamic view folds as III-C.3's cost. *)
 
 val translate :
   t -> Repro_tcg.Runtime.t -> Repro_tcg.Tb.Cache.t -> pc:Word32.t ->
@@ -77,6 +79,12 @@ val on_executed :
 
 val schedule : opt:Opt.t -> Repro_arm.Insn.t array -> Repro_arm.Insn.t array
 (** The define-before-use scheduling pass (exposed for tests). *)
+
+val rule_sites : t -> Repro_covscope.Static.t
+(** Per rule, the sites this translator's first emissions translated
+    and the host instructions they emitted. Installed code (depot
+    waves, snapshot restores) is not emitted, so it counts nothing;
+    a restore leaves the tally alone. *)
 
 val stats_rule_covered : t -> int
 val stats_fallback : t -> int

@@ -79,7 +79,6 @@ let create ?(capacity = default_capacity) () =
   }
 
 let set_clock t f = t.clock <- f
-let capacity t = Array.length t.ring
 let length t = t.count
 let total t = t.total
 let dropped t = t.total - t.count
@@ -135,72 +134,43 @@ let write_jsonl oc t =
        ]);
   output_char oc '\n'
 
-let write_chrome oc t =
-  (* Chrome trace-event format (Perfetto-loadable): instant events on
-     one thread per category, timestamps in retired guest
-     instructions (Perfetto treats ts as microseconds; the absolute
-     unit is irrelevant for a deterministic machine). *)
+(* Chrome trace-event JSON (Perfetto-loadable): one process per
+   stream, one thread per category within it, instant events, [ts] in
+   retired guest instructions (Perfetto treats ts as microseconds; the
+   absolute unit is irrelevant for a deterministic machine). A
+   [merged] export of several rings (a fleet machine each, the fleet
+   dispatcher, ...) names its processes and renders Request-category
+   begin/end pairs as duration slices, so a slow request shows as a
+   span on its machine's track. The streams' clocks need not agree —
+   each process carries its own timeline. *)
+let chrome oc ~merged streams =
   output_string oc "{\"traceEvents\":[";
   let first = ref true in
   let put s =
     if !first then first := false else output_char oc ',';
     output_string oc s
   in
-  List.iter
-    (fun cat ->
-      put
-        (Jsonx.obj
-           [
-             ("name", Jsonx.str "thread_name");
-             ("ph", Jsonx.str "M");
-             ("pid", Jsonx.int 1);
-             ("tid", Jsonx.int (category_id cat));
-             ("args", Jsonx.obj [ ("name", Jsonx.str (category_name cat)) ]);
-           ]))
-    categories;
-  iter t (fun e ->
-      put
-        (Jsonx.obj
-           [
-             ("name", Jsonx.str e.name);
-             ("cat", Jsonx.str (category_name e.cat));
-             ("ph", Jsonx.str "i");
-             ("s", Jsonx.str "t");
-             ("ts", Jsonx.int e.at);
-             ("pid", Jsonx.int 1);
-             ("tid", Jsonx.int (category_id e.cat));
-             ("args", Jsonx.obj [ ("a", Jsonx.int e.a); ("b", Jsonx.int e.b) ]);
-           ]));
-  Printf.fprintf oc "],\"otherData\":{\"clock\":\"guest_insns\",\"dropped\":%d,\"total\":%d}}"
-    (dropped t) t.total
-
-(* Merged multi-stream export: one Perfetto process per stream (a
-   fleet machine, the fleet dispatcher, ...), one thread per category
-   within it. Request-category begin/end pairs become duration slices
-   so a slow request renders as a visible span on its machine's track;
-   everything else stays an instant event. The streams' clocks need
-   not agree — each process carries its own timeline. *)
-let write_chrome_streams oc streams =
-  output_string oc "{\"traceEvents\":[";
-  let first = ref true in
-  let put s =
-    if !first then first := false else output_char oc ',';
-    output_string oc s
+  let event pid e ~ph ~name args =
+    put
+      (Jsonx.obj
+         ([ ("name", Jsonx.str name); ("cat", Jsonx.str (category_name e.cat));
+            ("ph", Jsonx.str ph) ]
+         @ (if ph = "i" then [ ("s", Jsonx.str "t") ] else [])
+         @ [ ("ts", Jsonx.int e.at); ("pid", Jsonx.int pid);
+             ("tid", Jsonx.int (category_id e.cat)); ("args", Jsonx.obj args) ]))
   in
-  let grand_total = ref 0 and grand_dropped = ref 0 in
   List.iteri
     (fun i (sname, t) ->
       let pid = i + 1 in
-      grand_total := !grand_total + t.total;
-      grand_dropped := !grand_dropped + dropped t;
-      put
-        (Jsonx.obj
-           [
-             ("name", Jsonx.str "process_name");
-             ("ph", Jsonx.str "M");
-             ("pid", Jsonx.int pid);
-             ("args", Jsonx.obj [ ("name", Jsonx.str sname) ]);
-           ]);
+      if merged then
+        put
+          (Jsonx.obj
+             [
+               ("name", Jsonx.str "process_name");
+               ("ph", Jsonx.str "M");
+               ("pid", Jsonx.int pid);
+               ("args", Jsonx.obj [ ("name", Jsonx.str sname) ]);
+             ]);
       List.iter
         (fun cat ->
           put
@@ -214,44 +184,20 @@ let write_chrome_streams oc streams =
                ]))
         categories;
       iter t (fun e ->
-          let slice =
-            match (e.cat, e.name) with
-            | Request, "req:begin" -> Some "B"
-            | Request, "req:end" -> Some "E"
-            | _ -> None
-          in
-          match slice with
-          | Some ph ->
-            put
-              (Jsonx.obj
-                 [
-                   ( "name",
-                     Jsonx.str (Printf.sprintf "req%d#%d" e.a e.b) );
-                   ("cat", Jsonx.str (category_name e.cat));
-                   ("ph", Jsonx.str ph);
-                   ("ts", Jsonx.int e.at);
-                   ("pid", Jsonx.int pid);
-                   ("tid", Jsonx.int (category_id e.cat));
-                   ( "args",
-                     Jsonx.obj
-                       [ ("request", Jsonx.int e.a); ("attempt", Jsonx.int e.b) ]
-                   );
-                 ])
-          | None ->
-            put
-              (Jsonx.obj
-                 [
-                   ("name", Jsonx.str e.name);
-                   ("cat", Jsonx.str (category_name e.cat));
-                   ("ph", Jsonx.str "i");
-                   ("s", Jsonx.str "t");
-                   ("ts", Jsonx.int e.at);
-                   ("pid", Jsonx.int pid);
-                   ("tid", Jsonx.int (category_id e.cat));
-                   ( "args",
-                     Jsonx.obj [ ("a", Jsonx.int e.a); ("b", Jsonx.int e.b) ] );
-                 ])))
+          match (merged, e.cat, e.name) with
+          | true, Request, ("req:begin" | "req:end") ->
+            event pid e
+              ~ph:(if e.name = "req:begin" then "B" else "E")
+              ~name:(Printf.sprintf "req%d#%d" e.a e.b)
+              [ ("request", Jsonx.int e.a); ("attempt", Jsonx.int e.b) ]
+          | _ ->
+            event pid e ~ph:"i" ~name:e.name
+              [ ("a", Jsonx.int e.a); ("b", Jsonx.int e.b) ]))
     streams;
-  Printf.fprintf oc
-    "],\"otherData\":{\"clock\":\"guest_insns\",\"streams\":%d,\"dropped\":%d,\"total\":%d}}"
-    (List.length streams) !grand_dropped !grand_total
+  let sum f = List.fold_left (fun acc (_, t) -> acc + f t) 0 streams in
+  Printf.fprintf oc "],\"otherData\":{\"clock\":\"guest_insns\",%s\"dropped\":%d,\"total\":%d}}"
+    (if merged then Printf.sprintf "\"streams\":%d," (List.length streams) else "")
+    (sum dropped) (sum total)
+
+let write_chrome oc t = chrome oc ~merged:false [ ("", t) ]
+let write_chrome_streams oc streams = chrome oc ~merged:true streams

@@ -44,7 +44,6 @@ val set_clock : t -> (unit -> int) -> unit
 
 val emit : t -> ?a:int -> ?b:int -> category -> string -> unit
 
-val capacity : t -> int
 val length : t -> int
 (** Events currently retained. *)
 

@@ -4,7 +4,6 @@ module X = Repro_x86.Insn
 module Stats = Repro_x86.Stats
 module Bus = Repro_machine.Bus
 module Cpu = Repro_arm.Cpu
-module Trace = Repro_observe.Trace
 
 type translator = Runtime.t -> Tb.Cache.t -> pc:Word32.t -> (Tb.t, Repro_arm.Mem.fault) result
 
@@ -80,13 +79,6 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
   let close_at event tb =
     close event tb ~page:(tb.Tb.guest_pc lsr 12) ~privileged:tb.Tb.privileged
   in
-  (* Purely observational: emits nothing and costs nothing when the
-     runtime carries no trace. *)
-  let trace_emit ?a ?b cat name =
-    match rt.Runtime.trace with
-    | Some tr -> Trace.emit tr ?a ?b cat name
-    | None -> ()
-  in
   (* Direct-mapped jump cache in front of the Hashtbl lookup (QEMU's
      tb_jmp_cache): the dispatch fast path for the overwhelmingly
      common case of re-dispatching a PC looked up before. Entries are
@@ -140,7 +132,6 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
       match translate rt cache ~pc with
       | Ok tb ->
         stats.Stats.tb_translations <- stats.Stats.tb_translations + 1;
-        trace_emit ~a:pc ~b:tb.Tb.guest_len Trace.Exec "translate";
         charge_glue (Costs.translation_per_guest_insn () * tb.Tb.guest_len);
         Tb.Cache.add cache tb;
         (* write-protect the TB's pages: stores to them must take the
@@ -153,10 +144,10 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
       | Error fault ->
         (* Prefetch abort: enter the guest's handler and translate
            there instead. *)
-        trace_emit ~a:fault.Repro_arm.Mem.vaddr Trace.Exec "prefetch_abort";
         charge_glue (Costs.exception_entry ());
         Runtime.take_guest_exception rt Cpu.Prefetch_abort
           ~pc_of_faulting_insn:fault.Repro_arm.Mem.vaddr;
+        Window.set_pc window fault.Repro_arm.Mem.vaddr;
         close Window.Prefetch_abort Window.no_tb
           ~page:(fault.Repro_arm.Mem.vaddr lsr 12)
           ~privileged:true;
@@ -251,8 +242,6 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
         if tb.Tb.hot = hot_threshold then begin
           match form tb with
           | Some region ->
-            trace_emit ~a:tb.Tb.guest_pc ~b:region.Tb.guest_len Trace.Chain
-              "region_form";
             jc_invalidate tb.Tb.guest_pc;
             close_at Window.Region_formed region;
             current := region;
@@ -278,7 +267,6 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
            back to a checkpoint (System's livelock watchdog) or give
            up on the run. *)
         rt.Runtime.suppress_code_write <- false;
-        trace_emit ~a:tb.Tb.guest_pc Trace.Watchdog "fuel_exhausted";
         result := Some (finish (`Livelock tb.Tb.guest_pc))
       | outcome ->
         close_at Window.Ran tb;
@@ -288,9 +276,7 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
         tick ();
         let verdict = on_executed tb ~outcome ~guest:(stats.Stats.guest_insns - guest0) in
         (match Bus.halted rt.Runtime.bus with
-        | Some code ->
-          trace_emit ~a:code Trace.Exec "halt";
-          result := Some (finish (`Halted code))
+        | Some code -> result := Some (finish (`Halted code))
         | None -> (
           match verdict with
           | `Invalidate ->
@@ -308,8 +294,6 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
                 match tb.Tb.links.(slot) with
                 | Some next ->
                   stats.Stats.chained_jumps <- stats.Stats.chained_jumps + 1;
-                  trace_emit ~a:tb.Tb.guest_pc ~b:next.Tb.guest_pc Trace.Chain
-                    "jump";
                   charge_glue (Costs.chain_jump ());
                   close_at Window.Chained next;
                   current := next
@@ -322,8 +306,6 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
                   let next = lookup_or_translate target in
                   if chaining then begin
                     tb.Tb.links.(slot) <- Some next;
-                    trace_emit ~a:tb.Tb.guest_pc ~b:next.Tb.guest_pc Trace.Chain
-                      "link";
                     close_at Window.Linked next;
                     link_hook ~pred:tb ~slot ~succ:next
                   end;
@@ -333,13 +315,12 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
               | Tb.Irq_deliver ->
                 Exec.poison_caller_saved rt.Runtime.ctx;
                 stats.Stats.irqs_delivered <- stats.Stats.irqs_delivered + 1;
-                trace_emit ~a:env.(Envspec.pc) Trace.Irq "deliver";
+                Window.set_pc window env.(Envspec.pc);
                 charge_glue (Costs.irq_deliver ());
                 (* The lazy one-to-many parse happens here, when QEMU
                    actually needs the condition codes (paper Fig. 7). *)
                 let parse_cost = Envspec.parse_packed env in
                 Stats.charge_tag stats X.Tag_sync parse_cost;
-                if parse_cost > 0 then trace_emit ~b:parse_cost Trace.Sync "lazy_parse";
                 Window.set_irq_raised_at window rt.Runtime.irq_raised_at;
                 rt.Runtime.irq_raised_at <- -1;
                 on_irq env.(Envspec.pc);
@@ -360,7 +341,7 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
                    complete — QEMU's current-TB-modified protocol. *)
                 Exec.poison_caller_saved rt.Runtime.ctx;
                 Tb.Cache.flush cache;
-                trace_emit ~a:env.(Envspec.pc) Trace.Exec "smc_flush";
+                Window.set_pc window env.(Envspec.pc);
                 charge_glue (Costs.engine_dispatch () + Costs.exception_entry ());
                 close Window.Smc_flush tb
                   ~page:(env.(Envspec.pc) lsr 12)
@@ -372,14 +353,12 @@ let run (rt : Runtime.t) cache ~translate ?(link_hook = fun ~pred:_ ~slot:_ ~suc
                 current := tb;
                 needs_enter := true
               end
-              else if code = Runtime.stop_halt then begin
-                trace_emit Trace.Exec "halt";
+              else if code = Runtime.stop_halt then
                 result :=
                   Some
                     (finish
                        (`Halted
                          (match Bus.halted rt.Runtime.bus with Some c -> c | None -> 0)))
-              end
               else
                 (* A guest exception was taken inside a helper; continue at
                    the vector. *)

@@ -19,7 +19,6 @@ type t = {
   inject : Repro_faultinject.Faultinject.t option;
   mutable fault_producers : (Word32.t * Word32.t array) array;
   trace : Trace.t option;
-  mutable cov_static : Repro_covscope.Static.t option;
   observer : (Window.t -> unit) option;
   mutable irq_raised_at : int;
 }
@@ -74,7 +73,6 @@ let create ?(ram_kib = 4096) ?inject ?trace ?observer () =
       inject;
       fault_producers = [||];
       trace;
-      cov_static = None;
       observer;
       irq_raised_at = -1;
     }

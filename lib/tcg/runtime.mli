@@ -37,15 +37,12 @@ type t = {
           abort to replay instructions the translator scheduled after
           the faulting access but that architecturally precede it *)
   trace : Repro_observe.Trace.t option;
-      (** structured event ring shared by the engine, devices, MMU
-          helpers and the rule translator; [None] disables emission
-          everywhere (the purely observational path — host-instruction
-          counts are bit-identical with tracing on or off) *)
-  mutable cov_static : Repro_covscope.Static.t option;
-      (** coverage per-rule translation sink: the rule translator
-          reports each first emission's rule-template sites and their
-          emitted host instructions; [None] (the default) disables it.
-          Attach it before the first translation. *)
+      (** structured event ring shared by devices, MMU helpers and
+          the rule translator; the engine emits nothing into it, its
+          events are a fold over the windows [observer] receives.
+          [None] disables emission everywhere (the purely
+          observational path — host-instruction counts are
+          bit-identical with tracing on or off) *)
   observer : (Window.t -> unit) option;
       (** handed every charge window the engine closes; [None] and the
           engine splits nothing *)
@@ -54,9 +51,8 @@ type t = {
           deliverable, until the engine delivers one ([-1] = none
           outstanding); observational, not snapshot state *)
 }
-(** The observers ([trace], [cov_static], [observer]) are the one
-    place anything watching a run attaches. [cov_static] is mutable
-    only for its initial attach. *)
+(** The observers ([trace], [observer]) are the one place anything
+    watching a run attaches, and both are fixed at {!create}. *)
 
 exception Load_error of Word32.t
 (** Raised by {!load_image} (and [Ref_machine.load_image]) when part
@@ -89,8 +85,7 @@ val create :
     injection point is armed separately at run time (see
     {!Repro_machine.Bus.t}) so image loading is never perturbed.
     [trace] installs the event ring (its clock becomes retired guest
-    instructions); [observer] receives every charge window. The
-    coverage sink starts detached (see {!t.cov_static}). *)
+    instructions); [observer] receives every charge window. *)
 
 val env : t -> int array
 val stats : t -> Repro_x86.Stats.t

@@ -23,6 +23,7 @@ type t = {
   mutable host : int;
   mutable sync_ops : int;
   mutable irq_raised_at : int;
+  mutable pc : int;
   cursor : int array;
   mutable sync_cursor : int;
 }
@@ -36,7 +37,7 @@ let no_tb =
 let create (stats : Stats.t) =
   { event = Dispatched; tb = no_tb; page = 0; privileged = false;
     clock = stats.guest_insns; guest = 0; tags = Array.make (Array.length stats.by_tag) 0;
-    host = 0; sync_ops = 0; irq_raised_at = -1; cursor = Array.copy stats.by_tag;
+    host = 0; sync_ops = 0; irq_raised_at = -1; pc = 0; cursor = Array.copy stats.by_tag;
     sync_cursor = stats.sync_ops }
 
 let close w (stats : Stats.t) event tb ~page ~privileged =
@@ -57,3 +58,4 @@ let close w (stats : Stats.t) event tb ~page ~privileged =
   w.sync_cursor <- stats.sync_ops
 
 let set_irq_raised_at w at = w.irq_raised_at <- at
+let set_pc w pc = w.pc <- pc

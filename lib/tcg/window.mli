@@ -7,7 +7,8 @@
     and [sync_ops] deltas since the previous close. Every charge goes
     through {!Repro_x86.Stats.charge_tag}, so a run's windows
     partition its [host_insns] delta up to the last close. Observers
-    fold the windows; the engine knows none of them. *)
+    (the perf scope, the ledger's dynamic view, the trace ring's
+    engine events) fold the windows; the engine knows none of them. *)
 
 type event =
   | Translated  (** [tb] was translated and cached *)
@@ -36,6 +37,10 @@ type t = private {
   mutable irq_raised_at : int;
       (** for [Irq_delivered]: when the delivered line became
           deliverable ({!Runtime.t.irq_raised_at}), [-1] if never *)
+  mutable pc : int;
+      (** the guest address the event is at: for [Prefetch_abort] the
+          faulting address, for [Smc_flush] the PC execution resumes
+          at, for [Irq_delivered] the interrupted PC *)
   cursor : int array;
   mutable sync_cursor : int;
 }
@@ -54,3 +59,6 @@ val close :
     the cursors. Allocates nothing. *)
 
 val set_irq_raised_at : t -> int -> unit
+
+val set_pc : t -> int -> unit
+(** Set {!t.pc} for the next close that reads it. *)

@@ -287,10 +287,8 @@ let test_rebuilds_record_no_statics () =
   let image, _, _, depot = Lazy.force cold_ctx in
   let sinked () =
     let ledger = Ledger.create () in
-    let static = Static.create () in
     let sys = D.System.create ~ledger mode in
-    sys.D.System.rt.T.Runtime.cov_static <- Some static;
-    (sys, ledger, static)
+    (sys, ledger, D.Translator_rule.rule_sites (Option.get sys.D.System.rule_translator))
   in
   let check what ledger static =
     let tb_statics =

@@ -198,22 +198,20 @@ let test_check_kind () =
   Alcotest.(check bool) "non-string meta is rejected" true
     (Result.is_error (An.check_kind ~expect:"bench" (Jsonx.parse "{\"meta\":3}")))
 
-(* ---- 6. a real run: high coverage, observational sink, tagged JSON ---- *)
+(* ---- 6. a real run: high coverage, rule sites, tagged JSON ---- *)
 
-let run_gcc ?(sink = false) () =
+let run_gcc () =
   let spec = W.find "gcc" in
   let iters = max 1 (8_000 / W.insns_per_iteration spec) in
   let user = W.generate spec ~iterations:iters in
   let image = K.build ~timer_period:5_000 ~user_program:user () in
   let sys = D.System.create (D.System.Rules D.Opt.full) in
-  if sink then
-    sys.D.System.rt.Repro_tcg.Runtime.cov_static <- Some (Cov.Static.create ());
   K.load image (fun base words -> D.System.load_image sys base words);
   ignore (D.System.run ~max_guest_insns:2_000_000 sys);
   sys
 
 let test_real_run_coverage () =
-  let sys = run_gcc ~sink:true () in
+  let sys = run_gcc () in
   (* coverage_report asserts the tier partition over the real stream *)
   let report = D.System.coverage_report sys in
   Alcotest.(check bool) "rule coverage is high on gcc" true
@@ -229,11 +227,7 @@ let test_real_run_coverage () =
   | [] -> Alcotest.fail "no rule-learning opportunities ranked on gcc");
   let v = Jsonx.parse (Report.to_json report) in
   Alcotest.(check bool) "report document is kind-tagged" true
-    (An.check_kind ~require:true ~expect:"dbt-coverage" v = Ok ());
-  (* attaching the static sink must never perturb execution *)
-  let plain = run_gcc () in
-  Alcotest.(check bool) "static sink is purely observational" true
-    (Stats.to_array (D.System.stats plain) = Stats.to_array (D.System.stats sys))
+    (An.check_kind ~require:true ~expect:"dbt-coverage" v = Ok ())
 
 let suite =
   [

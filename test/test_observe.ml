@@ -368,7 +368,6 @@ let bench_image bench =
 let trace_outputs ?inject ?(shadow_depth = 0) load_into mode =
   let trace = O.Trace.create () in
   let sys = D.System.create ?inject ~shadow_depth ~trace mode in
-  sys.D.System.rt.T.Runtime.cov_static <- Some (Repro_covscope.Static.create ());
   load_into (D.System.load_image sys);
   ignore (D.System.run ~max_guest_insns:5_000_000 sys);
   let export write =

@@ -11,6 +11,7 @@ module W = Repro_workloads.Workloads
 module Stats = Repro_x86.Stats
 module Jsonx = Repro_observe.Jsonx
 module Ledger = Repro_perfscope.Ledger
+module Trace = Repro_observe.Trace
 
 (* Performance-observatory tests: the histogram and flamegraph
    primitives, the Jsonx parser, the load-bearing scope invariants
@@ -252,11 +253,11 @@ let test_scope_determinism () =
 
 (* ---- observer outputs are pinned ------------------------------------ *)
 
-let observed_run ?scope ?ledger bench mode =
+let observed_run ?scope ?ledger ?trace bench mode =
   let spec = W.find bench in
   let iterations = max 1 (40_000 / W.insns_per_iteration spec) in
   let image = K.build ~timer_period:2_000 ~user_program:(W.generate spec ~iterations) () in
-  let sys = D.System.create ?scope ?ledger mode in
+  let sys = D.System.create ?scope ?ledger ?trace mode in
   K.load image (D.System.load_image sys);
   ignore (D.System.run ~max_guest_insns:5_000_000 sys);
   (image, sys)
@@ -352,28 +353,41 @@ let test_outputs_pinned () =
         names)
     pinned_outputs
 
+let trace_jsonl trace =
+  let path = Filename.temp_file "trace" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc -> Trace.write_jsonl oc trace);
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  s
+
 (* Each observer sees the same run whoever else watches: the counters
-   match a bare run, the scope's JSON does not depend on a ledger
-   being attached, nor the ledger's on a scope. *)
+   match a bare run, the scope's JSON does not depend on the other
+   observers being attached, nor the ledger's or the trace ring's. *)
 let test_observers_independent () =
   let mode = D.System.Rules D.Opt.with_regions in
-  let run ~with_scope ~with_ledger =
+  let run ~with_scope ~with_ledger ~with_trace =
     let scope = if with_scope then Some (Scope.create ()) else None in
     let ledger = if with_ledger then Some (Ledger.create ()) else None in
-    let _, sys = observed_run ?scope ?ledger "gcc" mode in
+    let trace = if with_trace then Some (Trace.create ()) else None in
+    let _, sys = observed_run ?scope ?ledger ?trace "gcc" mode in
     ( Stats.to_array (D.System.stats sys),
       Option.map Scope.to_json scope,
-      Option.map Ledger.to_json ledger )
+      Option.map Ledger.to_json ledger,
+      Option.map trace_jsonl trace )
   in
-  let bare, _, _ = run ~with_scope:false ~with_ledger:false in
-  let s_only, scope_alone, _ = run ~with_scope:true ~with_ledger:false in
-  let l_only, _, ledger_alone = run ~with_scope:false ~with_ledger:true in
-  let both, scope_both, ledger_both = run ~with_scope:true ~with_ledger:true in
+  let bare, _, _, _ = run ~with_scope:false ~with_ledger:false ~with_trace:false in
+  let s_only, scope_alone, _, _ = run ~with_scope:true ~with_ledger:false ~with_trace:false in
+  let l_only, _, ledger_alone, _ = run ~with_scope:false ~with_ledger:true ~with_trace:false in
+  let t_only, _, _, trace_alone = run ~with_scope:false ~with_ledger:false ~with_trace:true in
+  let all, scope_all, ledger_all, trace_all =
+    run ~with_scope:true ~with_ledger:true ~with_trace:true
+  in
   List.iter
     (fun (what, a) -> Alcotest.(check (array int)) (what ^ ": stats as bare") bare a)
-    [ ("scope only", s_only); ("ledger only", l_only); ("both", both) ];
-  Alcotest.(check (option string)) "scope JSON without or with a ledger" scope_alone scope_both;
-  Alcotest.(check (option string)) "ledger JSON without or with a scope" ledger_alone ledger_both
+    [ ("scope only", s_only); ("ledger only", l_only); ("trace only", t_only); ("all", all) ];
+  Alcotest.(check (option string)) "scope JSON without or with the others" scope_alone scope_all;
+  Alcotest.(check (option string)) "ledger JSON without or with the others" ledger_alone ledger_all;
+  Alcotest.(check (option string)) "trace JSONL without or with the others" trace_alone trace_all
 
 (* ---- profile phase split -------------------------------------------- *)
 
