@@ -166,10 +166,8 @@ let create ?ram_kib ?ruleset ?tb_capacity ?inject ?shadow_depth
           Option.map trace_fold trace ]
     with
     | [] -> None
-    | [ fold ] -> Some fold
-    | folds ->
-      let rec each w = function [] -> () | fold :: rest -> fold w; each w rest in
-      Some (fun w -> each w folds)
+    | fold :: folds ->
+      Some (List.fold_left (fun f g -> let both w = f w; g w in both) fold folds)
   in
   let rt = Runtime.create ?ram_kib ?inject ?trace ?observer () in
   Helpers.install rt;

@@ -77,9 +77,10 @@ val run :
     {!Window.t} (the per-tag host-instruction and sync-op deltas since
     the last close, the site's page and privilege, and what happened)
     and hands it to {!Runtime.t.observer}; with none attached it
-    splits nothing. The engine knows no phases, scopes or ledgers:
-    those are folds over the windows. {!Runtime.t.trace} receives
-    events.
+    splits nothing. The engine knows no phases, scopes, ledgers or
+    trace events: those are folds over the windows. A halt or a
+    livelock ends the run with no window after it; its caller reads
+    them off the result.
 
     [on_enter tb] fires on every entry to [tb] that goes through the
     engine (initial dispatch, unlinked/indirect transitions, exception
