@@ -123,10 +123,11 @@ val create :
     performance scope (see {!Repro_perfscope.Scope}); {!run} feeds
     its checkpoint intervals. The runtime's observer hook is the
     scope's, the ledger's and the trace's folds composed: each sees
-    every charge window the engine closes. All of them are purely observational: guest-visible behaviour
-    and every modelled cost counter are bit-identical with or without
-    them, and none rides in snapshots — a restored machine continues
-    accumulating into whatever observers it was created with. Code
+    every charge window the engine closes. All of them are purely
+    observational: guest-visible behaviour and every modelled cost
+    counter are bit-identical with or without them, and none rides
+    in snapshots — a restored machine continues accumulating into
+    whatever observers it was created with. Code
     installed from a snapshot or a depot was not emitted here, so it
     records no statics. (Watchdog rollbacks reload [Stats] from the checkpoint
     but the scope keeps its accumulations, so under injection the
