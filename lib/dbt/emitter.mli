@@ -49,14 +49,6 @@ type result = {
           per-rule ledger ({!Repro_covscope.Static}) *)
 }
 
-val save_cost : reduction:bool -> Repro_rules.Flagconv.t -> int
-(** Real host instructions of a flag Sync-save under the given design
-    (III-B packed vs one-to-many parsed); the counterfactual cost
-    table the provenance uses.  Exposed for the ledger tests. *)
-
-val restore_cost : reduction:bool -> int
-(** Likewise for a flag Sync-restore. *)
-
 type chunk = {
   pc : Word32.t;  (** guest PC of the chunk's first instruction *)
   insns : A.t array;  (** the fetched block, after scheduling *)

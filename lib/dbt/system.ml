@@ -70,22 +70,17 @@ let degrade = function
 
 (* The live code cache as a value: what a capture carries, and what
    every install puts back without translating. [f_tb] is a copy of the
-   TB record as it stood (program, provenance, injected corruption; its
-   links emptied; its [hot] field is not read), [f_links] its chain
-   graph in the combined index space (plain entries 0..n-1, then the
-   regions; -1 is an empty slot), [f_members] a region's constituents
-   as plain indices ([||] for a plain TB) and [f_meta] the translator's
-   meta. Hotness moves with nearly every dispatch, so it lives apart,
-   in [c_hot] (plain entries, then regions), and an entry outlives many
+   TB record as it stood (program, provenance, injected corruption and
+   translator meta; its links emptied; its [hot] field is not read),
+   [f_links] its chain graph in the combined index space (plain entries
+   0..n-1, then the regions; -1 is an empty slot) and [f_members] a
+   region's constituents as plain indices ([||] for a plain TB).
+   Hotness moves with nearly every dispatch, so it lives apart, in
+   [c_hot] (plain entries, then regions), and an entry outlives many
    captures. Nothing here is ever mutated, so consecutive captures
    share what did not change, and every machine the code is installed
-   into shares the programs. *)
-type frozen = {
-  f_tb : Tb.t;
-  f_links : int array;
-  f_members : int array;
-  f_meta : Translator_rule.frozen option;
-}
+   into shares each program and its meta. *)
+type frozen = { f_tb : Tb.t; f_links : int array; f_members : int array }
 
 type code = { c_tbs : frozen array; c_regions : frozen array; c_hot : int array }
 type Snapshot.value += Code of code
@@ -255,9 +250,9 @@ let search (a : Tb.t array) id =
 (* Freeze the live cache: plain TBs in id order, then regions in id
    order. An entry of [prev] (the machine's last capture or restored
    snapshot) is reused when its TB has not changed since: same id, the
-   very same program and provenance, the same injected corruption,
-   links, members and link-time meta (a TB's other fields change only
-   with its program). Each array of [prev] that would come out equal is
+   very same program, provenance and meta, the same injected
+   corruption, links and members (a TB's other fields change only with
+   its program). Each array of [prev] that would come out equal is
    reused, and [prev] itself when all three would. *)
 let freeze_code t prev =
   let tbs = Tb.Cache.by_id t.cache and regions = Tb.Cache.regions_by_id t.cache in
@@ -283,22 +278,18 @@ let freeze_code t prev =
     c.Tb.id = tb.Tb.id
     && c.Tb.prog == tb.Tb.prog
     && c.Tb.prov == tb.Tb.prov
+    && c.Tb.meta == tb.Tb.meta
     && c.Tb.injected = tb.Tb.injected
     && Array.length f.f_links = Array.length tb.Tb.links
     && all_from 0 (Array.length f.f_links) (fun s -> f.f_links.(s) = link tb.Tb.links.(s))
     && all_from 0 (Array.length f.f_members) (fun k ->
            f.f_members.(k) = member tb tb.Tb.region_ids.(k))
-    &&
-    match t.rule_translator with
-    | Some tr -> Translator_rule.unchanged_since tr tb f.f_meta
-    | None -> true
   in
   let freeze (tb : Tb.t) =
     {
       f_tb = { tb with Tb.links = [||] };
       f_links = Array.map link tb.Tb.links;
       f_members = Array.map (member tb) tb.Tb.region_ids;
-      f_meta = Option.bind t.rule_translator (fun tr -> Translator_rule.freeze tr tb);
     }
   in
   let freeze_all (live : Tb.t array) before =
@@ -344,7 +335,7 @@ let encode_code code =
         Enc.nat b code.c_hot.(base + k);
         Enc.array b Enc.int f.f_links;
         Enc.array b Enc.nat f.f_members;
-        Enc.option b Translator_rule.encode_frozen f.f_meta)
+        Translator_rule.encode_meta b f.f_tb.Tb.meta)
       a
   in
   entries 0 code.c_tbs;
@@ -360,15 +351,11 @@ let decode_code ~rule payload =
       let hot = Dec.nat r in
       let f_links = Dec.array r Dec.int in
       let f_members = Dec.array r Dec.nat in
-      let slots = Array.length tb.Tb.exits in
-      let f_meta =
-        match (Dec.bool r, rule) with
-        | false, _ -> None
-        | true, Some rule ->
-          Some (Translator_rule.decode_frozen ~rule ~slots ~guest:tb.Tb.guest_insns r)
-        | true, None -> corrupt "translator meta for a qemu-mode machine"
+      let meta =
+        Translator_rule.decode_meta ~rule ~slots:(Array.length tb.Tb.exits)
+          ~guest:tb.Tb.guest_insns r
       in
-      (hot, { f_tb = tb; f_links; f_members; f_meta })
+      (hot, { f_tb = { tb with Tb.meta }; f_links; f_members })
     in
     let entries r = Dec.array r entry in
     let plain, regions = Dec.whole ~name:"cache" payload (Dec.pair entries entries) in
@@ -516,15 +503,12 @@ let ratchet_health ?base tr rs ~blacklist ~strikes ~quarantined =
     ~quarantined:(union_int quarantined cur_quarantined)
 
 (* A live record for a captured entry: empty links, hotness [hot],
-   the captured meta and program. *)
-let fresh t f ~id ~hot ~region_ids =
-  let links = Array.make (Array.length f.f_links) None in
-  let tb = { f.f_tb with Tb.id; links; hot; region_ids } in
-  (match (t.rule_translator, f.f_meta) with Some tr, Some m -> Translator_rule.thaw tr tb m | _ -> ());
-  tb
+   the captured program and meta. *)
+let fresh f ~id ~hot ~region_ids =
+  { f.f_tb with Tb.id; links = Array.make (Array.length f.f_links) None; hot; region_ids }
 
 let stale t f =
-  match (t.rule_translator, f.f_meta) with Some tr, Some m -> Translator_rule.stale tr f.f_tb m | _ -> false
+  match t.rule_translator with Some tr -> Translator_rule.stale tr f.f_tb | None -> false
 
 (* The captured chain graph between installed entries ([installed] in
    the combined index space), in the slots the live engine left empty. *)
@@ -560,7 +544,7 @@ let thaw t code ~health_as_captured =
         if drop.(k) then None
         else
           let region_ids = Array.map (fun i -> code.c_tbs.(i).f_tb.Tb.id) f.f_members in
-          Some (fresh t f ~id:f.f_tb.Tb.id ~hot:code.c_hot.(k) ~region_ids))
+          Some (fresh f ~id:f.f_tb.Tb.id ~hot:code.c_hot.(k) ~region_ids))
       entries
   in
   Array.iteri
@@ -770,7 +754,7 @@ let depot_wave t dp =
   in
   let install k f ~region_ids =
     let tb =
-      fresh t f ~id:(Tb.Cache.next_id t.cache) ~hot:(depot_hot code.c_hot.(k)) ~region_ids
+      fresh f ~id:(Tb.Cache.next_id t.cache) ~hot:(depot_hot code.c_hot.(k)) ~region_ids
     in
     enter k tb;
     Hashtbl.replace dp.dp_served tb.Tb.id tb;

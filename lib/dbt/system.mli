@@ -27,10 +27,6 @@ val modes : (string * mode) list
     the four cumulative levels ([base], [reduction], [elimination],
     [full]), then the two extensions ([regions], [future]). *)
 
-val mode_of_name : string -> mode option
-(** Inverse of {!mode_name} over {!modes} (snapshots record the mode
-    as a string). *)
-
 (** {2 Degradation ladder} *)
 
 type rung = Rung_rules | Rung_baseline | Rung_interp
@@ -40,13 +36,6 @@ type rung = Rung_rules | Rung_baseline | Rung_interp
 
 val rung_name : rung -> string
 (** ["rules"], ["baseline"], ["interpreter"]. *)
-
-val rung_level : rung -> int
-(** 0, 1, 2 — ordering key ([Rung_interp] is lowest/worst). *)
-
-val rung_of_level : int -> rung
-(** Inverse of {!rung_level}; raises [Snapshot.Corrupt] on anything
-    else (the ["degrade"] snapshot section decodes through this). *)
 
 type depot_state
 (** Warm-boot bookkeeping for code loaded from a persistent depot:

@@ -24,20 +24,25 @@ module Covscope = Repro_covscope
 module Enc = Repro_snapshot.Snapshot.Enc
 module Dec = Repro_snapshot.Snapshot.Dec
 
-(* Per-TB metadata the emitter produces and the linker consumes. *)
+(* Per-TB metadata the emitter produces and the linker consumes, kept
+   on the TB. A value: a re-emission stores a new one beside the new
+   program, so a copy of the TB record keeps the meta it was taken
+   with. *)
 type meta = {
   chunks : Emitter.chunk array;
       (* what [Emitter.emit] re-emits in place: the scheduled block of a
          plain TB, one chunk per constituent of a fused superblock *)
-  mutable elide : bool array;
-  mutable entry_conv : Flagconv.t option;
-  mutable exit_states : Emitter.exit_state array;
-  mutable first_flag_is_def : bool;
-  mutable rules_used : (Rule.t * int) list;
+  elide : bool array;
+  entry_conv : Flagconv.t option;
+  exit_states : Emitter.exit_state array;
+  first_flag_is_def : bool;
+  rules_used : (Rule.t * int) list;
       (* distinct rules in the current emission, each with the guest
          register def-mask of its matched instructions *)
   shadowable : bool;  (* replayable on the reference interpreter *)
 }
+
+type Tb.meta += Rule_meta of meta
 
 (* The reference-replay result shadow verification compares against:
    architectural state after the TB plus the byte-level memory effect
@@ -58,7 +63,6 @@ type t = {
          re-emissions included *)
   opt : Opt.t;
   ruleset : Ruleset.t;
-  metas : (int, meta) Hashtbl.t;
   shadow_depth : int;
   quarantine_threshold : int;
   blacklist : (Word32.t, unit) Hashtbl.t;  (* guest PCs sent to baseline *)
@@ -76,7 +80,6 @@ let create ~opt ~ruleset ?(shadow_depth = 0) ?(quarantine_threshold = 2) ?ledger
     ledger;
     opt;
     ruleset;
-    metas = Hashtbl.create 256;
     shadow_depth;
     quarantine_threshold;
     blacklist = Hashtbl.create 16;
@@ -293,8 +296,8 @@ let replay (rt : Runtime.t) (tb : Tb.t) =
 let arm_shadow t (rt : Runtime.t) (tb : Tb.t) =
   t.pending <- None;
   if t.shadow_depth > 0 && not (Hashtbl.mem t.blacklist tb.Tb.guest_pc) then
-    match Hashtbl.find_opt t.metas tb.Tb.id with
-    | Some m when m.rules_used <> [] && m.shadowable ->
+    match tb.Tb.meta with
+    | Rule_meta m when m.rules_used <> [] && m.shadowable ->
       if
         count t.shadow_done tb.Tb.guest_pc < t.shadow_depth
         && count t.shadow_tries tb.Tb.guest_pc < 4 * t.shadow_depth
@@ -331,9 +334,7 @@ let on_executed t (rt : Runtime.t) (tb : Tb.t) ~outcome ~guest =
          flag word is architecturally stale — skip the comparison but
          keep the replay's flags for repair. *)
       let flags_comparable =
-        match Hashtbl.find_opt t.metas tb.Tb.id with
-        | Some m -> not m.elide.(slot)
-        | None -> false
+        match tb.Tb.meta with Rule_meta m -> not m.elide.(slot) | _ -> false
       in
       let reg_divergence = ref 0 in
       for i = 0 to 14 do
@@ -378,8 +379,8 @@ let on_executed t (rt : Runtime.t) (tb : Tb.t) ~outcome ~guest =
            every rule when only memory diverged (stores cannot be
            attributed). If attribution comes up empty, strike all. *)
         Hashtbl.replace t.blacklist tb.Tb.guest_pc ();
-        (match Hashtbl.find_opt t.metas tb.Tb.id with
-        | Some m ->
+        (match tb.Tb.meta with
+        | Rule_meta m ->
           let implicated (rule : Rule.t) defs =
             defs land !reg_divergence <> 0
             || (flags_diverged && rule.Rule.flags.Rule.guest_writes)
@@ -396,7 +397,7 @@ let on_executed t (rt : Runtime.t) (tb : Tb.t) ~outcome ~guest =
               then
                 stats.Stats.rules_quarantined <- stats.Stats.rules_quarantined + 1)
             targets
-        | None -> ());
+        | _ -> ());
         `Invalidate
       end)
     | _ ->
@@ -451,16 +452,20 @@ let livelock_prog prog =
   rewrite_first prog (fun insn ->
       if Repro_x86.Prog.is_pseudo insn then None else Some [ X.Label fresh; X.Jmp fresh ])
 
-(* Emit [m]'s chunks and fold the result back into [m]. *)
+(* Emit [m]'s chunks; the emission's meta is [m] with what the emitter
+   found. *)
 let emit_meta t ~privileged m =
   let r =
     Emitter.emit ~opt:t.opt ~ruleset:t.ruleset ~privileged ~chunks:m.chunks
       ~elide_flag_save:m.elide ?entry_conv:m.entry_conv ()
   in
-  m.exit_states <- r.Emitter.exit_states;
-  m.first_flag_is_def <- r.Emitter.first_flag_is_def;
-  m.rules_used <- r.Emitter.rules_used;
-  r
+  ( r,
+    {
+      m with
+      exit_states = r.Emitter.exit_states;
+      first_flag_is_def = r.Emitter.first_flag_is_def;
+      rules_used = r.Emitter.rules_used;
+    } )
 
 (* Memory accesses hoisted above architecturally-earlier instructions
    (define-before-use scheduling): if such an access faults, the
@@ -489,22 +494,22 @@ let fault_producers (c : Emitter.chunk) =
   Array.of_list (List.rev !acc)
 
 (* The one way a rule-emitted cache entry comes to be, plain TB and
-   fused region alike: emit [chunks], wrap the code at the head PC and
-   register the entry's meta. *)
+   fused region alike: emit [chunks] and wrap the code and its meta at
+   the head PC. *)
 let new_tb t cache chunks ~shadowable ~privileged ~mmu_on ~guest_insns ~region_ids =
   let slots = if Array.length chunks > 1 then Tb.region_exit_slots else Tb.exit_slots in
-  let m =
-    {
-      chunks;
-      elide = Array.make slots false;
-      entry_conv = None;
-      exit_states = [||];
-      first_flag_is_def = false;
-      rules_used = [];
-      shadowable;
-    }
+  let r, m =
+    emit_meta t ~privileged
+      {
+        chunks;
+        elide = Array.make slots false;
+        entry_conv = None;
+        exit_states = [||];
+        first_flag_is_def = false;
+        rules_used = [];
+        shadowable;
+      }
   in
-  let r = emit_meta t ~privileged m in
   record_statics t r;
   let tb =
     {
@@ -522,9 +527,9 @@ let new_tb t cache chunks ~shadowable ~privileged ~mmu_on ~guest_insns ~region_i
       prov = r.Emitter.prov;
       hot = 0;
       region_ids;
+      meta = Rule_meta m;
     }
   in
-  Hashtbl.replace t.metas tb.Tb.id m;
   (r, tb)
 
 let build_tb t (rt : Runtime.t) cache ~insns chunk =
@@ -581,14 +586,15 @@ let translate t (rt : Runtime.t) cache ~pc =
       in
       attempt None
 
-(* Re-emit a TB in place after its meta changed (elision / entry
-   assumption). The engine holds the tb record; only [prog] changes.
-   Regions re-emit from their recorded chunks like any TB — they are
-   first-class citizens of the inter-TB optimization, on both sides of
-   a chained edge. *)
+(* Re-emit a TB in place under a changed meta [m] (elision / entry
+   assumption). The engine holds the tb record; only [prog] and the
+   meta it was emitted from change. Regions re-emit from their recorded
+   chunks like any TB — they are first-class citizens of the inter-TB
+   optimization, on both sides of a chained edge. *)
 let re_emit t (tb : Tb.t) m =
-  let r = emit_meta t ~privileged:tb.Tb.privileged m in
+  let r, m = emit_meta t ~privileged:tb.Tb.privileged m in
   tb.Tb.prog <- r.Emitter.prog;
+  tb.Tb.meta <- Rule_meta m;
   record_statics t ~replacing:tb.Tb.prov r;
   tb.Tb.prov <- r.Emitter.prov;
   (* a fresh emission discards any injected code corruption *)
@@ -605,6 +611,8 @@ let re_emit t (tb : Tb.t) m =
 
 let max_region_chunks = 8
 
+let has_meta (tb : Tb.t) = match tb.Tb.meta with Rule_meta _ -> true | _ -> false
+
 (* The engine's [on_hot] hook: select the trace, then fuse. *)
 let form_region t (rt : Runtime.t) cache (head : Tb.t) =
   let fusable_head =
@@ -613,23 +621,22 @@ let form_region t (rt : Runtime.t) cache (head : Tb.t) =
     && head.Tb.injected = `None
     && (not (Hashtbl.mem t.blacklist head.Tb.guest_pc))
     && (not (Tb.Cache.near_capacity cache))
-    && Hashtbl.mem t.metas head.Tb.id
+    && has_meta head
   in
   if not fusable_head then None
   else begin
     (* An interior chunk must end in a plain B (both directions
        seamable) or fall through (no ender at all). *)
     let can_interior (tb : Tb.t) =
-      match Hashtbl.find_opt t.metas tb.Tb.id with
-      | None -> false
-      | Some { chunks = [| { Emitter.insns; _ } |]; _ } ->
+      match tb.Tb.meta with
+      | Rule_meta { chunks = [| { Emitter.insns; _ } |]; _ } ->
         let n = Array.length insns in
         n > 0
         &&
         (match insns.(n - 1).A.op with
         | A.B _ -> true
         | _ -> not (Array.exists is_ender insns))
-      | Some _ -> false
+      | _ -> false
     in
     (* Hottest linked direct successor; first slot wins ties so the
        choice is deterministic under snapshot replay. *)
@@ -667,7 +674,7 @@ let form_region t (rt : Runtime.t) cache (head : Tb.t) =
             || s.Tb.mmu_on <> head.Tb.mmu_on
             || Hashtbl.mem seen s.Tb.id
             || Hashtbl.mem t.blacklist s.Tb.guest_pc
-            || not (Hashtbl.mem t.metas s.Tb.id)
+            || not (has_meta s)
           then stop := true
           else begin
             Hashtbl.replace seen s.Tb.id ();
@@ -683,37 +690,41 @@ let form_region t (rt : Runtime.t) cache (head : Tb.t) =
          where the assumption would read stale env flags. Dissolve the
          contract first: every predecessor edge into the head saves its
          flags again, and the head stops assuming. *)
-      (match Hashtbl.find_opt t.metas head.Tb.id with
-      | Some hm when hm.entry_conv <> None ->
+      (match head.Tb.meta with
+      | Rule_meta { entry_conv = Some _; _ } -> (
         List.iter
           (fun (p : Tb.t) ->
-            match Hashtbl.find_opt t.metas p.Tb.id with
-            | None -> ()
-            | Some pm ->
-              let changed = ref false in
-              Array.iteri
-                (fun slot el ->
-                  if el && slot < Array.length p.Tb.exits then
-                    match p.Tb.exits.(slot) with
-                    | Tb.Direct pc
-                      when pc = head.Tb.guest_pc
-                           && p.Tb.privileged = head.Tb.privileged
-                           && p.Tb.mmu_on = head.Tb.mmu_on ->
-                      pm.elide.(slot) <- false;
-                      changed := true
-                    | _ -> ())
-                pm.elide;
-              if !changed then re_emit t p pm)
+            match p.Tb.meta with
+            | Rule_meta pm ->
+              let into_head slot =
+                slot < Array.length p.Tb.exits
+                &&
+                match p.Tb.exits.(slot) with
+                | Tb.Direct pc ->
+                  pc = head.Tb.guest_pc
+                  && p.Tb.privileged = head.Tb.privileged
+                  && p.Tb.mmu_on = head.Tb.mmu_on
+                | _ -> false
+              in
+              let elide = Array.mapi (fun slot el -> el && not (into_head slot)) pm.elide in
+              if elide <> pm.elide then re_emit t p { pm with elide }
+            | _ -> ())
           (Tb.Cache.to_list cache @ Tb.Cache.regions_list cache);
-        hm.entry_conv <- None;
-        re_emit t head hm
+        (* read again: the loop re-emits the head if it is its own
+           predecessor *)
+        match head.Tb.meta with
+        | Rule_meta hm -> re_emit t head { hm with entry_conv = None }
+        | _ -> ())
       | _ -> ());
       (* Fuse the trace (every constituent has a meta) and install the
          result; the emitter may still reject it. *)
       let trace = List.rev !rev_trace in
+      let chunk (tb : Tb.t) =
+        match tb.Tb.meta with Rule_meta m -> m.chunks.(0) | _ -> invalid_arg "form_region"
+      in
       match
         new_tb t cache
-          (Array.of_list (List.map (fun (tb : Tb.t) -> (Hashtbl.find t.metas tb.Tb.id).chunks.(0)) trace))
+          (Array.of_list (List.map chunk trace))
           (* shadow verification replays straight-line blocks on the
              reference interpreter; a multi-path region is not one *)
           ~shadowable:false ~privileged:head.Tb.privileged ~mmu_on:head.Tb.mmu_on
@@ -738,8 +749,8 @@ let form_region t (rt : Runtime.t) cache (head : Tb.t) =
 
 let link_hook t ~pred ~slot ~succ =
   if t.opt.Opt.inter_tb && pred.Tb.id <> succ.Tb.id then
-    match (Hashtbl.find_opt t.metas pred.Tb.id, Hashtbl.find_opt t.metas succ.Tb.id) with
-    | Some pm, Some sm -> (
+    match (pred.Tb.meta, succ.Tb.meta) with
+    | Rule_meta pm, Rule_meta sm -> (
       let ex = pm.exit_states.(slot) in
       if
         ex.Emitter.flags_save_in_epilogue
@@ -749,48 +760,45 @@ let link_hook t ~pred ~slot ~succ =
         match ex.Emitter.conv_at_exit with
         | None -> ()
         | Some conv -> (
+          let elide_pred () =
+            let elide = Array.copy pm.elide in
+            elide.(slot) <- true;
+            t.inter_tb_elisions <- t.inter_tb_elisions + 1;
+            re_emit t pred { pm with elide }
+          in
           match sm.entry_conv with
           | Some existing when existing <> conv -> () (* incompatible assumption *)
-          | Some _ ->
-            pm.elide.(slot) <- true;
-            t.inter_tb_elisions <- t.inter_tb_elisions + 1;
-            re_emit t pred pm
+          | Some _ -> elide_pred ()
           | None ->
             (* First elided edge into succ: give it the assumption and
                the EFLAGS-spilling interrupt stub. *)
-            sm.entry_conv <- Some conv;
-            re_emit t succ sm;
-            pm.elide.(slot) <- true;
-            t.inter_tb_elisions <- t.inter_tb_elisions + 1;
-            re_emit t pred pm))
+            re_emit t succ { sm with entry_conv = Some conv };
+            elide_pred ()))
     | _ -> ()
 
 (* ---------- engine-dispatch entry restore ---------- *)
 
 let on_enter t (rt : Runtime.t) (tb : Tb.t) =
-  (match Hashtbl.find_opt t.metas tb.Tb.id with
-  | None -> ()
-  | Some m -> (
-    match m.entry_conv with
-    | None -> ()
-    | Some conv ->
-      (* The TB assumes guest flags live in EFLAGS under [conv];
-         install them from env (engine-side Sync-restore). *)
-      let env = Runtime.env rt in
-      let arm = Envspec.flags_word env in
-      let bits =
-        if Flagconv.carry_inverted conv then Envspec.to_canonical arm else arm
-      in
-      Exec.set_flags_word rt.Runtime.ctx bits;
-      let stats = Runtime.stats rt in
-      (* the one engine-side Sync charge besides the interrupt's lazy
-         parse: the ledger counts the entry window's share as III-C.3's
-         dynamic cost *)
-      Stats.charge_tag stats X.Tag_sync 2;
-      stats.Stats.sync_ops <- stats.Stats.sync_ops + 1;
-      (match rt.Runtime.trace with
-      | Some tr -> Trace.emit tr ~a:tb.Tb.guest_pc Sync "entry_restore"
-      | None -> ())));
+  (match tb.Tb.meta with
+  | Rule_meta { entry_conv = Some conv; _ } ->
+    (* The TB assumes guest flags live in EFLAGS under [conv];
+       install them from env (engine-side Sync-restore). *)
+    let env = Runtime.env rt in
+    let arm = Envspec.flags_word env in
+    let bits =
+      if Flagconv.carry_inverted conv then Envspec.to_canonical arm else arm
+    in
+    Exec.set_flags_word rt.Runtime.ctx bits;
+    let stats = Runtime.stats rt in
+    (* the one engine-side Sync charge besides the interrupt's lazy
+       parse: the ledger counts the entry window's share as III-C.3's
+       dynamic cost *)
+    Stats.charge_tag stats X.Tag_sync 2;
+    stats.Stats.sync_ops <- stats.Stats.sync_ops + 1;
+    (match rt.Runtime.trace with
+    | Some tr -> Trace.emit tr ~a:tb.Tb.guest_pc Sync "entry_restore"
+    | None -> ())
+  | _ -> ());
   arm_shadow t rt tb
 
 let rule_sites t = t.sites
@@ -801,12 +809,12 @@ let blacklist_size t = Hashtbl.length t.blacklist
 (* ---------- snapshot support ----------
 
    The translator's durable state is small: the PC blacklist, the
-   per-PC shadow-sampling counters and three statistics. Per-TB metas
-   ride with the code cache instead: a capture keeps each live TB's
-   meta as a value ([freeze]), its bytes carry it whole
-   ([encode_frozen]), and an install puts it back as it was ([thaw]).
-   [pending] is always [None] at a checkpoint (checkpoints fire at TB
-   boundaries before [on_enter] arms it). *)
+   per-PC shadow-sampling counters and three statistics. A TB's meta
+   is on the TB, so it rides with the code cache: a capture's copy of
+   the TB holds it, the cache's bytes carry it whole ([encode_meta]),
+   and an installed copy holds it again. [pending] is
+   always [None] at a checkpoint (checkpoints fire at TB boundaries
+   before [on_enter] arms it). *)
 
 type saved = {
   s_blacklist : Word32.t list;
@@ -838,80 +846,78 @@ let restore_state t s =
   Hashtbl.reset t.shadow_tries;
   List.iter (fun (pc, n) -> Hashtbl.replace t.shadow_tries pc n) s.s_shadow_tries;
   t.pending <- None;
-  Hashtbl.reset t.metas;
   t.rule_covered <- s.s_rule_covered;
   t.fallback <- s.s_fallback;
   t.inter_tb_elisions <- s.s_inter_tb_elisions
 
-type frozen = meta
-
-(* [elide] is the one part of a meta mutated in place (by the linker);
-   every other field is replaced whole, so a copy of it is a value. *)
-let freeze t (tb : Tb.t) =
-  Option.map (fun m -> { m with elide = Array.copy m.elide }) (Hashtbl.find_opt t.metas tb.Tb.id)
-
-let unchanged_since t (tb : Tb.t) f =
-  match (Hashtbl.find_opt t.metas tb.Tb.id, f) with
-  | None, None -> true
-  | Some m, Some f -> m.entry_conv = f.entry_conv && m.elide = f.elide
+let stale t (tb : Tb.t) =
+  match tb.Tb.meta with
+  | Rule_meta m ->
+    Hashtbl.mem t.blacklist tb.Tb.guest_pc
+    || List.exists (fun (r, _) -> Ruleset.is_quarantined t.ruleset r) m.rules_used
   | _ -> false
-
-let thaw t (tb : Tb.t) f = Hashtbl.replace t.metas tb.Tb.id { f with elide = Array.copy f.elide }
-
-let stale t (tb : Tb.t) (f : frozen) =
-  Hashtbl.mem t.blacklist tb.Tb.guest_pc
-  || List.exists (fun (r, _) -> Ruleset.is_quarantined t.ruleset r) f.rules_used
 
 (* Flag conventions by their position here. *)
 let convs = None :: List.map Option.some Flagconv.all
 
-let encode_frozen b (f : frozen) =
-  Enc.array b
-    (fun b (c : Emitter.chunk) ->
-      Enc.nat b c.Emitter.pc;
-      Enc.array b Enc.nat c.Emitter.origins;
-      Enc.nat b c.Emitter.hoists)
-    f.chunks;
-  Enc.array b Enc.bool f.elide;
-  Enc.enum convs b f.entry_conv;
-  Enc.array b
-    (fun b (e : Emitter.exit_state) ->
-      Enc.enum convs b e.Emitter.conv_at_exit;
-      Enc.bool b e.Emitter.flags_save_in_epilogue)
-    f.exit_states;
-  Enc.bool b f.first_flag_is_def;
-  Enc.list b (fun b ((r : Rule.t), defs) -> Enc.nat b r.Rule.id; Enc.nat b defs) f.rules_used;
-  Enc.bool b f.shadowable
+let encode_meta b (meta : Tb.meta) =
+  match meta with
+  | Rule_meta f ->
+    Enc.bool b true;
+    Enc.array b
+      (fun b (c : Emitter.chunk) ->
+        Enc.nat b c.Emitter.pc;
+        Enc.array b Enc.nat c.Emitter.origins;
+        Enc.nat b c.Emitter.hoists)
+      f.chunks;
+    Enc.array b Enc.bool f.elide;
+    Enc.enum convs b f.entry_conv;
+    Enc.array b
+      (fun b (e : Emitter.exit_state) ->
+        Enc.enum convs b e.Emitter.conv_at_exit;
+        Enc.bool b e.Emitter.flags_save_in_epilogue)
+      f.exit_states;
+    Enc.bool b f.first_flag_is_def;
+    Enc.list b (fun b ((r : Rule.t), defs) -> Enc.nat b r.Rule.id; Enc.nat b defs) f.rules_used;
+    Enc.bool b f.shadowable
+  | _ -> Enc.bool b false
 
-let decode_frozen ~rule ~slots ~guest r =
+let decode_meta ~rule ~slots ~guest r =
   let corrupt s = raise (Repro_snapshot.Snapshot.Corrupt ("cache: " ^ s)) in
-  (* a chunk is its block of [guest], the TB's fetched code, scheduled *)
-  let block = ref 0 in
-  let chunk r =
-    let pc = Dec.nat r in
-    let origins = Dec.array r Dec.nat in
-    let n = Array.length origins in
-    if !block + n > Array.length guest || Array.exists (fun o -> o >= n) origins then
-      corrupt "chunk outside its block";
-    let insns = Array.map (fun o -> guest.(!block + o)) origins in
-    block := !block + n;
-    { Emitter.pc; insns; origins; hoists = Dec.nat r }
-  in
-  let chunks = Dec.array r chunk in
-  let elide = Dec.array r Dec.bool in
-  let entry_conv = Dec.enum convs r in
-  let exit_states =
-    Dec.array r (fun r ->
-        let conv_at_exit = Dec.enum convs r in
-        { Emitter.conv_at_exit; flags_save_in_epilogue = Dec.bool r })
-  in
-  if Array.length chunks = 0 || !block <> Array.length guest || Array.length elide <> slots
-     || Array.length exit_states <> slots
-  then corrupt "meta shaped for another block";
-  let first_flag_is_def = Dec.bool r in
-  let rule_used r =
-    let id = Dec.nat r in
-    match rule id with Some rule -> (rule, Dec.nat r) | None -> corrupt (Printf.sprintf "unknown rule id %d" id)
-  in
-  let rules_used = Dec.list r rule_used in
-  { chunks; elide; entry_conv; exit_states; first_flag_is_def; rules_used; shadowable = Dec.bool r }
+  match (Dec.bool r, rule) with
+  | false, _ -> Tb.No_meta
+  | true, None -> corrupt "translator meta for a qemu-mode machine"
+  | true, Some rule ->
+    (* a chunk is its block of [guest], the TB's fetched code, scheduled *)
+    let block = ref 0 in
+    let chunk r =
+      let pc = Dec.nat r in
+      let origins = Dec.array r Dec.nat in
+      let n = Array.length origins in
+      if !block + n > Array.length guest || Array.exists (fun o -> o >= n) origins then
+        corrupt "chunk outside its block";
+      let insns = Array.map (fun o -> guest.(!block + o)) origins in
+      block := !block + n;
+      { Emitter.pc; insns; origins; hoists = Dec.nat r }
+    in
+    let chunks = Dec.array r chunk in
+    let elide = Dec.array r Dec.bool in
+    let entry_conv = Dec.enum convs r in
+    let exit_states =
+      Dec.array r (fun r ->
+          let conv_at_exit = Dec.enum convs r in
+          { Emitter.conv_at_exit; flags_save_in_epilogue = Dec.bool r })
+    in
+    if Array.length chunks = 0 || !block <> Array.length guest || Array.length elide <> slots
+       || Array.length exit_states <> slots
+    then corrupt "meta shaped for another block";
+    let first_flag_is_def = Dec.bool r in
+    let rule_used r =
+      let id = Dec.nat r in
+      match rule id with
+      | Some rule -> (rule, Dec.nat r)
+      | None -> corrupt (Printf.sprintf "unknown rule id %d" id)
+    in
+    let rules_used = Dec.list r rule_used in
+    Rule_meta
+      { chunks; elide; entry_conv; exit_states; first_flag_is_def; rules_used; shadowable = Dec.bool r }

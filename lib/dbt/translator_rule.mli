@@ -59,6 +59,10 @@ val form_region :
 
 val link_hook :
   t -> pred:Repro_tcg.Tb.t -> slot:int -> succ:Repro_tcg.Tb.t -> unit
+(** The engine's chain hook: elide [pred]'s flag save on exit [slot]
+    when [succ] defines the flags before reading them, re-emitting
+    [pred], and [succ] with the entry assumption if it had none. A
+    re-emission stores a new meta on its TB beside the new program. *)
 
 val on_enter : t -> Repro_tcg.Runtime.t -> Repro_tcg.Tb.t -> unit
 (** Engine-dispatch entry: if the TB assumes live flags in EFLAGS
@@ -103,49 +107,34 @@ type saved = {
   s_inter_tb_elisions : int;
 }
 (** The translator's durable state (sorted for stable encodings).
-    Per-TB metadata is not part of it: it rides with the code cache,
-    as {!frozen} values. *)
+    Per-TB metadata is not part of it: each TB the translator emits
+    carries its meta ({!Repro_tcg.Tb.meta}), so it rides with the code
+    cache. *)
 
 val save_state : t -> saved
 
 val restore_state : t -> saved -> unit
-(** Install [saved]'s tables and counters, and clear per-TB metadata
-    and any pending shadow expectation. *)
+(** Install [saved]'s tables and counters, and clear any pending
+    shadow expectation. *)
 
-type frozen
-(** A live TB's translator meta as it stood when {!freeze} took it:
-    its emission chunks, exit states, rules used and link-time state
-    (per-slot flag-save elisions, the entry flag-convention
-    assumption). A value: nothing the translator does later changes
-    it. *)
+val stale : t -> Repro_tcg.Tb.t -> bool
+(** Live health would translate the TB differently: it carries this
+    translator's meta, and its PC is blacklisted now, or its meta used
+    a rule quarantined now. *)
 
-val freeze : t -> Repro_tcg.Tb.t -> frozen option
-(** [None] for TBs the rule emitter did not produce (baseline
-    fallbacks). *)
+val encode_meta : Repro_snapshot.Snapshot.Enc.t -> Repro_tcg.Tb.meta -> unit
+(** Whether the TB carries this translator's meta, then the whole
+    meta, rules by id. *)
 
-val unchanged_since : t -> Repro_tcg.Tb.t -> frozen option -> bool
-(** The TB's live link-time meta equals the frozen one (and both
-    exist or neither does). Every other part of a meta changes only
-    with the TB's program. *)
-
-val thaw : t -> Repro_tcg.Tb.t -> frozen -> unit
-(** Install a frozen meta for a TB installed from captured code, as the
-    TB's live meta; nothing is re-emitted. *)
-
-val stale : t -> Repro_tcg.Tb.t -> frozen -> bool
-(** Live health would translate the TB differently: its PC is
-    blacklisted now, or its meta used a rule quarantined now. *)
-
-val encode_frozen : Repro_snapshot.Snapshot.Enc.t -> frozen -> unit
-(** The whole meta, rules by id. *)
-
-val decode_frozen :
-  rule:(int -> Repro_rules.Rule.t option) ->
+val decode_meta :
+  rule:(int -> Repro_rules.Rule.t option) option ->
   slots:int ->
   guest:Repro_arm.Insn.t array ->
   Repro_snapshot.Snapshot.Dec.t ->
-  frozen
-(** What {!encode_frozen} wrote, for a TB with [slots] exit slots whose
-    guest instructions are [guest] (its chunks are their blocks).
-    Raises {!Repro_snapshot.Snapshot.Corrupt} on an unknown rule id or
+  Repro_tcg.Tb.meta
+(** What {!encode_meta} wrote, for a TB with [slots] exit slots whose
+    guest instructions are [guest] (its chunks are their blocks);
+    [No_meta] for a TB without one. [rule] is [None] on a machine
+    without this translator, where a meta is refused. Raises
+    {!Repro_snapshot.Snapshot.Corrupt} on that, an unknown rule id or
     flag convention, or a meta shaped for another block. *)

@@ -179,4 +179,5 @@ let dec_tb r =
   let fault_producers = Dec.array r (fun r -> let pc = Dec.nat r in (pc, Dec.array r Dec.nat)) in
   let injected = Dec.enum injected_kinds r in
   { Tb.id; guest_pc; privileged; mmu_on; prog; exits; links = [||]; guest_insns; guest_len;
-    fault_producers; injected; prov = Dec.array r Dec.int; hot = 0; region_ids = [||] }
+    fault_producers; injected; prov = Dec.array r Dec.int; hot = 0; region_ids = [||];
+    meta = Tb.No_meta }

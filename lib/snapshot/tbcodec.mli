@@ -8,7 +8,8 @@
 val enc_tb : Snapshot.Enc.t -> Repro_tcg.Tb.t -> unit
 
 val dec_tb : Snapshot.Dec.t -> Repro_tcg.Tb.t
-(** The block {!enc_tb} wrote, with no links, [hot] 0 and no region
-    constituents. Refuses an unknown constructor or enumeration value,
-    a register outside 0..15, an exit through a missing slot and an
-    undecodable guest word. *)
+(** The block {!enc_tb} wrote, with no links, [hot] 0, no region
+    constituents and [No_meta] (the translator codes its meta).
+    Refuses an unknown constructor or enumeration value, a register
+    outside 0..15, an exit through a missing slot and an undecodable
+    guest word. *)

@@ -5,6 +5,9 @@ type exit_kind = Direct of Word32.t | Indirect | Irq_deliver
 
 exception Tb_too_complex
 
+type meta = ..
+type meta += No_meta
+
 type t = {
   id : int;
   guest_pc : Word32.t;
@@ -20,6 +23,7 @@ type t = {
   mutable prov : int array;
   mutable hot : int;
   region_ids : int array;
+  mutable meta : meta;
 }
 
 let exit_slots = 4
@@ -146,8 +150,6 @@ module Cache = struct
 
   let is_code_page t page =
     Char.code (Bytes.unsafe_get t.code_bitmap (bit_byte page)) land bit page <> 0
-
-  let code_pages t = Hashtbl.fold (fun p _ acc -> p :: acc) t.pages []
 
   let next_id t =
     t.ids <- t.ids + 1;

@@ -13,6 +13,15 @@ exception Tb_too_complex
     budget (exit slots, per-insn temporaries). Translators catch it
     and retry with a shorter block — never guest-visible. *)
 
+type meta = ..
+(** What the translator that emitted a TB needs to emit it again: the
+    owner of the emitter extends the type, so this library names no
+    translator. A meta is a value: a re-emission stores a new one
+    beside the new program, and nothing changes a stored one, so a
+    copy of the TB record holds its meta as it stood. *)
+
+type meta += No_meta  (** baseline translations, and what the codec reads back *)
+
 type t = {
   id : int;
   guest_pc : Word32.t;
@@ -49,6 +58,9 @@ type t = {
   region_ids : int array;
       (** Non-empty iff this TB is a fused superblock: the ids of its
           constituent TBs, in trace order. *)
+  mutable meta : meta;
+      (** The emitting translator's meta; replaced, never mutated,
+          whenever [prog] is re-emitted. *)
 }
 
 val exit_slots : int
@@ -144,6 +156,4 @@ module Cache : sig
   val is_code_page : t -> int -> bool
   (** Does any cached TB overlap the given virtual page? Guest stores
       into such pages must invalidate (self-modifying code). *)
-
-  val code_pages : t -> int list
 end

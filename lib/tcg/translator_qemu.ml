@@ -88,6 +88,7 @@ let emulate_one_tb ?insn (rt : Runtime.t) cache ~pc =
     prov = [||];
     hot = 0;
     region_ids = [||];
+    meta = Tb.No_meta;
   }
 
 let build (rt : Runtime.t) cache ~pc ~insns =
@@ -141,6 +142,7 @@ let build (rt : Runtime.t) cache ~pc ~insns =
     prov = [||];
     hot = 0;
     region_ids = [||];
+    meta = Tb.No_meta;
   }
 
 let translate (rt : Runtime.t) cache ~pc =

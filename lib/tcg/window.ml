@@ -32,7 +32,7 @@ let no_tb =
   { Tb.id = -1; guest_pc = 0; privileged = false; mmu_on = false;
     prog = Repro_x86.Prog.of_code ~code:[||] ~tags:[||]; exits = [||]; links = [||];
     guest_insns = [||]; guest_len = 0; fault_producers = [||]; injected = `None;
-    prov = [||]; hot = 0; region_ids = [||] }
+    prov = [||]; hot = 0; region_ids = [||]; meta = Tb.No_meta }
 
 let create (stats : Stats.t) =
   { event = Dispatched; tb = no_tb; page = 0; privileged = false;

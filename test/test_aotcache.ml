@@ -688,6 +688,7 @@ let tiny_tb ~pc =
     prov = [||];
     hot = 0;
     region_ids = [||];
+    meta = T.Tb.No_meta;
   }
 
 (* A cache section of one plain entry, the tiny TB, whose single link
@@ -755,9 +756,8 @@ let restored_view (sys : D.System.t) =
   let meta tb =
     match sys.D.System.rule_translator with
     | None -> ""
-    | Some tr ->
-      Digest.to_hex
-        (Digest.string (Marshal.to_string (D.Translator_rule.freeze tr tb) [ Marshal.No_sharing ]))
+    | Some _ ->
+      Digest.to_hex (Digest.string (Marshal.to_string tb.T.Tb.meta [ Marshal.No_sharing ]))
   in
   List.map
     (fun (tb : T.Tb.t) ->
@@ -894,20 +894,19 @@ module Tbcodec = Repro_snapshot.Tbcodec
    equal, and the meta is the same value (compared as "installed code
    equals captured code" compares it). *)
 let round_trip what (sys : D.System.t) (tb : T.Tb.t) =
-  let meta = Option.bind sys.D.System.rule_translator (fun tr -> D.Translator_rule.freeze tr tb) in
+  let meta = tb.T.Tb.meta in
   let b = Snapshot.Enc.create () in
   Tbcodec.enc_tb b tb;
-  Option.iter (D.Translator_rule.encode_frozen b) meta;
+  D.Translator_rule.encode_meta b meta;
   let d = Snapshot.Dec.of_string (Snapshot.Enc.contents b) in
   let back = { (Tbcodec.dec_tb d) with T.Tb.region_ids = tb.T.Tb.region_ids } in
   let meta_back =
-    Option.map
-      (fun _ ->
-        let rules = R.Ruleset.rules (Option.get sys.D.System.ruleset) in
-        D.Translator_rule.decode_frozen ~slots:(Array.length back.T.Tb.exits)
-          ~guest:back.T.Tb.guest_insns d
-          ~rule:(fun id -> List.find_opt (fun (r : R.Rule.t) -> r.R.Rule.id = id) rules))
-      meta
+    D.Translator_rule.decode_meta ~slots:(Array.length back.T.Tb.exits)
+      ~guest:back.T.Tb.guest_insns d
+      ~rule:
+        (Option.map
+           (fun rs id -> List.find_opt (fun (r : R.Rule.t) -> r.R.Rule.id = id) (R.Ruleset.rules rs))
+           sys.D.System.ruleset)
   in
   Alcotest.(check bool) (what ^ ": every byte read") true (Snapshot.Dec.finished d);
   let marshal m = Digest.to_hex (Digest.string (Marshal.to_string m [ Marshal.No_sharing ])) in
@@ -999,6 +998,7 @@ let test_codec_round_trip () =
       prov = [| 1; 2; 3 |];
       hot = 0;
       region_ids = [||];
+      meta = T.Tb.No_meta;
     }
   in
   round_trip "every instruction form" (D.System.create D.System.Qemu) synthetic;

@@ -220,7 +220,6 @@ let test_region_restore_grown_blacklist () =
   in
   let by_id id = List.find (fun (tb : T.Tb.t) -> tb.T.Tb.id = id) plain in
   let member = by_id region.T.Tb.region_ids.(1) in
-  let tr = Option.get sys.D.System.rule_translator in
   let view = List.map (fun (tb : T.Tb.t) -> (tb.T.Tb.id, Test_emitter.program_digest tb)) in
   (* Restore into a fresh machine that [demote] demoted first; [gone]
      names the captured plain TBs the grown health must drop. *)
@@ -263,10 +262,7 @@ let test_region_restore_grown_blacklist () =
     Repro_rules.Ruleset.restore_health (Option.get probe.D.System.ruleset) ~strikes:[]
       ~quarantined:[ id ];
     let ptr = Option.get probe.D.System.rule_translator in
-    fun (tb : T.Tb.t) ->
-      match D.Translator_rule.freeze tr tb with
-      | Some f -> D.Translator_rule.stale ptr tb f
-      | None -> false
+    fun (tb : T.Tb.t) -> D.Translator_rule.stale ptr tb
   in
   let rule =
     match

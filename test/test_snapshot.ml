@@ -798,6 +798,37 @@ let test_snapshot_bytes_are_fixed () =
         Alcotest.failf "checkpoint %d: its bytes changed after the run went on" i)
     (List.rev !taken)
 
+(* An in-memory snapshot shares each TB's program and meta with the
+   machine that took it and with every machine restored from it. Both
+   run on until each has elided flag saves at link time and formed
+   regions since the capture; forming them dissolves entry assumptions
+   the captured TBs hold, re-emitting those TBs. A meta either machine
+   changed in place would change the snapshot's bytes. *)
+let test_capture_stays_a_value () =
+  let image = kernel_image () in
+  let mode = D.System.Rules D.Opt.with_regions in
+  let sys = make_sys mode image in
+  ignore (D.System.run ~max_guest_insns:15_000 sys);
+  let snap = D.System.snapshot sys in
+  let bytes = Snapshot.to_string snap in
+  let restored = D.System.create mode in
+  D.System.restore restored snap;
+  let progress m =
+    let tr = Option.get m.D.System.rule_translator in
+    ( (D.Translator_rule.save_state tr).D.Translator_rule.s_inter_tb_elisions,
+      (D.System.stats m).Stats.regions_formed )
+  in
+  List.iter
+    (fun (what, m) ->
+      let elided, formed = progress m in
+      ignore (halt_code (D.System.run ~max_guest_insns:2_000_000 m));
+      let elided', formed' = progress m in
+      Alcotest.(check bool) (what ^ " elided again") true (elided' > elided);
+      Alcotest.(check bool) (what ^ " formed regions again") true (formed' > formed);
+      Alcotest.(check bool) (what ^ " left the snapshot's bytes as taken") true
+        (Snapshot.to_string snap = bytes))
+    [ ("the capturing machine", sys); ("the restored machine", restored) ]
+
 (* ---- re-translation ignores live fault injection ------------------ *)
 
 (* A restore from bytes re-translates every recipe, and a recipe must
@@ -985,6 +1016,7 @@ let suite =
           test_captures_share_sections;
         Alcotest.test_case "snapshot bytes are fixed at capture" `Quick
           test_snapshot_bytes_are_fixed;
+        Alcotest.test_case "a capture stays a value" `Quick test_capture_stays_a_value;
         Alcotest.test_case "re-translation ignores live fault injection" `Quick
           test_retranslation_ignores_injection;
         Alcotest.test_case "forged section counts fail typed" `Quick
