@@ -587,10 +587,11 @@ let translate t (rt : Runtime.t) cache ~pc =
       attempt None
 
 (* Re-emit a TB in place under a changed meta [m] (elision / entry
-   assumption). The engine holds the tb record; only [prog] and the
-   meta it was emitted from change. Regions re-emit from their recorded
-   chunks like any TB — they are first-class citizens of the inter-TB
-   optimization, on both sides of a chained edge. *)
+   assumption). The engine holds the tb record, so the new program and
+   the meta it was emitted from replace the old ones in it. Regions
+   re-emit from their recorded chunks like any TB — they are
+   first-class citizens of the inter-TB optimization, on both sides of
+   a chained edge. *)
 let re_emit t (tb : Tb.t) m =
   let r, m = emit_meta t ~privileged:tb.Tb.privileged m in
   tb.Tb.prog <- r.Emitter.prog;
@@ -862,24 +863,24 @@ let convs = None :: List.map Option.some Flagconv.all
 
 let encode_meta b (meta : Tb.meta) =
   match meta with
-  | Rule_meta f ->
+  | Rule_meta m ->
     Enc.bool b true;
     Enc.array b
       (fun b (c : Emitter.chunk) ->
         Enc.nat b c.Emitter.pc;
         Enc.array b Enc.nat c.Emitter.origins;
         Enc.nat b c.Emitter.hoists)
-      f.chunks;
-    Enc.array b Enc.bool f.elide;
-    Enc.enum convs b f.entry_conv;
+      m.chunks;
+    Enc.array b Enc.bool m.elide;
+    Enc.enum convs b m.entry_conv;
     Enc.array b
       (fun b (e : Emitter.exit_state) ->
         Enc.enum convs b e.Emitter.conv_at_exit;
         Enc.bool b e.Emitter.flags_save_in_epilogue)
-      f.exit_states;
-    Enc.bool b f.first_flag_is_def;
-    Enc.list b (fun b ((r : Rule.t), defs) -> Enc.nat b r.Rule.id; Enc.nat b defs) f.rules_used;
-    Enc.bool b f.shadowable
+      m.exit_states;
+    Enc.bool b m.first_flag_is_def;
+    Enc.list b (fun b ((r : Rule.t), defs) -> Enc.nat b r.Rule.id; Enc.nat b defs) m.rules_used;
+    Enc.bool b m.shadowable
   | _ -> Enc.bool b false
 
 let decode_meta ~rule ~slots ~guest r =

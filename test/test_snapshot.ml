@@ -803,12 +803,19 @@ let test_snapshot_bytes_are_fixed () =
    run on until each has elided flag saves at link time and formed
    regions since the capture; forming them dissolves entry assumptions
    the captured TBs hold, re-emitting those TBs. A meta either machine
-   changed in place would change the snapshot's bytes. *)
+   changed in place would change the snapshot's bytes. Checkpoints
+   every 20 instructions before the capture also hold TBs that link
+   only later, so the code sections they encode guard the link path
+   too. *)
 let test_capture_stays_a_value () =
   let image = kernel_image () in
   let mode = D.System.Rules D.Opt.with_regions in
   let sys = make_sys mode image in
-  ignore (D.System.run ~max_guest_insns:15_000 sys);
+  let dense = ref [] in
+  ignore
+    (D.System.run ~checkpoint_every:20 ~max_guest_insns:15_000
+       ~on_checkpoint:(fun c -> dense := (c, Snapshot.find c "cache") :: !dense)
+       sys);
   let snap = D.System.snapshot sys in
   let bytes = Snapshot.to_string snap in
   let restored = D.System.create mode in
@@ -826,7 +833,9 @@ let test_capture_stays_a_value () =
       Alcotest.(check bool) (what ^ " elided again") true (elided' > elided);
       Alcotest.(check bool) (what ^ " formed regions again") true (formed' > formed);
       Alcotest.(check bool) (what ^ " left the snapshot's bytes as taken") true
-        (Snapshot.to_string snap = bytes))
+        (Snapshot.to_string snap = bytes);
+      Alcotest.(check int) (what ^ " left every checkpoint's code as taken") 0
+        (List.length (List.filter (fun (c, b) -> Snapshot.find c "cache" <> b) !dense)))
     [ ("the capturing machine", sys); ("the restored machine", restored) ]
 
 (* ---- re-translation ignores live fault injection ------------------ *)
