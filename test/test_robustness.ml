@@ -184,7 +184,8 @@ let corrupt_rule =
     source = `Builtin;
   }
 
-let test_corrupt_rule_quarantined () =
+(* A short loop whose [add rd, rn, #imm]s the wrong rule matches. *)
+let corrupt_rule_image () =
   let user =
     let a = Asm.create ~origin:K.user_code_base () in
     Asm.mov32 a Insn.sp K.user_stack_top;
@@ -204,7 +205,18 @@ let test_corrupt_rule_quarantined () =
     Asm.svc a 0;
     snd (Asm.assemble a)
   in
-  let image = K.build ~user_program:user () in
+  K.build ~user_program:user ()
+
+(* The wrong rule ahead of the builtins, under shadow depth 2 and
+   quarantine threshold 2, with [corrupt_rule_image] loaded. *)
+let corrupt_rule_machine ?(mode = D.System.Rules D.Opt.full) () =
+  let ruleset = R.Ruleset.of_list (corrupt_rule :: R.Builtin.all ()) in
+  let sys = D.System.create ~ruleset ~shadow_depth:2 ~quarantine_threshold:2 mode in
+  K.load (corrupt_rule_image ()) (fun base words -> D.System.load_image sys base words);
+  sys
+
+let test_corrupt_rule_quarantined () =
+  let image = corrupt_rule_image () in
   let m = T.Ref_machine.create () in
   K.load image (fun base words -> T.Ref_machine.load_image m base words);
   let expected =
@@ -212,9 +224,8 @@ let test_corrupt_rule_quarantined () =
     | T.Ref_machine.Halted c, _ -> c
     | _ -> Alcotest.fail "reference did not halt"
   in
-  let ruleset = R.Ruleset.of_list (corrupt_rule :: R.Builtin.all ()) in
-  let sys = D.System.create ~ruleset ~shadow_depth:2 ~quarantine_threshold:2 (D.System.Rules D.Opt.full) in
-  K.load image (fun base words -> D.System.load_image sys base words);
+  let sys = corrupt_rule_machine () in
+  let ruleset = Option.get sys.D.System.ruleset in
   let res = D.System.run ~max_guest_insns:1_000_000 sys in
   let s = D.System.stats sys in
   Alcotest.(check bool) "exit code matches reference" true (res.T.Engine.reason = `Halted expected);
@@ -249,6 +260,38 @@ let test_corrupt_rule_quarantined () =
   Alcotest.(check bool)
     "quarantine moved subsequent retirements to the baseline tier" true
     (tier_count report Cov.Attr.Baseline > tier_count clean Cov.Attr.Baseline)
+
+(* The translator's and the ruleset's health after the wrong rule's
+   quarantine, as a snapshot's [translator] section (blacklist,
+   strikes, quarantined rules, shadow-verification progress, counters)
+   and a depot's health section (the first three) write it. Decoded
+   from the bytes, so the pin reads no translator API. *)
+let test_health_bytes_pinned () =
+  let module Snapshot = Repro_snapshot.Snapshot in
+  let module Dec = Snapshot.Dec in
+  let sys = corrupt_rule_machine () in
+  ignore (D.System.run ~max_guest_insns:1_000_000 sys);
+  let translator = Snapshot.find (D.System.snapshot sys) "translator" in
+  let health = Repro_aotcache.Depot.health (D.System.depot_capture sys) in
+  let ids d = Dec.list d Dec.int and counts d = Dec.list d (Dec.pair Dec.int Dec.int) in
+  let blacklist, quarantined, shadow_done, shadow_tries =
+    Dec.whole ~name:"translator" translator @@ fun d ->
+    let blacklist = ids d in
+    ignore (counts d);
+    let quarantined = ids d in
+    let shadow_done = counts d in
+    let shadow_tries = counts d in
+    List.iter (fun _ -> ignore (Dec.int d)) [ (); (); () ];
+    (blacklist, quarantined, shadow_done, shadow_tries)
+  in
+  Alcotest.(check bool) "a PC is blacklisted" true (blacklist <> []);
+  Alcotest.(check (list int)) "the wrong rule is quarantined" [ corrupt_rule.R.Rule.id ]
+    quarantined;
+  Alcotest.(check bool) "shadow tables are non-empty" true
+    (shadow_done <> [] && shadow_tries <> []);
+  let md5 s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "translator section" "be41c56224b7430e3ceec25f7cf737e0" (md5 translator);
+  Alcotest.(check string) "depot health section" "5c8b8d3f659b411624861464a99764d0" (md5 health)
 
 (* ---- 4. constant rule-output corruption: shadow repairs to the
    reference result ---- *)
@@ -368,6 +411,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_faulting_blocks_agree;
         Alcotest.test_case "transient injection is absorbed" `Slow test_transient_identity;
         Alcotest.test_case "corrupted rule is quarantined" `Quick test_corrupt_rule_quarantined;
+        Alcotest.test_case "health bytes are pinned" `Quick test_health_bytes_pinned;
         QCheck_alcotest.to_alcotest prop_rule_corruption_repaired;
         Alcotest.test_case "fault-draw stream is pinned" `Quick test_fault_draws_pinned;
       ] );

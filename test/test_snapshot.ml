@@ -768,35 +768,54 @@ let test_captures_share_sections () =
 
 (* ---- a snapshot is a value --------------------------------------- *)
 
-(* A capture holds the code cache as values and encodes it only when
-   its bytes are asked for, so nothing the machine does after the
-   capture may reach them. Checkpoints of a gcc run under regions
-   (links, hotness, elisions and fused regions all move) are
-   serialized when taken and again after the run, when the machine has
-   re-linked, re-emitted and flushed past every one of them. *)
+(* A capture holds the code cache and the translator's health as
+   values and encodes them only when their bytes are asked for, so
+   nothing the machine does after the capture may reach them.
+   Checkpoints of a gcc run under regions (links, hotness, elisions and
+   fused regions all move) are serialized when taken and again after
+   the run, when the machine has re-linked, re-emitted and flushed past
+   every one of them. So are checkpoints of a machine that demotes a
+   wrong rule: taken every 500 instructions, the early ones come before
+   any divergence, and the blacklist, strikes, quarantine and shadow
+   tables all change after them. *)
 let test_snapshot_bytes_are_fixed () =
-  let image = kernel_image () in
-  let sys = make_sys (D.System.Rules D.Opt.with_regions) image in
-  let taken = ref [] in
-  let res =
-    D.System.run ~checkpoint_every:2_000 ~max_guest_insns:2_000_000
-      ~on_checkpoint:(fun snap -> taken := (snap, Snapshot.to_string snap) :: !taken)
-      sys
+  let checkpoints ~every sys =
+    let taken = ref [] in
+    let res =
+      D.System.run ~checkpoint_every:every ~max_guest_insns:2_000_000
+        ~on_checkpoint:(fun snap -> taken := (snap, Snapshot.to_string snap) :: !taken)
+        sys
+    in
+    ignore (halt_code res);
+    List.rev !taken
   in
-  ignore (halt_code res);
-  Alcotest.(check bool) "the run took checkpoints" true (List.length !taken > 10);
+  let unchanged what taken =
+    List.iteri
+      (fun i (snap, bytes) ->
+        if Snapshot.to_string snap <> bytes then
+          Alcotest.failf "%s: checkpoint %d: its bytes changed after the run went on" what i)
+      taken
+  in
+  let image = kernel_image () in
+  let taken = checkpoints ~every:2_000 (make_sys (D.System.Rules D.Opt.with_regions) image) in
+  Alcotest.(check bool) "the run took checkpoints" true (List.length taken > 10);
   Alcotest.(check bool) "and they hold fused regions" true
     (List.exists
        (fun (snap, _) ->
          let m = D.System.create (D.System.Rules D.Opt.with_regions) in
          D.System.restore m snap;
          T.Tb.Cache.region_count m.D.System.cache > 0)
-       !taken);
-  List.iteri
-    (fun i (snap, bytes) ->
-      if Snapshot.to_string snap <> bytes then
-        Alcotest.failf "checkpoint %d: its bytes changed after the run went on" i)
-    (List.rev !taken)
+       taken);
+  unchanged "regions" taken;
+  let taken = checkpoints ~every:500 (Test_robustness.corrupt_rule_machine ()) in
+  let blacklist (snap, _) =
+    Snapshot.Dec.(list (of_string (Snapshot.find snap "translator")) int)
+  in
+  Alcotest.(check bool) "the first checkpoint comes before any divergence" true
+    (blacklist (List.hd taken) = []);
+  Alcotest.(check bool) "a later one after it" true
+    (List.exists (fun c -> blacklist c <> []) taken);
+  unchanged "demotion" taken
 
 (* An in-memory snapshot shares each TB's program and meta with the
    machine that took it and with every machine restored from it. Both
