@@ -341,13 +341,13 @@ let run bench mode_name target budget timer builtin_only rules_file dump_tbs
       | None -> ());
       (match sys.D.System.rule_translator with
       | Some tr ->
+        let st = D.Translator_rule.state tr in
         Format.printf "rule-covered insns (static) %d@.fallback insns (static)     %d@."
-          (D.Translator_rule.stats_rule_covered tr)
-          (D.Translator_rule.stats_fallback tr);
+          st.D.Translator_rule.rule_covered st.D.Translator_rule.fallback;
         if shadow_depth > 0 then
           Format.printf
             "blacklisted PCs             %d@.quarantined rules           %d@."
-            (D.Translator_rule.blacklist_size tr)
+            (Repro_rules.Ruleset.Ids.cardinal st.D.Translator_rule.blacklist)
             (Repro_rules.Ruleset.quarantined_count ruleset)
       | None -> ());
       (match scope with

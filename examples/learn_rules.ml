@@ -57,7 +57,7 @@ let () =
   Format.printf "host/guest expansion: %.2f@." (Stats.host_per_guest s);
   match sys.D.System.rule_translator with
   | Some tr ->
+    let st = D.Translator_rule.state tr in
     Format.printf "rule-covered guest insns (static): %d, fallbacks: %d@."
-      (D.Translator_rule.stats_rule_covered tr)
-      (D.Translator_rule.stats_fallback tr)
+      st.D.Translator_rule.rule_covered st.D.Translator_rule.fallback
   | None -> ()

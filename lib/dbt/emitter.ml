@@ -456,9 +456,9 @@ let epilogue_exit st kind =
 
 type snapshot = { s_loaded : int; s_dirty : int; s_fl : fl_state }
 
-let save_state st = { s_loaded = st.loaded; s_dirty = st.dirty; s_fl = st.fl }
+let save_alloc st = { s_loaded = st.loaded; s_dirty = st.dirty; s_fl = st.fl }
 
-let restore_state st s =
+let restore_alloc st s =
   st.loaded <- s.s_loaded;
   st.dirty <- s.s_dirty;
   st.fl <- s.s_fl
@@ -859,10 +859,10 @@ let resolve_cond st (cond : Cond.t) =
    the branch saw. *)
 let side_exit st cc cold =
   let cont = Prog.fresh_label st.b in
-  let snap = save_state st in
+  let snap = save_alloc st in
   emit st ~tag:X.Tag_compute (X.Jcc { cc; target = cont });
   cold ();
-  restore_state st snap;
+  restore_alloc st snap;
   emit st (X.Label cont)
 
 type guard = G_none | G_never | G_skip of int * snapshot
@@ -876,7 +876,7 @@ let open_guard st (cond : Cond.t) =
   | `Never -> G_never
   | `Cc cc ->
     let skip = Prog.fresh_label st.b in
-    let snap = save_state st in
+    let snap = save_alloc st in
     emit st ~tag:X.Tag_compute (X.Jcc { cc = X.cc_negate cc; target = skip });
     G_skip (skip, snap)
 

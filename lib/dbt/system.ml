@@ -10,6 +10,8 @@ module Stats = Repro_x86.Stats
 module Tlb = Repro_mmu.Mmu.Tlb
 module Fi = Repro_faultinject.Faultinject
 module Ruleset = Repro_rules.Ruleset
+module Ids = Ruleset.Ids
+module Counts = Ruleset.Counts
 module Flagconv = Repro_rules.Flagconv
 module Snapshot = Repro_snapshot.Snapshot
 module Journal = Repro_snapshot.Journal
@@ -85,6 +87,11 @@ type frozen = { f_tb : Tb.t; f_links : int array; f_members : int array }
 type code = { c_tbs : frozen array; c_regions : frozen array; c_hot : int array }
 type Snapshot.value += Code of code
 
+(* The translator's and the ruleset's health as a capture holds them:
+   both values, so consecutive captures share them while neither
+   changes. *)
+type Snapshot.value += Translator of Translator_rule.state * Ruleset.health
+
 (* Warm-boot bookkeeping for the code a persistent depot holds, in the
    combined index space of [dp_code]. An entry is [installed] once a
    wave put it into the live cache for the current cache generation (or
@@ -106,7 +113,7 @@ type depot_state = {
       (* TB id -> the TB a wave installed in this generation; poison
          attribution compares physically, so a cold TB at the same PC
          (another regime, or after SMC killed the entry) never counts *)
-  mutable dp_poisoned : int list;
+  mutable dp_poisoned : Ids.t;
       (* depot-served PCs whose TB shadow verification invalidated *)
 }
 
@@ -373,54 +380,52 @@ let decode_code ~rule payload =
     { c_tbs = Array.map snd plain; c_regions = Array.map snd regions; c_hot = Array.map fst all }
   with Invalid_argument e -> corrupt e
 
-(* Ruleset health: the PC blacklist, per-rule strikes and quarantined
-   rules. It is the whole of a depot's health section and the start of
-   a snapshot's translator section. *)
-let health saved rs =
-  let strikes, quarantined = Ruleset.export_health rs in
-  (saved.Translator_rule.s_blacklist, strikes, quarantined)
+(* Health bytes: the PC blacklist, per-rule strikes and quarantined
+   rules, each sorted. They are the whole of a depot's health section
+   and the start of a snapshot's translator section. *)
+let enc_ids b ids = Enc.list b Enc.int (Ids.elements ids)
+let enc_counts b counts = Enc.list b (Enc.pair Enc.int Enc.int) (Counts.bindings counts)
 
-let enc_health b (blacklist, strikes, quarantined) =
-  Enc.list b Enc.int blacklist;
-  Enc.list b (Enc.pair Enc.int Enc.int) strikes;
-  Enc.list b Enc.int quarantined
+let enc_health b blacklist (h : Ruleset.health) =
+  enc_ids b blacklist;
+  enc_counts b h.Ruleset.strikes;
+  enc_ids b h.Ruleset.quarantined
+
+let dec_ids d = Ids.of_list (Dec.list d Dec.int)
+
+(* An id written twice keeps its largest count. *)
+let dec_counts d =
+  List.fold_left
+    (fun m (id, n) -> Counts.update id (fun o -> Some (max n (Option.value o ~default:n))) m)
+    Counts.empty
+    (Dec.list d (Dec.pair Dec.int Dec.int))
 
 let dec_health d =
-  let blacklist = Dec.list d Dec.int in
-  let strikes = Dec.list d (Dec.pair Dec.int Dec.int) in
-  (blacklist, strikes, Dec.list d Dec.int)
+  let blacklist = dec_ids d in
+  let strikes = dec_counts d in
+  (blacklist, { Ruleset.strikes; quarantined = dec_ids d })
 
 (* The health, then shadow-verification progress and the counters. *)
-let encode_translator tr rs =
-  let saved = Translator_rule.save_state tr in
+let encode_translator (s : Translator_rule.state) h =
   Enc.encode @@ fun b ->
-  enc_health b (health saved rs);
-  List.iter (Enc.list b (Enc.pair Enc.int Enc.int))
-    [ saved.Translator_rule.s_shadow_done; saved.Translator_rule.s_shadow_tries ];
+  enc_health b s.Translator_rule.blacklist h;
+  enc_counts b s.Translator_rule.shadow_done;
+  enc_counts b s.Translator_rule.shadow_tries;
   List.iter (Enc.int b)
-    [
-      saved.Translator_rule.s_rule_covered;
-      saved.Translator_rule.s_fallback;
-      saved.Translator_rule.s_inter_tb_elisions;
-    ]
+    Translator_rule.[ s.rule_covered; s.fallback; s.inter_tb_elisions ]
 
 let decode_translator payload =
   Dec.whole ~name:"translator" payload @@ fun d ->
-  let ((s_blacklist, _, _) as h) = dec_health d in
-  let s_shadow_done = Dec.list d (Dec.pair Dec.int Dec.int) in
-  let s_shadow_tries = Dec.list d (Dec.pair Dec.int Dec.int) in
-  let s_rule_covered = Dec.int d in
-  let s_fallback = Dec.int d in
-  let s_inter_tb_elisions = Dec.int d in
-  ( {
-      Translator_rule.s_blacklist;
-      s_shadow_done;
-      s_shadow_tries;
-      s_rule_covered;
-      s_fallback;
-      s_inter_tb_elisions;
-    },
-    h )
+  let blacklist, health = dec_health d in
+  let shadow_done = dec_counts d in
+  let shadow_tries = dec_counts d in
+  let rule_covered = Dec.int d in
+  let fallback = Dec.int d in
+  let inter_tb_elisions = Dec.int d in
+  let state =
+    { Translator_rule.blacklist; shadow_done; shadow_tries; rule_covered; fallback; inter_tb_elisions }
+  in
+  (state, health)
 
 let encode_resume (r : Engine.resume) =
   Enc.encode @@ fun b ->
@@ -459,7 +464,16 @@ let capture ?resume t =
     | _ -> assert false);
   add "cachectl" (Enc.encode (fun b -> List.iter (Enc.int b) Tb.Cache.[ full_flushes t.cache; ids t.cache ]));
   (match (t.rule_translator, t.ruleset) with
-  | Some tr, Some rs -> add "translator" (encode_translator tr rs)
+  | Some tr, Some rs ->
+    let state = Translator_rule.state tr and health = Ruleset.health rs in
+    let value =
+      match Option.bind prev (fun p -> Snapshot.value p "translator") with
+      | Some (Translator (s, h) as v) when s == state && h == health -> v
+      | _ -> Translator (state, health)
+    in
+    Snapshot.add_value snap "translator" value ~encode:(function
+      | Translator (s, h) -> encode_translator s h
+      | _ -> assert false)
   | _ -> ());
   (match resume with Some r -> add "resume" (encode_resume r) | None -> ());
   add "degrade" (Enc.encode (fun b -> Enc.int b (rung_level t.rung_floor)));
@@ -474,33 +488,18 @@ let snapshot t =
 
 (* Demotion-state merge policy: health only ever ratchets down.
    Blacklists and quarantine sets take the union, per-rule strikes the
-   maximum — shared by snapshot restore and depot install. *)
-let union_int l1 l2 = List.sort_uniq compare (l1 @ l2)
-
-let max_strikes a b =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (id, n) ->
-      match Hashtbl.find_opt tbl id with
-      | Some m when m >= n -> ()
-      | _ -> Hashtbl.replace tbl id n)
-    (a @ b);
-  Hashtbl.fold (fun id n acc -> (id, n) :: acc) tbl [] |> List.sort compare
-
-(* Merge demotions into the translator's and ruleset's health; [base]
-   (default: the translator's current state) supplies the translator
-   state the blacklist merge does not cover. *)
-let ratchet_health ?base tr rs ~blacklist ~strikes ~quarantined =
-  let cur = Translator_rule.save_state tr in
-  let cur_strikes, cur_quarantined = Ruleset.export_health rs in
-  Translator_rule.restore_state tr
-    {
-      (Option.value base ~default:cur) with
-      Translator_rule.s_blacklist = union_int blacklist cur.Translator_rule.s_blacklist;
-    };
-  Ruleset.restore_health rs
-    ~strikes:(max_strikes strikes cur_strikes)
-    ~quarantined:(union_int quarantined cur_quarantined)
+   maximum — shared by snapshot restore and depot install. The
+   translator takes [s] with the merged blacklist, the ruleset [h] with
+   the merged strikes and quarantine. [true] when the merge left the
+   blacklist and quarantine as in [s] and [h]. *)
+let ratchet_health tr rs (s : Translator_rule.state) (h : Ruleset.health) =
+  let live = Translator_rule.state tr and live_h = Ruleset.health rs in
+  let blacklist = Ids.union s.Translator_rule.blacklist live.Translator_rule.blacklist in
+  let quarantined = Ids.union h.Ruleset.quarantined live_h.Ruleset.quarantined in
+  let strikes = Counts.union (fun _ a b -> Some (max a b)) h.Ruleset.strikes live_h.Ruleset.strikes in
+  Translator_rule.set_state tr { s with Translator_rule.blacklist };
+  Ruleset.set_health rs { Ruleset.strikes; quarantined };
+  Ids.equal blacklist s.Translator_rule.blacklist && Ids.equal quarantined h.Ruleset.quarantined
 
 (* A live record for a captured entry: empty links, hotness [hot],
    the captured program and meta. *)
@@ -589,15 +588,16 @@ let restore ?(rebuild = true) t snap =
      snapshot as-is: rolling it back only means re-verifying, which is
      always sound. *)
   let health_as_captured =
-    match (t.rule_translator, t.ruleset, Snapshot.find_opt snap "translator") with
-    | Some tr, Some rs, Some payload ->
-      let saved, (blacklist, strikes, quarantined) = decode_translator payload in
-      ratchet_health tr rs ~base:saved ~blacklist ~strikes ~quarantined;
-      (* the merge is a union, so equal sizes mean equal sets *)
-      Translator_rule.blacklist_size tr = List.length blacklist
-      && Ruleset.quarantined_count rs = List.length quarantined
-    | None, _, None -> true
-    | Some _, _, None -> raise (Snapshot.Corrupt "missing section translator")
+    match (t.rule_translator, t.ruleset, Snapshot.mem snap "translator") with
+    | Some tr, Some rs, true ->
+      let state, health =
+        match Snapshot.value snap "translator" with
+        | Some (Translator (s, h)) -> (s, h)
+        | _ -> decode_translator (Snapshot.find snap "translator")
+      in
+      ratchet_health tr rs state health
+    | None, _, false -> true
+    | Some _, _, false -> raise (Snapshot.Corrupt "missing section translator")
     | _ -> raise (Snapshot.Corrupt "translator section in a qemu-mode snapshot")
   in
   (match Snapshot.find_opt snap "degrade" with
@@ -673,7 +673,7 @@ let snapshot_clean snap =
    verification progress deliberately stays out: depot-installed TBs
    re-verify on every warm boot, and that re-verification is the
    sensor the depot's self-repair loop (poison write-back) runs on. *)
-let encode_health h = Enc.encode (fun b -> enc_health b h)
+let encode_health blacklist h = Enc.encode (fun b -> enc_health b blacklist h)
 
 let depot_health depot =
   Depot.guard "health" (fun () -> Dec.whole ~name:"health" (Depot.health depot) dec_health)
@@ -700,8 +700,9 @@ let depot_capture t =
   in
   let health =
     match (t.rule_translator, t.ruleset) with
-    | Some tr, Some rs -> encode_health (health (Translator_rule.save_state tr) rs)
-    | _ -> encode_health ([], [], [])
+    | Some tr, Some rs ->
+      encode_health (Translator_rule.state tr).Translator_rule.blacklist (Ruleset.health rs)
+    | _ -> encode_health Ids.empty { Ruleset.strikes = Counts.empty; quarantined = Ids.empty }
   in
   Depot.create ~compat:(depot_compat t) ~rules ~cache:(encode_code (freeze_code t None)) ~health
 
@@ -832,25 +833,24 @@ let depot_install t depot =
       (rung_name t.rung_floor) (rung_name natural);
   let rule = Option.map Ruleset.find t.ruleset in
   let code = Depot.guard "cache" (fun () -> decode_code ~rule (Depot.cache_payload depot)) in
-  let blacklist, strikes, quarantined = depot_health depot in
+  let blacklist, health = depot_health depot in
   (* The depot's durable demotions ratchet in before any entry installs
      (union/max merge, the same policy snapshot restore uses); the
      flush keeps no TB translated under the pre-merge health alive. *)
   Tb.Cache.flush t.cache;
   (match (t.rule_translator, t.ruleset) with
-  | Some tr, Some rs -> ratchet_health tr rs ~blacklist ~strikes ~quarantined
+  | Some tr, Some rs ->
+    let state = { (Translator_rule.state tr) with Translator_rule.blacklist } in
+    ignore (ratchet_health tr rs state health)
   | _ -> ());
   let n = Array.length code.c_tbs and m = Array.length code.c_regions in
-  let qpcs = Hashtbl.create 8 in
-  List.iter
-    (fun pc -> Hashtbl.replace qpcs pc ())
-    (Depot.quarantined_pcs depot);
+  let qpcs = Ids.of_list (Depot.quarantined_pcs depot) in
   let skip = Array.make (n + m) false in
   let keys = Hashtbl.create (2 * (n + 1)) in
   Array.iteri
     (fun i f ->
       let tb = f.f_tb in
-      if Hashtbl.mem qpcs tb.Tb.guest_pc then skip.(i) <- true;
+      if Ids.mem tb.Tb.guest_pc qpcs then skip.(i) <- true;
       Hashtbl.replace keys (tb.Tb.guest_pc, tb.Tb.privileged, tb.Tb.mmu_on) i)
     code.c_tbs;
   Array.iteri
@@ -866,7 +866,7 @@ let depot_install t depot =
       dp_generation = Tb.Cache.generation t.cache;
       dp_installed_count = 0;
       dp_served = Hashtbl.create 64;
-      dp_poisoned = [];
+      dp_poisoned = Ids.empty;
     }
   in
   t.depot <- Some dp;
@@ -929,7 +929,7 @@ let depot_coverage t =
 let depot_poisoned t =
   match t.depot with
   | None -> []
-  | Some dp -> List.sort compare dp.dp_poisoned
+  | Some dp -> Ids.elements dp.dp_poisoned
 
 (* Structural verification without a machine: decode every engine-level
    payload the way install would, the code's rule ids against the
@@ -950,12 +950,11 @@ let depot_check depot =
 (* Fleet write-back: fold breaker-quarantined rule ids into the depot's
    durable health. Returns true when the set grew (save warranted). *)
 let depot_quarantine_rules depot ids =
-  let blacklist, strikes, quarantined = depot_health depot in
-  let merged = union_int ids quarantined in
-  if List.length merged = List.length quarantined then false
+  let blacklist, h = depot_health depot in
+  let quarantined = Ids.union (Ids.of_list ids) h.Ruleset.quarantined in
+  if Ids.equal quarantined h.Ruleset.quarantined then false
   else begin
-    Depot.set_health depot
-      (encode_health (blacklist, strikes, merged));
+    Depot.set_health depot (encode_health blacklist { h with Ruleset.quarantined });
     true
   end
 
@@ -1108,8 +1107,7 @@ let run ?chaining ?(max_guest_insns = max_int) ?deadline
                front end so the entry never reloads *)
             (match t.depot with
             | Some dp when depot_served dp tb ->
-              if not (List.mem tb.Tb.guest_pc dp.dp_poisoned) then
-                dp.dp_poisoned <- tb.Tb.guest_pc :: dp.dp_poisoned
+              dp.dp_poisoned <- Ids.add tb.Tb.guest_pc dp.dp_poisoned
             | _ -> ());
             Journal.record t.journal
               (Journal.Diverge

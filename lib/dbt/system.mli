@@ -220,7 +220,9 @@ val restore : ?rebuild:bool -> t -> Snapshot.t -> unit
     engine it has demoted since. Restoring into a fresh machine
     installs the snapshot's health verbatim (merge with empty state),
     keeping save/restore bit-identity. Shadow-verification progress is
-    taken from the snapshot as-is (re-verifying is always sound). *)
+    taken from the snapshot as-is (re-verifying is always sound). The
+    captured health, like the code, is the value a capture in this
+    process holds or is decoded from its bytes. *)
 
 val snapshot_mode : Snapshot.t -> mode
 (** The mode a snapshot was taken under (to construct a matching

@@ -17,6 +17,8 @@ module Flagconv = Repro_rules.Flagconv
 module Pinmap = Repro_rules.Pinmap
 module Rule = Repro_rules.Rule
 module Ruleset = Repro_rules.Ruleset
+module Ids = Ruleset.Ids
+module Counts = Ruleset.Counts
 module Fi = Repro_faultinject.Faultinject
 module Trace = Repro_observe.Trace
 module Ledger = Repro_perfscope.Ledger
@@ -55,6 +57,16 @@ type expectation = {
   writes : (int, int) Hashtbl.t;  (* physical byte address -> value *)
 }
 
+(* The translator's durable state, a value: every change replaces it. *)
+type state = {
+  blacklist : Ids.t;  (* guest PCs sent to baseline *)
+  shadow_done : int Counts.t;  (* completed comparisons per PC *)
+  shadow_tries : int Counts.t;  (* armed replays per PC *)
+  rule_covered : int;
+  fallback : int;
+  inter_tb_elisions : int;
+}
+
 type t = {
   sites : Covscope.Static.t;
       (* every first emission's rule-template sites, per rule *)
@@ -65,13 +77,8 @@ type t = {
   ruleset : Ruleset.t;
   shadow_depth : int;
   quarantine_threshold : int;
-  blacklist : (Word32.t, unit) Hashtbl.t;  (* guest PCs sent to baseline *)
-  shadow_done : (Word32.t, int) Hashtbl.t;  (* completed comparisons per PC *)
-  shadow_tries : (Word32.t, int) Hashtbl.t;  (* armed replays per PC *)
+  mutable state : state;
   mutable pending : expectation option;
-  mutable rule_covered : int;
-  mutable fallback : int;
-  mutable inter_tb_elisions : int;
 }
 
 let create ~opt ~ruleset ?(shadow_depth = 0) ?(quarantine_threshold = 2) ?ledger () =
@@ -82,13 +89,16 @@ let create ~opt ~ruleset ?(shadow_depth = 0) ?(quarantine_threshold = 2) ?ledger
     ruleset;
     shadow_depth;
     quarantine_threshold;
-    blacklist = Hashtbl.create 16;
-    shadow_done = Hashtbl.create 64;
-    shadow_tries = Hashtbl.create 64;
+    state =
+      {
+        blacklist = Ids.empty;
+        shadow_done = Counts.empty;
+        shadow_tries = Counts.empty;
+        rule_covered = 0;
+        fallback = 0;
+        inter_tb_elisions = 0;
+      };
     pending = None;
-    rule_covered = 0;
-    fallback = 0;
-    inter_tb_elisions = 0;
   }
 
 (* Translation-time statics: the rule-template sites into the
@@ -220,8 +230,9 @@ exception Shadow_abort
 (* Replay crossed a boundary it cannot model purely (MMIO, bus error,
    guest exception): discard the comparison. *)
 
-let count tbl key = match Hashtbl.find_opt tbl key with Some n -> n | None -> 0
-let bump tbl key = Hashtbl.replace tbl key (count tbl key + 1)
+let count counts pc = Option.value ~default:0 (Counts.find_opt pc counts)
+let bump counts pc = Counts.add pc (count counts pc + 1) counts
+let blacklisted t pc = Ids.mem pc t.state.blacklist
 
 (* Run the reference interpreter over the TB's guest instructions from
    the current entry state, against an overlay memory view: loads see
@@ -295,14 +306,15 @@ let replay (rt : Runtime.t) (tb : Tb.t) =
    blocks from being replayed forever). *)
 let arm_shadow t (rt : Runtime.t) (tb : Tb.t) =
   t.pending <- None;
-  if t.shadow_depth > 0 && not (Hashtbl.mem t.blacklist tb.Tb.guest_pc) then
+  if t.shadow_depth > 0 && not (blacklisted t tb.Tb.guest_pc) then
     match tb.Tb.meta with
     | Rule_meta m when m.rules_used <> [] && m.shadowable ->
+      let st = t.state in
       if
-        count t.shadow_done tb.Tb.guest_pc < t.shadow_depth
-        && count t.shadow_tries tb.Tb.guest_pc < 4 * t.shadow_depth
+        count st.shadow_done tb.Tb.guest_pc < t.shadow_depth
+        && count st.shadow_tries tb.Tb.guest_pc < 4 * t.shadow_depth
       then begin
-        bump t.shadow_tries tb.Tb.guest_pc;
+        t.state <- { st with shadow_tries = bump st.shadow_tries tb.Tb.guest_pc };
         let stats = Runtime.stats rt in
         Stats.charge_tag stats X.Tag_glue (Costs.interp_one () * tb.Tb.guest_len);
         t.pending <- replay rt tb
@@ -329,7 +341,7 @@ let on_executed t (rt : Runtime.t) (tb : Tb.t) ~outcome ~guest =
       (match rt.Runtime.trace with
       | Some tr -> Trace.emit tr ~a:tb.Tb.guest_pc Shadow "replay"
       | None -> ());
-      bump t.shadow_done tb.Tb.guest_pc;
+      t.state <- { t.state with shadow_done = bump t.state.shadow_done tb.Tb.guest_pc };
       (* With the flag save elided from this exit (inter-TB), env's
          flag word is architecturally stale — skip the comparison but
          keep the replay's flags for repair. *)
@@ -378,7 +390,7 @@ let on_executed t (rt : Runtime.t) (tb : Tb.t) ~outcome ~guest =
            register, any flag-writing rule when the flags diverged, and
            every rule when only memory diverged (stores cannot be
            attributed). If attribution comes up empty, strike all. *)
-        Hashtbl.replace t.blacklist tb.Tb.guest_pc ();
+        t.state <- { t.state with blacklist = Ids.add tb.Tb.guest_pc t.state.blacklist };
         (match tb.Tb.meta with
         | Rule_meta m ->
           let implicated (rule : Rule.t) defs =
@@ -539,8 +551,12 @@ let build_tb t (rt : Runtime.t) cache ~insns chunk =
       ~privileged:(Runtime.privileged rt)
       ~mmu_on:(Repro_arm.Cpu.mmu_enabled rt.Runtime.cpu) ~guest_insns:insns ~region_ids:[||]
   in
-  t.rule_covered <- t.rule_covered + r.Emitter.rule_covered;
-  t.fallback <- t.fallback + r.Emitter.fallback;
+  t.state <-
+    {
+      t.state with
+      rule_covered = t.state.rule_covered + r.Emitter.rule_covered;
+      fallback = t.state.fallback + r.Emitter.fallback;
+    };
   (match rt.Runtime.inject with
   | Some inj when r.Emitter.rule_covered > 0 ->
     if Fi.fire inj Fi.Rule_corrupt then begin
@@ -555,7 +571,7 @@ let build_tb t (rt : Runtime.t) cache ~insns chunk =
   tb
 
 let translate t (rt : Runtime.t) cache ~pc =
-  if Hashtbl.mem t.blacklist pc then begin
+  if blacklisted t pc then begin
     let stats = Runtime.stats rt in
     stats.Stats.quarantine_fallbacks <- stats.Stats.quarantine_fallbacks + 1;
     Translator_qemu.translate rt cache ~pc
@@ -620,7 +636,7 @@ let form_region t (rt : Runtime.t) cache (head : Tb.t) =
     t.opt.Opt.regions
     && (not (Tb.is_region head))
     && head.Tb.injected = `None
-    && (not (Hashtbl.mem t.blacklist head.Tb.guest_pc))
+    && (not (blacklisted t head.Tb.guest_pc))
     && (not (Tb.Cache.near_capacity cache))
     && has_meta head
   in
@@ -674,7 +690,7 @@ let form_region t (rt : Runtime.t) cache (head : Tb.t) =
             || s.Tb.privileged <> head.Tb.privileged
             || s.Tb.mmu_on <> head.Tb.mmu_on
             || Hashtbl.mem seen s.Tb.id
-            || Hashtbl.mem t.blacklist s.Tb.guest_pc
+            || blacklisted t s.Tb.guest_pc
             || not (has_meta s)
           then stop := true
           else begin
@@ -764,7 +780,7 @@ let link_hook t ~pred ~slot ~succ =
           let elide_pred () =
             let elide = Array.copy pm.elide in
             elide.(slot) <- true;
-            t.inter_tb_elisions <- t.inter_tb_elisions + 1;
+            t.state <- { t.state with inter_tb_elisions = t.state.inter_tb_elisions + 1 };
             re_emit t pred { pm with elide }
           in
           match sm.entry_conv with
@@ -803,58 +819,26 @@ let on_enter t (rt : Runtime.t) (tb : Tb.t) =
   arm_shadow t rt tb
 
 let rule_sites t = t.sites
-let stats_rule_covered t = t.rule_covered
-let stats_fallback t = t.fallback
-let blacklist_size t = Hashtbl.length t.blacklist
 
 (* ---------- snapshot support ----------
 
-   The translator's durable state is small: the PC blacklist, the
-   per-PC shadow-sampling counters and three statistics. A TB's meta
-   is on the TB, so it rides with the code cache: a capture's copy of
-   the TB holds it, the cache's bytes carry it whole ([encode_meta]),
-   and an installed copy holds it again. [pending] is
-   always [None] at a checkpoint (checkpoints fire at TB boundaries
-   before [on_enter] arms it). *)
+   The translator's durable state is [state], a value a capture holds
+   as it is. A TB's meta is on the TB, so it rides with the code
+   cache: a capture's copy of the TB holds it, the cache's bytes carry
+   it whole ([encode_meta]), and an installed copy holds it again.
+   [pending] is always [None] at a checkpoint (checkpoints fire at TB
+   boundaries before [on_enter] arms it). *)
 
-type saved = {
-  s_blacklist : Word32.t list;
-  s_shadow_done : (Word32.t * int) list;
-  s_shadow_tries : (Word32.t * int) list;
-  s_rule_covered : int;
-  s_fallback : int;
-  s_inter_tb_elisions : int;
-}
+let state t = t.state
 
-let sorted_bindings tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
-
-let save_state t =
-  {
-    s_blacklist = List.map fst (sorted_bindings t.blacklist);
-    s_shadow_done = sorted_bindings t.shadow_done;
-    s_shadow_tries = sorted_bindings t.shadow_tries;
-    s_rule_covered = t.rule_covered;
-    s_fallback = t.fallback;
-    s_inter_tb_elisions = t.inter_tb_elisions;
-  }
-
-let restore_state t s =
-  Hashtbl.reset t.blacklist;
-  List.iter (fun pc -> Hashtbl.replace t.blacklist pc ()) s.s_blacklist;
-  Hashtbl.reset t.shadow_done;
-  List.iter (fun (pc, n) -> Hashtbl.replace t.shadow_done pc n) s.s_shadow_done;
-  Hashtbl.reset t.shadow_tries;
-  List.iter (fun (pc, n) -> Hashtbl.replace t.shadow_tries pc n) s.s_shadow_tries;
-  t.pending <- None;
-  t.rule_covered <- s.s_rule_covered;
-  t.fallback <- s.s_fallback;
-  t.inter_tb_elisions <- s.s_inter_tb_elisions
+let set_state t s =
+  t.state <- s;
+  t.pending <- None
 
 let stale t (tb : Tb.t) =
   match tb.Tb.meta with
   | Rule_meta m ->
-    Hashtbl.mem t.blacklist tb.Tb.guest_pc
+    blacklisted t tb.Tb.guest_pc
     || List.exists (fun (r, _) -> Ruleset.is_quarantined t.ruleset r) m.rules_used
   | _ -> false
 

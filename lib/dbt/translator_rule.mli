@@ -90,32 +90,27 @@ val rule_sites : t -> Repro_covscope.Static.t
     waves, snapshot restores) is not emitted, so it counts nothing;
     a restore leaves the tally alone. *)
 
-val stats_rule_covered : t -> int
-val stats_fallback : t -> int
+(** {2 Durable state} *)
 
-val blacklist_size : t -> int
-(** Guest PCs permanently routed to the baseline translator. *)
-
-(** {2 Snapshot support} *)
-
-type saved = {
-  s_blacklist : Word32.t list;
-  s_shadow_done : (Word32.t * int) list;
-  s_shadow_tries : (Word32.t * int) list;
-  s_rule_covered : int;
-  s_fallback : int;
-  s_inter_tb_elisions : int;
+type state = {
+  blacklist : Repro_rules.Ruleset.Ids.t;
+      (** guest PCs permanently routed to the baseline translator *)
+  shadow_done : int Repro_rules.Ruleset.Counts.t;  (** completed comparisons per PC *)
+  shadow_tries : int Repro_rules.Ruleset.Counts.t;  (** armed replays per PC *)
+  rule_covered : int;  (** guest instructions translated by rules *)
+  fallback : int;  (** guest instructions sent to the interpreter helper *)
+  inter_tb_elisions : int;  (** flag saves elided at link time *)
 }
-(** The translator's durable state (sorted for stable encodings).
+(** The translator's durable state. A value: every change replaces the
+    translator's state, so one a snapshot holds stays as captured.
     Per-TB metadata is not part of it: each TB the translator emits
     carries its meta ({!Repro_tcg.Tb.meta}), so it rides with the code
     cache. *)
 
-val save_state : t -> saved
+val state : t -> state
 
-val restore_state : t -> saved -> unit
-(** Install [saved]'s tables and counters, and clear any pending
-    shadow expectation. *)
+val set_state : t -> state -> unit
+(** Install a state, and clear any pending shadow expectation. *)
 
 val stale : t -> Repro_tcg.Tb.t -> bool
 (** Live health would translate the TB differently: it carries this

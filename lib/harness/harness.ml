@@ -330,12 +330,11 @@ let coverage t =
         match sys.D.System.rule_translator with
         | None -> [ spec.W.name; "-"; "-" ]
         | Some tr ->
-          let cov = D.Translator_rule.stats_rule_covered tr in
-          let fb = D.Translator_rule.stats_fallback tr in
+          let st = D.Translator_rule.state tr in
           [
             spec.W.name;
-            string_of_int cov;
-            string_of_int fb;
+            string_of_int st.D.Translator_rule.rule_covered;
+            string_of_int st.D.Translator_rule.fallback;
           ])
   in
   {

@@ -21,7 +21,7 @@ type t = {
   plan : Fi.Plan.t option;
   reference : Supervisor.reference;
   trace : Trace.t;  (* the fleet's own ring (request-counter clock) *)
-  known_quarantined : (int, unit) Hashtbl.t;
+  mutable known_quarantined : Ruleset.Ids.t;
   mutable boot_depot : int * int;
       (* (installed, pending) depot coverage of the boot machine the
          warm base was captured from; (0, 0) on a cold boot *)
@@ -96,7 +96,7 @@ let create ?plan ~config base =
     plan;
     reference;
     trace;
-    known_quarantined = Hashtbl.create 16;
+    known_quarantined = Ruleset.Ids.empty;
       boot_depot = (0, 0);
     offered = 0;
     served_ok = 0;
@@ -144,28 +144,27 @@ let breaker_sweep t served_by =
   match (Supervisor.machine t.supervisors.(served_by)).D.System.ruleset with
   | None -> ()
   | Some rs ->
-    List.iter
+    let fresh = Ruleset.Ids.diff (Ruleset.health rs).Ruleset.quarantined t.known_quarantined in
+    t.known_quarantined <- Ruleset.Ids.union fresh t.known_quarantined;
+    Ruleset.Ids.iter
       (fun id ->
-        if not (Hashtbl.mem t.known_quarantined id) then begin
-          Hashtbl.add t.known_quarantined id ();
-          t.breaker_trips <- t.breaker_trips + 1;
-          emit t ~a:id ~b:served_by "breaker:quarantine";
-          Array.iteri
-            (fun i s ->
-              if i <> served_by && Health.alive (Supervisor.health s) then begin
-                let m = Supervisor.machine s in
-                match m.D.System.ruleset with
-                | Some rs' ->
-                  if Ruleset.quarantine_by_id rs' id then begin
-                    T.Tb.Cache.flush m.D.System.cache;
-                    Trace.emit (Supervisor.trace_ring s) ~a:id ~b:served_by
-                      Trace.Fleet "breaker:quarantine"
-                  end
-                | None -> ()
-              end)
-            t.supervisors
-        end)
-      (Ruleset.quarantined_ids rs)
+        t.breaker_trips <- t.breaker_trips + 1;
+        emit t ~a:id ~b:served_by "breaker:quarantine";
+        Array.iteri
+          (fun i s ->
+            if i <> served_by && Health.alive (Supervisor.health s) then begin
+              let m = Supervisor.machine s in
+              match m.D.System.ruleset with
+              | Some rs' ->
+                if Ruleset.quarantine_by_id rs' id then begin
+                  T.Tb.Cache.flush m.D.System.cache;
+                  Trace.emit (Supervisor.trace_ring s) ~a:id ~b:served_by
+                    Trace.Fleet "breaker:quarantine"
+                end
+              | None -> ()
+            end)
+          t.supervisors)
+      fresh
 
 (* ---- dispatch primitives ----
 
@@ -242,9 +241,7 @@ let backoff_insns t =
 let availability t =
   if t.offered = 0 then 1.0 else float_of_int t.served_ok /. float_of_int t.offered
 
-let quarantined_rules t =
-  List.sort_uniq compare
-    (Hashtbl.fold (fun id () acc -> id :: acc) t.known_quarantined [])
+let quarantined_rules t = Ruleset.Ids.elements t.known_quarantined
 
 (* The drill's quarantine verdicts outlive the drill: fold them into a
    persistent depot's health section so every later warm boot starts

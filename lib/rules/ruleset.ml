@@ -24,25 +24,28 @@ let key_of_insn (i : A.t) =
   | A.Msr _ | A.Svc _ | A.Cps _ | A.Mcr _ | A.Mrc _ | A.Vmsr _ | A.Vmrs _ | A.Nop
   | A.Udf _ -> None
 
+module Ids = Set.Make (Int)
+module Counts = Map.Make (Int)
+
+type health = { strikes : int Counts.t; quarantined : Ids.t }
+
 type t = {
   table : (key, Rule.t list) Hashtbl.t;
       (* longest pattern first, ties in the order the rules were given *)
   active : (key, Rule.t list) Hashtbl.t;
       (* [table] minus quarantined rules, same longest-first order —
          what [match_at] scans, so the hot lookup loop pays no
-         per-rule quarantine Hashtbl probe *)
+         per-rule quarantine probe *)
   all : Rule.t list;
   count : int;  (* O(1) [size]; [all] is kept for [rules] *)
   by_id : (int, Rule.t) Hashtbl.t;  (* the first rule given with each id *)
-  strikes : (int, int) Hashtbl.t;  (* rule id → divergence strikes *)
-  quarantined : (int, unit) Hashtbl.t;
+  mutable health : health;  (* replaced on every change, never mutated *)
 }
 
-let is_quarantined t (rule : Rule.t) = Hashtbl.mem t.quarantined rule.Rule.id
-let quarantined_count t = Hashtbl.length t.quarantined
-
-let quarantined_ids t =
-  Hashtbl.fold (fun id () acc -> id :: acc) t.quarantined [] |> List.sort compare
+let health t = t.health
+let is_quarantined t (rule : Rule.t) = Ids.mem rule.Rule.id t.health.quarantined
+let quarantined_count t = Ids.cardinal t.health.quarantined
+let quarantined_ids t = Ids.elements t.health.quarantined
 
 let refresh_active_bucket t k =
   match Hashtbl.find_opt t.table k with
@@ -69,7 +72,7 @@ let of_list rules =
     rules;
   let t =
     { table; active = Hashtbl.create 64; all = rules; count = List.length rules; by_id;
-      strikes = Hashtbl.create 8; quarantined = Hashtbl.create 8 }
+      health = { strikes = Counts.empty; quarantined = Ids.empty } }
   in
   refresh_active t;
   t
@@ -78,53 +81,32 @@ let size t = t.count
 let rules t = t.all
 let find t id = Hashtbl.find_opt t.by_id id
 
-let strike t (rule : Rule.t) ~threshold =
-  if is_quarantined t rule then false
-  else begin
-    let n = (match Hashtbl.find_opt t.strikes rule.Rule.id with Some n -> n | None -> 0) + 1 in
-    Hashtbl.replace t.strikes rule.Rule.id n;
-    if n >= threshold then begin
-      Hashtbl.replace t.quarantined rule.Rule.id ();
-      List.iter (refresh_active_bucket t) (keys_of_rule rule);
-      true
-    end
-    else false
-  end
+(* A rule newly quarantined: its buckets drop it. *)
+let quarantine t (rule : Rule.t) strikes =
+  t.health <- { strikes; quarantined = Ids.add rule.Rule.id t.health.quarantined };
+  List.iter (refresh_active_bucket t) (keys_of_rule rule)
 
-let strikes t (rule : Rule.t) =
-  match Hashtbl.find_opt t.strikes rule.Rule.id with Some n -> n | None -> 0
+let strike t (rule : Rule.t) ~threshold =
+  let { strikes; quarantined } = t.health in
+  if Ids.mem rule.Rule.id quarantined then false
+  else
+    let n = 1 + Option.value ~default:0 (Counts.find_opt rule.Rule.id strikes) in
+    let strikes = Counts.add rule.Rule.id n strikes in
+    if n >= threshold then (quarantine t rule strikes; true)
+    else (t.health <- { t.health with strikes }; false)
 
 (* The fleet circuit breaker's demotion lever: quarantine by id without
    a local strike history (the strikes happened on another machine). *)
 let quarantine_by_id t id =
-  if Hashtbl.mem t.quarantined id then false
-  else
-    match find t id with
-    | None -> false
-    | Some rule ->
-      Hashtbl.replace t.quarantined id ();
-      List.iter (refresh_active_bucket t) (keys_of_rule rule);
-      true
+  match find t id with
+  | Some rule when not (is_quarantined t rule) -> quarantine t rule t.health.strikes; true
+  | _ -> false
 
-(* Snapshot support: the ruleset's mutable health state (strikes and
-   quarantined ids), sorted for stable encodings. The rules themselves
-   are not snapshot state: rule files and depot rules sections carry
-   them as {!Serialize} codec bytes. *)
-let export_health t =
-  let strikes =
-    Hashtbl.fold (fun id n acc -> (id, n) :: acc) t.strikes [] |> List.sort compare
-  in
-  let quarantined =
-    Hashtbl.fold (fun id () acc -> id :: acc) t.quarantined [] |> List.sort compare
-  in
-  (strikes, quarantined)
-
-let restore_health t ~strikes ~quarantined =
-  Hashtbl.reset t.strikes;
-  List.iter (fun (id, n) -> Hashtbl.replace t.strikes id n) strikes;
-  Hashtbl.reset t.quarantined;
-  List.iter (fun id -> Hashtbl.replace t.quarantined id ()) quarantined;
-  refresh_active t
+(* Every bucket is refreshed only when the quarantine set is a new one. *)
+let set_health t h =
+  let refresh = h.quarantined != t.health.quarantined in
+  t.health <- h;
+  if refresh then refresh_active t
 
 let match_at t insns =
   match insns with

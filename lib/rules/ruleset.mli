@@ -30,17 +30,32 @@ val match_at : t -> A.t list -> (Rule.t * Rule.binding) option
     divergent translation; at [threshold] strikes the rule is
     permanently excluded from matching. *)
 
+module Ids : Set.S with type elt = int
+module Counts : Map.S with type key = int
+
+type health = { strikes : int Counts.t; quarantined : Ids.t }
+(** Per-rule divergence strikes and the quarantined rule ids. A value:
+    every change replaces the ruleset's health, so one a snapshot
+    holds stays as captured. The rules themselves are not part of it:
+    rule files and depot rules sections carry them as {!Serialize}
+    codec bytes. *)
+
+val health : t -> health
+
+val set_health : t -> health -> unit
+(** Install a health (snapshot restore, depot install, and the
+    rollback path of the livelock watchdog): matching skips exactly
+    its quarantined rules from now on. *)
+
 val strike : t -> Rule.t -> threshold:int -> bool
 (** Record one divergence strike; [true] iff this strike newly
     quarantined the rule. No-op on already-quarantined rules. *)
 
 val is_quarantined : t -> Rule.t -> bool
-val strikes : t -> Rule.t -> int
 val quarantined_count : t -> int
 
 val quarantined_ids : t -> int list
-(** Sorted quarantined rule ids — what a fleet circuit breaker diffs
-    to learn of new local demotions. *)
+(** Sorted quarantined rule ids. *)
 
 val quarantine_by_id : t -> int -> bool
 (** Quarantine a rule by id without a strike history — the fleet-wide
@@ -48,14 +63,6 @@ val quarantine_by_id : t -> int -> bool
     [true] iff the id names a known, not-yet-quarantined rule. The
     caller must flush any code cache holding translations made under
     the old quarantine set. *)
-
-val export_health : t -> (int * int) list * int list
-(** [(strikes, quarantined)] — per-rule strike counts and quarantined
-    rule ids, sorted (snapshot payload). *)
-
-val restore_health : t -> strikes:(int * int) list -> quarantined:int list -> unit
-(** Replace the health state with a captured one (snapshot restore —
-    also the rollback path of the livelock watchdog). *)
 
 val coverage : t -> A.t list -> int
 (** Static count of instructions in the list matched by some rule

@@ -380,7 +380,7 @@ let test_rule_coverage_counted () =
   | None -> Alcotest.fail "no rule translator"
   | Some tr ->
     Alcotest.(check bool) "some rule coverage" true
-      (D.Translator_rule.stats_rule_covered tr > 0)
+      ((D.Translator_rule.state tr).D.Translator_rule.rule_covered > 0)
 
 let test_sys_insn_classification () =
   (* UMULL is emulated through the interpreter helper but is NOT a

@@ -251,16 +251,17 @@ let test_region_restore_grown_blacklist () =
   restore_demoted "a PC blacklisted since"
     ~demote:(fun m ->
       let tr = Option.get m.D.System.rule_translator in
-      let saved = D.Translator_rule.save_state tr in
-      D.Translator_rule.restore_state tr
-        { saved with D.Translator_rule.s_blacklist = pc :: saved.D.Translator_rule.s_blacklist })
+      let st = D.Translator_rule.state tr in
+      let blacklist = Repro_rules.Ruleset.Ids.add pc st.D.Translator_rule.blacklist in
+      D.Translator_rule.set_state tr { st with D.Translator_rule.blacklist })
     ~gone:(fun tb -> tb.T.Tb.guest_pc = pc);
   (* a rule the region's second member used, quarantined since: the
      first rule whose quarantine makes that member stale *)
   let probe = make_sys mode image in
   let stale_under id =
-    Repro_rules.Ruleset.restore_health (Option.get probe.D.System.ruleset) ~strikes:[]
-      ~quarantined:[ id ];
+    Repro_rules.Ruleset.set_health (Option.get probe.D.System.ruleset)
+      { Repro_rules.Ruleset.strikes = Repro_rules.Ruleset.Counts.empty;
+        quarantined = Repro_rules.Ruleset.Ids.singleton id };
     let ptr = Option.get probe.D.System.rule_translator in
     fun (tb : T.Tb.t) -> D.Translator_rule.stale ptr tb
   in

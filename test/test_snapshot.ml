@@ -841,7 +841,7 @@ let test_capture_stays_a_value () =
   D.System.restore restored snap;
   let progress m =
     let tr = Option.get m.D.System.rule_translator in
-    ( (D.Translator_rule.save_state tr).D.Translator_rule.s_inter_tb_elisions,
+    ( (D.Translator_rule.state tr).D.Translator_rule.inter_tb_elisions,
       (D.System.stats m).Stats.regions_formed )
   in
   List.iter
